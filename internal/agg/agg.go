@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/collector"
 	"repro/internal/detect"
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -68,17 +69,12 @@ type Aggregator struct {
 	metStale    *obs.Counter
 }
 
-// upstream is the per-shard-collector acked-delivery state: the same
-// epoch/appliedSeq/lastAcked triple the collector keeps per source,
-// because the hop speaks the same protocol.
+// upstream is the per-shard-collector acked-delivery state — the same
+// durable.Watermark the collector keeps per source, because the hop speaks
+// the same protocol. Guarded by Aggregator.mu.
 type upstream struct {
 	id string
-	// epoch is the shard's uplink-spool numbering generation; appliedSeq
-	// is the dedup watermark; lastAcked trails it and only advances after
-	// the checkpoint (when configured) has made the merge durable.
-	epoch      uint64
-	appliedSeq uint64
-	lastAcked  uint64
+	wm durable.Watermark
 }
 
 // mergedSource is one source's latest row plus the shard that delivered
@@ -95,7 +91,7 @@ type mergedSource struct {
 	active   uint32
 	// verdictShard/verdictKey track which shard delivered the verdict
 	// snapshot and how far it reached, for the cross-shard staleness rule
-	// (see applyVerdicts).
+	// (see mergeVerdictsLocked).
 	verdictShard string
 	verdictKey   verdictKey
 }
@@ -236,14 +232,6 @@ func (a *Aggregator) trackConn(conn net.Conn, add bool) {
 	a.mu.Unlock()
 }
 
-// connSeq mirrors the collector's: data frames after a TSeqStart are
-// implicitly numbered consecutively from it.
-type connSeq struct {
-	active bool
-	epoch  uint64
-	next   uint64
-}
-
 // HandleConn runs one shard uplink connection to completion: handshake,
 // then TFleetSummary frames until the connection dies. Exported so tests
 // and in-process transports can drive the aggregator without a listener.
@@ -258,7 +246,7 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 	}
 	up := a.upstream(shardID)
 
-	var cs connSeq
+	var cs durable.Numbering
 	sc := wire.NewFrameScanner(conn)
 	for {
 		if a.cfg.IdleTimeout > 0 {
@@ -288,130 +276,112 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 				a.metDecErrs.Inc()
 				return
 			}
-			ackSeq := a.seqStart(up, ss)
-			cs = connSeq{active: true, epoch: ss.Epoch, next: ss.FirstSeq}
-			if writeAck(conn, cs.epoch, ackSeq) != nil {
+			// Summaries have no mid-set state, so a renumbering orphans
+			// nothing here.
+			a.mu.Lock()
+			ackSeq, _ := up.wm.Start(ss.Epoch, ss.FirstSeq)
+			a.mu.Unlock()
+			cs.Begin(ss.Epoch, ss.FirstSeq)
+			if wire.WriteAck(conn, cs.Epoch, ackSeq) != nil {
 				return
 			}
 			a.metAcks.Inc()
 			continue
 		}
 
+		// Every data frame of a sequenced link consumes the next number;
+		// admitting it claims the number.
 		var seq uint64
-		var dup bool
-		if cs.active {
-			// Every data frame consumes the next number; passing the dedup
-			// check claims it.
-			seq = cs.next
-			cs.next++
+		adm := durable.Fresh
+		if cs.Active {
+			seq = cs.Take()
 			a.mu.Lock()
-			if up.epoch != cs.epoch {
-				// A newer uplink generation superseded this link.
-				a.mu.Unlock()
-				a.metDiscon.Inc()
-				return
-			}
-			dup = seq <= up.appliedSeq
-			if !dup {
-				up.appliedSeq = seq
-			}
+			adm = up.wm.Admit(cs.Epoch, seq)
 			a.mu.Unlock()
 		}
-
-		if dup {
-			// Retransmission of an applied summary (its ack was lost or
-			// withheld by a checkpoint failure): skip the merge, fall
-			// through to re-attempt durability + ack.
-			a.metDups.Inc()
-		} else {
+		switch adm {
+		case durable.Stale:
+			// A newer uplink generation superseded this link.
+			a.metDiscon.Inc()
+			return
+		case durable.Fresh:
 			// A frame that arrived intact (CRC passed) but is not a usable
 			// payload cannot be helped by retransmitting identical bytes, so
 			// its sequence number stays consumed, the frame is dropped and
 			// counted, and no ack is sent — the next good frame's cumulative
 			// ack covers it.
-			switch f.Type {
-			case wire.TFleetSummary:
-				fs, derr := wire.DecodeFleetSummary(f.Payload)
-				if derr != nil {
-					a.metDecErrs.Inc()
-					continue
-				}
-				a.applySummary(shardID, fs)
-			case wire.TVerdicts:
-				vs, derr := wire.DecodeVerdicts(f.Payload)
-				if derr != nil {
-					a.metDecErrs.Inc()
-					continue
-				}
-				a.applyVerdicts(shardID, vs)
-			default:
+			if !a.apply(up, cs.Epoch, seq, f) {
 				a.metDecErrs.Inc()
 				continue
 			}
-			if !cs.active {
-				continue // v1 link: no acks to send
-			}
+		case durable.Duplicate:
+			// Retransmission of an applied summary (its ack was lost or
+			// withheld by a checkpoint failure): skip the merge, re-attempt
+			// durability + ack.
+			a.metDups.Inc()
+		}
+		if !cs.Active {
+			continue // unsequenced link: no acks to send
 		}
 
-		// Ack-after-durability, exactly the collector's rule: persist the
-		// merge before acknowledging it, and commit the in-memory watermark
-		// only once the checkpoint file is durably renamed.
+		// Ack-after-durability: persist the merge before acknowledging it,
+		// and commit the watermark only once the checkpoint is durable.
 		a.mu.Lock()
-		durable := seq <= up.lastAcked
+		up.wm.Settle(cs.Epoch, seq) // a duplicate of an unusable frame settles here
+		isDurable := seq <= up.wm.Acked
 		a.mu.Unlock()
-		if !durable {
+		if !isDurable {
 			if a.cfg.CheckpointPath != "" {
-				if err := a.checkpoint(up, cs.epoch, seq); err != nil {
+				if err := a.Checkpoint(); err != nil {
 					a.metCkptErrs.Inc()
 					continue
 				}
 			}
 			a.mu.Lock()
-			if up.epoch == cs.epoch && seq > up.lastAcked {
-				up.lastAcked = seq
-			}
+			up.wm.Commit(cs.Epoch, seq)
 			a.mu.Unlock()
 		}
-		if writeAck(conn, cs.epoch, seq) != nil {
+		if wire.WriteAck(conn, cs.Epoch, seq) != nil {
 			return
 		}
 		a.metAcks.Inc()
 	}
 }
 
-// writeAck sends a cumulative delivery acknowledgement.
-func writeAck(conn net.Conn, epoch, seq uint64) error {
-	return wire.WriteFrame(conn, wire.Frame{Type: wire.TAck,
-		Payload: wire.AppendAck(nil, wire.Ack{Epoch: epoch, Seq: seq})})
-}
-
-// seqStart applies an uplink's TSeqStart to the shard's delivery state
-// and returns the watermark to advertise back — the collector's resync
-// rules, minus set aborts (summaries have no mid-set state).
-func (a *Aggregator) seqStart(up *upstream, ss wire.SeqStart) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if up.epoch != ss.Epoch {
-		up.epoch = ss.Epoch
-		up.appliedSeq = 0
-		up.lastAcked = 0
-	}
-	if ss.FirstSeq > up.appliedSeq+1 {
-		// The shard resumes past our watermark: those summaries are gone
-		// for good; resync forward rather than wedge.
-		up.appliedSeq = ss.FirstSeq - 1
-		if up.lastAcked < up.appliedSeq {
-			up.lastAcked = up.appliedSeq
+// apply decodes one data frame (outside the lock) and folds it into the
+// merged state, settling the shard's watermark in the same a.mu hold as
+// the merge so a snapshot never holds one without the other. It reports
+// false for a frame that is not a usable payload.
+func (a *Aggregator) apply(up *upstream, epoch, seq uint64, f wire.Frame) bool {
+	var merge func()
+	switch f.Type {
+	case wire.TFleetSummary:
+		fs, err := wire.DecodeFleetSummary(f.Payload)
+		if err != nil {
+			return false
 		}
+		merge = func() { a.mergeSummaryLocked(up.id, fs) }
+	case wire.TVerdicts:
+		vs, err := wire.DecodeVerdicts(f.Payload)
+		if err != nil {
+			return false
+		}
+		merge = func() { a.mergeVerdictsLocked(up.id, vs) }
+	default:
+		return false
 	}
-	return up.lastAcked
+	a.mu.Lock()
+	merge()
+	up.wm.Settle(epoch, seq)
+	a.mu.Unlock()
+	return true
 }
 
-// applySummary folds one decoded summary into the merged state:
+// mergeSummaryLocked folds one decoded summary into the merged state:
 // last-writer-wins per source. The decoded items are freshly allocated by
 // the decoder and the row is replaced wholesale, so readers holding a
-// previous Fleet() snapshot are never mutated under.
-func (a *Aggregator) applySummary(shardID string, fs wire.FleetSummary) {
+// previous Fleet() snapshot are never mutated under. Caller holds a.mu.
+func (a *Aggregator) mergeSummaryLocked(shardID string, fs wire.FleetSummary) {
 	row := collector.SourceRow{
 		Summary: collector.SourceSummary{
 			ID:             fs.Source,
@@ -429,7 +399,6 @@ func (a *Aggregator) applySummary(shardID string, fs wire.FleetSummary) {
 		FreqHz: fs.FreqHz,
 		Items:  fs.Items,
 	}
-	a.mu.Lock()
 	ms := a.sources[fs.Source]
 	if ms == nil {
 		ms = &mergedSource{}
@@ -449,31 +418,29 @@ func (a *Aggregator) applySummary(shardID string, fs wire.FleetSummary) {
 	curSum := ms.row.Summary.Sets + ms.row.Summary.AbortedSets
 	if (ms.shard != "" || curSum > 0) &&
 		(newSum < curSum || (newSum == curSum && shardID != ms.shard)) {
-		a.mu.Unlock()
 		a.metStale.Inc()
 		return
 	}
 	ms.shard = shardID
 	ms.row = row
 	a.metSources.SetInt(len(a.sources))
-	a.mu.Unlock()
 	a.lastMergeNano.Store(time.Now().UnixNano())
 	a.metMerges.Inc()
 }
 
-// applyVerdicts folds one decoded verdict snapshot into the merged state:
-// last-writer-wins per source, like summary rows. A snapshot may precede
-// the source's first summary (the event fired mid-set); the placeholder row
-// carries just the ID until the summary lands.
-func (a *Aggregator) applyVerdicts(shardID string, vs wire.VerdictSet) {
-	a.mu.Lock()
+// mergeVerdictsLocked folds one decoded verdict snapshot into the merged
+// state: last-writer-wins per source, like summary rows. A snapshot may
+// precede the source's first summary (the event fired mid-set); the
+// placeholder row carries just the ID until the summary lands. Caller
+// holds a.mu.
+func (a *Aggregator) mergeVerdictsLocked(shardID string, vs wire.VerdictSet) {
 	ms := a.sources[vs.Source]
 	if ms == nil {
 		ms = &mergedSource{row: collector.SourceRow{
 			Summary: collector.SourceSummary{ID: vs.Source}}}
 		a.sources[vs.Source] = ms
 	}
-	// Staleness guard, the verdict-stream twin of applySummary's: within
+	// Staleness guard, the verdict-stream twin of mergeSummaryLocked's: within
 	// one shard's stream seq order makes last-writer-wins correct, but
 	// across shards (a drain moved the source) the departing shard's spool
 	// may replay snapshots the new owner has already superseded. The
@@ -482,7 +449,6 @@ func (a *Aggregator) applyVerdicts(shardID string, vs wire.VerdictSet) {
 	// it reaches at least as far as the stored one.
 	key := verdictKeyOf(vs)
 	if ms.verdictShard != "" && shardID != ms.verdictShard && key.less(ms.verdictKey) {
-		a.mu.Unlock()
 		a.metStale.Inc()
 		return
 	}
@@ -492,7 +458,6 @@ func (a *Aggregator) applyVerdicts(shardID string, vs wire.VerdictSet) {
 	ms.verdictShard = shardID
 	ms.verdictKey = key
 	a.metSources.SetInt(len(a.sources))
-	a.mu.Unlock()
 	a.lastMergeNano.Store(time.Now().UnixNano())
 	a.metMerges.Inc()
 }
@@ -534,7 +499,7 @@ func (a *Aggregator) UpstreamAcked(shard string) (epoch, seq uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if up := a.shards[shard]; up != nil {
-		return up.epoch, up.lastAcked
+		return up.wm.Epoch, up.wm.Acked
 	}
 	return 0, 0
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -303,8 +304,12 @@ func TestAggregatorCheckpointRestart(t *testing.T) {
 	}
 	sp := startShard(t, "shard-a", t.TempDir(), collector.Config{TopK: topK}, pipeDial(a1.HandleConn))
 	shipTo(t, "worker-1", pipeDial(sp.coll.HandleConn), sp.coll, set)
-	mustDrain(t, "uplink shard-a", sp.uplink, 30*time.Second)
 	view1 := waitMerged(t, a1, 1, 1, 30*time.Second)
+	// The merged row is visible before the aggregator commits its
+	// watermark; the uplink's drain (the TAck arriving) is what orders the
+	// UpstreamAcked assertion below. It must come after waitMerged: before
+	// the summary reaches the uplink spool an empty drain returns at once.
+	mustDrain(t, "uplink shard-a", sp.uplink, 30*time.Second)
 	sp.stop()
 	epoch1, acked1 := a1.UpstreamAcked("shard-a")
 	if acked1 == 0 {
@@ -346,6 +351,41 @@ func TestAggregatorCheckpointRestart(t *testing.T) {
 	v := a2.Fleet()
 	if len(v.Sources) != 1 || v.Sources[0].Sets != 1 {
 		t.Fatalf("replay after restart corrupted the view: %+v", v.Sources)
+	}
+}
+
+// TestRestoreParentCheckpoint: an aggregator checkpoint written by the
+// parent commit (testdata) restores, and checkpointing the restored state
+// reproduces it byte for byte.
+func TestRestoreParentCheckpoint(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/parent_checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/agg.json"
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch, acked := a.UpstreamAcked("shard-a"); epoch != 9 || acked != 11 {
+		t.Fatalf("restored watermark (%d,%d), want (9,11)", epoch, acked)
+	}
+	if v := a.Fleet(); len(v.Sources) != 1 || v.Sources[0].ID != "worker-1" || v.Sources[0].Sets != 3 ||
+		a.SourceShard("worker-1") != "shard-a" {
+		t.Fatalf("restored view %+v", v.Sources)
+	}
+	if err := a.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rewritten, fixture) {
+		t.Fatalf("re-checkpoint moved the encoding: %s", firstDiff(string(rewritten), string(fixture)))
 	}
 }
 

@@ -48,13 +48,15 @@ func BenchmarkAggregatorMerge(b *testing.B) {
 				Confidence:  1,
 			}
 		}
-		a.applySummary("shard-a", wire.FleetSummary{
+		a.mu.Lock()
+		a.mergeSummaryLocked("shard-a", wire.FleetSummary{
 			Source:   fmt.Sprintf("src-%04d", s),
 			FreqHz:   3_000_000_000,
 			Sets:     5,
 			MeanConf: 0.97,
 			Items:    items,
 		})
+		a.mu.Unlock()
 	}
 
 	b.ReportAllocs()

@@ -4,17 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/collector"
 	"repro/internal/core"
+	"repro/internal/durable"
 )
 
 // The aggregator checkpoint mirrors the collector's restart story one
 // tier up: the per-shard ack watermarks (so dedup survives and acked
 // summaries are never re-merged) and every source's latest merged row (so
-// /fleet resumes populated). Written atomically — temp file, fsync,
-// rename — so a crash mid-write leaves the previous checkpoint intact.
+// /fleet resumes populated). Replaced atomically (durable.WriteFile).
 
 // checkpointVersion guards the file layout.
 const checkpointVersion = 1
@@ -39,17 +38,10 @@ type checkpointSource struct {
 }
 
 // Checkpoint writes the aggregator's durable state to cfg.CheckpointPath
-// atomically.
+// atomically. Every shard row records its settled watermark — the merges
+// this very snapshot contains; committing it to memory is the acking
+// connection's job, after this returns nil (the collector's rule).
 func (a *Aggregator) Checkpoint() error {
-	return a.checkpoint(nil, 0, 0)
-}
-
-// checkpoint is Checkpoint with an optional staged ack: when staged is
-// non-nil, the snapshot records max(staged.lastAcked, stagedSeq) as that
-// shard's watermark (provided its epoch still equals stagedEpoch) — the
-// collector's rule that an acknowledgement must be durable on disk before
-// it is committed to memory or advertised upstream.
-func (a *Aggregator) checkpoint(staged *upstream, stagedEpoch, stagedSeq uint64) error {
 	if a.cfg.CheckpointPath == "" {
 		return fmt.Errorf("agg: no checkpoint path configured")
 	}
@@ -62,11 +54,7 @@ func (a *Aggregator) checkpoint(staged *upstream, stagedEpoch, stagedSeq uint64)
 	file := checkpointFile{Version: checkpointVersion}
 	a.mu.Lock()
 	for _, up := range a.shards {
-		lastAcked := up.lastAcked
-		if up == staged && up.epoch == stagedEpoch && stagedSeq > lastAcked {
-			lastAcked = stagedSeq
-		}
-		file.Shards = append(file.Shards, checkpointShard{ID: up.id, Epoch: up.epoch, LastAcked: lastAcked})
+		file.Shards = append(file.Shards, checkpointShard{ID: up.id, Epoch: up.wm.Epoch, LastAcked: up.wm.Settled})
 	}
 	for _, s := range a.sources {
 		file.Sources = append(file.Sources, checkpointSource{
@@ -84,28 +72,8 @@ func (a *Aggregator) checkpoint(staged *upstream, stagedEpoch, stagedSeq uint64)
 	if err != nil {
 		return fmt.Errorf("agg: checkpoint encode: %w", err)
 	}
-	path := a.cfg.CheckpointPath
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := durable.WriteFile(a.cfg.CheckpointPath, data); err != nil {
 		return fmt.Errorf("agg: checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("agg: checkpoint write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("agg: checkpoint sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("agg: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("agg: checkpoint rename: %w", err)
 	}
 	a.metCkpts.Inc()
 	return nil
@@ -126,14 +94,7 @@ func (a *Aggregator) restoreCheckpoint(path string) error {
 		return fmt.Errorf("agg: checkpoint %s: unsupported version %d", path, file.Version)
 	}
 	for _, cs := range file.Shards {
-		a.shards[cs.ID] = &upstream{
-			id:    cs.ID,
-			epoch: cs.Epoch,
-			// Un-checkpointed applies are gone with the process; the shard
-			// replays everything past the acked watermark.
-			appliedSeq: cs.LastAcked,
-			lastAcked:  cs.LastAcked,
-		}
+		a.shards[cs.ID] = &upstream{id: cs.ID, wm: durable.Restored(cs.Epoch, cs.LastAcked)}
 	}
 	for _, cs := range file.Sources {
 		a.sources[cs.Summary.ID] = &mergedSource{

@@ -12,6 +12,8 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+
+	"repro/internal/hashx"
 )
 
 // ringVnodes is the default virtual-node count per shard. More vnodes
@@ -93,7 +95,7 @@ func (r *Ring) Owner(source string) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	h := mix64(hash64(source))
+	h := hashx.Mix64(hashx.FNV1a(source))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -136,23 +138,5 @@ func HandoffSet(members []string, departing string, sources []string) map[string
 // shard's FNV-1a hash is perturbed per vnode and finalized with a
 // splitmix64 mix so consecutive vnode indices land far apart.
 func vnodeHash(shard string, vnode int) uint64 {
-	return mix64(hash64(shard) ^ mix64(uint64(vnode)+0x9e3779b97f4a7c15))
-}
-
-// hash64 is FNV-1a over s — the same fully specified hash the collector
-// pins sources to ingest shards with.
-func hash64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
-// mix64 is the splitmix64 finalizer: a fully specified bijective mix that
-// spreads FNV's weak low bits across the word.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return hashx.Mix64(hashx.FNV1a(shard) ^ hashx.Mix64(uint64(vnode)+0x9e3779b97f4a7c15))
 }

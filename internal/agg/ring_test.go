@@ -52,6 +52,10 @@ func TestRingDeterminism(t *testing.T) {
 		{"host42-pid9", "shard-b"},
 		{"db.example.com-331", "shard-a"},
 		{"x", "shard-b"},
+		{"bench-0", "shard-d"},
+		{"edge-17.rack4", "shard-a"},
+		{"w", "shard-d"},
+		{"fleet/eu-west/12", "shard-b"},
 	}
 	for _, g := range golden {
 		if got := fwd.Owner(g.source); got != g.owner {

@@ -4,25 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/symtab"
-	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // The checkpoint is the collector's restart story: everything a daemon
 // bounce must not forget, serialized per source — the acked-delivery
-// watermarks (so dedup survives and acked sets are never re-integrated),
+// watermark (so dedup survives and acked sets are never re-integrated),
 // the last completed set's results (so /fleet and /healthz resume
 // populated), and the cumulative accounting. Mid-set integrator state is
 // deliberately absent: acks only ever land on SetEnd frames, so after a
 // restart the shipper replays any partial set from its spool in full and
-// the integrator rebuilds from the replayed TSymtab.
-//
-// The file is written to a temp file in the same directory, fsynced, then
-// renamed over the target — a crash mid-write leaves the previous
-// checkpoint intact, never a torn one.
+// the integrator rebuilds from the replayed TSymtab. The file is replaced
+// atomically (durable.WriteFile).
 
 // checkpointVersion guards the file layout.
 const checkpointVersion = 1
@@ -32,37 +29,12 @@ type checkpointFile struct {
 	Sources []checkpointSource `json:"sources"`
 }
 
-type checkpointSymbol struct {
-	Name string `json:"name"`
-	Size uint64 `json:"size"`
-}
-
+// checkpointSource is one source's row: the shared wire.SourceState (the
+// same struct a handoff carries) plus what only matters to the collector
+// that wrote it.
 type checkpointSource struct {
-	ID        string `json:"id"`
-	Epoch     uint64 `json:"epoch"`
-	LastAcked uint64 `json:"last_acked"`
-
-	FreqHz uint64 `json:"freq_hz,omitempty"`
-	// Symbols is the last symbol table in registration order; re-registering
-	// in the same order reproduces the identical deterministic base layout.
-	Symbols []checkpointSymbol `json:"symbols,omitempty"`
-
-	Items []core.Item      `json:"items,omitempty"`
-	Gaps  trace.Gaps       `json:"gaps"`
-	Diag  core.Diagnostics `json:"diag"`
-
-	Sets          uint64  `json:"sets"`
-	AbortedSets   uint64  `json:"aborted_sets"`
-	Frames        uint64  `json:"frames"`
-	CRCErrors     uint64  `json:"crc_errors"`
-	Disconnects   uint64  `json:"disconnects"`
-	LostMarkers   uint64  `json:"lost_markers"`
-	LostSamples   uint64  `json:"lost_samples"`
-	ConfSum       float64 `json:"conf_sum"`
-	ConfN         int     `json:"conf_n"`
-	LastMeanConf  float64 `json:"last_mean_conf"`
-	LastDegraded  bool    `json:"last_degraded"`
-	EverConnected bool    `json:"ever_connected"`
+	ID string `json:"id"`
+	wire.SourceState
 
 	// Drain/handoff lifecycle (see handoff.go). HandedOff restores as
 	// frozen: once a source's state has been staged for a new owner, a
@@ -79,28 +51,87 @@ type checkpointSource struct {
 	ImportedSeq   uint64   `json:"imported_seq,omitempty"`
 }
 
+// stateLocked copies the source's persisted row out. The watermark it
+// records is the settled one — the sequence number this very accounting
+// reflects — whether or not it has been acknowledged yet. Caller holds
+// s.mu.
+func (s *Source) stateLocked() wire.SourceState {
+	st := wire.SourceState{
+		Epoch:         s.wm.Epoch,
+		LastAcked:     s.wm.Settled,
+		FreqHz:        s.freq,
+		Items:         append([]core.Item(nil), s.items...),
+		Gaps:          s.gaps,
+		Diag:          s.diag,
+		Sets:          s.sets,
+		AbortedSets:   s.abortedSets,
+		Frames:        s.frames,
+		CRCErrors:     s.crcErrors,
+		Disconnects:   s.disconnects,
+		LostMarkers:   s.lostMarkers,
+		LostSamples:   s.lostSamples,
+		ConfSum:       s.confSum,
+		ConfN:         s.confN,
+		LastMeanConf:  s.lastMeanConf,
+		LastDegraded:  s.lastDegraded,
+		EverConnected: s.everConnected,
+	}
+	for i := range st.Items {
+		st.Items[i].Funcs = append([]core.FuncSpan(nil), st.Items[i].Funcs...)
+	}
+	if s.syms != nil {
+		for _, fn := range s.syms.Fns() {
+			st.Symbols = append(st.Symbols, wire.HandoffSymbol{Name: fn.Name, Size: fn.Size})
+		}
+	}
+	return st
+}
+
+// setStateLocked installs a persisted row, the inverse of stateLocked.
+// Mid-set progress is never persisted, so all three watermarks resume at
+// the recorded set boundary and the shipper replays any partial set in
+// full. Re-registering the symbols in recorded order reproduces the
+// deterministic bases the Items point into; a table that will not rebuild
+// is reported and left nil, everything else still installs. Caller holds
+// s.mu (or owns s outright).
+func (s *Source) setStateLocked(st wire.SourceState) error {
+	s.wm = durable.Restored(st.Epoch, st.LastAcked)
+	s.freq = st.FreqHz
+	s.items = st.Items
+	s.gaps = st.Gaps
+	s.diag = st.Diag
+	s.sets = st.Sets
+	s.abortedSets = st.AbortedSets
+	s.frames = st.Frames
+	s.crcErrors = st.CRCErrors
+	s.disconnects = st.Disconnects
+	s.lostMarkers = st.LostMarkers
+	s.lostSamples = st.LostSamples
+	s.confSum = st.ConfSum
+	s.confN = st.ConfN
+	s.lastMeanConf = st.LastMeanConf
+	s.lastDegraded = st.LastDegraded
+	s.everConnected = st.EverConnected
+	s.syms = nil
+	if len(st.Symbols) == 0 {
+		return nil
+	}
+	tab := symtab.NewTable()
+	for _, sym := range st.Symbols {
+		if _, err := tab.Register(sym.Name, sym.Size); err != nil {
+			return fmt.Errorf("symbol %q: %w", sym.Name, err)
+		}
+	}
+	s.syms = tab
+	return nil
+}
+
 // Checkpoint writes the collector's durable state to cfg.CheckpointPath
 // atomically. It is called before every ack (see HandleConn), on daemon
-// shutdown, and on the daemon's periodic timer.
+// shutdown, and on the daemon's periodic timer. Every row records its
+// source's settled watermark; committing that watermark to memory (and so
+// advertising it) is the acking connection's job, after this returns nil.
 func (c *Collector) Checkpoint() error {
-	return c.checkpoint(nil, 0, 0)
-}
-
-// CheckpointConfigured reports whether the collector persists checkpoints
-// at all. Callers with optional durability (the drainer) use it to tell a
-// real checkpoint failure from the expected error on an ephemeral
-// collector.
-func (c *Collector) CheckpointConfigured() bool {
-	return c.cfg.CheckpointPath != ""
-}
-
-// checkpoint is Checkpoint with an optional staged ack: when staged is
-// non-nil, the snapshot records max(staged.lastAcked, stagedSeq) as that
-// source's watermark (provided its epoch still equals stagedEpoch), so an
-// acknowledgement can be made durable on disk *before* it is committed to
-// memory — an un-checkpointed watermark must never be advertised to a
-// shipper (see the SetEnd path in HandleConn).
-func (c *Collector) checkpoint(staged *Source, stagedEpoch, stagedSeq uint64) error {
 	if c.cfg.CheckpointPath == "" {
 		return fmt.Errorf("collector: no checkpoint path configured")
 	}
@@ -120,78 +151,39 @@ func (c *Collector) checkpoint(staged *Source, stagedEpoch, stagedSeq uint64) er
 	file := checkpointFile{Version: checkpointVersion}
 	for _, s := range srcs {
 		s.mu.Lock()
-		lastAcked := s.lastAcked
-		if s == staged && s.epoch == stagedEpoch && stagedSeq > lastAcked {
-			lastAcked = stagedSeq
+		for s.summarizing {
+			s.applyCond.Wait()
 		}
-		cs := checkpointSource{
+		file.Sources = append(file.Sources, checkpointSource{
 			ID:            s.ID,
-			Epoch:         s.epoch,
-			LastAcked:     lastAcked,
-			FreqHz:        s.freq,
-			Items:         append([]core.Item(nil), s.items...),
-			Gaps:          s.gaps,
-			Diag:          s.diag,
-			Sets:          s.sets,
-			AbortedSets:   s.abortedSets,
-			Frames:        s.frames,
-			CRCErrors:     s.crcErrors,
-			Disconnects:   s.disconnects,
-			LostMarkers:   s.lostMarkers,
-			LostSamples:   s.lostSamples,
-			ConfSum:       s.confSum,
-			ConfN:         s.confN,
-			LastMeanConf:  s.lastMeanConf,
-			LastDegraded:  s.lastDegraded,
-			EverConnected: s.everConnected,
+			SourceState:   s.stateLocked(),
 			Internal:      s.internal,
 			HandedOff:     s.handedOff,
 			Redirect:      append([]string(nil), s.redirect...),
 			Imported:      s.imported,
 			ImportedEpoch: s.importedEpoch,
 			ImportedSeq:   s.importedSeq,
-		}
-		for i := range cs.Items {
-			cs.Items[i].Funcs = append([]core.FuncSpan(nil), cs.Items[i].Funcs...)
-		}
-		if s.syms != nil {
-			for _, fn := range s.syms.Fns() {
-				cs.Symbols = append(cs.Symbols, checkpointSymbol{Name: fn.Name, Size: fn.Size})
-			}
-		}
+		})
 		s.mu.Unlock()
-		file.Sources = append(file.Sources, cs)
 	}
 
 	data, err := json.Marshal(file)
 	if err != nil {
 		return fmt.Errorf("collector: checkpoint encode: %w", err)
 	}
-	path := c.cfg.CheckpointPath
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := durable.WriteFile(c.cfg.CheckpointPath, data); err != nil {
 		return fmt.Errorf("collector: checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("collector: checkpoint write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("collector: checkpoint sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("collector: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("collector: checkpoint rename: %w", err)
 	}
 	c.metCkpts.Inc()
 	return nil
+}
+
+// CheckpointConfigured reports whether the collector persists checkpoints
+// at all. Callers with optional durability (the drainer) use it to tell a
+// real checkpoint failure from the expected error on an ephemeral
+// collector.
+func (c *Collector) CheckpointConfigured() bool {
+	return c.cfg.CheckpointPath != ""
 }
 
 // restoreCheckpoint loads path into the sources map. Called from New
@@ -210,29 +202,7 @@ func (c *Collector) restoreCheckpoint(path string) error {
 	}
 	for _, cs := range file.Sources {
 		src := &Source{
-			ID:        cs.ID,
-			epoch:     cs.Epoch,
-			lastAcked: cs.LastAcked,
-			// Mid-set progress is never checkpointed: the dedup watermark
-			// resumes at the acked set boundary and the shipper replays
-			// the partial set in full.
-			appliedSeq:    cs.LastAcked,
-			freq:          cs.FreqHz,
-			items:         cs.Items,
-			gaps:          cs.Gaps,
-			diag:          cs.Diag,
-			sets:          cs.Sets,
-			abortedSets:   cs.AbortedSets,
-			frames:        cs.Frames,
-			crcErrors:     cs.CRCErrors,
-			disconnects:   cs.Disconnects,
-			lostMarkers:   cs.LostMarkers,
-			lostSamples:   cs.LostSamples,
-			confSum:       cs.ConfSum,
-			confN:         cs.ConfN,
-			lastMeanConf:  cs.LastMeanConf,
-			lastDegraded:  cs.LastDegraded,
-			everConnected: cs.EverConnected,
+			ID:            cs.ID,
 			internal:      cs.Internal,
 			handedOff:     cs.HandedOff,
 			frozen:        cs.HandedOff,
@@ -241,14 +211,8 @@ func (c *Collector) restoreCheckpoint(path string) error {
 			importedEpoch: cs.ImportedEpoch,
 			importedSeq:   cs.ImportedSeq,
 		}
-		if len(cs.Symbols) > 0 {
-			tab := symtab.NewTable()
-			for _, sym := range cs.Symbols {
-				if _, err := tab.Register(sym.Name, sym.Size); err != nil {
-					return fmt.Errorf("collector: checkpoint %s: symbol %q: %w", path, sym.Name, err)
-				}
-			}
-			src.syms = tab
+		if err := src.setStateLocked(cs.SourceState); err != nil {
+			return fmt.Errorf("collector: checkpoint %s: %w", path, err)
 		}
 		c.initSource(src)
 		c.sources[cs.ID] = src

@@ -25,6 +25,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/durable"
+	"repro/internal/hashx"
 	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/symtab"
@@ -169,16 +171,16 @@ type Source struct {
 	applyCond *sync.Cond
 	setOpen   bool
 
-	// Acked-delivery state (v2 connections). epoch is the shipper's spool
-	// numbering generation; appliedSeq is the highest sequence number
-	// whose frame has been applied (the dedup watermark); lastAcked is
-	// the highest acknowledged sequence number — it only ever lands on a
-	// SetEnd frame, after the checkpoint write, so retransmission always
-	// restarts at a set boundary and mid-set integrator state never needs
-	// to be serialized.
-	epoch      uint64
-	appliedSeq uint64
-	lastAcked  uint64
+	// Acked-delivery state of sequenced connections (see internal/durable
+	// for the rules). Acks only ever land on a SetEnd or handoff frame, so
+	// retransmission always restarts at a set boundary and mid-set
+	// integrator state never needs to be serialized. summarizing marks a
+	// settled set whose OnSummary call has not returned yet: a checkpoint
+	// waits it out (on applyCond), because a row restored with the set's
+	// watermark acknowledges the shipper's replay as duplicates and the
+	// summary would never be emitted again.
+	wm          durable.Watermark
+	summarizing bool
 
 	// Current-set decoding state. freq and syms are written by the shard
 	// under mu (checkpoint and the fleet view read them); integ, cur, and
@@ -333,13 +335,9 @@ func (c *Collector) source(id string) *Source {
 }
 
 // initSource wires a source into the ingest machinery: its home shard
-// (stable FNV-1a hash of the ID) and the apply-tick condition.
+// (stable hash of the ID) and the apply-tick condition.
 func (c *Collector) initSource(s *Source) {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s.ID); i++ {
-		h = (h ^ uint64(s.ID[i])) * 1099511628211
-	}
-	s.shard = c.shards[h%uint64(len(c.shards))]
+	s.shard = c.shards[hashx.FNV1a(s.ID)%uint64(len(c.shards))]
 	s.applyCond = sync.NewCond(&s.mu)
 }
 
@@ -386,14 +384,6 @@ func (c *Collector) trackConn(conn net.Conn, add bool) {
 		delete(c.conns, conn)
 	}
 	c.mu.Unlock()
-}
-
-// connSeq is one connection's sequence-numbering state: data frames after
-// a TSeqStart are implicitly numbered consecutively from it.
-type connSeq struct {
-	active bool
-	epoch  uint64
-	next   uint64
 }
 
 // HandleConn runs one shipper connection to completion: handshake, then
@@ -447,7 +437,7 @@ func (c *Collector) HandleConn(conn net.Conn) {
 		src.mu.Unlock()
 	}()
 
-	var cs connSeq
+	var cs durable.Numbering
 	rd := c.pool.NewReader(conn)
 	for {
 		if c.cfg.IdleTimeout > 0 {
@@ -463,11 +453,11 @@ func (c *Collector) HandleConn(conn net.Conn) {
 				return
 			}
 			if errors.Is(err, wire.ErrChecksum) {
-				if cs.active {
+				if cs.Active {
 					// The damaged frame consumed a sequence number whose
-					// contents we cannot account for. Unlike v1 this loss
-					// is recoverable: drop the link and the spool
-					// retransmits everything past the acked watermark.
+					// contents we cannot account for, but the loss is
+					// recoverable: drop the link and the spool retransmits
+					// everything past the acked watermark.
 					c.metCRCErrs.Inc()
 					c.metDiscon.Inc()
 					src.mu.Lock()
@@ -476,9 +466,9 @@ func (c *Collector) HandleConn(conn net.Conn) {
 					src.mu.Unlock()
 					return
 				}
-				// v1: framing survived, the payload did not. Drop the
-				// frame, keep the connection; the set-total reconciliation
-				// at SetEnd will surface the hole.
+				// Unsequenced: framing survived, the payload did not. Drop
+				// the frame, keep the connection; the set-total
+				// reconciliation at SetEnd will surface the hole.
 				c.metCRCErrs.Inc()
 				src.mu.Lock()
 				src.crcErrors++
@@ -516,80 +506,72 @@ func (c *Collector) HandleConn(conn net.Conn) {
 				c.redirectAndClose(src, conn)
 				return
 			}
-			cs = connSeq{active: true, epoch: ss.Epoch, next: ss.FirstSeq}
-			if writeAck(conn, cs.epoch, ackSeq) != nil {
+			cs.Begin(ss.Epoch, ss.FirstSeq)
+			if wire.WriteAck(conn, cs.Epoch, ackSeq) != nil {
 				return
 			}
 			c.metAcks.Inc()
 			continue
 		}
-		if !cs.active {
-			// v1 path: no numbering, every frame goes straight to the shard
-			// (which counts any decode failure).
-			src.mu.Lock()
-			if src.frozen {
-				src.mu.Unlock()
-				f.Release()
-				c.redirectAndClose(src, conn)
-				return
-			}
-			c.enqueueFrameLocked(src, f, false, nil)
-			src.mu.Unlock()
-			continue
-		}
 
-		// Sequenced path: every data frame consumes the next number. The
-		// dedup check and the shard enqueue happen under one src.mu hold —
-		// two live connections for the same source (a stale link draining
-		// kernel-buffered frames while the reconnected shipper replays)
-		// must never both pass the check and double-apply a frame. Passing
-		// the check claims the sequence number; the ordered shard queue
-		// then applies the admitted frames in admission order.
-		seq := cs.next
-		cs.next++
+		// Every data frame of a sequenced connection consumes the next
+		// number. Admission and the shard enqueue happen under one src.mu
+		// hold — two live connections for the same source (a stale link
+		// draining kernel-buffered frames while the reconnected shipper
+		// replays) must never both admit a number and double-apply a frame.
+		// The ordered shard queue then applies admitted frames in admission
+		// order. An unsequenced connection's frames are always fresh and
+		// never acknowledged.
+		it := ingestItem{view: f}
 		// Ack-worthy frames run the durability+ack path below. SetEnd is
 		// the classic one; the two handoff data frames join it so a
 		// draining peer's spool trims as each import lands durably.
-		ackWorthy := f.Type == wire.TSetEnd ||
-			f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource
+		var seq uint64
+		ackWorthy := false
+		if cs.Active {
+			seq = cs.Take()
+			ackWorthy = f.Type == wire.TSetEnd ||
+				f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource
+		}
 		src.mu.Lock()
 		if src.frozen {
-			// Frozen mid-connection: the drain quiesced this source after
-			// our handshake. Refuse the frame and point the shipper at the
-			// new owner (deliberate, not a disconnect).
+			// The drain quiesced this source (possibly after our handshake).
+			// Refuse the frame and point the shipper at the new owner — a
+			// deliberate refusal, not a disconnect.
 			src.mu.Unlock()
 			f.Release()
 			c.redirectAndClose(src, conn)
 			return
 		}
-		if src.epoch != cs.epoch {
+		adm := durable.Fresh
+		if cs.Active {
+			adm = src.wm.Admit(cs.Epoch, seq)
+		}
+		var tick uint64
+		switch adm {
+		case durable.Stale:
 			// Another connection opened a newer spool generation for this
-			// source; this link's numbering is obsolete and applying its
-			// frames would corrupt the new generation's dedup watermark.
+			// source; applying this link's frames would corrupt the new
+			// generation's dedup watermark.
 			src.mu.Unlock()
 			f.Release()
 			c.metDiscon.Inc()
 			return
-		}
-		dup := seq <= src.appliedSeq
-		var tick uint64
-		var res chan error
-		if !dup {
-			if seq > src.appliedSeq {
-				src.appliedSeq = seq
-			}
+		case durable.Fresh:
 			if ackWorthy {
 				// The ack path below must know the apply outcome.
-				res = make(chan error, 1)
+				it.wait = &applyWait{res: make(chan error, 1), epoch: cs.Epoch, seq: seq}
 			}
-			c.enqueueFrameLocked(src, f, false, res)
-		} else {
-			// Snapshot: everything enqueued so far (including, on a
-			// reconnect race, the original of this duplicate) must be
-			// applied before a SetEnd below may checkpoint and ack.
+			c.enqueueLocked(src, it)
+		case durable.Duplicate:
+			// Everything enqueued so far (including, on a reconnect race,
+			// the original of this duplicate) must be applied before an
+			// ack-worthy frame below may checkpoint and ack.
 			tick = src.enqTick
 		}
 		src.mu.Unlock()
+
+		dup := adm == durable.Duplicate
 		var dupHandoff string
 		if dup {
 			if f.Type == wire.THandoffSource {
@@ -601,131 +583,97 @@ func (c *Collector) HandleConn(conn net.Conn) {
 				}
 			}
 			f.Release()
-			// Retransmission of a frame already applied (the ack for it
-			// was lost, or a checkpoint failure withheld it): skip the
-			// integrator, but an ack-worthy frame still falls through to
-			// the durability+ack path below — the shipper is replaying
-			// precisely because it never saw that ack.
+			// Retransmission of a frame already applied (the ack for it was
+			// lost, or a checkpoint failure withheld it): skip the
+			// integrator, but an ack-worthy frame still runs the
+			// durability+ack path — the shipper is replaying precisely
+			// because it never saw that ack.
 			c.metDups.Inc()
-			if !ackWorthy {
-				continue
-			}
-			waitApplied(src, tick)
-		} else {
-			if !ackWorthy {
-				continue
-			}
-			if ferr := <-res; ferr != nil {
-				// The frame arrived intact (CRC passed) but its payload is
-				// undecodable; retransmitting identical bytes cannot help,
-				// so the sequence number is consumed, the frame dropped
-				// (and counted by the shard), and no ack sent.
-				continue
-			}
 		}
-		{
-			// Ack-after-durability: the set is applied; persist before
-			// acknowledging so a crash between the two costs the shipper
-			// only a retransmission, never us an acked-but-lost set. The
-			// watermark is staged into the checkpoint and committed to
-			// memory only once the file is durably renamed — an
-			// in-memory-only watermark would be advertised by seqStart on
-			// reconnect and the shipper would reclaim spool segments that
-			// could still be lost with the collector.
+		if !ackWorthy {
+			continue
+		}
+		if dup {
+			waitApplied(src, tick)
+		} else if ferr := <-it.wait.res; ferr != nil {
+			// The frame arrived intact (CRC passed) but its payload is
+			// undecodable; retransmitting identical bytes cannot help, so
+			// the sequence number is consumed, the frame dropped (and
+			// counted by the shard), and no ack sent.
+			continue
+		}
+
+		// Ack-after-durability: the frame is applied; persist before
+		// acknowledging so a crash between the two costs the shipper only a
+		// retransmission, never us an acked-but-lost set.
+		src.mu.Lock()
+		if dup {
+			// Everything numbered ≤ seq has been applied or dropped for
+			// good, so the state reflects it even when the original's own
+			// Settle never ran (its payload was undecodable).
+			src.wm.Settle(cs.Epoch, seq)
+		}
+		isDurable := seq <= src.wm.Acked
+		src.mu.Unlock()
+		if !isDurable {
+			if c.cfg.CheckpointPath != "" {
+				if err := c.Checkpoint(); err != nil {
+					// Without durability the ack would lie; withhold it.
+					// The shipper keeps the set spooled and retransmits;
+					// the dup path re-attempts the checkpoint once it heals.
+					c.metCkptErrs.Inc()
+					continue
+				}
+			}
 			src.mu.Lock()
-			durable := seq <= src.lastAcked
+			src.wm.Commit(cs.Epoch, seq)
 			src.mu.Unlock()
-			if !durable {
-				if c.cfg.CheckpointPath != "" {
-					if err := c.checkpoint(src, cs.epoch, seq); err != nil {
-						// Without durability the ack would lie; withhold
-						// it. The shipper keeps the set spooled and
-						// retransmits; the dup path above re-attempts the
-						// checkpoint once it heals.
-						c.metCkptErrs.Inc()
-						continue
-					}
-				}
+		}
+		if f.Type == wire.THandoffSource {
+			// Alongside the transport ack, report what the import actually
+			// did (installed/merged/duplicate) so the drainer can account
+			// per source. Written BEFORE the transport ack: the shipper's
+			// ack-reader dispatches frames in order, so the drainer is
+			// guaranteed to have every disposition by the time the final
+			// ack releases its Drain.
+			ack := wire.HandoffAck{Source: dupHandoff, Disposition: wire.HandoffDuplicate}
+			if !dup {
 				src.mu.Lock()
-				if src.epoch == cs.epoch && seq > src.lastAcked {
-					src.lastAcked = seq
-				}
+				ack = src.pendingAck
 				src.mu.Unlock()
 			}
-			if f.Type == wire.THandoffSource {
-				// Alongside the transport ack, report what the import
-				// actually did (installed/merged/duplicate) so the drainer
-				// can account per source. Written BEFORE the transport ack:
-				// the shipper's ack-reader dispatches frames in order, so
-				// the drainer is guaranteed to have every disposition by
-				// the time the final ack releases its Drain.
-				ack := wire.HandoffAck{Source: dupHandoff, Disposition: wire.HandoffDuplicate}
-				if !dup {
-					src.mu.Lock()
-					ack = src.pendingAck
-					src.mu.Unlock()
-				}
-				if ack.Source != "" {
-					if payload, aerr := wire.AppendHandoffAck(nil, ack); aerr == nil {
-						if wire.WriteFrame(conn, wire.Frame{Type: wire.THandoffAck, Payload: payload}) != nil {
-							return
-						}
+			if ack.Source != "" {
+				if payload, aerr := wire.AppendHandoffAck(nil, ack); aerr == nil {
+					if wire.WriteFrame(conn, wire.Frame{Type: wire.THandoffAck, Payload: payload}) != nil {
+						return
 					}
 				}
 			}
-			if writeAck(conn, cs.epoch, seq) != nil {
-				return
-			}
-			c.metAcks.Inc()
 		}
+		if wire.WriteAck(conn, cs.Epoch, seq) != nil {
+			return
+		}
+		c.metAcks.Inc()
 	}
 }
 
-// writeAck sends a cumulative delivery acknowledgement.
-func writeAck(conn net.Conn, epoch, seq uint64) error {
-	return wire.WriteFrame(conn, wire.Frame{Type: wire.TAck,
-		Payload: wire.AppendAck(nil, wire.Ack{Epoch: epoch, Seq: seq})})
-}
-
 // seqStart applies a connection's TSeqStart to the source's acked-delivery
-// state and returns the watermark to advertise back. Set aborts are routed
-// through the home shard (as abort entries) so they stay ordered with the
-// frames already queued; the setOpen flag is the connection-side mirror of
-// "a set is in flight" that makes the decision possible without touching
-// shard-owned state.
+// state and returns the watermark to advertise back. A set orphaned by the
+// renumbering is aborted through the home shard (as an abort entry) so the
+// abort stays ordered with the frames already queued; the setOpen flag is
+// the connection-side mirror of "a set is in flight" that makes the
+// decision possible without touching shard-owned state.
 func (c *Collector) seqStart(src *Source, ss wire.SeqStart) (ackSeq uint64, frozen bool) {
 	src.mu.Lock()
 	defer src.mu.Unlock()
 	if src.frozen {
 		return 0, true
 	}
-	if src.epoch != ss.Epoch {
-		// A new spool generation (wiped spool directory, or first contact
-		// from this source): old sequence numbers mean nothing anymore,
-		// and an in-flight set from the old generation will never see its
-		// SetEnd.
-		if src.setOpen {
-			c.enqueueFrameLocked(src, wire.FrameView{}, true, nil)
-		}
-		src.epoch = ss.Epoch
-		src.appliedSeq = 0
-		src.lastAcked = 0
+	ackSeq, orphaned := src.wm.Start(ss.Epoch, ss.FirstSeq)
+	if orphaned && src.setOpen {
+		c.enqueueLocked(src, ingestItem{abort: true})
 	}
-	if ss.FirstSeq > src.appliedSeq+1 {
-		// The shipper resumes past our watermark — we lost state it was
-		// told we had (restart without a checkpoint), or its spool
-		// truncated frames we never saw. Those frames are gone for good;
-		// resync forward rather than wedge waiting for them.
-		src.appliedSeq = ss.FirstSeq - 1
-		if src.lastAcked < src.appliedSeq {
-			src.lastAcked = src.appliedSeq
-		}
-		if src.setOpen {
-			// The in-flight set straddles the gap and cannot complete.
-			c.enqueueFrameLocked(src, wire.FrameView{}, true, nil)
-		}
-	}
-	return src.lastAcked, false
+	return ackSeq, false
 }
 
 // frame applies one verified frame to the source's state, synchronously:
@@ -735,7 +683,7 @@ func (c *Collector) seqStart(src *Source, ss wire.SeqStart) (ackSeq uint64, froz
 func (c *Collector) frame(src *Source, f wire.Frame) error {
 	res := make(chan error, 1)
 	src.mu.Lock()
-	c.enqueueFrameLocked(src, wire.FrameView{Type: f.Type, Payload: f.Payload}, false, res)
+	c.enqueueLocked(src, ingestItem{view: wire.FrameView{Type: f.Type, Payload: f.Payload}, wait: &applyWait{res: res}})
 	src.mu.Unlock()
 	return <-res
 }
@@ -746,7 +694,8 @@ func (c *Collector) frame(src *Source, f wire.Frame) error {
 // pooled frame bytes) and the integrator push take no lock; only the
 // fields the checkpoint and fleet view read (freq, syms, and the
 // finishSet publication) are written under src.mu.
-func (c *Collector) applyFrame(src *Source, f wire.Frame) error {
+func (c *Collector) applyFrame(src *Source, it *ingestItem) error {
+	f := it.view
 	switch f.Type {
 	case wire.TSymtab:
 		freq, tab, err := wire.DecodeSymtab(f.Payload)
@@ -756,7 +705,7 @@ func (c *Collector) applyFrame(src *Source, f wire.Frame) error {
 		if src.integ != nil {
 			// The previous set never saw its SetEnd (dropped frame or a
 			// shipper restart): finalize what arrived rather than wedge.
-			c.finishSet(src, wire.SetEnd{}, true)
+			c.finishSet(src, wire.SetEnd{}, true, 0, 0)
 		}
 		src.mu.Lock()
 		src.freq, src.syms = freq, tab
@@ -816,7 +765,8 @@ func (c *Collector) applyFrame(src *Source, f wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		c.finishSet(src, end, false)
+		epoch, seq := it.number()
+		c.finishSet(src, end, false, epoch, seq)
 		return nil
 	case wire.THandoffBegin:
 		return c.applyHandoffBegin(src, f.Payload)
@@ -831,8 +781,11 @@ func (c *Collector) applyFrame(src *Source, f wire.Frame) error {
 // scan, reconcile declared vs received totals, and publish the result as
 // the source's last completed set. Runs on the home-shard goroutine; the
 // flush and the gap scan work on shard-owned state without a lock, only
-// the publication takes src.mu.
-func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool) {
+// the publication takes src.mu. (epoch, seq) number the SetEnd that closed
+// the set (zero for an abort or an unsequenced stream): the watermark
+// settles in the same hold that bumps the accounting, so no snapshot can
+// hold one without the other.
+func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, epoch, seq uint64) {
 	src.integ.Close()
 	diag := src.integ.Diag()
 	src.integ = nil
@@ -870,6 +823,7 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool) {
 	if aborted {
 		src.abortedSets++
 	}
+	src.wm.Settle(epoch, seq)
 	var fs wire.FleetSummary
 	if c.cfg.OnSummary != nil {
 		sum := src.summaryLocked()
@@ -887,6 +841,7 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool) {
 			GapLine:     sum.GapLine,
 			Items:       append([]core.Item(nil), src.items...),
 		}
+		src.summarizing = true
 	}
 	src.mu.Unlock()
 
@@ -898,6 +853,10 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool) {
 		// frame's apply result is delivered, so the SetEnd checkpoint+ack
 		// happens-after whatever durability the callback establishes.
 		c.cfg.OnSummary(fs)
+		src.mu.Lock()
+		src.summarizing = false
+		src.applyCond.Broadcast()
+		src.mu.Unlock()
 	}
 
 	c.metSets.Inc()
@@ -942,19 +901,19 @@ func (s *Source) Verdicts() (active int, verdicts []detect.Verdict) {
 	return s.activeVerdicts, append([]detect.Verdict(nil), s.verdicts...)
 }
 
-// Epoch returns the source's spool numbering epoch (0 before any v2
-// connection).
+// Epoch returns the source's spool numbering epoch (0 before any
+// sequenced connection).
 func (s *Source) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.epoch
+	return s.wm.Epoch
 }
 
 // LastAcked returns the highest sequence number acknowledged to the source.
 func (s *Source) LastAcked() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lastAcked
+	return s.wm.Acked
 }
 
 // Sets returns how many complete trace sets the source has delivered.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/trace"
@@ -97,7 +98,7 @@ func TestIdleTimeout(t *testing.T) {
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var one [1]byte
 	if _, err := conn.Read(one[:]); err == nil {
-		t.Fatal("collector sent unexpected bytes to an idle v1 connection")
+		t.Fatal("collector sent unexpected bytes to an idle unsequenced connection")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("collector never disconnected the idle connection")
 	}
@@ -110,10 +111,11 @@ func TestIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestV1RawInterop: a hand-rolled version-1 shipper — no TSeqStart, no ack
-// expectations — must still integrate, and the collector must never send
-// it a single byte after the HelloAck: v1 peers cannot be shown v2 frames.
-func TestV1RawInterop(t *testing.T) {
+// TestUnsequencedRawIngest: a hand-rolled spool-less shipper — no TSeqStart,
+// no ack expectations — must still integrate, and the collector must never
+// send it a single byte after the HelloAck: acks belong to sequenced
+// connections only.
+func TestUnsequencedRawIngest(t *testing.T) {
 	set := workloadSet(t, 40)
 	coll, addr := startCollector(t, Config{})
 
@@ -122,28 +124,11 @@ func TestV1RawInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-
-	// Hand-rolled v1-only handshake.
-	hello, err := wire.AppendHello(nil, wire.Hello{MinVersion: 1, MaxVersion: 1, Source: "legacy"})
-	if err != nil {
+	if _, err := wire.ClientHandshake(conn, "legacy"); err != nil {
 		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, wire.Frame{Type: wire.THello, Payload: hello}); err != nil {
-		t.Fatal(err)
-	}
-	f, _, err := wire.ReadFrame(conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, err := wire.DecodeHelloAck(f.Payload)
-	if err != nil || !ack.OK {
-		t.Fatalf("helloack %+v, err %v", ack, err)
-	}
-	if ack.Version != 1 {
-		t.Fatalf("negotiated version %d with a v1-only shipper, want 1", ack.Version)
 	}
 
-	// Ship one set as raw v1 frames, in the per-core timestamp order the
+	// Ship one set as raw unnumbered frames, in the per-core timestamp order the
 	// StreamIntegrator requires (the order ShipSet produces).
 	for _, fr := range rawSetFrames(t, set) {
 		if err := wire.WriteFrame(conn, fr); err != nil {
@@ -153,14 +138,14 @@ func TestV1RawInterop(t *testing.T) {
 
 	src := waitSets(t, coll, "legacy", 1, 10*time.Second)
 	if src.LastAcked() != 0 || src.Epoch() != 0 {
-		t.Fatalf("v1 connection moved seq state: epoch %d, lastAcked %d", src.Epoch(), src.LastAcked())
+		t.Fatalf("unsequenced connection moved seq state: epoch %d, lastAcked %d", src.Epoch(), src.LastAcked())
 	}
 
 	// The collector must have written nothing since the HelloAck.
 	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	var one [1]byte
 	if n, err := conn.Read(one[:]); err == nil || n > 0 {
-		t.Fatalf("collector sent %d unsolicited byte(s) to a v1 peer", n)
+		t.Fatalf("collector sent %d unsolicited byte(s) to an unsequenced peer", n)
 	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 		t.Fatalf("expected a read timeout (silence), got %v", err)
 	}
@@ -174,7 +159,7 @@ func TestV1RawInterop(t *testing.T) {
 	RenderItems(&got, src.FreqHz(), src.Items())
 	RenderItems(&want, local.FreqHz, local.Items)
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("v1 raw ship differs from local Integrate: %s", firstDiff(got.String(), want.String()))
+		t.Fatalf("raw ship differs from local Integrate: %s", firstDiff(got.String(), want.String()))
 	}
 }
 
@@ -228,7 +213,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 	src.mu.Lock()
-	src.epoch, src.appliedSeq, src.lastAcked = 77, 5, 5
+	src.wm = durable.Restored(77, 5)
 	src.mu.Unlock()
 	if err := a.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -271,10 +256,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointStagedAck: checkpoint(src, epoch, seq) must record the
-// staged watermark durably in the file while leaving the in-memory
-// watermark untouched — committing it is the caller's job, and only after
-// the checkpoint succeeded. A staged ack from a stale epoch must not land.
+// TestCheckpointStagedAck: a checkpoint must record the settled watermark
+// — the sequence number its accounting reflects — durably in the file
+// while leaving the acknowledged watermark in memory untouched: committing
+// it is the acking connection's job, and only after the checkpoint
+// succeeded. A settle from a stale epoch must not land.
 func TestCheckpointStagedAck(t *testing.T) {
 	set := workloadSet(t, 40)
 	path := t.TempDir() + "/checkpoint.json"
@@ -289,33 +275,37 @@ func TestCheckpointStagedAck(t *testing.T) {
 		}
 	}
 	src.mu.Lock()
-	src.epoch, src.appliedSeq, src.lastAcked = 7, 9, 4
+	src.wm = durable.Watermark{Epoch: 7, Applied: 9, Settled: 4, Acked: 4}
+	src.wm.Settle(7, 9)
 	src.mu.Unlock()
 
-	if err := a.checkpoint(src, 7, 9); err != nil {
+	if err := a.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if src.LastAcked() != 4 {
-		t.Fatalf("checkpoint committed the staged ack to memory: lastAcked %d, want 4", src.LastAcked())
+		t.Fatalf("checkpoint committed the settled watermark to memory: lastAcked %d, want 4", src.LastAcked())
 	}
 	b, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Source("w1").LastAcked(); got != 9 {
-		t.Fatalf("restored staged watermark %d, want 9", got)
+		t.Fatalf("restored settled watermark %d, want 9", got)
 	}
 
-	// Stale epoch: the staged seq belongs to a generation the source left.
-	if err := a.checkpoint(src, 6, 30); err != nil {
+	// Stale epoch: the seq belongs to a generation the source left.
+	src.mu.Lock()
+	src.wm.Settle(6, 30)
+	src.mu.Unlock()
+	if err := a.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.Source("w1").LastAcked(); got != 4 {
-		t.Fatalf("stale-epoch staged ack landed: watermark %d, want 4", got)
+	if got := c2.Source("w1").LastAcked(); got != 9 {
+		t.Fatalf("stale-epoch settle landed: watermark %d, want 9", got)
 	}
 }
 
@@ -366,9 +356,8 @@ func TestCheckpointFailureWithholdsAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	version, err := wire.ClientHandshake(conn, "w1")
-	if err != nil || version < 2 {
-		t.Fatalf("handshake version %d, err %v", version, err)
+	if _, err := wire.ClientHandshake(conn, "w1"); err != nil {
+		t.Fatal(err)
 	}
 	if got := shipV2Set(t, conn, frames, 5, 1); got != 0 {
 		t.Fatalf("fresh source advertised watermark %d, want 0", got)
@@ -462,11 +451,189 @@ func TestStaleEpochConnRejected(t *testing.T) {
 		}
 	}
 
-	src := waitSets(t, coll, "w1", 1, 10*time.Second)
+	// The watermark commits on the connection goroutine after the set is
+	// applied on the shard goroutine; the TAck is what orders the two, so
+	// read it before asserting on LastAcked.
+	f, _, err := wire.ReadFrame(newConn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err := wire.DecodeAck(f.Payload); err != nil || f.Type != wire.TAck ||
+		a != (wire.Ack{Epoch: 2, Seq: uint64(len(frames))}) {
+		t.Fatalf("new generation got %s %+v (err %v), want ack epoch 2 seq %d", f.Type, a, err, len(frames))
+	}
+	src := coll.Source("w1")
 	if got := src.Epoch(); got != 2 {
 		t.Fatalf("source epoch %d, want 2", got)
 	}
 	if got := src.LastAcked(); got != uint64(len(frames)) {
 		t.Fatalf("new generation watermark %d, want %d", got, len(frames))
+	}
+}
+
+// TestSnapshotBeforeAckCommit: a checkpoint taken after a set is applied
+// but before its ack commits — another source's per-set checkpoint, the
+// periodic timer, Close's final one — must hold the set's accounting AND
+// its watermark, or neither. Here the set's own checkpoint fails (ack
+// withheld, nothing committed), the disk heals, and a bystander checkpoint
+// lands; a collector restored from it must see the shipper's replay of the
+// set as duplicates, not count the set twice.
+func TestSnapshotBeforeAckCommit(t *testing.T) {
+	frames := rawSetFrames(t, workloadSet(t, 40))
+	reg := obs.NewRegistry()
+	ckptDir := t.TempDir() + "/sub" // deliberately absent: checkpoints fail
+	path := ckptDir + "/checkpoint.json"
+	coll, addr := startCollector(t, Config{Registry: reg, CheckpointPath: path})
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := wire.ClientHandshake(conn, "w1"); err != nil {
+		t.Fatal(err)
+	}
+	shipV2Set(t, conn, frames, 5, 1)
+	waitSets(t, coll, "w1", 1, 10*time.Second)
+	waitFor(t, "failed checkpoint", func() bool {
+		return reg.Counter("fluct_collector_checkpoint_errors_total").Value() > 0
+	})
+	if got := coll.Source("w1").LastAcked(); got != 0 {
+		t.Fatalf("watermark committed to %d despite the failed checkpoint", got)
+	}
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := coll.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, addr2 := startCollector(t, Config{Registry: obs.NewRegistry(), CheckpointPath: path})
+	conn2, err := net.Dial("tcp", addr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	if _, err := wire.ClientHandshake(conn2, "w1"); err != nil {
+		t.Fatal(err)
+	}
+	// The shipper never saw an ack, so it replays the whole set.
+	if got := shipV2Set(t, conn2, frames, 5, 1); got != uint64(len(frames)) {
+		t.Fatalf("restored collector advertised watermark %d, want %d: the snapshot lost the set's watermark", got, len(frames))
+	}
+	f, _, err := wire.ReadFrame(conn2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err := wire.DecodeAck(f.Payload); err != nil || a.Seq != uint64(len(frames)) {
+		t.Fatalf("replayed SetEnd ack %+v, err %v", a, err)
+	}
+	if got := restored.Source("w1").Sets(); got != 1 {
+		t.Fatalf("restore + replay counted %d sets, want 1", got)
+	}
+}
+
+// TestCheckpointWaitsForSummaryTap: a set's accounting and watermark settle
+// before OnSummary hands its summary to the uplink. A checkpoint landing in
+// between would, after a crash, acknowledge the shipper's replay of the set
+// as duplicates without ever emitting its summary — so the snapshot waits
+// for the tap to return.
+func TestCheckpointWaitsForSummaryTap(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	c, err := New(Config{
+		CheckpointPath: t.TempDir() + "/checkpoint.json", Registry: obs.NewRegistry(),
+		OnSummary: func(wire.FleetSummary) { close(entered); <-release },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := c.source("w1")
+	frames := rawSetFrames(t, workloadSet(t, 40))
+	fed := make(chan error, 1)
+	go func() {
+		for _, fr := range frames {
+			if err := c.frame(src, fr); err != nil {
+				fed <- err
+				return
+			}
+		}
+		fed <- nil
+	}()
+	<-entered
+	done := make(chan error, 1)
+	go func() { done <- c.Checkpoint() }()
+	select {
+	case err := <-done:
+		t.Fatalf("checkpoint (err %v) did not wait for the summary tap", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-fed; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreParentCheckpoint: a checkpoint file written before the row
+// became wire.SourceState (testdata captured from the parent commit)
+// restores, and checkpointing the restored state reproduces it byte for
+// byte — the encoding did not move.
+func TestRestoreParentCheckpoint(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/parent_checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/checkpoint.json"
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := c.Source("w1")
+	if src == nil || src.Epoch() != 77 || src.LastAcked() != 5 || src.Sets() != 1 {
+		t.Fatalf("restored %+v", src)
+	}
+	local, err := core.Integrate(workloadSet(t, 40), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	RenderItems(&got, src.FreqHz(), src.Items())
+	RenderItems(&want, local.FreqHz, local.Items)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("restored items differ from local Integrate: %s", firstDiff(got.String(), want.String()))
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rewritten, fixture) {
+		t.Fatalf("re-checkpoint moved the encoding: %s", firstDiff(string(rewritten), string(fixture)))
+	}
+}
+
+// TestIngestShardGolden pins the source → ingest shard assignment for
+// fixed IDs (captured before the hash moved into internal/hashx).
+func TestIngestShardGolden(t *testing.T) {
+	c, err := New(Config{IngestShards: 4, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for id, want := range map[string]int{
+		"worker-1": 1, "worker-2": 0, "worker-3": 3, "host42-pid9": 0,
+		"db.example.com-331": 0, "x": 3, "!handoff!shard-a": 1,
+		"bench-0": 0, "edge-17.rack4": 0, "w": 2,
+	} {
+		if got := c.source(id).shard; got != c.shards[want] {
+			t.Errorf("source %q left ingest shard %d", id, want)
+		}
 	}
 }

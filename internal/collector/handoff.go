@@ -27,10 +27,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/durable"
 	"repro/internal/health"
-	"repro/internal/symtab"
 	"repro/internal/wire"
 )
 
@@ -141,7 +140,7 @@ func (c *Collector) importSource(hs *wire.HandoffSource) wire.HandoffDisposition
 	// moved away and is now moving back.
 	fresh := tgt.frozen ||
 		(!tgt.everConnected && tgt.sets == 0 && tgt.abortedSets == 0 &&
-			tgt.epoch == 0 && tgt.appliedSeq == 0)
+			tgt.wm == durable.Watermark{})
 	tgt.imported = true
 	tgt.importedEpoch = hs.Epoch
 	tgt.importedSeq = hs.LastAcked
@@ -165,43 +164,9 @@ func (c *Collector) importSource(hs *wire.HandoffSource) wire.HandoffDisposition
 		return wire.HandoffMerged
 	}
 
-	tgt.epoch = hs.Epoch
-	tgt.appliedSeq = hs.LastAcked
-	tgt.lastAcked = hs.LastAcked
-	tgt.freq = hs.FreqHz
-	tgt.syms = nil
-	if len(hs.Symbols) > 0 {
-		// Re-registering in shipped order reproduces the deterministic
-		// bases, so the Items below keep pointing at valid *Fn ranges.
-		tab := symtab.NewTable()
-		ok := true
-		for _, sym := range hs.Symbols {
-			if _, err := tab.Register(sym.Name, sym.Size); err != nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			tgt.syms = tab
-		} else {
-			c.metImportErrs.Inc()
-		}
+	if err := tgt.setStateLocked(hs.SourceState); err != nil {
+		c.metImportErrs.Inc()
 	}
-	tgt.items = append(tgt.items[:0], hs.Items...)
-	tgt.gaps = hs.Gaps
-	tgt.diag = hs.Diag
-	tgt.sets = hs.Sets
-	tgt.abortedSets = hs.AbortedSets
-	tgt.frames = hs.Frames
-	tgt.crcErrors = hs.CRCErrors
-	tgt.disconnects = hs.Disconnects
-	tgt.lostMarkers = hs.LostMarkers
-	tgt.lostSamples = hs.LostSamples
-	tgt.confSum = hs.ConfSum
-	tgt.confN = hs.ConfN
-	tgt.lastMeanConf = hs.LastMeanConf
-	tgt.lastDegraded = hs.LastDegraded
-	tgt.everConnected = hs.EverConnected
 	tgt.verdicts = append([]detect.Verdict(nil), hs.Verdicts...)
 	tgt.activeVerdicts = hs.ActiveVerdicts
 	tgt.det = nil
@@ -295,7 +260,7 @@ func (c *Collector) FreezeSource(id string, members []string, setWait time.Durat
 			// Force a boundary: abort the in-flight set through the shard
 			// queue (ordered behind the frames already admitted) and freeze
 			// in the same hold so no new frame slips in between.
-			tick := c.enqueueFrameLocked(src, wire.FrameView{}, true, nil)
+			tick := c.enqueueLocked(src, ingestItem{abort: true})
 			src.frozen = true
 			src.redirect = append([]string(nil), members...)
 			src.mu.Unlock()
@@ -326,36 +291,11 @@ func (c *Collector) ExportSource(id string) (*wire.HandoffSource, error) {
 	}
 	hs := &wire.HandoffSource{
 		Source:         src.ID,
-		Epoch:          src.epoch,
-		LastAcked:      src.appliedSeq,
-		FreqHz:         src.freq,
-		Gaps:           src.gaps,
-		Diag:           src.diag,
-		Sets:           src.sets,
-		AbortedSets:    src.abortedSets,
-		Frames:         src.frames,
-		CRCErrors:      src.crcErrors,
-		Disconnects:    src.disconnects,
-		LostMarkers:    src.lostMarkers,
-		LostSamples:    src.lostSamples,
-		ConfSum:        src.confSum,
-		ConfN:          src.confN,
-		LastMeanConf:   src.lastMeanConf,
-		LastDegraded:   src.lastDegraded,
-		EverConnected:  src.everConnected,
+		SourceState:    src.stateLocked(),
 		Verdicts:       append([]detect.Verdict(nil), src.verdicts...),
 		ActiveVerdicts: src.activeVerdicts,
 	}
-	for i := range src.items {
-		cp := src.items[i]
-		cp.Funcs = append([]core.FuncSpan(nil), cp.Funcs...)
-		hs.Items = append(hs.Items, cp)
-	}
-	if src.syms != nil {
-		for _, fn := range src.syms.Fns() {
-			hs.Symbols = append(hs.Symbols, wire.HandoffSymbol{Name: fn.Name, Size: fn.Size})
-		}
-	}
+	hs.LastAcked = src.wm.Applied
 	if src.det != nil {
 		// The source is frozen and its shard queue drained, so the shard
 		// goroutine is done with this detector; the mutex chain through

@@ -32,7 +32,24 @@ type ingestItem struct {
 	view  wire.FrameView // holds one pooled-buffer ref; released after apply
 	tick  uint64         // per-source enqueue ordinal, published as applyTick
 	abort bool
-	res   chan error // when non-nil, receives the apply error (cap ≥ 1)
+	wait  *applyWait // non-nil when someone waits on the outcome
+}
+
+// applyWait rides an item whose apply outcome a connection waits on: the
+// ack-worthy frames of a sequenced connection, and synchronous feeds.
+type applyWait struct {
+	res chan error // receives the apply error (cap 1)
+	// epoch and seq number the frame on a sequenced connection (zero
+	// otherwise): what the watermark settles on once it is applied.
+	epoch, seq uint64
+}
+
+// number returns the frame's (epoch, seq), zero when nobody settles on it.
+func (it *ingestItem) number() (epoch, seq uint64) {
+	if it.wait == nil {
+		return 0, 0
+	}
+	return it.wait.epoch, it.wait.seq
 }
 
 // shard is one ingest goroutine and its FIFO queue.
@@ -119,10 +136,10 @@ func (sh *shard) apply(it *ingestItem) {
 	var ferr error
 	if it.abort {
 		if src.integ != nil {
-			c.finishSet(src, wire.SetEnd{}, true)
+			c.finishSet(src, wire.SetEnd{}, true, 0, 0)
 		}
 	} else {
-		ferr = c.applyFrame(src, wire.Frame{Type: it.view.Type, Payload: it.view.Payload})
+		ferr = c.applyFrame(src, it)
 		it.view.Release()
 	}
 	sh.frames.Add(1)
@@ -142,46 +159,52 @@ func (sh *shard) apply(it *ingestItem) {
 		if it.view.Type == wire.TSymtab {
 			src.setOpen = false // the set never opened
 		}
+	} else if it.view.Type == wire.THandoffBegin || it.view.Type == wire.THandoffSource {
+		// An import settles after the target row changed (under the
+		// target's own mutex): a snapshot between the two replays the
+		// import, which importSource recognizes as a duplicate. SetEnd
+		// settles inside finishSet, together with its accounting.
+		src.wm.Settle(it.number())
 	}
 	if it.tick > src.applyTick {
 		src.applyTick = it.tick
 	}
 	src.applyCond.Broadcast()
 	src.mu.Unlock()
-	if it.res != nil {
-		it.res <- ferr
+	if it.wait != nil {
+		it.wait.res <- ferr
 	}
 }
 
-// enqueueFrameLocked hands one frame (or, with a zero view and abort,
-// a set-abort instruction) to src's home shard. Caller holds src.mu. The
-// set-open flag tracks frame types at enqueue time so seqStart can decide
-// abort questions without looking at shard-owned state. Returns the
-// frame's tick; waitApplied blocks until the shard has applied it.
-func (c *Collector) enqueueFrameLocked(src *Source, view wire.FrameView, abort bool, res chan error) uint64 {
+// enqueueLocked hands one item — a frame or a set-abort instruction — to
+// src's home shard. Caller holds src.mu and fills everything but src and
+// tick. The set-open flag tracks frame types at enqueue time so seqStart
+// can decide abort questions without looking at shard-owned state. Returns
+// the item's tick; waitApplied blocks until the shard has applied it.
+func (c *Collector) enqueueLocked(src *Source, it ingestItem) uint64 {
 	switch {
-	case abort:
+	case it.abort:
 		src.setOpen = false
-	case view.Type == wire.TSymtab:
+	case it.view.Type == wire.TSymtab:
 		src.setOpen = true
-	case view.Type == wire.TSetEnd:
+	case it.view.Type == wire.TSetEnd:
 		src.setOpen = false
 	}
 	src.enqTick++
-	tick := src.enqTick
-	if !src.shard.push(ingestItem{src: src, view: view, tick: tick, abort: abort, res: res}) {
+	it.src, it.tick = src, src.enqTick
+	if !src.shard.push(it) {
 		// Collector shut down: the frame is dropped, but tick accounting
 		// must still advance or waiters would hang.
-		view.Release()
-		if tick > src.applyTick {
-			src.applyTick = tick
+		it.view.Release()
+		if it.tick > src.applyTick {
+			src.applyTick = it.tick
 		}
 		src.applyCond.Broadcast()
-		if res != nil {
-			res <- fmt.Errorf("collector: closed")
+		if it.wait != nil {
+			it.wait.res <- fmt.Errorf("collector: closed")
 		}
 	}
-	return tick
+	return it.tick
 }
 
 // waitApplied blocks until src's home shard has applied every frame

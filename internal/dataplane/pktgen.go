@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"repro/internal/hashx"
 	"repro/internal/lpm"
 )
 
@@ -37,7 +38,7 @@ type GenConfig struct {
 // Generator emits a deterministic packet stream.
 type Generator struct {
 	cfg   GenConfig
-	state uint64
+	rng   hashx.SplitMix64
 	pool  []Packet
 	count uint64
 
@@ -53,7 +54,7 @@ func NewGenerator(cfg GenConfig) *Generator {
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x64706c616e65 // "dplane"
 	}
-	g := &Generator{cfg: cfg, state: cfg.Seed}
+	g := &Generator{cfg: cfg, rng: hashx.SplitMix64{State: cfg.Seed}}
 	for _, r := range cfg.Routes.V4 {
 		if r.Len > lpm.FirstLevelBits {
 			g.deepV4 = append(g.deepV4, r)
@@ -82,25 +83,17 @@ func NewGenerator(cfg GenConfig) *Generator {
 // scenarios run unpooled.
 func (g *Generator) SetDeepDstFrac(f float64) { g.cfg.DeepDstFrac = f }
 
-func (g *Generator) next() uint64 {
-	g.state += 0x9e3779b97f4a7c15
-	z := g.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // roll returns true with probability frac.
 func (g *Generator) roll(frac float64) bool {
 	if frac <= 0 {
 		return false
 	}
-	return float64(g.next()>>11)/(1<<53) < frac
+	return g.rng.Float64() < frac
 }
 
 // rangePick returns a uniform value in [lo,hi].
 func (g *Generator) rangePick(lo, hi uint16) uint16 {
-	return lo + uint16(g.next()%uint64(int(hi)-int(lo)+1))
+	return lo + uint16(g.rng.Next()%uint64(int(hi)-int(lo)+1))
 }
 
 // Next returns the stream's next packet (ID zero — the pipeline stamps
@@ -110,11 +103,11 @@ func (g *Generator) Next() Packet {
 	fresh := len(g.pool) == 0 ||
 		(g.cfg.FreshEvery > 0 && g.count%uint64(g.cfg.FreshEvery) == 0)
 	if !fresh {
-		return g.pool[g.next()%uint64(len(g.pool))]
+		return g.pool[g.rng.Next()%uint64(len(g.pool))]
 	}
 	p := g.newFlow()
 	if len(g.pool) > 0 {
-		g.pool[g.next()%uint64(len(g.pool))] = p
+		g.pool[g.rng.Next()%uint64(len(g.pool))] = p
 	}
 	return p
 }
@@ -133,7 +126,7 @@ func (g *Generator) newFlow() Packet {
 		}
 		if len(fam) > 0 {
 			aimed = true
-			aimRule = g.cfg.Rules[fam[g.next()%uint64(len(fam))]]
+			aimRule = g.cfg.Rules[fam[g.rng.Next()%uint64(len(fam))]]
 		}
 	}
 
@@ -152,7 +145,7 @@ func (g *Generator) newFlow() Packet {
 			p.DstPort = g.rangePick(aimRule.DstPortLo, aimRule.DstPortHi)
 		}
 	} else {
-		switch g.next() % 3 {
+		switch g.rng.Next() % 3 {
 		case 0:
 			p.Proto = ProtoTCP
 		case 1:
@@ -166,8 +159,8 @@ func (g *Generator) newFlow() Packet {
 		p.Src = g.randomAddr(p.V6)
 		p.Dst = g.randomAddr(p.V6)
 		if hasPorts(p.Proto) {
-			p.SrcPort = uint16(g.next())
-			p.DstPort = uint16(g.next())
+			p.SrcPort = uint16(g.rng.Next())
+			p.DstPort = uint16(g.rng.Next())
 		}
 	}
 
@@ -176,14 +169,14 @@ func (g *Generator) newFlow() Packet {
 	// depth-skew scenario can move route cost without moving ACL cost.
 	if (!aimed || aimRule.DstBits == 0) && g.roll(g.cfg.DeepDstFrac) {
 		if !p.V6 && len(g.deepV4) > 0 {
-			r := g.deepV4[g.next()%uint64(len(g.deepV4))]
+			r := g.deepV4[g.rng.Next()%uint64(len(g.deepV4))]
 			var mapped [16]byte
 			mapped[10], mapped[11] = 0xff, 0xff
 			a := g.v4Under(r.Prefix, r.Len)
 			mapped[12], mapped[13], mapped[14], mapped[15] = byte(a>>24), byte(a>>16), byte(a>>8), byte(a)
 			p.Dst = mapped
 		} else if p.V6 && len(g.deepV6) > 0 {
-			r := g.deepV6[g.next()%uint64(len(g.deepV6))]
+			r := g.deepV6[g.rng.Next()%uint64(len(g.deepV6))]
 			p.Dst = g.addrUnder(r.Prefix, r.Len, true)
 		}
 	}
@@ -208,10 +201,10 @@ func (g *Generator) addrUnder(prefix [16]byte, bits int, v6 bool) [16]byte {
 		switch {
 		case rem >= 8:
 		case rem <= 0:
-			out[i] = byte(g.next())
+			out[i] = byte(g.rng.Next())
 		default:
 			mask := byte(0xff) << (8 - rem)
-			out[i] = out[i]&mask | byte(g.next())&^mask
+			out[i] = out[i]&mask | byte(g.rng.Next())&^mask
 		}
 	}
 	return out
@@ -222,7 +215,7 @@ func (g *Generator) v4Under(prefix uint32, length int) uint32 {
 	if length >= 32 {
 		return prefix
 	}
-	return prefix | uint32(g.next())&(1<<(32-length)-1)
+	return prefix | uint32(g.rng.Next())&(1<<(32-length)-1)
 }
 
 // randomAddr draws from a clustered space (10.0.0.0/14 or a few low
@@ -233,9 +226,9 @@ func (g *Generator) randomAddr(v6 bool) [16]byte {
 		var out [16]byte
 		out[10], out[11] = 0xff, 0xff
 		out[12] = 10
-		out[13] = byte(g.next() % 4)
-		out[14] = byte(g.next())
-		out[15] = byte(g.next())
+		out[13] = byte(g.rng.Next() % 4)
+		out[14] = byte(g.rng.Next())
+		out[15] = byte(g.rng.Next())
 		return out
 	}
 	var out [16]byte
@@ -245,9 +238,9 @@ func (g *Generator) randomAddr(v6 bool) [16]byte {
 	// routes and rules, and never 0 — the all-zero middle path is where
 	// deep /96+ route chains live, and random traffic walking them by
 	// accident would smear route cost across the whole run.
-	out[5] = byte(1 + g.next()%3)
+	out[5] = byte(1 + g.rng.Next()%3)
 	for i := 12; i < 16; i++ {
-		out[i] = byte(g.next())
+		out[i] = byte(g.rng.Next())
 	}
 	return out
 }

@@ -34,6 +34,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/hashx"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -483,12 +484,12 @@ func (d *Detector) edgeMedian(start, k int) float64 {
 // (Seed, items, t) so the scan is a pure function of the series.
 func (d *Detector) energy(w []float64, t int) float64 {
 	n := len(w)
-	rng := splitmix64{state: d.cfg.Seed ^ d.items*0x9e3779b97f4a7c15 ^ uint64(t)<<40}
+	rng := hashx.SplitMix64{State: d.cfg.Seed ^ d.items*0x9e3779b97f4a7c15 ^ uint64(t)<<40}
 	var between, left, right float64
 	for p := 0; p < d.cfg.Pairs; p++ {
-		between += math.Abs(w[rng.intn(t)] - w[t+rng.intn(n-t)])
-		left += math.Abs(w[rng.intn(t)] - w[rng.intn(t)])
-		right += math.Abs(w[t+rng.intn(n-t)] - w[t+rng.intn(n-t)])
+		between += math.Abs(w[rng.Intn(t)] - w[t+rng.Intn(n-t)])
+		left += math.Abs(w[rng.Intn(t)] - w[rng.Intn(t)])
+		right += math.Abs(w[t+rng.Intn(n-t)] - w[t+rng.Intn(n-t)])
 	}
 	e := (2*between - left - right) / float64(d.cfg.Pairs)
 	return e * float64(t) * float64(n-t) / float64(n)
@@ -599,20 +600,3 @@ func (d *Detector) Stats() Stats { return d.st }
 // History returns every verdict emitted since construction (nil unless
 // KeepHistory was set before the first Update).
 func (d *Detector) History() []Verdict { return d.history }
-
-// splitmix64 is the repo's fully specified PRNG (see internal/faults):
-// verdict streams are golden-testable only if the subsampling never
-// depends on a toolchain generator.
-type splitmix64 struct{ state uint64 }
-
-func (s *splitmix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *splitmix64) intn(n int) int {
-	return int(s.next() % uint64(n))
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hashx"
 	"repro/internal/obs"
 	"repro/internal/symtab"
 )
@@ -16,14 +17,14 @@ type itemGen struct {
 	tab  *symtab.Table
 	fns  []*symtab.Fn
 	base []uint64 // per-fn baseline cycles
-	rng  splitmix64
+	rng  hashx.SplitMix64
 	next uint64
 	tsc  uint64
 }
 
 func newItemGen(seed uint64) *itemGen {
 	tab := symtab.NewTable()
-	g := &itemGen{tab: tab, rng: splitmix64{state: seed}, tsc: 1 << 20}
+	g := &itemGen{tab: tab, rng: hashx.SplitMix64{State: seed}, tsc: 1 << 20}
 	for _, f := range []struct {
 		name string
 		cyc  uint64
@@ -47,7 +48,7 @@ func (g *itemGen) item(core_ int32, slowFn string, extra uint64) *core.Item {
 	for i, fn := range g.fns {
 		cyc := g.base[i]
 		// ±3% multiplicative noise, deterministic.
-		cyc += g.base[i] * (g.rng.next() % 7) / 100
+		cyc += g.base[i] * (g.rng.Next() % 7) / 100
 		cyc -= g.base[i] * 3 / 100
 		if fn.Name == slowFn {
 			cyc += extra

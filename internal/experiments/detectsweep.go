@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/faults"
+	"repro/internal/hashx"
 	"repro/internal/pmu"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -121,13 +122,13 @@ func detectWorkload(items int, seed uint64) *trace.Set {
 	pebs := pmu.NewPEBS(pmu.PEBSConfig{})
 	mach.Core(0).PMU.MustProgram(pmu.UopsRetired, 1000, pebs)
 	log := trace.NewMarkerLog(1, 0)
-	rng := sweepRNG{state: seed ^ 0x64657465637473} // "detects"
+	rng := hashx.SplitMix64{State: seed ^ 0x64657465637473} // "detects"
 	mach.MustSpawn(0, func(c *sim.Core) {
 		for id := uint64(1); id <= uint64(items); id++ {
 			log.Mark(c, id, trace.ItemBegin)
 			for i, f := range detectSweepFns {
 				// ±3% cost jitter per stage per item.
-				jitter := f.uops * (rng.next() % 61) / 1000
+				jitter := f.uops * (rng.Next() % 61) / 1000
 				c.Call(fns[i], func() { c.Exec(f.uops - f.uops*3/100 + jitter) })
 			}
 			log.Mark(c, id, trace.ItemEnd)
@@ -274,17 +275,4 @@ func DetectSweep(cfg DetectSweepConfig) (*DetectSweepResult, error) {
 		res.Rungs = append(res.Rungs, rung)
 	}
 	return res, nil
-}
-
-// sweepRNG is the repo's fully specified splitmix64 stream (see
-// internal/faults): workload jitter must be reproducible across
-// toolchains for the sweep's numbers to be citable.
-type sweepRNG struct{ state uint64 }
-
-func (s *sweepRNG) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

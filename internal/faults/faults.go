@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/hashx"
 	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/trace"
@@ -144,30 +145,6 @@ func (r Report) String() string {
 	return s
 }
 
-// splitmix64 is a tiny, fully specified PRNG (Steele, Lea, Flood 2014).
-// Using it instead of math/rand keeps Perturb's output independent of the
-// Go version's generator internals — golden fixtures must not rot when the
-// toolchain upgrades.
-type splitmix64 struct{ state uint64 }
-
-func (s *splitmix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a uniform value in [0, n). n must be positive.
-func (s *splitmix64) intn(n int) int {
-	return int(s.next() % uint64(n))
-}
-
-// float64 returns a uniform value in [0, 1).
-func (s *splitmix64) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}
-
 // Perturb applies plan to set and returns a degraded copy plus the damage
 // report. The input set is never mutated. Perturb(set, Plan{}) returns a
 // plain copy. See Plan for the fault classes and their ordering:
@@ -193,10 +170,10 @@ func (p Plan) Apply(set *trace.Set) (*trace.Set, Report) {
 	// Independent generator streams per fault class: adding markers to a
 	// trace must not change which samples a loss burst hits. Truncation
 	// needs no draws — the cut point is a pure function of the plan.
-	markRNG := splitmix64{state: p.Seed ^ 0x6d61726b65727321} // "markers!"
-	lossRNG := splitmix64{state: p.Seed ^ 0x6c6f737362757273} // "lossburs"
-	skewRNG := splitmix64{state: p.Seed ^ 0x736b657763797321} // "skewcys!"
-	ordRNG := splitmix64{state: p.Seed ^ 0x72656f7264657221}  // "reorder!"
+	markRNG := hashx.SplitMix64{State: p.Seed ^ 0x6d61726b65727321} // "markers!"
+	lossRNG := hashx.SplitMix64{State: p.Seed ^ 0x6c6f737362757273} // "lossburs"
+	skewRNG := hashx.SplitMix64{State: p.Seed ^ 0x736b657763797321} // "skewcys!"
+	ordRNG := hashx.SplitMix64{State: p.Seed ^ 0x72656f7264657221}  // "reorder!"
 
 	// The slowdown runs first, on the pristine streams: it models the
 	// traced program changing behaviour, which collection faults then
@@ -280,18 +257,18 @@ func (p Plan) truncate(out *trace.Set, rep *Report) {
 
 // perturbMarkers drops and duplicates markers. Decisions are drawn per
 // marker in input order, so the same plan hits the same markers.
-func (p Plan) perturbMarkers(out *trace.Set, rng *splitmix64, rep *Report) {
+func (p Plan) perturbMarkers(out *trace.Set, rng *hashx.SplitMix64, rep *Report) {
 	if p.MarkerDropRate <= 0 && p.MarkerDupRate <= 0 {
 		return
 	}
 	ms := make([]trace.Marker, 0, len(out.Markers))
 	for _, m := range out.Markers {
-		if p.MarkerDropRate > 0 && rng.float64() < p.MarkerDropRate {
+		if p.MarkerDropRate > 0 && rng.Float64() < p.MarkerDropRate {
 			rep.MarkersDropped++
 			continue
 		}
 		ms = append(ms, m)
-		if p.MarkerDupRate > 0 && rng.float64() < p.MarkerDupRate {
+		if p.MarkerDupRate > 0 && rng.Float64() < p.MarkerDupRate {
 			ms = append(ms, m)
 			rep.MarkersDuplicated++
 		}
@@ -302,7 +279,7 @@ func (p Plan) perturbMarkers(out *trace.Set, rng *splitmix64, rep *Report) {
 // loseSampleBursts drops contiguous runs of samples. Burst starts are
 // Bernoulli per position with probability rate/burstLen, giving an
 // expected overall loss of ~rate while keeping losses contiguous.
-func (p Plan) loseSampleBursts(out *trace.Set, rng *splitmix64, rep *Report) {
+func (p Plan) loseSampleBursts(out *trace.Set, rng *hashx.SplitMix64, rep *Report) {
 	if p.SampleLossRate <= 0 || len(out.Samples) == 0 {
 		return
 	}
@@ -314,7 +291,7 @@ func (p Plan) loseSampleBursts(out *trace.Set, rng *splitmix64, rep *Report) {
 	kept := out.Samples[:0]
 	remaining := 0 // samples left to drop in the current burst
 	for i := range out.Samples {
-		if remaining == 0 && rng.float64() < startProb {
+		if remaining == 0 && rng.Float64() < startProb {
 			remaining = burst
 			rep.LossBursts++
 		}
@@ -331,7 +308,7 @@ func (p Plan) loseSampleBursts(out *trace.Set, rng *splitmix64, rep *Report) {
 // skewCores shifts every timestamp of each core by a bounded constant
 // offset. Cores are enumerated in sorted order so the offset a core gets
 // does not depend on record order.
-func (p Plan) skewCores(out *trace.Set, rng *splitmix64, rep *Report) {
+func (p Plan) skewCores(out *trace.Set, rng *hashx.SplitMix64, rep *Report) {
 	if p.SkewCycles == 0 {
 		return
 	}
@@ -350,7 +327,7 @@ func (p Plan) skewCores(out *trace.Set, rng *splitmix64, rep *Report) {
 	offs := map[int32]int64{}
 	span := 2*int64(p.SkewCycles) + 1
 	for _, c := range cores {
-		off := int64(rng.next()%uint64(span)) - int64(p.SkewCycles)
+		off := int64(rng.Next()%uint64(span)) - int64(p.SkewCycles)
 		offs[c] = off
 		rep.CoreSkew[c] = off
 	}
@@ -374,7 +351,7 @@ func (p Plan) skewCores(out *trace.Set, rng *splitmix64, rep *Report) {
 
 // reorderSamples permutes sample delivery positions within fixed windows
 // (Fisher–Yates per window). Timestamps are untouched.
-func (p Plan) reorderSamples(out *trace.Set, rng *splitmix64, rep *Report) {
+func (p Plan) reorderSamples(out *trace.Set, rng *hashx.SplitMix64, rep *Report) {
 	if p.ReorderWindow <= 1 || len(out.Samples) < 2 {
 		return
 	}
@@ -385,7 +362,7 @@ func (p Plan) reorderSamples(out *trace.Set, rng *splitmix64, rep *Report) {
 		}
 		w := out.Samples[base:end]
 		for i := len(w) - 1; i > 0; i-- {
-			j := rng.intn(i + 1)
+			j := rng.Intn(i + 1)
 			if i != j {
 				w[i], w[j] = w[j], w[i]
 			}

@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/hashx"
 )
 
 // NetMode selects a network fault class for the wire transport — the three
@@ -91,7 +93,7 @@ func (p NetPlan) Wrap(conn net.Conn, seed uint64) net.Conn {
 		return conn
 	}
 	p = p.withDefaults()
-	return &faultConn{Conn: conn, plan: p, rng: splitmix64{state: seed}}
+	return &faultConn{Conn: conn, plan: p, rng: hashx.SplitMix64{State: seed}}
 }
 
 // WrapDial wraps a dial function so every connection it produces is
@@ -127,7 +129,7 @@ func WrapDial[D ~func(addr string) (net.Conn, error)](p NetPlan, dial D) D {
 type faultConn struct {
 	net.Conn
 	plan    NetPlan
-	rng     splitmix64
+	rng     hashx.SplitMix64
 	written int
 	dead    bool
 	mu      sync.Mutex
@@ -166,7 +168,7 @@ func (c *faultConn) Write(b []byte) (int, error) {
 			return n, errInjected{c.plan.Mode}
 		}
 	case NetCutFrame:
-		if c.rng.float64() < c.plan.CutRate {
+		if c.rng.Float64() < c.plan.CutRate {
 			// Deliver half the frame, then die mid-write.
 			n, _ := c.Conn.Write(b[:len(b)/2])
 			c.dead = true

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -37,7 +39,7 @@ func (r *ackRec) seqStarts() []wire.SeqStart {
 	return append([]wire.SeqStart(nil), r.starts...)
 }
 
-// serveAcks plays a v2 collector: handshake, then acknowledge every data
+// serveAcks plays a collector: handshake, then acknowledge every data
 // frame cumulatively. ackAfter bounds how many data frames it acks before
 // hanging up (< 0: serve until the connection dies).
 func serveAcks(conn net.Conn, rec *ackRec, ackAfter int) {
@@ -81,38 +83,6 @@ func serveAcks(conn net.Conn, rec *ackRec, ackAfter int) {
 		if ackAfter >= 0 && acked >= ackAfter {
 			return
 		}
-	}
-}
-
-// serveV1 plays an old collector: it forces version 1 in the handshake and
-// never acknowledges anything, recording every frame type it sees.
-func serveV1(conn net.Conn, rec *ackRec) {
-	defer conn.Close()
-	f, _, err := wire.ReadFrame(conn, nil)
-	if err != nil || f.Type != wire.THello {
-		return
-	}
-	if _, err := wire.DecodeHello(f.Payload); err != nil {
-		return
-	}
-	if err := wire.WriteFrame(conn, wire.Frame{Type: wire.THelloAck,
-		Payload: wire.AppendHelloAck(nil, wire.HelloAck{OK: true, Version: 1})}); err != nil {
-		return
-	}
-	var buf []byte
-	for {
-		f, b, err := wire.ReadFrame(conn, buf)
-		if err != nil {
-			return
-		}
-		buf = b
-		rec.mu.Lock()
-		if f.Type == wire.TSeqStart {
-			rec.starts = append(rec.starts, wire.SeqStart{})
-		} else {
-			rec.nData++
-		}
-		rec.mu.Unlock()
 	}
 }
 
@@ -214,7 +184,7 @@ func TestSpoolWriteThroughEviction(t *testing.T) {
 	}
 }
 
-// TestSpooledAckedDelivery: against a v2 collector every spooled frame is
+// TestSpooledAckedDelivery: every spooled frame is
 // delivered, acknowledged, and reclaimed from disk — including cache-
 // evicted frames, which must be replayed from the spool.
 func TestSpooledAckedDelivery(t *testing.T) {
@@ -375,45 +345,153 @@ func TestShipperRestartResume(t *testing.T) {
 	}
 }
 
-// TestV1PeerSelfAck: a spooled shipper talking to a v1 collector must
-// never emit TSeqStart, must reclaim disk on successful writes (the only
-// delivery signal v1 has), and must still drain.
-func TestV1PeerSelfAck(t *testing.T) {
-	rec := &ackRec{}
+// strictCollector plays a collector that keeps the numbering contract
+// exactly: one durable.Watermark across connections, every connection's
+// frames numbered consecutively from its SeqStart, duplicates dropped,
+// every fresh frame recorded. While swallow is set it applies frames but
+// never writes their acks — the lost-TAck half of a cut link.
+type strictCollector struct {
+	mu      sync.Mutex
+	wm      durable.Watermark
+	applied []uint64 // SetEnd.Markers of every fresh frame, in order
+	starts  []wire.SeqStart
+	swallow bool
+}
+
+func (c *strictCollector) serve(conn net.Conn, afterStart func()) {
+	defer conn.Close()
+	if _, _, err := wire.ServerHandshake(conn); err != nil {
+		return
+	}
+	var cs durable.Numbering
+	var buf []byte
+	for {
+		f, b, err := wire.ReadFrame(conn, buf)
+		if err != nil {
+			return
+		}
+		buf = b
+		if f.Type == wire.TSeqStart {
+			ss, err := wire.DecodeSeqStart(f.Payload)
+			if err != nil {
+				return
+			}
+			c.mu.Lock()
+			c.starts = append(c.starts, ss)
+			ack, _ := c.wm.Start(ss.Epoch, ss.FirstSeq)
+			c.mu.Unlock()
+			cs.Begin(ss.Epoch, ss.FirstSeq)
+			if wire.WriteAck(conn, ss.Epoch, ack) != nil {
+				return
+			}
+			if afterStart != nil {
+				afterStart()
+			}
+			continue
+		}
+		seq := cs.Take()
+		end, err := wire.DecodeSetEnd(f.Payload)
+		if err != nil {
+			return
+		}
+		c.mu.Lock()
+		if c.wm.Admit(cs.Epoch, seq) == durable.Fresh {
+			c.applied = append(c.applied, end.Markers)
+		}
+		c.wm.Commit(cs.Epoch, seq)
+		swallow := c.swallow
+		c.mu.Unlock()
+		if !swallow && wire.WriteAck(conn, cs.Epoch, seq) != nil {
+			return
+		}
+	}
+}
+
+// TestLostAckRenumbersConnection: the collector applied and acked frames
+// but the acks died with the link, so its SeqStart reply advertises a
+// watermark past the shipper's FirstSeq. The collector numbers this
+// connection's frames consecutively from FirstSeq, so the shipper must not
+// skip the acked frames mid-connection (every later frame would be
+// mis-numbered and dropped as a duplicate, and the link would never ack
+// again): it applies the ack, drops the connection, and redials with
+// FirstSeq just past it.
+func TestLostAckRenumbersConnection(t *testing.T) {
+	reg := obs.NewRegistry()
+	coll := &strictCollector{swallow: true}
+	acked := func() float64 { return reg.Gauge("fluct_ship_acked_seq").Value() }
+	var dialN int32
 	dial := func(ctx context.Context, addr string) (net.Conn, error) {
 		server, client := net.Pipe()
-		go serveV1(server, rec)
+		switch atomic.AddInt32(&dialN, 1) {
+		case 1:
+			// Applies all six frames, acks none, then the link dies.
+			go coll.serve(server, nil)
+			go func() {
+				for {
+					coll.mu.Lock()
+					n := len(coll.applied)
+					coll.mu.Unlock()
+					if n == 6 {
+						server.Close()
+						return
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}()
+		case 2:
+			coll.mu.Lock()
+			coll.swallow = false
+			coll.mu.Unlock()
+			// Hold the data frames back until the shipper has applied the
+			// overtaking ack, so its second batch is chosen after it.
+			go coll.serve(server, func() {
+				for acked() != 6 {
+					time.Sleep(100 * time.Microsecond)
+				}
+			})
+		default:
+			go coll.serve(server, nil)
+		}
 		return client, nil
 	}
+	// A two-frame cache over a six-frame spool: the second connection's
+	// first batch replays 1–4 from disk, leaving 5–6 for a second batch.
 	s, err := New(Config{
-		Addr: "x", Source: "hostA", Dial: dial,
+		Addr: "x", Source: "hostA", Dial: dial, QueueFrames: 2,
 		SpoolDir: t.TempDir(), SpoolEpoch: 7,
-		BackoffMin: time.Millisecond, Registry: obs.NewRegistry(),
+		BackoffMin: time.Millisecond, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		s.EnqueueFrame(setEndFrame(uint64(i)))
 	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
+
+	for acked() != 6 {
+		if ctx.Err() != nil {
+			t.Fatal("the SeqStart reply's watermark was never applied")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	s.EnqueueFrame(setEndFrame(6))
+	s.EnqueueFrame(setEndFrame(7))
 	if err := s.Drain(ctx); err != nil {
-		t.Fatal(err)
+		t.Fatalf("link wedged after the lost ack: %v", err)
 	}
 	cancel()
 	<-done
 
-	if got := rec.dataFrames(); got != 4 {
-		t.Fatalf("v1 collector saw %d data frames, want 4", got)
+	coll.mu.Lock()
+	defer coll.mu.Unlock()
+	if want := []uint64{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(coll.applied, want) {
+		t.Fatalf("collector applied %v, want %v exactly once each, in order", coll.applied, want)
 	}
-	if starts := rec.seqStarts(); len(starts) != 0 {
-		t.Fatalf("v1 collector saw %d seqstart frames, want 0 — v1 peers must never see v2 frame types", len(starts))
-	}
-	if got := s.PendingFrames(); got != 0 {
-		t.Fatalf("pending %d after drain against v1, want 0", got)
+	if last := coll.starts[len(coll.starts)-1]; last.FirstSeq != 7 {
+		t.Fatalf("seqstarts %+v: the redial after the overtaking ack must open at 7", coll.starts)
 	}
 }

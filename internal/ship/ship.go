@@ -13,13 +13,10 @@
 // With Config.SpoolDir set the shipper is additionally durable: every
 // frame is written through to a disk-backed segment log (internal/spool)
 // before it is eligible for transmission, the in-memory queue becomes a
-// cache over the spool, and against a v2 collector frames are deleted
-// from disk only once the collector acknowledges them as durably applied.
-// A shipper restart retransmits everything unacknowledged — delivery
-// becomes at-least-once, with the collector deduplicating by
-// (source, epoch, seq). Against a v1 collector the spool still protects
-// frames never yet written to a socket, but delivery degrades to the
-// fire-and-forget contract v1 always had.
+// cache over the spool, and frames are deleted from disk only once the
+// collector acknowledges them as durably applied. A shipper restart
+// retransmits everything unacknowledged — delivery becomes at-least-once,
+// with the collector deduplicating by (source, epoch, seq).
 package ship
 
 import (
@@ -30,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/hashx"
 	"repro/internal/obs"
 	"repro/internal/spool"
 	"repro/internal/wire"
@@ -58,7 +56,7 @@ type Config struct {
 	// SpoolDir enables durable at-least-once shipping: frames are written
 	// through to a disk spool here before transmission and deleted only
 	// once acknowledged (see the package comment). Empty disables
-	// spooling and keeps the v1 fire-and-forget behavior.
+	// spooling: delivery is fire-and-forget.
 	SpoolDir string
 	// SpoolSegmentBytes is the spool's segment rotation bound
 	// (default 1 MiB).
@@ -111,7 +109,7 @@ type Shipper struct {
 	closed    bool
 	memSeq    uint64 // no-spool mode: ordinal of the last enqueued frame
 	nextSend  uint64 // spool mode: seq of the next frame to transmit
-	lastAcked uint64 // spool mode: highest acked seq (v2: by collector, v1: by write)
+	lastAcked uint64 // spool mode: highest seq the collector acked
 	highSent  uint64 // spool mode: highest seq ever written to a socket
 	addr      string // current collector address; rewritten by TRedirect
 	queueHW   int    // deepest the queue has ever been
@@ -133,7 +131,7 @@ type Shipper struct {
 	metAcked      *obs.Gauge
 	metSpoolErrs  *obs.Counter
 
-	rng splitmix64
+	rng hashx.SplitMix64
 }
 
 // queued is one encoded frame awaiting transmission: the complete wire
@@ -200,7 +198,7 @@ func New(cfg Config) (*Shipper, error) {
 		metRetrans:    reg.Counter("fluct_ship_retransmitted_frames_total"),
 		metAcked:      reg.Gauge("fluct_ship_acked_seq"),
 		metSpoolErrs:  reg.Counter("fluct_ship_spool_errors_total"),
-		rng:           splitmix64{state: cfg.JitterSeed},
+		rng:           hashx.SplitMix64{State: cfg.JitterSeed},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.SpoolDir != "" {
@@ -552,8 +550,7 @@ func (s *Shipper) Run(ctx context.Context) error {
 			s.metReconnects.Inc()
 			continue
 		}
-		version, err := wire.ClientHandshake(conn, s.cfg.Source)
-		if err != nil {
+		if _, err := wire.ClientHandshake(conn, s.cfg.Source); err != nil {
 			conn.Close()
 			if !s.sleep(ctx, backoff) {
 				return ctx.Err()
@@ -562,7 +559,7 @@ func (s *Shipper) Run(ctx context.Context) error {
 			s.metReconnects.Inc()
 			continue
 		}
-		err = s.pump(ctx, conn, version, func() { backoff = s.cfg.BackoffMin })
+		err = s.pump(ctx, conn, func() { backoff = s.cfg.BackoffMin })
 		conn.Close()
 		if err == nil {
 			return ctx.Err() // clean shutdown: closed + drained, or ctx done
@@ -580,13 +577,14 @@ func (s *Shipper) Run(ctx context.Context) error {
 // into one vectored write instead of a write per frame. onFirstWrite runs
 // after the first frame lands on the socket — the proof of a useful
 // connection that resets the reconnect backoff.
-func (s *Shipper) pump(ctx context.Context, conn net.Conn, version uint16, onFirstWrite func()) error {
+func (s *Shipper) pump(ctx context.Context, conn net.Conn, onFirstWrite func()) error {
 	if s.spl != nil {
-		return s.pumpSpool(ctx, conn, version, onFirstWrite)
+		return s.pumpSpool(ctx, conn, onFirstWrite)
 	}
 	// Even a fire-and-forget connection can carry control frames back —
-	// a draining collector redirects v1 shippers too. The reader closes
-	// the conn on redirect so the writer fails over to the new address.
+	// a draining collector redirects spool-less shippers too. The reader
+	// closes the conn on redirect so the writer fails over to the new
+	// address.
 	ctrlDone := make(chan struct{})
 	go func() {
 		defer close(ctrlDone)
@@ -637,43 +635,43 @@ func (s *Shipper) pump(ctx context.Context, conn net.Conn, version uint16, onFir
 // the pump was waiting for acknowledgements.
 var errConnDead = fmt.Errorf("ship: connection died awaiting acks")
 
+// errAckOvertook reports an ack covering frames this connection never
+// carried: the collector already holds them (an earlier ack was lost), and
+// since it numbers a connection's frames consecutively from SeqStart, the
+// only way to skip them is a new connection that starts past the ack.
+var errAckOvertook = fmt.Errorf("ship: ack overtook this connection's numbering")
+
 // connState is the per-connection flag the ack reader uses to wake a pump
 // blocked with nothing to send.
 type connState struct{ dead bool }
 
 // pumpSpool is the durable pump: transmit spooled frames in sequence
 // order starting just past the acked watermark, retransmitting whatever a
-// previous connection (or process) left unacknowledged. Against a v2
-// collector a SeqStart frame opens acked delivery and an ack-reader
-// goroutine advances the watermark; against v1 a successful write is the
-// only delivery signal there will ever be, so it acks locally.
-func (s *Shipper) pumpSpool(ctx context.Context, conn net.Conn, version uint16, onFirstWrite func()) error {
-	sp := s.spl
-	ackMode := version >= 2
+// previous connection (or process) left unacknowledged. A SeqStart frame
+// opens acked delivery and an ack-reader goroutine advances the watermark.
+func (s *Shipper) pumpSpool(ctx context.Context, conn net.Conn, onFirstWrite func()) error {
 	s.mu.Lock()
 	s.nextSend = s.lastAcked + 1
 	first := s.nextSend
 	s.mu.Unlock()
 	cs := &connState{}
-	if ackMode {
-		payload := wire.AppendSeqStart(nil, wire.SeqStart{Epoch: sp.Epoch(), FirstSeq: first})
-		if err := wire.WriteFrame(conn, wire.Frame{Type: wire.TSeqStart, Payload: payload}); err != nil {
-			return err
-		}
-		ackDone := make(chan struct{})
-		go func() {
-			defer close(ackDone)
-			s.readAcks(conn, cs)
-		}()
-		// Join the ack reader before returning: Run closes the spool after
-		// the pump exits, and a still-running reader must not Ack into a
-		// closed spool. Closing conn here unblocks its ReadFrame (Run's own
-		// Close afterwards is then a no-op).
-		defer func() {
-			conn.Close()
-			<-ackDone
-		}()
+	payload := wire.AppendSeqStart(nil, wire.SeqStart{Epoch: s.spl.Epoch(), FirstSeq: first})
+	if err := wire.WriteFrame(conn, wire.Frame{Type: wire.TSeqStart, Payload: payload}); err != nil {
+		return err
 	}
+	ackDone := make(chan struct{})
+	go func() {
+		defer close(ackDone)
+		s.readAcks(conn, cs)
+	}()
+	// Join the ack reader before returning: Run closes the spool after
+	// the pump exits, and a still-running reader must not Ack into a
+	// closed spool. Closing conn here unblocks its ReadFrame (Run's own
+	// Close afterwards is then a no-op).
+	defer func() {
+		conn.Close()
+		<-ackDone
+	}()
 	wrote := false
 	for {
 		frames, seqs, bufs, err := s.nextBatch(ctx, cs)
@@ -708,14 +706,6 @@ func (s *Shipper) pumpSpool(ctx context.Context, conn net.Conn, version uint16, 
 			}
 			s.nextSend = last + 1
 			s.mu.Unlock()
-			if !ackMode {
-				// Fire-and-forget peer: a completed write is the only
-				// delivery there is; reclaim the disk immediately.
-				if err := sp.Ack(last); err != nil {
-					s.metSpoolErrs.Inc()
-				}
-				s.applyAck(last)
-			}
 		}
 		releaseBufs(bufs)
 		if werr != nil {
@@ -730,8 +720,8 @@ func (s *Shipper) pumpSpool(ctx context.Context, conn net.Conn, version uint16, 
 // a cache eviction). Cache-served frames come with a retained buffer
 // reference each (the caller releases after writing); replayed frames are
 // fresh copies with no buffers to release. A nil-frames, nil-error return
-// means clean shutdown; an errConnDead error means the connection died
-// while waiting.
+// means clean shutdown; errConnDead means the connection died while
+// waiting, errAckOvertook that it must be renumbered.
 func (s *Shipper) nextBatch(ctx context.Context, cs *connState) ([][]byte, []uint64, []*wire.Buf, error) {
 	s.mu.Lock()
 	for {
@@ -744,9 +734,10 @@ func (s *Shipper) nextBatch(ctx context.Context, cs *connState) ([][]byte, []uin
 			return nil, nil, nil, errConnDead
 		}
 		if s.nextSend <= s.lastAcked {
-			// The collector told us (via the SeqStart ack) that it
-			// already has these; skip ahead.
-			s.nextSend = s.lastAcked + 1
+			// The ack is already applied (the spool reclaimed); the redial
+			// opens with FirstSeq just past it.
+			s.mu.Unlock()
+			return nil, nil, nil, errAckOvertook
 		}
 		top := s.spl.NextSeq()
 		if s.nextSend < top {
@@ -780,8 +771,8 @@ func (s *Shipper) nextBatch(ctx context.Context, cs *connState) ([][]byte, []uin
 			if err != nil || len(frames) == 0 {
 				// The replay raced the ack reader: an ack can delete the
 				// very segment being read. If the watermark moved past the
-				// batch start, nothing was lost — recompute from the new
-				// watermark instead of tearing down the connection.
+				// batch start, nothing was lost — the loop's overtake check
+				// takes it from there.
 				if s.lastAcked >= from {
 					continue
 				}
@@ -827,7 +818,7 @@ func (s *Shipper) replay(from, to uint64) ([][]byte, []uint64, error) {
 // errReplayDone stops a spool replay early once the batch is full.
 var errReplayDone = fmt.Errorf("ship: replay batch done")
 
-// readAcks consumes collector frames on a v2 connection — TAck advances
+// readAcks consumes collector frames on a spooled connection — TAck advances
 // the watermark, reclaims spool segments, and trims the cache — until the
 // connection dies, then wakes the pump so it can reconnect. Acks are tiny,
 // so the scanner's shrink-to-watermark buffer stays in the smallest class
@@ -926,7 +917,7 @@ func (s *Shipper) bump(d time.Duration) time.Duration {
 // and clamps the result to BackoffMax: every wait stays within ±50% of
 // its nominal exponential step and never exceeds the configured ceiling.
 func (s *Shipper) jitteredWait(d time.Duration) time.Duration {
-	j := 0.5 + float64(s.rng.next()%1024)/1024.0
+	j := 0.5 + float64(s.rng.Next()%1024)/1024.0
 	w := time.Duration(float64(d) * j)
 	if w > s.cfg.BackoffMax {
 		w = s.cfg.BackoffMax
@@ -944,16 +935,4 @@ func (s *Shipper) sleep(ctx context.Context, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// splitmix64 mirrors the faults package's fully specified PRNG so backoff
-// schedules are reproducible across Go versions.
-type splitmix64 struct{ state uint64 }
-
-func (s *splitmix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -16,8 +16,7 @@
 // internal/wire encoding — length, type, payload, CRC32C — and its name is
 // the sequence number of its first frame, zero-padded so lexical order is
 // numeric order. Frame i of a segment therefore has sequence base+i with
-// no per-frame bookkeeping at all, and a stored frame can be shipped to a
-// v1 or v2 collector verbatim.
+// no per-frame bookkeeping at all, and a stored frame is shipped verbatim.
 //
 // Recovery. Opening a spool scans every segment with the wire decoder and
 // truncates at the first torn frame (the tail a dying process half-wrote),
@@ -37,7 +36,6 @@ package spool
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -49,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -580,15 +579,10 @@ func (s *Spool) readMeta() (epoch, next uint64, hadMeta bool, err error) {
 	return epoch, next, true, nil
 }
 
-// writeMeta persists epoch + next-sequence watermark via atomic rename.
+// writeMeta persists epoch + next-sequence watermark.
 func (s *Spool) writeMeta() error {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "fluct-spool v1\nepoch %d\nnext %d\n", s.epoch, s.nextSeq)
-	tmp := filepath.Join(s.cfg.Dir, metaName+".tmp")
-	if err := os.WriteFile(tmp, b.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("spool: meta: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.cfg.Dir, metaName)); err != nil {
+	meta := fmt.Sprintf("fluct-spool v1\nepoch %d\nnext %d\n", s.epoch, s.nextSeq)
+	if err := durable.WriteFile(filepath.Join(s.cfg.Dir, metaName), []byte(meta)); err != nil {
 		return fmt.Errorf("spool: meta: %w", err)
 	}
 	return nil

@@ -392,3 +392,52 @@ func TestAckAfterCloseRefused(t *testing.T) {
 		t.Fatalf("recovered %d frames, want 1", rec.Frames)
 	}
 }
+
+// TestOpenParentSpool: a spool directory written before spool.meta went
+// through durable.WriteFile (testdata captured from the parent commit:
+// ten frames appended, seven acked, closed) opens with its epoch, numbering
+// and unacked frames intact.
+func TestOpenParentSpool(t *testing.T) {
+	dir := t.TempDir()
+	names, err := filepath.Glob("testdata/parent_spool/*")
+	if err != nil || len(names) != 2 {
+		t.Fatalf("fixture files %v, err %v", names, err)
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, rec, err := Open(Config{Dir: dir, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Epoch() != 7 || s.NextSeq() != 11 || s.AckedSeq() != 6 || rec.Frames != 4 || rec.TornErr != nil {
+		t.Fatalf("epoch %d next %d acked %d recovery %+v, want 7/11/6 and 4 clean frames",
+			s.Epoch(), s.NextSeq(), s.AckedSeq(), rec)
+	}
+	want := uint64(7)
+	err = s.Frames(1, func(seq uint64, raw []byte) error {
+		f, _, err := wire.ReadFrame(bytes.NewReader(raw), nil)
+		if err != nil {
+			return err
+		}
+		end, err := wire.DecodeSetEnd(f.Payload)
+		if err != nil {
+			return err
+		}
+		if seq != want || end.Markers != seq-1 || end.Samples != 100+seq-1 {
+			t.Errorf("frame seq %d holds %+v, want seq %d", seq, end, want)
+		}
+		want++
+		return nil
+	})
+	if err != nil || want != 11 {
+		t.Fatalf("replayed up to %d, err %v", want-1, err)
+	}
+}

@@ -254,31 +254,21 @@ func decodeMembers(p []byte, kind Type) ([]string, []byte, error) {
 	return members, p, nil
 }
 
-// HandoffSource is one moved source's complete transferable state: the
-// checkpoint row a restart would restore, the symbol table in
-// registration order (re-registering reproduces identical deterministic
-// bases), the (epoch, seq) dedup watermark, and the detector snapshot.
-//
-// The payload is a version byte followed by JSON — deliberately the
-// checkpoint's encoding, not a hand-rolled varint layout: a handoff is
-// the checkpoint row traveling over a wire instead of through a file,
-// it happens once per source per drain (control plane, not the ingest
-// hot path), and the detector snapshot is deeply nested. Integrity is
-// the frame CRC's job; shape validation happens after parse, and the
-// importer re-validates watermarks and the detector snapshot under its
-// own rules.
-type HandoffSource struct {
-	Source string `json:"source"`
-	// Epoch and LastAcked are the source's dedup watermark at export
-	// time. The drain quiesces each source at a set boundary, so the
-	// applied and acknowledged watermarks coincide; the importer resumes
-	// dedup exactly there and a replaying shipper's frames ≤ LastAcked
-	// are recognized duplicates — the no-double-apply guarantee.
+// SourceState is the persisted row of one collector source: the (epoch,
+// seq) dedup watermark, the symbol table in registration order
+// (re-registering reproduces identical deterministic bases), the last
+// completed set's results and the cumulative accounting. It is the one
+// definition behind both places the row is written — embedded in the
+// collector's checkpoint rows and in HandoffSource — because a handoff is
+// the checkpoint row traveling over a wire instead of through a file.
+type SourceState struct {
+	// Epoch and LastAcked are the dedup watermark the state reflects: the
+	// restorer or importer resumes dedup exactly there, so a replaying
+	// shipper's frames ≤ LastAcked are recognized duplicates.
 	Epoch     uint64 `json:"epoch"`
 	LastAcked uint64 `json:"last_acked"`
 
-	FreqHz uint64 `json:"freq_hz,omitempty"`
-	// Symbols is the last symbol table in registration order.
+	FreqHz  uint64          `json:"freq_hz,omitempty"`
 	Symbols []HandoffSymbol `json:"symbols,omitempty"`
 
 	// Last-completed-set results (the fleet row's live half).
@@ -286,7 +276,7 @@ type HandoffSource struct {
 	Gaps  trace.Gaps       `json:"gaps"`
 	Diag  core.Diagnostics `json:"diag"`
 
-	// Cumulative accounting, verbatim from the checkpoint row.
+	// Cumulative accounting.
 	Sets          uint64  `json:"sets"`
 	AbortedSets   uint64  `json:"aborted_sets"`
 	Frames        uint64  `json:"frames"`
@@ -299,18 +289,35 @@ type HandoffSource struct {
 	LastMeanConf  float64 `json:"last_mean_conf"`
 	LastDegraded  bool    `json:"last_degraded"`
 	EverConnected bool    `json:"ever_connected"`
+}
+
+// HandoffSymbol is one symbol of a source's table.
+type HandoffSymbol struct {
+	Name string `json:"name"`
+	Size uint64 `json:"size"`
+}
+
+// HandoffSource is one moved source's complete transferable state: the
+// checkpoint row a restart would restore plus what only a live owner has,
+// the verdict snapshot and the detector.
+//
+// The payload is a version byte followed by JSON — the checkpoint's
+// encoding, not a varint layout: it happens once per source per drain
+// (control plane, not the ingest hot path), and the detector snapshot is
+// deeply nested. Integrity is the frame CRC's job; shape validation
+// happens after parse, and the importer re-validates watermarks and the
+// detector snapshot under its own rules. The drain quiesces each source at
+// a set boundary, so the exported LastAcked is both its applied and its
+// acknowledged watermark.
+type HandoffSource struct {
+	Source string `json:"source"`
+	SourceState
 
 	// Published verdict snapshot (what /verdicts serves) and the full
 	// detector state; nil Detector means the source ran no detector.
 	Verdicts       []detect.Verdict `json:"verdicts,omitempty"`
 	ActiveVerdicts int              `json:"active_verdicts,omitempty"`
 	Detector       *detect.Snapshot `json:"detector,omitempty"`
-}
-
-// HandoffSymbol is one symbol of a moved source's table.
-type HandoffSymbol struct {
-	Name string `json:"name"`
-	Size uint64 `json:"size"`
 }
 
 // handoffSourceVersion guards the JSON layout behind the version byte.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,35 +28,37 @@ func testHandoffBegin() HandoffBegin {
 func testHandoffSource() *HandoffSource {
 	fn := &symtab.Fn{Name: "table_lookup", Base: 0x1000, Size: 0x200, ID: 0}
 	return &HandoffSource{
-		Source:    "worker-3",
-		Epoch:     7,
-		LastAcked: 4211,
-		FreqHz:    2_000_000_000,
-		Symbols: []HandoffSymbol{
-			{Name: "table_lookup", Size: 0x200},
-			{Name: "render_reply", Size: 0x180},
-		},
-		Items: []core.Item{{
-			ID: 99, Core: 2, BeginTSC: 1 << 20, EndTSC: 1<<20 + 9000,
-			Funcs: []core.FuncSpan{
-				{Fn: fn, Samples: 4, FirstTSC: 1<<20 + 100, LastTSC: 1<<20 + 8100},
+		Source: "worker-3",
+		SourceState: SourceState{
+			Epoch:     7,
+			LastAcked: 4211,
+			FreqHz:    2_000_000_000,
+			Symbols: []HandoffSymbol{
+				{Name: "table_lookup", Size: 0x200},
+				{Name: "render_reply", Size: 0x180},
 			},
-			SampleCount: 4, Confidence: 1,
-		}},
-		Gaps:          trace.Gaps{},
-		Diag:          core.Diagnostics{UnattributedSamples: 3},
-		Sets:          41,
-		AbortedSets:   1,
-		Frames:        160,
-		CRCErrors:     2,
-		Disconnects:   1,
-		LostMarkers:   5,
-		LostSamples:   9,
-		ConfSum:       40.25,
-		ConfN:         41,
-		LastMeanConf:  0.98,
-		LastDegraded:  false,
-		EverConnected: true,
+			Items: []core.Item{{
+				ID: 99, Core: 2, BeginTSC: 1 << 20, EndTSC: 1<<20 + 9000,
+				Funcs: []core.FuncSpan{
+					{Fn: fn, Samples: 4, FirstTSC: 1<<20 + 100, LastTSC: 1<<20 + 8100},
+				},
+				SampleCount: 4, Confidence: 1,
+			}},
+			Gaps:          trace.Gaps{},
+			Diag:          core.Diagnostics{UnattributedSamples: 3},
+			Sets:          41,
+			AbortedSets:   1,
+			Frames:        160,
+			CRCErrors:     2,
+			Disconnects:   1,
+			LostMarkers:   5,
+			LostSamples:   9,
+			ConfSum:       40.25,
+			ConfN:         41,
+			LastMeanConf:  0.98,
+			LastDegraded:  false,
+			EverConnected: true,
+		},
 		Verdicts: []detect.Verdict{{
 			Source: "worker-3", Event: 2, Rank: 0, Item: 412, Function: "table_lookup",
 			Core: 2, DeltaNs: 4500, Score: 11.25,
@@ -170,6 +173,16 @@ func TestHandoffSourceRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip changed state:\n got %+v\nwant %+v", got, want)
+	}
+	// The payload is the checkpoint row's encoding and sits in drain spools
+	// across upgrades: the golden was captured before SourceState was
+	// factored out of HandoffSource and must never need regenerating.
+	golden, err := os.ReadFile("testdata/handoff_source.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p, golden) {
+		t.Fatalf("encoding moved:\n got %s\nwant %s", p, golden)
 	}
 	if _, err := DecodeHandoffSource(nil); err == nil {
 		t.Error("empty payload accepted")

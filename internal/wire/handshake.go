@@ -7,18 +7,14 @@ import (
 )
 
 // Protocol versions this build speaks. Negotiation picks the highest
-// version both ends support, so a collector upgraded to speak version N+1
-// still accepts version-N shippers — old shippers keep working; only a
-// shipper *newer* than the collector's ceiling (or older than its floor)
-// is refused.
+// version both ends support and refuses disjoint ranges. Version 1 (no
+// TSeqStart/TAck) is no longer spoken: every binary in this repository has
+// shipped version 2 since the seq/ack frames landed, and a v1-only Hello
+// is refused in the handshake.
 const (
 	// MinVersion is the oldest protocol version this build still accepts.
-	MinVersion uint16 = 1
+	MinVersion uint16 = 2
 	// MaxVersion is the newest protocol version this build speaks.
-	// Version 2 adds per-source frame sequence numbers and cumulative
-	// delivery acknowledgements (TSeqStart/TAck, see seq.go); the data
-	// frames themselves are unchanged, so v1 peers interoperate with the
-	// seq/ack machinery simply switched off.
 	MaxVersion uint16 = 2
 )
 

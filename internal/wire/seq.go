@@ -1,28 +1,28 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"io"
+)
 
-// Protocol version 2: durable at-least-once delivery.
+// Durable at-least-once delivery: per-source frame sequence numbers and
+// cumulative acknowledgements.
 //
-// Version 1 shipping is fire-and-forget — a frame written to a healthy
-// socket is gone from the shipper, and a collector restart loses whatever
-// it had integrated. Version 2 adds per-source frame sequence numbers and
-// cumulative acknowledgements on top of the unchanged v1 data frames:
-//
-//   - After the handshake negotiates version ≥ 2, a shipper that wants
-//     acked delivery opens its stream with one SeqStart frame declaring
-//     its numbering epoch and the sequence number of the next data frame.
-//     Every subsequent data frame (symtab/markers/samples/setend) is
-//     implicitly numbered consecutively from there — the transport is
-//     ordered, the shipper transmits in sequence order, so the numbers
-//     never need to ride on the frames themselves and the data frames
-//     stay byte-identical to version 1 (a spooled frame is shipped
-//     verbatim to either peer version).
+//   - A shipper that wants acked delivery opens its stream with one
+//     SeqStart frame declaring its numbering epoch and the sequence number
+//     of the next data frame. Every subsequent data frame
+//     (symtab/markers/samples/setend) is implicitly numbered consecutively
+//     from there — the transport is ordered, the shipper transmits in
+//     sequence order, so the numbers never ride on the frames themselves
+//     and a spooled frame is shipped verbatim.
 //
 //   - The collector answers SeqStart with an Ack carrying the highest
 //     sequence it has durably applied for that (source, epoch), and sends
 //     a further Ack every time its durable watermark advances. Acks are
-//     cumulative: Ack{Seq: n} covers every frame numbered ≤ n.
+//     cumulative: Ack{Seq: n} covers every frame numbered ≤ n. An ack may
+//     never overtake what its connection has carried: a shipper that
+//     learns the collector is ahead redials with FirstSeq past the ack
+//     instead of skipping numbers mid-connection.
 //
 //   - The epoch distinguishes numbering generations. A shipper whose
 //     spool survived a restart resumes its old epoch and numbering; a
@@ -30,11 +30,11 @@ import "encoding/binary"
 //     collector that any remembered watermark is void. Dedup is by
 //     (source, epoch, seq).
 //
-// A v2 connection that never sends SeqStart behaves exactly like v1 —
-// that is how a shipper without a spool, or a v1 shipper against a v2
-// collector, keeps working fire-and-forget.
+// A connection that never sends SeqStart is unsequenced: frames apply in
+// arrival order, nothing is acknowledged. That is how a shipper without a
+// spool works. The receiver's half of these rules is internal/durable.
 
-// SeqStart opens acked delivery on a v2 connection: it declares the
+// SeqStart opens acked delivery on a connection: it declares the
 // shipper's numbering epoch and the sequence number of the first data
 // frame that will follow.
 type SeqStart struct {
@@ -103,4 +103,9 @@ func DecodeAck(p []byte) (Ack, error) {
 		return Ack{}, errPayload(TAck, "%d trailing bytes", len(p))
 	}
 	return a, nil
+}
+
+// WriteAck writes one TAck frame.
+func WriteAck(w io.Writer, epoch, seq uint64) error {
+	return WriteFrame(w, Frame{Type: TAck, Payload: AppendAck(nil, Ack{Epoch: epoch, Seq: seq})})
 }

@@ -205,29 +205,37 @@ func TestNegotiate(t *testing.T) {
 	}
 }
 
+// TestServerHandshakeRefusesDisjoint: a Hello whose version range misses
+// ours — a shipper from the future, or a v1-only one now that version 1 is
+// no longer spoken — is answered with HelloAck{OK:false} and an error.
 func TestServerHandshakeRefusesDisjoint(t *testing.T) {
-	c2s, s2c := new(bytes.Buffer), new(bytes.Buffer)
-	payload, err := AppendHello(nil, Hello{MinVersion: MaxVersion + 1, MaxVersion: MaxVersion + 2, Source: "future"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(c2s, Frame{Type: THello, Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	server := struct {
-		io.Reader
-		io.Writer
-	}{c2s, s2c}
-	if _, _, err := ServerHandshake(server); err == nil {
-		t.Fatal("accepted a shipper from the future")
-	}
-	f, _, err := ReadFrame(s2c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, err := DecodeHelloAck(f.Payload)
-	if err != nil || ack.OK {
-		t.Fatalf("refusal ack = %+v, err %v", ack, err)
+	for _, h := range []Hello{
+		{MinVersion: MaxVersion + 1, MaxVersion: MaxVersion + 2, Source: "future"},
+		{MinVersion: 1, MaxVersion: 1, Source: "v1-only"},
+	} {
+		c2s, s2c := new(bytes.Buffer), new(bytes.Buffer)
+		payload, err := AppendHello(nil, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(c2s, Frame{Type: THello, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		server := struct {
+			io.Reader
+			io.Writer
+		}{c2s, s2c}
+		if _, _, err := ServerHandshake(server); err == nil {
+			t.Fatalf("accepted shipper %q speaking %d–%d", h.Source, h.MinVersion, h.MaxVersion)
+		}
+		f, _, err := ReadFrame(s2c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, err := DecodeHelloAck(f.Payload)
+		if err != nil || ack.OK || ack.Reason == "" {
+			t.Fatalf("%s: refusal ack = %+v, err %v", h.Source, ack, err)
+		}
 	}
 }
 
@@ -278,22 +286,27 @@ func TestSeqStartAckRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV1V2Negotiation pins the compatibility matrix: a v1 peer against a
-// v2 peer lands on version 1 in both directions; two v2 peers land on 2.
+// TestV1V2Negotiation pins what is left of the compatibility matrix now
+// that this build speaks only version 2: a peer that also offers version 1
+// lands on 2, a v1-only peer has nothing in common with us.
 func TestV1V2Negotiation(t *testing.T) {
+	if MinVersion != 2 || MaxVersion != 2 {
+		t.Fatalf("this build speaks %d–%d, want 2–2", MinVersion, MaxVersion)
+	}
 	cases := []struct {
-		lmin, lmax, pmin, pmax uint16
-		want                   uint16
+		pmin, pmax uint16
+		want       uint16
+		ok         bool
 	}{
-		{1, 2, 1, 1, 1}, // v2 collector, v1 shipper
-		{1, 1, 1, 2, 1}, // v1 collector, v2 shipper
-		{1, 2, 1, 2, 2}, // both v2
+		{1, 2, 2, true},  // peer still offers v1: version 2 is shared
+		{2, 2, 2, true},  // both v2
+		{1, 1, 0, false}, // v1-only peer: refused
 	}
 	for _, c := range cases {
-		v, ok := Negotiate(c.lmin, c.lmax, c.pmin, c.pmax)
-		if !ok || v != c.want {
-			t.Fatalf("Negotiate(%d-%d, %d-%d) = %d,%v want %d",
-				c.lmin, c.lmax, c.pmin, c.pmax, v, ok, c.want)
+		v, ok := Negotiate(MinVersion, MaxVersion, c.pmin, c.pmax)
+		if ok != c.ok || v != c.want {
+			t.Fatalf("Negotiate(%d-%d, %d-%d) = %d,%v want %d,%v",
+				MinVersion, MaxVersion, c.pmin, c.pmax, v, ok, c.want, c.ok)
 		}
 	}
 }

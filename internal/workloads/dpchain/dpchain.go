@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/dataplane"
+	"repro/internal/hashx"
 	"repro/internal/lpm"
 	"repro/internal/trace"
 )
@@ -72,14 +73,8 @@ func Routes() dataplane.RouteConfig {
 // grows more tries and the acl0 walk widens).
 func ChurnRules(n int) []dataplane.Rule {
 	rules := Policy()
-	state := uint64(0x636875726e) // "churn"
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
+	rng := hashx.SplitMix64{State: 0x636875726e} // "churn"
+	next := rng.Next
 	for i := 0; i < n; i++ {
 		v6 := next()%3 == 0
 		src := fmt.Sprintf("10.%d.%d.0/24", next()%4, next()%256)
