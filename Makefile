@@ -1,9 +1,9 @@
 # tier1: the gate every change must pass — build, the full test suite, and
 #   the benchmark module's own tests (bench/ builds against this checkout).
-# tier2: vet; everything under the race detector; the durable / loopback /
-#   detect / drain suites raced 20 times over, so a flake cannot hide at
-#   30%; a 10 s fuzz smoke of every target in FUZZ_TARGETS; the full-size
-#   scale harness.
+# tier2: vet; everything under the race detector; the durable / loopback
+#   (cut, resume, admission, grammar) / detect / drain / spool-failure suites
+#   raced 20 times over, so a flake cannot hide at 30%; a 10 s fuzz smoke
+#   of every target in FUZZ_TARGETS; the full-size scale harness.
 # bench: the hot-path micro benchmarks with allocation stats.
 # bench-gate: the same benchmarks held to the baselines recorded in
 #   EXPERIMENTS.md (see cmd/benchgate for thresholds and pairing).
@@ -24,7 +24,7 @@ tier1:
 tier2:
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck' ./internal/collector ./internal/agg ./internal/ship ./internal/experiments
+	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives' ./internal/collector ./internal/agg ./internal/ship ./internal/spool ./internal/experiments
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
 

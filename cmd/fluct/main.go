@@ -30,9 +30,10 @@
 // locally. -source names this worker in the collector's fleet view,
 // -rounds bounds the run (0 runs until interrupted), and -ship-faults
 // injects network damage (e.g. 'net=cutframe,netrate=0.2') into the link.
-// Add -spool <dir> to make delivery durable: frames are written through a
-// disk-backed spool and retransmitted after crashes or restarts until the
-// collector acknowledges them.
+// Delivery is at-least-once either way — every frame is held until the
+// collector acknowledges it. Without -spool it is held in memory, for the
+// life of this process; add -spool <dir> and frames are written through a
+// disk-backed spool and retransmitted across crashes and restarts too.
 //
 // Against a two-tier fleet, -ship takes the comma-separated shard
 // collector membership list; the worker consistent-hashes its source ID
@@ -72,7 +73,7 @@ func main() {
 		source   = flag.String("source", "", "source ID for -ship (default: hostname-pid)")
 		rounds   = flag.Int("rounds", 0, "rounds to ship with -ship (0: until interrupted)")
 		shpFault = flag.String("ship-faults", "", "network fault spec for the -ship link (e.g. 'net=cutframe,netrate=0.2')")
-		spool    = flag.String("spool", "", "spool -ship frames through this directory for durable at-least-once delivery (empty: in-memory queue only)")
+		spool    = flag.String("spool", "", "spool -ship frames through this directory so at-least-once delivery survives restarts of this worker (empty: unacknowledged frames are held in memory, for the life of the process)")
 		workload = flag.String("workload", "request", "workload behind -serve/-ship rounds: request|dataplane")
 	)
 	flag.Parse()

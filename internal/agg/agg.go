@@ -258,8 +258,8 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 			case errors.Is(err, os.ErrDeadlineExceeded):
 				a.metIdleDisc.Inc()
 			case errors.Is(err, wire.ErrChecksum):
-				// On a sequenced link a damaged frame consumed a number we
-				// cannot account for; drop the link, the spool retransmits.
+				// A damaged frame consumed a number we cannot account for;
+				// drop the link, the uplink retransmits.
 				a.metDecErrs.Inc()
 				a.metDiscon.Inc()
 			case err != io.EOF:
@@ -279,26 +279,27 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 			// Summaries have no mid-set state, so a renumbering orphans
 			// nothing here.
 			a.mu.Lock()
-			ackSeq, _ := up.wm.Start(ss.Epoch, ss.FirstSeq)
+			acked, resume, _ := up.wm.Start(ss.Epoch, ss.FirstSeq)
 			a.mu.Unlock()
 			cs.Begin(ss.Epoch, ss.FirstSeq)
-			if wire.WriteAck(conn, cs.Epoch, ackSeq) != nil {
+			if wire.WriteAck(conn, wire.Ack{Epoch: cs.Epoch, Seq: acked, Applied: resume}) != nil {
 				return
 			}
 			a.metAcks.Inc()
 			continue
 		}
 
-		// Every data frame of a sequenced link consumes the next number;
-		// admitting it claims the number.
-		var seq uint64
-		adm := durable.Fresh
-		if cs.Active {
-			seq = cs.Take()
-			a.mu.Lock()
-			adm = up.wm.Admit(cs.Epoch, seq)
-			a.mu.Unlock()
+		// Every data frame consumes the next number; admitting it claims the
+		// number. One that arrives before any SeqStart has none: the peer
+		// does not speak the grammar.
+		seq, ok := cs.Take()
+		if !ok {
+			a.metDecErrs.Inc()
+			return
 		}
+		a.mu.Lock()
+		adm := up.wm.Admit(cs.Epoch, seq)
+		a.mu.Unlock()
 		switch adm {
 		case durable.Stale:
 			// A newer uplink generation superseded this link.
@@ -320,9 +321,6 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 			// durability + ack.
 			a.metDups.Inc()
 		}
-		if !cs.Active {
-			continue // unsequenced link: no acks to send
-		}
 
 		// Ack-after-durability: persist the merge before acknowledging it,
 		// and commit the watermark only once the checkpoint is durable.
@@ -341,7 +339,7 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 			up.wm.Commit(cs.Epoch, seq)
 			a.mu.Unlock()
 		}
-		if wire.WriteAck(conn, cs.Epoch, seq) != nil {
+		if wire.WriteAck(conn, wire.Ack{Epoch: cs.Epoch, Seq: seq, Applied: seq}) != nil {
 			return
 		}
 		a.metAcks.Inc()

@@ -18,6 +18,7 @@ import (
 	"repro/internal/ship"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // workloadSet builds a deterministic two-core request workload trace —
@@ -442,4 +443,98 @@ func httpGet(t testing.TB, url string) string {
 		t.Fatalf("GET %s: %d %s", url, resp.StatusCode, b)
 	}
 	return string(b)
+}
+
+// TestAggregatorLossCounters drives the aggregator's refusal counters over a
+// hand-rolled uplink: a summary older than the merged row is dropped as
+// stale (and still acknowledged — it was delivered); a CRC-valid frame that
+// does not decode consumes its sequence number, is counted, and gets no ack
+// of its own — the next good frame's cumulative ack covers it; and a peer
+// that sends data before any SeqStart is hung up on.
+func TestAggregatorLossCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	a, err := New(Config{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	connect := func() net.Conn {
+		client, server := net.Pipe()
+		go a.HandleConn(server)
+		t.Cleanup(func() { client.Close() })
+		if _, err := wire.ClientHandshake(client, "shard-a"); err != nil {
+			t.Fatal(err)
+		}
+		return client
+	}
+	send := func(conn net.Conn, typ wire.Type, payload []byte) {
+		t.Helper()
+		if err := wire.WriteFrame(conn, wire.Frame{Type: typ, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAck := func(conn net.Conn) wire.Ack {
+		t.Helper()
+		f, _, err := wire.ReadFrame(conn, nil)
+		if err != nil || f.Type != wire.TAck {
+			t.Fatalf("read %s frame, err %v, want an ack", f.Type, err)
+		}
+		ack, err := wire.DecodeAck(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ack
+	}
+	summary := func(sets uint64) []byte {
+		p, err := wire.AppendFleetSummary(nil, wire.FleetSummary{Source: "w", FreqHz: 1_000_000, Sets: sets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	count := func(name string) uint64 { return reg.Counter(name).Value() }
+
+	conn := connect()
+	send(conn, wire.TSeqStart, wire.AppendSeqStart(nil, wire.SeqStart{Epoch: 5, FirstSeq: 1}))
+	if got := readAck(conn); got != (wire.Ack{Epoch: 5}) {
+		t.Fatalf("SeqStart reply %+v", got)
+	}
+	send(conn, wire.TFleetSummary, summary(2))
+	if got := readAck(conn); got.Seq != 1 {
+		t.Fatalf("first summary acked at %d, want 1", got.Seq)
+	}
+
+	send(conn, wire.TFleetSummary, summary(1)) // older than what is merged
+	if got := readAck(conn); got.Seq != 2 {
+		t.Fatalf("stale summary acked at %d, want 2", got.Seq)
+	}
+	if got := count("fluct_agg_stale_rows_total"); got != 1 {
+		t.Fatalf("stale rows %d, want 1", got)
+	}
+	if v := a.Fleet(); len(v.Sources) != 1 || v.Sources[0].Sets != 2 {
+		t.Fatalf("stale row moved the merged view: %+v", v.Sources)
+	}
+
+	send(conn, wire.TFleetSummary, []byte{0xff}) // intact frame, unusable payload: seq 3
+	send(conn, wire.TFleetSummary, summary(3))
+	if got := readAck(conn); got.Seq != 4 {
+		t.Fatalf("ack after the undecodable frame is for %d, want 4 (none for 3, and 4 covers it)", got.Seq)
+	}
+	if got := count("fluct_agg_decode_errors_total"); got != 1 {
+		t.Fatalf("decode errors %d, want 1", got)
+	}
+	if _, seq := a.UpstreamAcked("shard-a"); seq != 4 {
+		t.Fatalf("watermark %d, want 4", seq)
+	}
+
+	rogue := connect()
+	send(rogue, wire.TFleetSummary, summary(9))
+	if _, _, err := wire.ReadFrame(rogue, nil); err == nil {
+		t.Fatal("a summary sent before any SeqStart was answered, want a hang-up")
+	}
+	if got := count("fluct_agg_decode_errors_total"); got != 2 {
+		t.Fatalf("decode errors %d after the unnumbered frame, want 2", got)
+	}
+	if v := a.Fleet(); v.Sources[0].Sets != 3 {
+		t.Fatalf("the unnumbered summary was merged: %+v", v.Sources)
+	}
 }

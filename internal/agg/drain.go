@@ -17,7 +17,7 @@ import (
 // Drain is the planned departure of one shard collector: compute the
 // handoff set under the post-departure ring, quiesce and freeze each
 // moved source at a set boundary, ship its complete state to the new
-// owner over the v2 seq/ack + spool machinery, redirect its shippers,
+// owner over the seq/ack + spool machinery, redirect its shippers,
 // and only then drop it from this collector. Every step degrades
 // gracefully:
 //

@@ -109,9 +109,9 @@ func startWorker(t testing.TB, source, addr, spoolDir string, dial ship.DialFunc
 		Addr: addr, Source: source, SpoolDir: spoolDir, Dial: dial,
 		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond,
 		// A 300-item set interleaves markers and samples into ~1200 frames —
-		// past the default 1024-frame queue, whose drop-oldest policy would
-		// silently wedge the set. Backpressure is not under test here; size
-		// the queue for the whole set.
+		// past the default 1024-frame admission line, which would refuse the
+		// next set while this one awaits its ack. Backpressure is not under
+		// test here; size the queue for several sets.
 		QueueFrames: 1 << 13,
 		OnRedirect: func(members []string) string {
 			return NewRing(members...).Owner(source)

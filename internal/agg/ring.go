@@ -2,7 +2,7 @@
 // aggregator. Shard collectors — ordinary internal/collector instances,
 // each owning the sources that consistent-hash to it — forward every
 // source's refreshed fleet row upstream as wire.TFleetSummary frames over
-// the same v2 seq/ack + spool machinery workers use to reach them; the
+// the same seq/ack + spool machinery workers use to reach them; the
 // aggregator merges the rows into one fleet-wide /fleet view and top-K
 // slowest-items report, byte-equivalent (for stable shard ownership) to a
 // single collector that had integrated every source itself.

@@ -17,9 +17,9 @@ type UplinkConfig struct {
 	// Shard is this shard collector's ID — the wire-level source of the
 	// uplink connection (1–255 bytes).
 	Shard string
-	// SpoolDir enables durable at-least-once summary delivery (see the
-	// Uplink doc comment for the guarantee this buys). Empty degrades the
-	// hop to fire-and-forget.
+	// SpoolDir makes at-least-once summary delivery survive a shard restart
+	// (see the Uplink doc comment for the guarantee this buys). Empty keeps
+	// unacknowledged summaries in memory only.
 	SpoolDir string
 	// SpoolSegmentBytes / SpoolEpoch pass through to the spool (tests).
 	SpoolSegmentBytes int
@@ -36,7 +36,7 @@ type UplinkConfig struct {
 // Uplink is the shard collector's shipping agent for the second hop: it
 // encodes each completed set's fleet summary as a TFleetSummary frame and
 // feeds it through an ordinary ship.Shipper — spool write-through,
-// reconnect with backoff, v2 seq/ack, replay-from-watermark — to the
+// reconnect with backoff, seq/ack, resume-from-watermark — to the
 // aggregator. No new transport machinery; the summary is just another
 // frame type.
 //
@@ -136,5 +136,5 @@ func (u *Uplink) Close() { u.sh.Close() }
 // PendingFrames reports how many summaries are not yet acknowledged.
 func (u *Uplink) PendingFrames() uint64 { return u.sh.PendingFrames() }
 
-// Epoch returns the uplink spool's numbering epoch (0 without a spool).
+// Epoch returns the uplink's numbering epoch.
 func (u *Uplink) Epoch() uint64 { return u.sh.Epoch() }

@@ -125,6 +125,7 @@ type Collector struct {
 	metFrames      *obs.Counter
 	metBytes       *obs.Counter
 	metCRCErrs     *obs.Counter
+	metGrammar     *obs.Counter
 	metDiscon      *obs.Counter
 	metIdleDisc    *obs.Counter
 	metDups        *obs.Counter
@@ -279,6 +280,7 @@ func New(cfg Config) (*Collector, error) {
 		metFrames:      reg.Counter("fluct_collector_frames_total"),
 		metBytes:       reg.Counter("fluct_collector_bytes_total"),
 		metCRCErrs:     reg.Counter("fluct_collector_crc_errors_total"),
+		metGrammar:     reg.Counter("fluct_collector_grammar_errors_total"),
 		metDiscon:      reg.Counter("fluct_collector_disconnects_total"),
 		metIdleDisc:    reg.Counter("fluct_collector_idle_disconnects_total"),
 		metDups:        reg.Counter("fluct_collector_duplicate_frames_total"),
@@ -391,8 +393,8 @@ func (c *Collector) trackConn(conn net.Conn, add bool) {
 // transports can drive the collector without a listener.
 //
 // The connection goroutine only reads frames (each into a pooled buffer)
-// and runs the sequenced dedup/ack bookkeeping under src.mu; decoding and
-// integrating happen on the source's home ingest shard (see shard.go).
+// and runs the dedup/ack bookkeeping under src.mu; decoding and integrating
+// happen on the source's home ingest shard (see shard.go).
 func (c *Collector) HandleConn(conn net.Conn) {
 	defer conn.Close()
 	c.trackConn(conn, true)
@@ -453,27 +455,17 @@ func (c *Collector) HandleConn(conn net.Conn) {
 				return
 			}
 			if errors.Is(err, wire.ErrChecksum) {
-				if cs.Active {
-					// The damaged frame consumed a sequence number whose
-					// contents we cannot account for, but the loss is
-					// recoverable: drop the link and the spool retransmits
-					// everything past the acked watermark.
-					c.metCRCErrs.Inc()
-					c.metDiscon.Inc()
-					src.mu.Lock()
-					src.crcErrors++
-					src.disconnects++
-					src.mu.Unlock()
-					return
-				}
-				// Unsequenced: framing survived, the payload did not. Drop
-				// the frame, keep the connection; the set-total
-				// reconciliation at SetEnd will surface the hole.
+				// The damaged frame consumed a sequence number whose contents
+				// we cannot account for, but the loss is recoverable: drop the
+				// link and the shipper retransmits everything past the resume
+				// line.
 				c.metCRCErrs.Inc()
+				c.metDiscon.Inc()
 				src.mu.Lock()
 				src.crcErrors++
+				src.disconnects++
 				src.mu.Unlock()
-				continue
+				return
 			}
 			// Cut mid-frame or closed: the shipper will reconnect and the
 			// per-source state picks up where it left off. A frozen source's
@@ -501,38 +493,40 @@ func (c *Collector) HandleConn(conn net.Conn) {
 				c.metCRCErrs.Inc()
 				return
 			}
-			ackSeq, frozen := c.seqStart(src, ss)
+			ack, frozen := c.seqStart(src, ss)
 			if frozen {
 				c.redirectAndClose(src, conn)
 				return
 			}
 			cs.Begin(ss.Epoch, ss.FirstSeq)
-			if wire.WriteAck(conn, cs.Epoch, ackSeq) != nil {
+			if wire.WriteAck(conn, ack) != nil {
 				return
 			}
 			c.metAcks.Inc()
 			continue
 		}
 
-		// Every data frame of a sequenced connection consumes the next
-		// number. Admission and the shard enqueue happen under one src.mu
-		// hold — two live connections for the same source (a stale link
-		// draining kernel-buffered frames while the reconnected shipper
-		// replays) must never both admit a number and double-apply a frame.
-		// The ordered shard queue then applies admitted frames in admission
-		// order. An unsequenced connection's frames are always fresh and
-		// never acknowledged.
+		// Every data frame consumes the next number. Admission and the shard
+		// enqueue happen under one src.mu hold — two live connections for the
+		// same source (a stale link draining kernel-buffered frames while the
+		// reconnected shipper resumes) must never both admit a number and
+		// double-apply a frame. The ordered shard queue then applies admitted
+		// frames in admission order.
+		seq, ok := cs.Take()
+		if !ok {
+			// A data frame before any SeqStart has no number: the peer does
+			// not speak the grammar, and nothing it sends can be deduplicated
+			// or acknowledged.
+			f.Release()
+			c.metGrammar.Inc()
+			return
+		}
 		it := ingestItem{view: f}
 		// Ack-worthy frames run the durability+ack path below. SetEnd is
 		// the classic one; the two handoff data frames join it so a
 		// draining peer's spool trims as each import lands durably.
-		var seq uint64
-		ackWorthy := false
-		if cs.Active {
-			seq = cs.Take()
-			ackWorthy = f.Type == wire.TSetEnd ||
-				f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource
-		}
+		ackWorthy := f.Type == wire.TSetEnd ||
+			f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource
 		src.mu.Lock()
 		if src.frozen {
 			// The drain quiesced this source (possibly after our handshake).
@@ -543,10 +537,7 @@ func (c *Collector) HandleConn(conn net.Conn) {
 			c.redirectAndClose(src, conn)
 			return
 		}
-		adm := durable.Fresh
-		if cs.Active {
-			adm = src.wm.Admit(cs.Epoch, seq)
-		}
+		adm := src.wm.Admit(cs.Epoch, seq)
 		var tick uint64
 		switch adm {
 		case durable.Stale:
@@ -650,7 +641,7 @@ func (c *Collector) HandleConn(conn net.Conn) {
 				}
 			}
 		}
-		if wire.WriteAck(conn, cs.Epoch, seq) != nil {
+		if wire.WriteAck(conn, wire.Ack{Epoch: cs.Epoch, Seq: seq, Applied: seq}) != nil {
 			return
 		}
 		c.metAcks.Inc()
@@ -658,22 +649,23 @@ func (c *Collector) HandleConn(conn net.Conn) {
 }
 
 // seqStart applies a connection's TSeqStart to the source's acked-delivery
-// state and returns the watermark to advertise back. A set orphaned by the
-// renumbering is aborted through the home shard (as an abort entry) so the
-// abort stays ordered with the frames already queued; the setOpen flag is
-// the connection-side mirror of "a set is in flight" that makes the
-// decision possible without touching shard-owned state.
-func (c *Collector) seqStart(src *Source, ss wire.SeqStart) (ackSeq uint64, frozen bool) {
+// state and returns the reply: the durable line the shipper may reclaim to
+// and the line it resumes past. A set orphaned by the renumbering is aborted
+// through the home shard (as an abort entry) so the abort stays ordered with
+// the frames already queued; the setOpen flag is the connection-side mirror
+// of "a set is in flight" that makes the decision possible without touching
+// shard-owned state.
+func (c *Collector) seqStart(src *Source, ss wire.SeqStart) (ack wire.Ack, frozen bool) {
 	src.mu.Lock()
 	defer src.mu.Unlock()
 	if src.frozen {
-		return 0, true
+		return wire.Ack{}, true
 	}
-	ackSeq, orphaned := src.wm.Start(ss.Epoch, ss.FirstSeq)
+	acked, resume, orphaned := src.wm.Start(ss.Epoch, ss.FirstSeq)
 	if orphaned && src.setOpen {
 		c.enqueueLocked(src, ingestItem{abort: true})
 	}
-	return ackSeq, false
+	return wire.Ack{Epoch: ss.Epoch, Seq: acked, Applied: resume}, false
 }
 
 // frame applies one verified frame to the source's state, synchronously:
@@ -782,7 +774,7 @@ func (c *Collector) applyFrame(src *Source, it *ingestItem) error {
 // the source's last completed set. Runs on the home-shard goroutine; the
 // flush and the gap scan work on shard-owned state without a lock, only
 // the publication takes src.mu. (epoch, seq) number the SetEnd that closed
-// the set (zero for an abort or an unsequenced stream): the watermark
+// the set (zero for an abort or a synchronous feed): the watermark
 // settles in the same hold that bumps the accounting, so no snapshot can
 // hold one without the other.
 func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, epoch, seq uint64) {
@@ -901,8 +893,8 @@ func (s *Source) Verdicts() (active int, verdicts []detect.Verdict) {
 	return s.activeVerdicts, append([]detect.Verdict(nil), s.verdicts...)
 }
 
-// Epoch returns the source's spool numbering epoch (0 before any
-// sequenced connection).
+// Epoch returns the source's numbering epoch (0 before its first
+// connection).
 func (s *Source) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

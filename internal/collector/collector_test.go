@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -12,8 +13,10 @@ import (
 	"repro/internal/wire"
 )
 
-// pipeSource connects an in-memory shipper-side conn to the collector and
-// completes the handshake.
+// pipeSource connects an in-memory shipper-side conn to the collector,
+// completes the handshake and opens the numbering at (epoch 1, seq 1).
+// Whatever the collector sends back afterwards is read and discarded, so
+// its acks never block on the unbuffered pipe.
 func pipeSource(t *testing.T, c *Collector, source string) net.Conn {
 	t.Helper()
 	client, server := net.Pipe()
@@ -21,6 +24,8 @@ func pipeSource(t *testing.T, c *Collector, source string) net.Conn {
 	if _, err := wire.ClientHandshake(client, source); err != nil {
 		t.Fatal(err)
 	}
+	shipV2Set(t, client, nil, 1, 1)
+	go io.Copy(io.Discard, client)
 	return client
 }
 

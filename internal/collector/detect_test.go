@@ -97,9 +97,9 @@ func shipOnce(t *testing.T, set *trace.Set, shards int) (string, int, []detect.V
 		OnVerdicts:   vc.onVerdicts,
 	})
 	// A 300-item set interleaves markers and samples into ~1200 frames —
-	// past the default 1024-frame queue, whose drop-oldest policy would
-	// silently wedge the set. Backpressure is not under test here; size
-	// the queue for the whole set.
+	// past the default 1024-frame admission line, which would refuse the
+	// next set while this one awaits its ack. Backpressure is not under
+	// test here; size the queue for several sets.
 	s, err := ship.New(ship.Config{Addr: addr, Source: "worker-det", Registry: obs.NewRegistry(), QueueFrames: 1 << 13})
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ func TestIdleTimeout(t *testing.T) {
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var one [1]byte
 	if _, err := conn.Read(one[:]); err == nil {
-		t.Fatal("collector sent unexpected bytes to an idle unsequenced connection")
+		t.Fatal("collector sent unexpected bytes to an idle connection")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("collector never disconnected the idle connection")
 	}
@@ -111,13 +111,13 @@ func TestIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestUnsequencedRawIngest: a hand-rolled spool-less shipper — no TSeqStart,
-// no ack expectations — must still integrate, and the collector must never
-// send it a single byte after the HelloAck: acks belong to sequenced
-// connections only.
-func TestUnsequencedRawIngest(t *testing.T) {
-	set := workloadSet(t, 40)
-	coll, addr := startCollector(t, Config{})
+// TestLoopbackGrammar: the first frame after the handshake must be a
+// TSeqStart. A peer that opens with data is not speaking the grammar —
+// nothing it sends could be numbered, deduplicated or acknowledged — so the
+// collector hangs up on it, counts it, and applies nothing.
+func TestLoopbackGrammar(t *testing.T) {
+	reg := obs.NewRegistry()
+	coll, addr := startCollector(t, Config{Registry: reg})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -127,39 +127,23 @@ func TestUnsequencedRawIngest(t *testing.T) {
 	if _, err := wire.ClientHandshake(conn, "legacy"); err != nil {
 		t.Fatal(err)
 	}
-
-	// Ship one set as raw unnumbered frames, in the per-core timestamp order the
-	// StreamIntegrator requires (the order ShipSet produces).
-	for _, fr := range rawSetFrames(t, set) {
-		if err := wire.WriteFrame(conn, fr); err != nil {
-			t.Fatal(err)
+	for _, fr := range rawSetFrames(t, workloadSet(t, 40)) {
+		if wire.WriteFrame(conn, fr) != nil {
+			break // the collector already hung up
 		}
 	}
-
-	src := waitSets(t, coll, "legacy", 1, 10*time.Second)
-	if src.LastAcked() != 0 || src.Epoch() != 0 {
-		t.Fatalf("unsequenced connection moved seq state: epoch %d, lastAcked %d", src.Epoch(), src.LastAcked())
-	}
-
-	// The collector must have written nothing since the HelloAck.
-	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var one [1]byte
-	if n, err := conn.Read(one[:]); err == nil || n > 0 {
-		t.Fatalf("collector sent %d unsolicited byte(s) to an unsequenced peer", n)
-	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-		t.Fatalf("expected a read timeout (silence), got %v", err)
+	if n, err := conn.Read(one[:]); err == nil {
+		t.Fatalf("collector answered an unnumbered frame with %d byte(s), want a hang-up", n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("collector kept a connection that opened with a data frame")
 	}
-
-	// And the integration must match a local pass exactly.
-	local, err := core.Integrate(set, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got, want bytes.Buffer
-	RenderItems(&got, src.FreqHz(), src.Items())
-	RenderItems(&want, local.FreqHz, local.Items)
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("raw ship differs from local Integrate: %s", firstDiff(got.String(), want.String()))
+	waitFor(t, "grammar error count", func() bool {
+		return reg.Counter("fluct_collector_grammar_errors_total").Value() == 1
+	})
+	if src := coll.Source("legacy"); src.Sets() != 0 || src.Epoch() != 0 || src.SetOpen() {
+		t.Fatalf("unnumbered frames reached the source: sets %d epoch %d open %v", src.Sets(), src.Epoch(), src.SetOpen())
 	}
 }
 
@@ -175,21 +159,21 @@ func TestSeqStartResync(t *testing.T) {
 	src := coll.source("s")
 
 	// First contact at epoch 9, resuming from seq 41.
-	if got, _ := coll.seqStart(src, wire.SeqStart{Epoch: 9, FirstSeq: 41}); got != 40 {
-		t.Fatalf("advertised watermark %d, want 40 (resynced to FirstSeq-1)", got)
+	if got, _ := coll.seqStart(src, wire.SeqStart{Epoch: 9, FirstSeq: 41}); got.Seq != 40 || got.Applied != 40 {
+		t.Fatalf("advertised %+v, want 40/40 (resynced to FirstSeq-1)", got)
 	}
 	if src.Epoch() != 9 || src.LastAcked() != 40 {
 		t.Fatalf("state epoch=%d lastAcked=%d, want 9/40", src.Epoch(), src.LastAcked())
 	}
 
 	// Same epoch, overlap replay: watermark must not move backward.
-	if got, _ := coll.seqStart(src, wire.SeqStart{Epoch: 9, FirstSeq: 30}); got != 40 {
-		t.Fatalf("advertised watermark %d after overlap replay, want 40", got)
+	if got, _ := coll.seqStart(src, wire.SeqStart{Epoch: 9, FirstSeq: 30}); got.Seq != 40 {
+		t.Fatalf("advertised watermark %d after overlap replay, want 40", got.Seq)
 	}
 
 	// New epoch: the numbering resets.
-	if got, _ := coll.seqStart(src, wire.SeqStart{Epoch: 10, FirstSeq: 1}); got != 0 {
-		t.Fatalf("advertised watermark %d after epoch change, want 0", got)
+	if got, _ := coll.seqStart(src, wire.SeqStart{Epoch: 10, FirstSeq: 1}); got != (wire.Ack{Epoch: 10}) {
+		t.Fatalf("advertised %+v after epoch change, want zero lines", got)
 	}
 }
 
@@ -459,7 +443,7 @@ func TestStaleEpochConnRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a, err := wire.DecodeAck(f.Payload); err != nil || f.Type != wire.TAck ||
-		a != (wire.Ack{Epoch: 2, Seq: uint64(len(frames))}) {
+		a != (wire.Ack{Epoch: 2, Seq: uint64(len(frames)), Applied: uint64(len(frames))}) {
 		t.Fatalf("new generation got %s %+v (err %v), want ack epoch 2 seq %d", f.Type, a, err, len(frames))
 	}
 	src := coll.Source("w1")

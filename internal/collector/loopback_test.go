@@ -3,9 +3,11 @@ package collector
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,32 +198,224 @@ func firstDiff(a, b string) string {
 }
 
 // TestLoopbackCutFrame: with mid-frame connection cuts injected on every
-// dial, the ship must still complete — the shipper reconnects within its
-// backoff budget and retransmits the cut frame — and the result must be a
-// completed set with at-worst degraded confidence, never a hang, crash,
-// or wedged collector.
+// dial — one write in five, so no connection ever carries the whole set —
+// the ship must still complete, because every reconnect resumes where the
+// collector is instead of replaying from the set boundary; and since every
+// frame is numbered, what completes is exact: a report byte-identical to a
+// local Integrate, with nothing lost and nothing aborted. It must hold
+// whether the unacknowledged frames wait in memory or in a spool.
 func TestLoopbackCutFrame(t *testing.T) {
 	set := workloadSet(t, 80)
-	reg := obs.NewRegistry()
-	coll, addr := startCollector(t, Config{Registry: reg})
+	for _, mode := range []string{"memory", "spool"} {
+		t.Run(mode, func(t *testing.T) {
+			coll, addr := startCollector(t, Config{})
 
-	plan, err := faults.ParsePlan("seed=11,net=cutframe,netrate=0.2")
-	if err != nil {
-		t.Fatal(err)
+			plan, err := faults.ParsePlan("seed=11,net=cutframe,netrate=0.2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+			wrapped := faults.WrapDial(plan.Net, base)
+
+			shipReg := obs.NewRegistry()
+			cfg := ship.Config{
+				Addr:   addr,
+				Source: "worker-cut",
+				Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+					return wrapped(addr)
+				},
+				BackoffMin: time.Millisecond,
+				BackoffMax: 10 * time.Millisecond,
+				Registry:   shipReg,
+			}
+			if mode == "spool" {
+				cfg.SpoolDir = t.TempDir()
+			}
+			s, err := ship.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- s.Run(ctx) }()
+			if err := s.ShipSet(set); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			src := waitSets(t, coll, "worker-cut", 1, 30*time.Second)
+			cancel()
+			<-done
+
+			if got := shipReg.Counter("fluct_ship_reconnects_total").Value(); got == 0 {
+				t.Error("cutframe run never reconnected — the fault injector did nothing")
+			}
+			assertReportEquals(t, "set shipped over the cut link", src, set)
+			assertDeliveredWhole(t, coll, "worker-cut", 1)
+		})
 	}
-	base := func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	wrapped := faults.WrapDial(plan.Net, base)
+}
 
+// assertDeliveredWhole pins the fleet row of a source whose sets all
+// arrived complete: the exact set count, nothing aborted, no record lost.
+func assertDeliveredWhole(t *testing.T, c *Collector, source string, sets uint64) {
+	t.Helper()
+	v := c.Fleet()
+	if len(v.Sources) != 1 || v.Sources[0].ID != source {
+		t.Fatalf("fleet view %+v", v.Sources)
+	}
+	sum := v.Sources[0]
+	if sum.Sets != sets || sum.AbortedSets != 0 || sum.LostMarkers+sum.LostSamples != 0 {
+		t.Fatalf("sets=%d aborted=%d lost=%d+%d, want %d sets delivered whole",
+			sum.Sets, sum.AbortedSets, sum.LostMarkers, sum.LostSamples, sets)
+	}
+}
+
+// cutConn kills its connection at the n-th write (which carries nothing),
+// the way a link dies between two frames.
+type cutConn struct {
+	net.Conn
+	writes, cutAt int
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if c.writes++; c.writes >= c.cutAt {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+// TestLoopbackResume: a connection that dies K frames into an N-frame set.
+// With the collector still up the next connection resumes past everything
+// it holds — no frame crosses the wire twice. With the collector re-created
+// from its checkpoint, which describes set boundaries only, the same cut
+// replays the open set from its first frame. Either way the report is
+// byte-identical to a local Integrate.
+func TestLoopbackResume(t *testing.T) {
+	set1, set2 := workloadSet(t, 40), workloadSet(t, 80)
+	// Writes before a data frame: Hello and SeqStart.
+	const preamble, carried = 2, 50
+	for _, restart := range []bool{false, true} {
+		name := "collector-up"
+		if restart {
+			name = "collector-restored"
+		}
+		t.Run(name, func(t *testing.T) {
+			ckpt := t.TempDir() + "/checkpoint.json"
+			collReg := obs.NewRegistry()
+			coll, addr := startCollector(t, Config{CheckpointPath: ckpt, Registry: collReg})
+
+			// Connection 1 carries set 1, connection 2 dies after `carried`
+			// frames of set 2, connection 3 finishes the job — once the
+			// test has arranged what it finds on the other end.
+			var dials atomic.Int32
+			target := atomic.Value{}
+			target.Store(addr)
+			proceed := make(chan struct{})
+			dial := func(ctx context.Context, _ string) (net.Conn, error) {
+				n := dials.Add(1)
+				if n == 3 {
+					select {
+					case <-proceed:
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+				}
+				conn, err := net.Dial("tcp", target.Load().(string))
+				if err == nil && n == 2 {
+					conn = &cutConn{Conn: conn, cutAt: preamble + carried + 1}
+				}
+				return conn, err
+			}
+			shipReg := obs.NewRegistry()
+			s, err := ship.New(ship.Config{
+				Addr: "fleet", Source: "w", Dial: dial, QueueFrames: 1 << 13,
+				BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond, Registry: shipReg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- s.Run(ctx) }()
+
+			if err := s.ShipSet(set1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			boundary := coll.Source("w").LastAcked()
+			// Set 2 rides connection 2 alone: sever connection 1 and let the
+			// shipper notice before it has anything to put on it.
+			coll.CloseConns()
+			waitFor(t, "connection 1 to be given up", func() bool {
+				return shipReg.Counter("fluct_ship_reconnects_total").Value() == 1
+			})
+			if err := s.ShipSet(set2); err != nil {
+				t.Fatal(err)
+			}
+			total := s.PendingFrames()
+
+			// Connection 2 is dead and the collector has applied all it carried.
+			src := coll.Source("w")
+			waitFor(t, "the cut connection's frames to be applied", func() bool {
+				src.mu.Lock()
+				defer src.mu.Unlock()
+				return dials.Load() == 3 && src.wm.Applied == boundary+carried
+			})
+			wantRetrans := uint64(0)
+			if restart {
+				if err := coll.Close(); err != nil {
+					t.Fatal(err)
+				}
+				coll, addr = startCollector(t, Config{CheckpointPath: ckpt, Registry: obs.NewRegistry()})
+				target.Store(addr)
+				wantRetrans = carried
+			}
+			close(proceed)
+			if err := s.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			src = waitSets(t, coll, "w", 2, 20*time.Second)
+			cancel()
+			<-done
+
+			if got := shipReg.Counter("fluct_ship_retransmitted_frames_total").Value(); got != wantRetrans {
+				t.Fatalf("retransmitted %d of set 2's %d frames, want %d", got, total, wantRetrans)
+			}
+			assertReportEquals(t, "set 2 after the cut", src, set2)
+			assertDeliveredWhole(t, coll, "w", 2)
+		})
+	}
+}
+
+// TestLoopbackAdmission: a shipper with no spool, its collector unreachable,
+// and a queue too small for everything offered. It lets sets in whole until
+// it holds more than QueueFrames frames and refuses the next one whole;
+// once the collector is reachable exactly the admitted sets arrive, complete
+// — a full queue costs whole sets, counted, never part of one.
+func TestLoopbackAdmission(t *testing.T) {
+	sets := []*trace.Set{workloadSet(t, 40), workloadSet(t, 80), workloadSet(t, 60)}
+	coll, addr := startCollector(t, Config{})
+	var reachable atomic.Bool
 	shipReg := obs.NewRegistry()
 	s, err := ship.New(ship.Config{
-		Addr:   addr,
-		Source: "worker-cut",
+		Addr: addr, Source: "w", Registry: shipReg,
+		// Set 1 fills the queue to the line, which still admits set 2; with
+		// both held the queue is past it.
+		QueueFrames: len(rawSetFrames(t, sets[0])),
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
-			return wrapped(addr)
+			if !reachable.Load() {
+				return nil, net.ErrClosed
+			}
+			return net.Dial("tcp", addr)
 		},
-		BackoffMin: time.Millisecond,
-		BackoffMax: 10 * time.Millisecond,
-		Registry:   shipReg,
+		BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,33 +424,31 @@ func TestLoopbackCutFrame(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
-	if err := s.ShipSet(set); err != nil {
-		t.Fatal(err)
+
+	for i, set := range sets[:2] {
+		if err := s.ShipSet(set); err != nil {
+			t.Fatalf("set %d: %v", i+1, err)
+		}
 	}
+	held := s.PendingFrames()
+	if err := s.ShipSet(sets[2]); !errors.Is(err, ship.ErrQueueFull) {
+		t.Fatalf("set 3 with %d frames held: %v, want ErrQueueFull", held, err)
+	}
+	if got := s.PendingFrames(); got != held {
+		t.Fatalf("the refused set left %d frames behind", got-held)
+	}
+
+	reachable.Store(true)
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	src := waitSets(t, coll, "worker-cut", 1, 30*time.Second)
+	src := waitSets(t, coll, "w", 2, 20*time.Second)
 	cancel()
 	<-done
 
-	if got := shipReg.Counter("fluct_ship_reconnects_total").Value(); got == 0 {
-		t.Error("cutframe run never reconnected — the fault injector did nothing")
-	}
-	items := src.Items()
-	if len(items) == 0 {
-		t.Fatal("no items survived the cut link")
-	}
-	for i := range items {
-		if c := items[i].Confidence; c < 0 || c > 1 {
-			t.Fatalf("item %d confidence %v out of [0,1]", i, c)
-		}
-	}
-	// The fleet view must stay coherent: the source is present, and if the
-	// link damage reached the trace (duplicated or lost records), the
-	// verdict says degraded rather than pretending health.
-	v := coll.Fleet()
-	if len(v.Sources) != 1 || v.Sources[0].ID != "worker-cut" {
-		t.Fatalf("fleet view %+v", v.Sources)
+	assertReportEquals(t, "the last admitted set", src, sets[1])
+	assertDeliveredWhole(t, coll, "w", 2)
+	if got := shipReg.Counter("fluct_ship_dropped_frames_total").Value(); got != 1 {
+		t.Fatalf("shed count %d, want 1 (the one refused set)", got)
 	}
 }

@@ -9,7 +9,8 @@
 //   - Start: a SeqStart from a new epoch voids everything remembered; one
 //     that resumes past the dedup line resyncs forward (those frames are
 //     gone for good — wedging on them helps nobody). The reply advertises
-//     Acked, never anything fresher.
+//     Acked as the durable line, never anything fresher, and the dedup line
+//     as where to resume.
 //   - Admit: a numbered frame at or below the dedup line is a duplicate, one
 //     from a superseded epoch is stale, anything else claims its number.
 //   - Settle: the receiver names the sequence number its state now reflects
@@ -85,11 +86,17 @@ func Restored(epoch, seq uint64) Watermark {
 	return Watermark{Epoch: epoch, Applied: seq, Settled: seq, Acked: seq}
 }
 
-// Start applies a connection's SeqStart and returns the watermark to
-// advertise back. orphaned reports that the numbering moved under whatever
-// the receiver had in flight (new epoch, or a forward resync), which can
-// therefore never complete.
-func (w *Watermark) Start(epoch, firstSeq uint64) (ack uint64, orphaned bool) {
+// Start applies a connection's SeqStart and returns the two lines to
+// advertise back: ack, what the sender may reclaim, and resume, the last
+// frame it need not send again. orphaned reports that the numbering moved
+// under whatever the receiver had in flight (new epoch, or a forward
+// resync), which can therefore never complete.
+//
+// resume is the dedup line — except while a settled frame still waits for
+// its snapshot (a failed checkpoint withheld its ack): only a retransmission
+// of that frame re-attempts the snapshot, so the sender is sent back to the
+// durable line.
+func (w *Watermark) Start(epoch, firstSeq uint64) (ack, resume uint64, orphaned bool) {
 	if w.Epoch != epoch {
 		*w = Watermark{Epoch: epoch}
 		orphaned = true
@@ -98,7 +105,11 @@ func (w *Watermark) Start(epoch, firstSeq uint64) (ack uint64, orphaned bool) {
 		*w = Restored(epoch, firstSeq-1)
 		orphaned = true
 	}
-	return w.Acked, orphaned
+	resume = w.Applied
+	if w.Settled > w.Acked {
+		resume = w.Acked
+	}
+	return w.Acked, resume, orphaned
 }
 
 // Admission is Admit's verdict on one numbered frame.
@@ -147,21 +158,26 @@ func (w *Watermark) Commit(epoch, seq uint64) {
 
 // Numbering is one connection's implicit frame numbering: after a SeqStart,
 // data frames count up from its FirstSeq without carrying their numbers.
-// The zero value is an unsequenced connection.
+// The zero value is a connection whose SeqStart has not arrived; sequence
+// numbers start at 1.
 type Numbering struct {
-	Active bool
-	Epoch  uint64
-	next   uint64
+	Epoch uint64
+	next  uint64
 }
 
 // Begin starts (or restarts) the numbering at a SeqStart.
 func (n *Numbering) Begin(epoch, firstSeq uint64) {
-	*n = Numbering{Active: true, Epoch: epoch, next: firstSeq}
+	*n = Numbering{Epoch: epoch, next: firstSeq}
 }
 
-// Take consumes and returns the next sequence number.
-func (n *Numbering) Take() uint64 {
-	seq := n.next
+// Take consumes and returns the next sequence number. ok is false for a data
+// frame that arrived before any SeqStart (or after one that declared
+// FirstSeq 0): it has no number, and the grammar has no place for it.
+func (n *Numbering) Take() (seq uint64, ok bool) {
+	if n.next == 0 {
+		return 0, false
+	}
+	seq = n.next
 	n.next++
-	return seq
+	return seq, true
 }

@@ -92,8 +92,8 @@ func TestWatermark(t *testing.T) {
 
 	// First contact: a new epoch voids the (empty) past and orphans
 	// whatever was in flight; nothing is acked yet.
-	if ack, orphaned := w.Start(9, 1); ack != 0 || !orphaned {
-		t.Fatalf("first contact: ack %d orphaned %v, want 0 true", ack, orphaned)
+	if ack, resume, orphaned := w.Start(9, 1); ack != 0 || resume != 0 || !orphaned {
+		t.Fatalf("first contact: ack %d resume %d orphaned %v, want 0 0 true", ack, resume, orphaned)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
 		if got := w.Admit(9, seq); got != Fresh {
@@ -110,26 +110,33 @@ func TestWatermark(t *testing.T) {
 		t.Fatalf("stale/duplicate frames moved the dedup line to %d", w.Applied)
 	}
 
+	// Held but not durable: a reconnect reclaims nothing and resumes past
+	// everything held.
+	if ack, resume, _ := w.Start(9, 1); ack != 0 || resume != 3 {
+		t.Fatalf("reconnect mid-stream: ack %d resume %d, want 0 3", ack, resume)
+	}
+
 	// Applied and settled, but not yet durable: a snapshot may record 3, a
-	// reconnect must still be told 0.
+	// reconnect must still be told 0 — and sent back to 0, because only a
+	// replay of frame 3 re-attempts the snapshot that withheld its ack.
 	w.Settle(9, 3)
 	w.Settle(8, 30) // a late apply from the superseded epoch
 	if w.Settled != 3 || w.Acked != 0 {
 		t.Fatalf("after settle: %+v, want Settled 3 Acked 0", w)
 	}
-	if ack, orphaned := w.Start(9, 1); ack != 0 || orphaned {
-		t.Fatalf("reconnect before commit: ack %d orphaned %v, want 0 false", ack, orphaned)
+	if ack, resume, orphaned := w.Start(9, 1); ack != 0 || resume != 0 || orphaned {
+		t.Fatalf("reconnect before commit: ack %d resume %d orphaned %v, want 0 0 false", ack, resume, orphaned)
 	}
 	w.Commit(8, 30) // a stale connection's commit
 	w.Commit(9, 3)
-	if ack, _ := w.Start(9, 2); ack != 3 {
-		t.Fatalf("overlap replay after commit advertised %d, want 3", ack)
+	if ack, resume, _ := w.Start(9, 2); ack != 3 || resume != 3 {
+		t.Fatalf("overlap replay after commit advertised %d/%d, want 3/3", ack, resume)
 	}
 
 	// The sender resumes past the dedup line (we lost state it was told we
 	// had): resync forward, orphaning the set in flight.
-	if ack, orphaned := w.Start(9, 41); ack != 40 || !orphaned {
-		t.Fatalf("forward resync: ack %d orphaned %v, want 40 true", ack, orphaned)
+	if ack, resume, orphaned := w.Start(9, 41); ack != 40 || resume != 40 || !orphaned {
+		t.Fatalf("forward resync: ack %d resume %d orphaned %v, want 40 40 true", ack, resume, orphaned)
 	}
 	if w != Restored(9, 40) {
 		t.Fatalf("forward resync left %+v", w)
@@ -139,11 +146,30 @@ func TestWatermark(t *testing.T) {
 	}
 
 	// A new epoch resets the numbering.
-	if ack, orphaned := w.Start(10, 1); ack != 0 || !orphaned || w != (Watermark{Epoch: 10}) {
+	if ack, _, orphaned := w.Start(10, 1); ack != 0 || !orphaned || w != (Watermark{Epoch: 10}) {
 		t.Fatalf("epoch change: ack %d orphaned %v state %+v", ack, orphaned, w)
 	}
 	w.Commit(9, 40)
 	if w.Acked != 0 {
 		t.Fatalf("old generation's commit landed on the new one: %+v", w)
+	}
+}
+
+// TestNumbering: a connection has no numbers to hand out until its SeqStart
+// arrives, then counts up from FirstSeq, and restarts at a second SeqStart.
+func TestNumbering(t *testing.T) {
+	var n Numbering
+	if _, ok := n.Take(); ok {
+		t.Fatal("a frame before any SeqStart was numbered")
+	}
+	n.Begin(7, 5)
+	for want := uint64(5); want <= 6; want++ {
+		if seq, ok := n.Take(); !ok || seq != want || n.Epoch != 7 {
+			t.Fatalf("took %d ok=%v epoch %d, want %d true 7", seq, ok, n.Epoch, want)
+		}
+	}
+	n.Begin(7, 9)
+	if seq, _ := n.Take(); seq != 9 {
+		t.Fatalf("after renumbering took %d, want 9", seq)
 	}
 }

@@ -373,3 +373,36 @@ func TestCrashSweepShape(t *testing.T) {
 		t.Error("render missing columns")
 	}
 }
+
+// TestNetSweepShape: the network rung's contract since every frame is
+// numbered — a cut link costs reconnects and nothing else, so the damaged
+// rung's row equals the clean rung's in every cell but that one.
+func TestNetSweepShape(t *testing.T) {
+	r, err := NetSweep([]float64{0, 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(r.Rows))
+	}
+	clean, cut := r.Rows[0], r.Rows[1]
+	if clean.Reconnects != 0 || cut.Reconnects == 0 {
+		t.Errorf("reconnects clean=%d cut=%d: the injector must bite only on the cut rung", clean.Reconnects, cut.Reconnects)
+	}
+	for _, row := range r.Rows {
+		if row.DroppedFrames != 0 || row.LostRecords != 0 || row.Degraded {
+			t.Errorf("rate %.2f: dropped=%d lost=%d degraded=%v", row.CutRate, row.DroppedFrames, row.LostRecords, row.Degraded)
+		}
+	}
+	if cut.Items != clean.Items || cut.MeanConfidence != clean.MeanConfidence {
+		t.Errorf("cut rung delivered %d items at confidence %v, clean rung %d at %v",
+			cut.Items, cut.MeanConfidence, clean.Items, clean.MeanConfidence)
+	}
+	// The reconnect count depends on a race (see NetSweepRow.Reconnects), so
+	// it must not reach the byte-diffed output.
+	var sb strings.Builder
+	r.Render(&sb)
+	if !strings.Contains(sb.String(), ">=1") {
+		t.Errorf("render does not reduce %d reconnects to >=1:\n%s", cut.Reconnects, sb.String())
+	}
+}

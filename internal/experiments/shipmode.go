@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -34,9 +35,10 @@ type ShipConfig struct {
 	// plan (faults.ParsePlan syntax, net= keys) so shipping can be exercised
 	// over a damaged link.
 	Faults string
-	// SpoolDir makes delivery durable: frames are written through a
-	// disk-backed spool and retransmitted until acked, surviving worker
-	// restarts. Empty keeps the in-memory drop-oldest queue only.
+	// SpoolDir makes delivery survive worker restarts: frames are written
+	// through a disk-backed spool and retransmitted until acked. Empty keeps
+	// unacknowledged frames in memory only, and a round that finds the
+	// queue past its admission line is refused whole.
 	SpoolDir string
 	// Registry receives the shipper's self-telemetry (nil: obs.Default()).
 	Registry *obs.Registry
@@ -49,10 +51,10 @@ type ShipStats struct {
 	Bytes      uint64
 	Dropped    uint64
 	Reconnects uint64
-	// Undelivered counts frames not yet delivered (spooled runs: not yet
-	// acked) when the final drain deadline expired — nonzero means the
-	// collector did not confirm the whole run. With a spool those frames
-	// survive on disk and a restarted worker retransmits them.
+	// Undelivered counts frames not yet acknowledged when the final drain
+	// deadline expired — nonzero means the collector did not confirm the
+	// whole run. With a spool those frames survive on disk and a restarted
+	// worker retransmits them.
 	Undelivered uint64
 }
 
@@ -67,10 +69,11 @@ func (st ShipStats) Render(w io.Writer) {
 }
 
 // ShipRounds runs the `fluct -ship` worker loop: generate a workload round,
-// ship its trace set, sleep the interval, repeat. The shipper's drop-oldest
-// queue and reconnect loop mean an unreachable collector degrades telemetry
-// (drops accumulate) without ever stalling the round cadence — the same
-// never-block contract the in-process collection path keeps.
+// ship its trace set, sleep the interval, repeat. The shipper's
+// whole-set admission and reconnect loop mean an unreachable collector
+// degrades telemetry (refused rounds accumulate in Dropped) without ever
+// stalling the round cadence — the same never-block contract the in-process
+// collection path keeps.
 func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 300
@@ -88,13 +91,15 @@ func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 
 	// Rounds are short and the link is often loopback: the production
 	// default backoff (50ms–5s) would let a lossy link outlive the drain
-	// deadline, ending the run with frames still queued. Reconnect fast.
+	// deadline, ending the run with frames still queued. Reconnect fast — a
+	// link that cuts one write in five carries about two frames per
+	// connection, so a round is some 600 reconnects.
 	shipCfg := ship.Config{
 		Addr:       cfg.Addr,
 		Source:     cfg.Source,
 		Registry:   reg,
 		SpoolDir:   cfg.SpoolDir,
-		BackoffMin: 10 * time.Millisecond,
+		BackoffMin: 2 * time.Millisecond,
 		BackoffMax: time.Second,
 	}
 	if cfg.Faults != "" {
@@ -130,12 +135,13 @@ func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 			<-done
 			return st, err
 		}
-		if err := s.ShipSet(set); err != nil {
+		if err := s.ShipSet(set); err == nil {
+			st.Rounds++
+		} else if !errors.Is(err, ship.ErrQueueFull) {
 			cancel()
 			<-done
 			return st, err
 		}
-		st.Rounds++
 		if ctx.Err() != nil {
 			break
 		}

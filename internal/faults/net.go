@@ -19,7 +19,7 @@ const (
 	// NetPartition models a hard partition: the connection carries
 	// PartitionAfterBytes bytes, then every further write fails and the
 	// connection closes. Reconnections hit the same wall, so the shipper's
-	// backoff and drop-oldest queue are what keep the worker healthy.
+	// backoff and non-blocking enqueue are what keep the worker healthy.
 	NetPartition
 	// NetLatency models a slow link: every write is delayed by Delay.
 	// Nothing is lost; freshness is.

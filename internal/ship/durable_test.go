@@ -65,8 +65,7 @@ func serveAcks(conn net.Conn, rec *ackRec, ackAfter int) {
 			rec.starts = append(rec.starts, ss)
 			rec.mu.Unlock()
 			epoch, seq = ss.Epoch, ss.FirstSeq-1
-			if err := wire.WriteFrame(conn, wire.Frame{Type: wire.TAck,
-				Payload: wire.AppendAck(nil, wire.Ack{Epoch: epoch, Seq: seq})}); err != nil {
+			if wire.WriteAck(conn, wire.Ack{Epoch: epoch, Seq: seq, Applied: seq}) != nil {
 				return
 			}
 			continue
@@ -75,8 +74,7 @@ func serveAcks(conn net.Conn, rec *ackRec, ackAfter int) {
 		rec.mu.Lock()
 		rec.nData++
 		rec.mu.Unlock()
-		if err := wire.WriteFrame(conn, wire.Frame{Type: wire.TAck,
-			Payload: wire.AppendAck(nil, wire.Ack{Epoch: epoch, Seq: seq})}); err != nil {
+		if wire.WriteAck(conn, wire.Ack{Epoch: epoch, Seq: seq, Applied: seq}) != nil {
 			return
 		}
 		acked++
@@ -88,9 +86,9 @@ func serveAcks(conn net.Conn, rec *ackRec, ackAfter int) {
 
 // TestBackoffNotResetByAcceptAndClose: a listener that completes the
 // handshake and immediately hangs up must NOT collapse the reconnect
-// backoff — the reset requires a first successful frame write. The old
-// behavior (reset on any successful handshake) turned such a listener
-// into a hot reconnect loop at BackoffMin.
+// backoff — the reset requires an answered SeqStart. The old behavior
+// (reset on any successful handshake) turned such a listener into a hot
+// reconnect loop at BackoffMin.
 func TestBackoffNotResetByAcceptAndClose(t *testing.T) {
 	var dials int32
 	dial := func(ctx context.Context, addr string) (net.Conn, error) {
@@ -122,7 +120,7 @@ func TestBackoffNotResetByAcceptAndClose(t *testing.T) {
 	// past the 200ms window within ~6 attempts. The regression resets to
 	// BackoffMin on every handshake, yielding ≥ 13 dials here.
 	if n := atomic.LoadInt32(&dials); n > 9 {
-		t.Fatalf("%d dials in 200ms window: backoff was reset by a connection that never carried a frame", n)
+		t.Fatalf("%d dials in 200ms window: backoff was reset by a connection that never answered a SeqStart", n)
 	}
 }
 
@@ -378,10 +376,10 @@ func (c *strictCollector) serve(conn net.Conn, afterStart func()) {
 			}
 			c.mu.Lock()
 			c.starts = append(c.starts, ss)
-			ack, _ := c.wm.Start(ss.Epoch, ss.FirstSeq)
+			ack, resume, _ := c.wm.Start(ss.Epoch, ss.FirstSeq)
 			c.mu.Unlock()
 			cs.Begin(ss.Epoch, ss.FirstSeq)
-			if wire.WriteAck(conn, ss.Epoch, ack) != nil {
+			if wire.WriteAck(conn, wire.Ack{Epoch: ss.Epoch, Seq: ack, Applied: resume}) != nil {
 				return
 			}
 			if afterStart != nil {
@@ -389,9 +387,9 @@ func (c *strictCollector) serve(conn net.Conn, afterStart func()) {
 			}
 			continue
 		}
-		seq := cs.Take()
+		seq, ok := cs.Take()
 		end, err := wire.DecodeSetEnd(f.Payload)
-		if err != nil {
+		if !ok || err != nil {
 			return
 		}
 		c.mu.Lock()
@@ -401,7 +399,7 @@ func (c *strictCollector) serve(conn net.Conn, afterStart func()) {
 		c.wm.Commit(cs.Epoch, seq)
 		swallow := c.swallow
 		c.mu.Unlock()
-		if !swallow && wire.WriteAck(conn, cs.Epoch, seq) != nil {
+		if !swallow && wire.WriteAck(conn, wire.Ack{Epoch: cs.Epoch, Seq: seq, Applied: seq}) != nil {
 			return
 		}
 	}
@@ -411,10 +409,9 @@ func (c *strictCollector) serve(conn net.Conn, afterStart func()) {
 // but the acks died with the link, so its SeqStart reply advertises a
 // watermark past the shipper's FirstSeq. The collector numbers this
 // connection's frames consecutively from FirstSeq, so the shipper must not
-// skip the acked frames mid-connection (every later frame would be
-// mis-numbered and dropped as a duplicate, and the link would never ack
-// again): it applies the ack, drops the connection, and redials with
-// FirstSeq just past it.
+// just skip the acked frames (every later frame would be mis-numbered and
+// dropped as a duplicate, and the link would never ack again): it applies
+// the ack and renumbers with a SeqStart just past it.
 func TestLostAckRenumbersConnection(t *testing.T) {
 	reg := obs.NewRegistry()
 	coll := &strictCollector{swallow: true}
@@ -492,6 +489,6 @@ func TestLostAckRenumbersConnection(t *testing.T) {
 		t.Fatalf("collector applied %v, want %v exactly once each, in order", coll.applied, want)
 	}
 	if last := coll.starts[len(coll.starts)-1]; last.FirstSeq != 7 {
-		t.Fatalf("seqstarts %+v: the redial after the overtaking ack must open at 7", coll.starts)
+		t.Fatalf("seqstarts %+v: the renumbering after the overtaking ack must open at 7", coll.starts)
 	}
 }

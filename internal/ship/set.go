@@ -21,7 +21,15 @@ import (
 // run reaches BatchRecords, so replaying the frames in arrival order
 // reproduces exactly the local feed order. That is what makes the
 // collector's integration bit-identical to a local Integrate of the same
-// set on a clean link.
+// set.
+//
+// A set is shipped whole or not at all. Everything that can refuse it — a
+// closed shipper, an unshippable symbol table, a queue past its admission
+// line (ErrQueueFull) — does so at the symtab, before any frame is
+// enqueued. A failure after that (a spool that stops taking frames, a batch
+// too large to frame) stops the set where it is and returns the error: the
+// collector sees a set that never reached its SetEnd and finalizes it as
+// aborted, never a quietly thinner one.
 func (s *Shipper) ShipSet(set *trace.Set) error {
 	if set == nil {
 		return fmt.Errorf("ship: nil trace set")
@@ -33,8 +41,8 @@ func (s *Shipper) ShipSet(set *trace.Set) error {
 	if err != nil {
 		return err
 	}
-	if !s.EnqueueFrame(wire.Frame{Type: wire.TSymtab, Payload: symPayload}) {
-		return fmt.Errorf("ship: shipper closed")
+	if err := s.enqueueFrame(wire.Frame{Type: wire.TSymtab, Payload: symPayload}, true); err != nil {
+		return err
 	}
 
 	// Merge both streams into per-core timestamp order, markers before
@@ -66,56 +74,52 @@ func (s *Shipper) ShipSet(set *trace.Set) error {
 		markerRun []trace.Marker
 		sampleRun []pmu.Sample
 	)
-	// Each run is encoded straight into a pooled frame buffer (sized for
-	// the run's worst case, so the in-place build cannot outgrow it); the
-	// same bytes then serve the spool append and the socket write.
-	flushMarkers := func() bool {
-		if len(markerRun) == 0 {
-			return true
+	// flush ships the open run — at most one is non-empty, since a record of
+	// the other kind flushes it first. Each run is encoded straight into a
+	// pooled frame buffer (sized for the run's worst case, so the in-place
+	// build cannot outgrow it); the same bytes then serve the spool append
+	// and the socket write.
+	flush := func() (err error) {
+		switch {
+		case len(markerRun) > 0:
+			err = s.enqueueEncoded(wire.TMarkers, wire.MarkersFrameBound(len(markerRun)), false,
+				func(dst []byte) []byte { return wire.AppendMarkers(dst, markerRun) })
+			markerRun = markerRun[:0]
+		case len(sampleRun) > 0:
+			err = s.enqueueEncoded(wire.TSamples, wire.SamplesFrameBound(len(sampleRun)), false,
+				func(dst []byte) []byte { return wire.AppendSamples(dst, sampleRun) })
+			sampleRun = sampleRun[:0]
 		}
-		ok := s.enqueueEncoded(wire.TMarkers, wire.MarkersFrameBound(len(markerRun)),
-			func(dst []byte) []byte { return wire.AppendMarkers(dst, markerRun) })
-		markerRun = markerRun[:0]
-		return ok
-	}
-	flushSamples := func() bool {
-		if len(sampleRun) == 0 {
-			return true
-		}
-		ok := s.enqueueEncoded(wire.TSamples, wire.SamplesFrameBound(len(sampleRun)),
-			func(dst []byte) []byte { return wire.AppendSamples(dst, sampleRun) })
-		sampleRun = sampleRun[:0]
-		return ok
+		return err
 	}
 	for _, e := range evs {
-		if e.marker >= 0 {
-			if !flushSamples() {
-				return fmt.Errorf("ship: shipper closed")
+		isMarker := e.marker >= 0
+		if (isMarker && len(sampleRun) > 0) || (!isMarker && len(markerRun) > 0) {
+			if err := flush(); err != nil {
+				return err
 			}
+		}
+		if isMarker {
 			markerRun = append(markerRun, set.Markers[e.marker])
-			if len(markerRun) >= s.cfg.BatchRecords && !flushMarkers() {
-				return fmt.Errorf("ship: shipper closed")
-			}
 		} else {
-			if !flushMarkers() {
-				return fmt.Errorf("ship: shipper closed")
-			}
 			sampleRun = append(sampleRun, set.Samples[e.sample])
-			if len(sampleRun) >= s.cfg.BatchRecords && !flushSamples() {
-				return fmt.Errorf("ship: shipper closed")
+		}
+		if len(markerRun)+len(sampleRun) >= s.cfg.BatchRecords {
+			if err := flush(); err != nil {
+				return err
 			}
 		}
 	}
-	if !flushMarkers() || !flushSamples() {
-		return fmt.Errorf("ship: shipper closed")
+	if err := flush(); err != nil {
+		return err
 	}
 
 	end := wire.AppendSetEnd(nil, wire.SetEnd{
 		Markers: uint64(len(set.Markers)),
 		Samples: uint64(len(set.Samples)),
 	})
-	if !s.EnqueueFrame(wire.Frame{Type: wire.TSetEnd, Payload: end}) {
-		return fmt.Errorf("ship: shipper closed")
+	if err := s.enqueueFrame(wire.Frame{Type: wire.TSetEnd, Payload: end}, false); err != nil {
+		return err
 	}
 	s.metSets.Inc()
 	return nil

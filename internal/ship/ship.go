@@ -1,26 +1,30 @@
 // Package ship is the worker-side trace shipping agent: it turns finished
-// (or live) trace sets into wire frames, queues them behind a bounded
-// buffer, and pushes them to the central collector over TCP, reconnecting
-// with jittered exponential backoff when the link dies.
+// (or live) trace sets into wire frames, numbers them, and pushes them to
+// the central collector over TCP, reconnecting with jittered exponential
+// backoff when the link dies. Delivery is at-least-once: a frame is held
+// until the collector acknowledges it as durably applied, a reconnect
+// resumes where the collector is (see internal/wire/seq.go), and the
+// collector deduplicates by (source, epoch, seq).
 //
-// The queue policy is the paper's own collection philosophy applied to the
-// network: never stall the instrumented workload. When the collector is
-// slow or unreachable the shipper sheds the *oldest* frames — stale
-// telemetry is the cheapest telemetry to lose — and counts every drop in
-// the obs registry (fluct_ship_dropped_frames_total), so degradation is
-// visible, never silent.
+// The paper's collection philosophy applies to the network too: never stall
+// the instrumented workload. Enqueueing never blocks. What differs is where
+// the unacknowledged frames live:
 //
-// With Config.SpoolDir set the shipper is additionally durable: every
-// frame is written through to a disk-backed segment log (internal/spool)
-// before it is eligible for transmission, the in-memory queue becomes a
-// cache over the spool, and frames are deleted from disk only once the
-// collector acknowledges them as durably applied. A shipper restart
-// retransmits everything unacknowledged — delivery becomes at-least-once,
-// with the collector deduplicating by (source, epoch, seq).
+//   - Without Config.SpoolDir they live in memory, for the life of the
+//     process. When the collector is slow or unreachable and more than
+//     QueueFrames of them are already held, the next set is refused whole —
+//     before any of its frames is enqueued — and counted
+//     (fluct_ship_dropped_frames_total). A set that was let in is delivered
+//     complete; a full queue never thins one.
+//   - With it every frame is written through to a disk-backed segment log
+//     (internal/spool) first, nothing is ever refused, the in-memory queue is
+//     only a cache over the spool's newest frames, and a restarted shipper
+//     retransmits whatever the previous process left unacknowledged.
 package ship
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -48,21 +52,26 @@ type Config struct {
 	// (default 512). Smaller batches ship fresher, larger batches ship
 	// cheaper.
 	BatchRecords int
-	// QueueFrames bounds the outbound frame queue (default 1024). When
-	// full without a spool, the oldest queued frame is dropped and
-	// counted; with a spool the queue is only a cache, so overflow evicts
-	// the oldest cache entry while the frame stays replayable from disk.
+	// QueueFrames (default 1024) plays one of two roles. Without a spool
+	// the in-memory queue is the whole unacknowledged window and this is
+	// its admission line: a set (or a frame shipped on its own) is refused
+	// and counted while more than this many frames are already held, and a
+	// set that was admitted is kept whole, so memory overshoots the line by
+	// at most one set. With a spool the queue is only a cache, and this
+	// bounds it: overflow evicts the oldest cache entry while the frame
+	// stays replayable from disk.
 	QueueFrames int
-	// SpoolDir enables durable at-least-once shipping: frames are written
-	// through to a disk spool here before transmission and deleted only
-	// once acknowledged (see the package comment). Empty disables
-	// spooling: delivery is fire-and-forget.
+	// SpoolDir makes delivery survive a restart of this process: frames are
+	// written through to a disk spool here before transmission and deleted
+	// only once acknowledged (see the package comment). Empty keeps the
+	// unacknowledged frames in memory only.
 	SpoolDir string
 	// SpoolSegmentBytes is the spool's segment rotation bound
 	// (default 1 MiB).
 	SpoolSegmentBytes int
-	// SpoolEpoch pins a fresh spool's numbering epoch (tests only;
-	// default: time-derived, unique per spool generation).
+	// SpoolEpoch pins the numbering epoch of a fresh spool, or of a shipper
+	// without one (tests only; default: time-derived, unique per spool
+	// generation or process).
 	SpoolEpoch uint64
 	// Dial opens the connection (default net.Dialer over TCP).
 	Dial DialFunc
@@ -70,8 +79,8 @@ type Config struct {
 	// and 5s). Each failed attempt doubles the wait up to BackoffMax,
 	// with ±50% deterministic jitter so a fleet of shippers restarting
 	// together does not reconnect in lockstep. The backoff resets only
-	// after a connection proves useful — handshake completed AND a first
-	// frame written — so a listener that accepts and drops connections
+	// after a connection proves useful — handshake completed AND the
+	// SeqStart answered — so a listener that accepts and drops connections
 	// cannot collapse the backoff and induce a hot reconnect loop.
 	BackoffMin, BackoffMax time.Duration
 	// JitterSeed seeds the backoff jitter (default: derived from Source),
@@ -83,8 +92,8 @@ type Config struct {
 	// the address to dial next — typically by re-hashing Source over the
 	// table — or "" to keep the current address. Either way the shipper
 	// drops the connection and reconnects instead of waiting out a dial
-	// timeout against a leaving shard; spooled frames replay to the new
-	// owner, which deduplicates by (source, epoch, seq).
+	// timeout against a leaving shard; unacknowledged frames replay to the
+	// new owner, which deduplicates by (source, epoch, seq).
 	OnRedirect func(members []string) string
 	// OnControlFrame, when set, receives every collector-to-shipper frame
 	// that is neither a TAck nor a TRedirect (e.g. THandoffAck import
@@ -105,22 +114,22 @@ type Shipper struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	queue     []queued // FIFO: queue[0] is oldest; contiguous by seq when spooled
+	queue     []queued // FIFO, contiguous by seq: the whole unacked window, or a cache over the spool's newest frames
 	closed    bool
-	memSeq    uint64 // no-spool mode: ordinal of the last enqueued frame
-	nextSend  uint64 // spool mode: seq of the next frame to transmit
-	lastAcked uint64 // spool mode: highest seq the collector acked
-	highSent  uint64 // spool mode: highest seq ever written to a socket
+	epoch     uint64 // numbering generation: the spool's, or this process's
+	nextSeq   uint64 // seq the next enqueued frame takes
+	nextSend  uint64 // seq of the next frame to transmit
+	lastAcked uint64 // highest seq the collector acked
+	highSent  uint64 // highest seq ever written to a socket
 	addr      string // current collector address; rewritten by TRedirect
 	queueHW   int    // deepest the queue has ever been
 
-	spl *spool.Spool
+	spl *spool.Spool // nil without Config.SpoolDir
 	rec spool.Recovery
 
 	metQueue      *obs.Gauge
 	metQueueHW    *obs.Gauge
 	metDropped    *obs.Counter
-	metDropInSet  *obs.Counter
 	metEvicted    *obs.Counter
 	metReconnects *obs.Counter
 	metRedirects  *obs.Counter
@@ -134,13 +143,12 @@ type Shipper struct {
 	rng hashx.SplitMix64
 }
 
-// queued is one encoded frame awaiting transmission: the complete wire
-// encoding, its sequence number (spool seq when spooling, an in-memory
-// ordinal otherwise), and the pooled buffer backing the bytes (nil when the
-// encoding outgrew every pool class). The queue owns one buffer reference
-// per entry; whoever removes an entry — pop, drop, eviction, ack trim —
-// releases it. The pump takes its own reference around each socket write,
-// so a concurrent removal can never recycle bytes mid-write.
+// queued is one encoded frame awaiting acknowledgement: the complete wire
+// encoding, its sequence number, and the pooled buffer backing the bytes
+// (nil when the encoding outgrew every pool class). The queue owns one
+// buffer reference per entry; whoever removes an entry — eviction, ack
+// trim — releases it. The pump takes its own reference around each socket
+// write, so a concurrent removal can never recycle bytes mid-write.
 type queued struct {
 	seq   uint64
 	bytes []byte
@@ -188,7 +196,6 @@ func New(cfg Config) (*Shipper, error) {
 		metQueue:      reg.Gauge("fluct_ship_queue_depth"),
 		metQueueHW:    reg.Gauge("fluct_ship_queue_high_watermark"),
 		metDropped:    reg.Counter("fluct_ship_dropped_frames_total"),
-		metDropInSet:  reg.Counter("fluct_ship_dropped_set_frames_total"),
 		metEvicted:    reg.Counter("fluct_ship_cache_evictions_total"),
 		metReconnects: reg.Counter("fluct_ship_reconnects_total"),
 		metRedirects:  reg.Counter("fluct_ship_redirects_total"),
@@ -201,6 +208,11 @@ func New(cfg Config) (*Shipper, error) {
 		rng:           hashx.SplitMix64{State: cfg.JitterSeed},
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.epoch, s.nextSeq = cfg.SpoolEpoch, 1
+	if s.epoch == 0 {
+		// Same rule as a fresh spool: an epoch no earlier generation used.
+		s.epoch = uint64(time.Now().UnixNano()) | 1
+	}
 	if cfg.SpoolDir != "" {
 		spl, rec, err := spool.Open(spool.Config{
 			Dir:          cfg.SpoolDir,
@@ -211,13 +223,12 @@ func New(cfg Config) (*Shipper, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.spl = spl
-		s.rec = rec
-		s.lastAcked = spl.AckedSeq()
-		s.highSent = s.lastAcked
-		s.nextSend = s.lastAcked + 1
-		s.metAcked.SetInt(int(s.lastAcked))
+		s.spl, s.rec = spl, rec
+		s.epoch, s.nextSeq, s.lastAcked = spl.Epoch(), spl.NextSeq(), spl.AckedSeq()
 	}
+	s.highSent = s.lastAcked
+	s.nextSend = s.lastAcked + 1
+	s.metAcked.SetInt(int(s.lastAcked))
 	return s, nil
 }
 
@@ -225,23 +236,28 @@ func New(cfg Config) (*Shipper, error) {
 // spooling is disabled or the spool was clean).
 func (s *Shipper) Recovery() spool.Recovery { return s.rec }
 
-// Epoch returns the spool numbering epoch (0 without a spool).
-func (s *Shipper) Epoch() uint64 {
-	if s.spl == nil {
-		return 0
-	}
-	return s.spl.Epoch()
-}
+// Epoch returns the numbering epoch: the spool's when there is one (it
+// survives restarts), otherwise one drawn at New.
+func (s *Shipper) Epoch() uint64 { return s.epoch }
 
-// EnqueueFrame queues one frame for shipping. It never blocks. Without a
-// spool, a full queue drops the oldest queued frame (drop-oldest
-// backpressure, counted). With a spool the frame is written through to
-// disk first; queue overflow then only evicts the in-memory cache copy —
-// the frame remains replayable — and a frame that cannot be spooled
-// (disk failure) is shed and counted rather than allowed to stall the
-// workload. Returns false if the shipper is closed.
-func (s *Shipper) EnqueueFrame(f wire.Frame) bool {
-	return s.enqueueEncoded(f.Type, len(f.Payload)+wire.FrameOverhead,
+// ErrQueueFull is returned by ShipSet when a shipper without a spool already
+// holds more than Config.QueueFrames unacknowledged frames: the set was
+// refused whole, nothing of it was enqueued, and the refusal was counted.
+var ErrQueueFull = errors.New("ship: queue full, set refused")
+
+var errClosed = errors.New("ship: shipper closed")
+
+// EnqueueFrame queues one frame that stands on its own (sets go through
+// ShipSet). It never blocks. It returns false when the frame was not taken:
+// the shipper is closed, the frame is too large to ship, the spool could
+// not store it, or — without a spool — the queue is past its admission
+// line. Every refusal by an open shipper is counted.
+func (s *Shipper) EnqueueFrame(f wire.Frame) bool { return s.enqueueFrame(f, true) == nil }
+
+// enqueueFrame queues a frame whose payload is already encoded; opens is
+// passed through to enqueue.
+func (s *Shipper) enqueueFrame(f wire.Frame, opens bool) error {
+	return s.enqueueEncoded(f.Type, len(f.Payload)+wire.FrameOverhead, opens,
 		func(dst []byte) []byte { return append(dst, f.Payload...) })
 }
 
@@ -251,19 +267,19 @@ func (s *Shipper) EnqueueFrame(f wire.Frame) bool {
 // pooled encoding, with no intermediate payload slice. bound is the
 // worst-case encoded frame size the buffer is drawn for; if the encoding
 // somehow outgrows it (append reallocated away from the pooled buffer),
-// the plain slice is queued and the pooled buffer returned.
-func (s *Shipper) enqueueEncoded(t wire.Type, bound int, enc func([]byte) []byte) bool {
+// the plain slice is queued and the pooled buffer returned. opens is passed
+// through to enqueue.
+func (s *Shipper) enqueueEncoded(t wire.Type, bound int, opens bool, enc func([]byte) []byte) error {
 	buf := s.pool.Get(bound)
 	dst := buf.Bytes()[:0]
 	dst, start := wire.BeginFrame(dst, t)
 	dst = enc(dst)
 	dst, err := wire.EndFrame(dst, start)
 	if err != nil {
-		// Oversized payload: unshippable by construction, shed it visibly
-		// rather than poisoning the stream.
+		// Oversized payload: unshippable by construction.
 		buf.Release()
 		s.metDropped.Inc()
-		return true
+		return fmt.Errorf("ship: %s frame: %w", t, err)
 	}
 	if cap(dst) > buf.Cap() {
 		buf.Release()
@@ -271,88 +287,56 @@ func (s *Shipper) enqueueEncoded(t wire.Type, bound int, enc func([]byte) []byte
 	} else {
 		buf.SetLen(len(dst))
 	}
-	return s.enqueue(dst, buf)
+	return s.enqueue(dst, buf, opens)
 }
 
-// enqueue adds one complete frame encoding (backed by buf when pooled) to
-// the queue, applying the spool write-through and the overflow policy.
-func (s *Shipper) enqueue(enc []byte, buf *wire.Buf) bool {
+// enqueue numbers one complete frame encoding (backed by buf when pooled)
+// and adds it to the queue, behind the spool write-through when there is a
+// spool. opens marks a frame that begins a unit of work — a set's symtab, or
+// a frame shipped on its own: a shipper with nowhere to spill refuses it
+// while the queue is past its admission line, and lets the rest of an
+// admitted set follow it in whatever the depth.
+func (s *Shipper) enqueue(enc []byte, buf *wire.Buf, opens bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	switch {
+	case s.closed:
 		buf.Release()
-		return false
-	}
-	if s.spl != nil {
+		return errClosed
+	case s.spl != nil:
 		seq, err := s.spl.Append(enc)
 		if err != nil {
-			// The disk failed, not the collector: shed this frame
-			// visibly. The in-memory queue must stay contiguous by seq,
-			// so an unspooled frame cannot ride along.
+			// The disk failed, not the collector: the frame is stored
+			// nowhere, and the queue must stay contiguous by seq, so it
+			// cannot ride along unspooled.
 			s.metSpoolErrs.Inc()
 			s.metDropped.Inc()
-			s.noteSetFrameLoss(enc)
 			buf.Release()
-			return true
+			return fmt.Errorf("ship: %w", err)
 		}
-		s.queue = append(s.queue, queued{seq: seq, bytes: enc, buf: buf})
-		s.noteDepthLocked()
-		if over := len(s.queue) - s.cfg.QueueFrames; over > 0 {
-			// Evictions shed only the cache copy — the frames replay from
-			// disk — so they do not count as set-frame loss.
-			for i := 0; i < over; i++ {
-				s.queue[i].buf.Release()
-			}
-			s.queue = s.queue[over:]
-			s.metEvicted.Add(uint64(over))
-		}
-		s.metQueue.SetInt(len(s.queue))
-		s.cond.Signal()
-		return true
+		s.nextSeq = seq
+	case opens && len(s.queue) > s.cfg.QueueFrames:
+		s.metDropped.Inc()
+		buf.Release()
+		return ErrQueueFull
 	}
-	if len(s.queue) >= s.cfg.QueueFrames {
-		n := len(s.queue) - s.cfg.QueueFrames + 1
-		for i := 0; i < n; i++ {
-			s.noteSetFrameLoss(s.queue[i].bytes)
-			s.queue[i].buf.Release()
-		}
-		s.queue = s.queue[n:]
-		s.metDropped.Add(uint64(n))
-	}
-	s.memSeq++
-	s.queue = append(s.queue, queued{seq: s.memSeq, bytes: enc, buf: buf})
-	s.noteDepthLocked()
-	s.metQueue.SetInt(len(s.queue))
-	s.cond.Signal()
-	return true
-}
-
-// noteDepthLocked tracks the deepest the queue has ever been
-// (fluct_ship_queue_high_watermark): a queue that brushes QueueFrames is
-// one interleaved large set away from shedding set frames — the PR 8
-// footgun DESIGN.md documents — and the high watermark makes that margin
-// visible before the first drop.
-func (s *Shipper) noteDepthLocked() {
+	s.queue = append(s.queue, queued{seq: s.nextSeq, bytes: enc, buf: buf})
+	s.nextSeq++
 	if d := len(s.queue); d > s.queueHW {
 		s.queueHW = d
 		s.metQueueHW.SetInt(d)
 	}
-}
-
-// noteSetFrameLoss counts a shed frame that was part of a trace set
-// (symtab/markers/samples/set-end). Losing one of these without a spool
-// truncates or wedges the set at the collector, unlike losing a
-// standalone telemetry frame — fluct_ship_dropped_set_frames_total is the
-// "data actually went missing mid-set" alarm. enc is a complete frame
-// encoding; the type byte sits right after the length prefix.
-func (s *Shipper) noteSetFrameLoss(enc []byte) {
-	if len(enc) < wire.FrameOverhead {
-		return
+	if over := len(s.queue) - s.cfg.QueueFrames; over > 0 && s.spl != nil {
+		// Only the cache copy goes: the frames replay from disk.
+		for i := 0; i < over; i++ {
+			s.queue[i].buf.Release()
+		}
+		s.queue = s.queue[over:]
+		s.metEvicted.Add(uint64(over))
 	}
-	switch wire.Type(enc[4]) {
-	case wire.TSymtab, wire.TMarkers, wire.TSamples, wire.TSetEnd:
-		s.metDropInSet.Inc()
-	}
+	s.metQueue.SetInt(len(s.queue))
+	s.cond.Signal()
+	return nil
 }
 
 // QueueDepth returns the number of frames currently held in memory.
@@ -362,21 +346,17 @@ func (s *Shipper) QueueDepth() int {
 	return len(s.queue)
 }
 
-// PendingFrames returns how many frames are not yet delivered: unacked
-// spooled frames when spooling, queued frames otherwise.
+// PendingFrames returns how many enqueued frames the collector has not yet
+// acknowledged.
 func (s *Shipper) PendingFrames() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.spl != nil {
-		return s.spl.NextSeq() - 1 - s.lastAcked
-	}
-	return uint64(len(s.queue))
+	return s.nextSeq - 1 - s.lastAcked
 }
 
 // Close marks the shipper closed: further enqueues are refused and Run
-// returns once everything pending is shipped (or immediately if
-// disconnected with nothing pending). The spool itself is closed when Run
-// exits.
+// returns once everything pending is acknowledged. The spool itself is
+// closed when Run exits.
 func (s *Shipper) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -384,10 +364,10 @@ func (s *Shipper) Close() {
 	s.mu.Unlock()
 }
 
-// Drain blocks until nothing is pending — with a spool, until every
-// spooled frame is acknowledged — or ctx is cancelled. The deadline error
-// reports how many frames were still pending when it hit, so "drain
-// timed out" logs say how far delivery got, not just that it stopped.
+// Drain blocks until every enqueued frame is acknowledged or ctx is
+// cancelled. The deadline error reports how many frames were still pending
+// when it hit, so "drain timed out" logs say how far delivery got, not just
+// that it stopped.
 func (s *Shipper) Drain(ctx context.Context) error {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
@@ -411,55 +391,7 @@ func (s *Shipper) Addr() string {
 	return s.addr
 }
 
-// nextMem blocks until frames are queued (no-spool mode), the shipper is
-// closed with an empty queue, or ctx is cancelled, and snapshots the whole
-// queue for one coalesced write: bytes, seqs, and a retained buffer
-// reference per frame, so a concurrent drop-oldest cannot recycle a pooled
-// buffer while its bytes are on their way into the socket. Entries are
-// dequeued via trimSent only after the write reports them complete; a
-// frame interrupted by a dying connection is retransmitted on the next
-// connection rather than lost (the collector discards the cut half-frame;
-// a duplicate, if the cut landed after delivery, is absorbed by the
-// integrator's marker-repair path and the confidence model).
-func (s *Shipper) nextMem(ctx context.Context) ([][]byte, []uint64, []*wire.Buf, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.queue) == 0 {
-		if s.closed || ctx.Err() != nil {
-			return nil, nil, nil, false
-		}
-		s.cond.Wait()
-	}
-	frames := make([][]byte, len(s.queue))
-	seqs := make([]uint64, len(s.queue))
-	bufs := make([]*wire.Buf, len(s.queue))
-	for i := range s.queue {
-		frames[i] = s.queue[i].bytes
-		seqs[i] = s.queue[i].seq
-		bufs[i] = s.queue[i].buf
-		s.queue[i].buf.Retain()
-	}
-	return frames, seqs, bufs, true
-}
-
-// trimSent dequeues (and releases) every frame with seq ≤ upto. Matching
-// by sequence rather than by count keeps the pop correct when drop-oldest
-// removed some of the snapshot's frames while the write was in flight.
-func (s *Shipper) trimSent(upto uint64) {
-	s.mu.Lock()
-	trim := 0
-	for trim < len(s.queue) && s.queue[trim].seq <= upto {
-		s.queue[trim].buf.Release()
-		trim++
-	}
-	if trim > 0 {
-		s.queue = s.queue[trim:]
-		s.metQueue.SetInt(len(s.queue))
-	}
-	s.mu.Unlock()
-}
-
-// releaseBufs drops the snapshot references taken by nextMem/nextBatch.
+// releaseBufs drops the snapshot references taken by nextBatch.
 func releaseBufs(bufs []*wire.Buf) {
 	for _, b := range bufs {
 		b.Release()
@@ -492,8 +424,8 @@ func fullyWritten(frames [][]byte, n int64) (full int, bytes uint64) {
 	return full, bytes
 }
 
-// waitWork blocks until there is something to ship (or to collect acks
-// for), returning false when the shipper is done.
+// waitWork blocks until some frame is unacknowledged, returning false when
+// the shipper is done.
 func (s *Shipper) waitWork(ctx context.Context) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -501,11 +433,7 @@ func (s *Shipper) waitWork(ctx context.Context) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		if s.spl != nil {
-			if s.spl.NextSeq()-1 > s.lastAcked {
-				return true
-			}
-		} else if len(s.queue) > 0 {
+		if s.nextSeq-1 > s.lastAcked {
 			return true
 		}
 		if s.closed {
@@ -516,13 +444,12 @@ func (s *Shipper) waitWork(ctx context.Context) bool {
 }
 
 // Run connects, handshakes, and drains the queue to the collector until
-// ctx is cancelled or Close is called and everything pending has shipped.
-// Connection failures are retried forever with jittered exponential
-// backoff; Run only returns an error for unrecoverable configuration
-// problems (a refused handshake on a healthy link, e.g. a version
-// mismatch). The backoff resets only once a connection has completed the
-// handshake and carried at least one frame — a successful dial alone
-// proves nothing when the far end accepts and immediately drops.
+// ctx is cancelled or Close is called and everything pending has been
+// acknowledged. Connection failures — a refused dial, a refused handshake,
+// a link that dies — are retried forever with jittered exponential backoff.
+// The backoff resets only once a connection has completed the handshake and
+// had its SeqStart answered — a successful dial alone proves nothing when
+// the far end accepts and immediately drops.
 func (s *Shipper) Run(ctx context.Context) error {
 	// Wake any cond.Wait when the context dies.
 	stop := context.AfterFunc(ctx, func() {
@@ -542,27 +469,14 @@ func (s *Shipper) Run(ctx context.Context) error {
 			return ctx.Err()
 		}
 		conn, err := s.cfg.Dial(ctx, s.Addr())
-		if err != nil {
-			if !s.sleep(ctx, backoff) {
-				return ctx.Err()
-			}
-			backoff = s.bump(backoff)
-			s.metReconnects.Inc()
-			continue
-		}
-		if _, err := wire.ClientHandshake(conn, s.cfg.Source); err != nil {
-			conn.Close()
-			if !s.sleep(ctx, backoff) {
-				return ctx.Err()
-			}
-			backoff = s.bump(backoff)
-			s.metReconnects.Inc()
-			continue
-		}
-		err = s.pump(ctx, conn, func() { backoff = s.cfg.BackoffMin })
-		conn.Close()
 		if err == nil {
-			return ctx.Err() // clean shutdown: closed + drained, or ctx done
+			if _, err = wire.ClientHandshake(conn, s.cfg.Source); err == nil {
+				err = s.pump(ctx, conn, func() { backoff = s.cfg.BackoffMin })
+			}
+			conn.Close()
+			if err == nil {
+				return ctx.Err() // clean shutdown: closed + drained, or ctx done
+			}
 		}
 		s.metReconnects.Inc()
 		if !s.sleep(ctx, backoff) {
@@ -572,93 +486,46 @@ func (s *Shipper) Run(ctx context.Context) error {
 	}
 }
 
-// pump writes pending frames to conn until everything closes cleanly (nil)
-// or the connection fails (non-nil). Each pass coalesces everything queued
-// into one vectored write instead of a write per frame. onFirstWrite runs
-// after the first frame lands on the socket — the proof of a useful
-// connection that resets the reconnect backoff.
-func (s *Shipper) pump(ctx context.Context, conn net.Conn, onFirstWrite func()) error {
-	if s.spl != nil {
-		return s.pumpSpool(ctx, conn, onFirstWrite)
-	}
-	// Even a fire-and-forget connection can carry control frames back —
-	// a draining collector redirects spool-less shippers too. The reader
-	// closes the conn on redirect so the writer fails over to the new
-	// address.
-	ctrlDone := make(chan struct{})
-	go func() {
-		defer close(ctrlDone)
-		sc := wire.NewFrameScanner(conn)
-		for {
-			f, err := sc.ReadFrame()
-			if err != nil {
-				return
-			}
-			if f.Type == wire.TAck {
-				continue // nothing to ack against without a spool
-			}
-			if s.control(f) {
-				conn.Close()
-				return
-			}
-		}
-	}()
-	defer func() {
-		conn.Close()
-		<-ctrlDone
-	}()
-	wrote := false
-	for {
-		frames, seqs, bufs, ok := s.nextMem(ctx)
-		if !ok {
-			return nil
-		}
-		n, werr := writeFrames(conn, frames)
-		full, bytes := fullyWritten(frames, n)
-		if full > 0 {
-			if !wrote {
-				wrote = true
-				onFirstWrite()
-			}
-			s.metFrames.Add(uint64(full))
-			s.metBytes.Add(bytes)
-			s.trimSent(seqs[full-1])
-		}
-		releaseBufs(bufs)
-		if werr != nil {
-			return werr
-		}
-	}
-}
-
 // errConnDead reports the ack reader observing the connection die while
 // the pump was waiting for acknowledgements.
 var errConnDead = fmt.Errorf("ship: connection died awaiting acks")
 
 // errAckOvertook reports an ack covering frames this connection never
-// carried: the collector already holds them (an earlier ack was lost), and
-// since it numbers a connection's frames consecutively from SeqStart, the
-// only way to skip them is a new connection that starts past the ack.
+// carried. The collector numbers a connection's frames consecutively from
+// its SeqStart, so the only way past them is a new connection.
 var errAckOvertook = fmt.Errorf("ship: ack overtook this connection's numbering")
 
-// connState is the per-connection flag the ack reader uses to wake a pump
-// blocked with nothing to send.
-type connState struct{ dead bool }
+// connState is what the ack reader tells the pump about one connection.
+type connState struct {
+	dead    bool   // the connection died
+	replied bool   // the SeqStart reply arrived...
+	applied uint64 // ...advertising this resume line
+}
 
-// pumpSpool is the durable pump: transmit spooled frames in sequence
-// order starting just past the acked watermark, retransmitting whatever a
-// previous connection (or process) left unacknowledged. A SeqStart frame
-// opens acked delivery and an ack-reader goroutine advances the watermark.
-func (s *Shipper) pumpSpool(ctx context.Context, conn net.Conn, onFirstWrite func()) error {
+// writeSeqStart sends one TSeqStart as a single write, so a link that dies
+// mid-frame gets one chance at it, not WriteFrame's three.
+func writeSeqStart(conn net.Conn, epoch, first uint64) error {
+	payload := wire.AppendSeqStart(nil, wire.SeqStart{Epoch: epoch, FirstSeq: first})
+	_, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.TSeqStart, Payload: payload}))
+	return err
+}
+
+// pump runs one handshaken connection until everything closes cleanly (nil)
+// or the connection fails (non-nil). It opens the numbering just past the
+// acked watermark, learns from the SeqStart reply how much more the
+// collector already holds, renumbers past that, and then transmits in
+// sequence order while the ack reader advances the watermark. Each pass
+// coalesces everything transmittable into one vectored write. onReply runs
+// once the SeqStart reply is in — the proof of a live collector on the
+// other end that resets the reconnect backoff.
+func (s *Shipper) pump(ctx context.Context, conn net.Conn, onReply func()) error {
 	s.mu.Lock()
-	s.nextSend = s.lastAcked + 1
-	first := s.nextSend
+	first := s.lastAcked + 1
 	s.mu.Unlock()
-	cs := &connState{}
-	payload := wire.AppendSeqStart(nil, wire.SeqStart{Epoch: s.spl.Epoch(), FirstSeq: first})
-	if err := wire.WriteFrame(conn, wire.Frame{Type: wire.TSeqStart, Payload: payload}); err != nil {
+	if err := writeSeqStart(conn, s.epoch, first); err != nil {
 		return err
 	}
+	cs := &connState{}
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
@@ -672,7 +539,32 @@ func (s *Shipper) pumpSpool(ctx context.Context, conn net.Conn, onFirstWrite fun
 		conn.Close()
 		<-ackDone
 	}()
-	wrote := false
+
+	// Resume where the collector is: frames it still holds from an earlier
+	// connection (applied, not yet durable) need no retransmission, but
+	// they are not reclaimed either — only an ack does that, so a collector
+	// re-created from its checkpoint is replayed to from there.
+	s.mu.Lock()
+	for !cs.replied && !cs.dead && ctx.Err() == nil {
+		s.cond.Wait()
+	}
+	if !cs.replied {
+		s.mu.Unlock()
+		if ctx.Err() != nil {
+			return nil
+		}
+		return errConnDead
+	}
+	s.nextSend = min(max(cs.applied, s.lastAcked), s.nextSeq-1) + 1
+	resume := s.nextSend
+	s.mu.Unlock()
+	onReply()
+	if resume > first {
+		if err := writeSeqStart(conn, s.epoch, resume); err != nil {
+			return err
+		}
+	}
+
 	for {
 		frames, seqs, bufs, err := s.nextBatch(ctx, cs)
 		if err != nil {
@@ -684,10 +576,6 @@ func (s *Shipper) pumpSpool(ctx context.Context, conn net.Conn, onFirstWrite fun
 		n, werr := writeFrames(conn, frames)
 		full, bytes := fullyWritten(frames, n)
 		if full > 0 {
-			if !wrote {
-				wrote = true
-				onFirstWrite()
-			}
 			s.metFrames.Add(uint64(full))
 			s.metBytes.Add(bytes)
 			last := seqs[full-1]
@@ -715,9 +603,9 @@ func (s *Shipper) pumpSpool(ctx context.Context, conn net.Conn, onFirstWrite fun
 }
 
 // nextBatch blocks until frames are transmittable and returns them in
-// sequence order — from the in-memory cache when it still holds the next
-// needed sequence, replayed from the spool otherwise (after a restart or
-// a cache eviction). Cache-served frames come with a retained buffer
+// sequence order — from the in-memory queue when it holds the next needed
+// sequence (always, without a spool), replayed from the spool otherwise
+// (after a restart or a cache eviction). Cache-served frames come with a retained buffer
 // reference each (the caller releases after writing); replayed frames are
 // fresh copies with no buffers to release. A nil-frames, nil-error return
 // means clean shutdown; errConnDead means the connection died while
@@ -734,12 +622,11 @@ func (s *Shipper) nextBatch(ctx context.Context, cs *connState) ([][]byte, []uin
 			return nil, nil, nil, errConnDead
 		}
 		if s.nextSend <= s.lastAcked {
-			// The ack is already applied (the spool reclaimed); the redial
-			// opens with FirstSeq just past it.
+			// The ack is already applied; the redial opens just past it.
 			s.mu.Unlock()
 			return nil, nil, nil, errAckOvertook
 		}
-		top := s.spl.NextSeq()
+		top := s.nextSeq
 		if s.nextSend < top {
 			if len(s.queue) > 0 && s.queue[0].seq <= s.nextSend {
 				idx := int(s.nextSend - s.queue[0].seq)
@@ -818,11 +705,11 @@ func (s *Shipper) replay(from, to uint64) ([][]byte, []uint64, error) {
 // errReplayDone stops a spool replay early once the batch is full.
 var errReplayDone = fmt.Errorf("ship: replay batch done")
 
-// readAcks consumes collector frames on a spooled connection — TAck advances
-// the watermark, reclaims spool segments, and trims the cache — until the
-// connection dies, then wakes the pump so it can reconnect. Acks are tiny,
-// so the scanner's shrink-to-watermark buffer stays in the smallest class
-// for the connection's life.
+// readAcks consumes collector frames — TAck advances the watermark, reclaims
+// spool segments, and trims the queue; the first one is the SeqStart reply
+// the pump waits for — until the connection dies, then wakes the pump so it
+// can reconnect. Acks are tiny, so the scanner's shrink-to-watermark buffer
+// stays in the smallest class for the connection's life.
 func (s *Shipper) readAcks(conn net.Conn, cs *connState) {
 	sc := wire.NewFrameScanner(conn)
 	for {
@@ -837,13 +724,15 @@ func (s *Shipper) readAcks(conn net.Conn, cs *connState) {
 			continue
 		}
 		a, err := wire.DecodeAck(f.Payload)
-		if err != nil || a.Epoch != s.spl.Epoch() {
+		if err != nil || a.Epoch != s.epoch {
 			continue
 		}
-		if err := s.spl.Ack(a.Seq); err != nil {
-			s.metSpoolErrs.Inc()
+		if s.spl != nil {
+			if err := s.spl.Ack(a.Seq); err != nil {
+				s.metSpoolErrs.Inc()
+			}
 		}
-		s.applyAck(a.Seq)
+		s.applyAck(a, cs)
 	}
 	s.mu.Lock()
 	cs.dead = true
@@ -883,13 +772,17 @@ func (s *Shipper) control(f wire.Frame) (stop bool) {
 	return true
 }
 
-// applyAck advances the in-memory acked watermark and trims the cache,
-// releasing the trimmed entries' pooled buffers.
-func (s *Shipper) applyAck(seq uint64) {
+// applyAck advances the acked watermark and trims the queue, releasing the
+// trimmed entries' pooled buffers, and notes the connection's first ack as
+// its SeqStart reply.
+func (s *Shipper) applyAck(a wire.Ack, cs *connState) {
 	s.mu.Lock()
-	if seq > s.lastAcked {
-		s.lastAcked = seq
-		s.metAcked.SetInt(int(seq))
+	if !cs.replied {
+		cs.replied, cs.applied = true, a.Applied
+	}
+	if a.Seq > s.lastAcked {
+		s.lastAcked = a.Seq
+		s.metAcked.SetInt(int(a.Seq))
 	}
 	trim := 0
 	for trim < len(s.queue) && s.queue[trim].seq <= s.lastAcked {

@@ -5,6 +5,9 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -107,41 +110,120 @@ func TestShipSetFrameOrder(t *testing.T) {
 	}
 }
 
-// TestDropOldest: the queue must shed the oldest frame, never block, and
-// count every drop.
-func TestDropOldest(t *testing.T) {
+// frameSeqs returns the queue's sequence numbers.
+func frameSeqs(s *Shipper) []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seqs := make([]uint64, len(s.queue))
+	for i, q := range s.queue {
+		seqs[i] = q.seq
+	}
+	return seqs
+}
+
+// TestAdmissionLine: a shipper with nowhere to spill takes a set whole or
+// not at all. Past QueueFrames held frames the next set — and a frame
+// shipped on its own — is refused before anything is enqueued, counted, and
+// nothing already held is evicted to make room.
+func TestAdmissionLine(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, err := New(Config{Addr: "x", Source: "hostA", QueueFrames: 3, Registry: reg})
+	probe, err := New(Config{Addr: "x", Source: "hostA", Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		ok := s.EnqueueFrame(wire.Frame{Type: wire.TSetEnd, Payload: wire.AppendSetEnd(nil, wire.SetEnd{Markers: uint64(i)})})
-		if !ok {
-			t.Fatal("enqueue refused")
+	if err := probe.ShipSet(testSet(t)); err != nil {
+		t.Fatal(err)
+	}
+	perSet := probe.QueueDepth()
+
+	s, err := New(Config{Addr: "x", Source: "hostA", QueueFrames: perSet, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At the line is not past it: the second set is let in, whole.
+	for i := 0; i < 2; i++ {
+		if err := s.ShipSet(testSet(t)); err != nil {
+			t.Fatalf("set %d: %v", i+1, err)
 		}
 	}
-	if depth := s.QueueDepth(); depth != 3 {
-		t.Fatalf("queue depth %d, want 3", depth)
+	if err := s.ShipSet(testSet(t)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third set: %v, want ErrQueueFull", err)
+	}
+	if s.EnqueueFrame(wire.Frame{Type: wire.TSetEnd, Payload: wire.AppendSetEnd(nil, wire.SetEnd{})}) {
+		t.Fatal("a standalone frame was let in past the admission line")
 	}
 	if drops := reg.Counter("fluct_ship_dropped_frames_total").Value(); drops != 2 {
-		t.Fatalf("dropped %d, want 2", drops)
+		t.Fatalf("dropped %d, want 2 (one refused set, one refused frame)", drops)
 	}
-	// The survivors must be the *newest* three (markers 2, 3, 4).
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, q := range s.queue {
-		f, _, err := wire.ReadFrame(bytes.NewReader(q.bytes), nil)
-		if err != nil {
-			t.Fatal(err)
+	seqs := frameSeqs(s)
+	if len(seqs) != 2*perSet || s.PendingFrames() != uint64(2*perSet) {
+		t.Fatalf("holding %d frames (%d pending), want the two admitted sets' %d", len(seqs), s.PendingFrames(), 2*perSet)
+	}
+	for i, seq := range seqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("queue[%d] has seq %d: the window must be 1..%d with nothing evicted", i, seq, len(seqs))
 		}
-		e, err := wire.DecodeSetEnd(f.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Markers != uint64(i+2) {
-			t.Fatalf("queue[%d] = set %d, want %d (drop-oldest)", i, e.Markers, i+2)
-		}
+	}
+}
+
+// TestUnshippableFrameRefused: a frame too large to frame is refused and
+// counted, not reported as taken.
+func TestUnshippableFrameRefused(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := New(Config{Addr: "x", Source: "hostA", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.EnqueueFrame(wire.Frame{Type: wire.TMarkers, Payload: make([]byte, wire.MaxFrameBytes)}) {
+		t.Fatal("an oversized frame was reported as enqueued")
+	}
+	if s.QueueDepth() != 0 || reg.Counter("fluct_ship_dropped_frames_total").Value() != 1 {
+		t.Fatalf("depth %d dropped %d, want 0 and 1", s.QueueDepth(), reg.Counter("fluct_ship_dropped_frames_total").Value())
+	}
+}
+
+// TestSpoolFailureStopsSet: when the spool stops taking frames, the frame
+// that failed is refused and counted (fluct_ship_spool_errors_total), a set
+// it hits mid-way stops there with the error instead of going out thinner,
+// and the window stays contiguous by seq across the failure.
+func TestSpoolFailureStopsSet(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := filepath.Join(t.TempDir(), "spool")
+	// A 16-byte segment holds the opening frame; the set's symtab then fills
+	// it, so the set's next frame needs a new segment file.
+	s, err := New(Config{Addr: "x", Source: "hostA", SpoolDir: dir, SpoolSegmentBytes: 16, SpoolEpoch: 7, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.EnqueueFrame(wire.Frame{Type: wire.TSetEnd, Payload: wire.AppendSetEnd(nil, wire.SetEnd{})}) {
+		t.Fatal("enqueue refused")
+	}
+	// The directory goes away under the spool. The open segment still takes
+	// the symtab; no new segment can be created for what follows it.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ShipSet(testSet(t)); err == nil {
+		t.Fatal("ShipSet reported success for a set the spool cut short")
+	}
+	if got := reg.Counter("fluct_ship_spool_errors_total").Value(); got != 1 {
+		t.Fatalf("spool errors %d, want 1 (the set must stop at the first failure)", got)
+	}
+	if got := reg.Counter("fluct_ship_sets_total").Value(); got != 0 {
+		t.Fatalf("sets shipped %d, want 0", got)
+	}
+	if seqs := frameSeqs(s); !slices.Equal(seqs, []uint64{1, 2}) {
+		t.Fatalf("window %v, want [1 2]: the opening frame and the symtab, nothing after the failure", seqs)
+	}
+	// The disk heals: numbering carries on where the last stored frame left it.
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if !s.EnqueueFrame(wire.Frame{Type: wire.TSetEnd, Payload: wire.AppendSetEnd(nil, wire.SetEnd{})}) {
+		t.Fatal("enqueue refused after the disk healed")
+	}
+	if seqs := frameSeqs(s); !slices.Equal(seqs, []uint64{1, 2, 3}) {
+		t.Fatalf("window %v after healing, want [1 2 3]", seqs)
 	}
 }
 
@@ -173,18 +255,7 @@ func TestRunReconnectsWithBackoff(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	go func() {
-		// Server side: handshake then read frames forever.
-		if _, _, err := wire.ServerHandshake(server); err != nil {
-			return
-		}
-		var buf []byte
-		for {
-			if _, buf, err = wire.ReadFrame(server, buf); err != nil {
-				return
-			}
-		}
-	}()
+	go serveAcks(server, &ackRec{}, -1)
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
 	if err := s.Drain(ctx); err != nil {

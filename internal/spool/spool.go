@@ -123,6 +123,7 @@ type Spool struct {
 	metDeleted  *obs.Counter
 	metTorn     *obs.Counter
 	metRecov    *obs.Counter
+	metRotErrs  *obs.Counter
 }
 
 // Open opens (creating if needed) the spool in cfg.Dir, recovering any
@@ -151,6 +152,7 @@ func Open(cfg Config) (*Spool, Recovery, error) {
 		metDeleted:  reg.Counter("fluct_spool_deleted_segments_total"),
 		metTorn:     reg.Counter("fluct_spool_torn_truncations_total"),
 		metRecov:    reg.Counter("fluct_spool_recovered_frames_total"),
+		metRotErrs:  reg.Counter("fluct_spool_rotate_errors_total"),
 	}
 
 	epoch, metaNext, hadMeta, err := s.readMeta()
@@ -243,10 +245,11 @@ func (s *Spool) Append(frame []byte) (uint64, error) {
 	cur.bytes += int64(len(frame))
 	s.metAppends.Inc()
 	s.metAppendB.Add(uint64(len(frame)))
-	if cur.bytes >= int64(s.cfg.SegmentBytes) {
-		if err := s.rotateLocked(); err != nil {
-			return seq, err
-		}
+	if cur.bytes >= int64(s.cfg.SegmentBytes) && s.rotateLocked() != nil {
+		// The frame is stored — written and flushed above — so the append
+		// succeeded; only closing its segment did not. The segment stays
+		// active and the next append retries the rotation.
+		s.metRotErrs.Inc()
 	}
 	s.publishLocked()
 	return seq, nil
@@ -410,10 +413,11 @@ func (s *Spool) rotateLocked() error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("spool: rotate: %w", err)
 	}
-	if err := s.f.Close(); err != nil {
+	err := s.f.Close()
+	s.f, s.w = nil, nil // the descriptor is gone whatever Close reports
+	if err != nil {
 		return fmt.Errorf("spool: rotate: %w", err)
 	}
-	s.f, s.w = nil, nil
 	return nil
 }
 

@@ -441,3 +441,70 @@ func TestOpenParentSpool(t *testing.T) {
 		t.Fatalf("replayed up to %d, err %v", want-1, err)
 	}
 }
+
+// TestAppendSurvivesFailedRotation: when the append that fills a segment
+// stores its frame but the rotation behind it fails (here: fsync), the
+// frame is still a stored frame — Append must hand out its sequence number
+// without an error, or the caller sheds a frame that is on disk and every
+// later number it tracks is off by one. The segment stays active and the
+// next append retries the rotation.
+func TestAppendSurvivesFailedRotation(t *testing.T) {
+	reg := obs.NewRegistry()
+	want := [][]byte{frame(t, 0), frame(t, 1), frame(t, 2)}
+	s, _, err := Open(Config{Dir: t.TempDir(), SegmentBytes: 2 * len(want[0]), Epoch: 7, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Append(want[0]); err != nil {
+		t.Fatal(err)
+	}
+	// Swap the active file for one whose Sync fails. The buffered writer
+	// keeps the real file, so the frame itself still lands on disk.
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	s.mu.Lock()
+	realFile := s.f
+	s.f = null
+	s.mu.Unlock()
+	if seq, err := s.Append(want[1]); err != nil || seq != 2 {
+		t.Fatalf("append behind a failed rotation: seq %d err %v, want 2 nil", seq, err)
+	}
+	if got := reg.Counter("fluct_spool_rotate_errors_total").Value(); got != 1 {
+		t.Fatalf("rotate errors %d, want 1", got)
+	}
+	// The disk heals: the next append lands in the same segment, then rotates.
+	s.mu.Lock()
+	s.f = realFile
+	s.mu.Unlock()
+	if seq, err := s.Append(want[2]); err != nil || seq != 3 {
+		t.Fatalf("append after the disk healed: seq %d err %v, want 3 nil", seq, err)
+	}
+	s.mu.Lock()
+	rotated, segs := s.f == nil, len(s.segs)
+	s.mu.Unlock()
+	if !rotated || segs != 1 {
+		t.Fatalf("retry left active=%v segments=%d, want the one segment rotated", !rotated, segs)
+	}
+	var got [][]byte
+	if err := s.Frames(1, func(seq uint64, raw []byte) error {
+		if seq != uint64(len(got)+1) {
+			t.Fatalf("replayed seq %d at position %d", seq, len(got))
+		}
+		got = append(got, append([]byte(nil), raw...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d frames, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("frame %d differs after replay", i+1)
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 // every time one of its sources finishes a set, the shard forwards that
 // source's refreshed fleet row — summary counters plus the completed set's
 // items — to the global aggregator as one TFleetSummary frame. The hop
-// reuses the v2 seq/ack + spool machinery verbatim (a summary frame is
+// reuses the seq/ack + spool machinery verbatim (a summary frame is
 // just a data frame to the sequencing layer), so shard restarts replay
 // unacknowledged summaries and the aggregator deduplicates by
 // (shard, epoch, seq) — no new protocol, only a new payload type.

@@ -35,6 +35,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Type: THello, Payload: hello}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // absurd length
+	f.Add(AppendFrame(nil, Frame{Type: TAck, Payload: AppendAck(nil, Ack{Epoch: 7, Seq: 40, Applied: 52})}))
+	f.Add(AppendFrame(nil, Frame{Type: TAck, Payload: []byte{7, 40}})) // version-2 ack, no resume line: rejected
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, _, err := ReadFrame(bytes.NewReader(data), nil)
@@ -114,6 +116,15 @@ func FuzzFrameDecode(f *testing.F) {
 			a2, err := DecodeHelloAck(AppendHelloAck(nil, a))
 			if err != nil || a2 != a {
 				t.Fatalf("helloack round trip changed fields (err %v)", err)
+			}
+		case TAck:
+			a, err := DecodeAck(fr.Payload)
+			if err != nil {
+				return
+			}
+			a2, err := DecodeAck(AppendAck(nil, a))
+			if err != nil || a2 != a {
+				t.Fatalf("ack round trip changed fields (err %v)", err)
 			}
 		}
 	})

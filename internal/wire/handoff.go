@@ -13,7 +13,7 @@ import (
 // Handoff payloads: the planned-drain protocol of the two-tier topology.
 // A draining shard collector computes, for every source it owns, the new
 // owner under the post-departure membership ring, and ships each moved
-// source's complete transferable state to that owner over an ordinary v2
+// source's complete transferable state to that owner over an ordinary
 // sequenced connection — the same seq/ack + spool + CRC machinery worker
 // streams use, so an unreachable new owner degrades to a spooled handoff
 // that replays later, and a crash mid-drain retransmits exactly the

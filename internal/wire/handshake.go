@@ -7,15 +7,16 @@ import (
 )
 
 // Protocol versions this build speaks. Negotiation picks the highest
-// version both ends support and refuses disjoint ranges. Version 1 (no
-// TSeqStart/TAck) is no longer spoken: every binary in this repository has
-// shipped version 2 since the seq/ack frames landed, and a v1-only Hello
+// version both ends support and refuses disjoint ranges. Exactly one is
+// spoken: version 3 made the SeqStart mandatory and gave TAck its resume
+// line (seq.go), and no binary speaks two grammars — a Hello that tops out
+// at version 1 (no TSeqStart/TAck) or 2 (optional SeqStart, two-field TAck)
 // is refused in the handshake.
 const (
 	// MinVersion is the oldest protocol version this build still accepts.
-	MinVersion uint16 = 2
+	MinVersion uint16 = 3
 	// MaxVersion is the newest protocol version this build speaks.
-	MaxVersion uint16 = 2
+	MaxVersion uint16 = 3
 )
 
 // helloMagic opens every connection inside the Hello payload, so a
@@ -131,7 +132,9 @@ func ClientHandshake(rw io.ReadWriter, source string) (uint16, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := WriteFrame(rw, Frame{Type: THello, Payload: payload}); err != nil {
+	// One write, not WriteFrame's three: a link that cuts writes mid-frame
+	// gets one chance at the Hello.
+	if _, err := rw.Write(AppendFrame(nil, Frame{Type: THello, Payload: payload})); err != nil {
 		return 0, fmt.Errorf("wire: sending hello: %w", err)
 	}
 	f, _, err := ReadFrame(rw, nil)

@@ -5,40 +5,42 @@ import (
 	"io"
 )
 
-// Durable at-least-once delivery: per-source frame sequence numbers and
-// cumulative acknowledgements.
+// At-least-once delivery: per-source frame sequence numbers and cumulative
+// acknowledgements. Every connection speaks it; there is no other grammar.
 //
-//   - A shipper that wants acked delivery opens its stream with one
-//     SeqStart frame declaring its numbering epoch and the sequence number
-//     of the next data frame. Every subsequent data frame
-//     (symtab/markers/samples/setend) is implicitly numbered consecutively
+//   - The first frame after the handshake is a SeqStart declaring the
+//     shipper's numbering epoch and the sequence number of the next data
+//     frame. Every subsequent data frame is implicitly numbered consecutively
 //     from there — the transport is ordered, the shipper transmits in
-//     sequence order, so the numbers never ride on the frames themselves
-//     and a spooled frame is shipped verbatim.
+//     sequence order, so the numbers never ride on the frames themselves and
+//     a stored frame is shipped verbatim. A data frame before any SeqStart
+//     closes the connection.
 //
-//   - The collector answers SeqStart with an Ack carrying the highest
-//     sequence it has durably applied for that (source, epoch), and sends
-//     a further Ack every time its durable watermark advances. Acks are
-//     cumulative: Ack{Seq: n} covers every frame numbered ≤ n. An ack may
-//     never overtake what its connection has carried: a shipper that
-//     learns the collector is ahead redials with FirstSeq past the ack
-//     instead of skipping numbers mid-connection.
+//   - The receiver answers every SeqStart with an Ack carrying two lines:
+//     Seq, the highest sequence durably applied for that (source, epoch),
+//     and Applied, the highest it holds at all. The shipper reclaims up to
+//     Seq and resumes past Applied: when the receiver holds more than it has
+//     made durable, a second SeqStart on the same connection renumbers to
+//     Applied+1, so a reconnect mid-set retransmits nothing the receiver
+//     still has — while a receiver re-created from its snapshot (Applied =
+//     Seq) is replayed to from the last durable frame.
 //
-//   - The epoch distinguishes numbering generations. A shipper whose
-//     spool survived a restart resumes its old epoch and numbering; a
-//     shipper that lost its spool starts a fresh epoch, telling the
-//     collector that any remembered watermark is void. Dedup is by
-//     (source, epoch, seq).
+//   - A further Ack follows every time the durable line advances. Acks are
+//     cumulative: Ack{Seq: n} covers every frame numbered ≤ n, and none may
+//     overtake what its connection has carried.
 //
-// A connection that never sends SeqStart is unsequenced: frames apply in
-// arrival order, nothing is acknowledged. That is how a shipper without a
-// spool works. The receiver's half of these rules is internal/durable.
+//   - The epoch distinguishes numbering generations. A shipper whose spool
+//     survived a restart resumes its old epoch and numbering; one that lost
+//     it (or never had one) starts a fresh epoch, telling the receiver that
+//     any remembered watermark is void. Dedup is by (source, epoch, seq).
+//
+// The receiver's half of these rules is internal/durable.
 
-// SeqStart opens acked delivery on a connection: it declares the
-// shipper's numbering epoch and the sequence number of the first data
-// frame that will follow.
+// SeqStart opens (or renumbers) a connection: it declares the shipper's
+// numbering epoch and the sequence number of the first data frame that
+// will follow.
 type SeqStart struct {
-	// Epoch is the shipper's spool numbering generation.
+	// Epoch is the shipper's numbering generation.
 	Epoch uint64
 	// FirstSeq numbers the next data frame on this connection; subsequent
 	// data frames count up from it.
@@ -69,22 +71,27 @@ func DecodeSeqStart(p []byte) (SeqStart, error) {
 	return s, nil
 }
 
-// Ack is the collector's cumulative delivery acknowledgement: every data
+// Ack is the receiver's cumulative delivery acknowledgement: every data
 // frame of the epoch numbered ≤ Seq has been applied and made durable
-// (checkpointed when the collector checkpoints; see internal/collector).
-// The shipper may delete spooled frames the ack covers. Seq 0 means
-// nothing is acked yet.
+// (checkpointed when the receiver checkpoints; see internal/collector), so
+// the shipper may forget the frames it covers. Seq 0 means nothing is acked
+// yet.
 type Ack struct {
 	// Epoch echoes the shipper's numbering generation.
 	Epoch uint64
 	// Seq is the highest durably applied sequence number.
 	Seq uint64
+	// Applied is the receiver's resume line: the highest sequence number it
+	// holds, durable or not. Only a SeqStart reply's is meaningful; nothing
+	// may be reclaimed on it.
+	Applied uint64
 }
 
 // AppendAck appends a TAck payload.
 func AppendAck(dst []byte, a Ack) []byte {
 	dst = binary.AppendUvarint(dst, a.Epoch)
-	return binary.AppendUvarint(dst, a.Seq)
+	dst = binary.AppendUvarint(dst, a.Seq)
+	return binary.AppendUvarint(dst, a.Applied)
 }
 
 // DecodeAck parses a TAck payload.
@@ -99,6 +106,10 @@ func DecodeAck(p []byte) (Ack, error) {
 	if err != nil {
 		return Ack{}, errPayload(TAck, "seq: %w", err)
 	}
+	a.Applied, p, err = uvarint(p)
+	if err != nil {
+		return Ack{}, errPayload(TAck, "applied: %w", err)
+	}
 	if len(p) != 0 {
 		return Ack{}, errPayload(TAck, "%d trailing bytes", len(p))
 	}
@@ -106,6 +117,6 @@ func DecodeAck(p []byte) (Ack, error) {
 }
 
 // WriteAck writes one TAck frame.
-func WriteAck(w io.Writer, epoch, seq uint64) error {
-	return WriteFrame(w, Frame{Type: TAck, Payload: AppendAck(nil, Ack{Epoch: epoch, Seq: seq})})
+func WriteAck(w io.Writer, a Ack) error {
+	return WriteFrame(w, Frame{Type: TAck, Payload: AppendAck(nil, a)})
 }

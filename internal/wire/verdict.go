@@ -14,7 +14,7 @@ import (
 // verdicts — as one TVerdicts frame. Snapshots are state, not deltas:
 // the aggregator keeps the last one per source (last-writer-wins, like
 // fleet rows), so replays and reordering across reconnects converge on
-// the same merged view the v2 dedup already guarantees per shard.
+// the same merged view the dedup already guarantees per shard.
 
 // VerdictSet is one source's verdict snapshot as shipped on the uplink.
 type VerdictSet struct {

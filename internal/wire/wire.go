@@ -14,7 +14,7 @@
 //
 // Stream grammar (shipper → collector):
 //
-//	Hello frame, then after the HelloAck: (Symtab MarkerBatch|SampleBatch... SetEnd)*
+//	Hello frame, then after the HelloAck: SeqStart (Symtab MarkerBatch|SampleBatch... SetEnd | SeqStart)*
 //
 // Frame layout (little endian):
 //
@@ -56,14 +56,15 @@ const (
 	// TSetEnd closes a trace set, declaring how many markers and samples
 	// were sent so the collector can account for loss.
 	TSetEnd Type = 6
-	// TSeqStart (v2) opens acked delivery: the shipper's numbering epoch
-	// and the sequence number of the next data frame (see seq.go).
+	// TSeqStart opens every connection's data stream: the shipper's
+	// numbering epoch and the sequence number of the next data frame (see
+	// seq.go).
 	TSeqStart Type = 7
-	// TAck (v2) is the collector's cumulative delivery acknowledgement.
+	// TAck is the receiver's cumulative delivery acknowledgement.
 	TAck Type = 8
 	// TFleetSummary carries one source's merged fleet row on the shard
 	// collector → global aggregator hop of the two-tier topology (see
-	// fleet.go). To the v2 sequencing layer it is an ordinary data frame.
+	// fleet.go). To the sequencing layer it is an ordinary data frame.
 	TFleetSummary Type = 9
 	// TVerdicts carries one source's fluctuation-verdict snapshot (active
 	// change-event count plus recent ranked verdicts) on the same shard →
@@ -74,7 +75,7 @@ const (
 	// connection: the draining shard's identity, the post-departure
 	// membership table, and how many sources follow (see handoff.go). To
 	// the sequencing layer it is an ordinary data frame, so the whole
-	// handoff rides the v2 seq/ack + spool machinery verbatim.
+	// handoff rides the seq/ack + spool machinery verbatim.
 	THandoffBegin Type = 11
 	// THandoffSource carries one moved source's complete transferable
 	// state: checkpoint row, symtab bases, detector snapshot, and the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -206,12 +207,13 @@ func TestNegotiate(t *testing.T) {
 }
 
 // TestServerHandshakeRefusesDisjoint: a Hello whose version range misses
-// ours — a shipper from the future, or a v1-only one now that version 1 is
-// no longer spoken — is answered with HelloAck{OK:false} and an error.
+// ours — a shipper from the future, or one that tops out at a version no
+// longer spoken — is answered with HelloAck{OK:false} and an error.
 func TestServerHandshakeRefusesDisjoint(t *testing.T) {
 	for _, h := range []Hello{
 		{MinVersion: MaxVersion + 1, MaxVersion: MaxVersion + 2, Source: "future"},
 		{MinVersion: 1, MaxVersion: 1, Source: "v1-only"},
+		{MinVersion: 1, MaxVersion: 2, Source: "v2-at-best"},
 	} {
 		c2s, s2c := new(bytes.Buffer), new(bytes.Buffer)
 		payload, err := AppendHello(nil, h)
@@ -259,7 +261,7 @@ func TestVarintDeltaCompression(t *testing.T) {
 	}
 }
 
-// TestSeqStartAckRoundTrip pins the v2 seq/ack payloads: encode/decode
+// TestSeqStartAckRoundTrip pins the seq/ack payloads: encode/decode
 // identity, trailing-byte rejection, and truncation rejection.
 func TestSeqStartAckRoundTrip(t *testing.T) {
 	s := SeqStart{Epoch: 0xdeadbeef12345678, FirstSeq: 42}
@@ -267,7 +269,7 @@ func TestSeqStartAckRoundTrip(t *testing.T) {
 	if err != nil || got != s {
 		t.Fatalf("seqstart round trip: %+v, %v", got, err)
 	}
-	a := Ack{Epoch: 7, Seq: 1 << 40}
+	a := Ack{Epoch: 7, Seq: 1 << 40, Applied: 1<<40 + 9}
 	ga, err := DecodeAck(AppendAck(nil, a))
 	if err != nil || ga != a {
 		t.Fatalf("ack round trip: %+v, %v", ga, err)
@@ -284,22 +286,29 @@ func TestSeqStartAckRoundTrip(t *testing.T) {
 	if _, err := DecodeAck([]byte{0x80}); err == nil {
 		t.Fatal("ack accepted truncated varint")
 	}
+	// The version-2 ack had no resume line; a peer still sending it is not
+	// speaking this grammar.
+	if _, err := DecodeAck(binary.AppendUvarint(binary.AppendUvarint(nil, 7), 3)); err == nil {
+		t.Fatal("ack accepted the two-field version-2 payload")
+	}
 }
 
 // TestV1V2Negotiation pins what is left of the compatibility matrix now
-// that this build speaks only version 2: a peer that also offers version 1
-// lands on 2, a v1-only peer has nothing in common with us.
+// that this build speaks only version 3: a peer that also offers older
+// versions lands on 3, a peer that tops out below it has nothing in common
+// with us.
 func TestV1V2Negotiation(t *testing.T) {
-	if MinVersion != 2 || MaxVersion != 2 {
-		t.Fatalf("this build speaks %d–%d, want 2–2", MinVersion, MaxVersion)
+	if MinVersion != 3 || MaxVersion != 3 {
+		t.Fatalf("this build speaks %d–%d, want 3–3", MinVersion, MaxVersion)
 	}
 	cases := []struct {
 		pmin, pmax uint16
 		want       uint16
 		ok         bool
 	}{
-		{1, 2, 2, true},  // peer still offers v1: version 2 is shared
-		{2, 2, 2, true},  // both v2
+		{1, 3, 3, true},  // peer still offers v1 and v2: version 3 is shared
+		{3, 3, 3, true},  // both v3
+		{2, 2, 0, false}, // optional SeqStart, two-field TAck: refused
 		{1, 1, 0, false}, // v1-only peer: refused
 	}
 	for _, c := range cases {
