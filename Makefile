@@ -7,6 +7,15 @@
 # bench: the hot-path micro benchmarks with allocation stats.
 # bench-gate: the same benchmarks held to the baselines recorded in
 #   EXPERIMENTS.md (see cmd/benchgate for thresholds and pairing).
+# bench-ab: the paired protocol every [perf_opt] change reports —
+#   make bench-ab PARENT=<rev> [W=fleet_bulk] [N=3] [SEED=1]
+#   unpacks the parent under bench/out/parent, builds both trees with their
+#   own bench/run.sh, runs N alternating parent/change pairs (order flipped
+#   each pair: run-to-run drift on a shared box swamps absolute numbers)
+#   into bench/out/ab/{a,b}<i>.json and ends with fluctbench -compare at
+#   the medians. W may list several workloads; -compare counts a workload
+#   the files lack as a finding, so short of all five it exits non-zero
+#   after the table.
 
 GO ?= go
 
@@ -15,7 +24,7 @@ FUZZ_TARGETS = internal/trace:FuzzDecode internal/core:FuzzIntegrate \
 	internal/wire:FuzzVerdictDecode internal/wire:FuzzHandoffDecode internal/spool:FuzzSpoolRecover \
 	internal/dataplane:FuzzRuleCompile internal/dataplane:FuzzPacketParse
 
-.PHONY: tier1 tier2 bench bench-gate
+.PHONY: tier1 tier2 bench bench-gate bench-ab
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -24,7 +33,7 @@ tier1:
 tier2:
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives' ./internal/collector ./internal/agg ./internal/ship ./internal/spool ./internal/experiments
+	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired' ./internal/collector ./internal/agg ./internal/ship ./internal/spool ./internal/experiments
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
 
@@ -49,3 +58,31 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -bench BenchmarkHandoffTransfer -pkg ./internal/collector -threshold 0.50 -count 3
 	$(GO) run ./cmd/benchgate -bench BenchmarkDataplaneClassify -pkg ./internal/dataplane -threshold 0.30 -count 3 -allocs 0
 	$(GO) run ./cmd/benchgate -bench BenchmarkDataplanePipeline -pkg ./internal/dataplane -threshold 0.30 -count 3
+
+W ?= fleet_bulk
+N ?= 3
+SEED ?= 1
+AB = $(CURDIR)/bench/out/ab
+
+bench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev> [W=fleet_bulk] [N=3] [SEED=1]" >&2; exit 2; }
+	rm -rf $(AB) bench/out/parent && mkdir -p $(AB) bench/out/parent
+	git archive $(PARENT) | tar -x -C bench/out/parent
+	cd bench/out/parent && bash bench/run.sh -spec >/dev/null
+	bash bench/run.sh -spec >/dev/null
+	@set -e; \
+	run() { \
+		for w in $(W); do \
+			echo "== $$2: $$w"; \
+			(cd $$1 && bash bench/run.sh --workload $$w --seed $(SEED) --trace 0 --out $(AB)/$$2) >$(AB)/$$2.$$w.log; \
+			tail -n 1 $(AB)/$$2.$$w.log; \
+		done; \
+		mv $(AB)/$$2/BENCH_*.json $(AB)/$$2.json; \
+	}; \
+	a=; b=; \
+	for i in $$(seq $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then run bench/out/parent a$$i; run . b$$i; \
+		else run . b$$i; run bench/out/parent a$$i; fi; \
+		a=$$a,$(AB)/a$$i.json; b=$$b,$(AB)/b$$i.json; \
+	done; \
+	bash bench/run.sh -compare $${a#,} $${b#,}

@@ -727,28 +727,25 @@ func (c *Collector) applyFrame(src *Source, it *ingestItem) error {
 		}
 		src.integ = integ
 		return nil
-	case wire.TMarkers:
+	case wire.TRecords:
 		if src.integ == nil {
-			return fmt.Errorf("collector: markers before symtab")
+			return fmt.Errorf("collector: records before symtab")
 		}
-		it := wire.IterMarkers(f.Payload)
+		it := wire.IterRecords(f.Payload)
 		var m trace.Marker
-		for it.Next(&m) {
-			src.cur.Markers = append(src.cur.Markers, m)
-			src.integ.Marker(m)
-		}
-		return it.Err()
-	case wire.TSamples:
-		if src.integ == nil {
-			return fmt.Errorf("collector: samples before symtab")
-		}
-		it := wire.IterSamples(f.Payload)
 		var sm pmu.Sample
-		for it.Next(&sm) {
-			src.cur.Samples = append(src.cur.Samples, sm)
-			src.integ.Sample(sm)
+		for {
+			switch it.Next(&m, &sm) {
+			case wire.TMarkers:
+				src.cur.Markers = append(src.cur.Markers, m)
+				src.integ.Marker(m)
+			case wire.TSamples:
+				src.cur.Samples = append(src.cur.Samples, sm)
+				src.integ.Sample(sm)
+			default:
+				return it.Err()
+			}
 		}
-		return it.Err()
 	case wire.TSetEnd:
 		if src.integ == nil {
 			return fmt.Errorf("collector: setend before symtab")

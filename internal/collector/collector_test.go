@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pmu"
 	"repro/internal/symtab"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -36,6 +37,24 @@ func sendFrame(t *testing.T, conn net.Conn, f wire.Frame) {
 	}
 }
 
+// recordsFrame builds one TRecords frame out of runs given in feed order —
+// each a []trace.Marker or a []pmu.Sample — with the ΔTSC chain carried
+// from run to run, as ShipSet builds it. Every raw-frame feed in this
+// package's tests goes through it.
+func recordsFrame(runs ...any) wire.Frame {
+	var p []byte
+	var base uint64
+	for _, run := range runs {
+		switch run := run.(type) {
+		case []trace.Marker:
+			p, base = wire.AppendMarkerRun(p, base, run), run[len(run)-1].TSC
+		case []pmu.Sample:
+			p, base = wire.AppendSampleRun(p, base, run), run[len(run)-1].TSC
+		}
+	}
+	return wire.Frame{Type: wire.TRecords, Payload: p}
+}
+
 // miniSet sends one tiny complete set over conn: one item on core 0 with
 // the given elapsed cycles.
 func miniSet(t *testing.T, conn net.Conn, elapsed uint64) {
@@ -51,7 +70,7 @@ func miniSet(t *testing.T, conn net.Conn, elapsed uint64) {
 		{Item: 1, TSC: 1000, Core: 0, Kind: trace.ItemBegin},
 		{Item: 1, TSC: 1000 + elapsed, Core: 0, Kind: trace.ItemEnd},
 	}
-	sendFrame(t, conn, wire.Frame{Type: wire.TMarkers, Payload: wire.AppendMarkers(nil, ms)})
+	sendFrame(t, conn, recordsFrame(ms))
 	sendFrame(t, conn, wire.Frame{Type: wire.TSetEnd, Payload: wire.AppendSetEnd(nil, wire.SetEnd{Markers: 2})})
 }
 
@@ -120,7 +139,7 @@ func TestProtocolErrorsTolerated(t *testing.T) {
 	}
 	conn := pipeSource(t, c, "confused")
 	ms := []trace.Marker{{Item: 1, TSC: 10, Kind: trace.ItemBegin}}
-	sendFrame(t, conn, wire.Frame{Type: wire.TMarkers, Payload: wire.AppendMarkers(nil, ms)})
+	sendFrame(t, conn, recordsFrame(ms))
 	// The same connection then ships a correct set — it must land.
 	miniSet(t, conn, 100)
 	waitFor(t, "recovered set", func() bool {
@@ -154,7 +173,7 @@ func TestSymtabMidSetFinalizesPrevious(t *testing.T) {
 	}
 	sendFrame(t, conn, wire.Frame{Type: wire.TSymtab, Payload: sym})
 	ms := []trace.Marker{{Item: 5, TSC: 100, Core: 0, Kind: trace.ItemBegin}} // open item, no end
-	sendFrame(t, conn, wire.Frame{Type: wire.TMarkers, Payload: wire.AppendMarkers(nil, ms)})
+	sendFrame(t, conn, recordsFrame(ms))
 	// Restart: fresh symtab, then a clean set.
 	miniSet(t, conn, 200)
 	waitFor(t, "post-restart set", func() bool {
@@ -190,7 +209,7 @@ func TestHealthDegradedOnTransportLoss(t *testing.T) {
 		{Item: 1, TSC: 10, Core: 0, Kind: trace.ItemBegin},
 		{Item: 1, TSC: 90, Core: 0, Kind: trace.ItemEnd},
 	}
-	sendFrame(t, conn, wire.Frame{Type: wire.TMarkers, Payload: wire.AppendMarkers(nil, ms)})
+	sendFrame(t, conn, recordsFrame(ms))
 	// Declare 4 markers: two never made it.
 	sendFrame(t, conn, wire.Frame{Type: wire.TSetEnd, Payload: wire.AppendSetEnd(nil, wire.SetEnd{Markers: 4})})
 	waitFor(t, "lossy set", func() bool {

@@ -18,9 +18,10 @@ import (
 	"repro/internal/wire"
 )
 
-// rawSetFrames encodes one trace set as the frame sequence ShipSet would
-// produce: symtab, then marker/sample runs in per-core timestamp order
-// (markers before samples at equal timestamps), then SetEnd.
+// rawSetFrames encodes one trace set as a frame sequence ShipSet could
+// produce: symtab, then the marker/sample runs in per-core timestamp order
+// (markers before samples at equal timestamps) packed a few runs to a
+// TRecords frame, then SetEnd.
 func rawSetFrames(t testing.TB, set *trace.Set) []wire.Frame {
 	t.Helper()
 	symPayload, err := wire.AppendSymtab(nil, set.FreqHz, set.Syms)
@@ -48,32 +49,38 @@ func rawSetFrames(t testing.TB, set *trace.Set) []wire.Frame {
 		}
 		return cmp.Compare(a.tsc, b.tsc)
 	})
+	const runsPerFrame = 5
+	var runs []any
 	var markerRun []trace.Marker
 	var sampleRun []pmu.Sample
-	flush := func() {
+	flush := func(min int) {
 		if len(markerRun) > 0 {
-			frames = append(frames, wire.Frame{Type: wire.TMarkers, Payload: wire.AppendMarkers(nil, markerRun)})
+			runs = append(runs, markerRun)
 			markerRun = nil
 		}
 		if len(sampleRun) > 0 {
-			frames = append(frames, wire.Frame{Type: wire.TSamples, Payload: wire.AppendSamples(nil, sampleRun)})
+			runs = append(runs, sampleRun)
 			sampleRun = nil
+		}
+		if len(runs) >= min {
+			frames = append(frames, recordsFrame(runs...))
+			runs = nil
 		}
 	}
 	for _, e := range evs {
 		if e.marker >= 0 {
 			if len(sampleRun) > 0 {
-				flush()
+				flush(runsPerFrame)
 			}
 			markerRun = append(markerRun, set.Markers[e.marker])
 		} else {
 			if len(markerRun) > 0 {
-				flush()
+				flush(runsPerFrame)
 			}
 			sampleRun = append(sampleRun, set.Samples[e.sample])
 		}
 	}
-	flush()
+	flush(1)
 	return append(frames, wire.Frame{Type: wire.TSetEnd, Payload: wire.AppendSetEnd(nil, wire.SetEnd{
 		Markers: uint64(len(set.Markers)), Samples: uint64(len(set.Samples)),
 	})})
@@ -144,6 +151,85 @@ func TestLoopbackGrammar(t *testing.T) {
 	})
 	if src := coll.Source("legacy"); src.Sets() != 0 || src.Epoch() != 0 || src.SetOpen() {
 		t.Fatalf("unnumbered frames reached the source: sets %d epoch %d open %v", src.Sets(), src.Epoch(), src.SetOpen())
+	}
+}
+
+// TestRetiredBatchTypesDrain: the marker-only and sample-only batch frames
+// of wire version 3 are gone from the grammar, and nothing special replaces
+// them. A peer that tops out at version 3 is refused in the handshake; a
+// set cut the old way that still reaches a sequenced connection — replayed
+// from a spool the previous binary wrote — drains like any undecodable
+// frame: each number consumed and counted, the set closed at its SetEnd
+// with everything it declared reported lost, the SetEnd acknowledged so the
+// spool can let go, and the set after it clean.
+func TestRetiredBatchTypesDrain(t *testing.T) {
+	reg := obs.NewRegistry()
+	coll, addr := startCollector(t, Config{Registry: reg})
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		return conn
+	}
+
+	old := dial()
+	hello, err := wire.AppendHello(nil, wire.Hello{MinVersion: 1, MaxVersion: 3, Source: "v3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendFrame(t, old, wire.Frame{Type: wire.THello, Payload: hello})
+	f, _, err := wire.ReadFrame(old, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := wire.DecodeHelloAck(f.Payload); err != nil || ack.OK {
+		t.Fatalf("a Hello topping out at version 3 was answered %+v (err %v), want a refusal", ack, err)
+	}
+
+	set := workloadSet(t, 40)
+	v4 := rawSetFrames(t, set)
+	v3 := []wire.Frame{
+		v4[0],
+		{Type: wire.TMarkers, Payload: wire.AppendMarkers(nil, set.Markers)},
+		{Type: wire.TSamples, Payload: wire.AppendSamples(nil, set.Samples)},
+		v4[len(v4)-1],
+	}
+	conn := dial()
+	if _, err := wire.ClientHandshake(conn, "w"); err != nil {
+		t.Fatal(err)
+	}
+	awaitAck := func(seq uint64) {
+		t.Helper()
+		for {
+			f, _, err := wire.ReadFrame(conn, nil)
+			if err != nil {
+				t.Fatalf("waiting for the ack of frame %d: %v", seq, err)
+			}
+			if a, err := wire.DecodeAck(f.Payload); f.Type == wire.TAck && err == nil && a.Seq == seq {
+				return
+			}
+		}
+	}
+	shipV2Set(t, conn, v3, 5, 1)
+	awaitAck(uint64(len(v3)))
+	for _, fr := range v4 {
+		sendFrame(t, conn, fr)
+	}
+	awaitAck(uint64(len(v3) + len(v4)))
+
+	src := coll.Source("w")
+	assertReportEquals(t, "the set after the retired-type one", src, set)
+	sum := coll.Fleet().Sources[0]
+	if sum.Sets != 2 || sum.AbortedSets != 0 || sum.CRCErrors != 2 ||
+		sum.LostMarkers != uint64(len(set.Markers)) || sum.LostSamples != uint64(len(set.Samples)) {
+		t.Fatalf("sets=%d aborted=%d undecodable=%d lost=%d+%d, want 2 sets, none aborted, 2 frames undecodable, the first set's %d+%d lost",
+			sum.Sets, sum.AbortedSets, sum.CRCErrors, sum.LostMarkers, sum.LostSamples, len(set.Markers), len(set.Samples))
+	}
+	if got := reg.Counter("fluct_collector_crc_errors_total").Value(); got != 2 {
+		t.Fatalf("counted %d undecodable frames, want 2", got)
 	}
 }
 

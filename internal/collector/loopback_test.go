@@ -224,9 +224,12 @@ func TestLoopbackCutFrame(t *testing.T) {
 				Dial: func(ctx context.Context, addr string) (net.Conn, error) {
 					return wrapped(addr)
 				},
-				BackoffMin: time.Millisecond,
-				BackoffMax: 10 * time.Millisecond,
-				Registry:   shipReg,
+				// A few records to a frame: the set is ≈40 writes, so the cuts
+				// land inside it.
+				BatchRecords: 8,
+				BackoffMin:   time.Millisecond,
+				BackoffMax:   10 * time.Millisecond,
+				Registry:     shipReg,
 			}
 			if mode == "spool" {
 				cfg.SpoolDir = t.TempDir()
@@ -296,8 +299,9 @@ func (c *cutConn) Write(p []byte) (int, error) {
 // byte-identical to a local Integrate.
 func TestLoopbackResume(t *testing.T) {
 	set1, set2 := workloadSet(t, 40), workloadSet(t, 80)
-	// Writes before a data frame: Hello and SeqStart.
-	const preamble, carried = 2, 50
+	// Writes before a data frame: Hello and SeqStart. At four records to a
+	// frame set 2 is some 80 frames, so frame 50 is well inside it.
+	const preamble, carried, batch = 2, 50, 4
 	for _, restart := range []bool{false, true} {
 		name := "collector-up"
 		if restart {
@@ -332,7 +336,7 @@ func TestLoopbackResume(t *testing.T) {
 			}
 			shipReg := obs.NewRegistry()
 			s, err := ship.New(ship.Config{
-				Addr: "fleet", Source: "w", Dial: dial, QueueFrames: 1 << 13,
+				Addr: "fleet", Source: "w", Dial: dial, BatchRecords: batch, QueueFrames: 1 << 13,
 				BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond, Registry: shipReg,
 			})
 			if err != nil {
@@ -360,6 +364,9 @@ func TestLoopbackResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			total := s.PendingFrames()
+			if total < carried+10 {
+				t.Fatalf("set 2 is %d frames: frame %d is not mid-set", total, carried)
+			}
 
 			// Connection 2 is dead and the collector has applied all it carried.
 			src := coll.Source("w")
@@ -402,13 +409,23 @@ func TestLoopbackResume(t *testing.T) {
 func TestLoopbackAdmission(t *testing.T) {
 	sets := []*trace.Set{workloadSet(t, 40), workloadSet(t, 80), workloadSet(t, 60)}
 	coll, addr := startCollector(t, Config{})
+	// How many frames set 1 is at this batch size: ship it into a shipper
+	// that never runs.
+	const batch = 16
+	probe, err := ship.New(ship.Config{Addr: addr, Source: "probe", BatchRecords: batch, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.ShipSet(sets[0]); err != nil {
+		t.Fatal(err)
+	}
 	var reachable atomic.Bool
 	shipReg := obs.NewRegistry()
 	s, err := ship.New(ship.Config{
-		Addr: addr, Source: "w", Registry: shipReg,
+		Addr: addr, Source: "w", Registry: shipReg, BatchRecords: batch,
 		// Set 1 fills the queue to the line, which still admits set 2; with
 		// both held the queue is past it.
-		QueueFrames: len(rawSetFrames(t, sets[0])),
+		QueueFrames: int(probe.PendingFrames()),
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
 			if !reachable.Load() {
 				return nil, net.ErrClosed

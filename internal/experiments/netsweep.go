@@ -88,11 +88,15 @@ func netSweepOne(rate float64, requests int) (NetSweepRow, error) {
 
 	shipReg := obs.NewRegistry()
 	cfg := ship.Config{
-		Addr:       l.Addr().String(),
-		Source:     "sweep",
-		BackoffMin: time.Millisecond,
-		BackoffMax: 20 * time.Millisecond,
-		Registry:   shipReg,
+		Addr:   l.Addr().String(),
+		Source: "sweep",
+		// A round this small fits a handful of full frames; a few records
+		// to a frame makes it some hundred writes, so a per-write cut rate
+		// bites inside the set.
+		BatchRecords: 8,
+		BackoffMin:   time.Millisecond,
+		BackoffMax:   20 * time.Millisecond,
+		Registry:     shipReg,
 	}
 	if rate > 0 {
 		wrapped := faults.WrapDial(faults.NetPlan{Mode: faults.NetCutFrame, Seed: 1, CutRate: rate},

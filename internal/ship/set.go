@@ -11,25 +11,27 @@ import (
 )
 
 // ShipSet encodes one complete trace set as wire frames and enqueues them:
-// a symbol-table snapshot, then marker/sample batches in per-core
-// timestamp order — the order a live per-core ring drain delivers and the
-// order the collector's StreamIntegrator requires — then a SetEnd frame
-// declaring the totals.
+// a symbol-table snapshot, then the records in per-core timestamp order —
+// the order a live per-core ring drain delivers and the order the
+// collector's StreamIntegrator requires — then a SetEnd frame declaring the
+// totals.
 //
-// The event interleaving is preserved across batch boundaries: batches
-// are cut whenever the record type flips (marker run → sample run) or a
-// run reaches BatchRecords, so replaying the frames in arrival order
-// reproduces exactly the local feed order. That is what makes the
+// Markers and samples travel interleaved, exactly as the feed has them, in
+// TRecords frames. A frame is built in a buffer of the pool's smallest class
+// and ends only when what is left of that buffer could not take one more
+// worst-case record, at BatchRecords records, or with the set — never where
+// the record kind flips — so replaying the frames in arrival order
+// reproduces the local feed order record for record. That is what makes the
 // collector's integration bit-identical to a local Integrate of the same
 // set.
 //
 // A set is shipped whole or not at all. Everything that can refuse it — a
 // closed shipper, an unshippable symbol table, a queue past its admission
 // line (ErrQueueFull) — does so at the symtab, before any frame is
-// enqueued. A failure after that (a spool that stops taking frames, a batch
-// too large to frame) stops the set where it is and returns the error: the
-// collector sees a set that never reached its SetEnd and finalizes it as
-// aborted, never a quietly thinner one.
+// enqueued. A failure after that (a spool that stops taking frames) stops
+// the set where it is and returns the error: the collector sees a set that
+// never reached its SetEnd and finalizes it as aborted, never a quietly
+// thinner one.
 func (s *Shipper) ShipSet(set *trace.Set) error {
 	if set == nil {
 		return fmt.Errorf("ship: nil trace set")
@@ -71,46 +73,72 @@ func (s *Shipper) ShipSet(set *trace.Set) error {
 	})
 
 	var (
+		buf       *wire.Buf // the frame being built, nil between frames
+		dst       []byte    // its encoding so far, inside buf
+		n         int       // records in it, the open run's included
+		base      uint64    // TSC of the last record encoded into it
 		markerRun []trace.Marker
 		sampleRun []pmu.Sample
 	)
-	// flush ships the open run — at most one is non-empty, since a record of
-	// the other kind flushes it first. Each run is encoded straight into a
-	// pooled frame buffer (sized for the run's worst case, so the in-place
-	// build cannot outgrow it); the same bytes then serve the spool append
-	// and the socket write.
-	flush := func() (err error) {
+	// room is what the frame can still take: the smallest class, whatever
+	// buffer the pool handed out, less the encoding so far and the CRC.
+	room := func() int { return wire.MinBufBytes - 4 - len(dst) }
+	// closeRun encodes the open run — at most one is non-empty, since a
+	// record of the other kind closes it first — into the frame.
+	closeRun := func() {
 		switch {
 		case len(markerRun) > 0:
-			err = s.enqueueEncoded(wire.TMarkers, wire.MarkersFrameBound(len(markerRun)), false,
-				func(dst []byte) []byte { return wire.AppendMarkers(dst, markerRun) })
+			dst = wire.AppendMarkerRun(dst, base, markerRun)
+			base = markerRun[len(markerRun)-1].TSC
 			markerRun = markerRun[:0]
 		case len(sampleRun) > 0:
-			err = s.enqueueEncoded(wire.TSamples, wire.SamplesFrameBound(len(sampleRun)), false,
-				func(dst []byte) []byte { return wire.AppendSamples(dst, sampleRun) })
+			dst = wire.AppendSampleRun(dst, base, sampleRun)
+			base = sampleRun[len(sampleRun)-1].TSC
 			sampleRun = sampleRun[:0]
 		}
+	}
+	endFrame := func() error {
+		if buf == nil {
+			return nil
+		}
+		closeRun()
+		err := s.enqueueBuilt(buf, dst, false)
+		buf, n, base = nil, 0, 0
 		return err
 	}
 	for _, e := range evs {
-		isMarker := e.marker >= 0
-		if (isMarker && len(sampleRun) > 0) || (!isMarker && len(markerRun) > 0) {
-			if err := flush(); err != nil {
-				return err
+		kind, open := wire.TSamples, len(sampleRun)
+		if e.marker >= 0 {
+			kind, open = wire.TMarkers, len(markerRun)
+		}
+		if open == 0 {
+			closeRun()
+		}
+		// An open run is budgeted at its worst case; when that no longer fits
+		// one more record, encoding it tells how much room there really is.
+		if buf != nil && room() < wire.RunBound(kind, open+1) {
+			closeRun()
+			if room() < wire.RunBound(kind, 1) {
+				if err := endFrame(); err != nil {
+					return err
+				}
 			}
 		}
-		if isMarker {
+		if buf == nil {
+			buf, dst = s.beginFrame(wire.TRecords, wire.MinBufBytes)
+		}
+		if e.marker >= 0 {
 			markerRun = append(markerRun, set.Markers[e.marker])
 		} else {
 			sampleRun = append(sampleRun, set.Samples[e.sample])
 		}
-		if len(markerRun)+len(sampleRun) >= s.cfg.BatchRecords {
-			if err := flush(); err != nil {
+		if n++; n >= s.cfg.BatchRecords {
+			if err := endFrame(); err != nil {
 				return err
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := endFrame(); err != nil {
 		return err
 	}
 

@@ -23,6 +23,7 @@
 package ship
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -48,12 +49,15 @@ type Config struct {
 	// Source identifies this shipper in the collector's fleet view
 	// (1–255 bytes; hostname-pid is the conventional form).
 	Source string
-	// BatchRecords caps how many markers or samples one frame carries
-	// (default 512). Smaller batches ship fresher, larger batches ship
-	// cheaper.
+	// BatchRecords caps how many records — markers and samples together —
+	// one frame carries (default 512). A frame also ends when its 4 KiB
+	// buffer is full, which at the usual ≈10 bytes a record comes first, so
+	// raising this buys nothing; lowering it ships smaller, fresher frames.
 	BatchRecords int
-	// QueueFrames (default 1024) plays one of two roles. Without a spool
-	// the in-memory queue is the whole unacknowledged window and this is
+	// QueueFrames (default 1024) plays one of two roles, both counted in
+	// frames of up to 4 KiB, some hundreds of records each: the default is
+	// ≈4 MiB, about twenty 2,000-item sets. Without a spool the in-memory
+	// queue is the whole unacknowledged window and this is
 	// its admission line: a set (or a frame shipped on its own) is refused
 	// and counted while more than this many frames are already held, and a
 	// set that was admitted is kept whole, so memory overshoots the line by
@@ -110,7 +114,7 @@ type Config struct {
 // network.
 type Shipper struct {
 	cfg  Config
-	pool *wire.FramePool // frame encodings are built in (and shipped from) pooled buffers
+	pool *wire.FramePool // frame encodings are built in pooled buffers (and shipped from them: see enqueueBuilt)
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -145,7 +149,7 @@ type Shipper struct {
 
 // queued is one encoded frame awaiting acknowledgement: the complete wire
 // encoding, its sequence number, and the pooled buffer backing the bytes
-// (nil when the encoding outgrew every pool class). The queue owns one
+// (nil when they are an exact-size copy: see enqueueBuilt). The queue owns one
 // buffer reference per entry; whoever removes an entry — eviction, ack
 // trim — releases it. The pump takes its own reference around each socket
 // write, so a concurrent removal can never recycle bytes mid-write.
@@ -257,31 +261,36 @@ func (s *Shipper) EnqueueFrame(f wire.Frame) bool { return s.enqueueFrame(f, tru
 // enqueueFrame queues a frame whose payload is already encoded; opens is
 // passed through to enqueue.
 func (s *Shipper) enqueueFrame(f wire.Frame, opens bool) error {
-	return s.enqueueEncoded(f.Type, len(f.Payload)+wire.FrameOverhead, opens,
-		func(dst []byte) []byte { return append(dst, f.Payload...) })
+	buf, dst := s.beginFrame(f.Type, len(f.Payload)+wire.FrameOverhead)
+	return s.enqueueBuilt(buf, append(dst, f.Payload...), opens)
 }
 
-// enqueueEncoded builds one frame directly inside a pooled buffer —
-// BeginFrame, the caller's payload append, EndFrame — and queues those
-// exact bytes: the spool append and the socket write both consume the one
-// pooled encoding, with no intermediate payload slice. bound is the
-// worst-case encoded frame size the buffer is drawn for; if the encoding
-// somehow outgrows it (append reallocated away from the pooled buffer),
-// the plain slice is queued and the pooled buffer returned. opens is passed
-// through to enqueue.
-func (s *Shipper) enqueueEncoded(t wire.Type, bound int, opens bool, enc func([]byte) []byte) error {
-	buf := s.pool.Get(bound)
-	dst := buf.Bytes()[:0]
-	dst, start := wire.BeginFrame(dst, t)
-	dst = enc(dst)
-	dst, err := wire.EndFrame(dst, start)
+// beginFrame draws a pooled buffer of at least n bytes and opens a frame of
+// type t at its start, for the payload to be appended in place.
+func (s *Shipper) beginFrame(t wire.Type, n int) (*wire.Buf, []byte) {
+	buf := s.pool.Get(n)
+	dst, _ := wire.BeginFrame(buf.Bytes()[:0], t)
+	return buf, dst
+}
+
+// enqueueBuilt seals the frame beginFrame opened in buf, now dst, and queues
+// those exact bytes: the spool append and the socket write both consume the
+// one encoding. The queue keeps the pooled buffer only when the encoding
+// fills at least half of it. Anything smaller — a SetEnd, a symtab, a set's
+// last part-filled record frame, a summary at the bottom of its class — is
+// queued as an exact-size copy and the buffer goes back at once, so what a
+// frame holds while it waits for its ack is its own size, not its class's.
+// opens is passed through to enqueue.
+func (s *Shipper) enqueueBuilt(buf *wire.Buf, dst []byte, opens bool) error {
+	dst, err := wire.EndFrame(dst, 0)
 	if err != nil {
 		// Oversized payload: unshippable by construction.
 		buf.Release()
 		s.metDropped.Inc()
-		return fmt.Errorf("ship: %s frame: %w", t, err)
+		return fmt.Errorf("ship: %s frame: %w", wire.Type(dst[4]), err)
 	}
-	if cap(dst) > buf.Cap() {
+	if len(dst) < buf.Cap()/2 {
+		dst = bytes.Clone(dst)
 		buf.Release()
 		buf = nil
 	} else {

@@ -2,6 +2,7 @@ package ship
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"net"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pmu"
+	"repro/internal/sim"
 	"repro/internal/symtab"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -40,73 +42,246 @@ func testSet(t *testing.T) *trace.Set {
 	}
 }
 
-// TestShipSetFrameOrder: ShipSet must produce symtab → per-core-ordered
-// batches → setend, with the marker/sample interleaving of the local feed
-// order preserved across batch boundaries.
+// record is one decoded record of a shipped set: the kind says which of the
+// two fields is set.
+type record struct {
+	kind wire.Type
+	m    trace.Marker
+	s    pmu.Sample
+}
+
+// shippedSet is a shipper's queue decoded back into what ShipSet put there.
+type shippedSet struct {
+	types []wire.Type // every frame's, in order
+	sizes []int       // every frame's encoded size
+	recs  []record    // the TRecords frames' records, in frame order
+	end   wire.SetEnd
+}
+
+// decodeQueue reads back everything the shipper holds.
+func decodeQueue(t *testing.T, s *Shipper) shippedSet {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out shippedSet
+	for _, q := range s.queue {
+		f, rest, err := wire.ParseFrameView(q.bytes)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("queued frame %d: %v (%d bytes over)", q.seq, err, len(rest))
+		}
+		if q.buf != nil && q.buf.Cap() != wire.MinBufBytes {
+			t.Fatalf("queued %s frame %d sits in a %d-byte buffer", f.Type, q.seq, q.buf.Cap())
+		}
+		out.types = append(out.types, f.Type)
+		out.sizes = append(out.sizes, len(q.bytes))
+		switch f.Type {
+		case wire.TRecords:
+			it := wire.IterRecords(f.Payload)
+			var m trace.Marker
+			var sm pmu.Sample
+			for kind := it.Next(&m, &sm); kind != 0; kind = it.Next(&m, &sm) {
+				if kind == wire.TMarkers {
+					out.recs = append(out.recs, record{kind: kind, m: m})
+				} else {
+					out.recs = append(out.recs, record{kind: kind, s: sm})
+				}
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+		case wire.TSetEnd:
+			if out.end, err = wire.DecodeSetEnd(f.Payload); err != nil {
+				t.Fatal(err)
+			}
+		case wire.TSymtab:
+		default:
+			t.Fatalf("ShipSet queued a %s frame", f.Type)
+		}
+	}
+	return out
+}
+
+// feedOrder is the set's records in the order ShipSet must send them: per
+// core by timestamp, markers before samples at equal timestamps.
+func feedOrder(set *trace.Set) []record {
+	var recs []record
+	for _, m := range set.Markers {
+		recs = append(recs, record{kind: wire.TMarkers, m: m})
+	}
+	for _, sm := range set.Samples {
+		recs = append(recs, record{kind: wire.TSamples, s: sm})
+	}
+	tsc := func(r record) uint64 { return r.m.TSC + r.s.TSC }
+	slices.SortStableFunc(recs, func(a, b record) int {
+		return cmp.Or(cmp.Compare(a.m.Core+a.s.Core, b.m.Core+b.s.Core), cmp.Compare(tsc(a), tsc(b)))
+	})
+	return recs
+}
+
+// TestShipSetFrameOrder: ShipSet must produce symtab → records in per-core
+// feed order → setend, with the marker/sample interleaving of the local feed
+// preserved inside the mixed frame and across frame boundaries.
 func TestShipSetFrameOrder(t *testing.T) {
+	for _, batch := range []int{0, 2} {
+		s, err := New(Config{Addr: "x", Source: "hostA", BatchRecords: batch, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := testSet(t)
+		if err := s.ShipSet(set); err != nil {
+			t.Fatal(err)
+		}
+		got := decodeQueue(t, s)
+		want := []wire.Type{wire.TSymtab, wire.TRecords, wire.TSetEnd}
+		if batch == 2 {
+			want = []wire.Type{wire.TSymtab, wire.TRecords, wire.TRecords, wire.TRecords, wire.TRecords, wire.TSetEnd}
+		}
+		if !slices.Equal(got.types, want) {
+			t.Fatalf("BatchRecords %d: frame types %v, want %v", batch, got.types, want)
+		}
+		if got.end.Markers != 4 || got.end.Samples != 3 {
+			t.Fatalf("setend declared %+v", got.end)
+		}
+		// Core 0 first — begin(100), its samples (300, 500), end(900) — then
+		// core 1: begin(150), sample(400), end(600).
+		var order []uint64
+		for _, r := range got.recs {
+			order = append(order, r.m.TSC+r.s.TSC)
+		}
+		if !slices.Equal(order, []uint64{100, 300, 500, 900, 150, 400, 600}) {
+			t.Fatalf("BatchRecords %d: feed order %v", batch, order)
+		}
+		if !slices.Equal(got.recs, feedOrder(set)) {
+			t.Fatalf("BatchRecords %d: records changed in flight:\n%+v", batch, got.recs)
+		}
+	}
+}
+
+// bulkSet is a fleet_bulk-shaped set: 2,000 items over two simulated cores,
+// three traced functions an item, a PEBS sample every 1,000 uops — two
+// markers and about eight samples an item, ≈21 k records.
+func bulkSet(t *testing.T) *trace.Set {
+	t.Helper()
+	const cores, items = 2, 2000
+	m := sim.MustNew(sim.Config{Cores: cores})
+	fns := []*symtab.Fn{m.Syms.MustRegister("parse", 2048), m.Syms.MustRegister("lookup", 4096), m.Syms.MustRegister("render", 2048)}
+	log := trace.NewMarkerLog(cores, 0)
+	pebs := make([]*pmu.PEBS, cores)
+	for ci := range pebs {
+		pebs[ci] = pmu.NewPEBS(pmu.PEBSConfig{DoubleBuffer: true})
+		m.Core(ci).PMU.MustProgram(pmu.UopsRetired, 1000, pebs[ci])
+		first := uint64(ci * items / cores)
+		m.MustSpawn(ci, func(c *sim.Core) {
+			for id := first; id < first+items/cores; id++ {
+				log.Mark(c, id, trace.ItemBegin)
+				for i, fn := range fns {
+					c.Call(fn, func() { c.Exec(uint64(1500 + 1000*i + int(id%7)*40)) })
+				}
+				log.Mark(c, id, trace.ItemEnd)
+				c.Exec(300)
+			}
+		})
+	}
+	m.Wait()
+	var samples []pmu.Sample
+	for _, p := range pebs {
+		samples = append(samples, p.Samples()...)
+	}
+	return trace.NewSet(m, log, samples)
+}
+
+// TestShipSetFillsFrames: a frame ends where its 4 KiB buffer is full, not
+// where the record kind flips. A fleet_bulk-shaped set — which flips kind
+// every few records — ships in a few dozen well-filled frames that decode
+// back to exactly the feed; a long run of one kind, with registers, splits
+// across frames of the same class instead of growing one.
+func TestShipSetFillsFrames(t *testing.T) {
+	regs := &trace.Set{FreqHz: 2_000_000_000, Syms: symtab.NewTable()}
+	for i := 0; i < 2500; i++ {
+		sm := pmu.Sample{TSC: uint64(1000 + 37*i), IP: 0x400000 + uint64(i), Event: pmu.UopsRetired}
+		for r := range sm.Regs {
+			sm.Regs[r] = uint64(i+1) << (4 * r)
+		}
+		regs.Samples = append(regs.Samples, sm)
+	}
+	for _, tc := range []struct {
+		name      string
+		set       *trace.Set
+		maxFrames int
+	}{
+		{"bulk", bulkSet(t), 60},
+		{"one-kind-run", regs, 1 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Config{Addr: "x", Source: "hostA", Registry: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ShipSet(tc.set); err != nil {
+				t.Fatal(err)
+			}
+			got := decodeQueue(t, s)
+			n := len(got.types)
+			t.Logf("%d records in %d frames", len(got.recs), n)
+			if n > tc.maxFrames || n < 4 {
+				t.Fatalf("%d records shipped in %d frames, want 4..%d", len(got.recs), n, tc.maxFrames)
+			}
+			if got.types[0] != wire.TSymtab || got.types[n-1] != wire.TSetEnd {
+				t.Fatalf("frame types %v: want symtab first, setend last", got.types)
+			}
+			for i := 1; i < n-1; i++ {
+				if got.types[i] != wire.TRecords {
+					t.Fatalf("frame %d of the set is a %s frame", i, got.types[i])
+				}
+				if got.sizes[i] > wire.MinBufBytes {
+					t.Fatalf("data frame %d is %d bytes, over the smallest pool class", i, got.sizes[i])
+				}
+				if i < n-2 && got.sizes[i] < wire.MinBufBytes*3/4 {
+					t.Fatalf("data frame %d of %d ended %d bytes in: under three quarters full", i, n-2, got.sizes[i])
+				}
+			}
+			if !slices.Equal(got.recs, feedOrder(tc.set)) {
+				t.Fatal("the frames do not decode back to the per-core timestamp feed")
+			}
+			if got.end.Markers != uint64(len(tc.set.Markers)) || got.end.Samples != uint64(len(tc.set.Samples)) {
+				t.Fatalf("setend declared %+v for %d markers, %d samples", got.end, len(tc.set.Markers), len(tc.set.Samples))
+			}
+		})
+	}
+}
+
+// TestQueuedFrameHoldsItsOwnSize: a frame waiting for its ack must cost
+// what it weighs, not the pool class it was encoded in — N SetEnds against
+// an unreachable collector hold N × tens of bytes, not N × 4 KiB.
+func TestQueuedFrameHoldsItsOwnSize(t *testing.T) {
 	s, err := New(Config{Addr: "x", Source: "hostA", Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := testSet(t)
-	if err := s.ShipSet(set); err != nil {
-		t.Fatal(err)
+	const n = 500
+	for i := 0; i < n; i++ {
+		if !s.EnqueueFrame(wire.Frame{Type: wire.TSetEnd, Payload: wire.AppendSetEnd(nil, wire.SetEnd{Markers: uint64(i)})}) {
+			t.Fatal("enqueue refused")
+		}
 	}
-
-	// Decode the queue back into an event sequence.
-	var stream bytes.Buffer
+	// A frame that fills its class keeps the buffer it was built in.
+	if !s.EnqueueFrame(wire.Frame{Type: wire.TFleetSummary, Payload: make([]byte, 3000)}) {
+		t.Fatal("enqueue refused")
+	}
 	s.mu.Lock()
-	for _, q := range s.queue {
-		stream.Write(q.bytes)
-	}
-	s.mu.Unlock()
-
-	var types []wire.Type
-	var markers []trace.Marker
-	var samples []pmu.Sample
-	var end wire.SetEnd
-	var buf []byte
-	for stream.Len() > 0 {
-		var f wire.Frame
-		f, buf, err = wire.ReadFrame(&stream, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		types = append(types, f.Type)
-		switch f.Type {
-		case wire.TMarkers:
-			if err := wire.DecodeMarkers(f.Payload, func(m trace.Marker) error { markers = append(markers, m); return nil }); err != nil {
-				t.Fatal(err)
-			}
-		case wire.TSamples:
-			if err := wire.DecodeSamples(f.Payload, func(sm pmu.Sample) error { samples = append(samples, sm); return nil }); err != nil {
-				t.Fatal(err)
-			}
-		case wire.TSetEnd:
-			if end, err = wire.DecodeSetEnd(f.Payload); err != nil {
-				t.Fatal(err)
-			}
+	defer s.mu.Unlock()
+	held := 0
+	for _, q := range s.queue[:n] {
+		held += cap(q.bytes)
+		if q.buf != nil {
+			held += q.buf.Cap()
 		}
 	}
-	if types[0] != wire.TSymtab || types[len(types)-1] != wire.TSetEnd {
-		t.Fatalf("frame types %v: want symtab first, setend last", types)
+	if held > n*32 {
+		t.Fatalf("%d SetEnd frames hold %d bytes (%d each), want at most 32 each", n, held, held/n)
 	}
-	if end.Markers != 4 || end.Samples != 3 {
-		t.Fatalf("setend declared %+v", end)
-	}
-	if len(markers) != 4 || len(samples) != 3 {
-		t.Fatalf("decoded %d markers, %d samples", len(markers), len(samples))
-	}
-	// Per-core feed order: core 0 first (begin, its samples, end), then core 1.
-	if markers[0].Core != 0 || markers[1].Core != 0 || markers[2].Core != 1 {
-		t.Fatalf("marker core order %v", markers)
-	}
-	if samples[0].Core != 0 || samples[1].Core != 0 || samples[2].Core != 1 {
-		t.Fatalf("sample core order %v", samples)
-	}
-	// Within core 0: begin(100) ≤ sample(300) ≤ sample(500) ≤ end(900).
-	if markers[0].Kind != trace.ItemBegin || markers[1].Kind != trace.ItemEnd {
-		t.Fatalf("core 0 marker kinds %v", markers[:2])
+	if last := s.queue[n]; last.buf == nil || &last.bytes[0] != &last.buf.Bytes()[0] {
+		t.Fatal("a frame filling most of its class was copied out of its pooled buffer")
 	}
 }
 
@@ -174,7 +349,7 @@ func TestUnshippableFrameRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.EnqueueFrame(wire.Frame{Type: wire.TMarkers, Payload: make([]byte, wire.MaxFrameBytes)}) {
+	if s.EnqueueFrame(wire.Frame{Type: wire.TRecords, Payload: make([]byte, wire.MaxFrameBytes)}) {
 		t.Fatal("an oversized frame was reported as enqueued")
 	}
 	if s.QueueDepth() != 0 || reg.Counter("fluct_ship_dropped_frames_total").Value() != 1 {

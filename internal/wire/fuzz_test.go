@@ -23,13 +23,12 @@ import (
 //
 // (make tier2 includes a short smoke).
 func FuzzFrameDecode(f *testing.F) {
-	markers := AppendMarkers(nil, []trace.Marker{
-		{Item: 1, TSC: 100, Kind: trace.ItemBegin},
-		{Item: 1, TSC: 300, Kind: trace.ItemEnd},
-	})
-	samples := AppendSamples(nil, []pmu.Sample{{TSC: 200, IP: 0x400000, Event: pmu.UopsRetired}})
-	f.Add(AppendFrame(nil, Frame{Type: TMarkers, Payload: markers}))
-	f.Add(AppendFrame(nil, Frame{Type: TSamples, Payload: samples}))
+	records := AppendMarkerRun(nil, 0, []trace.Marker{{Item: 1, TSC: 100, Kind: trace.ItemBegin}})
+	records = AppendSampleRun(records, 100, []pmu.Sample{{TSC: 200, IP: 0x400000, Event: pmu.UopsRetired}})
+	records = AppendMarkerRun(records, 200, []trace.Marker{{Item: 1, TSC: 300, Kind: trace.ItemEnd}})
+	f.Add(AppendFrame(nil, Frame{Type: TRecords, Payload: records}))
+	f.Add(AppendFrame(nil, Frame{Type: TRecords, Payload: records[:len(records)-2]}))
+	f.Add(AppendFrame(nil, Frame{Type: TMarkers, Payload: records[1:]})) // a retired batch type
 	f.Add(AppendFrame(nil, Frame{Type: TSetEnd, Payload: AppendSetEnd(nil, SetEnd{Markers: 2, Samples: 1})}))
 	hello, _ := AppendHello(nil, Hello{MinVersion: 1, MaxVersion: 1, Source: "fuzz"})
 	f.Add(AppendFrame(nil, Frame{Type: THello, Payload: hello}))
@@ -49,29 +48,28 @@ func FuzzFrameDecode(f *testing.F) {
 			return
 		}
 		switch fr.Type {
-		case TMarkers:
-			var ms []trace.Marker
-			if DecodeMarkers(fr.Payload, func(m trace.Marker) error { ms = append(ms, m); return nil }) != nil {
+		case TRecords:
+			recs, err := iterRecords(fr.Payload)
+			if err != nil {
 				return
 			}
-			var back []trace.Marker
-			if err := DecodeMarkers(AppendMarkers(nil, ms), func(m trace.Marker) error { back = append(back, m); return nil }); err != nil {
-				t.Fatalf("accepted markers failed to re-decode: %v", err)
+			// Re-encode run for run, one record to a run: the worst case
+			// for the ΔTSC chain.
+			var re []byte
+			var base uint64
+			for _, r := range recs {
+				if r.kind == TMarkers {
+					re, base = AppendMarkerRun(re, base, []trace.Marker{r.m}), r.m.TSC
+				} else {
+					re, base = AppendSampleRun(re, base, []pmu.Sample{r.s}), r.s.TSC
+				}
 			}
-			if !reflect.DeepEqual(ms, back) {
-				t.Fatal("marker round trip changed records")
+			back, err := iterRecords(re)
+			if err != nil {
+				t.Fatalf("accepted records failed to re-decode: %v", err)
 			}
-		case TSamples:
-			var ss []pmu.Sample
-			if DecodeSamples(fr.Payload, func(s pmu.Sample) error { ss = append(ss, s); return nil }) != nil {
-				return
-			}
-			var back []pmu.Sample
-			if err := DecodeSamples(AppendSamples(nil, ss), func(s pmu.Sample) error { back = append(back, s); return nil }); err != nil {
-				t.Fatalf("accepted samples failed to re-decode: %v", err)
-			}
-			if !reflect.DeepEqual(ss, back) {
-				t.Fatal("sample round trip changed records")
+			if !reflect.DeepEqual(recs, back) {
+				t.Fatal("records round trip changed records")
 			}
 		case TSymtab:
 			freq, tab, err := DecodeSymtab(fr.Payload)
@@ -148,8 +146,8 @@ func FuzzFleetMerge(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add(seed[:len(seed)/2])          // truncated mid-structure
-	f.Add(seed[:1+len("worker-7")+3])  // header only
+	f.Add(seed[:len(seed)/2])         // truncated mid-structure
+	f.Add(seed[:1+len("worker-7")+3]) // header only
 	empty, err := AppendFleetSummary(nil, FleetSummary{Source: "s", FreqHz: 1_000_000})
 	if err != nil {
 		f.Fatal(err)

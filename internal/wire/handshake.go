@@ -8,15 +8,16 @@ import (
 
 // Protocol versions this build speaks. Negotiation picks the highest
 // version both ends support and refuses disjoint ranges. Exactly one is
-// spoken: version 3 made the SeqStart mandatory and gave TAck its resume
-// line (seq.go), and no binary speaks two grammars — a Hello that tops out
-// at version 1 (no TSeqStart/TAck) or 2 (optional SeqStart, two-field TAck)
+// spoken: version 4 replaced the marker-only and sample-only batch frames
+// with the mixed TRecords frame (records.go), and no binary speaks two
+// grammars — a Hello that tops out at version 1 (no TSeqStart/TAck), 2
+// (optional SeqStart, two-field TAck) or 3 (one frame per record-kind run)
 // is refused in the handshake.
 const (
 	// MinVersion is the oldest protocol version this build still accepts.
-	MinVersion uint16 = 3
+	MinVersion uint16 = 4
 	// MaxVersion is the newest protocol version this build speaks.
-	MaxVersion uint16 = 3
+	MaxVersion uint16 = 4
 )
 
 // helloMagic opens every connection inside the Hello payload, so a

@@ -21,7 +21,9 @@ import (
 // the payload lives in a pooled frame (FrameView), the view must stay
 // retained until the iteration is done — see DESIGN.md §12.
 
-// MarkerIter decodes a TMarkers payload one record at a time.
+// MarkerIter decodes one marker run — on its own a single-run payload
+// (IterMarkers), or a run of a TRecords payload (RecordIter) — one record at
+// a time.
 type MarkerIter struct {
 	p    []byte
 	i    int
@@ -31,8 +33,9 @@ type MarkerIter struct {
 	err  error
 }
 
-// IterMarkers builds an iterator over a TMarkers payload. An invalid count
-// surfaces on the first Next/Err call.
+// IterMarkers builds an iterator over a payload that is one marker run (the
+// AppendMarkers layout). An invalid count surfaces on the first Next/Err
+// call.
 func IterMarkers(payload []byte) MarkerIter {
 	it := MarkerIter{p: payload}
 	n, i := getUvarint(payload, 0)
@@ -215,7 +218,7 @@ func (it *MarkerIter) Err() error {
 	return it.err
 }
 
-// SampleIter decodes a TSamples payload one record at a time.
+// SampleIter is MarkerIter for a run of samples.
 type SampleIter struct {
 	p     []byte
 	i     int
@@ -226,7 +229,7 @@ type SampleIter struct {
 	err   error
 }
 
-// IterSamples builds an iterator over a TSamples payload.
+// IterSamples builds an iterator over a payload that is one sample run.
 func IterSamples(payload []byte) SampleIter {
 	// dirty starts true: the caller's struct may carry registers from a
 	// previous frame's iteration, so the first regs-free record must zero

@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/pmu"
@@ -251,60 +255,213 @@ func TestIterRejectsTrailingGarbage(t *testing.T) {
 	checkMarkerEquivalence(t, payload)
 }
 
+// record is one decoded record of a TRecords payload: the kind says which
+// of the two fields is set.
+type record struct {
+	kind Type
+	m    trace.Marker
+	s    pmu.Sample
+}
+
+// iterRecords decodes a TRecords payload via RecordIter.Next.
+func iterRecords(payload []byte) ([]record, error) {
+	it := IterRecords(payload)
+	var out []record
+	var m trace.Marker
+	var sm pmu.Sample
+	for {
+		switch kind := it.Next(&m, &sm); kind {
+		case TMarkers:
+			out = append(out, record{kind: kind, m: m})
+		case TSamples:
+			out = append(out, record{kind: kind, s: sm})
+		default:
+			return out, it.Err()
+		}
+	}
+}
+
+var errUnknownRunKind = errors.New("unknown run kind")
+
+// recordsByRun is the reference for RecordIter: each run decoded on its own
+// — a fresh single-run iterator finds where it ends, the v1 callback decoder
+// decodes exactly those bytes against a zero base — and rebased by hand onto
+// the last TSC of the run before it. A damaged run goes to the v1 decoder
+// with everything after it, which yields the intact prefix and the error.
+func recordsByRun(p []byte) ([]record, error) {
+	var out []record
+	var base uint64
+	for len(p) > 0 {
+		kind, body := Type(p[0]), p[1:]
+		var err error
+		switch kind {
+		case TMarkers:
+			it := IterMarkers(body)
+			for it.Next(new(trace.Marker)) {
+			}
+			if it.err == nil {
+				body = body[:it.i]
+			}
+			var ms []trace.Marker
+			ms, err = v1Markers(body)
+			for _, m := range ms {
+				m.TSC += base
+				out = append(out, record{kind: kind, m: m})
+			}
+			if len(ms) > 0 {
+				base = ms[len(ms)-1].TSC + base
+			}
+		case TSamples:
+			it := IterSamples(body)
+			for it.Next(new(pmu.Sample)) {
+			}
+			if it.err == nil {
+				body = body[:it.i]
+			}
+			var ss []pmu.Sample
+			ss, err = v1Samples(body)
+			for _, sm := range ss {
+				sm.TSC += base
+				out = append(out, record{kind: kind, s: sm})
+			}
+			if len(ss) > 0 {
+				base = ss[len(ss)-1].TSC + base
+			}
+		default:
+			err = errUnknownRunKind
+		}
+		if err != nil {
+			return out, err
+		}
+		p = p[1+len(body):]
+	}
+	return out, nil
+}
+
+// checkRecordsEquivalence fails the test unless RecordIter and the
+// run-by-run reference agree on both records and error.
+func checkRecordsEquivalence(t *testing.T, payload []byte) {
+	t.Helper()
+	want, wantErr := recordsByRun(payload)
+	got, gotErr := iterRecords(payload)
+	if wantErr == errUnknownRunKind {
+		if gotErr == nil || !strings.Contains(gotErr.Error(), "unknown kind") {
+			t.Fatalf("unknown run kind: got error %v", gotErr)
+		}
+	} else if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("records: error diverged: got %q want %q", errText(gotErr), errText(wantErr))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("records: count diverged: got %d want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("records: record %d diverged:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// mixedPayload encodes the test records as a TRecords payload of
+// alternating runs, run records at a time, in the interleaving given by
+// order ('m' or 's' per run), with the ΔTSC chain carried across runs.
+func mixedPayload(order string, run int) []byte {
+	ms, ss := testMarkers(), testSamples()
+	var p []byte
+	var base uint64
+	for _, k := range order {
+		if k == 'm' {
+			n := min(run, len(ms))
+			p = AppendMarkerRun(p, base, ms[:n])
+			if n > 0 {
+				base = ms[n-1].TSC
+			}
+			ms = ms[n:]
+		} else {
+			n := min(run, len(ss))
+			p = AppendSampleRun(p, base, ss[:n])
+			if n > 0 {
+				base = ss[n-1].TSC
+			}
+			ss = ss[n:]
+		}
+	}
+	return p
+}
+
+// TestRecordIterMixed: a payload of interleaved runs decodes back to the
+// records in feed order with the ΔTSC chain intact across run boundaries —
+// on intact payloads, at every truncation, and with every byte damaged.
+func TestRecordIterMixed(t *testing.T) {
+	p := mixedPayload("msmsmsm", 1)
+	got, err := iterRecords(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, ss := testMarkers(), testSamples()
+	want := []record{
+		{kind: TMarkers, m: ms[0]}, {kind: TSamples, s: ss[0]}, {kind: TMarkers, m: ms[1]}, {kind: TSamples, s: ss[1]},
+		{kind: TMarkers, m: ms[2]}, {kind: TSamples, s: ss[2]}, {kind: TMarkers, m: ms[3]},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("mixed payload decoded to\n%+v\nwant\n%+v", got, want)
+	}
+	// Chained: only the frame's first record pays for an absolute timestamp.
+	var single int
+	for i := range ms {
+		single += len(AppendMarkers(nil, ms[i:i+1]))
+	}
+	for i := range ss {
+		single += len(AppendSamples(nil, ss[i:i+1]))
+	}
+	if len(p)-len(want) >= single {
+		t.Fatalf("chained payload is %d bytes with %d kind bytes; the runs on their own are %d", len(p), len(want), single)
+	}
+	for _, p := range [][]byte{p, mixedPayload("ms", 8), mixedPayload("smmss", 2), nil} {
+		for n := 0; n <= len(p); n++ {
+			checkRecordsEquivalence(t, p[:n])
+		}
+		for pos := range p {
+			for _, x := range []byte{0x01, 0x04, 0x80, 0xff} {
+				cp := bytes.Clone(p)
+				cp[pos] ^= x
+				checkRecordsEquivalence(t, cp)
+			}
+		}
+	}
+}
+
 // FuzzFrameIter is the differential fuzzer behind the handwritten cases
-// above: arbitrary bytes through both record types, v1 callback decode vs
-// Next vs NextBatch, everything must agree.
+// above: arbitrary bytes as a marker run, a sample run (v1 callback decode
+// vs Next vs NextBatch) or a TRecords payload (RecordIter vs each run decoded
+// on its own with the chained base), everything must agree — and nothing
+// may read past the payload, which the runtime's bounds checks turn into a
+// crash.
 //
 //	go test -run '^$' -fuzz '^FuzzFrameIter$' ./internal/wire
 func FuzzFrameIter(f *testing.F) {
-	f.Add(true, AppendMarkers(nil, testMarkers()))
-	f.Add(false, AppendSamples(nil, testSamples()))
-	f.Add(true, []byte{})
-	f.Add(false, []byte{0x02, 0x00, 0x01})
+	const markers, samples, records = 0, 1, 2
+	f.Add(uint8(markers), AppendMarkers(nil, testMarkers()))
+	f.Add(uint8(samples), AppendSamples(nil, testSamples()))
+	f.Add(uint8(markers), []byte{})
+	f.Add(uint8(samples), []byte{0x02, 0x00, 0x01})
 	mp := AppendMarkers(nil, testMarkers())
-	f.Add(true, mp[:len(mp)-2])
-	f.Add(false, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02})
-	f.Fuzz(func(t *testing.T, samples bool, payload []byte) {
-		if samples {
-			want, wantErr := v1Samples(payload)
-			for path, dec := range map[string]func([]byte) ([]pmu.Sample, error){
-				"next":     iterSamplesNext,
-				"batch4":   func(p []byte) ([]pmu.Sample, error) { return iterSamplesBatch(p, 4) },
-				"batch256": func(p []byte) ([]pmu.Sample, error) { return iterSamplesBatch(p, 256) },
-			} {
-				got, gotErr := dec(payload)
-				if errText(gotErr) != errText(wantErr) {
-					t.Fatalf("%s: error diverged: got %q want %q", path, errText(gotErr), errText(wantErr))
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: count diverged: got %d want %d", path, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s: record %d diverged", path, i)
-					}
-				}
-			}
-			return
-		}
-		want, wantErr := v1Markers(payload)
-		for path, dec := range map[string]func([]byte) ([]trace.Marker, error){
-			"next":     iterMarkersNext,
-			"batch4":   func(p []byte) ([]trace.Marker, error) { return iterMarkersBatch(p, 4) },
-			"batch256": func(p []byte) ([]trace.Marker, error) { return iterMarkersBatch(p, 256) },
-		} {
-			got, gotErr := dec(payload)
-			if errText(gotErr) != errText(wantErr) {
-				t.Fatalf("%s: error diverged: got %q want %q", path, errText(gotErr), errText(wantErr))
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: count diverged: got %d want %d", path, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: record %d diverged", path, i)
-				}
-			}
+	f.Add(uint8(markers), mp[:len(mp)-2])
+	f.Add(uint8(samples), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02})
+	f.Add(uint8(records), mixedPayload("m", 8))                                   // a single run
+	f.Add(uint8(records), mixedPayload("msmsmsm", 1))                             // alternating 1-record runs
+	f.Add(uint8(records), append(mixedPayload("ms", 0), mixedPayload("s", 8)...)) // zero-count runs
+	f.Add(uint8(records), append(mixedPayload("m", 8), 9, 1, 0))                  // an unknown kind byte
+	f.Add(uint8(records), []byte{byte(TSamples), 0x7f, 0x02, 0x00, 0x01})         // a count larger than the bytes left
+	rp := mixedPayload("ms", 8)
+	f.Add(uint8(records), rp[:len(rp)-3]) // cut mid-record
+	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
+		switch which % 3 {
+		case records:
+			checkRecordsEquivalence(t, payload)
+		case samples:
+			checkSampleEquivalence(t, payload)
+		default:
+			checkMarkerEquivalence(t, payload)
 		}
 	})
 }

@@ -90,21 +90,12 @@ func DecodeSymtab(p []byte) (freqHz uint64, t *symtab.Table, err error) {
 // record's worst case before emitting it, so the per-field stores need no
 // growth checks of their own.
 const (
-	maxMarkerEnc = 10 + 10 + 10 + 1            // ΔTSC, item, core, kind
+	maxMarkerEnc = 10 + 10 + 10 + 1           // ΔTSC, item, core, kind
 	maxSampleEnc = 10 + 10 + 10 + 1 + 1 + 160 // ΔTSC, ip, core, event, flag, regs
 )
 
 // The unrolled register scan in AppendSamples spells out 16 indices.
 var _ = [1]struct{}{}[pmu.NumRegs-16]
-
-// MarkersFrameBound returns a worst-case size for a complete TMarkers
-// frame carrying n markers (framing + count + n max-width records) — the
-// capacity to request when encoding a batch into a pooled buffer so the
-// in-place build can never outgrow it.
-func MarkersFrameBound(n int) int { return FrameOverhead + 10 + n*maxMarkerEnc }
-
-// SamplesFrameBound is MarkersFrameBound for a TSamples frame.
-func SamplesFrameBound(n int) int { return FrameOverhead + 10 + n*maxSampleEnc }
 
 // encReserve guarantees at least need writable bytes past j, growing the
 // buffer if it must, and returns the buffer re-sliced to full capacity.
@@ -116,16 +107,19 @@ func encReserve(b []byte, j, need int) []byte {
 	return grown[:cap(grown)]
 }
 
-// AppendMarkers appends a TMarkers payload: a count followed by
-// {ΔTSC varint, item uvarint, core varint, kind byte} per marker.
+// AppendMarkers appends a marker run body: a count followed by
+// {ΔTSC varint, item uvarint, core varint, kind byte} per marker, the first
+// ΔTSC against zero.
+func AppendMarkers(dst []byte, ms []trace.Marker) []byte { return appendMarkers(dst, 0, ms) }
+
+// appendMarkers is AppendMarkers with the first ΔTSC taken against prev.
 //
 // The record loop writes by index into reserved capacity rather than
 // appending field-by-field: one headroom check per record, then plain
 // stores. This is the shipper's hot encode loop; see varint.go for why the
 // varint emit is hand-unrolled.
-func AppendMarkers(dst []byte, ms []trace.Marker) []byte {
+func appendMarkers(dst []byte, prev uint64, ms []trace.Marker) []byte {
 	dst = appendUvarint(dst, uint64(len(ms)))
-	prev := uint64(0)
 	j := len(dst)
 	b := dst[:cap(dst)]
 	for i := range ms {
@@ -181,7 +175,8 @@ func AppendMarkers(dst []byte, ms []trace.Marker) []byte {
 	return b[:j]
 }
 
-// DecodeMarkers parses a TMarkers payload, invoking fn per marker in frame
+// DecodeMarkers parses a marker run body that is the whole of p (a
+// single-run payload without its kind byte), invoking fn per marker in
 // order. A callback error aborts the decode.
 func DecodeMarkers(p []byte, fn func(trace.Marker) error) error {
 	n, p, err := uvarint(p)
@@ -230,13 +225,15 @@ func DecodeMarkers(p []byte, fn func(trace.Marker) error) error {
 	return nil
 }
 
-// AppendSamples appends a TSamples payload: a count followed by
+// AppendSamples appends a sample run body: a count followed by
 // {ΔTSC varint, ip uvarint, core varint, event byte, hasRegs byte,
 // [16]uvarint regs when hasRegs} per sample — the trace.Encode sample
-// layout with delta timestamps and varint fields.
-func AppendSamples(dst []byte, ss []pmu.Sample) []byte {
+// layout with delta timestamps (the first against zero) and varint fields.
+func AppendSamples(dst []byte, ss []pmu.Sample) []byte { return appendSamples(dst, 0, ss) }
+
+// appendSamples is AppendSamples with the first ΔTSC taken against prev.
+func appendSamples(dst []byte, prev uint64, ss []pmu.Sample) []byte {
 	dst = appendUvarint(dst, uint64(len(ss)))
-	prev := uint64(0)
 	j := len(dst)
 	b := dst[:cap(dst)]
 	for i := range ss {
@@ -315,8 +312,8 @@ func AppendSamples(dst []byte, ss []pmu.Sample) []byte {
 	return b[:j]
 }
 
-// DecodeSamples parses a TSamples payload, invoking fn per sample in frame
-// order. A callback error aborts the decode.
+// DecodeSamples parses a sample run body that is the whole of p, invoking
+// fn per sample in order. A callback error aborts the decode.
 func DecodeSamples(p []byte, fn func(pmu.Sample) error) error {
 	n, p, err := uvarint(p)
 	if err != nil {

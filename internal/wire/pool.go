@@ -22,10 +22,15 @@ import (
 
 // poolClassSizes are the pooled buffer capacities, smallest first. The
 // classes track the frame population: acks and SetEnds are tens of bytes,
-// marker/sample batches are a few KiB to a few tens of KiB, symtab
-// snapshots can reach MiBs, and the top class covers the largest legal
-// frame (MaxFrameBytes of type+payload plus the 8 framing bytes).
-var poolClassSizes = [...]int{4 << 10, 64 << 10, 1 << 20, MaxFrameBytes + 8}
+// record frames fill the smallest class and never outgrow it, fleet
+// summaries are tens of KiB, symtab snapshots can reach MiBs, and the top
+// class covers the largest legal frame (MaxFrameBytes of type+payload plus
+// the 8 framing bytes).
+var poolClassSizes = [...]int{MinBufBytes, 64 << 10, 1 << 20, MaxFrameBytes + 8}
+
+// MinBufBytes is the smallest class: the size shippers fill a record frame
+// to, so that a frame in flight never costs more than this at either end.
+const MinBufBytes = 4 << 10
 
 // poolClassCap bounds how many free buffers one class retains; beyond it a
 // released buffer is dropped for the GC. 4 KiB class churn is cheap to

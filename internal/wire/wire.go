@@ -1,6 +1,6 @@
 // Package wire is the fleet trace-shipping protocol: a length-prefixed,
-// CRC32C-checked framed binary format carrying symbol-table snapshots,
-// marker batches, and PEBS sample batches over a byte stream (TCP in
+// CRC32C-checked framed binary format carrying symbol-table snapshots and
+// mixed marker/PEBS-sample record frames over a byte stream (TCP in
 // production, a loopback socket or an in-memory pipe in tests).
 //
 // The paper diagnoses one multi-core host; the ROADMAP's production system
@@ -14,7 +14,7 @@
 //
 // Stream grammar (shipper → collector):
 //
-//	Hello frame, then after the HelloAck: SeqStart (Symtab MarkerBatch|SampleBatch... SetEnd | SeqStart)*
+//	Hello frame, then after the HelloAck: SeqStart (Symtab Records... SetEnd | SeqStart)*
 //
 // Frame layout (little endian):
 //
@@ -49,9 +49,10 @@ const (
 	// TSymtab starts a trace set: TSC frequency plus the symbol table, in
 	// the trace.Encode symbol-section layout.
 	TSymtab Type = 3
-	// TMarkers carries a batch of instrumentation markers.
+	// TMarkers and TSamples tag the two kinds of run inside a TRecords
+	// payload (records.go). As frame types they were retired with version 3:
+	// a frame carrying one is undecodable, like any unknown type.
 	TMarkers Type = 4
-	// TSamples carries a batch of PEBS samples.
 	TSamples Type = 5
 	// TSetEnd closes a trace set, declaring how many markers and samples
 	// were sent so the collector can account for loss.
@@ -90,6 +91,9 @@ const (
 	// over the carried membership table and reconnect, instead of waiting
 	// out a dial timeout against a draining shard.
 	TRedirect Type = 14
+	// TRecords carries a trace set's markers and PEBS samples interleaved in
+	// feed order, as a sequence of single-kind runs (see records.go).
+	TRecords Type = 15
 )
 
 // String implements fmt.Stringer.
@@ -123,6 +127,8 @@ func (t Type) String() string {
 		return "handoffack"
 	case TRedirect:
 		return "redirect"
+	case TRecords:
+		return "records"
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }

@@ -214,6 +214,7 @@ func TestServerHandshakeRefusesDisjoint(t *testing.T) {
 		{MinVersion: MaxVersion + 1, MaxVersion: MaxVersion + 2, Source: "future"},
 		{MinVersion: 1, MaxVersion: 1, Source: "v1-only"},
 		{MinVersion: 1, MaxVersion: 2, Source: "v2-at-best"},
+		{MinVersion: 1, MaxVersion: 3, Source: "v3-at-best"},
 	} {
 		c2s, s2c := new(bytes.Buffer), new(bytes.Buffer)
 		payload, err := AppendHello(nil, h)
@@ -294,20 +295,21 @@ func TestSeqStartAckRoundTrip(t *testing.T) {
 }
 
 // TestV1V2Negotiation pins what is left of the compatibility matrix now
-// that this build speaks only version 3: a peer that also offers older
-// versions lands on 3, a peer that tops out below it has nothing in common
+// that this build speaks only version 4: a peer that also offers older
+// versions lands on 4, a peer that tops out below it has nothing in common
 // with us.
 func TestV1V2Negotiation(t *testing.T) {
-	if MinVersion != 3 || MaxVersion != 3 {
-		t.Fatalf("this build speaks %d–%d, want 3–3", MinVersion, MaxVersion)
+	if MinVersion != 4 || MaxVersion != 4 {
+		t.Fatalf("this build speaks %d–%d, want 4–4", MinVersion, MaxVersion)
 	}
 	cases := []struct {
 		pmin, pmax uint16
 		want       uint16
 		ok         bool
 	}{
-		{1, 3, 3, true},  // peer still offers v1 and v2: version 3 is shared
-		{3, 3, 3, true},  // both v3
+		{1, 4, 4, true},  // peer still offers v1 to v3: version 4 is shared
+		{4, 4, 4, true},  // both v4
+		{3, 3, 0, false}, // a frame per record-kind run: refused
 		{2, 2, 0, false}, // optional SeqStart, two-field TAck: refused
 		{1, 1, 0, false}, // v1-only peer: refused
 	}
