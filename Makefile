@@ -19,7 +19,7 @@
 
 GO ?= go
 
-FUZZ_TARGETS = internal/trace:FuzzDecode internal/core:FuzzIntegrate \
+FUZZ_TARGETS = internal/trace:FuzzDecode internal/trace:FuzzDecodeStream internal/core:FuzzIntegrate \
 	internal/wire:FuzzFrameDecode internal/wire:FuzzFrameIter internal/wire:FuzzFleetMerge \
 	internal/wire:FuzzVerdictDecode internal/wire:FuzzHandoffDecode internal/spool:FuzzSpoolRecover \
 	internal/dataplane:FuzzRuleCompile internal/dataplane:FuzzPacketParse
@@ -33,7 +33,7 @@ tier1:
 tier2:
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired' ./internal/collector ./internal/agg ./internal/ship ./internal/spool ./internal/experiments
+	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan' ./internal/collector ./internal/agg ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
 

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -39,6 +40,11 @@ func benchIngest(b *testing.B, cfg Config) {
 		if _, err := wire.ClientHandshake(conn, fmt.Sprintf("bench-%d", i)); err != nil {
 			b.Fatal(err)
 		}
+		// Every connection is sequenced: open the numbering, after which the
+		// collector numbers the frames by arrival and acks every SetEnd —
+		// read those off so its writes never back up.
+		shipV2Set(b, conn, nil, 1, 1)
+		go io.Copy(io.Discard, conn)
 		conns[i] = conn
 	}
 

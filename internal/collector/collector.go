@@ -184,13 +184,15 @@ type Source struct {
 	summarizing bool
 
 	// Current-set decoding state. freq and syms are written by the shard
-	// under mu (checkpoint and the fleet view read them); integ, cur, and
+	// under mu (checkpoint and the fleet view read them); integ, scan, and
 	// curItem are touched ONLY by the home shard's goroutine — the hot
-	// decode + integrate path holds no lock at all.
+	// decode + integrate path holds no lock at all. Nothing per-record
+	// outlives the frame it arrived in: a record goes to the integrator and
+	// the scan, which keeps a count and (for a sample) its timestamp.
 	freq    uint64
 	syms    *symtab.Table
 	integ   *core.StreamIntegrator
-	cur     *trace.Set // accumulates the in-flight set for the gap scan
+	scan    trace.GapScan // the in-flight set's health scan, buffers reused set to set
 	curItem []core.Item
 
 	// det is the source's fluctuation detector (nil unless Config.Detect).
@@ -681,7 +683,7 @@ func (c *Collector) frame(src *Source, f wire.Frame) error {
 }
 
 // applyFrame applies one verified frame to the source's in-set state. It
-// runs ONLY on the source's home-shard goroutine, which owns integ/cur/
+// runs ONLY on the source's home-shard goroutine, which owns integ/scan/
 // curItem outright — the decode (zero-copy record iterators over the
 // pooled frame bytes) and the integrator push take no lock; only the
 // fields the checkpoint and fleet view read (freq, syms, and the
@@ -702,7 +704,7 @@ func (c *Collector) applyFrame(src *Source, it *ingestItem) error {
 		src.mu.Lock()
 		src.freq, src.syms = freq, tab
 		src.mu.Unlock()
-		src.cur = &trace.Set{FreqHz: freq, Syms: tab}
+		src.scan.Reset(c.cfg.Event)
 		src.curItem = src.curItem[:0]
 		integ, err := core.NewStreamIntegrator(tab, core.Options{Event: c.cfg.Event}, func(*core.Item) {})
 		if err != nil {
@@ -737,10 +739,10 @@ func (c *Collector) applyFrame(src *Source, it *ingestItem) error {
 		for {
 			switch it.Next(&m, &sm) {
 			case wire.TMarkers:
-				src.cur.Markers = append(src.cur.Markers, m)
+				src.scan.Marker(m)
 				src.integ.Marker(m)
 			case wire.TSamples:
-				src.cur.Samples = append(src.cur.Samples, sm)
+				src.scan.Sample(&sm)
 				src.integ.Sample(sm)
 			default:
 				return it.Err()
@@ -779,13 +781,13 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 	diag := src.integ.Diag()
 	src.integ = nil
 
-	gaps := src.cur.GapSummary(c.cfg.Event)
+	gaps := src.scan.Summary()
 	var lostMarkers, lostSamples uint64
-	if declared.Markers > uint64(len(src.cur.Markers)) {
-		lostMarkers = declared.Markers - uint64(len(src.cur.Markers))
+	if got := uint64(src.scan.Markers()); declared.Markers > got {
+		lostMarkers = declared.Markers - got
 	}
-	if declared.Samples > uint64(len(src.cur.Samples)) {
-		lostSamples = declared.Samples - uint64(len(src.cur.Samples))
+	if got := uint64(src.scan.Samples()); declared.Samples > got {
+		lostSamples = declared.Samples - got
 	}
 	var confSum float64
 	for i := range src.curItem {
@@ -834,7 +836,6 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 	}
 	src.mu.Unlock()
 
-	src.cur = &trace.Set{FreqHz: src.freq, Syms: src.syms}
 	src.curItem = src.curItem[:0]
 
 	if c.cfg.OnSummary != nil {

@@ -3,9 +3,11 @@ package collector
 import (
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/pmu"
@@ -224,4 +226,41 @@ func TestHealthDegradedOnTransportLoss(t *testing.T) {
 		t.Fatalf("detail %q", h.Detail)
 	}
 	conn.Close()
+}
+
+// TestIngestRetainsNoRecords: a warmed source ingests a set without keeping
+// its records — everything the second set's ingest allocates (items, funcs,
+// summary, bookkeeping) stays below what holding just its samples would
+// cost. The per-set trace.Set this replaced allocated ≈ 4× that bound on
+// its own, growing by append.
+func TestIngestRetainsNoRecords(t *testing.T) {
+	set := workloadSet(t, 2000)
+	frames := rawSetFrames(t, set)
+	c, err := New(Config{Registry: obs.NewRegistry(), IngestShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	src := c.source("w1")
+	feed := func() {
+		for _, fr := range frames {
+			if err := c.frame(src, fr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed() // warm: scan buffers, item slices, integrator maps
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	feed()
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	bound := uint64(len(set.Samples)) * uint64(unsafe.Sizeof(pmu.Sample{}))
+	t.Logf("second set: %d frames, %d samples, allocated %d bytes (bound %d)", len(frames), len(set.Samples), alloc, bound)
+	if alloc >= bound {
+		t.Errorf("ingesting a %d-sample set allocated %d bytes, want < %d", len(set.Samples), alloc, bound)
+	}
+	if src.Sets() != 2 || len(src.Items()) != 2000 {
+		t.Fatalf("ingested %d sets, last with %d items", src.Sets(), len(src.Items()))
+	}
 }

@@ -32,6 +32,7 @@ func BenchmarkHandoffTransfer(b *testing.B) {
 	if _, err := wire.ClientHandshake(conn, "bench-handoff"); err != nil {
 		b.Fatal(err)
 	}
+	shipV2Set(b, conn, nil, 1, 1) // every connection is sequenced: open the numbering first
 	if _, err := conn.Write(blob); err != nil {
 		b.Fatal(err)
 	}

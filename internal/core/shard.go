@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/pmu"
 	"repro/internal/symtab"
 	"repro/internal/trace"
 )
@@ -28,7 +27,14 @@ import (
 type shard struct {
 	core    int32
 	markers []trace.Marker
-	samples []pmu.Sample
+	samples []sampleRef
+}
+
+// sampleRef is what integration reads of a pmu.Sample: sorting and sweeping
+// 24-byte refs leaves the 152-byte records where they are.
+type sampleRef struct {
+	tsc, ip uint64
+	core    int32
 }
 
 // coreResult is one shard's integration output. diag holds only this
@@ -59,19 +65,20 @@ func shardByCore(set *trace.Set, opts Options, diag *Diagnostics) []shard {
 		return int(b.Kind) - int(a.Kind)
 	})
 
-	ss := make([]pmu.Sample, 0, len(set.Samples))
-	for _, s := range set.Samples {
+	ss := make([]sampleRef, 0, len(set.Samples))
+	for i := range set.Samples {
+		s := &set.Samples[i]
 		if s.Event != opts.Event {
 			diag.IgnoredEventSamples++
 			continue
 		}
-		ss = append(ss, s)
+		ss = append(ss, sampleRef{tsc: s.TSC, ip: s.IP, core: s.Core})
 	}
-	slices.SortStableFunc(ss, func(a, b pmu.Sample) int {
-		if a.Core != b.Core {
-			return cmp.Compare(a.Core, b.Core)
+	slices.SortStableFunc(ss, func(a, b sampleRef) int {
+		if a.core != b.core {
+			return cmp.Compare(a.core, b.core)
 		}
-		return cmp.Compare(a.TSC, b.TSC)
+		return cmp.Compare(a.tsc, b.tsc)
 	})
 
 	// Both slices are now core-major; walk them in lockstep cutting one
@@ -82,11 +89,11 @@ func shardByCore(set *trace.Set, opts Options, diag *Diagnostics) []shard {
 		var core int32
 		switch {
 		case mi >= len(ms):
-			core = ss[si].Core
+			core = ss[si].core
 		case si >= len(ss):
 			core = ms[mi].Core
 		default:
-			core = min(ms[mi].Core, ss[si].Core)
+			core = min(ms[mi].Core, ss[si].core)
 		}
 		sh := shard{core: core}
 		m0 := mi
@@ -95,7 +102,7 @@ func shardByCore(set *trace.Set, opts Options, diag *Diagnostics) []shard {
 		}
 		sh.markers = ms[m0:mi]
 		s0 := si
-		for si < len(ss) && ss[si].Core == core {
+		for si < len(ss) && ss[si].core == core {
 			si++
 		}
 		sh.samples = ss[s0:si]
@@ -204,7 +211,7 @@ func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
 	slices.SortStableFunc(ivs, func(a, b interval) int { return cmp.Compare(a.begin, b.begin) })
 
 	if n := len(sh.samples); n >= 2 {
-		r.meanGap = float64(sh.samples[n-1].TSC-sh.samples[0].TSC) / float64(n-1)
+		r.meanGap = float64(sh.samples[n-1].tsc-sh.samples[0].tsc) / float64(n-1)
 		r.hasGap = true
 	}
 
@@ -223,22 +230,22 @@ func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
 	k := 0
 	for i := range sh.samples {
 		s := &sh.samples[i]
-		for k < len(ivs) && !inInterval(s.TSC, ivs[k], opts.ExcludeBoundaries) && afterInterval(s.TSC, ivs[k], opts.ExcludeBoundaries) {
+		for k < len(ivs) && !inInterval(s.tsc, ivs[k], opts.ExcludeBoundaries) && afterInterval(s.tsc, ivs[k], opts.ExcludeBoundaries) {
 			k++
 		}
-		if k >= len(ivs) || !inInterval(s.TSC, ivs[k], opts.ExcludeBoundaries) {
+		if k >= len(ivs) || !inInterval(s.tsc, ivs[k], opts.ExcludeBoundaries) {
 			r.diag.UnattributedSamples++
 			continue
 		}
 		b := &r.items[k]
 		b.SampleCount++
-		fn := res.Resolve(s.IP)
+		fn := res.Resolve(s.ip)
 		if fn == nil {
 			b.UnresolvedSamples++
 			r.diag.UnresolvedSamples++
 			continue
 		}
-		attachSample(b, fn, s.TSC)
+		attachSample(b, fn, s.tsc)
 	}
 	// Pass 3: grade each reconstruction. Runs after the sweep because the
 	// coverage factor needs final sample counts; uses only per-shard data

@@ -380,10 +380,6 @@ func Run(cfg PipelineConfig) (*Result, error) {
 		res.CacheStats.Inserts += cacheStats[w].Inserts
 		res.CacheStats.Evictions += cacheStats[w].Evictions
 	}
-	var samples []pmu.Sample
-	for _, pb := range pebses {
-		samples = append(samples, pb.Samples()...)
-	}
-	res.Set = trace.NewSet(mach, log, samples)
+	res.Set = trace.NewSet(mach, log, pmu.MergeSamples(pebses...))
 	return res, nil
 }

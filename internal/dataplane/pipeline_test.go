@@ -104,6 +104,9 @@ func TestPipelineDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s := r1.Set.Samples; len(s) == 0 || cap(s) != len(s) {
+		t.Errorf("the workers' samples were not merged once at exact size: len %d cap %d", len(s), cap(s))
+	}
 	rep1 := reportOf(t, r1, 1)
 	if rep2 := reportOf(t, r2, 1); rep1 != rep2 {
 		t.Fatal("two identical runs produced different reports")

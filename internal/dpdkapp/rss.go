@@ -137,13 +137,11 @@ func RunRSS(cfg Config, workers int, packets []acl.Packet) (*Result, error) {
 	})
 	m.Wait()
 
-	var samples []pmu.Sample
 	for _, pb := range pebses {
-		samples = append(samples, pb.Samples()...)
 		res.SampleCount += pb.Count()
 		res.SampleBytes += pb.BytesWritten()
 	}
-	res.Set = trace.NewSet(m, log, samples)
+	res.Set = trace.NewSet(m, log, pmu.MergeSamples(pebses...))
 	return res, nil
 }
 

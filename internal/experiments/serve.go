@@ -58,7 +58,7 @@ type Monitor struct {
 	mu        sync.Mutex
 	gaps      trace.Gaps
 	rounds    uint64
-	detStats  detect.Stats  // snapshot taken after each round
+	detStats  detect.Stats   // snapshot taken after each round
 	detRecent detect.Verdict // strongest recent verdict (zero until one fires)
 }
 
@@ -149,11 +149,7 @@ func WorkloadRound(requests int) *trace.Set {
 	}
 	mach.Wait()
 
-	var samples []pmu.Sample
-	for _, p := range pebs {
-		samples = append(samples, p.Samples()...)
-	}
-	return trace.NewSet(mach, log, samples)
+	return trace.NewSet(mach, log, pmu.MergeSamples(pebs...))
 }
 
 // validWorkload checks a MonitorConfig/ShipConfig workload selector.

@@ -47,6 +47,67 @@ func TestOverflowWrapKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestOverflowWrapManyLaps laps the ring several times, ending mid-lap: the
+// survivors are exactly the last BufferEntries records, oldest first.
+func TestOverflowWrapManyLaps(t *testing.T) {
+	const entries, total = 8, 8*4 + 3 // three full laps past the fill, then 3 more
+	p := NewPEBS(PEBSConfig{BufferEntries: entries, OverflowPolicy: OverflowWrap})
+	fill(p, total, 1000)
+	got := p.Samples()
+	if len(got) != entries {
+		t.Fatalf("wrap kept %d samples, want %d", len(got), entries)
+	}
+	for i, s := range got {
+		if want := uint64(1000 + total - entries + i); s.TSC != want {
+			t.Fatalf("wrap sample %d TSC = %d, want %d", i, s.TSC, want)
+		}
+	}
+	if p.Dropped() != total-entries || p.DroppedBursts() != 1 || p.Count() != total {
+		t.Errorf("dropped %d in %d bursts of %d taken, want %d in 1 of %d",
+			p.Dropped(), p.DroppedBursts(), p.Count(), total-entries, total)
+	}
+}
+
+// TestDrainMergeExactSize: the merge over several units drains each one
+// (counting the flush, honouring loss injection) and returns their records
+// unit by unit in one slice with no spare capacity; Samples on a unit
+// afterwards still returns that unit's own records.
+func TestDrainMergeExactSize(t *testing.T) {
+	a := NewPEBS(PEBSConfig{BufferEntries: 8})
+	b := NewPEBS(PEBSConfig{BufferEntries: 8})
+	lossy := NewPEBS(PEBSConfig{BufferEntries: 8})
+	lossy.InjectFlushLoss(2) // its second flush — the drain of the tail — is lost
+	fill(a, 20, 1000)
+	fill(b, 3, 5000)
+	fill(lossy, 11, 9000)
+	got := MergeSamples(a, b, NewPEBS(PEBSConfig{}), lossy)
+	if len(got) != 20+3+8 || cap(got) != len(got) {
+		t.Fatalf("merged len %d cap %d, want 31 and equal", len(got), cap(got))
+	}
+	want := uint64(1000)
+	for i, s := range got {
+		switch i {
+		case 20:
+			want = 5000
+		case 23:
+			want = 9000
+		}
+		if s.TSC != want {
+			t.Fatalf("merged sample %d TSC = %d, want %d", i, s.TSC, want)
+		}
+		want++
+	}
+	if lossy.Dropped() != 3 || lossy.Count() != 11 {
+		t.Errorf("lossy unit dropped %d of %d, want 3 of 11", lossy.Dropped(), lossy.Count())
+	}
+	if s := a.Samples(); len(s) != 20 || cap(s) != 20 || s[19].TSC != 1019 {
+		t.Errorf("unit a after merge: len %d cap %d", len(s), cap(s))
+	}
+	if MergeSamples() != nil || MergeSamples(NewPEBS(PEBSConfig{})) != nil {
+		t.Error("a merge of nothing should be nil")
+	}
+}
+
 func TestOverflowDropBurstIsContiguous(t *testing.T) {
 	p := NewPEBS(PEBSConfig{BufferEntries: 8, OverflowPolicy: OverflowDropBurst, HelperLagRecords: 4})
 	// 8 fill the buffer; 4 are dropped in one burst; drain; 8 more fill it

@@ -86,9 +86,15 @@ func DefaultPEBSConfig() PEBSConfig {
 // buffer full so the kernel module can have a helper program copy the data
 // to userspace (the simple-pebs flow of §III-E).
 type PEBS struct {
-	cfg        PEBSConfig
-	buf        []Sample // the in-flight hardware buffer
-	store      []Sample // records already copied out by the helper
+	cfg PEBSConfig
+	// buf is the in-flight hardware buffer. A drain hands it to the helper
+	// whole and the next record takes a fresh one — the §III-E double
+	// buffer — so a record is written once and never moved until Samples.
+	buf []Sample
+	// head is the oldest record once an OverflowWrap ring has wrapped.
+	head       int
+	store      [][]Sample // buffers the helper has taken over, oldest first
+	stored     int        // records in store
 	interrupts uint64
 	dropped    uint64
 	lossEvery  uint64 // failure injection: drop every Nth buffer flush
@@ -127,7 +133,7 @@ func NewPEBS(cfg PEBSConfig) *PEBS {
 	if cfg.SwapCostCycles == 0 {
 		cfg.SwapCostCycles = 1000
 	}
-	p := &PEBS{cfg: cfg, buf: make([]Sample, 0, cfg.BufferEntries)}
+	p := &PEBS{cfg: cfg}
 	if reg := obs.Default(); reg != nil {
 		p.mOcc = reg.Gauge("fluct_pmu_ring_occupancy")
 		p.mDropped = reg.Counter("fluct_pmu_dropped_total")
@@ -158,8 +164,8 @@ func (p *PEBS) Overflow(ev Event, ctx Ctx) uint64 {
 				p.mBursts.Inc()
 			}
 			p.burstLag++
-			copy(p.buf, p.buf[1:])
-			p.buf[len(p.buf)-1] = s
+			p.buf[p.head] = s
+			p.head = (p.head + 1) % len(p.buf)
 			p.dropped++
 			p.mDropped.Inc()
 			return oh
@@ -188,6 +194,9 @@ func (p *PEBS) Overflow(ev Event, ctx Ctx) uint64 {
 		}
 	}
 
+	if p.buf == nil {
+		p.buf = make([]Sample, 0, p.cfg.BufferEntries)
+	}
 	p.buf = append(p.buf, s)
 	p.mOcc.SetInt(len(p.buf))
 	if len(p.buf) >= p.cfg.BufferEntries && p.cfg.OverflowPolicy == OverflowDrain {
@@ -203,7 +212,7 @@ func (p *PEBS) Overflow(ev Event, ctx Ctx) uint64 {
 	return oh
 }
 
-// flush models the helper program copying the full buffer to userspace and
+// flush models the helper program taking the full buffer over and
 // re-enabling PEBS. With loss injection enabled, every lossEvery-th flush is
 // discarded, standing in for a helper that could not keep up.
 func (p *PEBS) flush() {
@@ -212,26 +221,57 @@ func (p *PEBS) flush() {
 	if p.lossEvery > 0 && p.flushes%p.lossEvery == 0 {
 		p.dropped += uint64(len(p.buf))
 		p.mDropped.Add(uint64(len(p.buf)))
+		p.buf = p.buf[:0]
 	} else {
-		p.store = append(p.store, p.buf...)
+		if p.head != 0 {
+			// A wrapped ring drains oldest first.
+			p.buf = append(append(make([]Sample, 0, len(p.buf)), p.buf[p.head:]...), p.buf[:p.head]...)
+		}
+		p.store = append(p.store, p.buf)
+		p.stored += len(p.buf)
+		p.buf = nil
 	}
-	p.buf = p.buf[:0]
+	p.head = 0
 	p.mOcc.SetInt(0)
 }
 
-// Samples drains the hardware buffer and returns every record copied out so
-// far. Call it once at the end of a run.
+// Samples drains the hardware buffer and returns every record taken over so
+// far, concatenated once at exact size. Call it once at the end of a run.
 func (p *PEBS) Samples() []Sample {
-	if len(p.buf) > 0 {
-		p.flush()
+	flat := len(p.buf) == 0 && len(p.store) == 1 && len(p.store[0]) == cap(p.store[0])
+	if !flat {
+		p.store = [][]Sample{MergeSamples(p)}
 	}
-	return p.store
+	return p.store[0]
+}
+
+// MergeSamples drains every unit and returns all their records, unit by
+// unit in argument order, in one slice allocated at exact size (nil when
+// there are none) — what a multi-core run hands to trace.NewSet.
+func MergeSamples(units ...*PEBS) []Sample {
+	n := 0
+	for _, p := range units {
+		if len(p.buf) > 0 {
+			p.flush()
+		}
+		n += p.stored
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Sample, 0, n)
+	for _, p := range units {
+		for _, b := range p.store {
+			out = append(out, b...)
+		}
+	}
+	return out
 }
 
 // Count returns the number of samples taken (including dropped ones), which
 // drives the data-rate accounting of §IV-C3.
 func (p *PEBS) Count() uint64 {
-	return uint64(len(p.store)+len(p.buf)) + p.dropped
+	return uint64(p.stored+len(p.buf)) + p.dropped
 }
 
 // BytesWritten returns the total volume of PEBS records generated.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/pmu"
@@ -58,27 +60,33 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeStream checks the incremental decoder agrees with the
-// materializing one on arbitrary input: same acceptance, same counts.
+// FuzzDecodeStream checks the incremental decoder against the materializing
+// one on arbitrary input — they share the record walker but not where a
+// record lands: same records delivered, same error text, and skipping every
+// stream (nil callbacks) judges the input the same way.
 func FuzzDecodeStream(f *testing.F) {
 	var buf bytes.Buffer
-	set := &Set{FreqHz: 1, Markers: []Marker{{Item: 1, TSC: 1, Kind: ItemBegin}}}
+	set := &Set{FreqHz: 1, Markers: []Marker{{Item: 1, TSC: 1, Kind: ItemBegin}},
+		Samples: []pmu.Sample{{TSC: 2, IP: 3}, {TSC: 4, Regs: [pmu.NumRegs]uint64{pmu.R13: 5}}, {TSC: 6}}}
 	if err := set.Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-9]) // ends inside the last sample
 	f.Fuzz(func(t *testing.T, data []byte) {
 		full, fullErr := Decode(bytes.NewReader(data))
-		var markers, samples int
+		var markers []Marker
+		var samples []pmu.Sample
 		_, streamErr := DecodeStream(bytes.NewReader(data), nil,
-			func(Marker) error { markers++; return nil },
-			func(pmu.Sample) error { samples++; return nil })
-		if (fullErr == nil) != (streamErr == nil) {
-			t.Fatalf("decoders disagree on acceptance: full=%v stream=%v", fullErr, streamErr)
+			func(m Marker) error { markers = append(markers, m); return nil },
+			func(sm pmu.Sample) error { samples = append(samples, sm); return nil })
+		_, skipErr := DecodeStream(bytes.NewReader(data), nil, nil, nil)
+		if fmt.Sprint(fullErr) != fmt.Sprint(streamErr) || fmt.Sprint(fullErr) != fmt.Sprint(skipErr) {
+			t.Fatalf("decoders disagree:\n full   %v\n stream %v\n skip   %v", fullErr, streamErr, skipErr)
 		}
-		if fullErr == nil && (markers != len(full.Markers) || samples != len(full.Samples)) {
-			t.Fatalf("stream saw %d/%d records, full decode %d/%d",
-				markers, samples, len(full.Markers), len(full.Samples))
+		if fullErr == nil && (!slices.Equal(markers, full.Markers) || !slices.Equal(samples, full.Samples)) {
+			t.Fatalf("stream delivered %d/%d records, full decode holds %d/%d, or they differ",
+				len(markers), len(samples), len(full.Markers), len(full.Samples))
 		}
 	})
 }

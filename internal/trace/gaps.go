@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/pmu"
@@ -98,64 +99,118 @@ func (g Gaps) String() string {
 func (s *Set) GapSummary(ev pmu.Event) Gaps {
 	sp := obs.StartSpan("trace.GapSummary")
 	defer sp.End()
-	perCore := map[int32]*CoreGaps{}
-	coreOf := func(id int32) *CoreGaps {
-		c := perCore[id]
-		if c == nil {
-			c = &CoreGaps{Core: id}
-			perCore[id] = c
-		}
-		return c
-	}
-
+	var g GapScan
+	g.Reset(ev)
 	for _, m := range s.Markers {
-		c := coreOf(m.Core)
-		if m.Kind == ItemBegin {
-			c.BeginMarkers++
-		} else {
-			c.EndMarkers++
-		}
+		g.Marker(m)
 	}
-
-	// Collect per-core sample timestamps, sort, then measure gaps.
-	tscs := map[int32][]uint64{}
 	for i := range s.Samples {
-		sm := &s.Samples[i]
-		c := coreOf(sm.Core) // the core is present even if its samples are filtered
-		if sm.Event != ev {
-			continue
-		}
-		c.Samples++
-		tscs[sm.Core] = append(tscs[sm.Core], sm.TSC)
+		g.Sample(&s.Samples[i])
 	}
-	for id, ts := range tscs {
-		c := perCore[id]
-		if len(ts) < 2 {
-			continue
-		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-		c.MeanGapCycles = float64(ts[len(ts)-1]-ts[0]) / float64(len(ts)-1)
-		threshold := GapBurstFactor * c.MeanGapCycles
-		for i := 1; i < len(ts); i++ {
-			gap := ts[i] - ts[i-1]
-			if gap > c.MaxGapCycles {
-				c.MaxGapCycles = gap
-			}
-			if c.MeanGapCycles > 0 && float64(gap) > threshold {
-				c.SuspectBursts++
-				c.EstLostSamples += int(float64(gap)/c.MeanGapCycles) - 1
-			}
-		}
-	}
+	return g.Summary()
+}
 
-	ids := make([]int32, 0, len(perCore))
-	for id := range perCore {
-		ids = append(ids, id)
+// GapScan is GapSummary fed one record at a time, in any order: it keeps
+// per-core marker counts and the inspected event's timestamps, and nothing
+// else of a record. Reset keeps the buffers, so a collector source scans
+// set after set without allocating once warm. Call Reset before first use.
+type GapScan struct {
+	ev               pmu.Event
+	cores            map[int32]*coreScan
+	last             *coreScan // the previous record's core: feeds run core by core
+	markers, samples int
+}
+
+// coreScan is one core's row in the making.
+type coreScan struct {
+	CoreGaps          // the counts; Summary derives the gap figures on a copy
+	tscs     []uint64 // timestamps of the core's samples of ev, arrival order
+	live     bool     // a record arrived since Reset
+}
+
+// Reset starts a new scan inspecting ev. Cores the previous scan did not
+// see are forgotten, so the scan never holds more than one set's worth.
+func (g *GapScan) Reset(ev pmu.Event) {
+	if g.cores == nil {
+		g.cores = map[int32]*coreScan{}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := Gaps{PerCore: make([]CoreGaps, 0, len(ids))}
-	for _, id := range ids {
-		out.PerCore = append(out.PerCore, *perCore[id])
+	g.ev, g.last, g.markers, g.samples = ev, nil, 0, 0
+	for id, c := range g.cores {
+		if !c.live {
+			delete(g.cores, id)
+			continue
+		}
+		*c = coreScan{CoreGaps: CoreGaps{Core: id}, tscs: c.tscs[:0]}
 	}
+}
+
+func (g *GapScan) core(id int32) *coreScan {
+	c := g.last
+	if c == nil || c.Core != id {
+		if c = g.cores[id]; c == nil {
+			c = &coreScan{CoreGaps: CoreGaps{Core: id}}
+			g.cores[id] = c
+		}
+		g.last = c
+	}
+	c.live = true
+	return c
+}
+
+// Marker feeds one instrumentation record.
+func (g *GapScan) Marker(m Marker) {
+	g.markers++
+	if c := g.core(m.Core); m.Kind == ItemBegin {
+		c.BeginMarkers++
+	} else {
+		c.EndMarkers++
+	}
+}
+
+// Sample feeds one hardware sample. A sample of another event still makes
+// its core present in the summary.
+func (g *GapScan) Sample(sm *pmu.Sample) {
+	g.samples++
+	c := g.core(sm.Core)
+	if sm.Event != g.ev {
+		return
+	}
+	c.Samples++
+	c.tscs = append(c.tscs, sm.TSC)
+}
+
+// Markers returns how many markers were fed since Reset.
+func (g *GapScan) Markers() int { return g.markers }
+
+// Samples returns how many samples, of any event, were fed since Reset.
+func (g *GapScan) Samples() int { return g.samples }
+
+// Summary returns the health summary of everything fed since Reset. The
+// scan can be fed further and summarized again.
+func (g *GapScan) Summary() Gaps {
+	out := Gaps{PerCore: make([]CoreGaps, 0, len(g.cores))}
+	for _, c := range g.cores {
+		if !c.live {
+			continue
+		}
+		row, ts := c.CoreGaps, c.tscs
+		if len(ts) >= 2 {
+			slices.Sort(ts)
+			row.MeanGapCycles = float64(ts[len(ts)-1]-ts[0]) / float64(len(ts)-1)
+			threshold := GapBurstFactor * row.MeanGapCycles
+			for i := 1; i < len(ts); i++ {
+				gap := ts[i] - ts[i-1]
+				if gap > row.MaxGapCycles {
+					row.MaxGapCycles = gap
+				}
+				if row.MeanGapCycles > 0 && float64(gap) > threshold {
+					row.SuspectBursts++
+					row.EstLostSamples += int(float64(gap)/row.MeanGapCycles) - 1
+				}
+			}
+		}
+		out.PerCore = append(out.PerCore, row)
+	}
+	slices.SortFunc(out.PerCore, func(a, b CoreGaps) int { return cmp.Compare(a.Core, b.Core) })
 	return out
 }

@@ -21,115 +21,106 @@ import (
 //	                   hasRegs uint8, [16]uint64 if hasRegs }*
 //
 // The prototype in the paper dumps both streams to SSD and integrates them
-// later offline; this format is that dump.
+// later offline; this format is that dump. A marker (21 B), a sample head
+// (22 B) and a register block (128 B) are fixed-layout records: Encode
+// writes and the walker reads each one whole, and the field tables below
+// tell a truncation error which field the file ended in.
 var magic = [8]byte{'F', 'L', 'C', 'T', 'R', 'C', '0', '1'}
+
+const (
+	markerBytes     = 8 + 8 + 4 + 1
+	sampleHeadBytes = 8 + 8 + 4 + 1 + 1
+	regsBytes       = 8 * pmu.NumRegs
+)
+
+// field is one fixed-width field of a record.
+type field struct {
+	name string
+	size int
+}
+
+var (
+	symbolTailFields = []field{{"base", 8}, {"size", 8}}
+	markerFields     = []field{{"item", 8}, {"tsc", 8}, {"core", 4}, {"kind", 1}}
+	sampleHeadFields = []field{{"tsc", 8}, {"ip", 8}, {"core", 4}, {"event", 1}, {"regs flag", 1}}
+)
 
 // maxCount bounds each section when decoding untrusted input.
 const maxCount = 1 << 28
+
+// decodeChunk is the most records Decode allocates for on a header's word
+// alone; past it the destination doubles as records actually arrive.
+const decodeChunk = 1 << 16
 
 // Encode writes the set to w in the binary trace format.
 func (s *Set) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	le := binary.LittleEndian
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var scratch [8]byte
-	put64 := func(v uint64) error {
-		le.PutUint64(scratch[:], v)
-		_, err := bw.Write(scratch[:])
-		return err
-	}
-	put32 := func(v uint32) error {
-		le.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	put16 := func(v uint16) error {
-		le.PutUint16(scratch[:2], v)
-		_, err := bw.Write(scratch[:2])
-		return err
-	}
-	if err := put64(s.FreqHz); err != nil {
-		return err
-	}
-
+	var rec [sampleHeadBytes + regsBytes]byte // the largest record
+	copy(rec[:], magic[:])
+	le.PutUint64(rec[8:], s.FreqHz)
 	var syms []*symtab.Fn
 	if s.Syms != nil {
 		syms = s.Syms.Fns()
 	}
-	if err := put32(uint32(len(syms))); err != nil {
+	le.PutUint32(rec[16:], uint32(len(syms)))
+	if _, err := bw.Write(rec[:20]); err != nil {
 		return err
 	}
 	for _, f := range syms {
 		if len(f.Name) > 0xffff {
 			return fmt.Errorf("trace: symbol name too long (%d bytes)", len(f.Name))
 		}
-		if err := put16(uint16(len(f.Name))); err != nil {
+		le.PutUint16(rec[:], uint16(len(f.Name)))
+		if _, err := bw.Write(rec[:2]); err != nil {
 			return err
 		}
 		if _, err := bw.WriteString(f.Name); err != nil {
 			return err
 		}
-		if err := put64(f.Base); err != nil {
-			return err
-		}
-		if err := put64(f.Size); err != nil {
+		le.PutUint64(rec[:], f.Base)
+		le.PutUint64(rec[8:], f.Size)
+		if _, err := bw.Write(rec[:16]); err != nil {
 			return err
 		}
 	}
 
-	if err := put32(uint32(len(s.Markers))); err != nil {
+	le.PutUint32(rec[:], uint32(len(s.Markers)))
+	if _, err := bw.Write(rec[:4]); err != nil {
 		return err
 	}
-	for _, m := range s.Markers {
-		if err := put64(m.Item); err != nil {
-			return err
-		}
-		if err := put64(m.TSC); err != nil {
-			return err
-		}
-		if err := put32(uint32(m.Core)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(m.Kind)); err != nil {
+	for i := range s.Markers {
+		m := &s.Markers[i]
+		le.PutUint64(rec[:], m.Item)
+		le.PutUint64(rec[8:], m.TSC)
+		le.PutUint32(rec[16:], uint32(m.Core))
+		rec[20] = byte(m.Kind)
+		if _, err := bw.Write(rec[:markerBytes]); err != nil {
 			return err
 		}
 	}
 
-	if err := put32(uint32(len(s.Samples))); err != nil {
+	le.PutUint32(rec[:], uint32(len(s.Samples)))
+	if _, err := bw.Write(rec[:4]); err != nil {
 		return err
 	}
 	for i := range s.Samples {
 		sm := &s.Samples[i]
-		if err := put64(sm.TSC); err != nil {
-			return err
-		}
-		if err := put64(sm.IP); err != nil {
-			return err
-		}
-		if err := put32(uint32(sm.Core)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(sm.Event)); err != nil {
-			return err
-		}
-		hasRegs := byte(0)
-		for _, r := range sm.Regs {
-			if r != 0 {
-				hasRegs = 1
-				break
-			}
-		}
-		if err := bw.WriteByte(hasRegs); err != nil {
-			return err
-		}
-		if hasRegs == 1 {
+		le.PutUint64(rec[:], sm.TSC)
+		le.PutUint64(rec[8:], sm.IP)
+		le.PutUint32(rec[16:], uint32(sm.Core))
+		rec[20] = byte(sm.Event)
+		rec[21] = 0 // hasRegs
+		n := sampleHeadBytes
+		if sm.Regs != ([pmu.NumRegs]uint64{}) {
+			rec[21] = 1
 			for _, r := range sm.Regs {
-				if err := put64(r); err != nil {
-					return err
-				}
+				le.PutUint64(rec[n:], r)
+				n += 8
 			}
+		}
+		if _, err := bw.Write(rec[:n]); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -140,10 +131,7 @@ func Decode(r io.Reader) (*Set, error) {
 	sp := obs.StartSpan("trace.Decode")
 	defer sp.End()
 	var s Set
-	err := decodeStream(r, &s.FreqHz, func(t *symtab.Table) { s.Syms = t },
-		func(m Marker) error { s.Markers = append(s.Markers, m); return nil },
-		func(sm pmu.Sample) error { s.Samples = append(s.Samples, sm); return nil })
-	if err != nil {
+	if _, err := walk(r, &s, nil, nil, nil); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -153,10 +141,10 @@ func Decode(r io.Reader) (*Set, error) {
 // onSample per record instead of materializing the whole set — the
 // file-backed path into a StreamIntegrator for traces too large to hold in
 // memory. onSyms delivers the symbol table (possibly nil) before any
-// events. A callback returning an error aborts the decode.
+// events. A nil callback skips its stream: the records are still read and
+// validated. A callback returning an error aborts the decode.
 func DecodeStream(r io.Reader, onSyms func(*symtab.Table), onMarker func(Marker) error, onSample func(pmu.Sample) error) (freqHz uint64, err error) {
-	err = decodeStream(r, &freqHz, onSyms, onMarker, onSample)
-	return freqHz, err
+	return walk(r, nil, onSyms, onMarker, onSample)
 }
 
 // offsetReader tracks how many bytes of the trace file were consumed, so a
@@ -169,20 +157,12 @@ type offsetReader struct {
 	off int64
 }
 
-// full reads exactly len(buf) bytes, advancing the offset by what arrived.
-func (o *offsetReader) full(buf []byte) error {
-	n, err := io.ReadFull(o.br, buf)
+// full reads exactly len(buf) bytes, advancing the offset by the n that
+// arrived.
+func (o *offsetReader) full(buf []byte) (n int, err error) {
+	n, err = io.ReadFull(o.br, buf)
 	o.off += int64(n)
-	return err
-}
-
-// one reads a single byte.
-func (o *offsetReader) one() (byte, error) {
-	b, err := o.br.ReadByte()
-	if err == nil {
-		o.off++
-	}
-	return b, err
+	return n, err
 }
 
 // fail decorates a read error with what was being read and, for truncation
@@ -196,166 +176,162 @@ func (o *offsetReader) fail(what string, err error) error {
 	return fmt.Errorf("trace: %s: %w", what, err)
 }
 
-func decodeStream(r io.Reader, freqOut *uint64, onSyms func(*symtab.Table), onMarker func(Marker) error, onSample func(pmu.Sample) error) error {
+// short is fail for record i of a kind, read whole, of which only n bytes
+// arrived: the label names the field the read ended in.
+func (o *offsetReader) short(kind string, i uint32, fields []field, n int, err error) error {
+	k := 0
+	for n >= fields[k].size {
+		n -= fields[k].size
+		k++
+	}
+	return o.fail(fmt.Sprintf("%s %d %s", kind, i, fields[k].name), err)
+}
+
+// next extends s by one zero element toward the declared count. Capacity
+// starts at min(declared, decodeChunk) and doubles up to declared: an honest
+// file of up to decodeChunk records is sized once and exactly, and an absurd
+// count cannot allocate far ahead of the bytes that back it.
+func next[T any](s []T, declared uint32) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, min(max(2*cap(s), decodeChunk), int(declared))), s...)
+	}
+	return s[:len(s)+1]
+}
+
+// walk is the one reader of the format. With dst set, records are decoded
+// in place into dst's slices; without, into a scratch record handed to
+// onMarker / onSample (nil: skipped).
+func walk(r io.Reader, dst *Set, onSyms func(*symtab.Table), onMarker func(Marker) error, onSample func(pmu.Sample) error) (freq uint64, err error) {
 	or := &offsetReader{br: bufio.NewReader(r)}
 	le := binary.LittleEndian
-	var scratch [8]byte
-	get64 := func(what string) (uint64, error) {
-		if err := or.full(scratch[:8]); err != nil {
-			return 0, or.fail(what, err)
+	var rec [regsBytes]byte // the largest single read
+	count := func(what string) (uint32, error) {
+		if _, err := or.full(rec[:4]); err != nil {
+			return 0, or.fail(what+" count", err)
 		}
-		return le.Uint64(scratch[:8]), nil
-	}
-	get32 := func(what string) (uint32, error) {
-		if err := or.full(scratch[:4]); err != nil {
-			return 0, or.fail(what, err)
+		n := le.Uint32(rec[:])
+		if n > maxCount {
+			return 0, fmt.Errorf("trace: absurd %s count %d", what, n)
 		}
-		return le.Uint32(scratch[:4]), nil
-	}
-	get16 := func(what string) (uint16, error) {
-		if err := or.full(scratch[:2]); err != nil {
-			return 0, or.fail(what, err)
-		}
-		return le.Uint16(scratch[:2]), nil
+		return n, nil
 	}
 
-	var m [8]byte
-	if err := or.full(m[:]); err != nil {
-		return or.fail("magic", err)
+	if _, err := or.full(rec[:8]); err != nil {
+		return 0, or.fail("magic", err)
 	}
-	if m != magic {
-		return fmt.Errorf("trace: bad magic %q", m[:])
+	if [8]byte(rec[:8]) != magic {
+		return 0, fmt.Errorf("trace: bad magic %q", rec[:8])
 	}
-	freq, err := get64("freq")
-	if err != nil {
-		return err
+	if _, err := or.full(rec[:8]); err != nil {
+		return 0, or.fail("freq", err)
 	}
-	if freq == 0 {
-		return fmt.Errorf("trace: zero TSC frequency")
+	if freq = le.Uint64(rec[:]); freq == 0 {
+		return 0, fmt.Errorf("trace: zero TSC frequency")
 	}
-	*freqOut = freq
 
-	nSyms, err := get32("symbol count")
+	nSyms, err := count("symbol")
 	if err != nil {
-		return err
-	}
-	if nSyms > maxCount {
-		return fmt.Errorf("trace: absurd symbol count %d", nSyms)
+		return freq, err
 	}
 	var syms *symtab.Table
 	if nSyms > 0 {
 		syms = symtab.NewTable()
 	}
 	for i := uint32(0); i < nSyms; i++ {
-		nameLen, err := get16(fmt.Sprintf("symbol %d name length", i))
-		if err != nil {
-			return err
+		if _, err := or.full(rec[:2]); err != nil {
+			return freq, or.fail(fmt.Sprintf("symbol %d name length", i), err)
 		}
-		name := make([]byte, nameLen)
-		if err := or.full(name); err != nil {
-			return or.fail(fmt.Sprintf("symbol %d name", i), err)
+		name := make([]byte, le.Uint16(rec[:]))
+		if _, err := or.full(name); err != nil {
+			return freq, or.fail(fmt.Sprintf("symbol %d name", i), err)
 		}
-		base, err := get64(fmt.Sprintf("symbol %d base", i))
-		if err != nil {
-			return err
+		if n, err := or.full(rec[:16]); err != nil {
+			return freq, or.short("symbol", i, symbolTailFields, n, err)
 		}
-		size, err := get64(fmt.Sprintf("symbol %d size", i))
-		if err != nil {
-			return err
-		}
+		base, size := le.Uint64(rec[:]), le.Uint64(rec[8:])
 		// Registration re-derives addresses; verify the decoded layout
 		// matches so Resolve behaves identically to the original table.
 		f, rerr := syms.Register(string(name), size)
 		if rerr != nil {
-			return fmt.Errorf("trace: symbol %d: %w", i, rerr)
+			return freq, fmt.Errorf("trace: symbol %d: %w", i, rerr)
 		}
 		if f.Base != base {
-			return fmt.Errorf("trace: symbol %q base mismatch: file %#x, table %#x", name, base, f.Base)
+			return freq, fmt.Errorf("trace: symbol %q base mismatch: file %#x, table %#x", name, base, f.Base)
 		}
+	}
+	if dst != nil {
+		dst.FreqHz, dst.Syms = freq, syms
 	}
 	if onSyms != nil {
 		onSyms(syms)
 	}
 
-	nMark, err := get32("marker count")
+	nMark, err := count("marker")
 	if err != nil {
-		return err
-	}
-	if nMark > maxCount {
-		return fmt.Errorf("trace: absurd marker count %d", nMark)
+		return freq, err
 	}
 	for i := uint32(0); i < nMark; i++ {
-		var mk Marker
-		if mk.Item, err = get64(fmt.Sprintf("marker %d item", i)); err != nil {
-			return err
+		var scratch Marker
+		mk := &scratch
+		if dst != nil {
+			dst.Markers = next(dst.Markers, nMark)
+			mk = &dst.Markers[i]
 		}
-		if mk.TSC, err = get64(fmt.Sprintf("marker %d tsc", i)); err != nil {
-			return err
+		if n, err := or.full(rec[:markerBytes]); err != nil {
+			return freq, or.short("marker", i, markerFields, n, err)
 		}
-		c, err := get32(fmt.Sprintf("marker %d core", i))
-		if err != nil {
-			return err
+		mk.Item, mk.TSC, mk.Core, mk.Kind = le.Uint64(rec[:]), le.Uint64(rec[8:]), int32(le.Uint32(rec[16:])), Kind(rec[20])
+		if mk.Kind != ItemBegin && mk.Kind != ItemEnd {
+			return freq, fmt.Errorf("trace: marker %d has invalid kind %d", i, rec[20])
 		}
-		mk.Core = int32(c)
-		b, err := or.one()
-		if err != nil {
-			return or.fail(fmt.Sprintf("marker %d kind", i), err)
-		}
-		if Kind(b) != ItemBegin && Kind(b) != ItemEnd {
-			return fmt.Errorf("trace: marker %d has invalid kind %d", i, b)
-		}
-		mk.Kind = Kind(b)
-		if err := onMarker(mk); err != nil {
-			return err
+		if onMarker != nil {
+			if err := onMarker(*mk); err != nil {
+				return freq, err
+			}
 		}
 	}
 
-	nSamp, err := get32("sample count")
+	nSamp, err := count("sample")
 	if err != nil {
-		return err
+		return freq, err
 	}
-	if nSamp > maxCount {
-		return fmt.Errorf("trace: absurd sample count %d", nSamp)
-	}
+	var scratch pmu.Sample
 	for i := uint32(0); i < nSamp; i++ {
-		var sm pmu.Sample
-		if sm.TSC, err = get64(fmt.Sprintf("sample %d tsc", i)); err != nil {
-			return err
+		sm := &scratch
+		if dst != nil {
+			dst.Samples = next(dst.Samples, nSamp)
+			sm = &dst.Samples[i]
 		}
-		if sm.IP, err = get64(fmt.Sprintf("sample %d ip", i)); err != nil {
-			return err
+		n, err := or.full(rec[:sampleHeadBytes])
+		// The event is judged before the regs flag is read: a file that ends
+		// between the two reports the bad event, not the truncation.
+		if n > 20 && pmu.Event(rec[20]) >= pmu.NumEvents {
+			return freq, fmt.Errorf("trace: sample %d has invalid event %d", i, rec[20])
 		}
-		c, err := get32(fmt.Sprintf("sample %d core", i))
 		if err != nil {
-			return err
+			return freq, or.short("sample", i, sampleHeadFields, n, err)
 		}
-		sm.Core = int32(c)
-		ev, err := or.one()
-		if err != nil {
-			return or.fail(fmt.Sprintf("sample %d event", i), err)
-		}
-		if pmu.Event(ev) >= pmu.NumEvents {
-			return fmt.Errorf("trace: sample %d has invalid event %d", i, ev)
-		}
-		sm.Event = pmu.Event(ev)
-		hasRegs, err := or.one()
-		if err != nil {
-			return or.fail(fmt.Sprintf("sample %d regs flag", i), err)
-		}
-		switch hasRegs {
+		sm.TSC, sm.IP, sm.Core, sm.Event = le.Uint64(rec[:]), le.Uint64(rec[8:]), int32(le.Uint32(rec[16:])), pmu.Event(rec[20])
+		switch hasRegs := rec[21]; hasRegs {
 		case 0:
+			// A fresh dst element is zero already; the scratch may hold
+			// the previous record's registers.
+			scratch.Regs = [pmu.NumRegs]uint64{}
 		case 1:
+			if n, err := or.full(rec[:regsBytes]); err != nil {
+				return freq, or.fail(fmt.Sprintf("sample %d reg %d", i, n/8), err)
+			}
 			for j := range sm.Regs {
-				if sm.Regs[j], err = get64(fmt.Sprintf("sample %d reg %d", i, j)); err != nil {
-					return err
-				}
+				sm.Regs[j] = le.Uint64(rec[8*j:])
 			}
 		default:
-			return fmt.Errorf("trace: sample %d has invalid regs flag %d", i, hasRegs)
+			return freq, fmt.Errorf("trace: sample %d has invalid regs flag %d", i, hasRegs)
 		}
-		if err := onSample(sm); err != nil {
-			return err
+		if onSample != nil {
+			if err := onSample(*sm); err != nil {
+				return freq, err
+			}
 		}
 	}
-	return nil
+	return freq, nil
 }

@@ -404,10 +404,6 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 			res.Stats[st.Query.ID] = st
 		}
 	}
-	var samples []pmu.Sample
-	for _, pb := range pebses {
-		samples = append(samples, pb.Samples()...)
-	}
-	res.Set = trace.NewSet(m, log, samples)
+	res.Set = trace.NewSet(m, log, pmu.MergeSamples(pebses...))
 	return res, nil
 }
