@@ -41,7 +41,8 @@ type Config struct {
 // (shard, epoch, seq), and folds every source's latest row into one
 // merged fleet view.
 type Aggregator struct {
-	cfg Config
+	cfg  Config
+	pool *wire.FramePool // upstream frames are read into it
 
 	mu      sync.Mutex
 	shards  map[string]*upstream
@@ -138,6 +139,7 @@ func New(cfg Config) (*Aggregator, error) {
 	}
 	a := &Aggregator{
 		cfg:         cfg,
+		pool:        wire.NewFramePool(reg),
 		shards:      map[string]*upstream{},
 		sources:     map[string]*mergedSource{},
 		conns:       map[net.Conn]struct{}{},
@@ -247,12 +249,12 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 	up := a.upstream(shardID)
 
 	var cs durable.Numbering
-	sc := wire.NewFrameScanner(conn)
+	rd := a.pool.NewReader(conn)
 	for {
 		if a.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(a.cfg.IdleTimeout))
 		}
-		f, err := sc.ReadFrame()
+		f, err := rd.Next()
 		if err != nil {
 			switch {
 			case errors.Is(err, os.ErrDeadlineExceeded):
@@ -268,10 +270,11 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 			return
 		}
 		a.metFrames.Inc()
-		a.metBytes.Add(uint64(len(f.Payload)) + 9)
+		a.metBytes.Add(uint64(len(f.Raw())))
 
 		if f.Type == wire.TSeqStart {
 			ss, derr := wire.DecodeSeqStart(f.Payload)
+			f.Release()
 			if derr != nil {
 				a.metDecErrs.Inc()
 				return
@@ -294,12 +297,16 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 		// does not speak the grammar.
 		seq, ok := cs.Take()
 		if !ok {
+			f.Release()
 			a.metDecErrs.Inc()
 			return
 		}
 		a.mu.Lock()
 		adm := up.wm.Admit(cs.Epoch, seq)
 		a.mu.Unlock()
+		// The frame is done with once applied: the decoders copy.
+		applied := adm == durable.Fresh && a.apply(up, cs.Epoch, seq, f)
+		f.Release()
 		switch adm {
 		case durable.Stale:
 			// A newer uplink generation superseded this link.
@@ -311,7 +318,7 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 			// its sequence number stays consumed, the frame is dropped and
 			// counted, and no ack is sent — the next good frame's cumulative
 			// ack covers it.
-			if !a.apply(up, cs.Epoch, seq, f) {
+			if !applied {
 				a.metDecErrs.Inc()
 				continue
 			}
@@ -350,7 +357,7 @@ func (a *Aggregator) HandleConn(conn net.Conn) {
 // merged state, settling the shard's watermark in the same a.mu hold as
 // the merge so a snapshot never holds one without the other. It reports
 // false for a frame that is not a usable payload.
-func (a *Aggregator) apply(up *upstream, epoch, seq uint64, f wire.Frame) bool {
+func (a *Aggregator) apply(up *upstream, epoch, seq uint64, f wire.FrameView) bool {
 	var merge func()
 	switch f.Type {
 	case wire.TFleetSummary:

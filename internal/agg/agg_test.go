@@ -474,7 +474,7 @@ func TestAggregatorLossCounters(t *testing.T) {
 	}
 	readAck := func(conn net.Conn) wire.Ack {
 		t.Helper()
-		f, _, err := wire.ReadFrame(conn, nil)
+		f, err := (*wire.FramePool)(nil).NewReader(conn).Next()
 		if err != nil || f.Type != wire.TAck {
 			t.Fatalf("read %s frame, err %v, want an ack", f.Type, err)
 		}
@@ -528,7 +528,7 @@ func TestAggregatorLossCounters(t *testing.T) {
 
 	rogue := connect()
 	send(rogue, wire.TFleetSummary, summary(9))
-	if _, _, err := wire.ReadFrame(rogue, nil); err == nil {
+	if _, err := (*wire.FramePool)(nil).NewReader(rogue).Next(); err == nil {
 		t.Fatal("a summary sent before any SeqStart was answered, want a hang-up")
 	}
 	if got := count("fluct_agg_decode_errors_total"); got != 2 {

@@ -39,6 +39,12 @@ func sendFrame(t *testing.T, conn net.Conn, f wire.Frame) {
 	}
 }
 
+// readFrame reads one frame off conn into a plain allocation; the reader
+// takes exactly the frame's bytes, so calls may alternate with any other.
+func readFrame(conn io.Reader) (wire.FrameView, error) {
+	return (*wire.FramePool)(nil).NewReader(conn).Next()
+}
+
 // recordsFrame builds one TRecords frame out of runs given in feed order —
 // each a []trace.Marker or a []pmu.Sample — with the ΔTSC chain carried
 // from run to run, as ShipSet builds it. Every raw-frame feed in this

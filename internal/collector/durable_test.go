@@ -181,7 +181,7 @@ func TestRetiredBatchTypesDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendFrame(t, old, wire.Frame{Type: wire.THello, Payload: hello})
-	f, _, err := wire.ReadFrame(old, nil)
+	f, err := readFrame(old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRetiredBatchTypesDrain(t *testing.T) {
 	awaitAck := func(seq uint64) {
 		t.Helper()
 		for {
-			f, _, err := wire.ReadFrame(conn, nil)
+			f, err := readFrame(conn)
 			if err != nil {
 				t.Fatalf("waiting for the ack of frame %d: %v", seq, err)
 			}
@@ -388,7 +388,7 @@ func shipV2Set(t testing.TB, conn net.Conn, frames []wire.Frame, epoch, firstSeq
 	if err := wire.WriteFrame(conn, wire.Frame{Type: wire.TSeqStart, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := wire.ReadFrame(conn, nil)
+	f, err := readFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestCheckpointFailureWithholdsAck(t *testing.T) {
 		t.Fatalf("watermark advanced to %d despite checkpoint failure, want 0", got)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-	if f, _, err := wire.ReadFrame(conn, nil); err == nil {
+	if f, err := readFrame(conn); err == nil {
 		t.Fatalf("got a %s frame after a failed checkpoint; the ack must be withheld", f.Type)
 	} else if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("expected a read timeout (withheld ack), got %v", err)
@@ -460,7 +460,7 @@ func TestCheckpointFailureWithholdsAck(t *testing.T) {
 	if got := shipV2Set(t, conn, frames, 5, 1); got != 0 {
 		t.Fatalf("reconnect advertised un-checkpointed watermark %d, want 0", got)
 	}
-	f, _, err := wire.ReadFrame(conn, nil)
+	f, err := readFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestStaleEpochConnRejected(t *testing.T) {
 	// must hang up rather than apply it against the new generation.
 	if err := wire.WriteFrame(oldConn, frames[1]); err == nil {
 		_ = oldConn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, _, err := wire.ReadFrame(oldConn, nil); err == nil {
+		if _, err := readFrame(oldConn); err == nil {
 			t.Fatal("stale-epoch connection got a frame back, want disconnect")
 		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			t.Fatal("stale-epoch connection was never disconnected")
@@ -524,7 +524,7 @@ func TestStaleEpochConnRejected(t *testing.T) {
 	// The watermark commits on the connection goroutine after the set is
 	// applied on the shard goroutine; the TAck is what orders the two, so
 	// read it before asserting on LastAcked.
-	f, _, err := wire.ReadFrame(newConn, nil)
+	f, err := readFrame(newConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestSnapshotBeforeAckCommit(t *testing.T) {
 	if got := shipV2Set(t, conn2, frames, 5, 1); got != uint64(len(frames)) {
 		t.Fatalf("restored collector advertised watermark %d, want %d: the snapshot lost the set's watermark", got, len(frames))
 	}
-	f, _, err := wire.ReadFrame(conn2, nil)
+	f, err := readFrame(conn2)
 	if err != nil {
 		t.Fatal(err)
 	}

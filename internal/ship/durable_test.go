@@ -47,15 +47,14 @@ func serveAcks(conn net.Conn, rec *ackRec, ackAfter int) {
 	if _, _, err := wire.ServerHandshake(conn); err != nil {
 		return
 	}
-	var buf []byte
+	rd := (*wire.FramePool)(nil).NewReader(conn)
 	var epoch, seq uint64
 	acked := 0
 	for {
-		f, b, err := wire.ReadFrame(conn, buf)
+		f, err := rd.Next()
 		if err != nil {
 			return
 		}
-		buf = b
 		if f.Type == wire.TSeqStart {
 			ss, err := wire.DecodeSeqStart(f.Payload)
 			if err != nil {
@@ -362,13 +361,12 @@ func (c *strictCollector) serve(conn net.Conn, afterStart func()) {
 		return
 	}
 	var cs durable.Numbering
-	var buf []byte
+	rd := (*wire.FramePool)(nil).NewReader(conn)
 	for {
-		f, b, err := wire.ReadFrame(conn, buf)
+		f, err := rd.Next()
 		if err != nil {
 			return
 		}
-		buf = b
 		if f.Type == wire.TSeqStart {
 			ss, err := wire.DecodeSeqStart(f.Payload)
 			if err != nil {

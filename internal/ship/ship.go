@@ -542,7 +542,7 @@ func (s *Shipper) pump(ctx context.Context, conn net.Conn, onReply func()) error
 	}()
 	// Join the ack reader before returning: Run closes the spool after
 	// the pump exits, and a still-running reader must not Ack into a
-	// closed spool. Closing conn here unblocks its ReadFrame (Run's own
+	// closed spool. Closing conn here unblocks its read (Run's own
 	// Close afterwards is then a no-op).
 	defer func() {
 		conn.Close()
@@ -717,22 +717,25 @@ var errReplayDone = fmt.Errorf("ship: replay batch done")
 // readAcks consumes collector frames — TAck advances the watermark, reclaims
 // spool segments, and trims the queue; the first one is the SeqStart reply
 // the pump waits for — until the connection dies, then wakes the pump so it
-// can reconnect. Acks are tiny, so the scanner's shrink-to-watermark buffer
-// stays in the smallest class for the connection's life.
+// can reconnect. Frames are read into the shipper's pool and released as
+// soon as they are decoded.
 func (s *Shipper) readAcks(conn net.Conn, cs *connState) {
-	sc := wire.NewFrameScanner(conn)
+	rd := s.pool.NewReader(conn)
 	for {
-		f, err := sc.ReadFrame()
+		f, err := rd.Next()
 		if err != nil {
 			break
 		}
 		if f.Type != wire.TAck {
-			if s.control(f) {
+			stop := s.control(f)
+			f.Release()
+			if stop {
 				break // redirected: drop the conn and redial at the new address
 			}
 			continue
 		}
 		a, err := wire.DecodeAck(f.Payload)
+		f.Release()
 		if err != nil || a.Epoch != s.epoch {
 			continue
 		}
@@ -754,10 +757,10 @@ func (s *Shipper) readAcks(conn net.Conn, cs *connState) {
 // Config.OnControlFrame. Returns true when the current connection should
 // be abandoned — a collector that redirects is leaving, so reconnecting
 // (wherever the shipper now points) beats waiting for it to die.
-func (s *Shipper) control(f wire.Frame) (stop bool) {
+func (s *Shipper) control(f wire.FrameView) (stop bool) {
 	if f.Type != wire.TRedirect {
 		if s.cfg.OnControlFrame != nil {
-			// Own the payload: the scanner's buffer is reused per frame.
+			// Own the payload: the view is released on return.
 			p := append([]byte(nil), f.Payload...)
 			s.cfg.OnControlFrame(wire.Frame{Type: f.Type, Payload: p})
 		}

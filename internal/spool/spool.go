@@ -113,7 +113,8 @@ type Spool struct {
 	acked   uint64 // highest acked sequence (monotonic)
 	closed  bool
 
-	tornBytes int64 // recovery-time truncation total
+	tornBytes int64           // recovery-time truncation total
+	pool      *wire.FramePool // recovery and replay read frames into it
 
 	metSegments *obs.Gauge
 	metBytes    *obs.Gauge
@@ -144,6 +145,7 @@ func Open(cfg Config) (*Spool, Recovery, error) {
 	}
 	s := &Spool{
 		cfg:         cfg,
+		pool:        wire.NewFramePool(reg),
 		metSegments: reg.Gauge("fluct_spool_segments"),
 		metBytes:    reg.Gauge("fluct_spool_bytes"),
 		metAppends:  reg.Counter("fluct_spool_appended_frames_total"),
@@ -312,7 +314,7 @@ func (s *Spool) Ack(seq uint64) error {
 
 // Frames replays every spooled frame with sequence ≥ from, in order,
 // passing each frame's sequence number and canonical encoding. The byte
-// slice is reused between calls; the callback must not retain it.
+// slice is released when the callback returns; it must not retain it.
 func (s *Spool) Frames(from uint64, fn func(seq uint64, frame []byte) error) error {
 	s.mu.Lock()
 	if s.w != nil {
@@ -324,7 +326,6 @@ func (s *Spool) Frames(from uint64, fn func(seq uint64, frame []byte) error) err
 	segs := append([]segment(nil), s.segs...)
 	s.mu.Unlock()
 
-	var buf []byte
 	for _, seg := range segs {
 		if seg.frames == 0 || seg.base+uint64(seg.frames) <= from {
 			continue
@@ -333,19 +334,19 @@ func (s *Spool) Frames(from uint64, fn func(seq uint64, frame []byte) error) err
 		if err != nil {
 			return fmt.Errorf("spool: replay: %w", err)
 		}
-		br := bufio.NewReader(f)
+		rd := s.pool.NewReader(bufio.NewReader(f))
 		for i := 0; i < seg.frames; i++ {
-			var raw []byte
-			raw, buf, err = wire.ReadRawFrame(br, buf)
+			v, err := rd.Next()
 			if err != nil {
 				f.Close()
 				return fmt.Errorf("spool: replay %s frame %d: %w", filepath.Base(seg.path), i, err)
 			}
 			seq := seg.base + uint64(i)
-			if seq < from {
-				continue
+			if seq >= from {
+				err = fn(seq, v.Raw())
 			}
-			if err := fn(seq, raw); err != nil {
+			v.Release()
+			if err != nil {
 				f.Close()
 				return err
 			}
@@ -509,19 +510,18 @@ func (s *Spool) scanSegment(path string, base uint64) (segment, error, error) {
 		return seg, nil, fmt.Errorf("spool: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
+	rd := s.pool.NewReader(bufio.NewReader(f))
 	var (
 		off  int64
-		buf  []byte
-		raw  []byte
 		rerr error
 	)
 	for {
-		raw, buf, rerr = wire.ReadRawFrame(br, buf)
-		if rerr != nil {
+		var v wire.FrameView
+		if v, rerr = rd.Next(); rerr != nil {
 			break
 		}
-		off += int64(len(raw))
+		off += int64(len(v.Raw()))
+		v.Release()
 		seg.frames++
 	}
 	if rerr == io.EOF {

@@ -337,7 +337,7 @@ func FuzzSpoolRecover(f *testing.F) {
 		}
 		frames := 0
 		if err := s.Frames(1, func(seq uint64, raw []byte) error {
-			if _, _, err := wire.ReadRawFrame(bytes.NewReader(raw), nil); err != nil {
+			if _, rest, err := wire.ParseFrameView(raw); err != nil || len(rest) != 0 {
 				t.Fatalf("recovered frame %d does not decode: %v", seq, err)
 			}
 			frames++
@@ -423,7 +423,7 @@ func TestOpenParentSpool(t *testing.T) {
 	}
 	want := uint64(7)
 	err = s.Frames(1, func(seq uint64, raw []byte) error {
-		f, _, err := wire.ReadFrame(bytes.NewReader(raw), nil)
+		f, _, err := wire.ParseFrameView(raw)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/trace"
 )
@@ -28,42 +29,121 @@ func benchRecords() ([]trace.Marker, []pmu.Sample) {
 	return markers, samples
 }
 
+// feedRun is one single-kind run of a set in feed order.
+type feedRun struct {
+	ms []trace.Marker
+	ss []pmu.Sample
+}
+
+// benchFeed interleaves benchRecords by TSC, markers first at a tie, and
+// cuts the result into runs at every kind flip: the shape a shipper's
+// record stream has.
+func benchFeed() []feedRun {
+	markers, samples := benchRecords()
+	var feed []feedRun
+	for i, j := 0, 0; i < len(markers) || j < len(samples); {
+		if i < len(markers) && (j == len(samples) || markers[i].TSC <= samples[j].TSC) {
+			k := i
+			for k < len(markers) && (j == len(samples) || markers[k].TSC <= samples[j].TSC) {
+				k++
+			}
+			feed, i = append(feed, feedRun{ms: markers[i:k]}), k
+			continue
+		}
+		k := j
+		for k < len(samples) && (i == len(markers) || samples[k].TSC < markers[i].TSC) {
+			k++
+		}
+		feed, j = append(feed, feedRun{ss: samples[j:k]}), k
+	}
+	return feed
+}
+
+// appendRecordFrames encodes the feed as TRecords frames of at most
+// MinBufBytes each, as a shipper fills them: a run that would overflow the
+// open frame is encoded into the next one instead. dst needs the capacity
+// for the whole encoding, or the encoders allocate. It returns the
+// extended slice and the number of frames.
+func appendRecordFrames(dst []byte, feed []feedRun) ([]byte, int) {
+	frames := 1
+	dst, start := BeginFrame(dst, TRecords)
+	var base uint64
+	for _, r := range feed {
+		for {
+			mark := len(dst)
+			var next uint64
+			if len(r.ms) > 0 {
+				dst, next = AppendMarkerRun(dst, base, r.ms), r.ms[len(r.ms)-1].TSC
+			} else {
+				dst, next = AppendSampleRun(dst, base, r.ss), r.ss[len(r.ss)-1].TSC
+			}
+			if len(dst)-start+4 <= MinBufBytes || mark == start+5 {
+				base = next
+				break
+			}
+			dst, _ = EndFrame(dst[:mark], start)
+			dst, start = BeginFrame(dst, TRecords)
+			base, frames = 0, frames+1
+		}
+	}
+	dst, _ = EndFrame(dst, start)
+	return dst, frames
+}
+
+// walkFrames reads frames frames from rd and walks every record with
+// IterRecords, releasing each view after its walk. It returns the marker
+// and sample counts.
+func walkFrames(rd *FrameReader, frames int) (nm, ns int, err error) {
+	var m trace.Marker
+	var sm pmu.Sample
+	for f := 0; f < frames; f++ {
+		v, err := rd.Next()
+		if err != nil {
+			return nm, ns, err
+		}
+		it := IterRecords(v.Payload)
+		for {
+			k := it.Next(&m, &sm)
+			if k == 0 {
+				break
+			}
+			if k == TMarkers {
+				nm++
+			} else {
+				ns++
+			}
+		}
+		err = it.Err()
+		v.Release()
+		if err != nil {
+			return nm, ns, err
+		}
+	}
+	return nm, ns, nil
+}
+
 // BenchmarkWireEncodeDecode is the shipping-throughput baseline gated by
-// make bench-gate: one 512-marker + 2048-sample batch pair framed,
-// checksummed, read back, and parsed — the per-batch cost a shipper and a
-// collector each pay, on the zero-copy path both now use: frames are built
-// in place with BeginFrame/EndFrame into a pooled buffer, read back into
-// pooled buffers via ReadFrameView, and decoded with the MarkerIter/
-// SampleIter record views. Steady state is allocation-free; the benchgate
-// allocs gate (-allocs 0) pins that. The bench-gate baseline line lives in
-// EXPERIMENTS.md.
+// make bench-gate, on the path the product runs: a 512-marker +
+// 2048-sample set in feed order encoded with AppendMarkerRun/
+// AppendSampleRun into TRecords frames of at most 4 KiB, built in place in
+// a pooled buffer, read back through a pooled FrameReader, and walked with
+// IterRecords — the per-set cost a shipper and a collector each pay.
+// Steady state is allocation-free (TestFrameReaderZeroAlloc pins it). The
+// bench-gate baseline line lives in EXPERIMENTS.md.
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	markers, samples := benchRecords()
-	pool := NewFramePool(nil)
+	feed := benchFeed()
+	pool := NewFramePool(obs.NewRegistry())
 
 	var wireBytes int64
 	var stream bytes.Buffer
 	enc := pool.Get(64 << 10)
 	defer enc.Release()
 	rd := pool.NewReader(&stream)
-	var mbatch [256]trace.Marker
-	var sbatch [256]pmu.Sample
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst := enc.Bytes()[:0]
-		dst, start := BeginFrame(dst, TMarkers)
-		dst = AppendMarkers(dst, markers)
-		dst, err := EndFrame(dst, start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst, start = BeginFrame(dst, TSamples)
-		dst = AppendSamples(dst, samples)
-		dst, err = EndFrame(dst, start)
-		if err != nil {
-			b.Fatal(err)
-		}
+		dst, frames := appendRecordFrames(enc.Bytes()[:0], feed)
 		if cap(dst) > enc.Cap() {
 			b.Fatal("encode outgrew pooled buffer") // sizing bug, would alloc
 		}
@@ -71,89 +151,9 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		stream.Write(dst)
 		wireBytes += int64(len(dst))
 
-		var nm, ns int
-		for f := 0; f < 2; f++ {
-			v, err := rd.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			switch v.Type {
-			case TMarkers:
-				it := IterMarkers(v.Payload)
-				for {
-					n := it.NextBatch(mbatch[:])
-					if n == 0 {
-						break
-					}
-					nm += n
-				}
-				err = it.Err()
-			case TSamples:
-				it := IterSamples(v.Payload)
-				for {
-					n := it.NextBatch(sbatch[:])
-					if n == 0 {
-						break
-					}
-					ns += n
-				}
-				err = it.Err()
-			}
-			v.Release()
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if nm != len(markers) || ns != len(samples) {
-			b.Fatalf("lost records: %d/%d markers, %d/%d samples", nm, len(markers), ns, len(samples))
-		}
-	}
-	b.StopTimer()
-	b.SetBytes(wireBytes / int64(b.N))
-	b.ReportMetric(float64(len(markers)+len(samples)), "records/op")
-}
-
-// BenchmarkWireEncodeDecodeV1 is the callback-decoder path the iterators
-// replaced, kept as a reference point for the before/after tables in
-// EXPERIMENTS.md (not gated).
-func BenchmarkWireEncodeDecodeV1(b *testing.B) {
-	markers, samples := benchRecords()
-
-	var wireBytes int64
-	var encBuf []byte
-	var rdBuf []byte
-	var stream bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		encBuf = AppendMarkers(encBuf[:0], markers)
-		stream.Reset()
-		if err := WriteFrame(&stream, Frame{Type: TMarkers, Payload: encBuf}); err != nil {
+		nm, ns, err := walkFrames(rd, frames)
+		if err != nil {
 			b.Fatal(err)
-		}
-		encBuf2 := AppendSamples(encBuf[len(encBuf):], samples)
-		if err := WriteFrame(&stream, Frame{Type: TSamples, Payload: encBuf2}); err != nil {
-			b.Fatal(err)
-		}
-		wireBytes += int64(stream.Len())
-
-		var nm, ns int
-		for f := 0; f < 2; f++ {
-			var fr Frame
-			var err error
-			fr, rdBuf, err = ReadFrame(&stream, rdBuf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			switch fr.Type {
-			case TMarkers:
-				err = DecodeMarkers(fr.Payload, func(trace.Marker) error { nm++; return nil })
-			case TSamples:
-				err = DecodeSamples(fr.Payload, func(pmu.Sample) error { ns++; return nil })
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
 		}
 		if nm != len(markers) || ns != len(samples) {
 			b.Fatalf("lost records: %d/%d markers, %d/%d samples", nm, len(markers), ns, len(samples))

@@ -6,7 +6,9 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
+	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/trace"
 )
@@ -14,7 +16,9 @@ import (
 // FuzzFrameDecode throws arbitrary bytes at the frame reader and the
 // payload parsers — the exact path a hostile or half-dead shipper can
 // reach on a collector port. Nothing may panic; every frame the reader
-// accepts carried a valid checksum; every payload a parser accepts must
+// accepts carried a valid checksum; the reader, fed a few bytes per Read,
+// and ParseFrameView over the same bytes must return the same frames and
+// the same error (checkAgrees); every payload a parser accepts must
 // survive an encode → decode round trip with identical records (bytes may
 // legitimately differ: varint re-encoding is canonical, arbitrary input
 // need not be). Run continuously with
@@ -37,8 +41,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Type: TAck, Payload: AppendAck(nil, Ack{Epoch: 7, Seq: 40, Applied: 52})}))
 	f.Add(AppendFrame(nil, Frame{Type: TAck, Payload: []byte{7, 40}})) // version-2 ack, no resume line: rejected
 
+	pool := NewFramePool(obs.NewRegistry())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, _, err := ReadFrame(bytes.NewReader(data), nil)
+		checkAgrees(t, pool, data, iotest.HalfReader(bytes.NewReader(data)), "fuzz input")
+		fr, err := pool.NewReader(bytes.NewReader(data)).Next()
 		if err != nil {
 			ok := err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) ||
 				errors.Is(err, ErrChecksum) || err.Error() != ""
@@ -47,6 +53,7 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			return
 		}
+		defer fr.Release()
 		switch fr.Type {
 		case TRecords:
 			recs, err := iterRecords(fr.Payload)

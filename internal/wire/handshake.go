@@ -133,12 +133,10 @@ func ClientHandshake(rw io.ReadWriter, source string) (uint16, error) {
 	if err != nil {
 		return 0, err
 	}
-	// One write, not WriteFrame's three: a link that cuts writes mid-frame
-	// gets one chance at the Hello.
-	if _, err := rw.Write(AppendFrame(nil, Frame{Type: THello, Payload: payload})); err != nil {
+	if err := WriteFrame(rw, Frame{Type: THello, Payload: payload}); err != nil {
 		return 0, fmt.Errorf("wire: sending hello: %w", err)
 	}
-	f, _, err := ReadFrame(rw, nil)
+	f, err := readOne(rw)
 	if err != nil {
 		return 0, fmt.Errorf("wire: reading helloack: %w", err)
 	}
@@ -161,7 +159,7 @@ func ClientHandshake(rw io.ReadWriter, source string) (uint16, error) {
 // ServerHandshake runs the collector side: read Hello, negotiate, answer.
 // On disjoint version ranges it sends a refusing ack and returns an error.
 func ServerHandshake(rw io.ReadWriter) (source string, version uint16, err error) {
-	f, _, err := ReadFrame(rw, nil)
+	f, err := readOne(rw)
 	if err != nil {
 		return "", 0, fmt.Errorf("wire: reading hello: %w", err)
 	}
@@ -183,4 +181,11 @@ func ServerHandshake(rw io.ReadWriter) (source string, version uint16, err error
 		return h.Source, 0, fmt.Errorf("wire: sending helloack: %w", err)
 	}
 	return h.Source, v, nil
+}
+
+// readOne reads a handshake frame into a plain allocation. The reader takes
+// exactly the frame's bytes, so the caller's own reader picks up at the next.
+func readOne(r io.Reader) (FrameView, error) {
+	var p *FramePool
+	return p.NewReader(r).Next()
 }

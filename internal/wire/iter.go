@@ -7,14 +7,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Zero-copy record iterators. DecodeMarkers/DecodeSamples hand each record
-// to a callback by value — for pmu.Sample (152 bytes) that is a duffcopy
-// per record, and the closure call defeats inlining of the varint reads.
-// The iterators instead decode straight out of the frame bytes into a
-// caller-owned struct: no per-record allocation, no intermediate slice, no
-// copy beyond the field stores themselves. They validate exactly what the
-// v1 decoders validate (count bound, core range, kind/event/flag legality,
-// trailing bytes) and accept exactly the same payloads — FuzzFrameIter and
+// Zero-copy record iterators. The v1 callback decoders (kept in
+// oracle_test.go as the reference) hand each record to a callback by value
+// — for pmu.Sample (152 bytes) that is a duffcopy per record, and the
+// closure call defeats inlining of the varint reads. The iterators instead
+// decode straight out of the frame bytes into a caller-owned struct: no
+// per-record allocation, no intermediate slice, no copy beyond the field
+// stores themselves. They validate exactly what the v1 decoders validate
+// (count bound, core range, kind/event/flag legality, trailing bytes) and
+// accept exactly the same payloads — FuzzFrameIter and
 // TestIterMatchesDecode pin the two implementations against each other.
 //
 // Lifetime rule: an iterator aliases the payload it was built over. When

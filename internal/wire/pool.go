@@ -11,6 +11,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -176,12 +177,13 @@ func (b *Buf) Release() {
 	cl.mu.Unlock()
 }
 
-// FrameView is a decoded frame whose bytes live in a pooled buffer: the
-// type tag, the payload (aliasing the buffer), and the complete raw
-// encoding (length, type, payload, CRC — the spool/retransmit form).
-// Ownership follows the buffer's reference count: the view returned by
-// ReadFrameView holds one reference, Retain/Release adjust it, and no
-// field of the view may be touched after the last Release.
+// FrameView is a verified frame: the type tag, the payload, and the
+// complete raw encoding (length, type, payload, CRC — the spool/retransmit
+// form). A view from FrameReader.Next lives in a pooled buffer and holds
+// one reference to it: the one ownership rule is that its holder Releases
+// it when done, and no field of the view may be touched after the last
+// Release (Retain adds a reference for a second holder). A view from
+// ParseFrameView aliases the caller's bytes; Release is a no-op on it.
 type FrameView struct {
 	Type    Type
 	Payload []byte
@@ -190,7 +192,7 @@ type FrameView struct {
 }
 
 // Raw returns the frame's complete canonical encoding, suitable for spool
-// append or verbatim retransmission. Aliases the pooled buffer.
+// append or verbatim retransmission. Aliases the view's bytes.
 func (v *FrameView) Raw() []byte { return v.raw }
 
 // Retain adds a reference to the underlying buffer.
@@ -199,30 +201,18 @@ func (v *FrameView) Retain() { v.buf.Retain() }
 // Release drops the view's reference to the underlying buffer.
 func (v *FrameView) Release() { v.buf.Release() }
 
-// ReadFrameView reads one frame from r into a pooled buffer, verifying the
-// length bound and the CRC32C, and returns it as a FrameView holding one
-// buffer reference (release it when done). Because every frame gets a
-// fresh class-matched buffer, one oversized frame costs one oversized
-// buffer exactly once — nothing stays pinned to the connection, which is
-// the failure mode of the grow-only ReadFrame buffer contract (see
-// FrameScanner for the unpooled fix).
-//
-// The error contract matches ReadFrame: truncation wraps
-// io.ErrUnexpectedEOF, corruption wraps ErrChecksum, a clean EOF exactly
-// on a frame boundary is io.EOF unwrapped.
-func (p *FramePool) ReadFrameView(r io.Reader) (FrameView, error) {
-	var hdr [4]byte
-	return p.readFrameView(r, &hdr)
-}
-
-// FrameReader reads a connection's frames into pooled buffers. It exists
-// to amortize the length-prefix scratch bytes — passed through io.ReadFull
-// they escape, so a bare ReadFrameView pays one small allocation per frame
-// while a FrameReader pays one per connection. Not safe for concurrent use.
+// FrameReader is the stream frame reader: every frame read off a
+// connection, a spool segment or a handshake goes through one. Each frame
+// gets a fresh class-matched buffer from the pool, so one oversized frame
+// costs one oversized buffer once and nothing stays pinned to the stream.
+// It reads exactly the frame's bytes and never ahead, so a reader may hand
+// the stream over to another between frames. A nil pool is legal: each
+// frame is then a plain allocation that Release abandons. Not safe for
+// concurrent use.
 type FrameReader struct {
 	p   *FramePool
 	r   io.Reader
-	hdr [4]byte
+	hdr [4]byte // the length prefix, read before the frame's size is known
 }
 
 // NewReader returns a FrameReader for r backed by this pool.
@@ -230,66 +220,86 @@ func (p *FramePool) NewReader(r io.Reader) *FrameReader {
 	return &FrameReader{p: p, r: r}
 }
 
-// Next reads the next frame; same contract as ReadFrameView.
+// Next reads and verifies the next frame and returns it holding one buffer
+// reference. A clean end of stream exactly on a frame boundary is io.EOF
+// unwrapped; a frame cut short wraps io.ErrUnexpectedEOF; a corrupt one
+// wraps ErrChecksum. Any other error from the underlying reader (a
+// deadline, a reset) is wrapped alongside, so errors.Is still finds it.
 func (fr *FrameReader) Next() (FrameView, error) {
-	return fr.p.readFrameView(fr.r, &fr.hdr)
+	n, rerr := io.ReadFull(fr.r, fr.hdr[:])
+	total, err := verify(fr.hdr[:n])
+	if err != errShort { // clean end, cut length prefix, or absurd length
+		return FrameView{}, readErr(total, err, rerr)
+	}
+	buf := fr.p.Get(total)
+	raw := buf.Bytes()
+	copy(raw, fr.hdr[:])
+	n, rerr = io.ReadFull(fr.r, raw[4:])
+	if _, err := verify(raw[:4+n]); err != nil {
+		buf.Release()
+		return FrameView{}, readErr(total, err, rerr)
+	}
+	return FrameView{Type: Type(raw[4]), Payload: raw[5 : total-4], raw: raw, buf: buf}, nil
 }
 
-func (p *FramePool) readFrameView(r io.Reader, hdr *[4]byte) (FrameView, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return FrameView{}, io.EOF // clean boundary
-		}
-		return FrameView{}, fmt.Errorf("wire: frame length: %w (%w)", io.ErrUnexpectedEOF, err)
+// readErr is verify's verdict on what a read delivered, with the reader's
+// own error attached when it was more than the stream running out.
+func readErr(total int, err, rerr error) error {
+	if err == errShort {
+		err = fmt.Errorf("wire: frame body (%d bytes): %w", total-4, io.ErrUnexpectedEOF)
 	}
-	length := binary.LittleEndian.Uint32(hdr[:])
-	if length == 0 || length > MaxFrameBytes {
-		return FrameView{}, fmt.Errorf("wire: absurd frame length %d", length)
+	if rerr == nil || rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+		return err
 	}
-	total := 4 + int(length) + 4
-	buf := p.Get(total)
-	raw := buf.Bytes()
-	copy(raw, hdr[:])
-	if _, err := io.ReadFull(r, raw[4:]); err != nil {
-		buf.Release()
-		return FrameView{}, fmt.Errorf("wire: frame body (%d bytes): %w (%w)", total-4, io.ErrUnexpectedEOF, err)
+	if err == io.EOF { // nothing arrived, but the stream did not end
+		err = fmt.Errorf("wire: frame length: %w", io.ErrUnexpectedEOF)
 	}
-	body := raw[4 : 4+length]
-	crc := crc32.Update(0, castagnoli, body)
-	if got := binary.LittleEndian.Uint32(raw[total-4:]); got != crc {
-		t := Type(body[0])
-		buf.Release()
-		return FrameView{}, fmt.Errorf("wire: %s frame: %w (stored %#x, computed %#x)",
-			t, ErrChecksum, got, crc)
-	}
-	return FrameView{Type: Type(body[0]), Payload: body[1:], raw: raw, buf: buf}, nil
+	return fmt.Errorf("%w (%w)", err, rerr)
 }
 
 // ParseFrameView decodes the first frame out of an in-memory byte run
-// (e.g. a spool segment or a coalesced write batch), returning the view —
-// which aliases b and carries no pooled buffer — and the remaining bytes.
-// Same validation and error contract as ReadFrameView, with truncation
-// reported against the run's end.
+// (e.g. a coalesced write batch), returning the view — which aliases b and
+// carries no pooled buffer — and the remaining bytes. Same verification
+// and error text as FrameReader.Next, with the run's end as the stream's.
 func ParseFrameView(b []byte) (FrameView, []byte, error) {
-	if len(b) == 0 {
-		return FrameView{}, nil, io.EOF
+	total, err := verify(b)
+	if err != nil {
+		return FrameView{}, nil, readErr(total, err, nil)
 	}
-	if len(b) < 4 {
-		return FrameView{}, nil, fmt.Errorf("wire: frame length: %w", io.ErrUnexpectedEOF)
+	return FrameView{Type: Type(b[4]), Payload: b[5 : total-4], raw: b[:total]}, b[total:], nil
+}
+
+// errShort is verify's verdict on a frame whose body has not all arrived.
+// Reading the length prefix alone always earns it, so it carries no text
+// until readErr reports it.
+var errShort = errors.New("wire: frame body cut short")
+
+// verify is the one check a frame gets on read. It returns the frame's
+// encoded size once the length prefix is whole and believable (0 before
+// that), and an error until all of b[:total] is present and its CRC32C
+// matches: io.EOF for an empty b, a wrapped io.ErrUnexpectedEOF for a cut
+// length prefix, an absurd-length error, errShort for a cut body, or a
+// wrapped ErrChecksum.
+func verify(b []byte) (total int, err error) {
+	switch {
+	case len(b) == 0:
+		return 0, io.EOF
+	case len(b) < 4:
+		return 0, fmt.Errorf("wire: frame length: %w", io.ErrUnexpectedEOF)
 	}
-	length := binary.LittleEndian.Uint32(b[:4])
+	length := binary.LittleEndian.Uint32(b)
 	if length == 0 || length > MaxFrameBytes {
-		return FrameView{}, nil, fmt.Errorf("wire: absurd frame length %d", length)
+		return 0, fmt.Errorf("wire: absurd frame length %d", length)
 	}
-	total := 4 + int(length) + 4
+	total = 4 + int(length) + 4
 	if len(b) < total {
-		return FrameView{}, nil, fmt.Errorf("wire: frame body (%d bytes): %w", total-4, io.ErrUnexpectedEOF)
+		return total, errShort
 	}
 	body := b[4 : 4+length]
 	crc := crc32.Update(0, castagnoli, body)
 	if got := binary.LittleEndian.Uint32(b[total-4 : total]); got != crc {
-		return FrameView{}, nil, fmt.Errorf("wire: %s frame: %w (stored %#x, computed %#x)",
+		return total, fmt.Errorf("wire: %s frame: %w (stored %#x, computed %#x)",
 			Type(body[0]), ErrChecksum, got, crc)
 	}
-	return FrameView{Type: Type(body[0]), Payload: body[1:], raw: b[:total]}, b[total:], nil
+	return total, nil
 }

@@ -2,9 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"runtime"
+	"sync"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/obs"
 )
@@ -115,63 +121,114 @@ func TestBufNilSafe(t *testing.T) {
 	nb.Release()
 }
 
-// TestReadFrameViewContract pins the pooled reader to ReadFrame's exact
-// error contract: same success values, io.EOF on a clean boundary,
-// ErrUnexpectedEOF on truncation, ErrChecksum on corruption, absurd-length
-// rejection.
-func TestReadFrameViewContract(t *testing.T) {
-	p := NewFramePool(obs.NewRegistry())
-	payload := AppendMarkers(nil, testMarkers())
-	enc := AppendFrame(nil, Frame{Type: TMarkers, Payload: payload})
-	enc = AppendFrame(enc, Frame{Type: TSetEnd, Payload: AppendSetEnd(nil, SetEnd{Markers: 3})})
-
-	rd := p.NewReader(bytes.NewReader(enc))
-	v1, err := rd.Next()
+// frameStream is three frames back to back — a TRecords frame, an ack, and
+// a 70 KiB fleet summary — with the offset each frame starts at and the
+// stream's end.
+func frameStream(t *testing.T) ([]byte, []int) {
+	t.Helper()
+	feed := benchFeed()
+	records, _ := appendRecordFrames(nil, feed[:8])
+	fs := testSummary()
+	for len(fs.Items) < 3000 {
+		fs.Items = append(fs.Items, testSummary().Items...)
+	}
+	summary, err := AppendFleetSummary(nil, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1.Type != TMarkers || !bytes.Equal(v1.Payload, payload) {
-		t.Fatal("first frame mismatch")
+	if len(summary) < 70<<10 {
+		t.Fatalf("summary is %d bytes, want ≥ 70 KiB", len(summary))
 	}
-	if !bytes.Equal(v1.Raw(), enc[:len(v1.Raw())]) {
-		t.Fatal("Raw() is not the canonical encoding")
-	}
-	v2, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.Type != TSetEnd {
-		t.Fatalf("second frame type %v", v2.Type)
-	}
-	if _, err := rd.Next(); err != io.EOF {
-		t.Fatalf("clean boundary: got %v, want io.EOF", err)
-	}
-	v1.Release()
-	v2.Release()
+	stream := append([]byte(nil), records...)
+	offs := []int{0, len(stream)}
+	stream = AppendFrame(stream, Frame{Type: TAck, Payload: AppendAck(nil, Ack{Epoch: 3, Seq: 9, Applied: 9})})
+	offs = append(offs, len(stream))
+	stream = AppendFrame(stream, Frame{Type: TFleetSummary, Payload: summary})
+	return stream, append(offs, len(stream))
+}
 
-	// Truncation at every prefix must match ReadFrame's classification:
-	// io.EOF exactly on a frame boundary, ErrUnexpectedEOF anywhere inside.
-	one := AppendFrame(nil, Frame{Type: TMarkers, Payload: payload})
-	for n := 0; n < len(one); n++ {
-		_, gotErr := p.ReadFrameView(bytes.NewReader(one[:n]))
-		_, _, wantErr := ReadFrame(bytes.NewReader(one[:n]), nil)
-		if (gotErr == io.EOF) != (wantErr == io.EOF) ||
-			errors.Is(gotErr, io.ErrUnexpectedEOF) != errors.Is(wantErr, io.ErrUnexpectedEOF) {
-			t.Fatalf("truncated at %d: got %q want %q", n, errText(gotErr), errText(wantErr))
+// checkAgrees fails unless FrameReader, over r, and ParseFrameView, over
+// b, return the same frames (type and raw bytes) and the same error: text,
+// io.EOF exactly on a boundary, io.ErrUnexpectedEOF inside a frame,
+// ErrChecksum.
+func checkAgrees(t *testing.T, p *FramePool, b []byte, r io.Reader, what string) {
+	t.Helper()
+	var want []FrameView // alias b
+	var wantErr error
+	for rest := b; wantErr == nil; {
+		var v FrameView
+		if v, rest, wantErr = ParseFrameView(rest); wantErr == nil {
+			want = append(want, v)
 		}
 	}
-
-	// Corruption: flip one payload byte → ErrChecksum, buffer returned.
-	bad := append([]byte(nil), one...)
-	bad[6] ^= 0xff
-	if _, err := p.ReadFrameView(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("corrupt frame: got %v, want ErrChecksum", err)
+	rd := p.NewReader(r)
+	for i := 0; ; i++ {
+		v, err := rd.Next()
+		if err != nil {
+			if i != len(want) || err.Error() != wantErr.Error() ||
+				(err == io.EOF) != (wantErr == io.EOF) ||
+				errors.Is(err, io.ErrUnexpectedEOF) != errors.Is(wantErr, io.ErrUnexpectedEOF) ||
+				errors.Is(err, ErrChecksum) != errors.Is(wantErr, ErrChecksum) {
+				t.Fatalf("%s: reader read %d frames then %q, ParseFrameView %d then %q",
+					what, i, err, len(want), wantErr)
+			}
+			return
+		}
+		same := i < len(want) && v.Type == want[i].Type && bytes.Equal(v.Raw(), want[i].Raw())
+		v.Release()
+		if !same {
+			t.Fatalf("%s: frame %d differs from ParseFrameView's", what, i)
+		}
 	}
+}
 
-	// Absurd length prefix.
-	absurd := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
-	if _, err := p.ReadFrameView(bytes.NewReader(absurd)); err == nil || !bytes.Contains([]byte(err.Error()), []byte("absurd frame length")) {
-		t.Fatalf("absurd length: got %v", err)
+// raceBuild is set under the race detector (race_test.go), which makes
+// copying a byte cost ~50× more.
+var raceBuild bool
+
+// TestFrameReaderMatchesParse pins the stream reader to the in-memory one
+// on every prefix of a three-frame stream read through a bytes.Reader. The
+// same stream with a corrupt CRC or an absurd length prefix, and reads
+// through an iotest.OneByteReader, are checked on every prefix of the two
+// small frames and on the boundaries and a stride of the 70 KiB one: inside
+// its body every prefix is the same cut, and checking each again is
+// quadratic in its size. A race build, which gains nothing here from its
+// detector, strides the intact stream too.
+func TestFrameReaderMatchesParse(t *testing.T) {
+	p := NewFramePool(obs.NewRegistry())
+	stream, offs := frameStream(t)
+	corrupt := append([]byte(nil), stream...)
+	corrupt[offs[1]+6] ^= 0x40 // a payload bit of the ack
+	absurd := append([]byte(nil), stream...)
+	binary.LittleEndian.PutUint32(absurd[offs[2]:], MaxFrameBytes+1)
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{{"intact", stream}, {"corrupt", corrupt}, {"absurd", absurd}} {
+		for n := 0; n <= len(tc.b); n++ {
+			sampled := n <= offs[2]+64 || n >= len(tc.b)-64 || n%997 == 0
+			if sampled || (tc.name == "intact" && !raceBuild) {
+				checkAgrees(t, p, tc.b[:n], bytes.NewReader(tc.b[:n]), fmt.Sprintf("%s[:%d]", tc.name, n))
+			}
+			if sampled {
+				checkAgrees(t, p, tc.b[:n], iotest.OneByteReader(bytes.NewReader(tc.b[:n])),
+					fmt.Sprintf("%s[:%d] one byte at a time", tc.name, n))
+			}
+		}
+	}
+}
+
+// TestFrameReaderKeepsUnderlyingError: a read that fails for a reason other
+// than the stream ending (a deadline, a reset) is still a cut frame, and
+// still reports that reason.
+func TestFrameReaderKeepsUnderlyingError(t *testing.T) {
+	one := AppendFrame(nil, Frame{Type: TAck, Payload: AppendAck(nil, Ack{Seq: 1})})
+	for _, n := range []int{0, 2, 4, 7} {
+		r := io.MultiReader(bytes.NewReader(one[:n]), iotest.ErrReader(os.ErrDeadlineExceeded))
+		_, err := (*FramePool)(nil).NewReader(r).Next()
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("deadline after %d bytes: got %v", n, err)
+		}
 	}
 }
 
@@ -203,41 +260,106 @@ func TestParseFrameView(t *testing.T) {
 	}
 }
 
-// TestFrameScannerShrink pins the scanner's fix for the grow-only buffer
-// contract: after one oversized frame grows the buffer, a window of small
-// frames shrinks it back to the small frames' size class.
-func TestFrameScannerShrink(t *testing.T) {
-	bigPayload := make([]byte, 300<<10) // forces a ~300 KiB buffer
-	var enc []byte
-	enc = AppendFrame(enc, Frame{Type: TSymtab, Payload: bigPayload})
-	small := Frame{Type: TSetEnd, Payload: AppendSetEnd(nil, SetEnd{Markers: 1, Samples: 2})}
-	for i := 0; i < 2*scannerShrinkAfter; i++ {
-		enc = AppendFrame(enc, small)
+// TestFrameReaderHoldsNoBuffer is the property the grow-only readers
+// needed a shrinking scanner for: one 1 MiB frame followed by 128 acks
+// leaves nothing pinned to the reader — every buffer the pool ever handed
+// out is back on a free list — and no class over its retention cap.
+func TestFrameReaderHoldsNoBuffer(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := NewFramePool(reg)
+	enc := AppendFrame(nil, Frame{Type: TSymtab, Payload: make([]byte, 1<<20-FrameOverhead)})
+	for i := 0; i < 128; i++ {
+		enc = AppendFrame(enc, Frame{Type: TAck, Payload: AppendAck(nil, Ack{Epoch: 1, Seq: uint64(i)})})
 	}
+	rd := p.NewReader(bytes.NewReader(enc))
+	for {
+		v, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Release()
+	}
+	free := 0
+	for c := range p.classes {
+		n := len(p.classes[c].free)
+		if n > poolClassCap[c] {
+			t.Errorf("class %d holds %d buffers, cap %d", c, n, poolClassCap[c])
+		}
+		free += n
+	}
+	if misses := reg.Counter("fluct_wire_pool_misses_total").Value(); uint64(free) != misses {
+		t.Fatalf("%d buffers allocated, %d back in the pool", misses, free)
+	}
+	runtime.KeepAlive(rd)
+}
 
-	s := NewFrameScanner(bytes.NewReader(enc))
-	if s.BufCap() != poolClassSizes[0] {
-		t.Fatalf("initial cap %d, want %d", s.BufCap(), poolClassSizes[0])
-	}
-	f, err := s.ReadFrame()
-	if err != nil || len(f.Payload) != len(bigPayload) {
-		t.Fatalf("big frame: %v", err)
-	}
-	grown := s.BufCap()
-	if grown < len(bigPayload) {
-		t.Fatalf("buffer did not grow: %d", grown)
-	}
-	for i := 0; i < 2*scannerShrinkAfter; i++ {
-		if _, err := s.ReadFrame(); err != nil {
-			t.Fatalf("small frame %d: %v", i, err)
+// TestFrameReaderZeroAlloc is BenchmarkWireEncodeDecode's contract as a
+// test: on a warmed pool, encoding a set into TRecords frames, reading
+// them back and walking every record allocates nothing.
+func TestFrameReaderZeroAlloc(t *testing.T) {
+	markers, samples := benchRecords()
+	feed := benchFeed()
+	p := NewFramePool(obs.NewRegistry())
+	enc := p.Get(64 << 10)
+	defer enc.Release()
+	var stream bytes.Buffer
+	rd := p.NewReader(&stream)
+	var err error
+	run := func() {
+		dst, frames := appendRecordFrames(enc.Bytes()[:0], feed)
+		stream.Reset()
+		stream.Write(dst)
+		var nm, ns int
+		nm, ns, err = walkFrames(rd, frames)
+		if err == nil && (nm != len(markers) || ns != len(samples)) {
+			err = fmt.Errorf("lost records: %d/%d markers, %d/%d samples", nm, len(markers), ns, len(samples))
 		}
 	}
-	if s.BufCap() != poolClassSizes[0] {
-		t.Fatalf("buffer did not shrink after %d small frames: cap %d, want %d",
-			2*scannerShrinkAfter, s.BufCap(), poolClassSizes[0])
+	run() // warm the pool and the stream buffer
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 || err != nil {
+		t.Fatalf("%v allocs per set (err %v), want 0", allocs, err)
 	}
-	if _, err := s.ReadFrame(); err != io.EOF {
-		t.Fatalf("end: got %v, want io.EOF", err)
+}
+
+// TestFrameReaderConcurrentRelease races the ownership rule: views read on
+// one goroutine per stream are handed to a consumer that checks them and
+// releases them, while the readers keep drawing on the same pool.
+func TestFrameReaderConcurrentRelease(t *testing.T) {
+	p := NewFramePool(obs.NewRegistry())
+	stream, _ := frameStream(t)
+	views := make(chan FrameView, 8) // lets the readers run ahead of the consumer, holding views
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rd := p.NewReader(bytes.NewReader(bytes.Repeat(stream, 4)))
+			for {
+				v, err := rd.Next()
+				if err != nil {
+					if err != io.EOF {
+						t.Error(err)
+					}
+					return
+				}
+				views <- v
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(views) }()
+	n := 0
+	for v := range views {
+		if _, _, err := ParseFrameView(v.Raw()); err != nil {
+			t.Fatalf("view %d changed under its holder: %v", n, err)
+		}
+		v.Release()
+		n++
+	}
+	if n != 4*4*3 {
+		t.Fatalf("read %d frames, want %d", n, 4*4*3)
 	}
 }
 

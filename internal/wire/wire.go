@@ -159,25 +159,13 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame writes one frame to w: length, type, payload, CRC32C.
+// WriteFrame writes one frame to w — length, type, payload, CRC32C — in a
+// single Write, so a link that cuts writes tears a frame at most once.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload)+1 > MaxFrameBytes {
 		return fmt.Errorf("wire: frame payload too large (%d bytes)", len(f.Payload))
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(f.Payload)+1))
-	hdr[4] = byte(f.Type)
-	crc := crc32.Update(0, castagnoli, hdr[4:5])
-	crc = crc32.Update(crc, castagnoli, f.Payload)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(f.Payload); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	_, err := w.Write(tail[:])
+	_, err := w.Write(AppendFrame(make([]byte, 0, len(f.Payload)+FrameOverhead), f))
 	return err
 }
 
@@ -214,88 +202,4 @@ func EndFrame(dst []byte, start int) ([]byte, error) {
 	binary.LittleEndian.PutUint32(dst[start:], uint32(length))
 	crc := crc32.Update(0, castagnoli, dst[start+4:])
 	return binary.LittleEndian.AppendUint32(dst, crc), nil
-}
-
-// ReadFrame reads one frame from r. The returned payload aliases buf when
-// it fits (pass the previous call's buffer to amortize allocation); the
-// second return is the (possibly grown) buffer to reuse.
-//
-// Truncated input — the connection died mid-frame — returns an error
-// wrapping io.ErrUnexpectedEOF. A checksum mismatch returns an error
-// wrapping ErrChecksum. A clean EOF exactly on a frame boundary returns
-// io.EOF unwrapped.
-func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		if err == io.EOF {
-			return Frame{}, buf, io.EOF // clean boundary
-		}
-		return Frame{}, buf, fmt.Errorf("wire: frame length: %w (%w)", io.ErrUnexpectedEOF, err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[:4])
-	if length == 0 || length > MaxFrameBytes {
-		return Frame{}, buf, fmt.Errorf("wire: absurd frame length %d", length)
-	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
-		return Frame{}, buf, fmt.Errorf("wire: frame type: %w (%w)", io.ErrUnexpectedEOF, err)
-	}
-	n := int(length) - 1
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Frame{}, buf, fmt.Errorf("wire: frame payload (%d bytes): %w (%w)", n, io.ErrUnexpectedEOF, err)
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return Frame{}, buf, fmt.Errorf("wire: frame checksum: %w (%w)", io.ErrUnexpectedEOF, err)
-	}
-	crc := crc32.Update(0, castagnoli, hdr[4:5])
-	crc = crc32.Update(crc, castagnoli, buf)
-	if got := binary.LittleEndian.Uint32(tail[:]); got != crc {
-		return Frame{}, buf, fmt.Errorf("wire: %s frame: %w (stored %#x, computed %#x)",
-			Type(hdr[4]), ErrChecksum, got, crc)
-	}
-	return Frame{Type: Type(hdr[4]), Payload: buf}, buf, nil
-}
-
-// ReadRawFrame reads one frame from r and returns its complete encoding —
-// length, type, payload, CRC — after verifying the length bound and the
-// checksum. This is the spool's replay path: a stored frame is forwarded
-// to the collector verbatim, so re-encoding (and trusting the re-encoder)
-// is unnecessary. The returned slice aliases buf when it fits; pass the
-// previous call's second return to amortize allocation.
-//
-// The error contract matches ReadFrame: truncation wraps
-// io.ErrUnexpectedEOF, corruption wraps ErrChecksum, a clean EOF exactly
-// on a frame boundary is io.EOF unwrapped.
-func ReadRawFrame(r io.Reader, buf []byte) (raw []byte, bufOut []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, buf, io.EOF // clean boundary
-		}
-		return nil, buf, fmt.Errorf("wire: frame length: %w (%w)", io.ErrUnexpectedEOF, err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[:])
-	if length == 0 || length > MaxFrameBytes {
-		return nil, buf, fmt.Errorf("wire: absurd frame length %d", length)
-	}
-	total := 4 + int(length) + 4 // length prefix + type/payload + crc
-	if cap(buf) < total {
-		buf = make([]byte, total)
-	}
-	buf = buf[:total]
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return nil, buf, fmt.Errorf("wire: frame body (%d bytes): %w (%w)", total-4, io.ErrUnexpectedEOF, err)
-	}
-	body := buf[4 : 4+length]
-	crc := crc32.Update(0, castagnoli, body)
-	if got := binary.LittleEndian.Uint32(buf[total-4:]); got != crc {
-		return nil, buf, fmt.Errorf("wire: %s frame: %w (stored %#x, computed %#x)",
-			Type(body[0]), ErrChecksum, got, crc)
-	}
-	return buf, buf, nil
 }

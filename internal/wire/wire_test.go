@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/symtab"
 	"repro/internal/trace"
@@ -44,19 +45,18 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var scratch []byte
+	rd := NewFramePool(obs.NewRegistry()).NewReader(&buf)
 	for i, want := range frames {
-		var got Frame
-		var err error
-		got, scratch, err = ReadFrame(&buf, scratch)
+		got, err := rd.Next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("frame %d: round trip changed frame", i)
 		}
+		got.Release()
 	}
-	if _, _, err := ReadFrame(&buf, scratch); err != io.EOF {
+	if _, err := rd.Next(); err != io.EOF {
 		t.Fatalf("expected clean EOF at stream end, got %v", err)
 	}
 }
@@ -75,7 +75,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 func TestFrameChecksumRejected(t *testing.T) {
 	raw := AppendFrame(nil, Frame{Type: TSetEnd, Payload: AppendSetEnd(nil, SetEnd{Markers: 1})})
 	raw[6] ^= 0x40 // flip a payload bit
-	_, _, err := ReadFrame(bytes.NewReader(raw), nil)
+	_, err := readOne(bytes.NewReader(raw))
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted frame: got %v, want ErrChecksum", err)
 	}
@@ -86,7 +86,7 @@ func TestFrameChecksumRejected(t *testing.T) {
 func TestFrameTruncated(t *testing.T) {
 	raw := AppendFrame(nil, Frame{Type: TMarkers, Payload: AppendMarkers(nil, testMarkers())})
 	for cut := 1; cut < len(raw); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(raw[:cut]), nil)
+		_, err := readOne(bytes.NewReader(raw[:cut]))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut at %d/%d: got %v, want wrapped io.ErrUnexpectedEOF", cut, len(raw), err)
 		}
@@ -171,7 +171,7 @@ func TestHandshake(t *testing.T) {
 	if src != "hostA" || v != MaxVersion {
 		t.Fatalf("server negotiated source=%q version=%d", src, v)
 	}
-	f, _, err := ReadFrame(client, nil)
+	f, err := readOne(client)
 	if err != nil || f.Type != THelloAck {
 		t.Fatalf("client ack read: %v %v", f.Type, err)
 	}
@@ -231,7 +231,7 @@ func TestServerHandshakeRefusesDisjoint(t *testing.T) {
 		if _, _, err := ServerHandshake(server); err == nil {
 			t.Fatalf("accepted shipper %q speaking %d–%d", h.Source, h.MinVersion, h.MaxVersion)
 		}
-		f, _, err := ReadFrame(s2c, nil)
+		f, err := readOne(s2c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,5 +319,38 @@ func TestV1V2Negotiation(t *testing.T) {
 			t.Fatalf("Negotiate(%d-%d, %d-%d) = %d,%v want %d,%v",
 				MinVersion, MaxVersion, c.pmin, c.pmax, v, ok, c.want, c.ok)
 		}
+	}
+}
+
+// writeCounter counts Write calls.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameOneWrite: a frame reaches the writer in a single Write, so
+// a link that cuts writes can tear it at most once and an ack costs one
+// syscall.
+func TestWriteFrameOneWrite(t *testing.T) {
+	var w writeCounter
+	f := Frame{Type: TSetEnd, Payload: AppendSetEnd(nil, SetEnd{Markers: 4, Samples: 3})}
+	if err := WriteFrame(&w, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAck(&w, Ack{Epoch: 7, Seq: 40, Applied: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 2 {
+		t.Fatalf("2 frames took %d writes", w.writes)
+	}
+	want := AppendFrame(nil, f)
+	want = AppendFrame(want, Frame{Type: TAck, Payload: AppendAck(nil, Ack{Epoch: 7, Seq: 40, Applied: 40})})
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatal("WriteFrame/WriteAck bytes differ from AppendFrame")
 	}
 }
