@@ -1,9 +1,8 @@
 package agg
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -41,41 +40,27 @@ type Config struct {
 // (shard, epoch, seq), and folds every source's latest row into one
 // merged fleet view.
 type Aggregator struct {
-	cfg  Config
-	pool *wire.FramePool // upstream frames are read into it
+	cfg Config
+	rx  durable.Receiver // the sequenced receive loop and its live connections
 
-	mu      sync.Mutex
-	shards  map[string]*upstream
+	mu sync.Mutex
+	// shards holds each shard collector's acked-delivery state — the same
+	// watermark the collector keeps per source, because the hop speaks the
+	// same protocol.
+	shards  map[string]*durable.Watermark
 	sources map[string]*mergedSource
-	conns   map[net.Conn]struct{}
 
 	ckptMu sync.Mutex // serializes checkpoint file writes
 
 	lastMergeNano atomic.Int64 // unix nanos of the most recent applied summary
 
-	metConns    *obs.Counter
-	metDiscon   *obs.Counter
-	metIdleDisc *obs.Counter
-	metFrames   *obs.Counter
-	metBytes    *obs.Counter
-	metMerges   *obs.Counter
-	metDups     *obs.Counter
-	metDecErrs  *obs.Counter
-	metAcks     *obs.Counter
-	metCkpts    *obs.Counter
-	metCkptErrs *obs.Counter
-	metSources  *obs.Gauge
-	metShards   *obs.Gauge
-	metMergeNs  *obs.Histogram
-	metStale    *obs.Counter
-}
-
-// upstream is the per-shard-collector acked-delivery state — the same
-// durable.Watermark the collector keeps per source, because the hop speaks
-// the same protocol. Guarded by Aggregator.mu.
-type upstream struct {
-	id string
-	wm durable.Watermark
+	metMerges  *obs.Counter
+	metDecErrs *obs.Counter
+	metCkpts   *obs.Counter
+	metSources *obs.Gauge
+	metShards  *obs.Gauge
+	metMergeNs *obs.Histogram
+	metStale   *obs.Counter
 }
 
 // mergedSource is one source's latest row plus the shard that delivered
@@ -137,27 +122,37 @@ func New(cfg Config) (*Aggregator, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
+	decErrs := reg.Counter("fluct_agg_decode_errors_total")
 	a := &Aggregator{
-		cfg:         cfg,
-		pool:        wire.NewFramePool(reg),
-		shards:      map[string]*upstream{},
-		sources:     map[string]*mergedSource{},
-		conns:       map[net.Conn]struct{}{},
-		metConns:    reg.Counter("fluct_agg_connections_total"),
-		metDiscon:   reg.Counter("fluct_agg_disconnects_total"),
-		metIdleDisc: reg.Counter("fluct_agg_idle_disconnects_total"),
-		metFrames:   reg.Counter("fluct_agg_frames_total"),
-		metBytes:    reg.Counter("fluct_agg_bytes_total"),
-		metMerges:   reg.Counter("fluct_agg_merges_total"),
-		metDups:     reg.Counter("fluct_agg_duplicate_frames_total"),
-		metDecErrs:  reg.Counter("fluct_agg_decode_errors_total"),
-		metAcks:     reg.Counter("fluct_agg_acks_total"),
-		metCkpts:    reg.Counter("fluct_agg_checkpoints_total"),
-		metCkptErrs: reg.Counter("fluct_agg_checkpoint_errors_total"),
-		metSources:  reg.Gauge("fluct_agg_sources"),
-		metShards:   reg.Gauge("fluct_agg_shards"),
-		metMergeNs:  reg.Histogram("fluct_agg_merge_ns"),
-		metStale:    reg.Counter("fluct_agg_stale_rows_total"),
+		cfg: cfg,
+		rx: durable.Receiver{
+			Pool:        wire.NewFramePool(reg),
+			IdleTimeout: cfg.IdleTimeout,
+			Counters: durable.Counters{
+				Conns:            reg.Counter("fluct_agg_connections_total"),
+				Frames:           reg.Counter("fluct_agg_frames_total"),
+				Bytes:            reg.Counter("fluct_agg_bytes_total"),
+				Acks:             reg.Counter("fluct_agg_acks_total"),
+				Duplicates:       reg.Counter("fluct_agg_duplicate_frames_total"),
+				Idle:             reg.Counter("fluct_agg_idle_disconnects_total"),
+				Disconnects:      reg.Counter("fluct_agg_disconnects_total"),
+				Corrupt:          decErrs,
+				Grammar:          decErrs,
+				CheckpointErrors: reg.Counter("fluct_agg_checkpoint_errors_total"),
+			},
+		},
+		shards:     map[string]*durable.Watermark{},
+		sources:    map[string]*mergedSource{},
+		metMerges:  reg.Counter("fluct_agg_merges_total"),
+		metDecErrs: decErrs,
+		metCkpts:   reg.Counter("fluct_agg_checkpoints_total"),
+		metSources: reg.Gauge("fluct_agg_sources"),
+		metShards:  reg.Gauge("fluct_agg_shards"),
+		metMergeNs: reg.Histogram("fluct_agg_merge_ns"),
+		metStale:   reg.Counter("fluct_agg_stale_rows_total"),
+	}
+	if cfg.CheckpointPath != "" {
+		a.rx.Checkpoint = a.Checkpoint
 	}
 	// Merge lag: how stale the merged view is, in milliseconds since the
 	// last summary was folded in. Zero until the first merge.
@@ -177,42 +172,10 @@ func New(cfg Config) (*Aggregator, error) {
 }
 
 // Serve accepts shard uplink connections on l until the listener closes.
-func (a *Aggregator) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go a.HandleConn(conn)
-	}
-}
+func (a *Aggregator) Serve(l net.Listener) error { return a.rx.Serve(l, a.HandleConn) }
 
-// upstreamState returns (creating if needed) the state for shard id.
-func (a *Aggregator) upstream(id string) *upstream {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	up := a.shards[id]
-	if up == nil {
-		up = &upstream{id: id}
-		a.shards[id] = up
-		a.metShards.SetInt(len(a.shards))
-	}
-	return up
-}
-
-// CloseConns severs every live upstream connection (the chaos harness's
-// kill switch; the daemon's shutdown path).
-func (a *Aggregator) CloseConns() {
-	a.mu.Lock()
-	conns := make([]net.Conn, 0, len(a.conns))
-	for conn := range a.conns {
-		conns = append(conns, conn)
-	}
-	a.mu.Unlock()
-	for _, conn := range conns {
-		conn.Close()
-	}
-}
+// CloseConns severs every live upstream connection.
+func (a *Aggregator) CloseConns() { a.rx.CloseConns() }
 
 // Close severs every connection and, when checkpointing is configured,
 // writes a final checkpoint.
@@ -224,163 +187,83 @@ func (a *Aggregator) Close() error {
 	return a.Checkpoint()
 }
 
-func (a *Aggregator) trackConn(conn net.Conn, add bool) {
-	a.mu.Lock()
-	if add {
-		a.conns[conn] = struct{}{}
-	} else {
-		delete(a.conns, conn)
-	}
-	a.mu.Unlock()
-}
-
-// HandleConn runs one shard uplink connection to completion: handshake,
-// then TFleetSummary frames until the connection dies. Exported so tests
-// and in-process transports can drive the aggregator without a listener.
+// HandleConn runs one shard uplink connection to completion through the
+// collector's own receive loop (durable.Receiver.Run).
 func (a *Aggregator) HandleConn(conn net.Conn) {
-	defer conn.Close()
-	a.trackConn(conn, true)
-	defer a.trackConn(conn, false)
-	a.metConns.Inc()
-	shardID, _, err := wire.ServerHandshake(conn)
-	if err != nil {
-		return
-	}
-	up := a.upstream(shardID)
-
-	var cs durable.Numbering
-	rd := a.pool.NewReader(conn)
-	for {
-		if a.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(a.cfg.IdleTimeout))
-		}
-		f, err := rd.Next()
-		if err != nil {
-			switch {
-			case errors.Is(err, os.ErrDeadlineExceeded):
-				a.metIdleDisc.Inc()
-			case errors.Is(err, wire.ErrChecksum):
-				// A damaged frame consumed a number we cannot account for;
-				// drop the link, the uplink retransmits.
-				a.metDecErrs.Inc()
-				a.metDiscon.Inc()
-			case err != io.EOF:
-				a.metDiscon.Inc()
-			}
-			return
-		}
-		a.metFrames.Inc()
-		a.metBytes.Add(uint64(len(f.Raw())))
-
-		if f.Type == wire.TSeqStart {
-			ss, derr := wire.DecodeSeqStart(f.Payload)
-			f.Release()
-			if derr != nil {
-				a.metDecErrs.Inc()
-				return
-			}
-			// Summaries have no mid-set state, so a renumbering orphans
-			// nothing here.
-			a.mu.Lock()
-			acked, resume, _ := up.wm.Start(ss.Epoch, ss.FirstSeq)
-			a.mu.Unlock()
-			cs.Begin(ss.Epoch, ss.FirstSeq)
-			if wire.WriteAck(conn, wire.Ack{Epoch: cs.Epoch, Seq: acked, Applied: resume}) != nil {
-				return
-			}
-			a.metAcks.Inc()
-			continue
-		}
-
-		// Every data frame consumes the next number; admitting it claims the
-		// number. One that arrives before any SeqStart has none: the peer
-		// does not speak the grammar.
-		seq, ok := cs.Take()
-		if !ok {
-			f.Release()
-			a.metDecErrs.Inc()
-			return
-		}
+	a.rx.Run(conn, func(id string) durable.Stream {
 		a.mu.Lock()
-		adm := up.wm.Admit(cs.Epoch, seq)
-		a.mu.Unlock()
-		// The frame is done with once applied: the decoders copy.
-		applied := adm == durable.Fresh && a.apply(up, cs.Epoch, seq, f)
-		f.Release()
-		switch adm {
-		case durable.Stale:
-			// A newer uplink generation superseded this link.
-			a.metDiscon.Inc()
-			return
-		case durable.Fresh:
-			// A frame that arrived intact (CRC passed) but is not a usable
-			// payload cannot be helped by retransmitting identical bytes, so
-			// its sequence number stays consumed, the frame is dropped and
-			// counted, and no ack is sent — the next good frame's cumulative
-			// ack covers it.
-			if !applied {
-				a.metDecErrs.Inc()
-				continue
-			}
-		case durable.Duplicate:
-			// Retransmission of an applied summary (its ack was lost or
-			// withheld by a checkpoint failure): skip the merge, re-attempt
-			// durability + ack.
-			a.metDups.Inc()
+		defer a.mu.Unlock()
+		wm := a.shards[id]
+		if wm == nil {
+			wm = &durable.Watermark{}
+			a.shards[id] = wm
+			a.metShards.SetInt(len(a.shards))
 		}
-
-		// Ack-after-durability: persist the merge before acknowledging it,
-		// and commit the watermark only once the checkpoint is durable.
-		a.mu.Lock()
-		up.wm.Settle(cs.Epoch, seq) // a duplicate of an unusable frame settles here
-		isDurable := seq <= up.wm.Acked
-		a.mu.Unlock()
-		if !isDurable {
-			if a.cfg.CheckpointPath != "" {
-				if err := a.Checkpoint(); err != nil {
-					a.metCkptErrs.Inc()
-					continue
-				}
-			}
-			a.mu.Lock()
-			up.wm.Commit(cs.Epoch, seq)
-			a.mu.Unlock()
-		}
-		if wire.WriteAck(conn, wire.Ack{Epoch: cs.Epoch, Seq: seq, Applied: seq}) != nil {
-			return
-		}
-		a.metAcks.Inc()
-	}
+		return &shardStream{a: a, id: id, wm: wm}
+	})
 }
 
-// apply decodes one data frame (outside the lock) and folds it into the
-// merged state, settling the shard's watermark in the same a.mu hold as
-// the merge so a snapshot never holds one without the other. It reports
-// false for a frame that is not a usable payload.
-func (a *Aggregator) apply(up *upstream, epoch, seq uint64, f wire.FrameView) bool {
-	var merge func()
-	switch f.Type {
+// shardStream is one uplink connection's side of the receive loop.
+type shardStream struct {
+	a  *Aggregator
+	id string
+	wm *durable.Watermark
+}
+
+// Start applies a SeqStart. Summaries have no mid-set state, so a
+// renumbering orphans nothing here.
+func (s *shardStream) Start(ss wire.SeqStart) (acked, resume uint64, ok bool) {
+	s.a.mu.Lock()
+	defer s.a.mu.Unlock()
+	acked, resume, _ = s.wm.Start(ss.Epoch, ss.FirstSeq)
+	return acked, resume, true
+}
+
+// Hand decodes a frame outside the lock (the decoders copy), then admits,
+// merges and settles it in one a.mu hold, so no later number is ever
+// settled, checkpointed or acked ahead of it. An intact frame that does
+// not decode keeps its number and is counted, unacked.
+func (s *shardStream) Hand(f *durable.Frame) (applied func() error, ok bool) {
+	a := s.a
+	var fs wire.FleetSummary
+	var vs wire.VerdictSet
+	var err error
+	typ := f.Type
+	switch typ {
 	case wire.TFleetSummary:
-		fs, err := wire.DecodeFleetSummary(f.Payload)
-		if err != nil {
-			return false
-		}
-		merge = func() { a.mergeSummaryLocked(up.id, fs) }
+		fs, err = wire.DecodeFleetSummary(f.Payload)
 	case wire.TVerdicts:
-		vs, err := wire.DecodeVerdicts(f.Payload)
-		if err != nil {
-			return false
-		}
-		merge = func() { a.mergeVerdictsLocked(up.id, vs) }
+		vs, err = wire.DecodeVerdicts(f.Payload)
 	default:
-		return false
+		err = fmt.Errorf("agg: unexpected %s frame", typ)
 	}
+	f.Release()
 	a.mu.Lock()
-	merge()
-	up.wm.Settle(epoch, seq)
+	adm := f.Admit(s.wm)
+	if adm == durable.Fresh && err == nil {
+		if typ == wire.TFleetSummary {
+			a.mergeSummaryLocked(s.id, fs)
+		} else {
+			a.mergeVerdictsLocked(s.id, vs)
+		}
+		s.wm.Settle(f.Epoch, f.Seq)
+	}
 	a.mu.Unlock()
-	return true
+	if adm == durable.Fresh && err != nil {
+		a.metDecErrs.Inc()
+		return func() error { return err }, true
+	}
+	return merged, true
 }
+
+// merged is the apply result of a frame Hand merged or skipped itself.
+func merged() error { return nil }
+
+func (s *shardStream) Sync() (sync.Locker, *durable.Watermark) { return &s.a.mu, s.wm }
+
+func (s *shardStream) Acking(*durable.Frame) error { return nil }
+
+func (s *shardStream) End(lost error) bool { return lost != nil }
 
 // mergeSummaryLocked folds one decoded summary into the merged state:
 // last-writer-wins per source. The decoded items are freshly allocated by
@@ -503,8 +386,8 @@ func (a *Aggregator) SourceShard(source string) string {
 func (a *Aggregator) UpstreamAcked(shard string) (epoch, seq uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if up := a.shards[shard]; up != nil {
-		return up.wm.Epoch, up.wm.Acked
+	if wm := a.shards[shard]; wm != nil {
+		return wm.Epoch, wm.Acked
 	}
 	return 0, 0
 }
@@ -517,22 +400,8 @@ func (a *Aggregator) Health() obs.Health {
 
 // Handler returns the aggregator's HTTP surface: the standard
 // self-telemetry endpoints plus /fleet and /verdicts, the merged
-// cross-shard views as JSON — the same shapes the single-tier collector
-// serves.
+// cross-shard views as JSON — served by the single-tier collector's own
+// view handler.
 func (a *Aggregator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", obs.Handler(obs.HandlerOptions{Registry: a.cfg.Registry, Health: a.Health}))
-	mux.HandleFunc("/fleet", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(a.Fleet())
-	})
-	mux.HandleFunc("/verdicts", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(collector.VerdictsOf(a.Fleet()))
-	})
-	return mux
+	return collector.ViewHandler(a.cfg.Registry, a.Health, a.Fleet)
 }

@@ -14,8 +14,7 @@ import (
 // cost of assembling the global fleet view (per-source snapshot +
 // MergeFleet's top-K selection) at fleet scale: 256 merged sources each
 // carrying a 24-item retained set. This is the /fleet scrape cost and the
-// per-merge latency floor behind fluct_agg_merge_ns; it is gated against
-// the absolute baseline in EXPERIMENTS.md via make bench-gate.
+// per-merge latency floor behind fluct_agg_merge_ns.
 func BenchmarkAggregatorMerge(b *testing.B) {
 	const (
 		nSources = 256

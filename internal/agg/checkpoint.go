@@ -53,8 +53,8 @@ func (a *Aggregator) Checkpoint() error {
 
 	file := checkpointFile{Version: checkpointVersion}
 	a.mu.Lock()
-	for _, up := range a.shards {
-		file.Shards = append(file.Shards, checkpointShard{ID: up.id, Epoch: up.wm.Epoch, LastAcked: up.wm.Settled})
+	for id, wm := range a.shards {
+		file.Shards = append(file.Shards, checkpointShard{ID: id, Epoch: wm.Epoch, LastAcked: wm.Settled})
 	}
 	for _, s := range a.sources {
 		file.Sources = append(file.Sources, checkpointSource{
@@ -94,7 +94,8 @@ func (a *Aggregator) restoreCheckpoint(path string) error {
 		return fmt.Errorf("agg: checkpoint %s: unsupported version %d", path, file.Version)
 	}
 	for _, cs := range file.Shards {
-		a.shards[cs.ID] = &upstream{id: cs.ID, wm: durable.Restored(cs.Epoch, cs.LastAcked)}
+		wm := durable.Restored(cs.Epoch, cs.LastAcked)
+		a.shards[cs.ID] = &wm
 	}
 	for _, cs := range file.Sources {
 		a.sources[cs.Summary.ID] = &mergedSource{

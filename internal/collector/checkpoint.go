@@ -127,7 +127,7 @@ func (s *Source) setStateLocked(st wire.SourceState) error {
 }
 
 // Checkpoint writes the collector's durable state to cfg.CheckpointPath
-// atomically. It is called before every ack (see HandleConn), on daemon
+// atomically. It is called before every ack (durable.Receiver), on daemon
 // shutdown, and on the daemon's periodic timer. Every row records its
 // source's settled watermark; committing that watermark to memory (and so
 // advertising it) is the acking connection's job, after this returns nil.

@@ -16,7 +16,6 @@ package collector
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
@@ -93,12 +92,11 @@ type Config struct {
 
 // Collector accepts shipper connections and maintains the fleet state.
 type Collector struct {
-	cfg  Config
-	pool *wire.FramePool // connection reads land in pooled frame buffers
+	cfg Config
+	rx  durable.Receiver // the sequenced receive loop and its live connections
 
 	mu      sync.Mutex
 	sources map[string]*Source
-	conns   map[net.Conn]struct{}
 
 	shards    []*shard
 	shutShard sync.Once
@@ -121,17 +119,8 @@ type Collector struct {
 	departMembers []string
 	imports       map[string]*importProgress
 
-	metConns       *obs.Counter
-	metFrames      *obs.Counter
-	metBytes       *obs.Counter
 	metCRCErrs     *obs.Counter
-	metGrammar     *obs.Counter
-	metDiscon      *obs.Counter
-	metIdleDisc    *obs.Counter
-	metDups        *obs.Counter
-	metAcks        *obs.Counter
 	metCkpts       *obs.Counter
-	metCkptErrs    *obs.Counter
 	metItems       *obs.Counter
 	metSets        *obs.Counter
 	metSources     *obs.Gauge
@@ -166,20 +155,18 @@ type Source struct {
 	// to a point has been applied — the SetEnd checkpoint/ack path needs
 	// exactly that. setOpen mirrors "a set is in flight" at enqueue time
 	// (the connection goroutine cannot look at integ, which belongs to the
-	// shard), so seqStart can decide whether an epoch change must abort one.
+	// shard), so Start can decide whether an epoch change must abort one.
 	enqTick   uint64
 	applyTick uint64
 	applyCond *sync.Cond
 	setOpen   bool
 
-	// Acked-delivery state of sequenced connections (see internal/durable
-	// for the rules). Acks only ever land on a SetEnd or handoff frame, so
-	// retransmission always restarts at a set boundary and mid-set
-	// integrator state never needs to be serialized. summarizing marks a
-	// settled set whose OnSummary call has not returned yet: a checkpoint
-	// waits it out (on applyCond), because a row restored with the set's
-	// watermark acknowledges the shipper's replay as duplicates and the
-	// summary would never be emitted again.
+	// Acked-delivery state (see internal/durable). Acks only land on a
+	// SetEnd or handoff frame, so mid-set integrator state is never
+	// serialized. summarizing marks a settled set whose OnSummary call has
+	// not returned: a checkpoint waits it out (on applyCond), or a restore
+	// would acknowledge the replayed set as duplicates and never emit its
+	// summary.
 	wm          durable.Watermark
 	summarizing bool
 
@@ -195,10 +182,8 @@ type Source struct {
 	scan    trace.GapScan // the in-flight set's health scan, buffers reused set to set
 	curItem []core.Item
 
-	// det is the source's fluctuation detector (nil unless Config.Detect).
-	// Shard-owned like integ — Update runs only on the home-shard
-	// goroutine; the published snapshot below is what other goroutines
-	// read.
+	// det is the source's fluctuation detector (nil unless Config.Detect),
+	// shard-owned like integ; other goroutines read the snapshot below.
 	det *detect.Detector
 
 	// Published verdict snapshot (guarded by mu): refreshed by the shard
@@ -273,22 +258,28 @@ func New(cfg Config) (*Collector, error) {
 			return nil, err
 		}
 	}
+	crcErrs := reg.Counter("fluct_collector_crc_errors_total")
 	c := &Collector{
-		cfg:            cfg,
-		pool:           wire.NewFramePool(reg),
+		cfg: cfg,
+		rx: durable.Receiver{
+			Pool:        wire.NewFramePool(reg),
+			IdleTimeout: cfg.IdleTimeout,
+			Counters: durable.Counters{
+				Conns:            reg.Counter("fluct_collector_connections_total"),
+				Frames:           reg.Counter("fluct_collector_frames_total"),
+				Bytes:            reg.Counter("fluct_collector_bytes_total"),
+				Acks:             reg.Counter("fluct_collector_acks_total"),
+				Duplicates:       reg.Counter("fluct_collector_duplicate_frames_total"),
+				Idle:             reg.Counter("fluct_collector_idle_disconnects_total"),
+				Disconnects:      reg.Counter("fluct_collector_disconnects_total"),
+				Corrupt:          crcErrs,
+				Grammar:          reg.Counter("fluct_collector_grammar_errors_total"),
+				CheckpointErrors: reg.Counter("fluct_collector_checkpoint_errors_total"),
+			},
+		},
 		sources:        map[string]*Source{},
-		conns:          map[net.Conn]struct{}{},
-		metConns:       reg.Counter("fluct_collector_connections_total"),
-		metFrames:      reg.Counter("fluct_collector_frames_total"),
-		metBytes:       reg.Counter("fluct_collector_bytes_total"),
-		metCRCErrs:     reg.Counter("fluct_collector_crc_errors_total"),
-		metGrammar:     reg.Counter("fluct_collector_grammar_errors_total"),
-		metDiscon:      reg.Counter("fluct_collector_disconnects_total"),
-		metIdleDisc:    reg.Counter("fluct_collector_idle_disconnects_total"),
-		metDups:        reg.Counter("fluct_collector_duplicate_frames_total"),
-		metAcks:        reg.Counter("fluct_collector_acks_total"),
+		metCRCErrs:     crcErrs,
 		metCkpts:       reg.Counter("fluct_collector_checkpoints_total"),
-		metCkptErrs:    reg.Counter("fluct_collector_checkpoint_errors_total"),
 		metItems:       reg.Counter("fluct_collector_items_total"),
 		metSets:        reg.Counter("fluct_collector_sets_total"),
 		metSources:     reg.Gauge("fluct_collector_sources"),
@@ -302,6 +293,9 @@ func New(cfg Config) (*Collector, error) {
 		metRedirects:   reg.Counter("fluct_collector_redirects_sent_total"),
 		imports:        map[string]*importProgress{},
 	}
+	if cfg.CheckpointPath != "" {
+		c.rx.Checkpoint = c.Checkpoint
+	}
 	c.startShards(cfg.IngestShards)
 	if cfg.CheckpointPath != "" {
 		if err := c.restoreCheckpoint(cfg.CheckpointPath); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -311,18 +305,9 @@ func New(cfg Config) (*Collector, error) {
 	return c, nil
 }
 
-// Serve accepts shipper connections on l until the listener closes. Each
-// connection is handled on its own goroutine; Serve itself returns the
-// accept error (net.ErrClosed after a clean Close of the listener).
-func (c *Collector) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go c.HandleConn(conn)
-	}
-}
+// Serve accepts shipper connections on l until the listener closes
+// (durable.Receiver.Serve).
+func (c *Collector) Serve(l net.Listener) error { return c.rx.Serve(l, c.HandleConn) }
 
 // source returns (creating if needed) the state for id.
 func (c *Collector) source(id string) *Source {
@@ -339,10 +324,12 @@ func (c *Collector) source(id string) *Source {
 }
 
 // initSource wires a source into the ingest machinery: its home shard
-// (stable hash of the ID) and the apply-tick condition.
+// (stable hash of the ID), the apply-tick condition and the live-connection
+// set.
 func (c *Collector) initSource(s *Source) {
 	s.shard = c.shards[hashx.FNV1a(s.ID)%uint64(len(c.shards))]
 	s.applyCond = sync.NewCond(&s.mu)
+	s.conns = map[net.Conn]struct{}{}
 }
 
 // Source returns the state for id, or nil if the source never connected.
@@ -352,25 +339,13 @@ func (c *Collector) Source(id string) *Source {
 	return c.sources[id]
 }
 
-// CloseConns severs every live shipper connection. The crash-recovery
-// harness uses it (with the listener closed) to kill a collector mid-set;
-// the daemon uses it on shutdown.
-func (c *Collector) CloseConns() {
-	c.mu.Lock()
-	conns := make([]net.Conn, 0, len(c.conns))
-	for conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	c.mu.Unlock()
-	for _, conn := range conns {
-		conn.Close()
-	}
-}
+// CloseConns severs every live shipper connection: the crash harness's
+// kill switch, the daemon's shutdown path.
+func (c *Collector) CloseConns() { c.rx.CloseConns() }
 
 // Close severs every connection, drains the ingest shards (everything
-// already enqueued is applied, nothing new is accepted), and, when
-// checkpointing is configured, writes a final checkpoint so nothing
-// acknowledged outlives the process only in memory.
+// enqueued is applied, nothing new accepted) and, when checkpointing is
+// configured, writes a final checkpoint.
 func (c *Collector) Close() error {
 	c.CloseConns()
 	c.stopShards()
@@ -380,306 +355,155 @@ func (c *Collector) Close() error {
 	return c.Checkpoint()
 }
 
-func (c *Collector) trackConn(conn net.Conn, add bool) {
-	c.mu.Lock()
-	if add {
-		c.conns[conn] = struct{}{}
-	} else {
-		delete(c.conns, conn)
-	}
-	c.mu.Unlock()
+// HandleConn runs one shipper connection through the sequenced receive
+// loop (durable.Receiver.Run); frames decode and integrate on the source's
+// home ingest shard. Exported for tests and in-process transports.
+func (c *Collector) HandleConn(conn net.Conn) {
+	c.rx.Run(conn, func(id string) durable.Stream { return c.open(conn, id) })
 }
 
-// HandleConn runs one shipper connection to completion: handshake, then
-// frames until the connection dies. Exported so tests and in-process
-// transports can drive the collector without a listener.
-//
-// The connection goroutine only reads frames (each into a pooled buffer)
-// and runs the dedup/ack bookkeeping under src.mu; decoding and integrating
-// happen on the source's home ingest shard (see shard.go).
-func (c *Collector) HandleConn(conn net.Conn) {
-	defer conn.Close()
-	c.trackConn(conn, true)
-	defer c.trackConn(conn, false)
-	c.metConns.Inc()
-	srcID, _, err := wire.ServerHandshake(conn)
-	if err != nil {
-		return
-	}
+// open binds a handshaken connection to its source, or refuses it with
+// TRedirect: every source once this collector has departed (even one it
+// never met — a fresh row would fork the moved stream), and a frozen one.
+func (c *Collector) open(conn net.Conn, id string) durable.Stream {
 	c.mu.Lock()
-	if c.departed && !isHandoffPeer(srcID) {
-		// Fully drained: this collector owns nothing anymore. Redirect every
-		// handshake — even for sources it never met, like a shipper that
-		// slept through the drain and redialed its old owner — rather than
-		// create a fresh row that would fork the moved stream.
+	if c.departed && !isHandoffPeer(id) {
 		members := append([]string(nil), c.departMembers...)
 		c.mu.Unlock()
 		c.writeRedirect(conn, members)
-		return
+		return nil
 	}
 	c.mu.Unlock()
-	src := c.source(srcID)
+	src := c.source(id)
 	src.mu.Lock()
 	if src.frozen {
-		// This source's state has moved (or is moving): do not accept a
-		// single frame for it. Tell the shipper where the fleet lives now
-		// and hang up — a deliberate refusal, not a disconnect.
-		members := append([]string(nil), src.redirect...)
 		src.mu.Unlock()
-		c.writeRedirect(conn, members)
-		return
+		c.redirectAndClose(src, conn)
+		return nil
 	}
 	src.everConnected = true
-	if src.conns == nil {
-		src.conns = map[net.Conn]struct{}{}
-	}
 	src.conns[conn] = struct{}{}
 	src.mu.Unlock()
-	defer func() {
-		src.mu.Lock()
-		delete(src.conns, conn)
-		src.mu.Unlock()
-	}()
-
-	var cs durable.Numbering
-	rd := c.pool.NewReader(conn)
-	for {
-		if c.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(c.cfg.IdleTimeout))
-		}
-		var f wire.FrameView
-		f, err = rd.Next()
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				// Nothing arrived for a full IdleTimeout: reclaim the
-				// connection. The shipper redials when it has work.
-				c.metIdleDisc.Inc()
-				return
-			}
-			if errors.Is(err, wire.ErrChecksum) {
-				// The damaged frame consumed a sequence number whose contents
-				// we cannot account for, but the loss is recoverable: drop the
-				// link and the shipper retransmits everything past the resume
-				// line.
-				c.metCRCErrs.Inc()
-				c.metDiscon.Inc()
-				src.mu.Lock()
-				src.crcErrors++
-				src.disconnects++
-				src.mu.Unlock()
-				return
-			}
-			// Cut mid-frame or closed: the shipper will reconnect and the
-			// per-source state picks up where it left off. A frozen source's
-			// connections are severed by the drain itself (RedirectSource) —
-			// deliberate, not link damage, so not a disconnect.
-			if err != io.EOF {
-				src.mu.Lock()
-				if !src.frozen {
-					src.disconnects++
-					c.metDiscon.Inc()
-				}
-				src.mu.Unlock()
-			}
-			return
-		}
-		c.metFrames.Inc()
-		c.metBytes.Add(uint64(len(f.Payload)) + 9)
-
-		if f.Type == wire.TSeqStart {
-			ss, derr := wire.DecodeSeqStart(f.Payload)
-			f.Release()
-			if derr != nil {
-				// A malformed SeqStart leaves the numbering undefined;
-				// nothing on this connection can be trusted to a sequence.
-				c.metCRCErrs.Inc()
-				return
-			}
-			ack, frozen := c.seqStart(src, ss)
-			if frozen {
-				c.redirectAndClose(src, conn)
-				return
-			}
-			cs.Begin(ss.Epoch, ss.FirstSeq)
-			if wire.WriteAck(conn, ack) != nil {
-				return
-			}
-			c.metAcks.Inc()
-			continue
-		}
-
-		// Every data frame consumes the next number. Admission and the shard
-		// enqueue happen under one src.mu hold — two live connections for the
-		// same source (a stale link draining kernel-buffered frames while the
-		// reconnected shipper resumes) must never both admit a number and
-		// double-apply a frame. The ordered shard queue then applies admitted
-		// frames in admission order.
-		seq, ok := cs.Take()
-		if !ok {
-			// A data frame before any SeqStart has no number: the peer does
-			// not speak the grammar, and nothing it sends can be deduplicated
-			// or acknowledged.
-			f.Release()
-			c.metGrammar.Inc()
-			return
-		}
-		it := ingestItem{view: f}
-		// Ack-worthy frames run the durability+ack path below. SetEnd is
-		// the classic one; the two handoff data frames join it so a
-		// draining peer's spool trims as each import lands durably.
-		ackWorthy := f.Type == wire.TSetEnd ||
-			f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource
-		src.mu.Lock()
-		if src.frozen {
-			// The drain quiesced this source (possibly after our handshake).
-			// Refuse the frame and point the shipper at the new owner — a
-			// deliberate refusal, not a disconnect.
-			src.mu.Unlock()
-			f.Release()
-			c.redirectAndClose(src, conn)
-			return
-		}
-		adm := src.wm.Admit(cs.Epoch, seq)
-		var tick uint64
-		switch adm {
-		case durable.Stale:
-			// Another connection opened a newer spool generation for this
-			// source; applying this link's frames would corrupt the new
-			// generation's dedup watermark.
-			src.mu.Unlock()
-			f.Release()
-			c.metDiscon.Inc()
-			return
-		case durable.Fresh:
-			if ackWorthy {
-				// The ack path below must know the apply outcome.
-				it.wait = &applyWait{res: make(chan error, 1), epoch: cs.Epoch, seq: seq}
-			}
-			c.enqueueLocked(src, it)
-		case durable.Duplicate:
-			// Everything enqueued so far (including, on a reconnect race,
-			// the original of this duplicate) must be applied before an
-			// ack-worthy frame below may checkpoint and ack.
-			tick = src.enqTick
-		}
-		src.mu.Unlock()
-
-		dup := adm == durable.Duplicate
-		var dupHandoff string
-		if dup {
-			if f.Type == wire.THandoffSource {
-				// A replayed handoff import still owes its peer a
-				// disposition; remember which source it named before the
-				// frame bytes go back to the pool.
-				if hs, derr := wire.DecodeHandoffSource(f.Payload); derr == nil {
-					dupHandoff = hs.Source
-				}
-			}
-			f.Release()
-			// Retransmission of a frame already applied (the ack for it was
-			// lost, or a checkpoint failure withheld it): skip the
-			// integrator, but an ack-worthy frame still runs the
-			// durability+ack path — the shipper is replaying precisely
-			// because it never saw that ack.
-			c.metDups.Inc()
-		}
-		if !ackWorthy {
-			continue
-		}
-		if dup {
-			waitApplied(src, tick)
-		} else if ferr := <-it.wait.res; ferr != nil {
-			// The frame arrived intact (CRC passed) but its payload is
-			// undecodable; retransmitting identical bytes cannot help, so
-			// the sequence number is consumed, the frame dropped (and
-			// counted by the shard), and no ack sent.
-			continue
-		}
-
-		// Ack-after-durability: the frame is applied; persist before
-		// acknowledging so a crash between the two costs the shipper only a
-		// retransmission, never us an acked-but-lost set.
-		src.mu.Lock()
-		if dup {
-			// Everything numbered ≤ seq has been applied or dropped for
-			// good, so the state reflects it even when the original's own
-			// Settle never ran (its payload was undecodable).
-			src.wm.Settle(cs.Epoch, seq)
-		}
-		isDurable := seq <= src.wm.Acked
-		src.mu.Unlock()
-		if !isDurable {
-			if c.cfg.CheckpointPath != "" {
-				if err := c.Checkpoint(); err != nil {
-					// Without durability the ack would lie; withhold it.
-					// The shipper keeps the set spooled and retransmits;
-					// the dup path re-attempts the checkpoint once it heals.
-					c.metCkptErrs.Inc()
-					continue
-				}
-			}
-			src.mu.Lock()
-			src.wm.Commit(cs.Epoch, seq)
-			src.mu.Unlock()
-		}
-		if f.Type == wire.THandoffSource {
-			// Alongside the transport ack, report what the import actually
-			// did (installed/merged/duplicate) so the drainer can account
-			// per source. Written BEFORE the transport ack: the shipper's
-			// ack-reader dispatches frames in order, so the drainer is
-			// guaranteed to have every disposition by the time the final
-			// ack releases its Drain.
-			ack := wire.HandoffAck{Source: dupHandoff, Disposition: wire.HandoffDuplicate}
-			if !dup {
-				src.mu.Lock()
-				ack = src.pendingAck
-				src.mu.Unlock()
-			}
-			if ack.Source != "" {
-				if payload, aerr := wire.AppendHandoffAck(nil, ack); aerr == nil {
-					if wire.WriteFrame(conn, wire.Frame{Type: wire.THandoffAck, Payload: payload}) != nil {
-						return
-					}
-				}
-			}
-		}
-		if wire.WriteAck(conn, wire.Ack{Epoch: cs.Epoch, Seq: seq, Applied: seq}) != nil {
-			return
-		}
-		c.metAcks.Inc()
-	}
+	return &sourceStream{c: c, src: src, conn: conn}
 }
 
-// seqStart applies a connection's TSeqStart to the source's acked-delivery
-// state and returns the reply: the durable line the shipper may reclaim to
-// and the line it resumes past. A set orphaned by the renumbering is aborted
-// through the home shard (as an abort entry) so the abort stays ordered with
-// the frames already queued; the setOpen flag is the connection-side mirror
-// of "a set is in flight" that makes the decision possible without touching
-// shard-owned state.
-func (c *Collector) seqStart(src *Source, ss wire.SeqStart) (ack wire.Ack, frozen bool) {
+// sourceStream is one shipper connection's side of the receive loop.
+type sourceStream struct {
+	c    *Collector
+	src  *Source
+	conn net.Conn
+	// handoff marks a THandoffSource whose disposition is owed ahead of
+	// its ack: a replay's names dupImport, a fresh one's is src.pendingAck.
+	handoff   bool
+	dupImport string
+}
+
+// Start applies a SeqStart to the source's watermark. A set it orphans is
+// aborted through the home shard, ordered behind the frames already
+// queued (setOpen mirrors shard-owned state for that decision). A frozen
+// source is refused with TRedirect.
+func (s *sourceStream) Start(ss wire.SeqStart) (acked, resume uint64, ok bool) {
+	src := s.src
 	src.mu.Lock()
-	defer src.mu.Unlock()
 	if src.frozen {
-		return wire.Ack{}, true
+		src.mu.Unlock()
+		s.c.redirectAndClose(src, s.conn)
+		return 0, 0, false
 	}
 	acked, resume, orphaned := src.wm.Start(ss.Epoch, ss.FirstSeq)
 	if orphaned && src.setOpen {
-		c.enqueueLocked(src, ingestItem{abort: true})
+		s.c.enqueueLocked(src, ingestItem{abort: true})
 	}
-	return wire.Ack{Epoch: ss.Epoch, Seq: acked, Applied: resume}, false
+	src.mu.Unlock()
+	return acked, resume, true
 }
 
-// frame applies one verified frame to the source's state, synchronously:
-// it is routed through the home shard (so direct callers — tests,
-// in-process feeds — stay ordered with connection ingest) and waits for
-// the apply result.
-func (c *Collector) frame(src *Source, f wire.Frame) error {
-	res := make(chan error, 1)
+// Hand admits a frame and enqueues a fresh one to the home shard in one
+// src.mu hold; the shard applies in admission order. SetEnd and the two
+// handoff data frames earn acks, so a draining peer's spool trims as each
+// import lands durably.
+func (s *sourceStream) Hand(f *durable.Frame) (applied func() error, ok bool) {
+	src := s.src
+	ackWorthy := f.Type == wire.TSetEnd || f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource
+	s.handoff, s.dupImport = false, ""
 	src.mu.Lock()
-	c.enqueueLocked(src, ingestItem{view: wire.FrameView{Type: f.Type, Payload: f.Payload}, wait: &applyWait{res: res}})
+	if src.frozen {
+		// The drain quiesced the source after the handshake.
+		src.mu.Unlock()
+		f.Release()
+		s.c.redirectAndClose(src, s.conn)
+		return nil, false
+	}
+	adm := f.Admit(&src.wm)
+	if adm == durable.Fresh {
+		it := ingestItem{view: f.FrameView, epoch: f.Epoch, seq: f.Seq}
+		if ackWorthy {
+			res := make(chan error, 1)
+			it.res, applied = res, func() error { return <-res }
+		}
+		s.handoff = f.Type == wire.THandoffSource
+		s.c.enqueueLocked(src, it)
+		src.mu.Unlock()
+		return applied, true
+	}
+	// A duplicate is acked only once everything enqueued so far (its
+	// original too, on a reconnect race) is applied.
+	tick := src.enqTick
 	src.mu.Unlock()
-	return <-res
+	if adm == durable.Duplicate && f.Type == wire.THandoffSource {
+		// A replayed import still owes its peer a disposition; remember
+		// which source it named before the frame goes back to the pool.
+		if hs, err := wire.DecodeHandoffSource(f.Payload); err == nil {
+			s.handoff, s.dupImport = true, hs.Source
+		}
+	}
+	f.Release()
+	if adm == durable.Stale || !ackWorthy {
+		return nil, true
+	}
+	return func() error { waitApplied(src, tick); return nil }, true
+}
+
+func (s *sourceStream) Sync() (sync.Locker, *durable.Watermark) { return &s.src.mu, &s.src.wm }
+
+// Acking reports what an import did (installed, merged, duplicate) ahead
+// of its ack, so the drainer has every disposition by the time the final
+// ack releases its Drain.
+func (s *sourceStream) Acking(f *durable.Frame) error {
+	if !s.handoff {
+		return nil
+	}
+	ack := wire.HandoffAck{Source: s.dupImport, Disposition: wire.HandoffDuplicate}
+	if s.dupImport == "" {
+		s.src.mu.Lock()
+		ack = s.src.pendingAck
+		s.src.mu.Unlock()
+		if ack.Source == "" {
+			return nil
+		}
+	}
+	payload, err := wire.AppendHandoffAck(nil, ack)
+	if err != nil {
+		return nil
+	}
+	return wire.WriteFrame(s.conn, wire.Frame{Type: wire.THandoffAck, Payload: payload})
+}
+
+// End books a lost link against the source — unless the drain severed it
+// (RedirectSource) on purpose.
+func (s *sourceStream) End(lost error) bool {
+	src := s.src
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	delete(src.conns, s.conn)
+	switch {
+	case errors.Is(lost, wire.ErrChecksum):
+		src.crcErrors++
+	case lost == nil || src.frozen:
+		return false
+	}
+	src.disconnects++
+	return true
 }
 
 // applyFrame applies one verified frame to the source's in-set state. It
@@ -756,8 +580,7 @@ func (c *Collector) applyFrame(src *Source, it *ingestItem) error {
 		if err != nil {
 			return err
 		}
-		epoch, seq := it.number()
-		c.finishSet(src, end, false, epoch, seq)
+		c.finishSet(src, end, false, it.epoch, it.seq)
 		return nil
 	case wire.THandoffBegin:
 		return c.applyHandoffBegin(src, f.Payload)

@@ -45,6 +45,17 @@ func readFrame(conn io.Reader) (wire.FrameView, error) {
 	return (*wire.FramePool)(nil).NewReader(conn).Next()
 }
 
+// frame applies one frame to the source's state, synchronously: it is
+// routed through the home shard, so it stays ordered with connection
+// ingest, and waits for the apply result.
+func (c *Collector) frame(src *Source, f wire.Frame) error {
+	res := make(chan error, 1)
+	src.mu.Lock()
+	c.enqueueLocked(src, ingestItem{view: wire.FrameView{Type: f.Type, Payload: f.Payload}, res: res})
+	src.mu.Unlock()
+	return <-res
+}
+
 // recordsFrame builds one TRecords frame out of runs given in feed order —
 // each a []trace.Marker or a []pmu.Sample — with the ΔTSC chain carried
 // from run to run, as ShipSet builds it. Every raw-frame feed in this

@@ -86,38 +86,6 @@ func rawSetFrames(t testing.TB, set *trace.Set) []wire.Frame {
 	})})
 }
 
-// TestIdleTimeout: a connection that handshakes and then goes silent must
-// be disconnected after IdleTimeout and counted, so half-dead links cannot
-// pin collector state forever.
-func TestIdleTimeout(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, addr := startCollector(t, Config{Registry: reg, IdleTimeout: 50 * time.Millisecond})
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := wire.ClientHandshake(conn, "idler"); err != nil {
-		t.Fatal(err)
-	}
-	// Sit silent. The collector must hang up on us.
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var one [1]byte
-	if _, err := conn.Read(one[:]); err == nil {
-		t.Fatal("collector sent unexpected bytes to an idle connection")
-	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatal("collector never disconnected the idle connection")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for reg.Counter("fluct_collector_idle_disconnects_total").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("idle disconnect not counted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestLoopbackGrammar: the first frame after the handshake must be a
 // TSeqStart. A peer that opens with data is not speaking the grammar —
 // nothing it sends could be numbered, deduplicated or acknowledged — so the
@@ -243,23 +211,24 @@ func TestSeqStartResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := coll.source("s")
+	st := &sourceStream{c: coll, src: src}
 
 	// First contact at epoch 9, resuming from seq 41.
-	if got, _ := coll.seqStart(src, wire.SeqStart{Epoch: 9, FirstSeq: 41}); got.Seq != 40 || got.Applied != 40 {
-		t.Fatalf("advertised %+v, want 40/40 (resynced to FirstSeq-1)", got)
+	if acked, resume, _ := st.Start(wire.SeqStart{Epoch: 9, FirstSeq: 41}); acked != 40 || resume != 40 {
+		t.Fatalf("advertised %d/%d, want 40/40 (resynced to FirstSeq-1)", acked, resume)
 	}
 	if src.Epoch() != 9 || src.LastAcked() != 40 {
 		t.Fatalf("state epoch=%d lastAcked=%d, want 9/40", src.Epoch(), src.LastAcked())
 	}
 
 	// Same epoch, overlap replay: watermark must not move backward.
-	if got, _ := coll.seqStart(src, wire.SeqStart{Epoch: 9, FirstSeq: 30}); got.Seq != 40 {
-		t.Fatalf("advertised watermark %d after overlap replay, want 40", got.Seq)
+	if acked, _, _ := st.Start(wire.SeqStart{Epoch: 9, FirstSeq: 30}); acked != 40 {
+		t.Fatalf("advertised watermark %d after overlap replay, want 40", acked)
 	}
 
 	// New epoch: the numbering resets.
-	if got, _ := coll.seqStart(src, wire.SeqStart{Epoch: 10, FirstSeq: 1}); got != (wire.Ack{Epoch: 10}) {
-		t.Fatalf("advertised %+v after epoch change, want zero lines", got)
+	if acked, resume, _ := st.Start(wire.SeqStart{Epoch: 10, FirstSeq: 1}); acked != 0 || resume != 0 || src.Epoch() != 10 {
+		t.Fatalf("advertised %d/%d at epoch %d after epoch change, want zero lines at 10", acked, resume, src.Epoch())
 	}
 }
 

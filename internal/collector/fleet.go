@@ -321,24 +321,26 @@ func VerdictsOf(v FleetView) VerdictsView {
 // /fleet, the merged cross-host view, and /verdicts, the fluctuation
 // diagnosis feed, as JSON.
 func (c *Collector) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", obs.Handler(obs.HandlerOptions{Registry: c.cfg.Registry, Health: c.Health}))
-	mux.HandleFunc("/fleet", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, c.Fleet())
-	})
-	mux.HandleFunc("/verdicts", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, VerdictsOf(c.Fleet()))
-	})
-	return mux
+	return ViewHandler(c.cfg.Registry, c.Health, c.Fleet)
 }
 
-// writeJSON writes v as indented JSON — the shared shape of the collector
-// and aggregator view endpoints.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+// ViewHandler is the HTTP surface both tiers serve: the obs endpoints with
+// health as /healthz, and fleet's view as indented JSON on /fleet and its
+// verdict projection on /verdicts.
+func ViewHandler(reg *obs.Registry, health func() obs.Health, fleet func() FleetView) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", obs.Handler(obs.HandlerOptions{Registry: reg, Health: health}))
+	serveJSON := func(path string, view func() any) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", " ")
+			_ = enc.Encode(view())
+		})
+	}
+	serveJSON("/fleet", func() any { return fleet() })
+	serveJSON("/verdicts", func() any { return VerdictsOf(fleet()) })
+	return mux
 }
 
 // sortItems orders items the way offline core.Integrate orders its output:

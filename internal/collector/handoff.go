@@ -60,7 +60,7 @@ func (c *Collector) writeRedirect(conn net.Conn, members []string) {
 }
 
 // redirectAndClose answers a frozen source's connection with the redirect
-// hint; the caller returns from HandleConn, whose deferred Close hangs up.
+// hint; the caller then refuses it, and the receive loop hangs up.
 func (c *Collector) redirectAndClose(src *Source, conn net.Conn) {
 	src.mu.Lock()
 	members := append([]string(nil), src.redirect...)
@@ -330,8 +330,8 @@ func (c *Collector) MarkHandedOff(id string) error {
 // connections and severs them, so shippers re-hash and reconnect
 // immediately instead of waiting out a dial timeout against a leaving
 // shard. The severed connections do not count as disconnects — this is a
-// deliberate handoff, not link damage (HandleConn checks frozen on its
-// read-error path for exactly this reason).
+// deliberate handoff, not link damage (sourceStream.End checks frozen for
+// exactly this reason).
 func (c *Collector) RedirectSource(id string) {
 	c.mu.Lock()
 	src := c.sources[id]

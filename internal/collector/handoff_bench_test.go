@@ -14,8 +14,7 @@ import (
 // BenchmarkHandoffTransfer measures one complete source handoff cycle —
 // export of a frozen source's full state (items, symbols, counters,
 // verdicts, detector snapshot), wire encode, wire decode, and import as a
-// fresh install — the per-source cost a planned drain pays. Gated in
-// make bench-gate against the baseline in EXPERIMENTS.md.
+// fresh install — the per-source cost a planned drain pays.
 func BenchmarkHandoffTransfer(b *testing.B) {
 	set := verdictWorkloadSet(b, 300)
 	var blob []byte

@@ -8,17 +8,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Sharded lock-free ingest. The v1 collector decoded and integrated every
-// frame inside HandleConn while holding src.mu — N connection goroutines
-// all serializing their hottest work through per-source locks, and the
-// sequenced path additionally pinning the dedup bookkeeping to the decode
-// cost. The shards split that: connection goroutines only read frames
-// (into pooled buffers) and do the cheap sequenced dedup/ack bookkeeping
-// under src.mu; the decode and the StreamIntegrator push happen on the
-// source's home-shard goroutine, which owns that source's in-set state
-// outright and therefore runs it without any lock. Per-source ordering is
-// preserved because a source maps to exactly one shard and each shard
-// drains its queue FIFO.
+// Sharded lock-free ingest. Connection goroutines only read frames (into
+// pooled buffers) and do the cheap sequenced dedup/ack bookkeeping under
+// src.mu; the decode and the StreamIntegrator push happen on the source's
+// home-shard goroutine, which owns that source's in-set state outright and
+// therefore runs it without any lock. Per-source ordering is preserved
+// because a source maps to exactly one shard and each shard drains its
+// queue FIFO.
 //
 // Lock order: src.mu → shard.mu (enqueue pushes while holding src.mu so
 // the per-source tick order equals the queue order). The shard goroutine
@@ -32,24 +28,10 @@ type ingestItem struct {
 	view  wire.FrameView // holds one pooled-buffer ref; released after apply
 	tick  uint64         // per-source enqueue ordinal, published as applyTick
 	abort bool
-	wait  *applyWait // non-nil when someone waits on the outcome
-}
-
-// applyWait rides an item whose apply outcome a connection waits on: the
-// ack-worthy frames of a sequenced connection, and synchronous feeds.
-type applyWait struct {
-	res chan error // receives the apply error (cap 1)
-	// epoch and seq number the frame on a sequenced connection (zero
-	// otherwise): what the watermark settles on once it is applied.
+	// epoch and seq number the frame on its connection (zero for a
+	// synchronous feed): what the watermark settles on once it is applied.
 	epoch, seq uint64
-}
-
-// number returns the frame's (epoch, seq), zero when nobody settles on it.
-func (it *ingestItem) number() (epoch, seq uint64) {
-	if it.wait == nil {
-		return 0, 0
-	}
-	return it.wait.epoch, it.wait.seq
+	res        chan error // receives the apply error (cap 1) when someone waits
 }
 
 // shard is one ingest goroutine and its FIFO queue.
@@ -164,21 +146,21 @@ func (sh *shard) apply(it *ingestItem) {
 		// target's own mutex): a snapshot between the two replays the
 		// import, which importSource recognizes as a duplicate. SetEnd
 		// settles inside finishSet, together with its accounting.
-		src.wm.Settle(it.number())
+		src.wm.Settle(it.epoch, it.seq)
 	}
 	if it.tick > src.applyTick {
 		src.applyTick = it.tick
 	}
 	src.applyCond.Broadcast()
 	src.mu.Unlock()
-	if it.wait != nil {
-		it.wait.res <- ferr
+	if it.res != nil {
+		it.res <- ferr
 	}
 }
 
 // enqueueLocked hands one item — a frame or a set-abort instruction — to
 // src's home shard. Caller holds src.mu and fills everything but src and
-// tick. The set-open flag tracks frame types at enqueue time so seqStart
+// tick. The set-open flag tracks frame types at enqueue time so Start
 // can decide abort questions without looking at shard-owned state. Returns
 // the item's tick; waitApplied blocks until the shard has applied it.
 func (c *Collector) enqueueLocked(src *Source, it ingestItem) uint64 {
@@ -200,8 +182,8 @@ func (c *Collector) enqueueLocked(src *Source, it ingestItem) uint64 {
 			src.applyTick = it.tick
 		}
 		src.applyCond.Broadcast()
-		if it.wait != nil {
-			it.wait.res <- fmt.Errorf("collector: closed")
+		if it.res != nil {
+			it.res <- fmt.Errorf("collector: closed")
 		}
 	}
 	return it.tick

@@ -34,8 +34,43 @@ func bench50kInit() {
 	})
 }
 
+// TestMatcherClassifyZeroAlloc: a compiled classification with reused
+// scratch allocates nothing — matched or not, v4 or v6, tagged or not — on
+// a policy large enough to walk deep tries.
+func TestMatcherClassifyZeroAlloc(t *testing.T) {
+	rng := dpRNG{state: 0x7a65726f} // "zero"
+	rules := genRandomRules(&rng, 2_000, 0.3)
+	m, err := Compile(rules, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := NewGenerator(GenConfig{
+		Rules: rules, Routes: testRoutes(),
+		MatchFrac: 0.6, V6Frac: 0.3, VLANFrac: 0.3,
+		Seed: rng.next(),
+	})
+	packets := make([]Packet, 512)
+	for i := range packets {
+		packets[i] = gen.Next()
+	}
+	scratch := m.Scratch()
+	i, matched := 0, 0
+	allocs := testing.AllocsPerRun(2*len(packets), func() {
+		if _, ok := m.Classify(&packets[i%len(packets)], scratch); ok {
+			matched++
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Classify allocates %.2f times per packet, want 0", allocs)
+	}
+	if matched == 0 || matched == i {
+		t.Fatalf("%d of %d packets matched; the mix must exercise both outcomes", matched, i)
+	}
+}
+
 // BenchmarkDataplaneClassify measures one compiled classification against
-// the 50k-rule policy (bench-gate guarded; see EXPERIMENTS.md).
+// the 50k-rule policy.
 func BenchmarkDataplaneClassify(b *testing.B) {
 	bench50kInit()
 	m := bench50k.matcher

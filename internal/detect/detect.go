@@ -24,9 +24,8 @@
 // MinSegment items — only when they disagree by more than half the
 // relative firing threshold (or an event is active) does the full
 // O(splits × pairs) energy scan with its O(W log W) robust-median sorts
-// run, all on preallocated scratch. Steady state allocates nothing (the
-// bench gate holds BenchmarkDetectUpdate at 0 allocs/op and the live
-// ingest path with detection within 3% of the path without).
+// run, all on preallocated scratch. Steady state allocates nothing
+// (TestDetectZeroAllocSteadyState holds it at 0 allocs).
 package detect
 
 import (

@@ -1,26 +1,14 @@
-// Package durable states once the two things every durable hop of the
-// delivery path needs: an atomic file replace, and the receiver half of the
-// seq/ack protocol (internal/wire/seq.go).
+// Package durable states once what every durable hop of the delivery path
+// needs: an atomic file replace, and the receiver half of the seq/ack
+// protocol (internal/wire/seq.go) — Watermark's rules and Receiver, the one
+// receive loop that applies them for every tier.
 //
 // The protocol's promise is that an acknowledged frame is never lost and an
 // applied frame is never applied twice, across crashes of either end. A
 // receiver keeps it with four rules, which are Watermark's four methods:
-//
-//   - Start: a SeqStart from a new epoch voids everything remembered; one
-//     that resumes past the dedup line resyncs forward (those frames are
-//     gone for good — wedging on them helps nobody). The reply advertises
-//     Acked as the durable line, never anything fresher, and the dedup line
-//     as where to resume.
-//   - Admit: a numbered frame at or below the dedup line is a duplicate, one
-//     from a superseded epoch is stale, anything else claims its number.
-//   - Settle: the receiver names the sequence number its state now reflects
-//     in the same critical section that changed the state, so a snapshot
-//     can never pair accounting from one moment with a watermark from
-//     another. Snapshots record Settled.
-//   - Commit: Acked moves only after the snapshot holding it is durable
-//     (WriteFile returned nil). An uncommitted watermark is never
-//     advertised, so the sender never reclaims a frame a receiver crash
-//     could still lose.
+// Start resyncs to a SeqStart, Admit claims a frame's number or names it a
+// duplicate or stale, Settle records what the state reflects, and Commit
+// advances what may be acknowledged once a snapshot is durable.
 package durable
 
 import (
@@ -141,7 +129,9 @@ func (w *Watermark) Admit(epoch, seq uint64) Admission {
 }
 
 // Settle records that the receiver's state reflects every frame numbered
-// ≤ seq. Call it in the critical section that made it so.
+// ≤ seq. Call it in the critical section that made it so, so a snapshot
+// (which records Settled) never pairs accounting from one moment with a
+// watermark from another.
 func (w *Watermark) Settle(epoch, seq uint64) {
 	if epoch == w.Epoch && seq > w.Settled {
 		w.Settled = seq
@@ -149,7 +139,9 @@ func (w *Watermark) Settle(epoch, seq uint64) {
 }
 
 // Commit advances Acked to seq once a snapshot recording at least seq is
-// durable (or at once, for a receiver configured without snapshots).
+// durable (or at once, for a receiver configured without snapshots). An
+// uncommitted watermark is never advertised, so the sender never reclaims
+// a frame a receiver crash could still lose.
 func (w *Watermark) Commit(epoch, seq uint64) {
 	if epoch == w.Epoch && seq > w.Acked {
 		w.Acked = seq

@@ -212,7 +212,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // and flushes the whole batch into a shared Histogram with one MergeLocal
 // call — turning N× three atomic RMWs into one bounded merge pass. This
 // is what keeps per-item instrumentation of a 2000-item integration pass
-// inside the <3% overhead budget the bench gate enforces. The zero value
+// inside its <3% overhead budget. The zero value
 // is ready to use; Local must not be shared between goroutines.
 type Local struct {
 	count   uint64

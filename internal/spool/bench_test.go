@@ -29,9 +29,8 @@ func benchDir(b *testing.B) string {
 // BenchmarkSpoolAppend measures the durability tax on the shipper's hot
 // enqueue path: appending one pre-encoded 512-marker batch frame (the
 // shipper's default batch size) to the active segment. This is the cost
-// added to every EnqueueFrame when spooling is on, so `make bench-gate`
-// pins it against the baseline recorded in EXPERIMENTS.md — durability
-// must never silently tax the never-stall-the-workload contract.
+// added to every EnqueueFrame when spooling is on — durability must never
+// silently tax the never-stall-the-workload contract.
 func BenchmarkSpoolAppend(b *testing.B) {
 	ms := make([]trace.Marker, 512)
 	tsc := uint64(1 << 40)

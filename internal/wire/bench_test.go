@@ -122,14 +122,13 @@ func walkFrames(rd *FrameReader, frames int) (nm, ns int, err error) {
 	return nm, ns, nil
 }
 
-// BenchmarkWireEncodeDecode is the shipping-throughput baseline gated by
-// make bench-gate, on the path the product runs: a 512-marker +
+// BenchmarkWireEncodeDecode is the shipping-throughput baseline, on the
+// path the product runs: a 512-marker +
 // 2048-sample set in feed order encoded with AppendMarkerRun/
 // AppendSampleRun into TRecords frames of at most 4 KiB, built in place in
 // a pooled buffer, read back through a pooled FrameReader, and walked with
 // IterRecords — the per-set cost a shipper and a collector each pay.
-// Steady state is allocation-free (TestFrameReaderZeroAlloc pins it). The
-// bench-gate baseline line lives in EXPERIMENTS.md.
+// Steady state is allocation-free (TestFrameReaderZeroAlloc pins it).
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	markers, samples := benchRecords()
 	feed := benchFeed()
