@@ -107,7 +107,6 @@ func main() {
 		ckpt         = flag.String("checkpoint", "", "checkpoint per-source state to this file (empty: acks are process-lifetime only)")
 		ckptIv       = flag.Duration("checkpoint-interval", 30*time.Second, "also checkpoint on this timer (0: only on acks and shutdown)")
 		idle         = flag.Duration("idle-timeout", 2*time.Minute, "disconnect shippers idle this long (0: never)")
-		shards       = flag.Int("shards", 0, "ingest shard goroutines; sources pin to shards by ID hash (0: min(GOMAXPROCS, 8))")
 		aggMode      = flag.Bool("aggregate", false, "run as the global aggregator: -listen accepts shard-collector uplinks, /fleet serves the merged cross-shard view")
 		upAddr       = flag.String("upstream", "", "ship this collector's per-source fleet rows to a global aggregator at this address (two-tier shard mode)")
 		upSpool      = flag.String("upstream-spool", "", "spool directory for the aggregator uplink (required with -upstream)")
@@ -169,7 +168,6 @@ func main() {
 		TopK:           *topK,
 		CheckpointPath: *ckpt,
 		IdleTimeout:    *idle,
-		IngestShards:   *shards,
 	}
 	if *det {
 		cfg.Detect = &detect.Config{Sigma: *detSig, Window: *detWin}

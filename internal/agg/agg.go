@@ -223,7 +223,7 @@ func (s *shardStream) Start(ss wire.SeqStart) (acked, resume uint64, ok bool) {
 // merges and settles it in one a.mu hold, so no later number is ever
 // settled, checkpointed or acked ahead of it. An intact frame that does
 // not decode keeps its number and is counted, unacked.
-func (s *shardStream) Hand(f *durable.Frame) (applied func() error, ok bool) {
+func (s *shardStream) Hand(f *durable.Frame) (ack, ok bool) {
 	a := s.a
 	var fs wire.FleetSummary
 	var vs wire.VerdictSet
@@ -251,13 +251,10 @@ func (s *shardStream) Hand(f *durable.Frame) (applied func() error, ok bool) {
 	a.mu.Unlock()
 	if adm == durable.Fresh && err != nil {
 		a.metDecErrs.Inc()
-		return func() error { return err }, true
+		return false, true
 	}
-	return merged, true
+	return true, true
 }
-
-// merged is the apply result of a frame Hand merged or skipped itself.
-func merged() error { return nil }
 
 func (s *shardStream) Sync() (sync.Locker, *durable.Watermark) { return &s.a.mu, s.wm }
 

@@ -101,7 +101,7 @@ func TestScaleHarness(t *testing.T) {
 
 	for id, sp := range shards {
 		mustDrain(t, "uplink "+id, sp.uplink, 120*time.Second)
-		t.Logf("shard %s: ingest shard load %v", id, sp.coll.ShardLoad())
+		t.Logf("shard %s: frames applied %v", id, sp.coll.ShardLoad())
 	}
 	merged := waitMerged(t, a, scaleSources, 1, 120*time.Second)
 

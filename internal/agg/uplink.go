@@ -40,10 +40,11 @@ type UplinkConfig struct {
 // aggregator. No new transport machinery; the summary is just another
 // frame type.
 //
-// Durability chain: OnSummary is invoked by the collector on the ingest
-// shard goroutine BEFORE the triggering SetEnd's apply result is
-// returned, and EnqueueFrame writes through to the spool before
-// returning. So with a SpoolDir configured, by the time the shard
+// Durability chain: the collector invokes OnSummary inside the triggering
+// SetEnd's apply, on the connection goroutine that read it and under the
+// source's apply mutex, before the frame is checkpointed or acked; and
+// EnqueueFrame writes through to the spool before returning. So with a
+// SpoolDir configured, by the time the shard
 // collector checkpoints and acks a set to its worker, that set's summary
 // is already durable in the uplink spool (or acked by the aggregator) —
 // a shard crash between worker-ack and aggregator-delivery loses nothing:

@@ -17,8 +17,9 @@ import (
 // sources stream pre-encoded trace sets over real TCP loopback connections
 // into one collector, and an iteration is one complete set delivered and
 // integrated per source. This is the number the zero-copy work exists to
-// move — pooled frame reads, lock-free per-shard decode and integration,
-// and the per-source dedup bookkeeping, all under concurrent load.
+// move — pooled frame reads, decode and integration on each connection's
+// own goroutine under its source's apply mutex, and the per-source dedup
+// bookkeeping, all under concurrent load.
 func benchIngest(b *testing.B, cfg Config) {
 	const nSources = 4
 	set := workloadSet(b, 120)

@@ -3,6 +3,7 @@ package collector
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 
 	"repro/internal/core"
@@ -141,19 +142,14 @@ func (c *Collector) Checkpoint() error {
 	// already acked against.
 	c.ckptMu.Lock()
 	defer c.ckptMu.Unlock()
-	c.mu.Lock()
-	srcs := make([]*Source, 0, len(c.sources))
-	for _, s := range c.sources {
-		srcs = append(srcs, s)
-	}
-	c.mu.Unlock()
-
 	file := checkpointFile{Version: checkpointVersion}
-	for _, s := range srcs {
+	for _, s := range c.sourceList() {
+		// The apply mutex waits out an apply in flight: a set settles before
+		// its OnSummary tap runs, and a restore from a snapshot between the
+		// two would acknowledge the replayed set as duplicates without ever
+		// emitting its summary.
+		s.applyMu.Lock()
 		s.mu.Lock()
-		for s.summarizing {
-			s.applyCond.Wait()
-		}
 		file.Sources = append(file.Sources, checkpointSource{
 			ID:            s.ID,
 			SourceState:   s.stateLocked(),
@@ -165,6 +161,7 @@ func (c *Collector) Checkpoint() error {
 			ImportedSeq:   s.importedSeq,
 		})
 		s.mu.Unlock()
+		s.applyMu.Unlock()
 	}
 
 	data, err := json.Marshal(file)
@@ -210,11 +207,11 @@ func (c *Collector) restoreCheckpoint(path string) error {
 			imported:      cs.Imported,
 			importedEpoch: cs.ImportedEpoch,
 			importedSeq:   cs.ImportedSeq,
+			conns:         map[net.Conn]struct{}{},
 		}
 		if err := src.setStateLocked(cs.SourceState); err != nil {
 			return fmt.Errorf("collector: checkpoint %s: %w", path, err)
 		}
-		c.initSource(src)
 		c.sources[cs.ID] = src
 	}
 	c.metSources.SetInt(len(c.sources))

@@ -18,14 +18,13 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/durable"
-	"repro/internal/hashx"
 	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/symtab"
@@ -51,37 +50,30 @@ type Config struct {
 	// this long, freeing collector state from half-dead links (≤ 0
 	// disables; the fluctd daemon defaults it to 2 minutes).
 	IdleTimeout time.Duration
-	// IngestShards is how many ingest goroutines decode frames and feed
-	// integrators. Each source is pinned to one shard by ID hash, so a
-	// source's frames always apply in arrival order; across sources the
-	// shards run independently, keeping one slow or huge stream from
-	// stalling every other shipper behind a lock. Default:
-	// min(GOMAXPROCS, 8).
-	IngestShards int
 	// Registry receives the collector's self-telemetry (nil: obs.Default()).
 	Registry *obs.Registry
 	// OnSummary, when set, receives the source's refreshed fleet row every
 	// time a set completes (including aborted sets — the cumulative
 	// counters moved). This is the shard collector's uplink tap in the
-	// two-tier topology. It is invoked on the source's ingest-shard
-	// goroutine BEFORE the set's apply result is returned — and therefore
-	// before the SetEnd is checkpointed and acknowledged — so a callback
-	// that spools the summary durably (agg.Uplink does) guarantees that
-	// every set this collector ever acked has its summary either in the
-	// uplink spool or already delivered upstream. Keep it fast: it stalls
-	// that shard's ingest.
+	// two-tier topology. It runs inside the apply of the frame that closed
+	// the set, under the source's apply mutex — and therefore before the
+	// SetEnd is checkpointed and acknowledged — so a callback that spools
+	// the summary durably (agg.Uplink does) guarantees that every set this
+	// collector ever acked has its summary either in the uplink spool or
+	// already delivered upstream. Keep it fast: while it runs, that
+	// source's connection reads nothing and a checkpoint waits.
 	OnSummary func(wire.FleetSummary)
 	// Detect, when non-nil, runs online fluctuation detection: each source
 	// gets its own detect.Detector built from this template (Source,
 	// FreqHz, Registry, and OnVerdict are filled per source) and fed every
-	// integrated item on the source's home-shard goroutine — the same
-	// single-goroutine order ingest sharding already guarantees, which is
-	// why verdict streams are deterministic at any IngestShards setting.
-	// The detector (window, baseline, active events) survives set
+	// integrated item under the source's apply mutex — one caller at a
+	// time, in the source's admission order, across reconnects too — which
+	// is why verdict streams are deterministic however many sources ship
+	// at once. The detector (window, baseline, active events) survives set
 	// boundaries and reconnects, like the rest of the Source state.
 	Detect *detect.Config
-	// OnVerdict receives every emitted verdict, synchronously on the
-	// source's ingest-shard goroutine.
+	// OnVerdict receives every emitted verdict, synchronously, under the
+	// source's apply mutex.
 	OnVerdict func(detect.Verdict)
 	// OnVerdicts receives the source's refreshed verdict snapshot whenever
 	// its verdict state changes (an event fired or resolved) — the uplink
@@ -98,8 +90,7 @@ type Collector struct {
 	mu      sync.Mutex
 	sources map[string]*Source
 
-	shards    []*shard
-	shutShard sync.Once
+	closed atomic.Bool // set by Close; read under a source's apply mutex
 
 	ckptMu sync.Mutex // serializes checkpoint file writes
 
@@ -119,63 +110,48 @@ type Collector struct {
 	departMembers []string
 	imports       map[string]*importProgress
 
-	metCRCErrs     *obs.Counter
-	metCkpts       *obs.Counter
-	metItems       *obs.Counter
-	metSets        *obs.Counter
-	metSources     *obs.Gauge
-	metConfHist    *obs.Histogram
-	metShardFrames *obs.Counter
-	metShardDepth  *obs.Gauge
-	metShardImbal  *obs.Gauge
-	metImports     *obs.Counter
-	metImportDups  *obs.Counter
-	metImportErrs  *obs.Counter
-	metRedirects   *obs.Counter
+	metCRCErrs    *obs.Counter
+	metCkpts      *obs.Counter
+	metItems      *obs.Counter
+	metSets       *obs.Counter
+	metSources    *obs.Gauge
+	metConfHist   *obs.Histogram
+	metImports    *obs.Counter
+	metImportDups *obs.Counter
+	metImportErrs *obs.Counter
+	metRedirects  *obs.Counter
 }
 
 // Source is the per-shipper state. It survives reconnects: a shipper that
 // loses its link mid-set resumes the same integrator on the next
 // connection, so the cut shows up as degraded items, not lost state.
+//
+// Lock order: applyMu → mu. Every change to the source's in-set state —
+// a frame's admit and apply, Start's abort of an orphaned set, a drain's
+// forced set boundary — runs under applyMu, on whichever goroutine asked
+// for it (a frame applies on the connection goroutine that read it), so
+// the source applies in admission order by construction. mu guards what
+// other goroutines read: the watermark, the published results, the
+// accounting.
 type Source struct {
 	// ID is the source tag from the handshake.
 	ID string
 
-	// shard is the source's home ingest shard (assigned by ID hash, fixed
-	// for the source's lifetime): all of this source's frames decode and
-	// integrate on that shard's goroutine, which is what lets the in-set
-	// state below run without a lock.
-	shard *shard
-
-	mu sync.Mutex
-
-	// Ingest ordering. Every frame enqueued to the shard takes the next
-	// tick; the shard publishes applyTick (and wakes applyCond) as it
-	// finishes each one, so a waiter can block until everything enqueued up
-	// to a point has been applied — the SetEnd checkpoint/ack path needs
-	// exactly that. setOpen mirrors "a set is in flight" at enqueue time
-	// (the connection goroutine cannot look at integ, which belongs to the
-	// shard), so Start can decide whether an epoch change must abort one.
-	enqTick   uint64
-	applyTick uint64
-	applyCond *sync.Cond
-	setOpen   bool
+	applyMu sync.Mutex
+	mu      sync.Mutex
 
 	// Acked-delivery state (see internal/durable). Acks only land on a
 	// SetEnd or handoff frame, so mid-set integrator state is never
-	// serialized. summarizing marks a settled set whose OnSummary call has
-	// not returned: a checkpoint waits it out (on applyCond), or a restore
-	// would acknowledge the replayed set as duplicates and never emit its
-	// summary.
-	wm          durable.Watermark
-	summarizing bool
+	// serialized.
+	wm durable.Watermark
 
-	// Current-set decoding state. freq and syms are written by the shard
-	// under mu (checkpoint and the fleet view read them); integ, scan, and
-	// curItem are touched ONLY by the home shard's goroutine — the hot
-	// decode + integrate path holds no lock at all. Nothing per-record
-	// outlives the frame it arrived in: a record goes to the integrator and
-	// the scan, which keeps a count and (for a sample) its timestamp.
+	// Current-set decoding state. freq and syms are written under both
+	// locks (checkpoint and the fleet view read them under mu); integ,
+	// scan, and curItem are touched only under applyMu — the hot decode +
+	// integrate path takes no other lock. Nothing per-record outlives the
+	// frame it arrived in: a record goes to the integrator and the scan,
+	// which keeps a count and (for a sample) its timestamp. A set is open
+	// while integ is non-nil.
 	freq    uint64
 	syms    *symtab.Table
 	integ   *core.StreamIntegrator
@@ -183,11 +159,12 @@ type Source struct {
 	curItem []core.Item
 
 	// det is the source's fluctuation detector (nil unless Config.Detect),
-	// shard-owned like integ; other goroutines read the snapshot below.
+	// guarded by applyMu like integ; other goroutines read the snapshot
+	// below.
 	det *detect.Detector
 
-	// Published verdict snapshot (guarded by mu): refreshed by the shard
-	// goroutine whenever the detector's verdict state changes.
+	// Published verdict snapshot (guarded by mu): refreshed whenever the
+	// detector's verdict state changes.
 	verdicts       []detect.Verdict
 	activeVerdicts int
 
@@ -221,10 +198,9 @@ type Source struct {
 	// both survive a restart via the checkpoint. conns tracks the live
 	// connections currently carrying this source so a drain can push the
 	// redirect instead of waiting for shippers to notice. The imported*
-	// trio is the handoff dedup marker on the receiving side; pendingAck
-	// carries one import disposition from the shard goroutine back to the
-	// peer connection goroutine (one in flight by construction — the
-	// connection blocks on the apply result).
+	// trio is the handoff dedup marker on the receiving side. frozen is
+	// only ever set under applyMu, so an apply that found it clear runs to
+	// completion unfrozen.
 	internal      bool
 	frozen        bool
 	handedOff     bool
@@ -233,7 +209,6 @@ type Source struct {
 	imported      bool
 	importedEpoch uint64
 	importedSeq   uint64
-	pendingAck    wire.HandoffAck
 }
 
 // New builds a collector, restoring per-source state from
@@ -247,9 +222,6 @@ func New(cfg Config) (*Collector, error) {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.Default()
-	}
-	if cfg.IngestShards <= 0 {
-		cfg.IngestShards = min(runtime.GOMAXPROCS(0), 8)
 	}
 	if cfg.Detect != nil {
 		// Validate the template now: a bad window/segment combination should
@@ -277,27 +249,21 @@ func New(cfg Config) (*Collector, error) {
 				CheckpointErrors: reg.Counter("fluct_collector_checkpoint_errors_total"),
 			},
 		},
-		sources:        map[string]*Source{},
-		metCRCErrs:     crcErrs,
-		metCkpts:       reg.Counter("fluct_collector_checkpoints_total"),
-		metItems:       reg.Counter("fluct_collector_items_total"),
-		metSets:        reg.Counter("fluct_collector_sets_total"),
-		metSources:     reg.Gauge("fluct_collector_sources"),
-		metConfHist:    reg.Histogram("fluct_collector_item_confidence_x1000"),
-		metShardFrames: reg.Counter("fluct_collector_shard_frames_total"),
-		metShardDepth:  reg.Gauge("fluct_collector_shard_queue_depth"),
-		metShardImbal:  reg.Gauge("fluct_collector_shard_imbalance_x1000"),
-		metImports:     reg.Counter("fluct_collector_handoff_imports_total"),
-		metImportDups:  reg.Counter("fluct_collector_handoff_duplicates_total"),
-		metImportErrs:  reg.Counter("fluct_collector_handoff_errors_total"),
-		metRedirects:   reg.Counter("fluct_collector_redirects_sent_total"),
-		imports:        map[string]*importProgress{},
+		sources:       map[string]*Source{},
+		metCRCErrs:    crcErrs,
+		metCkpts:      reg.Counter("fluct_collector_checkpoints_total"),
+		metItems:      reg.Counter("fluct_collector_items_total"),
+		metSets:       reg.Counter("fluct_collector_sets_total"),
+		metSources:    reg.Gauge("fluct_collector_sources"),
+		metConfHist:   reg.Histogram("fluct_collector_item_confidence_x1000"),
+		metImports:    reg.Counter("fluct_collector_handoff_imports_total"),
+		metImportDups: reg.Counter("fluct_collector_handoff_duplicates_total"),
+		metImportErrs: reg.Counter("fluct_collector_handoff_errors_total"),
+		metRedirects:  reg.Counter("fluct_collector_redirects_sent_total"),
+		imports:       map[string]*importProgress{},
 	}
 	if cfg.CheckpointPath != "" {
 		c.rx.Checkpoint = c.Checkpoint
-	}
-	c.startShards(cfg.IngestShards)
-	if cfg.CheckpointPath != "" {
 		if err := c.restoreCheckpoint(cfg.CheckpointPath); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, err
 		}
@@ -315,21 +281,11 @@ func (c *Collector) source(id string) *Source {
 	defer c.mu.Unlock()
 	s := c.sources[id]
 	if s == nil {
-		s = &Source{ID: id, internal: isHandoffPeer(id)}
-		c.initSource(s)
+		s = &Source{ID: id, internal: isHandoffPeer(id), conns: map[net.Conn]struct{}{}}
 		c.sources[id] = s
 		c.metSources.SetInt(len(c.sources))
 	}
 	return s
-}
-
-// initSource wires a source into the ingest machinery: its home shard
-// (stable hash of the ID), the apply-tick condition and the live-connection
-// set.
-func (c *Collector) initSource(s *Source) {
-	s.shard = c.shards[hashx.FNV1a(s.ID)%uint64(len(c.shards))]
-	s.applyCond = sync.NewCond(&s.mu)
-	s.conns = map[net.Conn]struct{}{}
 }
 
 // Source returns the state for id, or nil if the source never connected.
@@ -339,25 +295,55 @@ func (c *Collector) Source(id string) *Source {
 	return c.sources[id]
 }
 
+// sourceList returns every source, in no particular order.
+func (c *Collector) sourceList() []*Source {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	srcs := make([]*Source, 0, len(c.sources))
+	for _, s := range c.sources {
+		srcs = append(srcs, s)
+	}
+	return srcs
+}
+
 // CloseConns severs every live shipper connection: the crash harness's
 // kill switch, the daemon's shutdown path.
 func (c *Collector) CloseConns() { c.rx.CloseConns() }
 
-// Close severs every connection, drains the ingest shards (everything
-// enqueued is applied, nothing new accepted) and, when checkpointing is
-// configured, writes a final checkpoint.
+// Close refuses every frame from now on, severs every connection, lets
+// each apply in flight finish and, when checkpointing is configured,
+// writes a final checkpoint.
 func (c *Collector) Close() error {
+	c.closed.Store(true)
 	c.CloseConns()
-	c.stopShards()
+	for _, s := range c.sourceList() {
+		s.applyMu.Lock() // the apply in flight returns; the next one sees closed
+		s.applyMu.Unlock()
+	}
 	if c.cfg.CheckpointPath == "" {
 		return nil
 	}
 	return c.Checkpoint()
 }
 
+// ShardLoad reports how many frames the collector's sources have applied
+// (restored counts included), as a one-element slice. Frames apply on the
+// connection goroutine that read them, so there is no per-shard split;
+// the method is kept only for the benchmark harness (bench/fluctbench),
+// whose imbalance row reads it.
+func (c *Collector) ShardLoad() []uint64 {
+	var total uint64
+	for _, s := range c.sourceList() {
+		s.mu.Lock()
+		total += s.frames
+		s.mu.Unlock()
+	}
+	return []uint64{total}
+}
+
 // HandleConn runs one shipper connection through the sequenced receive
-// loop (durable.Receiver.Run); frames decode and integrate on the source's
-// home ingest shard. Exported for tests and in-process transports.
+// loop (durable.Receiver.Run); each frame decodes and integrates on the
+// connection's own goroutine. Exported for tests and in-process transports.
 func (c *Collector) HandleConn(conn net.Conn) {
 	c.rx.Run(conn, func(id string) durable.Stream { return c.open(conn, id) })
 }
@@ -392,76 +378,79 @@ type sourceStream struct {
 	c    *Collector
 	src  *Source
 	conn net.Conn
-	// handoff marks a THandoffSource whose disposition is owed ahead of
-	// its ack: a replay's names dupImport, a fresh one's is src.pendingAck.
-	handoff   bool
-	dupImport string
+	// owed is the disposition a THandoffSource owes its peer ahead of its
+	// ack (zero for every other frame): a fresh import's from its apply, a
+	// replay's always a duplicate.
+	owed wire.HandoffAck
 }
 
-// Start applies a SeqStart to the source's watermark. A set it orphans is
-// aborted through the home shard, ordered behind the frames already
-// queued (setOpen mirrors shard-owned state for that decision). A frozen
-// source is refused with TRedirect.
-func (s *sourceStream) Start(ss wire.SeqStart) (acked, resume uint64, ok bool) {
+// lockApply takes the source's apply mutex for one Start or Hand, or
+// refuses: a frozen source is answered with TRedirect, a closed collector
+// with nothing.
+func (s *sourceStream) lockApply() bool {
 	src := s.src
+	src.applyMu.Lock()
 	src.mu.Lock()
-	if src.frozen {
-		src.mu.Unlock()
+	frozen := src.frozen
+	src.mu.Unlock()
+	if !frozen && !s.c.closed.Load() {
+		return true
+	}
+	src.applyMu.Unlock()
+	if frozen {
+		// The drain quiesced the source after the handshake.
 		s.c.redirectAndClose(src, s.conn)
+	}
+	return false
+}
+
+// Start applies a SeqStart to the source's watermark and aborts a set it
+// orphans, under the apply mutex: the abort lands after every frame
+// already admitted.
+func (s *sourceStream) Start(ss wire.SeqStart) (acked, resume uint64, ok bool) {
+	if !s.lockApply() {
 		return 0, 0, false
 	}
+	src := s.src
+	defer src.applyMu.Unlock()
+	src.mu.Lock()
 	acked, resume, orphaned := src.wm.Start(ss.Epoch, ss.FirstSeq)
-	if orphaned && src.setOpen {
-		s.c.enqueueLocked(src, ingestItem{abort: true})
-	}
 	src.mu.Unlock()
+	if orphaned && src.integ != nil {
+		s.c.finishSet(src, wire.SetEnd{}, true, 0, 0)
+	}
 	return acked, resume, true
 }
 
-// Hand admits a frame and enqueues a fresh one to the home shard in one
-// src.mu hold; the shard applies in admission order. SetEnd and the two
-// handoff data frames earn acks, so a draining peer's spool trims as each
-// import lands durably.
-func (s *sourceStream) Hand(f *durable.Frame) (applied func() error, ok bool) {
+// Hand admits a frame and applies a fresh one in one hold of the apply
+// mutex, on this connection's goroutine: the source applies in admission
+// order, a duplicate returns only after its original's apply, and a slow
+// apply stops this connection reading, which leaves the backpressure to
+// TCP. SetEnd and the two handoff data frames earn acks, so a draining
+// peer's spool trims as each import lands durably.
+func (s *sourceStream) Hand(f *durable.Frame) (ack, ok bool) {
+	defer f.Release()
+	if !s.lockApply() {
+		return false, false
+	}
 	src := s.src
-	ackWorthy := f.Type == wire.TSetEnd || f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource
-	s.handoff, s.dupImport = false, ""
+	defer src.applyMu.Unlock()
 	src.mu.Lock()
-	if src.frozen {
-		// The drain quiesced the source after the handshake.
-		src.mu.Unlock()
-		f.Release()
-		s.c.redirectAndClose(src, s.conn)
-		return nil, false
-	}
 	adm := f.Admit(&src.wm)
-	if adm == durable.Fresh {
-		it := ingestItem{view: f.FrameView, epoch: f.Epoch, seq: f.Seq}
-		if ackWorthy {
-			res := make(chan error, 1)
-			it.res, applied = res, func() error { return <-res }
-		}
-		s.handoff = f.Type == wire.THandoffSource
-		s.c.enqueueLocked(src, it)
-		src.mu.Unlock()
-		return applied, true
-	}
-	// A duplicate is acked only once everything enqueued so far (its
-	// original too, on a reconnect race) is applied.
-	tick := src.enqTick
 	src.mu.Unlock()
-	if adm == durable.Duplicate && f.Type == wire.THandoffSource {
-		// A replayed import still owes its peer a disposition; remember
-		// which source it named before the frame goes back to the pool.
-		if hs, err := wire.DecodeHandoffSource(f.Payload); err == nil {
-			s.handoff, s.dupImport = true, hs.Source
+	var err error
+	s.owed = wire.HandoffAck{}
+	switch {
+	case adm == durable.Fresh:
+		s.owed, err = s.c.apply(src, f)
+	case adm == durable.Duplicate && f.Type == wire.THandoffSource:
+		// A replayed import still owes its peer a disposition.
+		if hs, derr := wire.DecodeHandoffSource(f.Payload); derr == nil {
+			s.owed = wire.HandoffAck{Source: hs.Source, Disposition: wire.HandoffDuplicate}
 		}
 	}
-	f.Release()
-	if adm == durable.Stale || !ackWorthy {
-		return nil, true
-	}
-	return func() error { waitApplied(src, tick); return nil }, true
+	ackWorthy := f.Type == wire.TSetEnd || f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource
+	return ackWorthy && adm != durable.Stale && err == nil, true
 }
 
 func (s *sourceStream) Sync() (sync.Locker, *durable.Watermark) { return &s.src.mu, &s.src.wm }
@@ -469,20 +458,11 @@ func (s *sourceStream) Sync() (sync.Locker, *durable.Watermark) { return &s.src.
 // Acking reports what an import did (installed, merged, duplicate) ahead
 // of its ack, so the drainer has every disposition by the time the final
 // ack releases its Drain.
-func (s *sourceStream) Acking(f *durable.Frame) error {
-	if !s.handoff {
+func (s *sourceStream) Acking(*durable.Frame) error {
+	if s.owed.Source == "" {
 		return nil
 	}
-	ack := wire.HandoffAck{Source: s.dupImport, Disposition: wire.HandoffDuplicate}
-	if s.dupImport == "" {
-		s.src.mu.Lock()
-		ack = s.src.pendingAck
-		s.src.mu.Unlock()
-		if ack.Source == "" {
-			return nil
-		}
-	}
-	payload, err := wire.AppendHandoffAck(nil, ack)
+	payload, err := wire.AppendHandoffAck(nil, s.owed)
 	if err != nil {
 		return nil
 	}
@@ -506,14 +486,40 @@ func (s *sourceStream) End(lost error) bool {
 	return true
 }
 
-// applyFrame applies one verified frame to the source's in-set state. It
-// runs ONLY on the source's home-shard goroutine, which owns integ/scan/
-// curItem outright — the decode (zero-copy record iterators over the
-// pooled frame bytes) and the integrator push take no lock; only the
-// fields the checkpoint and fleet view read (freq, syms, and the
-// finishSet publication) are written under src.mu.
-func (c *Collector) applyFrame(src *Source, it *ingestItem) error {
-	f := it.view
+// apply applies one admitted frame and books it against the source; a
+// THandoffSource also returns the disposition its peer is owed. Caller
+// holds src.applyMu.
+func (c *Collector) apply(src *Source, f *durable.Frame) (owed wire.HandoffAck, err error) {
+	if f.Type == wire.THandoffSource {
+		owed, err = c.applyHandoffSource(src, f.Payload)
+	} else {
+		err = c.applyFrame(src, f)
+	}
+	src.mu.Lock()
+	src.frames++
+	if err != nil {
+		// The frame arrived intact (CRC passed) but its payload is
+		// undecodable.
+		c.metCRCErrs.Inc()
+		src.crcErrors++
+	} else if f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource {
+		// An import settles after the target row changed (under the
+		// target's own mutex): a snapshot between the two replays the
+		// import, which importSource recognizes as a duplicate. SetEnd
+		// settles inside finishSet, together with its accounting.
+		src.wm.Settle(f.Epoch, f.Seq)
+	}
+	src.mu.Unlock()
+	return owed, err
+}
+
+// applyFrame applies one verified frame to the source's in-set state.
+// The caller holds src.applyMu, which makes integ/scan/curItem its own:
+// the decode (zero-copy record iterators over the pooled frame bytes) and
+// the integrator push take no other lock; only the fields the checkpoint
+// and fleet view read (freq, syms, and the finishSet publication) are
+// written under src.mu.
+func (c *Collector) applyFrame(src *Source, f *durable.Frame) error {
 	switch f.Type {
 	case wire.TSymtab:
 		freq, tab, err := wire.DecodeSymtab(f.Payload)
@@ -580,12 +586,10 @@ func (c *Collector) applyFrame(src *Source, it *ingestItem) error {
 		if err != nil {
 			return err
 		}
-		c.finishSet(src, end, false, it.epoch, it.seq)
+		c.finishSet(src, end, false, f.Epoch, f.Seq)
 		return nil
 	case wire.THandoffBegin:
 		return c.applyHandoffBegin(src, f.Payload)
-	case wire.THandoffSource:
-		return c.applyHandoffSource(src, f.Payload)
 	default:
 		return fmt.Errorf("collector: unexpected %s frame", f.Type)
 	}
@@ -593,9 +597,9 @@ func (c *Collector) applyFrame(src *Source, it *ingestItem) error {
 
 // finishSet closes the in-flight set: flush the integrator, run the gap
 // scan, reconcile declared vs received totals, and publish the result as
-// the source's last completed set. Runs on the home-shard goroutine; the
-// flush and the gap scan work on shard-owned state without a lock, only
-// the publication takes src.mu. (epoch, seq) number the SetEnd that closed
+// the source's last completed set. Caller holds src.applyMu; the flush
+// and the gap scan take no other lock, only the publication takes src.mu.
+// (epoch, seq) number the SetEnd that closed
 // the set (zero for an abort or a synchronous feed): the watermark
 // settles in the same hold that bumps the accounting, so no snapshot can
 // hold one without the other.
@@ -655,21 +659,18 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 			GapLine:     sum.GapLine,
 			Items:       append([]core.Item(nil), src.items...),
 		}
-		src.summarizing = true
 	}
 	src.mu.Unlock()
 
 	src.curItem = src.curItem[:0]
 
 	if c.cfg.OnSummary != nil {
-		// Still on the shard goroutine: the callback completes before this
-		// frame's apply result is delivered, so the SetEnd checkpoint+ack
-		// happens-after whatever durability the callback establishes.
+		// Still under the apply mutex: the callback returns before this
+		// frame's Hand does, so the SetEnd checkpoint+ack happens-after
+		// whatever durability the callback establishes, and a checkpoint
+		// (which takes the apply mutex) never snapshots the settled set
+		// while its summary is still on the way out.
 		c.cfg.OnSummary(fs)
-		src.mu.Lock()
-		src.summarizing = false
-		src.applyCond.Broadcast()
-		src.mu.Unlock()
 	}
 
 	c.metSets.Inc()
@@ -689,8 +690,8 @@ func (c *Collector) newDetector(id string, freq uint64) (*detect.Detector, error
 }
 
 // publishVerdicts copies the detector's verdict snapshot into the fields
-// the fleet view reads, and feeds the uplink tap. Runs on the source's
-// home-shard goroutine (the detector's single-goroutine contract).
+// the fleet view reads, and feeds the uplink tap. Caller holds
+// src.applyMu, which gives the detector its one caller at a time.
 func (c *Collector) publishVerdicts(src *Source) {
 	st := src.det.State()
 	src.mu.Lock()
@@ -739,11 +740,12 @@ func (s *Source) Sets() uint64 {
 // SetOpen reports whether a trace set is currently in flight from the
 // source. The drain-chaos harness uses it to start a drain provably
 // mid-set, so the quiesce path (wait for the set boundary before
-// freezing) is what gets exercised rather than an idle freeze.
+// freezing) is what gets exercised rather than an idle freeze. It waits
+// out an apply in flight.
 func (s *Source) SetOpen() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.setOpen
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	return s.integ != nil
 }
 
 // Items returns a copy of the source's last completed set's items, in the

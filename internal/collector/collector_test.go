@@ -5,10 +5,12 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/symtab"
@@ -45,15 +47,13 @@ func readFrame(conn io.Reader) (wire.FrameView, error) {
 	return (*wire.FramePool)(nil).NewReader(conn).Next()
 }
 
-// frame applies one frame to the source's state, synchronously: it is
-// routed through the home shard, so it stays ordered with connection
-// ingest, and waits for the apply result.
+// frame applies one frame to the source's state, synchronously, under the
+// source's apply mutex like connection ingest.
 func (c *Collector) frame(src *Source, f wire.Frame) error {
-	res := make(chan error, 1)
-	src.mu.Lock()
-	c.enqueueLocked(src, ingestItem{view: wire.FrameView{Type: f.Type, Payload: f.Payload}, res: res})
-	src.mu.Unlock()
-	return <-res
+	src.applyMu.Lock()
+	defer src.applyMu.Unlock()
+	_, err := c.apply(src, &durable.Frame{FrameView: wire.FrameView{Type: f.Type, Payload: f.Payload}})
+	return err
 }
 
 // recordsFrame builds one TRecords frame out of runs given in feed order —
@@ -253,7 +253,7 @@ func TestHealthDegradedOnTransportLoss(t *testing.T) {
 func TestIngestRetainsNoRecords(t *testing.T) {
 	set := workloadSet(t, 2000)
 	frames := rawSetFrames(t, set)
-	c, err := New(Config{Registry: obs.NewRegistry(), IngestShards: 1})
+	c, err := New(Config{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,4 +280,62 @@ func TestIngestRetainsNoRecords(t *testing.T) {
 	if src.Sets() != 2 || len(src.Items()) != 2000 {
 		t.Fatalf("ingested %d sets, last with %d items", src.Sets(), len(src.Items()))
 	}
+}
+
+// TestSlowApplyBackpressures: a connection reads its next frame only once
+// the last one's apply has returned, so a stalled apply holds the sender
+// back through the link instead of parking its frames in memory. Set 1 is
+// left open (the shipper restarted mid-set); set 2's symtab aborts it, and
+// the summary tap holds that apply. Nothing more of set 2 may be read until
+// the tap returns — then all of it lands.
+func TestSlowApplyBackpressures(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free()
+	c, err := New(Config{Registry: obs.NewRegistry(), OnSummary: func(fs wire.FleetSummary) {
+		if fs.AbortedSets == 1 && fs.Sets == 1 {
+			close(entered)
+			<-release
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	go c.HandleConn(server)
+	if _, err := wire.ClientHandshake(client, "w"); err != nil {
+		t.Fatal(err)
+	}
+	set1 := rawSetFrames(t, workloadSet(t, 40))
+	shipV2Set(t, client, set1[:len(set1)-1], 1, 1)
+	go io.Copy(io.Discard, client)
+
+	set2 := workloadSet(t, 80)
+	frames2 := rawSetFrames(t, set2)
+	sendFrame(t, client, frames2[0])
+	<-entered
+	_ = client.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+	read := 0
+	for _, f := range frames2[1:] {
+		err := wire.WriteFrame(client, f)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		read++
+	}
+	if read > 0 {
+		t.Fatalf("the collector read %d of set 2's %d frames while the apply before them was held", read, len(frames2)-1)
+	}
+
+	free()
+	_ = client.SetWriteDeadline(time.Time{})
+	for _, f := range frames2[1:] {
+		sendFrame(t, client, f)
+	}
+	src := waitSets(t, c, "w", 2, 10*time.Second)
+	assertReportEquals(t, "set 2 after the held apply", src, set2)
 }

@@ -34,10 +34,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "checkpoint.json")
 	spoolDir := t.TempDir()
 
-	// Collector incarnation A. The two incarnations run different ingest
-	// shard counts: a source's shard pinning is process-local state, and a
-	// restart must be free to re-pin it without disturbing dedup or replay.
-	collA, err := New(Config{CheckpointPath: ckpt, Registry: obs.NewRegistry(), IngestShards: 2})
+	// Collector incarnation A.
+	collA, err := New(Config{CheckpointPath: ckpt, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +130,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	// Phase 3: both sides restart. The collector restores the checkpoint;
 	// the shipper recovers the spool (truncating the torn tail) and
 	// retransmits everything past the acked watermark — all of set 2.
-	collB, err := New(Config{CheckpointPath: ckpt, Registry: obs.NewRegistry(), IngestShards: 5})
+	collB, err := New(Config{CheckpointPath: ckpt, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

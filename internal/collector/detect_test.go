@@ -1,17 +1,13 @@
 package collector
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/detect"
-	"repro/internal/obs"
 	"repro/internal/pmu"
-	"repro/internal/ship"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -56,116 +52,89 @@ func verdictWorkloadSet(t testing.TB, requests int) *trace.Set {
 	return trace.NewSet(m, log, samples)
 }
 
-// verdictCapture collects the collector's verdict stream. OnVerdict runs
-// on the source's ingest-shard goroutine; the mutex makes the test-side
-// read safe once shipping has drained.
+// verdictCapture collects the collector's verdict streams per source.
+// OnVerdict and OnVerdicts run under the source's apply mutex, on its
+// connection goroutine; the mutex makes the test-side read safe once
+// shipping has drained.
 type verdictCapture struct {
-	mu       sync.Mutex
-	stream   []string
-	snapshot []wire.VerdictSet
+	mu      sync.Mutex
+	streams map[string][]string
+	last    map[string]wire.VerdictSet
+}
+
+func newVerdictCapture() *verdictCapture {
+	return &verdictCapture{streams: map[string][]string{}, last: map[string]wire.VerdictSet{}}
 }
 
 func (vc *verdictCapture) onVerdict(v detect.Verdict) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
-	vc.stream = append(vc.stream, fmt.Sprintf("%s %s", v.Source, v))
+	vc.streams[v.Source] = append(vc.streams[v.Source], v.String())
 }
 
 func (vc *verdictCapture) onVerdicts(vs wire.VerdictSet) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
-	vc.snapshot = append(vc.snapshot, vs)
+	vc.last[vs.Source] = vs
 }
 
-func (vc *verdictCapture) rendered() string {
+// detectRun ships set from every named source at once into a fresh
+// collector with the detector on, checks each source's verdicts for the
+// built-in regression, and returns each source's verdict state rendered
+// without its source name: the stream, the active-event count and the
+// published snapshot.
+func detectRun(t *testing.T, set *trace.Set, sources ...string) map[string]string {
+	t.Helper()
+	vc := newVerdictCapture()
+	coll, addr := startCollector(t, Config{
+		Detect:     &detect.Config{},
+		OnVerdict:  vc.onVerdict,
+		OnVerdicts: vc.onVerdicts,
+	})
+	shipAtOnce(t, coll, addr, set, sources...)
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
-	return strings.Join(vc.stream, "\n")
-}
-
-// shipOnce ships one set into a fresh collector configured with the
-// detector and returns the rendered verdict stream plus the source's
-// published snapshot.
-func shipOnce(t *testing.T, set *trace.Set, shards int) (string, int, []detect.Verdict, *verdictCapture) {
-	t.Helper()
-	vc := &verdictCapture{}
-	coll, addr := startCollector(t, Config{
-		Registry:     obs.NewRegistry(),
-		IngestShards: shards,
-		Detect:       &detect.Config{},
-		OnVerdict:    vc.onVerdict,
-		OnVerdicts:   vc.onVerdicts,
-	})
-	// A 300-item set interleaves markers and samples into ~1200 frames —
-	// past the default 1024-frame admission line, which would refuse the
-	// next set while this one awaits its ack. Backpressure is not under
-	// test here; size the queue for several sets.
-	s, err := ship.New(ship.Config{Addr: addr, Source: "worker-det", Registry: obs.NewRegistry(), QueueFrames: 1 << 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx) }()
-	if err := s.ShipSet(set); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	src := waitSets(t, coll, "worker-det", 1, 20*time.Second)
-	cancel()
-	<-done
-	active, verdicts := src.Verdicts()
-	return vc.rendered(), active, verdicts, vc
-}
-
-// TestDetectShardDeterminism is the detector's ordering property test:
-// the same shipped input must produce a byte-identical verdict stream at
-// every ingest shard count, because a source's items are always applied
-// on its single home shard goroutine. It also pins the content: the
-// built-in mid-stream regression must blame table_lookup.
-func TestDetectShardDeterminism(t *testing.T) {
-	set := verdictWorkloadSet(t, 300)
-	type run struct {
-		shards  int
-		stream  string
-		active  int
-		verdict []detect.Verdict
-	}
-	var runs []run
-	for _, shards := range []int{1, 4, 1} { // repeat shards=1: same-setting determinism too
-		stream, active, verdicts, vc := shipOnce(t, set, shards)
+	out := map[string]string{}
+	for _, id := range sources {
+		stream := strings.Join(vc.streams[id], "\n")
 		if stream == "" {
-			t.Fatalf("shards=%d: built-in regression produced no verdicts", shards)
+			t.Fatalf("%s: built-in regression produced no verdicts", id)
 		}
 		if !strings.Contains(stream, "table_lookup") {
-			t.Fatalf("shards=%d: verdict stream blames the wrong function:\n%s", shards, stream)
+			t.Fatalf("%s: verdict stream blames the wrong function:\n%s", id, stream)
 		}
-		vc.mu.Lock()
-		if len(vc.snapshot) == 0 {
-			t.Fatalf("shards=%d: OnVerdicts never fired", shards)
+		active, verdicts := coll.Source(id).Verdicts()
+		last, ok := vc.last[id]
+		if !ok {
+			t.Fatalf("%s: OnVerdicts never fired", id)
 		}
-		last := vc.snapshot[len(vc.snapshot)-1]
-		vc.mu.Unlock()
-		if last.Source != "worker-det" || len(last.Verdicts) != len(verdicts) {
-			t.Fatalf("shards=%d: snapshot %+v disagrees with Source.Verdicts() (%d verdicts)",
-				shards, last, len(verdicts))
+		if len(last.Verdicts) != len(verdicts) {
+			t.Fatalf("%s: snapshot %+v disagrees with Source.Verdicts() (%d verdicts)", id, last, len(verdicts))
 		}
-		runs = append(runs, run{shards: shards, stream: stream, active: active, verdict: verdicts})
+		for i := range verdicts {
+			verdicts[i].Source = ""
+		}
+		out[id] = fmt.Sprintf("%s\nactive=%d\npublished=%+v", stream, active, verdicts)
 	}
-	for _, r := range runs[1:] {
-		if r.stream != runs[0].stream {
-			t.Errorf("verdict stream differs between shards=%d and shards=%d:\n%s\nvs\n%s",
-				runs[0].shards, r.shards, runs[0].stream, r.stream)
-		}
-		if r.active != runs[0].active {
-			t.Errorf("active events differ: shards=%d got %d, shards=%d got %d",
-				runs[0].shards, runs[0].active, r.shards, r.active)
-		}
-		if fmt.Sprintf("%+v", r.verdict) != fmt.Sprintf("%+v", runs[0].verdict) {
-			t.Errorf("published snapshots differ between shard counts")
+	return out
+}
+
+// TestDetectDeterminism is the detector's ordering property test: a
+// source's verdict stream depends only on what it shipped. Two sources
+// ship the same set into one collector at once, and each one's verdict
+// state must be byte-identical to its solo run — a source's items apply
+// under its own apply mutex, in its own admission order, whatever the
+// other connection does. The whole run repeats once. It also pins the
+// content: the built-in mid-stream regression must blame table_lookup.
+func TestDetectDeterminism(t *testing.T) {
+	set := verdictWorkloadSet(t, 300)
+	for round := 1; round <= 2; round++ {
+		both := detectRun(t, set, "det-a", "det-b")
+		for _, id := range []string{"det-a", "det-b"} {
+			if solo := detectRun(t, set, id)[id]; both[id] != solo {
+				t.Errorf("round %d: %s's verdicts beside another source differ from its solo run:\n%s\nvs\n%s",
+					round, id, both[id], solo)
+			}
 		}
 	}
 }
@@ -173,31 +142,8 @@ func TestDetectShardDeterminism(t *testing.T) {
 // TestDetectFleetEndpoints: with detection on, the fired verdicts surface
 // in the fleet view, /verdicts, and the /healthz detect condition.
 func TestDetectFleetEndpoints(t *testing.T) {
-	set := verdictWorkloadSet(t, 300)
-	vc := &verdictCapture{}
-	coll, addr := startCollector(t, Config{
-		Registry:   obs.NewRegistry(),
-		Detect:     &detect.Config{},
-		OnVerdict:  vc.onVerdict,
-		OnVerdicts: vc.onVerdicts,
-	})
-	s, err := ship.New(ship.Config{Addr: addr, Source: "worker-fleet", Registry: obs.NewRegistry(), QueueFrames: 1 << 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx) }()
-	if err := s.ShipSet(set); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	waitSets(t, coll, "worker-fleet", 1, 20*time.Second)
-	cancel()
-	<-done
+	coll, addr := startCollector(t, Config{Detect: &detect.Config{}})
+	shipAtOnce(t, coll, addr, verdictWorkloadSet(t, 300), "worker-fleet")
 
 	v := coll.Fleet()
 	if len(v.Verdicts) == 0 {

@@ -490,9 +490,9 @@ func TestStaleEpochConnRejected(t *testing.T) {
 		}
 	}
 
-	// The watermark commits on the connection goroutine after the set is
-	// applied on the shard goroutine; the TAck is what orders the two, so
-	// read it before asserting on LastAcked.
+	// The watermark commits after the set's checkpoint, just before the
+	// TAck is written; the TAck is what orders the two, so read it before
+	// asserting on LastAcked.
 	f, err := readFrame(newConn)
 	if err != nil {
 		t.Fatal(err)
@@ -576,7 +576,7 @@ func TestSnapshotBeforeAckCommit(t *testing.T) {
 // before OnSummary hands its summary to the uplink. A checkpoint landing in
 // between would, after a crash, acknowledge the shipper's replay of the set
 // as duplicates without ever emitting its summary — so the snapshot waits
-// for the tap to return.
+// for the apply mutex the tap runs under.
 func TestCheckpointWaitsForSummaryTap(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	c, err := New(Config{
@@ -655,24 +655,5 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 	}
 	if !bytes.Equal(rewritten, fixture) {
 		t.Fatalf("re-checkpoint moved the encoding: %s", firstDiff(string(rewritten), string(fixture)))
-	}
-}
-
-// TestIngestShardGolden pins the source → ingest shard assignment for
-// fixed IDs (captured before the hash moved into internal/hashx).
-func TestIngestShardGolden(t *testing.T) {
-	c, err := New(Config{IngestShards: 4, Registry: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for id, want := range map[string]int{
-		"worker-1": 1, "worker-2": 0, "worker-3": 3, "host42-pid9": 0,
-		"db.example.com-331": 0, "x": 3, "!handoff!shard-a": 1,
-		"bench-0": 0, "edge-17.rack4": 0, "w": 2,
-	} {
-		if got := c.source(id).shard; got != c.shards[want] {
-			t.Errorf("source %q left ingest shard %d", id, want)
-		}
 	}
 }

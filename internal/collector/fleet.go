@@ -63,10 +63,6 @@ type FleetView struct {
 	// TopSlow holds the K slowest items (by elapsed time) across all
 	// sources' last completed sets, slowest first.
 	TopSlow []FleetItem `json:"top_slow"`
-	// ShardFrames is the cumulative frame count applied by each ingest
-	// shard, in shard order — a skewed distribution means a few hot
-	// sources are pinning their shards while others idle.
-	ShardFrames []uint64 `json:"shard_frames,omitempty"`
 	// Verdicts holds every source's recent fluctuation verdicts, ordered
 	// by (source, event, rank) — the fleet-wide answer to "what changed,
 	// where, and why".
@@ -140,20 +136,14 @@ func MergeFleet(topK int, rows []SourceRow) FleetView {
 
 // Fleet assembles the current fleet view.
 func (c *Collector) Fleet() FleetView {
-	c.mu.Lock()
-	srcs := make([]*Source, 0, len(c.sources))
-	for _, s := range c.sources {
+	srcs := c.sourceList()
+	rows := make([]SourceRow, 0, len(srcs))
+	for _, s := range srcs {
 		if s.internal {
 			// Handoff peer streams are transport plumbing, not fleet
 			// members (internal is immutable after creation).
 			continue
 		}
-		srcs = append(srcs, s)
-	}
-	c.mu.Unlock()
-
-	rows := make([]SourceRow, 0, len(srcs))
-	for _, s := range srcs {
 		s.mu.Lock()
 		row := SourceRow{Summary: s.summaryLocked(), FreqHz: s.freq,
 			Items:    make([]core.Item, len(s.items)),
@@ -165,9 +155,7 @@ func (c *Collector) Fleet() FleetView {
 		s.mu.Unlock()
 		rows = append(rows, row)
 	}
-	v := MergeFleet(c.cfg.TopK, rows)
-	v.ShardFrames = c.ShardLoad()
-	return v
+	return MergeFleet(c.cfg.TopK, rows)
 }
 
 // summaryLocked builds the source's fleet row. Caller holds s.mu.

@@ -68,8 +68,8 @@ func (c *Collector) redirectAndClose(src *Source, conn net.Conn) {
 	c.writeRedirect(conn, members)
 }
 
-// applyHandoffBegin records a draining peer's announcement. Runs on the
-// peer stream's home-shard goroutine like every applied frame.
+// applyHandoffBegin records a draining peer's announcement. Runs under the
+// peer stream's apply mutex like every applied frame.
 func (c *Collector) applyHandoffBegin(peer *Source, payload []byte) error {
 	hb, err := wire.DecodeHandoffBegin(payload)
 	if err != nil {
@@ -86,29 +86,26 @@ func (c *Collector) applyHandoffBegin(peer *Source, payload []byte) error {
 	return nil
 }
 
-// applyHandoffSource imports one moved source's state and stages the
-// disposition for the connection goroutine to report in a THandoffAck.
-// Runs on the peer stream's home-shard goroutine; it takes only the target
-// source's mutex (never two source mutexes at once), so it cannot deadlock
-// against the target's own ingest.
-func (c *Collector) applyHandoffSource(peer *Source, payload []byte) error {
+// applyHandoffSource imports one moved source's state and returns the
+// disposition its peer connection reports in a THandoffAck. Runs under the
+// peer stream's apply mutex; it takes only the target source's mutex
+// (never two source mutexes at once), so it cannot deadlock against the
+// target's own ingest.
+func (c *Collector) applyHandoffSource(peer *Source, payload []byte) (wire.HandoffAck, error) {
 	hs, err := wire.DecodeHandoffSource(payload)
 	if err != nil {
 		c.metImportErrs.Inc()
-		return err
+		return wire.HandoffAck{}, err
 	}
 	if !peer.internal {
 		c.metImportErrs.Inc()
-		return fmt.Errorf("collector: handoff source on non-handoff stream %q", peer.ID)
+		return wire.HandoffAck{}, fmt.Errorf("collector: handoff source on non-handoff stream %q", peer.ID)
 	}
 	if isHandoffPeer(hs.Source) {
 		c.metImportErrs.Inc()
-		return fmt.Errorf("collector: refusing handoff of internal stream %q", hs.Source)
+		return wire.HandoffAck{}, fmt.Errorf("collector: refusing handoff of internal stream %q", hs.Source)
 	}
 	disp := c.importSource(hs)
-	peer.mu.Lock()
-	peer.pendingAck = wire.HandoffAck{Source: hs.Source, Disposition: disp}
-	peer.mu.Unlock()
 	c.mu.Lock()
 	if p := c.imports[peer.ID]; p != nil {
 		p.done++
@@ -119,7 +116,7 @@ func (c *Collector) applyHandoffSource(peer *Source, payload []byte) error {
 	} else {
 		c.metImports.Inc()
 	}
-	return nil
+	return wire.HandoffAck{Source: hs.Source, Disposition: disp}, nil
 }
 
 // importSource applies one decoded handoff under the target source's
@@ -230,10 +227,11 @@ func (c *Collector) NoteDrained() {
 // FreezeSource quiesces id at a set boundary and freezes it: once frozen,
 // every frame for the source is refused and every connection is answered
 // with TRedirect(members). The quiesce waits for the in-flight set to
-// close and the shard queue to empty, polling up to setWait; a source that
-// will not reach a boundary in time has its set aborted (the degraded
-// path — the abort is visible in the counters, but the drain never wedges
-// behind one slow shipper). Returns whether the quiesce had to abort.
+// close, polling up to setWait; a source that will not reach a boundary in
+// time has its set aborted (the degraded path — the abort is visible in
+// the counters, but the drain never wedges behind one slow shipper). Each
+// poll holds the apply mutex, so the freeze (and a forced abort) lands
+// between two applies. Returns whether the quiesce had to abort.
 func (c *Collector) FreezeSource(id string, members []string, setWait time.Duration) (aborted bool, err error) {
 	c.mu.Lock()
 	src := c.sources[id]
@@ -243,31 +241,23 @@ func (c *Collector) FreezeSource(id string, members []string, setWait time.Durat
 	}
 	deadline := time.Now().Add(setWait)
 	for {
-		src.mu.Lock()
-		if src.frozen {
-			// Re-drain after a crash: already frozen, refresh the hint.
-			src.redirect = append([]string(nil), members...)
-			src.mu.Unlock()
-			return false, nil
-		}
-		if !src.setOpen && src.applyTick == src.enqTick {
+		src.applyMu.Lock()
+		open := src.integ != nil
+		if !open || !time.Now().Before(deadline) {
+			src.mu.Lock()
+			// A re-drain after a crash finds the source already frozen (its
+			// set closed before the first freeze) and just refreshes the hint.
 			src.frozen = true
 			src.redirect = append([]string(nil), members...)
 			src.mu.Unlock()
-			return false, nil
+			if open {
+				// Force a boundary: abort the in-flight set.
+				c.finishSet(src, wire.SetEnd{}, true, 0, 0)
+			}
+			src.applyMu.Unlock()
+			return open, nil
 		}
-		if !time.Now().Before(deadline) {
-			// Force a boundary: abort the in-flight set through the shard
-			// queue (ordered behind the frames already admitted) and freeze
-			// in the same hold so no new frame slips in between.
-			tick := c.enqueueLocked(src, ingestItem{abort: true})
-			src.frozen = true
-			src.redirect = append([]string(nil), members...)
-			src.mu.Unlock()
-			waitApplied(src, tick)
-			return true, nil
-		}
-		src.mu.Unlock()
+		src.applyMu.Unlock()
 		time.Sleep(time.Millisecond)
 	}
 }
@@ -297,9 +287,8 @@ func (c *Collector) ExportSource(id string) (*wire.HandoffSource, error) {
 	}
 	hs.LastAcked = src.wm.Applied
 	if src.det != nil {
-		// The source is frozen and its shard queue drained, so the shard
-		// goroutine is done with this detector; the mutex chain through
-		// waitApplied makes its writes visible here.
+		// The source is frozen, so no apply touches this detector again;
+		// the apply mutex FreezeSource took makes its writes visible here.
 		snap := src.det.Snapshot()
 		hs.Detector = &snap
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -95,79 +94,85 @@ func waitSets(t testing.TB, c *Collector, source string, n uint64, timeout time.
 	}
 }
 
+// shipAtOnce ships set from every named source at once — one shipper
+// each, all running together — and returns once the collector holds every
+// source's set.
+func shipAtOnce(t *testing.T, coll *Collector, addr string, set *trace.Set, sources ...string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var shippers []*ship.Shipper
+	var runs []chan error
+	for _, id := range sources {
+		// Backpressure is not under test here; size the queue for several
+		// sets.
+		s, err := ship.New(ship.Config{Addr: addr, Source: id, Registry: obs.NewRegistry(), QueueFrames: 1 << 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.Run(ctx) }()
+		shippers, runs = append(shippers, s), append(runs, done)
+	}
+	for _, s := range shippers {
+		if err := s.ShipSet(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range shippers {
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range sources {
+		waitSets(t, coll, id, 1, 20*time.Second)
+	}
+	cancel()
+	for _, done := range runs {
+		<-done
+	}
+}
+
 // TestLoopbackEquivalence is the subsystem's acceptance bar: a trace set
 // shipped over a real TCP loopback must integrate on the collector to a
 // report byte-identical to a local core.Integrate of the same set — at
 // Parallelism 1 and at GOMAXPROCS (whose outputs are themselves pinned
-// identical by the core package).
+// identical by the core package). Two sources ship at once, so their
+// connection goroutines decode and integrate side by side in one collector.
 func TestLoopbackEquivalence(t *testing.T) {
 	set := workloadSet(t, 120)
-	// The equivalence must hold regardless of the ingest sharding: a single
-	// shard serializes everything, several shards exercise the handoff
-	// between connection goroutines and shard goroutines.
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			reg := obs.NewRegistry()
-			coll, addr := startCollector(t, Config{Registry: reg, IngestShards: shards})
+	coll, addr := startCollector(t, Config{})
+	sources := []string{"worker-1", "worker-2"}
+	shipAtOnce(t, coll, addr, set, sources...)
 
-			s, err := ship.New(ship.Config{Addr: addr, Source: "worker-1", Registry: obs.NewRegistry()})
+	for _, id := range sources {
+		src := coll.Source(id)
+		var shipped bytes.Buffer
+		RenderItems(&shipped, src.FreqHz(), src.Items())
+
+		for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
+			local, err := core.Integrate(set, core.Options{Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			done := make(chan error, 1)
-			go func() { done <- s.Run(ctx) }()
-			if err := s.ShipSet(set); err != nil {
-				t.Fatal(err)
+			var want bytes.Buffer
+			RenderItems(&want, local.FreqHz, local.Items)
+			if !bytes.Equal(shipped.Bytes(), want.Bytes()) {
+				t.Fatalf("%s, parallelism %d: collector report differs from local Integrate: %s",
+					id, par, firstDiff(shipped.String(), want.String()))
 			}
-			if err := s.Drain(ctx); err != nil {
-				t.Fatal(err)
-			}
-			src := waitSets(t, coll, "worker-1", 1, 20*time.Second)
-			cancel()
-			<-done
+		}
 
-			var shipped bytes.Buffer
-			RenderItems(&shipped, src.FreqHz(), src.Items())
-
-			for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-				local, err := core.Integrate(set, core.Options{Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want bytes.Buffer
-				RenderItems(&want, local.FreqHz, local.Items)
-				if !bytes.Equal(shipped.Bytes(), want.Bytes()) {
-					t.Fatalf("parallelism %d: collector report differs from local Integrate: %s",
-						par, firstDiff(shipped.String(), want.String()))
-				}
+		// The transport lost nothing on a clean link.
+		if src.Diag().UnattributedSamples != 0 {
+			// Unattributed samples exist in any trace (inter-item gaps); just
+			// require agreement with the local pass.
+			local, _ := core.Integrate(set, core.Options{})
+			if src.Diag().UnattributedSamples != local.Diag.UnattributedSamples {
+				t.Fatalf("%s unattributed: shipped %d, local %d",
+					id, src.Diag().UnattributedSamples, local.Diag.UnattributedSamples)
 			}
-
-			// The transport lost nothing on a clean link.
-			if src.Diag().UnattributedSamples != 0 {
-				// Unattributed samples exist in any trace (inter-item gaps); just
-				// require agreement with the local pass.
-				local, _ := core.Integrate(set, core.Options{})
-				if src.Diag().UnattributedSamples != local.Diag.UnattributedSamples {
-					t.Fatalf("unattributed: shipped %d, local %d",
-						src.Diag().UnattributedSamples, local.Diag.UnattributedSamples)
-				}
-			}
-
-			// The zero-copy machinery actually carried the set: frames went
-			// through the ingest shards and the shard load is visible.
-			var shardFrames uint64
-			for _, n := range coll.ShardLoad() {
-				shardFrames += n
-			}
-			if shardFrames == 0 {
-				t.Error("ingest shards applied no frames")
-			}
-			if got := reg.Counter("fluct_collector_shard_frames_total").Value(); got != shardFrames {
-				t.Errorf("shard frame counter %d != shard load sum %d", got, shardFrames)
-			}
-		})
+		}
 	}
 }
 

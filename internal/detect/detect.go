@@ -9,14 +9,13 @@
 // stream of Verdicts — "function X on core Y gained Z µs" — plus a
 // change-event lifecycle that feeds /healthz.
 //
-// Everything is deterministic: the detector is driven on a single
-// goroutine (the collector calls Update on the source's home ingest-shard
-// goroutine, which owns the source's item order at any shard count), the
-// pair subsampling inside the energy statistic draws from a self-contained
-// splitmix64 generator seeded by (Config.Seed, items seen, split point),
-// and ties rank by (delta, function, core). Identical input series
-// therefore yield byte-identical verdict streams — a property test, not a
-// hope.
+// Everything is deterministic: the detector has one caller at a time (the
+// collector calls Update under the source's apply mutex, in the source's
+// admission order, across reconnects too), the pair subsampling inside
+// the energy statistic draws from a self-contained splitmix64 generator
+// seeded by (Config.Seed, items seen, split point), and ties rank by
+// (delta, function, core). Identical input series therefore yield
+// byte-identical verdict streams — a property test, not a hope.
 //
 // Cost per Update is O(MinSegment log MinSegment / CheckEvery) amortized
 // on a steady series: the ring append is O(1), and every CheckEvery items
@@ -179,9 +178,9 @@ type funcObs struct {
 }
 
 // Detector is the per-source streaming change-point detector plus cause
-// ranker. It is single-goroutine by contract: Update, State, and Stats
-// must all be called from the same goroutine (the collector runs them on
-// the source's home ingest shard). The zero value is not ready; use New.
+// ranker. It has one caller at a time by contract: Update, State, and
+// Stats must never run concurrently (the collector calls them under the
+// source's apply mutex). The zero value is not ready; use New.
 type Detector struct {
 	cfg  Config
 	reg  *obs.Registry

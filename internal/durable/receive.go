@@ -22,13 +22,14 @@ type Stream interface {
 	// peer why, and the loop hangs up.
 	Start(ss wire.SeqStart) (acked, resume uint64, ok bool)
 	// Hand takes over f and its view's reference. It calls f.Admit and, for
-	// a Fresh frame, hands it on for apply in one critical section, so two
-	// live connections never both admit a number and no number is admitted
-	// past one whose apply is pending. ok false refuses the frame unadmitted,
-	// as Start does. applied is nil for a frame that earns no ack; otherwise
-	// it blocks until the frame's apply (a duplicate's: its original's) has
-	// returned, and reports an undecodable payload as an error.
-	Hand(f *Frame) (applied func() error, ok bool)
+	// a Fresh frame, applies it, all in one critical section, so two live
+	// connections never both admit a number, no number is admitted past one
+	// whose apply is pending, and a duplicate returns only after its
+	// original's apply has. ok false refuses the frame unadmitted, as Start
+	// does. ack reports that f earns an acknowledgement now: false for a
+	// frame that earns none, and for an intact frame whose payload does not
+	// decode (the stream counts it).
+	Hand(f *Frame) (ack, ok bool)
 	// Sync returns the watermark and the lock guarding it and its state.
 	Sync() (sync.Locker, *Watermark)
 	// Acking runs just before f's ack is written; an error hangs up.
@@ -183,7 +184,7 @@ func (r *Receiver) receive(conn net.Conn, s Stream) error {
 			return nil
 		}
 		f := Frame{FrameView: v, Epoch: num.Epoch, Seq: seq}
-		applied, ok := s.Hand(&f)
+		ack, ok := s.Hand(&f)
 		if !ok {
 			return nil
 		}
@@ -197,7 +198,7 @@ func (r *Receiver) receive(conn net.Conn, s Stream) error {
 			// durability+ack path: its sender never saw that ack.
 			r.Duplicates.Inc()
 		}
-		if applied == nil || applied() != nil {
+		if !ack {
 			// No ack owed, or an intact frame that does not decode:
 			// identical bytes cannot help, so the next ack covers it.
 			continue

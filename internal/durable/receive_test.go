@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -12,85 +11,39 @@ import (
 	"repro/internal/wire"
 )
 
-// orderedSource is a reference stream state for the receive loop: it admits
-// and enqueues under one lock, applies on one goroutine in admission order,
-// and lets the test hold the apply of chosen numbers on a gate. Every
-// frame earns an ack. It records the invariants the loop must keep: no
-// checkpoint may hold a settled number whose frames are not all applied,
-// and no ack may cover a number whose frames are not all applied.
+// orderedSource is a reference stream state for the receive loop: Hand
+// admits and applies under one apply lock, taken before the watermark's,
+// so the source applies in admission order, and the test can hold the
+// apply of chosen numbers on a gate inside that lock. Every frame earns an
+// ack. It records the invariants the loop must keep: no checkpoint may
+// hold a settled number whose frames are not all applied, and no ack may
+// cover a number whose frames are not all applied.
 type orderedSource struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
+	apply    sync.Mutex // held from Admit through the apply
+	mu       sync.Mutex // guards everything below
 	wm       Watermark
-	queue    []uint64
-	done     map[uint64]chan struct{} // closed once the frame's apply returned
 	gates    map[uint64]chan struct{} // apply of the number waits on it
 	applied  []uint64
 	problems []string
-	stopped  bool
 
 	// events reports where each connection's loop got to with a frame:
-	// "hand 2", "wait 2" (blocked in applied), "ack 2" (in Acking). Its
-	// buffer holds every event a test emits, so no loop blocks on it after
-	// the test stops reading.
+	// "hand 2" (entering Hand), "held 2" (admitted, its apply waiting on
+	// its gate), "ack 2" (in Acking). Its buffer holds every event a test
+	// emits, so no loop blocks on it after the test stops reading.
 	events chan string
 }
 
-func newOrderedSource(t *testing.T) *orderedSource {
-	s := &orderedSource{
-		done:   map[uint64]chan struct{}{},
-		gates:  map[uint64]chan struct{}{},
-		events: make(chan string, 64),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	go s.run()
-	t.Cleanup(func() {
-		s.mu.Lock()
-		s.stopped = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	return s
-}
-
-// run applies queued frames in order, each after its gate (if any) opens,
-// until the test ends.
-func (s *orderedSource) run() {
-	s.mu.Lock()
-	for {
-		for len(s.queue) == 0 && !s.stopped {
-			s.cond.Wait()
-		}
-		if s.stopped {
-			s.mu.Unlock()
-			return
-		}
-		seq := s.queue[0]
-		s.queue = s.queue[1:]
-		gate := s.gates[seq]
-		s.mu.Unlock()
-		if gate != nil {
-			<-gate
-		}
-		s.mu.Lock()
-		s.applied = append(s.applied, seq)
-		s.wm.Settle(s.wm.Epoch, seq)
-		close(s.done[seq])
-	}
+func newOrderedSource() *orderedSource {
+	return &orderedSource{gates: map[uint64]chan struct{}{}, events: make(chan string, 64)}
 }
 
 // unappliedLocked names the first admitted number ≤ seq whose apply has not
 // returned, or 0.
 func (s *orderedSource) unappliedLocked(seq uint64) uint64 {
 	for n := uint64(1); n <= seq && n <= s.wm.Applied; n++ {
-		if ch := s.done[n]; ch != nil {
-			select {
-			case <-ch:
-				continue
-			default:
-			}
+		if !slices.Contains(s.applied, n) {
+			return n
 		}
-		return n
 	}
 	return 0
 }
@@ -114,28 +67,28 @@ func (c orderedConn) Start(ss wire.SeqStart) (acked, resume uint64, ok bool) {
 	return acked, resume, true
 }
 
-func (c orderedConn) Hand(f *Frame) (func() error, bool) {
+func (c orderedConn) Hand(f *Frame) (ack, ok bool) {
 	s := c.s
-	s.mu.Lock()
-	var wait chan struct{}
-	if f.Admit(&s.wm) == Fresh {
-		wait = make(chan struct{})
-		s.done[f.Seq] = wait
-		s.queue = append(s.queue, f.Seq)
-		s.cond.Signal()
-	} else {
-		// A duplicate waits for everything admitted so far.
-		wait = s.done[s.wm.Applied]
-	}
-	s.mu.Unlock()
 	f.Release()
-	seq := f.Seq
-	s.events <- fmt.Sprintf("hand %d", seq)
-	return func() error {
-		s.events <- fmt.Sprintf("wait %d", seq)
-		<-wait
-		return nil
-	}, true
+	s.events <- fmt.Sprintf("hand %d", f.Seq)
+	s.apply.Lock()
+	defer s.apply.Unlock()
+	s.mu.Lock()
+	adm := f.Admit(&s.wm)
+	gate := s.gates[f.Seq]
+	s.mu.Unlock()
+	if adm != Fresh {
+		return true, true
+	}
+	if gate != nil {
+		s.events <- fmt.Sprintf("held %d", f.Seq)
+		<-gate
+	}
+	s.mu.Lock()
+	s.applied = append(s.applied, f.Seq)
+	s.wm.Settle(f.Epoch, f.Seq)
+	s.mu.Unlock()
+	return true, true
 }
 
 func (c orderedConn) Sync() (sync.Locker, *Watermark) { return &c.s.mu, &c.s.wm }
@@ -193,45 +146,33 @@ func readAck(t *testing.T, conn net.Conn) wire.Ack {
 	return a
 }
 
-// settle reads events until a loop blocks in applied or reaches Acking,
-// and returns them.
-func settle(s *orderedSource) []string {
-	var seen []string
-	for ev := range s.events {
-		seen = append(seen, ev)
-		if !strings.HasPrefix(ev, "hand") {
-			return seen
-		}
-	}
-	return nil
-}
-
 // TestReceiveWaitsForApply: connection A's frame N is admitted but its apply
 // is held. A reconnected connection B is told to resume past N and sends
-// N+1; a third connection C sends a duplicate of N. Both reach the loop
-// while N's apply is pending, and neither may be snapshotted or acked
-// before it returns; then every frame applies in number order and each
-// connection gets its ack.
+// N+1; a third connection C sends a duplicate of N. Both reach Hand while
+// N's apply is pending, and neither may be snapshotted or acked before it
+// returns; then every frame applies in number order and each connection
+// gets its ack.
 func TestReceiveWaitsForApply(t *testing.T) {
-	s := newOrderedSource(t)
+	s := newOrderedSource()
 	r := &Receiver{Checkpoint: s.checkpoint, Counters: Counters{Duplicates: obs.NewRegistry().Counter("dups")}}
 	const epoch, n = 3, 1
 	gate := make(chan struct{})
-	s.mu.Lock()
 	s.gates[n] = gate
-	s.mu.Unlock()
 
-	// Each connection's frame must leave its loop blocked on the apply.
-	expect := func(seq uint64) {
+	expect := func(want ...string) {
 		t.Helper()
-		if got, want := settle(s), []string{fmt.Sprintf("hand %d", seq), fmt.Sprintf("wait %d", seq)}; !slices.Equal(got, want) {
+		var got []string
+		for range want {
+			got = append(got, <-s.events)
+		}
+		if !slices.Equal(got, want) {
 			t.Fatalf("loop went %q, want %q", got, want)
 		}
 	}
 	a := pipeClient(t, r, s)
 	seqStart(t, a, epoch, n)
 	send(t, a, wire.TFleetSummary, []byte("N"))
-	expect(n)
+	expect("hand 1", "held 1")
 
 	b := pipeClient(t, r, s)
 	if got := seqStart(t, b, epoch, n); got.Seq != 0 || got.Applied != n {
@@ -239,15 +180,15 @@ func TestReceiveWaitsForApply(t *testing.T) {
 	}
 	seqStart(t, b, epoch, n+1)
 	send(t, b, wire.TFleetSummary, []byte("N+1"))
-	expect(n + 1)
+	expect("hand 2")
 
 	c := pipeClient(t, r, s)
 	seqStart(t, c, epoch, n)
 	send(t, c, wire.TFleetSummary, []byte("N again"))
-	expect(n)
+	expect("hand 1")
 
 	s.mu.Lock()
-	if len(s.applied) != 0 || s.wm.Settled != 0 || s.wm.Acked != 0 {
+	if len(s.applied) != 0 || s.wm.Settled != 0 || s.wm.Acked != 0 || s.wm.Applied != n {
 		t.Fatalf("with %d held: applied %v, watermark %+v", n, s.applied, s.wm)
 	}
 	s.mu.Unlock()

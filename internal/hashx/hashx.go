@@ -1,9 +1,9 @@
 // Package hashx holds the repo's fully specified hashes and PRNG. Ring
-// ownership, ingest-shard pinning, backoff jitter, fault plans and the
-// detector's subsampling must compute the same values in every process
-// and under every Go toolchain — golden fixtures and a deployed fleet's
-// source placement both depend on it — so none of them may use math/rand
-// or hash/maphash, and all of them share the one definition here.
+// ownership, backoff jitter, fault plans and the detector's subsampling
+// must compute the same values in every process and under every Go
+// toolchain — golden fixtures and a deployed fleet's source placement both
+// depend on it — so none of them may use math/rand or hash/maphash, and
+// all of them share the one definition here.
 //
 // internal/dataplane's flow cache keeps its own fixed-width FNV-1a over a
 // 40-byte key: a different input type on a per-packet hot path.
