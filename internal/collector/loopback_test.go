@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -137,41 +138,57 @@ func shipAtOnce(t *testing.T, coll *Collector, addr string, set *trace.Set, sour
 // shipped over a real TCP loopback must integrate on the collector to a
 // report byte-identical to a local core.Integrate of the same set — at
 // Parallelism 1 and at GOMAXPROCS (whose outputs are themselves pinned
-// identical by the core package). Two sources ship at once, so their
-// connection goroutines decode and integrate side by side in one collector.
+// identical by the core package).
 func TestLoopbackEquivalence(t *testing.T) {
 	set := workloadSet(t, 120)
-	coll, addr := startCollector(t, Config{})
-	sources := []string{"worker-1", "worker-2"}
-	shipAtOnce(t, coll, addr, set, sources...)
-
-	for _, id := range sources {
-		src := coll.Source(id)
-		var shipped bytes.Buffer
-		RenderItems(&shipped, src.FreqHz(), src.Items())
-
-		for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
-			local, err := core.Integrate(set, core.Options{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
+	// Each connection applies its own frames, so the apply runs on as many
+	// goroutines as there are sources shipping at once: shards=1 is one
+	// source alone, shards=4 is four sources whose connection goroutines
+	// decode and integrate side by side in one collector.
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			coll, addr := startCollector(t, Config{})
+			var sources []string
+			for i := 1; i <= shards; i++ {
+				sources = append(sources, fmt.Sprintf("worker-%d", i))
 			}
-			var want bytes.Buffer
-			RenderItems(&want, local.FreqHz, local.Items)
-			if !bytes.Equal(shipped.Bytes(), want.Bytes()) {
-				t.Fatalf("%s, parallelism %d: collector report differs from local Integrate: %s",
-					id, par, firstDiff(shipped.String(), want.String()))
+			shipAtOnce(t, coll, addr, set, sources...)
+			for _, id := range sources {
+				checkLoopbackSource(t, coll, id, set)
 			}
+		})
+	}
+}
+
+// checkLoopbackSource requires source id's report on coll to equal a local
+// Integrate of set.
+func checkLoopbackSource(t *testing.T, coll *Collector, id string, set *trace.Set) {
+	t.Helper()
+	src := coll.Source(id)
+	var shipped bytes.Buffer
+	RenderItems(&shipped, src.FreqHz(), src.Items())
+
+	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
+		local, err := core.Integrate(set, core.Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
 		}
+		var want bytes.Buffer
+		RenderItems(&want, local.FreqHz, local.Items)
+		if !bytes.Equal(shipped.Bytes(), want.Bytes()) {
+			t.Fatalf("%s, parallelism %d: collector report differs from local Integrate: %s",
+				id, par, firstDiff(shipped.String(), want.String()))
+		}
+	}
 
-		// The transport lost nothing on a clean link.
-		if src.Diag().UnattributedSamples != 0 {
-			// Unattributed samples exist in any trace (inter-item gaps); just
-			// require agreement with the local pass.
-			local, _ := core.Integrate(set, core.Options{})
-			if src.Diag().UnattributedSamples != local.Diag.UnattributedSamples {
-				t.Fatalf("%s unattributed: shipped %d, local %d",
-					id, src.Diag().UnattributedSamples, local.Diag.UnattributedSamples)
-			}
+	// The transport lost nothing on a clean link.
+	if src.Diag().UnattributedSamples != 0 {
+		// Unattributed samples exist in any trace (inter-item gaps); just
+		// require agreement with the local pass.
+		local, _ := core.Integrate(set, core.Options{})
+		if src.Diag().UnattributedSamples != local.Diag.UnattributedSamples {
+			t.Fatalf("%s unattributed: shipped %d, local %d",
+				id, src.Diag().UnattributedSamples, local.Diag.UnattributedSamples)
 		}
 	}
 }
