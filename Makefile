@@ -3,8 +3,11 @@
 # tier2: vet; everything under the race detector; the durable / loopback
 #   (cut, resume, admission, grammar) / receive-loop (ordering, per-tier
 #   conformance) / slow-apply backpressure / detect / drain / spool-failure
-#   suites raced 20 times over, so a flake cannot hide at 30%; a 10 s fuzz smoke
-#   of every target in FUZZ_TARGETS; the full-size scale harness.
+#   suites and the integration equivalence suites (parallel, stream, tie,
+#   degraded) raced 20 times over, so a flake cannot hide at 30%; a 10 s fuzz
+#   smoke of every target in FUZZ_TARGETS (FuzzIntegrate includes the
+#   differential against the reference interval pass); the full-size scale
+#   harness.
 # bench: the hot-path micro benchmarks with allocation stats.
 # bench-ab: the paired protocol every [perf_opt] change reports —
 #   make bench-ab PARENT=<rev> [W=fleet_bulk] [N=3] [SEED=1]
@@ -33,6 +36,7 @@ tier2:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire
+	$(GO) test -race -count 20 -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded' ./internal/core
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
 

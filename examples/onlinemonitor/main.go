@@ -75,18 +75,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	mi, si := 0, 0
-	for mi < len(set.Markers) || si < len(set.Samples) {
-		if si >= len(set.Samples) || (mi < len(set.Markers) && set.Markers[mi].TSC <= set.Samples[si].TSC) {
-			integ.Marker(set.Markers[mi])
-			mi++
+	for _, r := range set.FeedOrder() {
+		if r < 0 {
+			integ.Marker(set.Markers[^r])
 		} else {
-			ring.Push(set.Samples[si])
-			integ.Sample(set.Samples[si])
-			si++
+			ring.Push(set.Samples[r])
+			integ.Sample(set.Samples[r])
 		}
 	}
-	integ.Flush()
+	integ.Close()
 
 	total := len(set.Samples)
 	fmt.Printf("\n%d requests, %d samples taken, %d divergence dumps\n", requests, total, dumps)

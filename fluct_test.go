@@ -143,7 +143,7 @@ func TestPublicAPIOnlinePipeline(t *testing.T) {
 			si++
 		}
 	}
-	integ.Flush()
+	integ.Close()
 	if dumps != 1 {
 		t.Errorf("dumps = %d, want 1 (item 15)", dumps)
 	}

@@ -754,7 +754,7 @@ func (s *Source) Items() []core.Item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := append([]core.Item(nil), s.items...)
-	sortItems(out)
+	core.SortItems(out)
 	return out
 }
 

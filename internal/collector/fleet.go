@@ -331,17 +331,6 @@ func ViewHandler(reg *obs.Registry, health func() obs.Health, fleet func() Fleet
 	return mux
 }
 
-// sortItems orders items the way offline core.Integrate orders its output:
-// ascending (BeginTSC, core).
-func sortItems(items []core.Item) {
-	slices.SortStableFunc(items, func(x, y core.Item) int {
-		if x.BeginTSC != y.BeginTSC {
-			return cmp.Compare(x.BeginTSC, y.BeginTSC)
-		}
-		return cmp.Compare(x.Core, y.Core)
-	})
-}
-
 // RenderItems writes one line per item — ID, interval, sample counts,
 // confidence, and every function span — in a fixed format. It is the
 // byte-comparable report the loopback equivalence test pins: rendering the

@@ -228,10 +228,11 @@ type Options struct {
 	// of other events are ignored (the PMU may run several counters). The
 	// zero value is UopsRetired, the paper's workhorse event.
 	Event pmu.Event
-	// IncludeBoundaries controls whether samples with TSC exactly equal to
-	// a marker timestamp attribute to the item (default true; the paper's
-	// strict inequality t0 < ta < t1 loses nothing because ties are
-	// measure-zero on real hardware, but the discrete simulator can tie).
+	// ExcludeBoundaries applies the paper's strict inequality t0 < ta < t1:
+	// a sample whose TSC equals its item's Begin or End timestamp is left
+	// unattributed. By default (false) such samples attribute to the item;
+	// ties are measure-zero on real hardware, but the discrete simulator
+	// can produce them.
 	ExcludeBoundaries bool
 	// Parallelism caps the number of worker goroutines Integrate fans
 	// per-core shards over. 0 selects GOMAXPROCS; 1 forces the sequential
@@ -239,14 +240,6 @@ type Options struct {
 	// integrated independently and the merge is deterministic — so the
 	// knob trades wall-clock for scheduler load only.
 	Parallelism int
-}
-
-type interval struct {
-	item       uint64
-	begin, end uint64
-	// reopened marks an interval force-closed at the next Begin because
-	// its own End marker never arrived; it feeds the confidence penalty.
-	reopened bool
 }
 
 // Integrate performs the paper's integration step (§III-D step 2): each
@@ -300,14 +293,9 @@ func Integrate(set *trace.Set, opts Options) (*Analysis, error) {
 		}
 	}
 	// Shards are core-sorted and each shard's items are begin-sorted, so a
-	// final stable sort by (begin, core) yields one global deterministic
-	// order regardless of how many workers ran.
-	slices.SortStableFunc(a.Items, func(x, y Item) int {
-		if x.BeginTSC != y.BeginTSC {
-			return cmp.Compare(x.BeginTSC, y.BeginTSC)
-		}
-		return cmp.Compare(x.Core, y.Core)
-	})
+	// final stable sort yields one global deterministic order regardless
+	// of how many workers ran.
+	SortItems(a.Items)
 	if reg != nil {
 		publishIntegrate(reg, a, results, time.Since(t0))
 	}
@@ -315,18 +303,15 @@ func Integrate(set *trace.Set, opts Options) (*Analysis, error) {
 	return a, nil
 }
 
-func inInterval(tsc uint64, iv interval, excludeBounds bool) bool {
-	if excludeBounds {
-		return tsc > iv.begin && tsc < iv.end
-	}
-	return tsc >= iv.begin && tsc <= iv.end
-}
-
-func afterInterval(tsc uint64, iv interval, excludeBounds bool) bool {
-	if excludeBounds {
-		return tsc >= iv.end
-	}
-	return tsc > iv.end
+// SortItems orders items the way Integrate returns them: by BeginTSC, then
+// by core, keeping the given order among equals.
+func SortItems(items []Item) {
+	slices.SortStableFunc(items, func(x, y Item) int {
+		if x.BeginTSC != y.BeginTSC {
+			return cmp.Compare(x.BeginTSC, y.BeginTSC)
+		}
+		return cmp.Compare(x.Core, y.Core)
+	})
 }
 
 // Confidence penalty factors and coverage thresholds (see Item.Confidence).
@@ -342,26 +327,6 @@ const (
 	// expected coverage; only burst loss pushes an item under half.
 	confCoverageFloor = 0.5
 )
-
-// itemConfidence computes the offline confidence score: the pairing factor
-// times the sample-coverage factor. It uses only per-shard-deterministic
-// inputs, so the score is identical across runs and parallelism levels.
-func itemConfidence(reopened bool, samples int, elapsed uint64, meanGap float64, hasGap bool) float64 {
-	c := 1.0
-	if reopened {
-		c *= confReopened
-	}
-	if hasGap && meanGap > 0 {
-		expected := float64(elapsed) / meanGap
-		if expected >= confCoverageMinExpected {
-			cov := (float64(samples) + 1) / expected
-			if cov < confCoverageFloor {
-				c *= cov / confCoverageFloor
-			}
-		}
-	}
-	return c
-}
 
 func attachSample(b *Item, fn *symtab.Fn, tsc uint64) {
 	for i := range b.Funcs {

@@ -49,7 +49,9 @@ func fuzzSet(data []byte) *trace.Set {
 
 // FuzzIntegrate feeds arbitrary marker/sample interleavings through both
 // integrators: no panic, no error, identical output at every parallelism
-// level, confidence always in [0,1]. Run continuously with
+// level and to the reference interval pass (oracle_test.go) at both
+// ExcludeBoundaries settings, Diagnostics included, confidence always in
+// [0,1]. Run continuously with
 //
 //	go test -run '^$' -fuzz '^FuzzIntegrate$' ./internal/core
 func FuzzIntegrate(f *testing.F) {
@@ -85,6 +87,19 @@ func FuzzIntegrate(f *testing.F) {
 			}
 			if !reflect.DeepEqual(ref.Items, par.Items) || ref.Diag != par.Diag {
 				t.Fatalf("p=%d diverged from sequential on fuzz input", p)
+			}
+		}
+		for _, excl := range []bool{false, true} {
+			opts := Options{ExcludeBoundaries: excl, Parallelism: 1}
+			got, err := Integrate(set, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oracleIntegrate(set, opts)
+			if !reflect.DeepEqual(got.Items, want.Items) || got.Diag != want.Diag ||
+				!reflect.DeepEqual(got.MeanSampleGap, want.MeanSampleGap) {
+				t.Fatalf("ExcludeBoundaries=%v: Integrate diverged from the reference pass\n got %v %+v\nwant %v %+v",
+					excl, got.Diag, got.Items, want.Diag, want.Items)
 			}
 		}
 

@@ -10,10 +10,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestCloseIdempotent is the regression test for repeated Close/Flush:
-// the first Close flushes still-open items exactly once; every later
-// Close or Flush, in any interleaving, changes nothing — no re-emitted
-// items, no double-counted diagnostics.
+// TestCloseIdempotent is the regression test for repeated Close: the first
+// Close flushes still-open items exactly once; every later Close changes
+// nothing — no re-emitted items, no double-counted diagnostics.
 func TestCloseIdempotent(t *testing.T) {
 	syms := symtab.NewTable()
 	fn := syms.MustRegister("f", 256)
@@ -41,9 +40,9 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("after first Close: UnclosedItems = %d, want 1", d.UnclosedItems)
 	}
 
-	// Repeated Close and the Flush alias must all be no-ops now.
+	// Repeated Close must be a no-op now.
 	s.Close()
-	s.Flush()
+	s.Close()
 	s.Close()
 	if len(emitted) != 2 {
 		t.Fatalf("repeated Close re-emitted items: %d, want 2", len(emitted))

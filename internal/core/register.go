@@ -122,11 +122,6 @@ func IntegrateByRegister(set *trace.Set, reg int, opts Options) (*Analysis, erro
 	for _, k := range order {
 		a.Items = append(a.Items, *builders[k])
 	}
-	slices.SortStableFunc(a.Items, func(x, y Item) int {
-		if x.BeginTSC != y.BeginTSC {
-			return cmp.Compare(x.BeginTSC, y.BeginTSC)
-		}
-		return cmp.Compare(x.Core, y.Core)
-	})
+	SortItems(a.Items)
 	return a, nil
 }

@@ -143,11 +143,17 @@ func integrateShards(shards []shard, syms *symtab.Table, opts Options) []coreRes
 	return results
 }
 
-// integrateCore integrates one core's shard: pass 1 pairs markers into item
-// intervals, pass 2 bins samples into the intervals with a single merged
-// sweep (both streams arrive time-sorted) and resolves IPs through a
-// private symtab.Resolver, whose deterministic hit/miss counts feed the
-// shard diagnostics.
+// integrateCore integrates one core's shard by driving a pairing over its
+// markers and samples merged in time order, resolving IPs through a private
+// symtab.Resolver whose deterministic hit/miss counts feed the shard
+// diagnostics.
+//
+// At equal timestamps a sample goes before the markers while an item is
+// open, so a sample on an End's cycle counts in the item that End closes;
+// with ExcludeBoundaries markers always go first, so no boundary sample
+// counts. The item still open after the last marker has no End to bound
+// it and is dropped: a markers-only pass of the same pairing finds its
+// Begin first, so its samples stay unattributed and are never resolved.
 func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
 	// One span per shard on the core's own track, so the trace viewer
 	// shows the fan-out as parallel lanes; an atomic load when tracing
@@ -155,108 +161,83 @@ func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
 	sp := obs.StartSpanOn(int64(sh.core), "core.integrateShard")
 	defer sp.End()
 	r := coreResult{core: sh.core}
-
-	// Pass 1: pair markers into item intervals. Degraded marker streams
-	// (lost or doubled log writes) are repaired where the intent is
-	// unambiguous and surfaced in the diagnostics and per-item confidence
-	// everywhere else; no marker sequence is fatal.
-	ivs := make([]interval, 0, len(sh.markers)/2)
-	var (
-		curID      uint64
-		curBegin   uint64
-		curOpen    bool
-		lastClosed uint64
-		haveClosed bool
-	)
-	for _, m := range sh.markers {
-		switch m.Kind {
-		case trace.ItemBegin:
-			if curOpen && curID == m.Item {
-				// A Begin for the item already open is a doubled log
-				// write; honoring it would fake a reopen. Repair: drop it.
-				r.diag.RepairedMarkers++
-				continue
-			}
-			if curOpen {
-				// Forced reopen: close the dangling item here so its
-				// samples stay attributable up to the switch point. The
-				// interval's true End was lost, so it carries the
-				// reopened-confidence penalty.
-				ivs = append(ivs, interval{item: curID, begin: curBegin, end: m.TSC, reopened: true})
-				r.diag.ReopenedItems++
-			}
-			curID, curBegin, curOpen = m.Item, m.TSC, true
-		case trace.ItemEnd:
-			if !curOpen || curID != m.Item {
-				if !curOpen && haveClosed && lastClosed == m.Item {
-					// An End for the item just closed is the doubled-write
-					// twin of the repair above, not an orphan.
-					r.diag.RepairedMarkers++
-					continue
-				}
-				r.diag.OrphanEndMarkers++
-				continue
-			}
-			ivs = append(ivs, interval{item: curID, begin: curBegin, end: m.TSC})
-			lastClosed, haveClosed = curID, true
-			curOpen = false
-		}
-	}
-	if curOpen {
-		r.diag.UnclosedItems++
-	}
-	// Intervals are already begin-sorted by construction (markers were
-	// time-sorted), but a forced reopen can emit a zero-length tail; sort
-	// defensively.
-	slices.SortStableFunc(ivs, func(a, b interval) int { return cmp.Compare(a.begin, b.begin) })
-
 	if n := len(sh.samples); n >= 2 {
 		r.meanGap = float64(sh.samples[n-1].tsc-sh.samples[0].tsc) / float64(n-1)
 		r.hasGap = true
 	}
 
-	// Every interval materializes an item even with zero samples, so
-	// latency-only analyses see it; build them all up front and let the
-	// sweep fill in the sample-derived fields.
-	r.items = make([]Item, len(ivs))
-	for i, iv := range ivs {
-		r.items[i] = Item{ID: iv.item, Core: sh.core, BeginTSC: iv.begin, EndTSC: iv.end}
+	// The markers-only pass: b counts, keeps nothing.
+	var (
+		p     pairing
+		scrap Diagnostics
+	)
+	b := batchSink{meanGap: r.meanGap, hasGap: r.hasGap}
+	for _, m := range sh.markers {
+		p.marker(m, &scrap, &b)
+	}
+	keep := b.opened // opens whose samples are attributed
+	if p.cur != nil {
+		keep--
 	}
 
-	// Pass 2: merged sweep of the two sorted streams. k only advances —
-	// every sample either lands in the current interval, in a later one,
-	// or nowhere.
+	p, b.opened, b.items = pairing{}, 0, make([]Item, 0, b.closed)
 	res := syms.NewResolver()
-	k := 0
-	for i := range sh.samples {
-		s := &sh.samples[i]
-		for k < len(ivs) && !inInterval(s.tsc, ivs[k], opts.ExcludeBoundaries) && afterInterval(s.tsc, ivs[k], opts.ExcludeBoundaries) {
-			k++
+	si := 0
+	for _, m := range sh.markers {
+		for ; si < len(sh.samples) && b.opened <= keep; si++ {
+			s := &sh.samples[si]
+			if s.tsc > m.TSC || s.tsc == m.TSC && (p.cur == nil || opts.ExcludeBoundaries) {
+				break
+			}
+			p.sample(s.tsc, s.ip, res, opts.ExcludeBoundaries, &r.diag)
 		}
-		if k >= len(ivs) || !inInterval(s.tsc, ivs[k], opts.ExcludeBoundaries) {
-			r.diag.UnattributedSamples++
-			continue
-		}
-		b := &r.items[k]
-		b.SampleCount++
-		fn := res.Resolve(s.ip)
-		if fn == nil {
-			b.UnresolvedSamples++
-			r.diag.UnresolvedSamples++
-			continue
-		}
-		attachSample(b, fn, s.tsc)
+		p.marker(m, &r.diag, &b)
 	}
-	// Pass 3: grade each reconstruction. Runs after the sweep because the
-	// coverage factor needs final sample counts; uses only per-shard data
-	// so scores are identical at every parallelism level.
-	for i := range r.items {
-		it := &r.items[i]
-		it.Confidence = itemConfidence(ivs[i].reopened, it.SampleCount, it.ElapsedCycles(), r.meanGap, r.hasGap)
-	}
+	// What is left follows the last marker or the dropped item's Begin.
+	r.diag.UnattributedSamples += len(sh.samples) - si
+	p.unclosed(&r.diag)
+	r.items = b.items
 
 	hits, misses := res.Stats()
 	r.diag.SymCacheHits = int(hits)
 	r.diag.SymCacheMisses = int(misses)
 	return r
+}
+
+// batchSink is integrateCore's item storage: closed items in close order,
+// which is begin order, each graded for sample coverage as it closes. With
+// items nil (the markers-only pass) it only counts.
+type batchSink struct {
+	open           Item
+	opened, closed int
+	items          []Item
+	meanGap        float64
+	hasGap         bool
+}
+
+func (b *batchSink) take() *Item {
+	b.opened++
+	b.open = Item{}
+	return &b.open
+}
+
+// done scales the item's confidence when its interval should have held at
+// least confCoverageMinExpected samples at the core's mean sample gap but
+// holds under confCoverageFloor of them: a PEBS loss burst ate its
+// evidence. It uses only shard-local inputs, so the score is identical at
+// every parallelism level.
+func (b *batchSink) done(it *Item) {
+	if b.items == nil {
+		b.closed++
+		return
+	}
+	if b.hasGap && b.meanGap > 0 {
+		expected := float64(it.ElapsedCycles()) / b.meanGap
+		if expected >= confCoverageMinExpected {
+			if cov := (float64(it.SampleCount) + 1) / expected; cov < confCoverageFloor {
+				it.Confidence *= cov / confCoverageFloor
+			}
+		}
+	}
+	b.items = append(b.items, *it)
 }

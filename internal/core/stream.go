@@ -46,8 +46,8 @@ type StreamIntegrator struct {
 	diag  Diagnostics
 	items int
 	free  []*Item
-	// closed latches after the first Close so repeated Close (and Flush)
-	// calls are idempotent no-ops.
+	// closed latches after the first Close so repeated Close calls are
+	// idempotent no-ops.
 	closed bool
 	// met holds cached self-telemetry handles (nil handles when the
 	// default registry was disabled at construction — every update is
@@ -55,15 +55,11 @@ type StreamIntegrator struct {
 	met streamMetrics
 }
 
+// coreStream is one core's stream: its pairing plus the ordering check.
 type coreStream struct {
-	cur        *Item // open item, nil when none
+	pairing
 	lastTSC    uint64
 	outOfOrder int
-	// lastClosedID/haveClosed remember the most recent cleanly closed item
-	// so a duplicated End marker can be repaired instead of counted as an
-	// orphan (mirrors the offline pass-1 repair).
-	lastClosedID uint64
-	haveClosed   bool
 }
 
 // NewStreamIntegrator creates an online integrator resolving IPs against
@@ -85,9 +81,11 @@ func NewStreamIntegrator(syms *symtab.Table, opts Options, onItem func(*Item)) (
 	}, nil
 }
 
-// takeItem pops a recycled Item or allocates a fresh one. Returned items
-// have zeroed fields and an empty (but possibly pre-grown) Funcs slice.
-func (s *StreamIntegrator) takeItem() *Item {
+// take pops a recycled Item or allocates a fresh one for an item a Begin
+// opens. Returned items have zeroed fields and an empty (but possibly
+// pre-grown) Funcs slice.
+func (s *StreamIntegrator) take() *Item {
+	s.met.open.Add(1)
 	if n := len(s.free); n > 0 {
 		it := s.free[n-1]
 		s.free = s.free[:n-1]
@@ -134,48 +132,11 @@ func (s *StreamIntegrator) Marker(m trace.Marker) {
 		return
 	}
 	cs.lastTSC = m.TSC
-	switch m.Kind {
-	case trace.ItemBegin:
-		if cs.cur != nil && cs.cur.ID == m.Item {
-			// A Begin for the item already open is a doubled log write;
-			// repair it away (same rule as the offline integrator).
-			s.diag.RepairedMarkers++
-			return
-		}
-		if cs.cur != nil {
-			// Force-close the dangling item at the new begin, as the
-			// offline integrator does; its true End was lost, so it goes
-			// out with the reopened-confidence penalty.
-			cs.cur.EndTSC = m.TSC
-			cs.cur.Confidence *= confReopened
-			s.finish(cs)
-			s.diag.ReopenedItems++
-		}
-		it := s.takeItem()
-		it.ID, it.Core, it.BeginTSC, it.EndTSC = m.Item, m.Core, m.TSC, m.TSC
-		it.Confidence = 1
-		cs.cur = it
-		s.met.open.Add(1)
-	case trace.ItemEnd:
-		if cs.cur == nil || cs.cur.ID != m.Item {
-			if cs.cur == nil && cs.haveClosed && cs.lastClosedID == m.Item {
-				// Doubled End for the item just closed: repaired, not an
-				// orphan.
-				s.diag.RepairedMarkers++
-				return
-			}
-			s.diag.OrphanEndMarkers++
-			return
-		}
-		cs.cur.EndTSC = m.TSC
-		cs.lastClosedID, cs.haveClosed = m.Item, true
-		s.finish(cs)
-	}
+	cs.marker(m, &s.diag, s)
 }
 
-func (s *StreamIntegrator) finish(cs *coreStream) {
-	it := cs.cur
-	cs.cur = nil
+// done emits an item its End or a reopen closed, or Close flushed.
+func (s *StreamIntegrator) done(it *Item) {
 	slices.SortStableFunc(it.Funcs, func(a, b FuncSpan) int { return cmp.Compare(a.FirstTSC, b.FirstTSC) })
 	s.items++
 	s.met.items.Inc()
@@ -199,22 +160,7 @@ func (s *StreamIntegrator) Sample(sm pmu.Sample) {
 		return
 	}
 	cs.lastTSC = sm.TSC
-	if cs.cur == nil {
-		s.diag.UnattributedSamples++
-		return
-	}
-	if s.opts.ExcludeBoundaries && sm.TSC == cs.cur.BeginTSC {
-		s.diag.UnattributedSamples++
-		return
-	}
-	cs.cur.SampleCount++
-	fn := s.res.Resolve(sm.IP)
-	if fn == nil {
-		cs.cur.UnresolvedSamples++
-		s.diag.UnresolvedSamples++
-		return
-	}
-	attachSample(cs.cur, fn, sm.TSC)
+	cs.sample(sm.TSC, sm.IP, s.res, s.opts.ExcludeBoundaries, &s.diag)
 }
 
 // Close ends the stream. An item still open on some core — its End marker
@@ -226,10 +172,9 @@ func (s *StreamIntegrator) Sample(sm pmu.Sample) {
 // possibly crash-implicated item spent its time. Cores are drained in
 // ascending ID order so the emission order is deterministic.
 //
-// Close is idempotent: the second and later calls (directly or via the
-// Flush alias, in any interleaving) are no-ops — nothing is re-emitted
-// and the diagnostics do not change. Defer-Close-plus-explicit-Close is
-// therefore safe, the shutdown idiom a long-running monitor wants.
+// Close is idempotent: the second and later calls are no-ops — nothing is
+// re-emitted and the diagnostics do not change. Defer-Close-plus-explicit-
+// Close is therefore safe, the shutdown idiom a long-running monitor wants.
 func (s *StreamIntegrator) Close() {
 	if s.closed {
 		return
@@ -244,18 +189,12 @@ func (s *StreamIntegrator) Close() {
 	slices.Sort(cores)
 	for _, id := range cores {
 		cs := s.cores[id]
-		s.diag.UnclosedItems++
-		cs.cur.EndTSC = cs.lastTSC
-		cs.cur.Confidence *= confUnclosed
-		s.finish(cs)
+		it := cs.unclosed(&s.diag)
+		it.EndTSC = cs.lastTSC
+		it.Confidence *= confUnclosed
+		s.done(it)
 	}
 }
-
-// Flush is the historical name for Close. It used to recycle still-open
-// items without emitting them — silently holding the item forever from the
-// consumer's point of view; it now flushes them as low-confidence items.
-// Like Close, it is idempotent in any combination with Close.
-func (s *StreamIntegrator) Flush() { s.Close() }
 
 // Diag returns the accumulated diagnostics, including per-core
 // out-of-order event counts folded into one number and the symbol-cache

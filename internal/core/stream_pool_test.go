@@ -95,7 +95,7 @@ func TestStreamRecycleReopenedItem(t *testing.T) {
 	s.Marker(trace.Marker{Item: 3, TSC: 400, Kind: trace.ItemBegin})
 	s.Sample(pmu.Sample{TSC: 410, IP: f.Base, Event: pmu.UopsRetired})
 	s.Marker(trace.Marker{Item: 3, TSC: 500, Kind: trace.ItemEnd})
-	s.Flush()
+	s.Close()
 
 	if d := s.Diag(); d.ReopenedItems != 1 || d.UnclosedItems != 0 {
 		t.Errorf("diag = %+v, want 1 reopened, 0 unclosed", d)
@@ -148,7 +148,7 @@ func TestStreamUnrecycledItemsSurvive(t *testing.T) {
 		tsc += 5
 		s.Marker(trace.Marker{Item: id, TSC: tsc, Kind: trace.ItemEnd})
 	}
-	s.Flush()
+	s.Close()
 	if len(kept) != 20 {
 		t.Fatalf("kept %d items, want 20", len(kept))
 	}

@@ -48,7 +48,7 @@ func feedInOrder(s *StreamIntegrator, set *trace.Set) {
 			s.Sample(*e.sample)
 		}
 	}
-	s.Flush()
+	s.Close()
 }
 
 func TestStreamIntegratorValidation(t *testing.T) {
@@ -143,7 +143,7 @@ func TestStreamOutOfOrderDropped(t *testing.T) {
 	s.Sample(pmu.Sample{TSC: 150, IP: f.Base, Event: pmu.UopsRetired})
 	s.Sample(pmu.Sample{TSC: 120, IP: f.Base, Event: pmu.UopsRetired}) // stale
 	s.Marker(trace.Marker{Item: 1, TSC: 200, Kind: trace.ItemEnd})
-	s.Flush()
+	s.Close()
 	if s.OutOfOrder() != 1 {
 		t.Errorf("out-of-order = %d, want 1", s.OutOfOrder())
 	}
@@ -164,7 +164,7 @@ func TestStreamBoundaryExclusion(t *testing.T) {
 	s.Sample(pmu.Sample{TSC: 100, IP: f.Base, Event: pmu.UopsRetired}) // on boundary
 	s.Sample(pmu.Sample{TSC: 101, IP: f.Base, Event: pmu.UopsRetired})
 	s.Marker(trace.Marker{Item: 1, TSC: 200, Kind: trace.ItemEnd})
-	s.Flush()
+	s.Close()
 	if items[0].SampleCount != 1 {
 		t.Errorf("boundary sample not excluded: %+v", items[0])
 	}
@@ -179,7 +179,7 @@ func TestStreamEventFilter(t *testing.T) {
 	s.Sample(pmu.Sample{TSC: 20, IP: f.Base, Event: pmu.UopsRetired})
 	s.Sample(pmu.Sample{TSC: 30, IP: f.Base, Event: pmu.LLCMisses})
 	s.Marker(trace.Marker{Item: 1, TSC: 40, Kind: trace.ItemEnd})
-	s.Flush()
+	s.Close()
 	if items[0].SampleCount != 1 || s.Diag().IgnoredEventSamples != 1 {
 		t.Errorf("event filter wrong: %+v %+v", items[0], s.Diag())
 	}
@@ -248,7 +248,7 @@ func feedInOrderWithRing(s *StreamIntegrator, set *trace.Set, ring *RawRing) {
 			si++
 		}
 	}
-	s.Flush()
+	s.Close()
 }
 
 func TestRawRing(t *testing.T) {

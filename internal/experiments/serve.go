@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -316,38 +314,14 @@ func (m *Monitor) Handler() http.Handler {
 	return obs.Handler(obs.HandlerOptions{Health: m.Health})
 }
 
-// feedStream replays a set into a stream integrator in per-core timestamp
-// order — the order a live per-core ring drain delivers. The sort is
-// stable, so markers with equal timestamps keep their Begin/End log order
-// and a marker always precedes a same-TSC sample (markers are appended
-// before samples).
+// feedStream replays a set into a stream integrator in stream feed order
+// (trace.Set.FeedOrder) — the order a live per-core ring drain delivers.
 func feedStream(s *core.StreamIntegrator, set *trace.Set) {
-	type ev struct {
-		tsc    uint64
-		co     int32
-		marker *trace.Marker
-		sample *pmu.Sample
-	}
-	evs := make([]ev, 0, len(set.Markers)+len(set.Samples))
-	for i := range set.Markers {
-		m := &set.Markers[i]
-		evs = append(evs, ev{tsc: m.TSC, co: m.Core, marker: m})
-	}
-	for i := range set.Samples {
-		sm := &set.Samples[i]
-		evs = append(evs, ev{tsc: sm.TSC, co: sm.Core, sample: sm})
-	}
-	slices.SortStableFunc(evs, func(a, b ev) int {
-		if c := cmp.Compare(a.co, b.co); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.tsc, b.tsc)
-	})
-	for _, e := range evs {
-		if e.marker != nil {
-			s.Marker(*e.marker)
+	for _, r := range set.FeedOrder() {
+		if r < 0 {
+			s.Marker(set.Markers[^r])
 		} else {
-			s.Sample(*e.sample)
+			s.Sample(set.Samples[r])
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package faults
 
-import (
-	"sort"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // slowFunction implements the FnSlow* plan fields: a per-core, in-place
 // dilation of the named function's sample runs past the onset timestamp.
@@ -64,86 +60,73 @@ func (p Plan) slowFunction(out *trace.Set, rep *Report) {
 	}
 	rep.FnSlowOnsetTSC = onset
 
-	// Per-core chronological index over both streams. Sample indices are
-	// encoded as idx, marker indices as ^idx; ties order markers first
-	// (matching how stream consumers sequence same-TSC events) and then
-	// input position, so the walk is deterministic.
-	type ev struct {
-		tsc uint64
-		ref int // sample index, or ^marker index
-	}
-	perCore := map[int32][]ev{}
-	for i, m := range out.Markers {
-		perCore[m.Core] = append(perCore[m.Core], ev{tsc: m.TSC, ref: ^i})
-	}
-	for i := range out.Samples {
-		s := &out.Samples[i]
-		perCore[s.Core] = append(perCore[s.Core], ev{tsc: s.TSC, ref: i})
-	}
-	cores := make([]int32, 0, len(perCore))
-	for c := range perCore {
-		cores = append(cores, c)
-	}
-	sort.Slice(cores, func(i, j int) bool { return cores[i] < cores[j] })
-
-	for _, c := range cores {
-		evs := perCore[c]
-		sort.SliceStable(evs, func(i, j int) bool {
-			if evs[i].tsc != evs[j].tsc {
-				return evs[i].tsc < evs[j].tsc
-			}
-			return (evs[i].ref < 0) && (evs[j].ref >= 0) // markers first
-		})
-
+	// Walk the records in stream feed order (trace.Set.FeedOrder): core by
+	// core, by timestamp, markers first at equal timestamps and then input
+	// position, so the walk is deterministic. The TSCs rewritten below do
+	// not disturb it: the order is fixed before the walk starts.
+	var (
+		core int32
 		// off is signed: factors below 1 (a speedup) pull later events
 		// earlier. Shifts saturate at zero like skewCores' — clocks do not
 		// wrap.
-		var off int64
-		shift := func(tsc uint64) uint64 {
-			if off >= 0 {
-				return tsc + uint64(off)
-			}
-			neg := uint64(-off)
-			if tsc < neg {
-				return 0
-			}
-			return tsc - neg
+		off               int64
+		inRun             bool
+		runFirst, runLast uint64 // original TSCs of the current run
+	)
+	shift := func(tsc uint64) uint64 {
+		if off >= 0 {
+			return tsc + uint64(off)
 		}
-		inRun := false
-		var runFirst, runLast uint64 // original TSCs of the current run
-		endRun := func() {
-			if !inRun {
-				return
-			}
-			inRun = false
-			added := int64(float64(runLast-runFirst) * (p.FnSlowFactor - 1))
-			off += added
-			rep.FnSlowRuns++
-			if added >= 0 {
-				rep.FnSlowAddedCycles += uint64(added)
-			} else {
-				rep.FnSlowAddedCycles += uint64(-added)
-			}
+		neg := uint64(-off)
+		if tsc < neg {
+			return 0
 		}
-		for _, e := range evs {
-			orig := e.tsc
-			target := e.ref >= 0 && fn.Contains(out.Samples[e.ref].IP) && orig >= onset
-			if !target {
-				endRun()
-				if e.ref >= 0 {
-					out.Samples[e.ref].TSC = shift(orig)
-				} else {
-					out.Markers[^e.ref].TSC = shift(orig)
-				}
-				continue
-			}
-			if !inRun {
-				inRun = true
-				runFirst = orig
-			}
-			runLast = orig
-			out.Samples[e.ref].TSC = shift(runFirst) + uint64(float64(orig-runFirst)*p.FnSlowFactor)
-		}
-		endRun()
+		return tsc - neg
 	}
+	endRun := func() {
+		if !inRun {
+			return
+		}
+		inRun = false
+		added := int64(float64(runLast-runFirst) * (p.FnSlowFactor - 1))
+		off += added
+		rep.FnSlowRuns++
+		if added >= 0 {
+			rep.FnSlowAddedCycles += uint64(added)
+		} else {
+			rep.FnSlowAddedCycles += uint64(-added)
+		}
+	}
+	for k, r := range out.FeedOrder() {
+		var (
+			c      int32
+			tsc    *uint64
+			target bool
+		)
+		if r < 0 {
+			m := &out.Markers[^r]
+			c, tsc = m.Core, &m.TSC
+		} else {
+			s := &out.Samples[r]
+			c, tsc = s.Core, &s.TSC
+			target = fn.Contains(s.IP) && s.TSC >= onset
+		}
+		if k == 0 || c != core {
+			endRun()
+			core, off = c, 0
+		}
+		orig := *tsc
+		if !target {
+			endRun()
+			*tsc = shift(orig)
+			continue
+		}
+		if !inRun {
+			inRun = true
+			runFirst = orig
+		}
+		runLast = orig
+		*tsc = shift(runFirst) + uint64(float64(orig-runFirst)*p.FnSlowFactor)
+	}
+	endRun()
 }

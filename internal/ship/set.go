@@ -1,9 +1,7 @@
 package ship
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/pmu"
 	"repro/internal/trace"
@@ -11,19 +9,23 @@ import (
 )
 
 // ShipSet encodes one complete trace set as wire frames and enqueues them:
-// a symbol-table snapshot, then the records in per-core timestamp order —
-// the order a live per-core ring drain delivers and the order the
-// collector's StreamIntegrator requires — then a SetEnd frame declaring the
-// totals.
+// a symbol-table snapshot, then the records in stream feed order
+// (trace.Set.FeedOrder: per core by timestamp, markers first at equal
+// timestamps — the order a live per-core ring drain delivers and the order
+// the collector's StreamIntegrator requires), then a SetEnd frame declaring
+// the totals.
 //
 // Markers and samples travel interleaved, exactly as the feed has them, in
 // TRecords frames. A frame is built in a buffer of the pool's smallest class
 // and ends only when what is left of that buffer could not take one more
 // worst-case record, at BatchRecords records, or with the set — never where
 // the record kind flips — so replaying the frames in arrival order
-// reproduces the local feed order record for record. That is what makes the
-// collector's integration bit-identical to a local Integrate of the same
-// set.
+// reproduces the local feed order record for record. The collector's
+// integration therefore matches a StreamIntegrator fed locally, bit for bit.
+// It matches a local Integrate of the same set except in two cases: a
+// sample on its item's End cycle, which Integrate counts in the item and the
+// feed order leaves unattributed, and an item never closed, which Integrate
+// drops and the stream flushes at the end with confidence ×0.25 (DESIGN §7).
 //
 // A set is shipped whole or not at all. Everything that can refuse it — a
 // closed shipper, an unshippable symbol table, a queue past its admission
@@ -46,31 +48,6 @@ func (s *Shipper) ShipSet(set *trace.Set) error {
 	if err := s.enqueueFrame(wire.Frame{Type: wire.TSymtab, Payload: symPayload}, true); err != nil {
 		return err
 	}
-
-	// Merge both streams into per-core timestamp order, markers before
-	// samples at equal timestamps (stable sort, markers appended first) —
-	// the same discipline the local online-monitor feed uses.
-	type ev struct {
-		tsc    uint64
-		core   int32
-		marker int32 // index into set.Markers, -1 for a sample
-		sample int32
-	}
-	evs := make([]ev, 0, len(set.Markers)+len(set.Samples))
-	for i := range set.Markers {
-		m := &set.Markers[i]
-		evs = append(evs, ev{tsc: m.TSC, core: m.Core, marker: int32(i), sample: -1})
-	}
-	for i := range set.Samples {
-		sm := &set.Samples[i]
-		evs = append(evs, ev{tsc: sm.TSC, core: sm.Core, marker: -1, sample: int32(i)})
-	}
-	slices.SortStableFunc(evs, func(a, b ev) int {
-		if c := cmp.Compare(a.core, b.core); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.tsc, b.tsc)
-	})
 
 	var (
 		buf       *wire.Buf // the frame being built, nil between frames
@@ -106,9 +83,9 @@ func (s *Shipper) ShipSet(set *trace.Set) error {
 		buf, n, base = nil, 0, 0
 		return err
 	}
-	for _, e := range evs {
+	for _, r := range set.FeedOrder() {
 		kind, open := wire.TSamples, len(sampleRun)
-		if e.marker >= 0 {
+		if r < 0 {
 			kind, open = wire.TMarkers, len(markerRun)
 		}
 		if open == 0 {
@@ -127,10 +104,10 @@ func (s *Shipper) ShipSet(set *trace.Set) error {
 		if buf == nil {
 			buf, dst = s.beginFrame(wire.TRecords, wire.MinBufBytes)
 		}
-		if e.marker >= 0 {
-			markerRun = append(markerRun, set.Markers[e.marker])
+		if r < 0 {
+			markerRun = append(markerRun, set.Markers[^r])
 		} else {
-			sampleRun = append(sampleRun, set.Samples[e.sample])
+			sampleRun = append(sampleRun, set.Samples[r])
 		}
 		if n++; n >= s.cfg.BatchRecords {
 			if err := endFrame(); err != nil {

@@ -11,6 +11,8 @@ package trace
 //go:generate go run ./testdata/gen
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/pmu"
@@ -173,4 +175,41 @@ func NewSet(m *sim.Machine, log *MarkerLog, samples []pmu.Sample) *Set {
 // CyclesToMicros converts cycles on this trace's clock to microseconds.
 func (s *Set) CyclesToMicros(cy uint64) float64 {
 	return float64(cy) * 1e6 / float64(s.FreqHz)
+}
+
+// FeedOrder returns the set's records in stream feed order: per core in
+// ascending core order, by timestamp, markers before samples at equal
+// timestamps, and otherwise in set order. That is the order a live per-core
+// ring drain delivers, the order ShipSet sends and the order
+// core.StreamIntegrator expects. An entry r >= 0 indexes s.Samples; an
+// entry r < 0 indexes s.Markers at ^r.
+//
+// It is not quite the offline integrator's order: Integrate takes a sample
+// on an item's End cycle before the End, while this order puts the End
+// first, so the sample lands in the item a Begin on that cycle opens, or in
+// none.
+func (s *Set) FeedOrder() []int32 {
+	type ev struct {
+		tsc  uint64
+		core int32
+		ref  int32
+	}
+	evs := make([]ev, 0, len(s.Markers)+len(s.Samples))
+	for i := range s.Markers {
+		evs = append(evs, ev{s.Markers[i].TSC, s.Markers[i].Core, ^int32(i)})
+	}
+	for i := range s.Samples {
+		evs = append(evs, ev{s.Samples[i].TSC, s.Samples[i].Core, int32(i)})
+	}
+	slices.SortStableFunc(evs, func(a, b ev) int {
+		if a.core != b.core {
+			return cmp.Compare(a.core, b.core)
+		}
+		return cmp.Compare(a.tsc, b.tsc)
+	})
+	out := make([]int32, len(evs))
+	for i := range evs {
+		out[i] = evs[i].ref
+	}
+	return out
 }

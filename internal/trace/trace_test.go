@@ -82,6 +82,31 @@ func TestBeginEndTieBreak(t *testing.T) {
 	}
 }
 
+// TestFeedOrder: core by core, by timestamp, markers before samples on a
+// shared cycle, set order among equals.
+func TestFeedOrder(t *testing.T) {
+	s := &Set{
+		Markers: []Marker{
+			{Core: 1, TSC: 10, Item: 3, Kind: ItemBegin},
+			{Core: 0, TSC: 20, Item: 1, Kind: ItemEnd},
+			{Core: 0, TSC: 20, Item: 2, Kind: ItemBegin},
+			{Core: 0, TSC: 5, Item: 1, Kind: ItemBegin},
+		},
+		Samples: []pmu.Sample{
+			{Core: 0, TSC: 20},
+			{Core: 1, TSC: 10},
+			{Core: 0, TSC: 7},
+			{Core: 0, TSC: 20},
+		},
+	}
+	got := s.FeedOrder()
+	// ^i is marker i, i is sample i.
+	want := []int32{^3, 2, ^1, ^2, 0, 3, ^0, 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FeedOrder = %v, want %v", got, want)
+	}
+}
+
 func TestMarkerLossInjection(t *testing.T) {
 	m := sim.MustNew(sim.Config{Cores: 1})
 	c := m.Core(0)
