@@ -17,19 +17,24 @@
 //
 //	fluct -serve 127.0.0.1:8080 -workload dataplane -detect
 //
-// With -serve, fluct instead runs the online monitor continuously and
-// exposes its self-telemetry over HTTP: /metrics (Prometheus text),
-// /debug/vars (expvar), /debug/pprof/* and /healthz (trace.GapSummary
-// verdict). Add -serve-faults to watch the health endpoint degrade, and
-// -detect to run the online fluctuation detector over the item stream —
-// /healthz then also degrades while change events are unresolved (inject
-// one with -serve-faults 'fnslow=table_lookup,fnfactor=2,fnafter=0.5').
+// -faults degrades those rounds (faults.ParsePlan syntax): its trace keys
+// perturb every round's trace set ('loss=0.3,burst=64'; an injected
+// slowdown is 'fnslow=table_lookup,fnfactor=2,fnafter=0.5'), its net* keys
+// damage the link the round ships over ('net=cutframe,netrate=0.2').
+//
+// With -serve, fluct is a one-source fluctd in one process: it ships
+// workload rounds continuously, as source "serve", to an in-process
+// collector on a loopback port and serves that collector's HTTP surface:
+// /metrics (Prometheus text), /debug/vars (expvar), /debug/pprof/*,
+// /fleet, /verdicts and /healthz (the fleet verdict fluctd serves). -detect
+// runs the online fluctuation detector over the item stream — /healthz
+// then also degrades while change events are unresolved, and /verdicts
+// names the function to blame.
 //
 // With -ship, fluct becomes a fleet worker: each workload round's trace set
 // is shipped over TCP to a fluctd collector instead of being integrated
-// locally. -source names this worker in the collector's fleet view,
-// -rounds bounds the run (0 runs until interrupted), and -ship-faults
-// injects network damage (e.g. 'net=cutframe,netrate=0.2') into the link.
+// locally. -source names this worker in the collector's fleet view, and
+// -rounds bounds the run (0 runs until interrupted).
 // Delivery is at-least-once either way — every frame is held until the
 // collector acknowledges it. Without -spool it is held in memory, for the
 // life of this process; add -spool <dir> and frames are written through a
@@ -56,52 +61,46 @@ import (
 	"syscall"
 
 	"repro/internal/agg"
+	"repro/internal/collector"
+	"repro/internal/detect"
 	"repro/internal/experiments"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: fig1|fig2|fig4|fig8|fig9|fig10|datarate|faultsweep|detectsweep|dpsweep|all")
-		packets  = flag.Int("packets", 10000, "packets per ACL run (figs 9/10, data rate)")
-		requests = flag.Int("requests", 20000, "requests for the NGINX workload (fig 2)")
-		resets   = flag.String("resets", "", "comma-separated reset values overriding the paper's sweep")
-		out      = flag.String("out", "", "write output to this file instead of stdout")
-		serve    = flag.String("serve", "", "serve self-telemetry on this address (e.g. 127.0.0.1:8080) instead of running experiments")
-		srvFault = flag.String("serve-faults", "", "fault spec injected into every -serve round (e.g. 'loss=0.2,burst=64')")
-		srvDet   = flag.Bool("detect", false, "with -serve: run the online fluctuation detector (/healthz degrades on unresolved change events)")
-		shipAddr = flag.String("ship", "", "ship workload rounds to a fluctd collector instead of running experiments; a comma-separated list is a shard membership table and the worker ships to the shard owning its source ID")
-		source   = flag.String("source", "", "source ID for -ship (default: hostname-pid)")
-		rounds   = flag.Int("rounds", 0, "rounds to ship with -ship (0: until interrupted)")
-		shpFault = flag.String("ship-faults", "", "network fault spec for the -ship link (e.g. 'net=cutframe,netrate=0.2')")
-		spool    = flag.String("spool", "", "spool -ship frames through this directory so at-least-once delivery survives restarts of this worker (empty: unacknowledged frames are held in memory, for the life of the process)")
-		workload = flag.String("workload", "request", "workload behind -serve/-ship rounds: request|dataplane")
+		exp       = flag.String("exp", "all", "experiment to run: fig1|fig2|fig4|fig8|fig9|fig10|datarate|faultsweep|detectsweep|dpsweep|all")
+		packets   = flag.Int("packets", 10000, "packets per ACL run (figs 9/10, data rate)")
+		requests  = flag.Int("requests", 20000, "requests for the NGINX workload (fig 2)")
+		resets    = flag.String("resets", "", "comma-separated reset values overriding the paper's sweep")
+		out       = flag.String("out", "", "write output to this file instead of stdout")
+		serve     = flag.String("serve", "", "run a one-source fluctd on this address (e.g. 127.0.0.1:8080): ship rounds to an in-process collector and serve its /metrics, /healthz, /fleet and /verdicts instead of running experiments")
+		srvDet    = flag.Bool("detect", false, "with -serve: run the online fluctuation detector (/healthz degrades on unresolved change events)")
+		shipAddr  = flag.String("ship", "", "ship workload rounds to a fluctd collector instead of running experiments; a comma-separated list is a shard membership table and the worker ships to the shard owning its source ID")
+		source    = flag.String("source", "", "source ID for -ship (default: hostname-pid)")
+		rounds    = flag.Int("rounds", 0, "rounds to ship with -ship (0: until interrupted)")
+		faultSpec = flag.String("faults", "", "fault spec for -serve/-ship rounds: trace keys perturb each round's set (e.g. 'loss=0.2,burst=64'), net* keys damage its link (e.g. 'net=cutframe,netrate=0.2')")
+		spool     = flag.String("spool", "", "spool -ship frames through this directory so at-least-once delivery survives restarts of this worker (empty: unacknowledged frames are held in memory, for the life of the process)")
+		workload  = flag.String("workload", "request", "workload behind -serve/-ship rounds: request|dataplane")
 	)
 	flag.Parse()
 
+	// -requests only overrides a -ship/-serve round's default (300) when
+	// the user passed it explicitly; the experiment default of 20000 would
+	// make rounds needlessly slow.
+	reqs := 0
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "requests" {
+			reqs = *requests
+		}
+	})
 	if *shipAddr != "" {
-		reqs := 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "requests" {
-				reqs = *requests
-			}
-		})
-		if err := runShip(*shipAddr, *source, *rounds, reqs, *workload, *shpFault, *spool); err != nil {
+		if err := runShip(*shipAddr, *source, *rounds, reqs, *workload, *faultSpec, *spool); err != nil {
 			fatal(err)
 		}
 		return
 	}
-
 	if *serve != "" {
-		// -requests only overrides the monitor's per-round default (300)
-		// when the user passed it explicitly; the experiment default of
-		// 20000 would make rounds needlessly slow.
-		reqs := 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "requests" {
-				reqs = *requests
-			}
-		})
-		if err := runServe(*serve, reqs, *workload, *srvFault, *srvDet); err != nil {
+		if err := runServe(*serve, reqs, *workload, *faultSpec, *srvDet); err != nil {
 			fatal(err)
 		}
 		return
@@ -283,23 +282,32 @@ func runShip(addr, source string, rounds, requests int, workload, faultSpec, spo
 	return err
 }
 
-// runServe runs the online monitor forever and serves its telemetry.
-func runServe(addr string, requests int, workload, faultSpec string, detect bool) error {
-	m, err := experiments.NewMonitor(experiments.MonitorConfig{
-		Requests: requests,
-		Workload: workload,
-		Faults:   faultSpec,
-		Detect:   detect,
-	})
+// runServe runs a one-source fluctd in this process: rounds ship forever,
+// as source "serve", to a collector on a loopback port whose HTTP surface
+// is served on addr.
+func runServe(addr string, requests int, workload, faultSpec string, detectOn bool) error {
+	var cfg collector.Config
+	if detectOn {
+		cfg.Detect = &detect.Config{}
+	}
+	coll, l, err := experiments.StartCollector(cfg)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errc := make(chan error, 1)
-	go func() { errc <- m.Run(ctx) }()
-	fmt.Fprintf(os.Stderr, "fluct: serving /metrics /healthz /debug/vars /debug/pprof/ on http://%s\n", addr)
-	go func() { errc <- http.ListenAndServe(addr, m.Handler()) }()
+	defer l.Close()
+	errc := make(chan error, 2)
+	go func() {
+		_, err := experiments.ShipRounds(context.Background(), experiments.ShipConfig{
+			Addr:     l.Addr().String(),
+			Source:   "serve",
+			Requests: requests,
+			Workload: workload,
+			Faults:   faultSpec,
+		})
+		errc <- err
+	}()
+	fmt.Fprintf(os.Stderr, "fluct: serving /metrics /healthz /fleet /verdicts /debug/vars /debug/pprof/ on http://%s\n", addr)
+	go func() { errc <- http.ListenAndServe(addr, coll.Handler()) }()
 	return <-errc
 }
 

@@ -14,7 +14,8 @@ import (
 // beyond one per-shard span site (an atomic load when tracing is off).
 // The online integrator caches its metric handles at construction —
 // when telemetry is disabled the handles are nil and every update is a
-// nil-check no-op.
+// nil-check no-op — and adds its diagnostics to the same counters once,
+// when it closes.
 
 // publishIntegrate records one offline integration pass into the default
 // registry: diagnostics as counters, per-item elapsed cycles and
@@ -62,9 +63,10 @@ func publishIntegrate(reg *obs.Registry, a *Analysis, results []coreResult, dur 
 	}
 }
 
-// publishDiagCounters accumulates one pass's diagnostics into the
-// running counters (counters, not gauges: every pass adds its damage,
-// so rates are meaningful across a long-running process).
+// publishDiagCounters accumulates one pass's diagnostics — an Integrate
+// call or a closed StreamIntegrator — into the running counters
+// (counters, not gauges: every pass adds its damage, so rates are
+// meaningful across a long-running process).
 func publishDiagCounters(reg *obs.Registry, d Diagnostics) {
 	if reg == nil {
 		return
@@ -80,30 +82,11 @@ func publishDiagCounters(reg *obs.Registry, d Diagnostics) {
 	reg.Counter("fluct_core_symcache_misses_total").Add(uint64(d.SymCacheMisses))
 }
 
-// Publish writes the diagnostics into r as instantaneous gauges under
-// fluct_core_diag_* — the live view `fluct -serve` exposes so a
-// long-running online integration can be watched mid-flight (counters
-// would double-count when the same cumulative Diagnostics is published
-// repeatedly; gauges make re-publication idempotent).
-func (d Diagnostics) Publish(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	r.Gauge("fluct_core_diag_unattributed_samples").SetInt(d.UnattributedSamples)
-	r.Gauge("fluct_core_diag_unresolved_samples").SetInt(d.UnresolvedSamples)
-	r.Gauge("fluct_core_diag_orphan_end_markers").SetInt(d.OrphanEndMarkers)
-	r.Gauge("fluct_core_diag_reopened_items").SetInt(d.ReopenedItems)
-	r.Gauge("fluct_core_diag_unclosed_items").SetInt(d.UnclosedItems)
-	r.Gauge("fluct_core_diag_repaired_markers").SetInt(d.RepairedMarkers)
-	r.Gauge("fluct_core_diag_ignored_event_samples").SetInt(d.IgnoredEventSamples)
-	r.Gauge("fluct_core_diag_symcache_hits").SetInt(d.SymCacheHits)
-	r.Gauge("fluct_core_diag_symcache_misses").SetInt(d.SymCacheMisses)
-}
-
 // streamMetrics is the online integrator's cached metric handles. A nil
 // handle (telemetry disabled at construction) makes every update a
 // nil-check no-op, keeping the push path allocation- and branch-light.
 type streamMetrics struct {
+	reg        *obs.Registry
 	items      *obs.Counter
 	recycled   *obs.Counter
 	allocs     *obs.Counter
@@ -119,6 +102,7 @@ func newStreamMetrics(reg *obs.Registry) streamMetrics {
 		return streamMetrics{}
 	}
 	return streamMetrics{
+		reg:        reg,
 		items:      reg.Counter("fluct_core_stream_items_total"),
 		recycled:   reg.Counter("fluct_core_stream_recycled_total"),
 		allocs:     reg.Counter("fluct_core_stream_item_allocs_total"),

@@ -183,3 +183,46 @@ func TestStreamPublishesMetrics(t *testing.T) {
 		t.Fatalf("confidence histogram count = %d, want 40", got)
 	}
 }
+
+// TestStreamPublishesDiagCounters: Close adds the stream's Diag to the
+// same fluct_core_*_total counters a batch Integrate feeds, each counter
+// moving by exactly its field, and a repeated Close adds nothing.
+func TestStreamPublishesDiagCounters(t *testing.T) {
+	set := buildSmallTrace(t, 20)
+	for i, m := range set.Markers {
+		if m.Item == 7 && m.Kind == trace.ItemEnd {
+			set.Markers = append(set.Markers[:i:i], set.Markers[i+1:]...)
+			break
+		}
+	}
+
+	reg := obs.NewRegistry()
+	old := obs.SetDefault(reg)
+	defer obs.SetDefault(old)
+
+	s, err := NewStreamIntegrator(set.Syms, Options{}, func(*Item) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedInOrder(s, set) // feeds and closes
+	s.Close()           // a repeat: must count nothing twice
+	d := s.Diag()
+	if d.ReopenedItems != 1 || d.SymCacheHits == 0 {
+		t.Fatalf("diag %v: want the item with the dropped End reopened once and a warm symbol cache", d)
+	}
+	for name, want := range map[string]int{
+		"fluct_core_unattributed_samples_total":  d.UnattributedSamples,
+		"fluct_core_unresolved_samples_total":    d.UnresolvedSamples,
+		"fluct_core_orphan_end_markers_total":    d.OrphanEndMarkers,
+		"fluct_core_reopened_items_total":        d.ReopenedItems,
+		"fluct_core_unclosed_items_total":        d.UnclosedItems,
+		"fluct_core_repaired_markers_total":      d.RepairedMarkers,
+		"fluct_core_ignored_event_samples_total": d.IgnoredEventSamples,
+		"fluct_core_symcache_hits_total":         d.SymCacheHits,
+		"fluct_core_symcache_misses_total":       d.SymCacheMisses,
+	} {
+		if got := reg.Counter(name).Value(); got != uint64(want) {
+			t.Errorf("%s = %d, want %d (its Diag field)", name, got, want)
+		}
+	}
+}

@@ -172,9 +172,11 @@ func (s *StreamIntegrator) Sample(sm pmu.Sample) {
 // possibly crash-implicated item spent its time. Cores are drained in
 // ascending ID order so the emission order is deterministic.
 //
-// Close is idempotent: the second and later calls are no-ops — nothing is
-// re-emitted and the diagnostics do not change. Defer-Close-plus-explicit-
-// Close is therefore safe, the shutdown idiom a long-running monitor wants.
+// Close adds the stream's Diag to the fluct_core_*_total counters, as
+// Integrate does for a batch pass. It is idempotent: the second and later
+// calls are no-ops — nothing is re-emitted or re-counted and the
+// diagnostics do not change. Defer-Close-plus-explicit-Close is therefore
+// safe, the shutdown idiom a long-running monitor wants.
 func (s *StreamIntegrator) Close() {
 	if s.closed {
 		return
@@ -194,6 +196,7 @@ func (s *StreamIntegrator) Close() {
 		it.Confidence *= confUnclosed
 		s.done(it)
 	}
+	publishDiagCounters(s.met.reg, s.Diag())
 }
 
 // Diag returns the accumulated diagnostics, including per-core

@@ -115,17 +115,12 @@ func crashSweepOne(kills, rounds, requests int, baseline []byte) (CrashSweepRow,
 	// fresh ephemeral port); the shipper's dial chases it through an atomic.
 	var currentAddr atomic.Value
 	start := func() (*collector.Collector, net.Listener, error) {
-		coll, err := collector.New(collector.Config{
+		coll, l, err := StartCollector(collector.Config{
 			CheckpointPath: ckpt, Registry: obs.NewRegistry(),
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		go coll.Serve(l)
 		currentAddr.Store(l.Addr().String())
 		return coll, l, nil
 	}

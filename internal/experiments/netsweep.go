@@ -74,17 +74,11 @@ func NetSweep(rates []float64) (*NetSweepResult, error) {
 func netSweepOne(rate float64, requests int) (NetSweepRow, error) {
 	row := NetSweepRow{CutRate: rate}
 
-	collReg := obs.NewRegistry()
-	coll, err := collector.New(collector.Config{Registry: collReg})
-	if err != nil {
-		return row, err
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	coll, l, err := StartCollector(collector.Config{Registry: obs.NewRegistry()})
 	if err != nil {
 		return row, err
 	}
 	defer l.Close()
-	go coll.Serve(l)
 
 	shipReg := obs.NewRegistry()
 	cfg := ship.Config{

@@ -10,30 +10,38 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/pmu"
 	"repro/internal/ship"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workloads/dpchain"
 )
 
-// ShipConfig configures the engine behind `fluct -ship addr`: a worker that
-// generates workload rounds and ships each round's trace set to a central
-// fluctd collector instead of integrating locally.
+// ShipConfig configures the engine behind `fluct -ship addr` and
+// `fluct -serve`: a worker that generates workload rounds and ships each
+// round's trace set to a collector — a central fluctd, or the in-process
+// one -serve starts (StartCollector).
 type ShipConfig struct {
 	// Addr is the collector's shipper port (fluctd -listen).
 	Addr string
-	// Workload selects what each round runs: "request" (default) or
-	// "dataplane" — same selector as MonitorConfig.Workload.
+	// Workload selects what each round runs: "request" (default, the
+	// canonical two-core lookup+render loop) or "dataplane" (the compiled
+	// ACL → LPM function chain from internal/dataplane).
 	Workload string
 	// Source tags this worker in the collector's fleet view.
 	Source string
 	// Rounds is how many rounds to generate and ship; 0 means run until the
 	// context dies.
 	Rounds int
-	// Requests per round (default 300, matching -serve).
+	// Requests per round (default 300).
 	Requests int
-	// Interval between rounds (default 250ms, matching -serve).
+	// Interval between rounds (default 250ms).
 	Interval time.Duration
-	// Faults optionally wraps the collector connection in a network fault
-	// plan (faults.ParsePlan syntax, net= keys) so shipping can be exercised
-	// over a damaged link.
+	// Faults optionally degrades the run (faults.ParsePlan syntax). Its
+	// trace keys perturb every round's set before it ships, with the seed
+	// advanced by the round index so each round's damage differs, as
+	// production's would ("loss=0.2,burst=64", "fnslow=table_lookup");
+	// its net* keys wrap the collector connection ("net=cutframe").
 	Faults string
 	// SpoolDir makes delivery survive worker restarts: frames are written
 	// through a disk-backed spool and retransmitted until acked. Empty keeps
@@ -102,19 +110,22 @@ func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 		BackoffMin: 2 * time.Millisecond,
 		BackoffMax: time.Second,
 	}
-	if cfg.Faults != "" {
-		plan, err := faults.ParsePlan(cfg.Faults)
-		if err != nil {
-			return ShipStats{}, fmt.Errorf("ship: %w", err)
-		}
-		if plan.Net.Mode != faults.NetNone {
-			wrapped := faults.WrapDial(plan.Net, func(addr string) (net.Conn, error) {
-				var d net.Dialer
-				return d.Dial("tcp", addr)
-			})
-			shipCfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
-				return wrapped(addr)
-			}
+	plan, err := faults.ParsePlan(cfg.Faults)
+	if err != nil {
+		return ShipStats{}, fmt.Errorf("ship: %w", err)
+	}
+	// Only a plan with trace keys perturbs the rounds; a net-only plan
+	// ships them pristine.
+	tracePlan := plan
+	tracePlan.Seed, tracePlan.Net = 0, faults.NetPlan{}
+	perturb := tracePlan != faults.Plan{}
+	if plan.Net.Active() {
+		wrapped := faults.WrapDial(plan.Net, func(addr string) (net.Conn, error) {
+			var d net.Dialer
+			return d.Dial("tcp", addr)
+		})
+		shipCfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			return wrapped(addr)
 		}
 	}
 	s, err := ship.New(shipCfg)
@@ -134,6 +145,11 @@ func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 			cancel()
 			<-done
 			return st, err
+		}
+		if perturb {
+			p := plan
+			p.Seed += uint64(round)
+			set, _ = faults.Perturb(set, p)
 		}
 		if err := s.ShipSet(set); err == nil {
 			st.Rounds++
@@ -172,4 +188,91 @@ func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 	st.Dropped = reg.Counter("fluct_ship_dropped_frames_total").Value()
 	st.Reconnects = reg.Counter("fluct_ship_reconnects_total").Value()
 	return st, ctx.Err()
+}
+
+// WorkloadRound generates one round of the canonical two-core request
+// workload: a lookup with a rare (~1/97) cold-chain stall plus a fixed-cost
+// render, PEBS-sampled per core. It is the trace source behind the
+// request rounds `fluct -serve` and `fluct -ship` ship, and the round the
+// network and crash sweeps ship.
+func WorkloadRound(requests int) *trace.Set {
+	if requests <= 0 {
+		requests = 300
+	}
+	const cores = 2
+	mach := sim.MustNew(sim.Config{Cores: cores})
+	lookup := mach.Syms.MustRegister("table_lookup", 4096)
+	render := mach.Syms.MustRegister("render_reply", 2048)
+	// One PEBS unit per core, as the hardware has one debug-store buffer
+	// per core — and because the spawned workload threads really run
+	// concurrently, a shared recorder would race.
+	pebs := make([]*pmu.PEBS, cores)
+	log := trace.NewMarkerLog(cores, 0)
+
+	perCore := requests / cores
+	for ci := 0; ci < cores; ci++ {
+		first := uint64(ci*perCore) + 1
+		// The 1000-uop period keeps every function's per-item visit a
+		// multi-sample run, which both sharpens the per-function estimates
+		// and lets an injected fnslow dilation actually stretch something.
+		// At that rate the buffer-full drain handshake would lose samples
+		// (a genuine gap the detector would rightly flag), so the round
+		// runs the double-buffered PEBS variant.
+		pebs[ci] = pmu.NewPEBS(pmu.PEBSConfig{DoubleBuffer: true})
+		mach.Core(ci).PMU.MustProgram(pmu.UopsRetired, 1000, pebs[ci])
+		mach.MustSpawn(ci, func(c *sim.Core) {
+			// Warm the lookup table before the first marked item: the
+			// cold-miss chain otherwise stretches item 1 to ~5× the steady
+			// state, and its sparse retirement reads as a PEBS loss burst
+			// to the gap detector. The interleaved Exec keeps samples
+			// flowing through the warmup itself.
+			for l := 0; l < 200; l++ {
+				c.Load(0x5000_0000 + uint64(l)*64)
+				c.Exec(200)
+			}
+			for r := 0; r < perCore; r++ {
+				id := first + uint64(r)
+				log.Mark(c, id, trace.ItemBegin)
+				c.Call(lookup, func() {
+					for l := 0; l < 200; l++ {
+						c.Load(0x5000_0000 + uint64(l)*64)
+						c.Exec(12)
+					}
+					if id%97 == 0 {
+						// The rare non-functional state: every ~97th request
+						// walks a cold chain and retires far more work. It
+						// surfaces in the p99 of fluct_core_item_cycles —
+						// extra retired uops keep PEBS firing, so the gap
+						// detector correctly stays quiet.
+						c.Exec(30000)
+					}
+				})
+				c.Call(render, func() { c.Exec(6000) })
+				log.Mark(c, id, trace.ItemEnd)
+				c.Exec(800)
+			}
+		})
+	}
+	mach.Wait()
+
+	return trace.NewSet(mach, log, pmu.MergeSamples(pebs...))
+}
+
+// validWorkload checks a ShipConfig workload selector.
+func validWorkload(workload string) error {
+	switch workload {
+	case "", "request", "dataplane":
+		return nil
+	}
+	return fmt.Errorf("unknown workload %q (want request|dataplane)", workload)
+}
+
+// roundSet generates one round of the selected workload — the single
+// dispatch point behind every ShipRounds round, -serve's and -ship's
+// alike.
+func roundSet(workload string, requests int) (*trace.Set, error) {
+	if workload == "dataplane" {
+		return dpchain.Round(requests)
+	}
+	return WorkloadRound(requests), nil
 }

@@ -69,7 +69,9 @@ var expvarOnce sync.Once
 //	/debug/pprof/*    the standard Go profiling endpoints
 //	/healthz          JSON health verdict, 503 when degraded
 //
-// Mount it on any listener; `fluct -serve` is the canonical caller.
+// Mount it on any listener. Its one caller is collector.ViewHandler, which
+// adds /fleet and /verdicts and is what both fluctd tiers and `fluct -serve`
+// (a one-source fluctd) serve.
 func Handler(opts HandlerOptions) http.Handler {
 	reg := func() *Registry {
 		if opts.Registry != nil {

@@ -8,8 +8,8 @@
 // enough to explain a fluctuation; you need a live, low-overhead stream
 // of the internal state. The analyzer's own internal state — shard
 // balance, symbol-cache hit rates, PEBS ring occupancy, free-list churn,
-// per-item confidence — is published here and surfaced by `fluct -serve`
-// (Prometheus text /metrics, expvar, pprof, /healthz).
+// per-item confidence — is published here and surfaced by fluctd and
+// `fluct -serve` (Prometheus text /metrics, expvar, pprof, /healthz).
 //
 // Everything is nil-safe by design: every method on a nil *Registry,
 // *Counter, *Gauge, or *Histogram is a no-op, so instrumented hot paths

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // DefaultBase is the virtual address at which the first registered function
@@ -163,26 +161,6 @@ func (t *Table) lookup(ip uint64) *Fn {
 // this table (all callers, all goroutines).
 func (t *Table) CacheStats() (hits, misses uint64) {
 	return t.hits.Load(), t.misses.Load()
-}
-
-// Publish registers lazily evaluated gauges for this table's shared
-// resolve-cache hit/miss counters (fluct_symtab_resolve_hits/_misses)
-// and symbol count (fluct_symtab_functions) on r. The counters are read
-// at scrape time from the atomics Resolve already maintains, so the hot
-// resolve path pays nothing for being observable. Call it after all
-// registrations, like concurrent Resolve; re-publishing (or publishing a
-// second table) replaces the previous functions — the gauges describe
-// one table, the one a server is actively resolving against.
-func (t *Table) Publish(r *obs.Registry) {
-	r.GaugeFunc("fluct_symtab_resolve_hits", func() float64 {
-		h, _ := t.CacheStats()
-		return float64(h)
-	})
-	r.GaugeFunc("fluct_symtab_resolve_misses", func() float64 {
-		_, m := t.CacheStats()
-		return float64(m)
-	})
-	r.GaugeFunc("fluct_symtab_functions", func() float64 { return float64(t.Len()) })
 }
 
 // Resolver is a single-goroutine cached view over a Table. Integration
