@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -80,6 +81,43 @@ type mergedSource struct {
 	// (see mergeVerdictsLocked).
 	verdictShard string
 	verdictKey   verdictKey
+	// summaryFrame and verdictsFrame are the TFleetSummary and TVerdicts
+	// payloads the row and the verdicts were decoded from: the checkpoint
+	// writes them as they are, and restore decodes them again. Replaced
+	// wholesale, never mutated, like the row.
+	summaryFrame, verdictsFrame []byte
+}
+
+// setSummary replaces the row with the one decoded from payload — for a
+// live merge and for a restore alike.
+func (ms *mergedSource) setSummary(fs wire.FleetSummary, payload []byte) {
+	ms.row = collector.SourceRow{
+		Summary: collector.SourceSummary{
+			ID:             fs.Source,
+			Sets:           fs.Sets,
+			AbortedSets:    fs.AbortedSets,
+			Items:          len(fs.Items),
+			MeanConfidence: fs.MeanConf,
+			Degraded:       fs.Degraded,
+			GapLine:        fs.GapLine,
+			LostMarkers:    fs.LostMarkers,
+			LostSamples:    fs.LostSamples,
+			CRCErrors:      fs.CRCErrors,
+			Disconnects:    fs.Disconnects,
+		},
+		FreqHz: fs.FreqHz,
+		Items:  fs.Items,
+	}
+	ms.summaryFrame = payload
+}
+
+// setVerdicts replaces the verdict snapshot with the one decoded from
+// payload — for a live merge and for a restore alike.
+func (ms *mergedSource) setVerdicts(vs wire.VerdictSet, payload []byte) {
+	ms.verdicts = vs.Verdicts
+	ms.active = vs.Active
+	ms.verdictKey = verdictKeyOf(vs)
+	ms.verdictsFrame = payload
 }
 
 // verdictKey orders verdict snapshots of one source across a rebalance:
@@ -222,7 +260,9 @@ func (s *shardStream) Start(ss wire.SeqStart) (acked, resume uint64, ok bool) {
 // Hand decodes a frame outside the lock (the decoders copy), then admits,
 // merges and settles it in one a.mu hold, so no later number is ever
 // settled, checkpointed or acked ahead of it. An intact frame that does
-// not decode keeps its number and is counted, unacked.
+// not decode keeps its number and is counted, unacked. A decoded payload
+// is copied out of the pooled frame: the merged row keeps it for the
+// checkpoint.
 func (s *shardStream) Hand(f *durable.Frame) (ack, ok bool) {
 	a := s.a
 	var fs wire.FleetSummary
@@ -237,14 +277,18 @@ func (s *shardStream) Hand(f *durable.Frame) (ack, ok bool) {
 	default:
 		err = fmt.Errorf("agg: unexpected %s frame", typ)
 	}
+	var payload []byte
+	if err == nil {
+		payload = bytes.Clone(f.Payload)
+	}
 	f.Release()
 	a.mu.Lock()
 	adm := f.Admit(s.wm)
 	if adm == durable.Fresh && err == nil {
 		if typ == wire.TFleetSummary {
-			a.mergeSummaryLocked(s.id, fs)
+			a.mergeSummaryLocked(s.id, fs, payload)
 		} else {
-			a.mergeVerdictsLocked(s.id, vs)
+			a.mergeVerdictsLocked(s.id, vs, payload)
 		}
 		s.wm.Settle(f.Epoch, f.Seq)
 	}
@@ -262,28 +306,12 @@ func (s *shardStream) Acking(*durable.Frame) error { return nil }
 
 func (s *shardStream) End(lost error) bool { return lost != nil }
 
-// mergeSummaryLocked folds one decoded summary into the merged state:
-// last-writer-wins per source. The decoded items are freshly allocated by
-// the decoder and the row is replaced wholesale, so readers holding a
-// previous Fleet() snapshot are never mutated under. Caller holds a.mu.
-func (a *Aggregator) mergeSummaryLocked(shardID string, fs wire.FleetSummary) {
-	row := collector.SourceRow{
-		Summary: collector.SourceSummary{
-			ID:             fs.Source,
-			Sets:           fs.Sets,
-			AbortedSets:    fs.AbortedSets,
-			Items:          len(fs.Items),
-			MeanConfidence: fs.MeanConf,
-			Degraded:       fs.Degraded,
-			GapLine:        fs.GapLine,
-			LostMarkers:    fs.LostMarkers,
-			LostSamples:    fs.LostSamples,
-			CRCErrors:      fs.CRCErrors,
-			Disconnects:    fs.Disconnects,
-		},
-		FreqHz: fs.FreqHz,
-		Items:  fs.Items,
-	}
+// mergeSummaryLocked folds one decoded summary, and the payload it was
+// decoded from, into the merged state: last-writer-wins per source. The
+// decoded items are freshly allocated by the decoder and the row is
+// replaced wholesale, so readers holding a previous Fleet() snapshot are
+// never mutated under. Caller holds a.mu.
+func (a *Aggregator) mergeSummaryLocked(shardID string, fs wire.FleetSummary, payload []byte) {
 	ms := a.sources[fs.Source]
 	if ms == nil {
 		ms = &mergedSource{}
@@ -307,18 +335,18 @@ func (a *Aggregator) mergeSummaryLocked(shardID string, fs wire.FleetSummary) {
 		return
 	}
 	ms.shard = shardID
-	ms.row = row
+	ms.setSummary(fs, payload)
 	a.metSources.SetInt(len(a.sources))
 	a.lastMergeNano.Store(time.Now().UnixNano())
 	a.metMerges.Inc()
 }
 
-// mergeVerdictsLocked folds one decoded verdict snapshot into the merged
-// state: last-writer-wins per source, like summary rows. A snapshot may
-// precede the source's first summary (the event fired mid-set); the
-// placeholder row carries just the ID until the summary lands. Caller
-// holds a.mu.
-func (a *Aggregator) mergeVerdictsLocked(shardID string, vs wire.VerdictSet) {
+// mergeVerdictsLocked folds one decoded verdict snapshot, and the payload
+// it was decoded from, into the merged state: last-writer-wins per source,
+// like summary rows. A snapshot may precede the source's first summary
+// (the event fired mid-set); the placeholder row carries just the ID until
+// the summary lands. Caller holds a.mu.
+func (a *Aggregator) mergeVerdictsLocked(shardID string, vs wire.VerdictSet, payload []byte) {
 	ms := a.sources[vs.Source]
 	if ms == nil {
 		ms = &mergedSource{row: collector.SourceRow{
@@ -332,16 +360,13 @@ func (a *Aggregator) mergeVerdictsLocked(shardID string, vs wire.VerdictSet) {
 	// change-event ordinal survives the handoff (the detector snapshot
 	// carries its counters), so a cross-shard snapshot may only apply when
 	// it reaches at least as far as the stored one.
-	key := verdictKeyOf(vs)
-	if ms.verdictShard != "" && shardID != ms.verdictShard && key.less(ms.verdictKey) {
+	if ms.verdictShard != "" && shardID != ms.verdictShard && verdictKeyOf(vs).less(ms.verdictKey) {
 		a.metStale.Inc()
 		return
 	}
 	ms.shard = shardID
-	ms.verdicts = vs.Verdicts
-	ms.active = vs.Active
 	ms.verdictShard = shardID
-	ms.verdictKey = key
+	ms.setVerdicts(vs, payload)
 	a.metSources.SetInt(len(a.sources))
 	a.lastMergeNano.Store(time.Now().UnixNano())
 	a.metMerges.Inc()

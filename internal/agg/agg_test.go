@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -355,19 +354,11 @@ func TestAggregatorCheckpointRestart(t *testing.T) {
 	}
 }
 
-// TestRestoreParentCheckpoint: an aggregator checkpoint written by the
-// parent commit (testdata) restores, and checkpointing the restored state
-// reproduces it byte for byte.
+// TestRestoreParentCheckpoint: a version-1 aggregator checkpoint (the
+// testdata was written by an earlier commit) restores, and the version-2
+// checkpoint of the restored state restores to the same state again.
 func TestRestoreParentCheckpoint(t *testing.T) {
-	fixture, err := os.ReadFile("testdata/parent_checkpoint.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/agg.json"
-	if err := os.WriteFile(path, fixture, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	a, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
+	a, path, err := restoreFrom(t, readFile(t, "testdata/parent_checkpoint.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,12 +372,12 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 	if err := a.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	rewritten, err := os.ReadFile(path)
+	b, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rewritten, fixture) {
-		t.Fatalf("re-checkpoint moved the encoding: %s", firstDiff(string(rewritten), string(fixture)))
+	if d := stateOf(t, b).diff(stateOf(t, a)); d != "" {
+		t.Fatalf("version-1 restore and its re-checkpoint differ: %s", d)
 	}
 }
 

@@ -10,20 +10,11 @@ import (
 	"repro/internal/wire"
 )
 
-// BenchmarkAggregatorMerge measures the aggregator's merge path — the
-// cost of assembling the global fleet view (per-source snapshot +
-// MergeFleet's top-K selection) at fleet scale: 256 merged sources each
-// carrying a 24-item retained set. This is the /fleet scrape cost and the
-// per-merge latency floor behind fluct_agg_merge_ns.
-func BenchmarkAggregatorMerge(b *testing.B) {
-	const (
-		nSources = 256
-		nItems   = 24
-	)
-	a, err := New(Config{TopK: 20, Registry: obs.NewRegistry()})
-	if err != nil {
-		b.Fatal(err)
-	}
+// mergeSynthetic merges nSources synthetic sources into a, each carrying
+// an nItems-item retained set, through the live merge path with the
+// payloads a shard would have shipped.
+func mergeSynthetic(tb testing.TB, a *Aggregator, nSources, nItems int) {
+	tb.Helper()
 	fns := []*symtab.Fn{
 		{Name: "table_lookup", Base: 0x401000, Size: 0x300, ID: 0},
 		{Name: "render_reply", Base: 0x401300, Size: 0x200, ID: 1},
@@ -47,16 +38,35 @@ func BenchmarkAggregatorMerge(b *testing.B) {
 				Confidence:  1,
 			}
 		}
-		a.mu.Lock()
-		a.mergeSummaryLocked("shard-a", wire.FleetSummary{
+		fs := wire.FleetSummary{
 			Source:   fmt.Sprintf("src-%04d", s),
 			FreqHz:   3_000_000_000,
 			Sets:     5,
 			MeanConf: 0.97,
 			Items:    items,
-		})
+		}
+		payload, err := wire.AppendFleetSummary(nil, fs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		a.mu.Lock()
+		a.mergeSummaryLocked("shard-a", fs, payload)
 		a.mu.Unlock()
 	}
+}
+
+// BenchmarkAggregatorMerge measures the aggregator's merge path — the
+// cost of assembling the global fleet view (per-source snapshot +
+// MergeFleet's top-K selection) at fleet scale: 256 merged sources each
+// carrying a 24-item retained set. This is the /fleet scrape cost and the
+// per-merge latency floor behind fluct_agg_merge_ns.
+func BenchmarkAggregatorMerge(b *testing.B) {
+	const nSources = 256
+	a, err := New(Config{TopK: 20, Registry: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mergeSynthetic(b, a, nSources, 24)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -65,5 +75,28 @@ func BenchmarkAggregatorMerge(b *testing.B) {
 		if len(v.TopSlow) != 20 || len(v.Sources) != nSources {
 			b.Fatalf("merge produced %d top-K over %d sources", len(v.TopSlow), len(v.Sources))
 		}
+	}
+}
+
+// BenchmarkAggregatorCheckpoint measures the checkpoint written before
+// every ack, at the two fleet shapes the end-to-end benchmark runs: many
+// small rows (130 sources × 16 items) and few large ones (2 × 2,000).
+// Each op includes the fsync of durable.WriteFile.
+func BenchmarkAggregatorCheckpoint(b *testing.B) {
+	for _, shape := range []struct{ sources, items int }{{130, 16}, {2, 2000}} {
+		b.Run(fmt.Sprintf("sources=%d/items=%d", shape.sources, shape.items), func(b *testing.B) {
+			a, err := New(Config{CheckpointPath: b.TempDir() + "/agg.json", Registry: obs.NewRegistry()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			mergeSynthetic(b, a, shape.sources, shape.items)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := a.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,10 +1,12 @@
 package collector
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/durable"
@@ -163,6 +165,8 @@ func (c *Collector) Checkpoint() error {
 		s.mu.Unlock()
 		s.applyMu.Unlock()
 	}
+	// Rows in ID order: one state always writes the same bytes.
+	slices.SortFunc(file.Sources, func(x, y checkpointSource) int { return cmp.Compare(x.ID, y.ID) })
 
 	data, err := json.Marshal(file)
 	if err != nil {

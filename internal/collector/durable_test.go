@@ -295,6 +295,45 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointDeterministic: the collector's sources live in a map, and
+// checkpointing one state twice must still write the same bytes.
+func TestCheckpointDeterministic(t *testing.T) {
+	set := workloadSet(t, 40)
+	path := t.TempDir() + "/checkpoint.json"
+	c, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"w1", "w2", "w3", "w4", "w5"} {
+		src := c.source(id)
+		src.mu.Lock()
+		src.everConnected = true
+		src.mu.Unlock()
+		if i%2 == 0 {
+			for _, fr := range rawSetFrames(t, set) {
+				if err := c.frame(src, fr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	var first []byte
+	for i := 0; i < 10; i++ {
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = data
+		} else if !bytes.Equal(data, first) {
+			t.Fatalf("checkpoint %d of one state differs: %s", i, firstDiff(string(data), string(first)))
+		}
+	}
+}
+
 // TestCheckpointStagedAck: a checkpoint must record the settled watermark
 // — the sequence number its accounting reflects — durably in the file
 // while leaving the acknowledged watermark in memory untouched: committing
