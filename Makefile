@@ -1,13 +1,15 @@
 # tier1: the gate every change must pass — build, the full test suite, and
 #   the benchmark module's own tests (bench/ builds against this checkout).
-# tier2: vet; everything under the race detector; the durable / loopback
-#   (cut, resume, admission, grammar) / receive-loop (ordering, per-tier
-#   conformance) / slow-apply backpressure / detect / drain / spool-failure
-#   / serve (shipper, listener and collector in one process) suites and the integration equivalence suites (parallel, stream, tie,
-#   degraded) raced 20 times over, so a flake cannot hide at 30%; a 10 s fuzz
-#   smoke of every target in FUZZ_TARGETS (FuzzIntegrate includes the
-#   differential against the reference interval pass); the full-size scale
-#   harness.
+# tier2: gofmt over every tracked Go file (git ls-files, so the parent tree
+#   bench-ab unpacks under bench/out is not walked); vet; everything under
+#   the race detector; the durable / loopback (cut, resume, admission,
+#   grammar) / receive-loop (ordering, per-tier conformance) / slow-apply
+#   backpressure / detect / drain / spool-failure / serve (shipper, listener
+#   and collector in one process) / checkpoint-restore suites and the
+#   integration equivalence suites (parallel, stream, tie, degraded) raced
+#   20 times over, so a flake cannot hide at 30%; a 10 s fuzz smoke of every
+#   target in FUZZ_TARGETS (FuzzIntegrate includes the differential against
+#   the reference interval pass); the full-size scale harness.
 # bench: the hot-path micro benchmarks with allocation stats.
 # bench-ab: the paired protocol every [perf_opt] change reports —
 #   make bench-ab PARENT=<rev> [W=fleet_bulk] [N=3] [SEED=1]
@@ -33,9 +35,10 @@ tier1:
 	cd bench && $(GO) test ./...
 
 tier2:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire
+	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire
 	$(GO) test -race -count 20 -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded' ./internal/core
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
@@ -43,7 +46,7 @@ tier2:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMicro|BenchmarkInstrumentedIntegrate|BenchmarkParallelIntegrate|BenchmarkSymtabResolveCached' -benchmem -count 1 .
 	$(GO) test -run '^$$' -bench 'BenchmarkWireEncodeDecode' -benchmem -count 1 ./internal/wire
-	$(GO) test -run '^$$' -bench 'BenchmarkCollectorIngest' -benchmem -count 1 ./internal/collector
+	$(GO) test -run '^$$' -bench 'BenchmarkCollectorIngest|BenchmarkCollectorCheckpoint' -benchmem -count 1 ./internal/collector
 	$(GO) test -run '^$$' -bench 'BenchmarkSpoolAppend' -benchmem -count 1 ./internal/spool
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectUpdate' -benchmem -count 1 ./internal/detect
 	$(GO) test -run '^$$' -bench 'BenchmarkHandoffTransfer' -benchmem -count 1 ./internal/collector

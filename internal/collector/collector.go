@@ -14,6 +14,7 @@
 package collector
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -145,18 +146,19 @@ type Source struct {
 	// serialized.
 	wm durable.Watermark
 
-	// Current-set decoding state. freq and syms are written under both
-	// locks (checkpoint and the fleet view read them under mu); integ,
-	// scan, and curItem are touched only under applyMu — the hot decode +
-	// integrate path takes no other lock. Nothing per-record outlives the
-	// frame it arrived in: a record goes to the integrator and the scan,
-	// which keeps a count and (for a sample) its timestamp. A set is open
-	// while integ is non-nil.
-	freq    uint64
-	syms    *symtab.Table
+	// Current-set decoding state, touched only under applyMu — the hot
+	// decode + integrate path takes no other lock. curFreq and curSyms are
+	// the open set's clock and table (its TSymtab); finishSet publishes
+	// them with the set's items. Nothing per-record outlives the frame it
+	// arrived in: a record goes to the integrator and the scan, which keeps
+	// a count and (for a sample) its timestamp. A set is open while integ
+	// is non-nil.
+	curFreq uint64
+	curSyms *symtab.Table
 	integ   *core.StreamIntegrator
 	scan    trace.GapScan // the in-flight set's health scan, buffers reused set to set
 	curItem []core.Item
+	sumBuf  []byte // finishSet's payload scratch, reused set to set
 
 	// det is the source's fluctuation detector (nil unless Config.Detect),
 	// guarded by applyMu like integ; other goroutines read the snapshot
@@ -168,10 +170,20 @@ type Source struct {
 	verdicts       []detect.Verdict
 	activeVerdicts int
 
-	// Last-completed-set results.
-	items []core.Item
-	gaps  trace.Gaps
-	diag  core.Diagnostics
+	// Last-completed-set results. freq and syms are the clock and table
+	// its items were integrated against: a row written mid-set still pairs
+	// the items with their own table. summary is the same items as the
+	// TFleetSummary payload the checkpoint writes, built once per set when
+	// the collector checkpoints and never appended into; summaryErr is why
+	// the last set's items did not encode, which fails every checkpoint
+	// until the next set.
+	freq       uint64
+	syms       *symtab.Table
+	items      []core.Item
+	summary    []byte
+	summaryErr error
+	gaps       trace.Gaps
+	diag       core.Diagnostics
 
 	// Cumulative accounting.
 	sets          uint64
@@ -516,9 +528,8 @@ func (c *Collector) apply(src *Source, f *durable.Frame) (owed wire.HandoffAck, 
 // applyFrame applies one verified frame to the source's in-set state.
 // The caller holds src.applyMu, which makes integ/scan/curItem its own:
 // the decode (zero-copy record iterators over the pooled frame bytes) and
-// the integrator push take no other lock; only the fields the checkpoint
-// and fleet view read (freq, syms, and the finishSet publication) are
-// written under src.mu.
+// the integrator push take no other lock; only the finishSet publication,
+// which the checkpoint and fleet view read, is written under src.mu.
 func (c *Collector) applyFrame(src *Source, f *durable.Frame) error {
 	switch f.Type {
 	case wire.TSymtab:
@@ -531,9 +542,7 @@ func (c *Collector) applyFrame(src *Source, f *durable.Frame) error {
 			// shipper restart): finalize what arrived rather than wedge.
 			c.finishSet(src, wire.SetEnd{}, true, 0, 0)
 		}
-		src.mu.Lock()
-		src.freq, src.syms = freq, tab
-		src.mu.Unlock()
+		src.curFreq, src.curSyms = freq, tab
 		src.scan.Reset(c.cfg.Event)
 		src.curItem = src.curItem[:0]
 		integ, err := core.NewStreamIntegrator(tab, core.Options{Event: c.cfg.Event}, func(*core.Item) {})
@@ -622,10 +631,24 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 		c.metConfHist.Record(uint64(src.curItem[i].Confidence * 1000))
 	}
 	n := len(src.curItem)
+	// Only a checkpoint reads the payload. Encode into the reused scratch
+	// buffer, keep an exact-size copy: one allocation per set, and the copy
+	// is never appended into.
+	var summary []byte
+	var sumErr error
+	if c.cfg.CheckpointPath != "" {
+		var buf []byte
+		if buf, sumErr = appendSummary(src.sumBuf[:0], src.ID, src.curFreq, src.curItem); sumErr == nil {
+			src.sumBuf = buf
+			summary = bytes.Clone(buf)
+		}
+	}
 
 	src.mu.Lock()
+	src.freq, src.syms = src.curFreq, src.curSyms
 	src.diag = diag
 	src.items = append(src.items[:0], src.curItem...)
+	src.summary, src.summaryErr = summary, sumErr
 	src.gaps = gaps
 	src.lostMarkers += lostMarkers
 	src.lostSamples += lostSamples
@@ -765,7 +788,8 @@ func (s *Source) Diag() core.Diagnostics {
 	return s.diag
 }
 
-// FreqHz returns the source's TSC frequency (0 before the first symtab).
+// FreqHz returns the TSC frequency of the last completed set, the clock
+// its Items are in (0 before the first set completes).
 func (s *Source) FreqHz() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -654,10 +654,10 @@ func TestCheckpointWaitsForSummaryTap(t *testing.T) {
 	}
 }
 
-// TestRestoreParentCheckpoint: a checkpoint file written before the row
-// became wire.SourceState (testdata captured from the parent commit)
-// restores, and checkpointing the restored state reproduces it byte for
-// byte — the encoding did not move.
+// TestRestoreParentCheckpoint: a version-1 checkpoint file (testdata
+// captured from a parent commit, items as JSON) restores, and a restored
+// collector's own checkpoint — now version 2 — restores to the same fleet
+// view, watermarks and items.
 func TestRestoreParentCheckpoint(t *testing.T) {
 	fixture, err := os.ReadFile("testdata/parent_checkpoint.json")
 	if err != nil {
@@ -685,14 +685,15 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("restored items differ from local Integrate: %s", firstDiff(got.String(), want.String()))
 	}
+
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	rewritten, err := os.ReadFile(path)
+	again, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rewritten, fixture) {
-		t.Fatalf("re-checkpoint moved the encoding: %s", firstDiff(string(rewritten), string(fixture)))
+	if d := restoredDiff(c, again); d != "" {
+		t.Fatalf("version-1 restore re-checkpointed and restored again: %s", d)
 	}
 }

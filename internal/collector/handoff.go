@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/durable"
 	"repro/internal/health"
@@ -161,7 +162,7 @@ func (c *Collector) importSource(hs *wire.HandoffSource) wire.HandoffDisposition
 		return wire.HandoffMerged
 	}
 
-	if err := tgt.setStateLocked(hs.SourceState); err != nil {
+	if err := c.setStateLocked(tgt, hs.SourceState, nil); err != nil {
 		c.metImportErrs.Inc()
 	}
 	tgt.verdicts = append([]detect.Verdict(nil), hs.Verdicts...)
@@ -279,9 +280,15 @@ func (c *Collector) ExportSource(id string) (*wire.HandoffSource, error) {
 	if !src.frozen {
 		return nil, fmt.Errorf("collector: export of unfrozen source %q", id)
 	}
+	// The handoff carries the items as JSON (wire.HandoffSource).
+	st := src.stateLocked()
+	st.Items = append([]core.Item(nil), src.items...)
+	for i := range st.Items {
+		st.Items[i].Funcs = append([]core.FuncSpan(nil), st.Items[i].Funcs...)
+	}
 	hs := &wire.HandoffSource{
 		Source:         src.ID,
-		SourceState:    src.stateLocked(),
+		SourceState:    st,
 		Verdicts:       append([]detect.Verdict(nil), src.verdicts...),
 		ActiveVerdicts: src.activeVerdicts,
 	}

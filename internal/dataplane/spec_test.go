@@ -38,15 +38,15 @@ func TestSpecRoundTrip(t *testing.T) {
 func TestSpecErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"permit tcp any4 -> any4",            // unknown action
-		"allow tcp any4 any4",                // missing ->
-		"allow tcp any4 -> any6",             // mixed families
-		"allow tcp 10.0.0.0/33 -> any4",      // bits out of range
-		"allow tcp any4 -> any4 sport 9-2",   // inverted range
-		"allow tcp any4 -> any4 vlan 5000",   // beyond MaxVLAN
-		"allow 300 any4 -> any4",             // proto beyond 255
-		"allow tcp any4 -> any4 sport",       // clause without value
-		"allow tcp any4 -> any4 ttl 3",       // unknown clause
+		"permit tcp any4 -> any4",               // unknown action
+		"allow tcp any4 any4",                   // missing ->
+		"allow tcp any4 -> any6",                // mixed families
+		"allow tcp 10.0.0.0/33 -> any4",         // bits out of range
+		"allow tcp any4 -> any4 sport 9-2",      // inverted range
+		"allow tcp any4 -> any4 vlan 5000",      // beyond MaxVLAN
+		"allow 300 any4 -> any4",                // proto beyond 255
+		"allow tcp any4 -> any4 sport",          // clause without value
+		"allow tcp any4 -> any4 ttl 3",          // unknown clause
 		"allow tcp ::ffff:10.0.0.0/104 -> any4", // mapped literal
 	}
 	for _, line := range bad {

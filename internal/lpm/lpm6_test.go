@@ -32,7 +32,7 @@ func TestTable6LongestMatch(t *testing.T) {
 		hop       int
 		minLevels int
 	}{
-		{"fe80::1", 1, 1},                // default route only
+		{"fe80::1", 1, 1},               // default route only
 		{"2001:db8:ffff::1", 2, 1},      // /32
 		{"2001:db8:1:ffff::1", 3, 1},    // /48
 		{"2001:db8:1:2::41", 4, 1},      // /64
