@@ -159,8 +159,9 @@ func (c *Collector) setStateLocked(s *Source, st wire.SourceState, summary []byt
 		if summary != nil {
 			return err
 		}
+		// JSON items beside an open set's table (see above).
 		tab = nil
-		repoint(st.Items, nil)
+		_ = repoint(st.Items, nil) // without a table it cannot fail
 	}
 	s.syms = tab
 	if len(st.Items) > 0 {
