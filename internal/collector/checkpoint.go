@@ -35,17 +35,10 @@ type checkpointFile struct {
 
 // checkpointSource is one source's row: the shared wire.SourceState (the
 // same struct a handoff carries) plus what only matters to the collector
-// that wrote it. A version-2 row leaves SourceState.Items empty and
-// carries the items in Summary instead.
+// that wrote it.
 type checkpointSource struct {
 	ID string `json:"id"`
 	wire.SourceState
-
-	// Summary is the last completed set's items as the TFleetSummary
-	// payload finishSet built (Source, FreqHz and Items set, every other
-	// field zero). It is a []byte, so encoding/json writes it as base64
-	// and never looks at an item.
-	Summary []byte `json:"summary,omitempty"`
 
 	// Drain/handoff lifecycle (see handoff.go). HandedOff restores as
 	// frozen: once a source's state has been staged for a new owner, a
@@ -62,15 +55,15 @@ type checkpointSource struct {
 	ImportedSeq   uint64   `json:"imported_seq,omitempty"`
 }
 
-// stateLocked copies the source's persisted row out, all but the items:
-// the checkpoint writes those as the source's summary payload, a handoff
-// copies them in (ExportSource). The clock and symbols it records are
-// the ones those items were integrated against, never an open set's; the
+// stateLocked copies the source's persisted row out, its last set's items
+// as the summary payload the source holds (none when the collector does
+// not checkpoint, or when they did not encode). The clock it records is
+// the one those items were integrated against, never an open set's; the
 // watermark is the settled one — the sequence number this very
 // accounting reflects — whether or not it has been acknowledged yet.
 // Caller holds s.mu.
 func (s *Source) stateLocked() wire.SourceState {
-	st := wire.SourceState{
+	return wire.SourceState{
 		Epoch:         s.wm.Epoch,
 		LastAcked:     s.wm.Settled,
 		FreqHz:        s.freq,
@@ -88,13 +81,8 @@ func (s *Source) stateLocked() wire.SourceState {
 		LastMeanConf:  s.lastMeanConf,
 		LastDegraded:  s.lastDegraded,
 		EverConnected: s.everConnected,
+		Summary:       s.summary,
 	}
-	if s.syms != nil {
-		for _, fn := range s.syms.Fns() {
-			st.Symbols = append(st.Symbols, wire.HandoffSymbol{Name: fn.Name, Size: fn.Size})
-		}
-	}
-	return st
 }
 
 // appendSummary appends a set's items to dst as the source's checkpoint
@@ -104,28 +92,68 @@ func appendSummary(dst []byte, id string, freq uint64, items []core.Item) ([]byt
 	return wire.AppendFleetSummary(dst, wire.FleetSummary{Source: id, FreqHz: freq, Items: items})
 }
 
-// setStateLocked installs a persisted row into s, the inverse of
-// stateLocked plus the items; it is the one place a restored (either
-// checkpoint version) or imported row is installed. summary is the row's
-// payload when it arrived as one (a version-2 checkpoint, already decoded
-// into st.Items); JSON items (a version-1 row, a handoff) are encoded here
-// if the collector checkpoints. Mid-set progress is never persisted, so
-// all three watermarks resume at the recorded set boundary and the
-// shipper replays any partial set in full.
-//
-// Re-registering the symbols in recorded order reproduces the
-// deterministic bases, and every span is re-pointed at the rebuilt
-// table's own *symtab.Fn (see repoint): the decoders allocate a function
-// per span or per payload, and per-function reports key on the pointer. A
-// payload span whose function is not in the table fails the row. JSON
-// items that do not fit the table keep their own functions, one per
-// function, and the row keeps no table: a writer before version 2
-// recorded the table of the set then open beside the last completed set's
-// items, and the shipper replays that set with its own TSymtab. A table
-// that will not rebuild is reported after everything else installed, as
-// are items that will not encode (which then fail every checkpoint, like
-// a set's in finishSet). Caller holds s.mu (or owns s outright).
-func (c *Collector) setStateLocked(s *Source, st wire.SourceState, summary []byte) error {
+// loadRow readies a persisted row — a checkpoint row or a handoff — for
+// setStateLocked and returns its items, touching no source. Version-1
+// JSON items first become the payload a version-2 row carries
+// (upgradeItems), so every row installs from its payload: it must decode
+// and name the row's own source and clock, and its dictionary gives the
+// items one *symtab.Fn per function, which per-function reports key on.
+func loadRow(id string, st *wire.SourceState) ([]core.Item, error) {
+	if len(st.Items) > 0 {
+		if st.Summary != nil {
+			return nil, fmt.Errorf("row carries both JSON items and a summary")
+		}
+		var err error
+		if st.Summary, err = upgradeItems(id, st.FreqHz, st.Items); err != nil {
+			return nil, fmt.Errorf("items: %w", err)
+		}
+		st.Items = nil
+	}
+	if st.Summary == nil {
+		return nil, nil
+	}
+	fs, err := wire.DecodeFleetSummary(st.Summary)
+	switch {
+	case err != nil:
+	case fs.Source != id:
+		err = fmt.Errorf("payload names source %q", fs.Source)
+	case fs.FreqHz != st.FreqHz:
+		err = fmt.Errorf("payload clock %d Hz, row clock %d Hz", fs.FreqHz, st.FreqHz)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("summary: %w", err)
+	}
+	return fs.Items, nil
+}
+
+// upgradeItems encodes a version-1 row's JSON items as its payload. The
+// JSON decoder allocates a function per span, and the payload's
+// dictionary keys on the pointer, so spans of equal functions are first
+// made to share one.
+func upgradeItems(id string, freq uint64, items []core.Item) ([]byte, error) {
+	own := map[symtab.Fn]*symtab.Fn{}
+	for i := range items {
+		for j := range items[i].Funcs {
+			sp := &items[i].Funcs[j]
+			if sp.Fn == nil {
+				continue
+			}
+			if fn, ok := own[*sp.Fn]; ok {
+				sp.Fn = fn
+			} else {
+				own[*sp.Fn] = sp.Fn
+			}
+		}
+	}
+	return appendSummary(nil, id, freq, items)
+}
+
+// setStateLocked installs a row loadRow readied, with its items: the
+// inverse of stateLocked, and the one place a restored or imported row is
+// installed. Mid-set progress is never persisted, so all three watermarks
+// resume at the recorded set boundary and the shipper replays any partial
+// set in full. Caller holds s.mu (or owns s outright).
+func (s *Source) setStateLocked(st wire.SourceState, items []core.Item) {
 	s.wm = durable.Restored(st.Epoch, st.LastAcked)
 	s.freq = st.FreqHz
 	s.gaps = st.Gaps
@@ -142,82 +170,8 @@ func (c *Collector) setStateLocked(s *Source, st wire.SourceState, summary []byt
 	s.lastMeanConf = st.LastMeanConf
 	s.lastDegraded = st.LastDegraded
 	s.everConnected = st.EverConnected
-	s.syms, s.items, s.summary, s.summaryErr = nil, nil, nil, nil
-
-	var tab *symtab.Table
-	var tabErr error
-	if len(st.Symbols) > 0 {
-		tab = symtab.NewTable()
-		for _, sym := range st.Symbols {
-			if _, err := tab.Register(sym.Name, sym.Size); err != nil {
-				tab, tabErr = nil, fmt.Errorf("symbol %q: %w", sym.Name, err)
-				break
-			}
-		}
-	}
-	if err := repoint(st.Items, tab); err != nil {
-		if summary != nil {
-			return err
-		}
-		// JSON items beside an open set's table (see above).
-		tab = nil
-		_ = repoint(st.Items, nil) // without a table it cannot fail
-	}
-	s.syms = tab
-	if len(st.Items) > 0 {
-		s.items = st.Items
-	}
-	if summary == nil && len(st.Items) > 0 && c.cfg.CheckpointPath != "" {
-		if summary, s.summaryErr = appendSummary(nil, s.ID, st.FreqHz, st.Items); s.summaryErr != nil {
-			return fmt.Errorf("items: %w", s.summaryErr)
-		}
-	}
-	s.summary = summary
-	return tabErr
-}
-
-// repoint points every span in items at tab's own function: the one with
-// the span's ID, which must equal the span's function in every field. It
-// fails, changing nothing, on a span that does not match. Without a table
-// it only makes spans of equal functions share one *symtab.Fn.
-func repoint(items []core.Item, tab *symtab.Table) error {
-	if tab == nil {
-		own := map[symtab.Fn]*symtab.Fn{}
-		for i := range items {
-			for j := range items[i].Funcs {
-				sp := &items[i].Funcs[j]
-				if sp.Fn == nil {
-					continue
-				}
-				if fn, ok := own[*sp.Fn]; ok {
-					sp.Fn = fn
-				} else {
-					own[*sp.Fn] = sp.Fn
-				}
-			}
-		}
-		return nil
-	}
-	fns := tab.Fns()
-	lookup := func(fn *symtab.Fn) *symtab.Fn {
-		if fn != nil && fn.ID >= 0 && fn.ID < len(fns) && *fns[fn.ID] == *fn {
-			return fns[fn.ID]
-		}
-		return nil
-	}
-	for i := range items {
-		for j, sp := range items[i].Funcs {
-			if lookup(sp.Fn) == nil {
-				return fmt.Errorf("item %d span %d: function %v is not in the symbol table", items[i].ID, j, sp.Fn)
-			}
-		}
-	}
-	for i := range items {
-		for j := range items[i].Funcs {
-			items[i].Funcs[j].Fn = lookup(items[i].Funcs[j].Fn)
-		}
-	}
-	return nil
+	s.items = items
+	s.summary, s.summaryErr = st.Summary, nil
 }
 
 // Checkpoint writes the collector's durable state to cfg.CheckpointPath
@@ -249,7 +203,6 @@ func (c *Collector) Checkpoint() error {
 		row := checkpointSource{
 			ID:            s.ID,
 			SourceState:   s.stateLocked(),
-			Summary:       s.summary,
 			Internal:      s.internal,
 			HandedOff:     s.handedOff,
 			Redirect:      append([]string(nil), s.redirect...),
@@ -315,39 +268,13 @@ func (c *Collector) restoreCheckpoint(path string) error {
 			importedSeq:   cs.ImportedSeq,
 			conns:         map[net.Conn]struct{}{},
 		}
-		st, summary, err := decodeRow(cs)
-		if err == nil {
-			err = c.setStateLocked(src, st, summary)
-		}
+		items, err := loadRow(cs.ID, &cs.SourceState)
 		if err != nil {
 			return fmt.Errorf("collector: checkpoint %s: source %q: %w", path, cs.ID, err)
 		}
+		src.setStateLocked(cs.SourceState, items)
 		c.sources[cs.ID] = src
 	}
 	c.metSources.SetInt(len(c.sources))
 	return nil
-}
-
-// decodeRow returns one checkpoint row's state with its items, and the
-// payload they came from. A version-2 row's payload must decode and name
-// the row's own source and clock; a version-1 row already holds its items
-// as JSON and returns no payload.
-func decodeRow(cs checkpointSource) (wire.SourceState, []byte, error) {
-	st := cs.SourceState
-	if cs.Summary == nil {
-		return st, nil, nil
-	}
-	fs, err := wire.DecodeFleetSummary(cs.Summary)
-	switch {
-	case err != nil:
-	case fs.Source != cs.ID:
-		err = fmt.Errorf("payload names source %q", fs.Source)
-	case fs.FreqHz != st.FreqHz:
-		err = fmt.Errorf("payload clock %d Hz, row clock %d Hz", fs.FreqHz, st.FreqHz)
-	}
-	if err != nil {
-		return st, nil, fmt.Errorf("summary: %w", err)
-	}
-	st.Items = fs.Items
-	return st, cs.Summary, nil
 }

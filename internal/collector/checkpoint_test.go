@@ -161,10 +161,79 @@ func TestRestoreCheckpointV2(t *testing.T) {
 	}
 }
 
+// TestRestoreParentCheckpointV2: a version-2 file the parent wrote for
+// checkpointV2State, symbol tables in its rows, restores to that live
+// state, and checkpointing it writes today's fixture: the rows lose only
+// their symbols.
+func TestRestoreParentCheckpointV2(t *testing.T) {
+	live := checkpointV2State(t, t.TempDir()+"/checkpoint.json")
+	c, path, err := restoreFrom(t, readFile(t, "testdata/parent_checkpoint_v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := restoredDiff(live, c); d != "" {
+		t.Fatalf("restored state differs from the live one: %s", d)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fixture := readFile(t, "testdata/checkpoint_v2.json")
+	if rewritten := readFile(t, path); !bytes.Equal(rewritten, fixture) {
+		t.Fatalf("re-checkpoint is not today's fixture: %s", firstDiff(string(rewritten), string(fixture)))
+	}
+}
+
+// FuzzCollectorRestore: a checkpoint file either fails New — naming the
+// row's source when the file parses — or restores a state whose
+// checkpoint → restore → checkpoint is a byte fixed point. Run
+// continuously with
+//
+//	go test -run '^$' -fuzz '^FuzzCollectorRestore$' ./internal/collector
+func FuzzCollectorRestore(f *testing.F) {
+	for _, name := range []string{"parent_checkpoint.json", "parent_checkpoint_v2.json", "checkpoint_v2.json"} {
+		f.Add(readFile(f, "testdata/"+name))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, _, err := restoreFrom(t, data)
+		if err == nil {
+			checkpointFixedPoint(t, c)
+			return
+		}
+		var file checkpointFile
+		if json.Unmarshal(data, &file) != nil || (file.Version != 1 && file.Version != checkpointVersion) {
+			return
+		}
+		if !slices.ContainsFunc(file.Sources, func(cs checkpointSource) bool {
+			return strings.Contains(err.Error(), fmt.Sprintf("source %q", cs.ID))
+		}) {
+			t.Fatalf("restore failed naming no row's source: %v", err)
+		}
+	})
+}
+
+// checkpointFixedPoint asserts that c checkpoints, and that the state its
+// checkpoint restores checkpoints to the same bytes.
+func checkpointFixedPoint(t *testing.T, c *Collector) {
+	t.Helper()
+	if err := c.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint of an installed state: %v", err)
+	}
+	first := readFile(t, c.cfg.CheckpointPath)
+	b, path, err := restoreFrom(t, first)
+	if err != nil {
+		t.Fatalf("restore of a checkpoint: %v", err)
+	}
+	if err := b.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint of a restored state: %v", err)
+	}
+	if second := readFile(t, path); !bytes.Equal(first, second) {
+		t.Fatalf("checkpoint → restore → checkpoint moved: %s", firstDiff(string(second), string(first)))
+	}
+}
+
 // TestRestoreRejectsBadRow: a version-2 row whose payload does not decode,
-// names another source, or has a span whose function is not among the
-// row's symbols fails New with an error naming the source; a restore
-// never silently starts without the items it acked.
+// or names another source or clock, fails New with an error naming the
+// source; a restore never silently starts without the items it acked.
 func TestRestoreRejectsBadRow(t *testing.T) {
 	fixture := readFile(t, "testdata/checkpoint_v2.json")
 	reencode := func(t *testing.T, p []byte, edit func(*wire.FleetSummary)) []byte {
@@ -193,17 +262,8 @@ func TestRestoreRejectsBadRow(t *testing.T) {
 		{"other source", func(t *testing.T, p []byte) []byte {
 			return reencode(t, p, func(fs *wire.FleetSummary) { fs.Source = "w9" })
 		}},
-		{"unknown function ID", func(t *testing.T, p []byte) []byte {
-			return reencode(t, p, func(fs *wire.FleetSummary) {
-				fs.Items[0].Funcs[0].Fn = &symtab.Fn{Name: "ghost", Base: 0x400000, Size: 64, ID: 9}
-			})
-		}},
-		{"renamed function", func(t *testing.T, p []byte) []byte {
-			return reencode(t, p, func(fs *wire.FleetSummary) {
-				fn := *fs.Items[0].Funcs[0].Fn
-				fn.Name = "ghost"
-				fs.Items[0].Funcs[0].Fn = &fn
-			})
+		{"other clock", func(t *testing.T, p []byte) []byte {
+			return reencode(t, p, func(fs *wire.FleetSummary) { fs.FreqHz++ })
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,49 +289,24 @@ func TestRestoreRejectsBadRow(t *testing.T) {
 }
 
 // TestRestoredItemsShareSymbols: a restored or imported source's spans
-// point into its rebuilt symbol table, one *symtab.Fn per function, so a
-// FunctionReport over its items has one row per function — the rows it
-// had before the restart — whichever way the items arrived: a version-1
-// row's JSON, a version-2 row's payload, or a handoff's JSON.
+// share one *symtab.Fn per function, so a FunctionReport over its items
+// has one row per function — the rows it had before the restart —
+// whichever way the items arrived: a version-1 row's JSON, a version-2
+// row's payload, or a handoff's payload.
 func TestRestoredItemsShareSymbols(t *testing.T) {
 	set := workloadSet(t, 40)
-	local, err := core.Integrate(set, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := functionRows(local.FreqHz, local.Items)
+	want := functionReport(t, set)
 	if n := strings.Count(want, "\n"); n != 2 {
 		t.Fatalf("the workload's report has %d rows, want 2:\n%s", n, want)
 	}
-	check := func(t *testing.T, src *Source) {
-		t.Helper()
-		if src == nil {
-			t.Fatal("source missing")
-		}
-		src.mu.Lock()
-		tab, items := src.syms, src.items
-		src.mu.Unlock()
-		if tab == nil || len(items) == 0 {
-			t.Fatalf("source holds %d items, symbols %v", len(items), tab)
-		}
-		for i := range items {
-			for _, sp := range items[i].Funcs {
-				if sp.Fn.ID >= tab.Len() || tab.Fns()[sp.Fn.ID] != sp.Fn {
-					t.Fatalf("item %d: span's %v is not the table's own function", items[i].ID, sp.Fn)
-				}
-			}
-		}
-		if got := functionRows(src.FreqHz(), src.Items()); got != want {
-			t.Fatalf("function report after the restart:\n%s\nwant:\n%s", got, want)
-		}
-	}
+	check := func(t *testing.T, c *Collector) { checkFunctionReport(t, c, "w1", want) }
 
 	t.Run("v1", func(t *testing.T) {
 		c, _, err := restoreFrom(t, readFile(t, "testdata/parent_checkpoint.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, c.Source("w1"))
+		check(t, c)
 	})
 	t.Run("v2", func(t *testing.T) {
 		path := t.TempDir() + "/checkpoint.json"
@@ -287,7 +322,7 @@ func TestRestoredItemsShareSymbols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, b.Source("w1"))
+		check(t, b)
 	})
 	t.Run("handoff", func(t *testing.T) {
 		a, err := New(Config{Registry: obs.NewRegistry()})
@@ -295,30 +330,15 @@ func TestRestoredItemsShareSymbols(t *testing.T) {
 			t.Fatal(err)
 		}
 		feedSet(t, a, "w1", set)
-		if _, err := a.FreezeSource("w1", []string{"shard-b"}, time.Second); err != nil {
-			t.Fatal(err)
-		}
-		hs, err := a.ExportSource("w1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, err := wire.AppendHandoffSource(nil, hs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := wire.DecodeHandoffSource(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
 		path := t.TempDir() + "/checkpoint.json"
 		b, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if disp := b.importSource(dec); disp != wire.HandoffInstalled {
-			t.Fatalf("import disposition %v, want installed", disp)
+		if ack, err := importPayload(b, exportPayload(t, a, "w1")); err != nil || ack.Disposition != wire.HandoffInstalled {
+			t.Fatalf("import: %v, %v; want installed", ack.Disposition, err)
 		}
-		check(t, b.Source("w1"))
+		check(t, b)
 		// The import's items reach the importer's checkpoint.
 		if err := b.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -327,55 +347,26 @@ func TestRestoredItemsShareSymbols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, again.Source("w1"))
+		check(t, again)
 	})
 }
 
 // TestRestoreMidSet: a source whose next set has begun — its shipper
 // redeployed with another symbol table and clock — checkpoints the last
-// completed set's items beside the table and clock they were integrated
-// against, so a restart restores them. A row a writer before version 2
-// recorded mid-set (the open set's table beside the JSON items), restored
-// from a version-1 file or imported from a handoff, keeps its items too,
-// one *symtab.Fn per function.
+// completed set's items beside the clock they were integrated against, so
+// a restart restores them. A row an older writer recorded mid-set (the
+// open set's symbol table beside the JSON items), restored from a
+// version-1 file or imported from a version-1 handoff, keeps its items
+// too: the table is not read.
 func TestRestoreMidSet(t *testing.T) {
 	set := workloadSet(t, 40)
-	local, err := core.Integrate(set, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := functionRows(local.FreqHz, local.Items)
-	redeployed := symtab.NewTable()
-	redeployed.MustRegister("parse_request", 512)
-	redeployed.MustRegister("table_lookup", 8192)
-	var redeployedSyms []wire.HandoffSymbol
-	for _, fn := range redeployed.Fns() {
-		redeployedSyms = append(redeployedSyms, wire.HandoffSymbol{Name: fn.Name, Size: fn.Size})
-	}
-	// check asserts src holds the set's items, each function one pointer,
+	want := functionReport(t, set)
+	redeployed := json.RawMessage(`[{"name":"parse_request","size":512},{"name":"table_lookup","size":8192}]`)
+	// check asserts c holds the set's items, each function one pointer,
 	// and that they survive one more checkpoint and restore.
-	var check func(t *testing.T, c *Collector, again bool)
-	check = func(t *testing.T, c *Collector, again bool) {
+	check := func(t *testing.T, c *Collector) {
 		t.Helper()
-		src := c.Source("w1")
-		if src == nil {
-			t.Fatal("source missing")
-		}
-		if got := functionRows(src.FreqHz(), src.Items()); got != want {
-			t.Fatalf("function report:\n%s\nwant:\n%s", got, want)
-		}
-		own := map[string]*symtab.Fn{}
-		for _, it := range src.Items() {
-			for _, sp := range it.Funcs {
-				if fn, ok := own[sp.Fn.Name]; ok && fn != sp.Fn {
-					t.Fatalf("item %d: function %q is not shared", it.ID, sp.Fn.Name)
-				}
-				own[sp.Fn.Name] = sp.Fn
-			}
-		}
-		if !again {
-			return
-		}
+		checkFunctionReport(t, c, "w1", want)
 		if err := c.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +374,21 @@ func TestRestoreMidSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, b, false)
+		checkFunctionReport(t, b, "w1", want)
+	}
+	// redeploy feeds a's source w1 the TSymtab of a redeployed shipper.
+	redeploy := func(t *testing.T, a *Collector) {
+		t.Helper()
+		tab := symtab.NewTable()
+		tab.MustRegister("parse_request", 512)
+		tab.MustRegister("table_lookup", 8192)
+		symPayload, err := wire.AppendSymtab(nil, 2*set.FreqHz, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.frame(a.Source("w1"), wire.Frame{Type: wire.TSymtab, Payload: symPayload}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	t.Run("checkpoint", func(t *testing.T) {
@@ -391,23 +396,20 @@ func TestRestoreMidSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := feedSet(t, a, "w1", set)
-		symPayload, err := wire.AppendSymtab(nil, 2*set.FreqHz, redeployed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.frame(src, wire.Frame{Type: wire.TSymtab, Payload: symPayload}); err != nil {
-			t.Fatal(err)
-		}
-		check(t, a, true)
+		feedSet(t, a, "w1", set)
+		redeploy(t, a)
+		check(t, a)
 	})
 	t.Run("v1", func(t *testing.T) {
-		var file checkpointFile
+		var file struct {
+			Version int                          `json:"version"`
+			Sources []map[string]json.RawMessage `json:"sources"`
+		}
 		if err := json.Unmarshal(readFile(t, "testdata/parent_checkpoint.json"), &file); err != nil {
 			t.Fatal(err)
 		}
-		for i := range file.Sources {
-			file.Sources[i].Symbols = redeployedSyms
+		for _, row := range file.Sources {
+			row["symbols"] = redeployed
 		}
 		data, err := json.Marshal(file)
 		if err != nil {
@@ -417,7 +419,7 @@ func TestRestoreMidSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, c, true)
+		check(t, c)
 	})
 	t.Run("handoff", func(t *testing.T) {
 		a, err := New(Config{Registry: obs.NewRegistry()})
@@ -425,31 +427,94 @@ func TestRestoreMidSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		feedSet(t, a, "w1", set)
-		if _, err := a.FreezeSource("w1", []string{"shard-b"}, time.Second); err != nil {
-			t.Fatal(err)
-		}
-		hs, err := a.ExportSource("w1")
+		hs, err := wire.DecodeHandoffSource(exportPayload(t, a, "w1"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs.Symbols = redeployedSyms
-		payload, err := wire.AppendHandoffSource(nil, hs)
+		fs, err := wire.DecodeFleetSummary(hs.Summary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := wire.DecodeHandoffSource(payload)
+		// The row as a version-1 drainer wrote it: JSON items, the open
+		// set's table.
+		hs.Items, hs.Summary = fs.Items, nil
+		row, err := json.Marshal(hs)
 		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(row, &fields); err != nil {
+			t.Fatal(err)
+		}
+		fields["symbols"] = redeployed
+		if row, err = json.Marshal(fields); err != nil {
 			t.Fatal(err)
 		}
 		b, err := New(Config{CheckpointPath: t.TempDir() + "/checkpoint.json", Registry: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if disp := b.importSource(dec); disp != wire.HandoffInstalled {
-			t.Fatalf("import disposition %v, want installed", disp)
+		if ack, err := importPayload(b, append([]byte{1}, row...)); err != nil || ack.Disposition != wire.HandoffInstalled {
+			t.Fatalf("import: %v, %v; want installed", ack.Disposition, err)
 		}
-		check(t, b, true)
+		check(t, b)
 	})
+}
+
+// functionReport renders the FunctionReport of set integrated locally.
+func functionReport(t *testing.T, set *trace.Set) string {
+	t.Helper()
+	local, err := core.Integrate(set, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return functionRows(local.FreqHz, local.Items)
+}
+
+// checkFunctionReport asserts c's source id holds items whose function
+// report is want, each function one *symtab.Fn.
+func checkFunctionReport(t *testing.T, c *Collector, id, want string) {
+	t.Helper()
+	src := c.Source(id)
+	if src == nil {
+		t.Fatalf("source %q missing", id)
+	}
+	if got := functionRows(src.FreqHz(), src.Items()); got != want {
+		t.Fatalf("function report:\n%s\nwant:\n%s", got, want)
+	}
+	own := map[string]*symtab.Fn{}
+	for _, it := range src.Items() {
+		for _, sp := range it.Funcs {
+			if fn, ok := own[sp.Fn.Name]; ok && fn != sp.Fn {
+				t.Fatalf("item %d: function %q is not shared", it.ID, sp.Fn.Name)
+			}
+			own[sp.Fn.Name] = sp.Fn
+		}
+	}
+}
+
+// exportPayload freezes a's source id and returns its THandoffSource
+// payload.
+func exportPayload(t *testing.T, a *Collector, id string) []byte {
+	t.Helper()
+	if _, err := a.FreezeSource(id, []string{"shard-b"}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	hs, err := a.ExportSource(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.AppendHandoffSource(nil, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// importPayload applies a THandoffSource payload to c as a drainer's peer
+// stream delivers it.
+func importPayload(c *Collector, payload []byte) (wire.HandoffAck, error) {
+	return c.applyHandoffSource(c.source(wire.HandoffPeerPrefix+"shard-a"), payload)
 }
 
 // functionRows renders the FunctionReport over items, one line per row.
@@ -553,7 +618,7 @@ func BenchmarkCollectorCheckpoint(b *testing.B) {
 	}
 }
 
-func readFile(t *testing.T, path string) []byte {
+func readFile(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -564,7 +629,7 @@ func readFile(t *testing.T, path string) []byte {
 
 // restoreFrom writes data to a fresh checkpoint path and opens a
 // collector on it.
-func restoreFrom(t *testing.T, data []byte) (*Collector, string, error) {
+func restoreFrom(t testing.TB, data []byte) (*Collector, string, error) {
 	t.Helper()
 	path := t.TempDir() + "/checkpoint.json"
 	if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -28,7 +28,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/pmu"
-	"repro/internal/symtab"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -38,9 +37,6 @@ type Config struct {
 	// TopK is how many fleet-wide slowest items the fleet view carries
 	// (default 10).
 	TopK int
-	// Event selects which hardware event the per-source integrators and
-	// gap scans inspect (default UopsRetired, the paper's workhorse).
-	Event pmu.Event
 	// CheckpointPath, when set, makes delivery acknowledgements durable:
 	// per-source state is checkpointed to this file (atomic tmp + rename)
 	// before every ack, and New restores from it so a collector restart
@@ -147,14 +143,12 @@ type Source struct {
 	wm durable.Watermark
 
 	// Current-set decoding state, touched only under applyMu — the hot
-	// decode + integrate path takes no other lock. curFreq and curSyms are
-	// the open set's clock and table (its TSymtab); finishSet publishes
-	// them with the set's items. Nothing per-record outlives the frame it
-	// arrived in: a record goes to the integrator and the scan, which keeps
-	// a count and (for a sample) its timestamp. A set is open while integ
-	// is non-nil.
+	// decode + integrate path takes no other lock. curFreq is the open
+	// set's clock (its TSymtab); finishSet publishes it with the set's
+	// items. Nothing per-record outlives the frame it arrived in: a record
+	// goes to the integrator and the scan, which keeps a count and (for a
+	// sample) its timestamp. A set is open while integ is non-nil.
 	curFreq uint64
-	curSyms *symtab.Table
 	integ   *core.StreamIntegrator
 	scan    trace.GapScan // the in-flight set's health scan, buffers reused set to set
 	curItem []core.Item
@@ -170,15 +164,15 @@ type Source struct {
 	verdicts       []detect.Verdict
 	activeVerdicts int
 
-	// Last-completed-set results. freq and syms are the clock and table
-	// its items were integrated against: a row written mid-set still pairs
-	// the items with their own table. summary is the same items as the
-	// TFleetSummary payload the checkpoint writes, built once per set when
-	// the collector checkpoints and never appended into; summaryErr is why
-	// the last set's items did not encode, which fails every checkpoint
-	// until the next set.
+	// Last-completed-set results. freq is the clock its items were
+	// integrated against: a row written mid-set still pairs the items with
+	// their own clock. summary is the same items as the TFleetSummary
+	// payload the checkpoint writes and a handoff carries, built once per
+	// set when the collector checkpoints (or installed with a restored or
+	// imported row) and never appended into; summaryErr is why the last
+	// set's items did not encode, which fails every checkpoint until the
+	// next set.
 	freq       uint64
-	syms       *symtab.Table
 	items      []core.Item
 	summary    []byte
 	summaryErr error
@@ -456,8 +450,9 @@ func (s *sourceStream) Hand(f *durable.Frame) (ack, ok bool) {
 	case adm == durable.Fresh:
 		s.owed, err = s.c.apply(src, f)
 	case adm == durable.Duplicate && f.Type == wire.THandoffSource:
-		// A replayed import still owes its peer a disposition.
-		if hs, derr := wire.DecodeHandoffSource(f.Payload); derr == nil {
+		// A replayed import still owes its peer a disposition, unless the
+		// original failed.
+		if hs, derr := wire.DecodeHandoffSource(f.Payload); derr == nil && s.c.landed(hs) {
 			s.owed = wire.HandoffAck{Source: hs.Source, Disposition: wire.HandoffDuplicate}
 		}
 	}
@@ -542,10 +537,10 @@ func (c *Collector) applyFrame(src *Source, f *durable.Frame) error {
 			// shipper restart): finalize what arrived rather than wedge.
 			c.finishSet(src, wire.SetEnd{}, true, 0, 0)
 		}
-		src.curFreq, src.curSyms = freq, tab
-		src.scan.Reset(c.cfg.Event)
+		src.curFreq = freq
+		src.scan.Reset(pmu.UopsRetired)
 		src.curItem = src.curItem[:0]
-		integ, err := core.NewStreamIntegrator(tab, core.Options{Event: c.cfg.Event}, func(*core.Item) {})
+		integ, err := core.NewStreamIntegrator(tab, core.Options{Event: pmu.UopsRetired}, func(*core.Item) {})
 		if err != nil {
 			return err
 		}
@@ -631,9 +626,11 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 		c.metConfHist.Record(uint64(src.curItem[i].Confidence * 1000))
 	}
 	n := len(src.curItem)
-	// Only a checkpoint reads the payload. Encode into the reused scratch
-	// buffer, keep an exact-size copy: one allocation per set, and the copy
-	// is never appended into.
+	// The checkpoint and a handoff export read the payload; only a
+	// collector with a checkpoint path builds it here (ExportSource
+	// encodes on demand otherwise). Encode into the reused scratch buffer,
+	// keep an exact-size copy: one allocation per set, and the copy is
+	// never appended into.
 	var summary []byte
 	var sumErr error
 	if c.cfg.CheckpointPath != "" {
@@ -645,7 +642,7 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 	}
 
 	src.mu.Lock()
-	src.freq, src.syms = src.curFreq, src.curSyms
+	src.freq = src.curFreq
 	src.diag = diag
 	src.items = append(src.items[:0], src.curItem...)
 	src.summary, src.summaryErr = summary, sumErr

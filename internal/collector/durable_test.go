@@ -234,7 +234,7 @@ func TestSeqStartResync(t *testing.T) {
 
 // TestCheckpointRoundTrip: Checkpoint → New must reproduce the fleet view
 // and the acked-delivery watermarks bit-for-bit at the rendered-report
-// level, with the symbol table rebuilt on the same deterministic bases.
+// level.
 func TestCheckpointRoundTrip(t *testing.T) {
 	set := workloadSet(t, 40)
 	path := t.TempDir() + "/checkpoint.json"
@@ -275,18 +275,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	RenderItems(&after, rsrc.FreqHz(), rsrc.Items())
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatalf("restored items differ: %s", firstDiff(after.String(), before.String()))
-	}
-	// The rebuilt symbol table must land on identical deterministic bases.
-	rsrc.mu.Lock()
-	fns, rfns := src.syms.Fns(), rsrc.syms.Fns()
-	rsrc.mu.Unlock()
-	if len(fns) != len(rfns) {
-		t.Fatalf("symbols %d vs %d", len(fns), len(rfns))
-	}
-	for i := range fns {
-		if fns[i].Name != rfns[i].Name || fns[i].Base != rfns[i].Base || fns[i].Size != rfns[i].Size {
-			t.Fatalf("symbol %d: %+v vs %+v", i, fns[i], rfns[i])
-		}
 	}
 	// The fleet views agree.
 	av, bv := a.Fleet(), b.Fleet()

@@ -91,22 +91,28 @@ func (c *Collector) applyHandoffBegin(peer *Source, payload []byte) error {
 // disposition its peer connection reports in a THandoffAck. Runs under the
 // peer stream's apply mutex; it takes only the target source's mutex
 // (never two source mutexes at once), so it cannot deadlock against the
-// target's own ingest.
+// target's own ingest. A row that will not load (loadRow) fails the frame
+// before the target is touched: nothing installs and no disposition is
+// owed.
 func (c *Collector) applyHandoffSource(peer *Source, payload []byte) (wire.HandoffAck, error) {
 	hs, err := wire.DecodeHandoffSource(payload)
+	var items []core.Item
+	switch {
+	case err != nil:
+	case !peer.internal:
+		err = fmt.Errorf("collector: handoff source on non-handoff stream %q", peer.ID)
+	case isHandoffPeer(hs.Source):
+		err = fmt.Errorf("collector: refusing handoff of internal stream %q", hs.Source)
+	default:
+		if items, err = loadRow(hs.Source, &hs.SourceState); err != nil {
+			err = fmt.Errorf("collector: handoff of source %q: %w", hs.Source, err)
+		}
+	}
 	if err != nil {
 		c.metImportErrs.Inc()
 		return wire.HandoffAck{}, err
 	}
-	if !peer.internal {
-		c.metImportErrs.Inc()
-		return wire.HandoffAck{}, fmt.Errorf("collector: handoff source on non-handoff stream %q", peer.ID)
-	}
-	if isHandoffPeer(hs.Source) {
-		c.metImportErrs.Inc()
-		return wire.HandoffAck{}, fmt.Errorf("collector: refusing handoff of internal stream %q", hs.Source)
-	}
-	disp := c.importSource(hs)
+	disp := c.importSource(hs, items)
 	c.mu.Lock()
 	if p := c.imports[peer.ID]; p != nil {
 		p.done++
@@ -120,14 +126,32 @@ func (c *Collector) applyHandoffSource(peer *Source, payload []byte) (wire.Hando
 	return wire.HandoffAck{Source: hs.Source, Disposition: disp}, nil
 }
 
-// importSource applies one decoded handoff under the target source's
-// mutex and returns the disposition.
-func (c *Collector) importSource(hs *wire.HandoffSource) wire.HandoffDisposition {
+// landed reports whether this exact handoff was imported here, which a
+// replay of it reports as a duplicate.
+func (c *Collector) landed(hs *wire.HandoffSource) bool {
+	tgt := c.Source(hs.Source)
+	if tgt == nil {
+		return false
+	}
+	tgt.mu.Lock()
+	defer tgt.mu.Unlock()
+	return tgt.importedLocked(hs)
+}
+
+// importedLocked reports whether hs is the handoff tgt last imported.
+// Caller holds tgt.mu.
+func (tgt *Source) importedLocked(hs *wire.HandoffSource) bool {
+	return tgt.imported && tgt.importedEpoch == hs.Epoch && tgt.importedSeq == hs.LastAcked
+}
+
+// importSource applies one loaded handoff, with its items, under the
+// target source's mutex and returns the disposition.
+func (c *Collector) importSource(hs *wire.HandoffSource, items []core.Item) wire.HandoffDisposition {
 	tgt := c.source(hs.Source)
 	tgt.mu.Lock()
 	defer tgt.mu.Unlock()
 
-	if tgt.imported && tgt.importedEpoch == hs.Epoch && tgt.importedSeq == hs.LastAcked {
+	if tgt.importedLocked(hs) {
 		// This exact handoff already landed (spool replay, or a re-drain
 		// after the drainer crashed between staging and acknowledgement).
 		return wire.HandoffDuplicate
@@ -162,9 +186,7 @@ func (c *Collector) importSource(hs *wire.HandoffSource) wire.HandoffDisposition
 		return wire.HandoffMerged
 	}
 
-	if err := c.setStateLocked(tgt, hs.SourceState, nil); err != nil {
-		c.metImportErrs.Inc()
-	}
+	tgt.setStateLocked(hs.SourceState, items)
 	tgt.verdicts = append([]detect.Verdict(nil), hs.Verdicts...)
 	tgt.activeVerdicts = hs.ActiveVerdicts
 	tgt.det = nil
@@ -280,11 +302,15 @@ func (c *Collector) ExportSource(id string) (*wire.HandoffSource, error) {
 	if !src.frozen {
 		return nil, fmt.Errorf("collector: export of unfrozen source %q", id)
 	}
-	// The handoff carries the items as JSON (wire.HandoffSource).
+	// The handoff carries the payload the checkpoint writes. Only a
+	// collector without a checkpoint path has none to hand over; one whose
+	// items did not encode fails here as its checkpoint does.
 	st := src.stateLocked()
-	st.Items = append([]core.Item(nil), src.items...)
-	for i := range st.Items {
-		st.Items[i].Funcs = append([]core.FuncSpan(nil), st.Items[i].Funcs...)
+	if st.Summary == nil && len(src.items) > 0 {
+		var err error
+		if st.Summary, err = appendSummary(nil, src.ID, src.freq, src.items); err != nil {
+			return nil, fmt.Errorf("collector: export of source %q: items: %w", id, err)
+		}
 	}
 	hs := &wire.HandoffSource{
 		Source:         src.ID,

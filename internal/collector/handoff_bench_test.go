@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -12,9 +11,9 @@ import (
 )
 
 // BenchmarkHandoffTransfer measures one complete source handoff cycle —
-// export of a frozen source's full state (items, symbols, counters,
-// verdicts, detector snapshot), wire encode, wire decode, and import as a
-// fresh install — the per-source cost a planned drain pays.
+// export of a frozen source's full state (items, counters, verdicts,
+// detector snapshot), wire encode, and the import (decode, load, fresh
+// install) — the per-source cost a planned drain pays.
 func BenchmarkHandoffTransfer(b *testing.B) {
 	set := verdictWorkloadSet(b, 300)
 	var blob []byte
@@ -39,6 +38,10 @@ func BenchmarkHandoffTransfer(b *testing.B) {
 	if aborted, err := coll.FreezeSource("bench-handoff", []string{"shard-b"}, 10*time.Second); err != nil || aborted {
 		b.Fatalf("freeze: aborted=%v err=%v", aborted, err)
 	}
+	dst, err := New(Config{Registry: obs.NewRegistry(), Detect: &detect.Config{}})
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,16 +53,14 @@ func BenchmarkHandoffTransfer(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dec, err := wire.DecodeHandoffSource(payload)
-		if err != nil {
-			b.Fatal(err)
+		if ack, err := importPayload(dst, payload); err != nil || ack.Disposition != wire.HandoffInstalled {
+			b.Fatalf("import: %v, %v; want installed", ack.Disposition, err)
 		}
-		// A unique target per iteration keeps every import on the
-		// fresh-install path the drain itself takes.
-		dec.Source = fmt.Sprintf("import-%07d", i)
-		if disp := coll.importSource(dec); disp != wire.HandoffInstalled {
-			b.Fatalf("import disposition %v, want installed", disp)
-		}
+		// Dropping the row keeps every import on the fresh-install path
+		// the drain itself takes.
+		dst.mu.Lock()
+		delete(dst.sources, "bench-handoff")
+		dst.mu.Unlock()
 		b.SetBytes(int64(len(payload)))
 	}
 }

@@ -25,6 +25,11 @@ import (
 //	Hello (source "!handoff!<shard>"), SeqStart, HandoffBegin,
 //	HandoffSource*, then acks flow back as usual
 //
+// HandoffSource is version 2: the moved source's last completed set
+// travels as the TFleetSummary payload its collector checkpoints, not as
+// JSON items. A receiver reads versions 1 and 2, but one built before
+// version 2 refuses it, so receivers are upgraded before drainers.
+//
 // The receiver treats every HandoffSource like a SetEnd: import the
 // state, checkpoint, then acknowledge — both with the transport TAck
 // (advancing the peer stream's watermark) and with a THandoffAck frame
@@ -114,7 +119,7 @@ type HandoffDisposition uint8
 
 const (
 	// HandoffInstalled: the source was unknown here; its state was
-	// installed whole — watermarks, row, symtab bases, detector.
+	// installed whole — watermarks, row, items, detector.
 	HandoffInstalled HandoffDisposition = 1
 	// HandoffMerged: the source's shipper arrived before its state did
 	// (a degraded redirect-first drain); the cumulative counters were
@@ -255,12 +260,11 @@ func decodeMembers(p []byte, kind Type) ([]string, []byte, error) {
 }
 
 // SourceState is the persisted row of one collector source: the (epoch,
-// seq) dedup watermark, the symbol table in registration order
-// (re-registering reproduces identical deterministic bases), the last
-// completed set's results and the cumulative accounting. It is the one
-// definition behind both places the row is written — embedded in the
-// collector's checkpoint rows and in HandoffSource — because a handoff is
-// the checkpoint row traveling over a wire instead of through a file.
+// seq) dedup watermark, the last completed set's results and the
+// cumulative accounting. It is the one definition behind both places the
+// row is written — embedded in the collector's checkpoint rows and in
+// HandoffSource — because a handoff is the checkpoint row traveling over a
+// wire instead of through a file.
 type SourceState struct {
 	// Epoch and LastAcked are the dedup watermark the state reflects: the
 	// restorer or importer resumes dedup exactly there, so a replaying
@@ -268,10 +272,11 @@ type SourceState struct {
 	Epoch     uint64 `json:"epoch"`
 	LastAcked uint64 `json:"last_acked"`
 
-	FreqHz  uint64          `json:"freq_hz,omitempty"`
-	Symbols []HandoffSymbol `json:"symbols,omitempty"`
+	FreqHz uint64 `json:"freq_hz,omitempty"`
 
-	// Last-completed-set results (the fleet row's live half).
+	// Last-completed-set results (the fleet row's live half). Items is
+	// only read: rows written before the Summary payload carried the
+	// items as JSON.
 	Items []core.Item      `json:"items,omitempty"`
 	Gaps  trace.Gaps       `json:"gaps"`
 	Diag  core.Diagnostics `json:"diag"`
@@ -289,12 +294,12 @@ type SourceState struct {
 	LastMeanConf  float64 `json:"last_mean_conf"`
 	LastDegraded  bool    `json:"last_degraded"`
 	EverConnected bool    `json:"ever_connected"`
-}
 
-// HandoffSymbol is one symbol of a source's table.
-type HandoffSymbol struct {
-	Name string `json:"name"`
-	Size uint64 `json:"size"`
+	// Summary is the last completed set's items as a TFleetSummary payload
+	// (Source, FreqHz and Items set, every other field zero). It is a
+	// []byte, so encoding/json writes it as base64 and never looks at an
+	// item.
+	Summary []byte `json:"summary,omitempty"`
 }
 
 // HandoffSource is one moved source's complete transferable state: the
@@ -302,11 +307,12 @@ type HandoffSymbol struct {
 // the verdict snapshot and the detector.
 //
 // The payload is a version byte followed by JSON — the checkpoint's
-// encoding, not a varint layout: it happens once per source per drain
-// (control plane, not the ingest hot path), and the detector snapshot is
-// deeply nested. Integrity is the frame CRC's job; shape validation
-// happens after parse, and the importer re-validates watermarks and the
-// detector snapshot under its own rules. The drain quiesces each source at
+// encoding, items inside as the Summary payload, not a varint layout: it
+// happens once per source per drain (control plane, not the ingest hot
+// path), and the detector snapshot is deeply nested. Integrity is the
+// frame CRC's job; shape validation happens after parse, and the importer
+// re-validates the summary payload, watermarks and the detector snapshot
+// under its own rules. The drain quiesces each source at
 // a set boundary, so the exported LastAcked is both its applied and its
 // acknowledged watermark.
 type HandoffSource struct {
@@ -321,11 +327,14 @@ type HandoffSource struct {
 }
 
 // handoffSourceVersion guards the JSON layout behind the version byte.
-const handoffSourceVersion = 1
+// Version 1 carried the items as JSON (SourceState.Items); it is still
+// read.
+const handoffSourceVersion = 2
 
-// AppendHandoffSource appends a THandoffSource payload.
+// AppendHandoffSource appends a THandoffSource payload. The state carries
+// its items as Summary; one holding JSON items is refused.
 func AppendHandoffSource(dst []byte, hs *HandoffSource) ([]byte, error) {
-	if err := hs.validate(); err != nil {
+	if err := hs.validate(handoffSourceVersion); err != nil {
 		return nil, err
 	}
 	data, err := json.Marshal(hs)
@@ -343,22 +352,26 @@ func DecodeHandoffSource(p []byte) (*HandoffSource, error) {
 	if len(p) < 1 {
 		return nil, errPayload(THandoffSource, "empty payload")
 	}
-	if p[0] != handoffSourceVersion {
+	if p[0] != 1 && p[0] != handoffSourceVersion {
 		return nil, errPayload(THandoffSource, "unsupported version %d", p[0])
 	}
 	hs := &HandoffSource{}
 	if err := json.Unmarshal(p[1:], hs); err != nil {
 		return nil, errPayload(THandoffSource, "decode: %w", err)
 	}
-	if err := hs.validate(); err != nil {
+	if err := hs.validate(p[0]); err != nil {
 		return nil, err
 	}
 	return hs, nil
 }
 
-func (hs *HandoffSource) validate() error {
+// validate checks hs as a payload of the given version carries it.
+func (hs *HandoffSource) validate(version byte) error {
 	if len(hs.Source) == 0 || len(hs.Source) > 255 {
 		return errPayload(THandoffSource, "source ID must be 1–255 bytes, got %d", len(hs.Source))
+	}
+	if version > 1 && len(hs.Items) > 0 {
+		return errPayload(THandoffSource, "version %d carries items only as the summary payload", version)
 	}
 	if hs.ConfN < 0 {
 		return errPayload(THandoffSource, "negative confidence count %d", hs.ConfN)
@@ -368,14 +381,6 @@ func (hs *HandoffSource) validate() error {
 	}
 	if !(hs.ConfSum >= 0) {
 		return errPayload(THandoffSource, "negative confidence sum %v", hs.ConfSum)
-	}
-	if len(hs.Symbols) > maxHandoffSources {
-		return errPayload(THandoffSource, "absurd symbol count %d", len(hs.Symbols))
-	}
-	for i, sym := range hs.Symbols {
-		if len(sym.Name) == 0 || len(sym.Name) > 0xffff {
-			return errPayload(THandoffSource, "symbol %d name length %d", i, len(sym.Name))
-		}
 	}
 	if hs.ActiveVerdicts < 0 || hs.ActiveVerdicts > 1<<20 {
 		return errPayload(THandoffSource, "absurd active verdict count %d", hs.ActiveVerdicts)

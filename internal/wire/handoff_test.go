@@ -23,9 +23,22 @@ func testHandoffBegin() HandoffBegin {
 }
 
 // testHandoffSource builds a representative moved-source state: watermark,
-// symbols, a reconstructed item, cumulative counters, and a detector
-// snapshot with baseline cells — every field class the importer installs.
+// a reconstructed item as the summary payload, cumulative counters, and a
+// detector snapshot with baseline cells — every field class the importer
+// installs.
 func testHandoffSource() *HandoffSource {
+	hs := testHandoffSourceV1()
+	summary, err := AppendFleetSummary(nil, FleetSummary{Source: hs.Source, FreqHz: hs.FreqHz, Items: hs.Items})
+	if err != nil {
+		panic(err)
+	}
+	hs.Items, hs.Summary = nil, summary
+	return hs
+}
+
+// testHandoffSourceV1 is testHandoffSource as version 1 carried it, the
+// item as JSON: the state testdata/handoff_source.golden was written from.
+func testHandoffSourceV1() *HandoffSource {
 	fn := &symtab.Fn{Name: "table_lookup", Base: 0x1000, Size: 0x200, ID: 0}
 	return &HandoffSource{
 		Source: "worker-3",
@@ -33,10 +46,6 @@ func testHandoffSource() *HandoffSource {
 			Epoch:     7,
 			LastAcked: 4211,
 			FreqHz:    2_000_000_000,
-			Symbols: []HandoffSymbol{
-				{Name: "table_lookup", Size: 0x200},
-				{Name: "render_reply", Size: 0x180},
-			},
 			Items: []core.Item{{
 				ID: 99, Core: 2, BeginTSC: 1 << 20, EndTSC: 1<<20 + 9000,
 				Funcs: []core.FuncSpan{
@@ -175,14 +184,33 @@ func TestHandoffSourceRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed state:\n got %+v\nwant %+v", got, want)
 	}
 	// The payload is the checkpoint row's encoding and sits in drain spools
-	// across upgrades: the golden was captured before SourceState was
-	// factored out of HandoffSource and must never need regenerating.
-	golden, err := os.ReadFile("testdata/handoff_source.golden")
+	// across upgrades: the golden must never need regenerating.
+	golden, err := os.ReadFile("testdata/handoff_source_v2.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p, golden) {
 		t.Fatalf("encoding moved:\n got %s\nwant %s", p, golden)
+	}
+	// A version-1 payload, captured before SourceState was factored out of
+	// HandoffSource, still decodes to the state it was written from; the
+	// encoder refuses its JSON items.
+	v1, err := os.ReadFile("testdata/handoff_source.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = DecodeHandoffSource(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := testHandoffSourceV1(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("version-1 payload decoded to:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := AppendHandoffSource(nil, got); err == nil {
+		t.Error("JSON items encoded as version 2")
+	}
+	if _, err := DecodeHandoffSource(append([]byte{handoffSourceVersion}, v1[1:]...)); err == nil {
+		t.Error("version-2 payload with JSON items accepted")
 	}
 	if _, err := DecodeHandoffSource(nil); err == nil {
 		t.Error("empty payload accepted")
@@ -202,7 +230,6 @@ func TestHandoffSourceRejectsInvalid(t *testing.T) {
 		"negative conf": func(hs *HandoffSource) { hs.ConfN = -1 },
 		"mean conf":     func(hs *HandoffSource) { hs.LastMeanConf = 1.5 },
 		"conf sum":      func(hs *HandoffSource) { hs.ConfSum = -1 },
-		"empty symbol":  func(hs *HandoffSource) { hs.Symbols[0].Name = "" },
 	} {
 		hs := testHandoffSource()
 		mut(hs)
@@ -218,7 +245,9 @@ func TestHandoffSourceRejectsInvalid(t *testing.T) {
 // decode → DeepEqual; for the JSON-bodied HandoffSource, the re-encoded
 // bytes must be a fixpoint (encode(decode(encode(decode(data)))) is
 // byte-identical), which pins the codec against nil-vs-empty drift that
-// DeepEqual through omitempty fields cannot see. Run continuously with
+// DeepEqual through omitempty fields cannot see — except a version-1
+// state with JSON items, which only the importer upgrades. Run
+// continuously with
 //
 //	go test -run '^$' -fuzz '^FuzzHandoffDecode$' ./internal/wire
 //
@@ -237,6 +266,9 @@ func FuzzHandoffDecode(f *testing.F) {
 	if p, err := AppendHandoffSource(nil, testHandoffSource()); err == nil {
 		f.Add(p)
 		f.Add(p[:len(p)-7])
+	}
+	if p, err := os.ReadFile("testdata/handoff_source.golden"); err == nil {
+		f.Add(p)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{handoffSourceVersion, '{', '}'})
@@ -278,7 +310,7 @@ func FuzzHandoffDecode(f *testing.F) {
 				t.Fatalf("redirect round trip changed fields:\n got %+v\nwant %+v", back, r)
 			}
 		}
-		if hs, err := DecodeHandoffSource(data); err == nil {
+		if hs, err := DecodeHandoffSource(data); err == nil && len(hs.Items) == 0 {
 			enc1, err := AppendHandoffSource(nil, hs)
 			if err != nil {
 				t.Fatalf("accepted state failed to re-encode: %v", err)
