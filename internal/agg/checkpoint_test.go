@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net"
 	"net/http/httptest"
 	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,7 +160,7 @@ func (st aggState) diff(o aggState) string {
 	return ""
 }
 
-func readFile(t *testing.T, path string) []byte {
+func readFile(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -177,6 +180,100 @@ func restoreFrom(t *testing.T, data []byte) (*Aggregator, string, error) {
 	a, err := New(Config{CheckpointPath: path, Registry: obs.NewRegistry()})
 	return a, path, err
 }
+
+// FuzzAggregatorRestore: a checkpoint file either fails New — naming a
+// row's source whenever the file parses into rows — or installs a state
+// whose checkpoint → restore → checkpoint is a byte fixed point. Nothing
+// panics, and a restore allocates in proportion to the file.
+//
+//	go test -run '^$' -fuzz '^FuzzAggregatorRestore$' -fuzzminimizetime=1s ./internal/agg
+func FuzzAggregatorRestore(f *testing.F) {
+	for _, name := range []string{"parent_checkpoint.json", "checkpoint_v2.json"} {
+		f.Add(readFile(f, "testdata/"+name))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a *Aggregator
+		var path string
+		var err error
+		alloc := allocatedBy(func() { a, path, err = restoreFrom(t, data) })
+		if limit := restoreAllocBound(len(data)); alloc > limit {
+			t.Fatalf("restoring a %d-byte checkpoint allocated %d bytes, want ≤ %d", len(data), alloc, limit)
+		}
+		if err == nil {
+			if err := a.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint of an installed state: %v", err)
+			}
+			first := readFile(t, path)
+			b, path, err := restoreFrom(t, first)
+			if err != nil {
+				t.Fatalf("restore of a checkpoint: %v", err)
+			}
+			if err := b.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint of a restored state: %v", err)
+			}
+			if second := readFile(t, path); !bytes.Equal(first, second) {
+				t.Fatalf("checkpoint → restore → checkpoint moved: %s", firstDiff(string(second), string(first)))
+			}
+			return
+		}
+		ids, ok := checkpointRowIDs(data)
+		if ok && !slices.ContainsFunc(ids, func(id string) bool {
+			return strings.Contains(err.Error(), fmt.Sprintf("source %q", id))
+		}) {
+			t.Fatalf("restore of a file that parses failed naming no row's source: %v", err)
+		}
+	})
+}
+
+// checkpointRowIDs returns the source IDs of a checkpoint file's rows, and
+// false when the file does not parse as a version restore reads.
+func checkpointRowIDs(data []byte) ([]string, bool) {
+	var head struct {
+		Version int `json:"version"`
+	}
+	if json.Unmarshal(data, &head) != nil {
+		return nil, false
+	}
+	var ids []string
+	switch head.Version {
+	case 1:
+		var v1 checkpointFileV1
+		if json.Unmarshal(data, &v1) != nil {
+			return nil, false
+		}
+		for _, r := range v1.Sources {
+			ids = append(ids, r.Summary.ID)
+		}
+	case checkpointVersion:
+		var file checkpointFile
+		if json.Unmarshal(data, &file) != nil {
+			return nil, false
+		}
+		for _, cs := range file.Sources {
+			ids = append(ids, cs.ID)
+		}
+	default:
+		return nil, false
+	}
+	return ids, true
+}
+
+// allocatedBy returns the bytes f allocated (runtime.MemStats.TotalAlloc
+// delta).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// restoreAllocBound is what restoring an n-byte checkpoint may allocate: a
+// fixed cost for the aggregator itself, and per input byte room for JSON
+// decoding and for the items a byte of payload or of version-1 JSON
+// decodes to. A count that a header declares and the bytes behind it do
+// not back would blow past it.
+func restoreAllocBound(n int) uint64 { return 1<<20 + 512*uint64(n) }
 
 // TestRestoreCheckpointV2: the committed version-2 fixture is what this
 // code writes for checkpointV2State; it restores to that live state, and

@@ -80,7 +80,7 @@ func IntegrateByRegister(set *trace.Set, reg int, opts Options) (*Analysis, erro
 		perCoreMinMax[s.Core] = mm
 		perCoreN[s.Core]++
 
-		id := s.Regs[reg]
+		id := s.Reg(reg)
 		if id == 0 {
 			a.Diag.UnattributedSamples++
 			continue

@@ -9,9 +9,8 @@ import (
 )
 
 func regSample(tsc, ip uint64, core int32, item uint64) pmu.Sample {
-	s := pmu.Sample{TSC: tsc, IP: ip, Core: core, Event: pmu.UopsRetired}
-	s.Regs[pmu.R13] = item
-	return s
+	regs := [pmu.NumRegs]uint64{pmu.R13: item}
+	return pmu.Sample{TSC: tsc, IP: ip, Core: core, Event: pmu.UopsRetired, Regs: pmu.CaptureRegs(&regs)}
 }
 
 func TestIntegrateByRegisterBasic(t *testing.T) {

@@ -31,7 +31,8 @@ type shard struct {
 }
 
 // sampleRef is what integration reads of a pmu.Sample: sorting and sweeping
-// 24-byte refs leaves the 152-byte records where they are.
+// 24-byte refs leaves the 32-byte records, register pointer and event
+// included, where they are.
 type sampleRef struct {
 	tsc, ip uint64
 	core    int32

@@ -1,8 +1,11 @@
 package detect
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -156,4 +159,73 @@ func TestSnapshotRestoreValidates(t *testing.T) {
 	if err := fresh.Restore(snap); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
+}
+
+// FuzzDetectorRestore: a snapshot, as a handoff carries it, either fails
+// to decode or to Restore, or installs a state whose snapshot → restore →
+// snapshot is a byte fixed point. Nothing panics, and a restore allocates
+// in proportion to the snapshot. A snapshot names no source, so a failure
+// has none to name.
+//
+//	go test -run '^$' -fuzz '^FuzzDetectorRestore$' ./internal/detect
+func FuzzDetectorRestore(f *testing.F) {
+	for _, name := range []string{"handoff_source.golden", "handoff_source_v2.golden"} {
+		data, err := os.ReadFile("../wire/testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// A THandoffSource payload is a version byte and the JSON row.
+		var row struct {
+			Detector json.RawMessage `json:"detector"`
+		}
+		if len(data) == 0 || json.Unmarshal(data[1:], &row) != nil || row.Detector == nil {
+			f.Fatalf("%s carries no detector snapshot", name)
+		}
+		f.Add([]byte(row.Detector))
+	}
+	restore := func(t *testing.T, data []byte) (*Detector, error) {
+		d, err := New(snapshotConfig(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s Snapshot
+		if err := json.Unmarshal(data, &s); err != nil {
+			return nil, err
+		}
+		return d, d.Restore(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d *Detector
+		var err error
+		alloc := allocatedBy(func() { d, err = restore(t, data) })
+		// The costliest input is a run of baseline cells: each restores to
+		// a full histogram, about 7.8 kB, from about 22 bytes of JSON.
+		if limit := 1<<20 + 1024*uint64(len(data)); alloc > limit {
+			t.Fatalf("restoring a %d-byte snapshot allocated %d bytes, want ≤ %d", len(data), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(d.Snapshot())
+		if err != nil {
+			t.Fatalf("snapshot of an installed state: %v", err)
+		}
+		b, err := restore(t, first)
+		if err != nil {
+			t.Fatalf("restore of a snapshot: %v", err)
+		}
+		if second, _ := json.Marshal(b.Snapshot()); !bytes.Equal(first, second) {
+			t.Fatalf("snapshot → restore → snapshot moved:\n%s\n%s", first, second)
+		}
+	})
+}
+
+// allocatedBy returns the bytes f allocated (runtime.MemStats.TotalAlloc
+// delta).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

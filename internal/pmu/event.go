@@ -74,6 +74,9 @@ const R13 = 13
 // works with: the hardware timestamp, the instruction pointer, and the
 // general-purpose registers. Note the deliberate absence of any data-item
 // identifier — recovering it is the paper's core technical problem.
+//
+// The register file lives out of line: a Sample is 32 bytes, and only the
+// samples whose registers are not all zero carry a 128-byte block.
 type Sample struct {
 	// TSC is the core's timestamp counter value, in cycles.
 	TSC uint64
@@ -83,8 +86,36 @@ type Sample struct {
 	Core int32
 	// Event is the event whose counter overflowed.
 	Event Event
-	// Regs holds the general-purpose register file at the sample point.
-	Regs [NumRegs]uint64
+	// Regs is the general-purpose register file at the sample point, or
+	// nil when every register was zero (CaptureRegs). A block is shared
+	// by every copy of the Sample and never written once made; Reg reads
+	// it with nil as zero.
+	Regs *[NumRegs]uint64
+}
+
+// Reg returns register r at the sample point; a nil Regs reads as zero.
+func (s *Sample) Reg(r int) uint64 {
+	if s.Regs == nil {
+		return 0
+	}
+	return s.Regs[r]
+}
+
+// RegsZero reports whether rf holds no non-zero register: nil, or a block
+// of zeros. Encoders set a record's register flag only when it is false.
+func RegsZero(rf *[NumRegs]uint64) bool {
+	return rf == nil || *rf == [NumRegs]uint64{}
+}
+
+// CaptureRegs returns the block a Sample taken from the live register file
+// rf carries: a copy, since the program goes on writing rf, or nil when
+// RegsZero(rf).
+func CaptureRegs(rf *[NumRegs]uint64) *[NumRegs]uint64 {
+	if RegsZero(rf) {
+		return nil
+	}
+	c := *rf
+	return &c
 }
 
 // Ctx carries the processor state handed to a recorder at overflow time.

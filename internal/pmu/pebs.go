@@ -149,10 +149,7 @@ func NewPEBS(cfg PEBSConfig) *PEBS {
 // (default), ring-wrap, or a contiguous drop burst until the late helper
 // catches up.
 func (p *PEBS) Overflow(ev Event, ctx Ctx) uint64 {
-	s := Sample{TSC: ctx.TSC, IP: ctx.IP + p.cfg.SkidBytes, Core: ctx.Core, Event: ev}
-	if ctx.Regs != nil {
-		s.Regs = *ctx.Regs
-	}
+	s := Sample{TSC: ctx.TSC, IP: ctx.IP + p.cfg.SkidBytes, Core: ctx.Core, Event: ev, Regs: CaptureRegs(ctx.Regs)}
 	oh := p.cfg.SampleCostCycles // the PEBS assist runs even when the record is discarded
 
 	if len(p.buf) >= p.cfg.BufferEntries {
@@ -352,10 +349,7 @@ func (s *SoftSampler) Overflow(ev Event, ctx Ctx) uint64 {
 		s.throttled++
 		return 0 // the kernel drops the sample without waking the sampler
 	}
-	smp := Sample{TSC: ctx.TSC, IP: ctx.IP, Core: ctx.Core, Event: ev}
-	if ctx.Regs != nil {
-		smp.Regs = *ctx.Regs
-	}
+	smp := Sample{TSC: ctx.TSC, IP: ctx.IP, Core: ctx.Core, Event: ev, Regs: CaptureRegs(ctx.Regs)}
 	s.store = append(s.store, smp)
 	s.lastTSC = ctx.TSC
 	s.haveLast = true

@@ -14,10 +14,7 @@ type fakeRecorder struct {
 }
 
 func (r *fakeRecorder) Overflow(ev Event, ctx Ctx) uint64 {
-	s := Sample{TSC: ctx.TSC, IP: ctx.IP, Core: ctx.Core, Event: ev}
-	if ctx.Regs != nil {
-		s.Regs = *ctx.Regs
-	}
+	s := Sample{TSC: ctx.TSC, IP: ctx.IP, Core: ctx.Core, Event: ev, Regs: CaptureRegs(ctx.Regs)}
 	r.samples = append(r.samples, s)
 	return r.cost
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -151,7 +152,7 @@ func TestShipSetFrameOrder(t *testing.T) {
 		if !slices.Equal(order, []uint64{100, 300, 500, 900, 150, 400, 600}) {
 			t.Fatalf("BatchRecords %d: feed order %v", batch, order)
 		}
-		if !slices.Equal(got.recs, feedOrder(set)) {
+		if !reflect.DeepEqual(got.recs, feedOrder(set)) {
 			t.Fatalf("BatchRecords %d: records changed in flight:\n%+v", batch, got.recs)
 		}
 	}
@@ -198,7 +199,7 @@ func bulkSet(t *testing.T) *trace.Set {
 func TestShipSetFillsFrames(t *testing.T) {
 	regs := &trace.Set{FreqHz: 2_000_000_000, Syms: symtab.NewTable()}
 	for i := 0; i < 2500; i++ {
-		sm := pmu.Sample{TSC: uint64(1000 + 37*i), IP: 0x400000 + uint64(i), Event: pmu.UopsRetired}
+		sm := pmu.Sample{TSC: uint64(1000 + 37*i), IP: 0x400000 + uint64(i), Event: pmu.UopsRetired, Regs: new([pmu.NumRegs]uint64)}
 		for r := range sm.Regs {
 			sm.Regs[r] = uint64(i+1) << (4 * r)
 		}
@@ -240,7 +241,7 @@ func TestShipSetFillsFrames(t *testing.T) {
 					t.Fatalf("data frame %d of %d ended %d bytes in: under three quarters full", i, n-2, got.sizes[i])
 				}
 			}
-			if !slices.Equal(got.recs, feedOrder(tc.set)) {
+			if !reflect.DeepEqual(got.recs, feedOrder(tc.set)) {
 				t.Fatal("the frames do not decode back to the per-core timestamp feed")
 			}
 			if got.end.Markers != uint64(len(tc.set.Markers)) || got.end.Samples != uint64(len(tc.set.Samples)) {

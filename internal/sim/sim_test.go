@@ -296,7 +296,7 @@ func TestRegisters(t *testing.T) {
 	rec := pmu.NewPEBS(pmu.PEBSConfig{})
 	c.PMU.MustProgram(pmu.UopsRetired, 10, rec)
 	c.Exec(10)
-	if s := rec.Samples(); len(s) != 1 || s[0].Regs[pmu.R13] != 99 {
+	if s := rec.Samples(); len(s) != 1 || s[0].Reg(pmu.R13) != 99 {
 		t.Errorf("sample regs = %+v", s)
 	}
 }

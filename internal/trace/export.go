@@ -102,7 +102,7 @@ func (s *Set) ExportJSONL(w io.Writer) error {
 			Core:  sm.Core,
 			IP:    fmt.Sprintf("0x%x", sm.IP),
 			Event: sm.Event.String(),
-			R13:   sm.Regs[pmu.R13],
+			R13:   sm.Reg(pmu.R13),
 		}
 		if s.Syms != nil {
 			if fn := s.Syms.Resolve(sm.IP); fn != nil {

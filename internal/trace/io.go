@@ -112,7 +112,7 @@ func (s *Set) Encode(w io.Writer) error {
 		rec[20] = byte(sm.Event)
 		rec[21] = 0 // hasRegs
 		n := sampleHeadBytes
-		if sm.Regs != ([pmu.NumRegs]uint64{}) {
+		if !pmu.RegsZero(sm.Regs) {
 			rec[21] = 1
 			for _, r := range sm.Regs {
 				le.PutUint64(rec[n:], r)
@@ -314,16 +314,18 @@ func walk(r io.Reader, dst *Set, onSyms func(*symtab.Table), onMarker func(Marke
 		sm.TSC, sm.IP, sm.Core, sm.Event = le.Uint64(rec[:]), le.Uint64(rec[8:]), int32(le.Uint32(rec[16:])), pmu.Event(rec[20])
 		switch hasRegs := rec[21]; hasRegs {
 		case 0:
-			// A fresh dst element is zero already; the scratch may hold
-			// the previous record's registers.
-			scratch.Regs = [pmu.NumRegs]uint64{}
+			sm.Regs = nil
 		case 1:
 			if n, err := or.full(rec[:regsBytes]); err != nil {
 				return freq, or.fail(fmt.Sprintf("sample %d reg %d", i, n/8), err)
 			}
-			for j := range sm.Regs {
-				sm.Regs[j] = le.Uint64(rec[8*j:])
+			// A fresh block: the one a previous record left in the
+			// scratch may be held by the callback.
+			rg := new([pmu.NumRegs]uint64)
+			for j := range rg {
+				rg[j] = le.Uint64(rec[8*j:])
 			}
+			sm.Regs = rg
 		default:
 			return freq, fmt.Errorf("trace: sample %d has invalid regs flag %d", i, hasRegs)
 		}

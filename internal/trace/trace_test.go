@@ -12,6 +12,13 @@ import (
 	"repro/internal/symtab"
 )
 
+// sameSamples reports whether a and b hold the same samples, registers
+// compared by content: Regs is a pointer, so == and slices.Equal compare
+// addresses.
+func sameSamples(a, b []pmu.Sample) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
 func TestMarkRecordsTimestampBeforeCost(t *testing.T) {
 	m := sim.MustNew(sim.Config{Cores: 1})
 	c := m.Core(0)
@@ -147,7 +154,7 @@ func buildSet(t *testing.T) *Set {
 		{TSC: 5, IP: 0x400010, Core: 0, Event: pmu.UopsRetired},
 		{TSC: 25, IP: 0x400080, Core: 0, Event: pmu.LLCMisses},
 	}
-	samples[1].Regs[pmu.R13] = 42
+	samples[1].Regs = &[pmu.NumRegs]uint64{pmu.R13: 42}
 	return NewSet(m, log, samples)
 }
 
@@ -313,7 +320,9 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i, ip := range ips {
 			s := pmu.Sample{TSC: uint64(i), IP: uint64(ip), Event: pmu.Event(i) % pmu.NumEvents}
 			if i%3 == 0 {
-				s.Regs[i%16] = uint64(ip)
+				var rf [pmu.NumRegs]uint64
+				rf[i%16] = uint64(ip)
+				s.Regs = pmu.CaptureRegs(&rf)
 			}
 			set.Samples = append(set.Samples, s)
 		}

@@ -116,7 +116,7 @@ func layoutSet() *Set {
 	for i := 0; i < 9; i++ {
 		sm := pmu.Sample{TSC: uint64(100 * i), IP: 0x400000 + uint64(i), Core: int32(i % 2), Event: pmu.Event(i % 2)}
 		if i%3 == 1 {
-			sm.Regs[pmu.R13] = uint64(i)
+			sm.Regs = &[pmu.NumRegs]uint64{pmu.R13: uint64(i)}
 		}
 		s.Samples = append(s.Samples, sm)
 	}
@@ -160,7 +160,7 @@ func fileLayout(s *Set) (fields []fileField, size int) {
 		add(4, "sample %d core", i)
 		add(1, "sample %d event", i)
 		add(1, "sample %d regs flag", i)
-		if sm.Regs != ([pmu.NumRegs]uint64{}) {
+		if !pmu.RegsZero(sm.Regs) {
 			for j := range sm.Regs {
 				add(8, "sample %d reg %d", i, j)
 			}
@@ -225,7 +225,7 @@ func TestDecodeStreamNilCallbacksSkip(t *testing.T) {
 		func(sm pmu.Sample) error { samples = append(samples, sm); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(samples, set.Samples) {
+	if !sameSamples(samples, set.Samples) {
 		t.Errorf("samples-only decode delivered %d samples, want the set's %d, registers included", len(samples), len(set.Samples))
 	}
 	var markers []Marker
@@ -292,7 +292,7 @@ func TestEncodeMatchesGoldenFixtures(t *testing.T) {
 	if err := back.Encode(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(back.Samples, set.Samples) || !slices.Equal(back.Markers, set.Markers) || !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !sameSamples(back.Samples, set.Samples) || !slices.Equal(back.Markers, set.Markers) || !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("layout set does not survive encode → decode → encode")
 	}
 }
@@ -325,7 +325,7 @@ func TestDecodeAllocationBounds(t *testing.T) {
 	var got *Set
 	var err error
 	alloc := allocatedBy(func() { got, err = Decode(bytes.NewReader(buf.Bytes())) })
-	if err != nil || !slices.Equal(got.Samples, set.Samples) {
+	if err != nil || !sameSamples(got.Samples, set.Samples) {
 		t.Fatalf("decode of %d samples: err %v", n, err)
 	}
 	if limit := uint64(2.5*n*float64(unsafe.Sizeof(pmu.Sample{}))) + 64<<10; alloc > limit {

@@ -8,14 +8,13 @@ import (
 )
 
 // Zero-copy record iterators. The v1 callback decoders (kept in
-// oracle_test.go as the reference) hand each record to a callback by value
-// — for pmu.Sample (152 bytes) that is a duffcopy per record, and the
-// closure call defeats inlining of the varint reads. The iterators instead
-// decode straight out of the frame bytes into a caller-owned struct: no
-// per-record allocation, no intermediate slice, no copy beyond the field
-// stores themselves. They validate exactly what the v1 decoders validate
-// (count bound, core range, kind/event/flag legality, trailing bytes) and
-// accept exactly the same payloads — FuzzFrameIter and
+// oracle_test.go as the reference) hand each record to a callback by
+// value, and the closure call defeats inlining of the varint reads. The
+// iterators instead decode straight out of the frame bytes into a
+// caller-owned struct: no per-record allocation, no intermediate slice, no
+// copy beyond the field stores themselves. They validate exactly what the
+// v1 decoders validate (count bound, core range, kind/event/flag legality,
+// trailing bytes) and accept exactly the same payloads — FuzzFrameIter and
 // TestIterMatchesDecode pin the two implementations against each other.
 //
 // Lifetime rule: an iterator aliases the payload it was built over. When
@@ -221,21 +220,17 @@ func (it *MarkerIter) Err() error {
 
 // SampleIter is MarkerIter for a run of samples.
 type SampleIter struct {
-	p     []byte
-	i     int
-	n     uint64
-	k     uint64
-	prev  uint64
-	dirty bool // last Next wrote into the caller struct's Regs
-	err   error
+	p    []byte
+	i    int
+	n    uint64
+	k    uint64
+	prev uint64
+	err  error
 }
 
 // IterSamples builds an iterator over a payload that is one sample run.
 func IterSamples(payload []byte) SampleIter {
-	// dirty starts true: the caller's struct may carry registers from a
-	// previous frame's iteration, so the first regs-free record must zero
-	// them; after that the flag tracks exactly.
-	it := SampleIter{p: payload, dirty: true}
+	it := SampleIter{p: payload}
 	n, i := getUvarint(payload, 0)
 	if i < 0 {
 		it.err = errPayload(TSamples, "count: %w", errBadUvarint)
@@ -250,10 +245,10 @@ func IterSamples(payload []byte) SampleIter {
 }
 
 // Next decodes the next sample into *sm, returning false at the end of the
-// payload or on a malformed record (check Err). Register words are written
-// only when the record carries them; the caller's struct is otherwise
-// zeroed field-by-field, so a reused struct never leaks a previous
-// record's registers.
+// payload or on a malformed record (check Err). Regs is set to nil, or to
+// a fresh block when the record carries registers: a block the caller's
+// struct pointed at before, which an earlier copy may share, is never
+// written.
 func (it *SampleIter) Next(sm *pmu.Sample) bool {
 	if it.err != nil || it.k >= it.n {
 		return false
@@ -295,24 +290,17 @@ func (it *SampleIter) Next(sm *pmu.Sample) bool {
 	i += 2
 	switch hasRegs {
 	case 0:
-		// Zero the caller's Regs only if a previous record wrote them —
-		// regs-free batches (the common case) then never touch the
-		// 128-byte array at all.
-		if it.dirty {
-			sm.Regs = [pmu.NumRegs]uint64{}
-			it.dirty = false
-		}
+		sm.Regs = nil
 	case 1:
-		it.dirty = true
-		for j := range sm.Regs {
-			var r uint64
-			r, i = getUvarint(p, i)
+		rg := new([pmu.NumRegs]uint64)
+		for j := range rg {
+			rg[j], i = getUvarint(p, i)
 			if i < 0 {
 				it.err = errPayload(TSamples, "sample %d reg %d: %w", it.k, j, errBadUvarint)
 				return false
 			}
-			sm.Regs[j] = r
 		}
+		sm.Regs = rg
 	default:
 		it.err = errPayload(TSamples, "sample %d has invalid regs flag %d", it.k, hasRegs)
 		return false
@@ -323,10 +311,8 @@ func (it *SampleIter) Next(sm *pmu.Sample) bool {
 }
 
 // NextBatch decodes up to len(dst) samples, returning how many it wrote;
-// same contract and punt-to-Next anomaly handling as MarkerIter.NextBatch.
-// Unlike Next's single-struct dirty tracking, every regs-free record
-// zeroes its destination's Regs — batch entries are arbitrary caller
-// memory, so nothing can be assumed clean.
+// same contract and punt-to-Next anomaly handling as MarkerIter.NextBatch,
+// and the same Regs rule as Next.
 func (it *SampleIter) NextBatch(dst []pmu.Sample) int {
 	if it.err != nil {
 		return 0
@@ -345,10 +331,11 @@ func (it *SampleIter) NextBatch(dst []pmu.Sample) int {
 			m              *pmu.Sample
 			j, r           int
 			u, ip, cu, tsc uint64
-			w, rv          uint64
+			w              uint64
 			c              int64
 			ev, hasRegs    byte
 			b0             byte
+			rg             *[pmu.NumRegs]uint64
 		)
 		if len(p)-i < maxSampleEnc {
 			goto careful
@@ -409,29 +396,21 @@ func (it *SampleIter) NextBatch(dst []pmu.Sample) int {
 			goto careful
 		}
 		j += 2
-		if hasRegs == 0 {
-			// dst is arbitrary caller memory, but in steady state it is a
-			// reused batch that is already zero: check (16 loads) before
-			// paying the 128-byte store.
-			rg := &m.Regs
-			if rg[0]|rg[1]|rg[2]|rg[3]|rg[4]|rg[5]|rg[6]|rg[7]|
-				rg[8]|rg[9]|rg[10]|rg[11]|rg[12]|rg[13]|rg[14]|rg[15] != 0 {
-				*rg = [pmu.NumRegs]uint64{}
-			}
-		} else {
+		if hasRegs == 1 {
+			rg = new([pmu.NumRegs]uint64)
 			for r = 0; r < pmu.NumRegs; r++ {
 				if b0 = p[j]; b0 < 0x80 {
-					rv = uint64(b0)
+					rg[r] = uint64(b0)
 					j++
 				} else if p[j+1] < 0x80 {
-					rv = uint64(b0&0x7f) | uint64(p[j+1])<<7
+					rg[r] = uint64(b0&0x7f) | uint64(p[j+1])<<7
 					j += 2
-				} else if rv, j = getUvarintSlow(p, j); j < 0 {
+				} else if rg[r], j = getUvarintSlow(p, j); j < 0 {
 					goto careful
 				}
-				m.Regs[r] = rv
 			}
 		}
+		m.Regs = rg
 		m.TSC = tsc
 		m.IP = ip
 		m.Core = int32(c)
@@ -445,7 +424,6 @@ func (it *SampleIter) NextBatch(dst []pmu.Sample) int {
 		// Too near the end, or an anomalous record: re-decode from the
 		// record start through Next for exact value/error parity.
 		it.i, it.prev, it.k = i, prev, k
-		it.dirty = true // dst[n] is arbitrary caller memory
 		if !it.Next(&dst[n]) {
 			return n
 		}
@@ -453,7 +431,6 @@ func (it *SampleIter) NextBatch(dst []pmu.Sample) int {
 		n++
 	}
 	it.i, it.prev, it.k = i, prev, k
-	it.dirty = true // a later Next may target a different struct
 	return n
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,6 +91,10 @@ func iterSamplesBatch(payload []byte, batch int) ([]pmu.Sample, error) {
 	return out, it.Err()
 }
 
+// sameSample compares two samples with their registers by content: Regs
+// is a pointer, so == compares addresses.
+func sameSample(a, b pmu.Sample) bool { return reflect.DeepEqual(a, b) }
+
 // errText canonicalizes an error for comparison: nil stays "", everything
 // else is its message.
 func errText(err error) string {
@@ -143,7 +148,7 @@ func checkSampleEquivalence(t *testing.T, payload []byte) {
 		t.Fatalf("Next record count diverged: got %d want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if !sameSample(got[i], want[i]) {
 			t.Fatalf("Next record %d diverged:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
@@ -156,7 +161,7 @@ func checkSampleEquivalence(t *testing.T, payload []byte) {
 			t.Fatalf("NextBatch(%d) record count diverged: got %d want %d", batch, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if !sameSample(got[i], want[i]) {
 				t.Fatalf("NextBatch(%d) record %d diverged:\n got %+v\nwant %+v", batch, i, got[i], want[i])
 			}
 		}
@@ -355,7 +360,7 @@ func checkRecordsEquivalence(t *testing.T, payload []byte) {
 		t.Fatalf("records: count diverged: got %d want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i].kind != want[i].kind || got[i].m != want[i].m || !sameSample(got[i].s, want[i].s) {
 			t.Fatalf("records: record %d diverged:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
@@ -466,50 +471,69 @@ func FuzzFrameIter(f *testing.F) {
 	})
 }
 
-// TestIterBatchReuseDirtyDst pins the NextBatch zeroing protocol: a dst
-// batch holding stale register blocks from a previous decode must not leak
-// them into records whose hasRegs flag is clear.
+// TestIterBatchReuseDirtyDst pins the register rule of a reused
+// destination: a decoder points a record with registers at a fresh block
+// and a record without at nil. It never writes into the block a dst entry
+// already points at — a copy kept from an earlier batch shares that block —
+// and never leaves a stale block on a regs-free record.
 func TestIterBatchReuseDirtyDst(t *testing.T) {
-	withRegs := testSamples()
-	for i := range withRegs {
-		for r := range withRegs[i].Regs {
-			withRegs[i].Regs[r] = uint64(i*100 + r + 1)
+	// Enough records that NextBatch takes its fast path, not only the
+	// careful one near the payload end.
+	regsRun := func(base uint64) []pmu.Sample {
+		ss := make([]pmu.Sample, 40)
+		for i := range ss {
+			ss[i] = pmu.Sample{TSC: 1000 + 10*uint64(i), IP: 0x400000 + uint64(i), Regs: new([pmu.NumRegs]uint64)}
+			for r := range ss[i].Regs {
+				ss[i].Regs[r] = base + uint64(i*100+r+1)
+			}
 		}
+		return ss
 	}
-	noRegs := testSamples() // zero Regs → encoded with hasRegs=0
+	withRegs, otherRegs := regsRun(0), regsRun(1<<20)
+	noRegs := regsRun(0)
 	for i := range noRegs {
-		noRegs[i].Regs = [pmu.NumRegs]uint64{}
+		noRegs[i].Regs = nil
 	}
-
-	dst := make([]pmu.Sample, 8)
-	it := IterSamples(AppendSamples(nil, withRegs))
-	for it.NextBatch(dst) > 0 {
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	it = IterSamples(AppendSamples(nil, noRegs))
-	n := it.NextBatch(dst)
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(noRegs) {
-		t.Fatalf("got %d records, want %d", n, len(noRegs))
-	}
-	for i := 0; i < n; i++ {
-		if dst[i].Regs != ([pmu.NumRegs]uint64{}) {
-			t.Fatalf("record %d leaked stale regs from reused dst: %v", i, dst[i].Regs)
+	decode := func(dst []pmu.Sample, ss []pmu.Sample, batch bool) []pmu.Sample {
+		t.Helper()
+		var out []pmu.Sample
+		it := IterSamples(AppendSamples(nil, ss))
+		for {
+			n := 1
+			if batch {
+				n = it.NextBatch(dst)
+			} else if !it.Next(&dst[0]) {
+				n = 0
+			}
+			if n == 0 {
+				break
+			}
+			out = append(out, dst[:n]...)
 		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
+	for _, batch := range []bool{true, false} {
+		dst := make([]pmu.Sample, 8)
+		first := decode(dst, withRegs, batch)
+		kept := first[len(first)-1] // shares its block with dst
+		want := *kept.Regs
 
-	var one pmu.Sample
-	one.Regs[3] = 0xdead
-	it = IterSamples(AppendSamples(nil, noRegs[:1]))
-	if !it.Next(&one) {
-		t.Fatalf("Next failed: %v", it.Err())
-	}
-	if one.Regs != ([pmu.NumRegs]uint64{}) {
-		t.Fatalf("Next leaked stale regs: %v", one.Regs)
+		if got := decode(dst, otherRegs, batch); !slices.EqualFunc(got, otherRegs, sameSample) {
+			t.Fatalf("batch=%v: registers decoded into a reused dst differ from the encoded ones", batch)
+		}
+		if *kept.Regs != want {
+			t.Fatalf("batch=%v: a decode into the reused dst wrote into a kept sample's block: %v, want %v", batch, *kept.Regs, want)
+		}
+		for i, sm := range decode(dst, noRegs, batch) {
+			if sm.Regs != nil {
+				t.Fatalf("batch=%v: regs-free record %d came back with a block %v from the reused dst", batch, i, *sm.Regs)
+			}
+		}
+		if !slices.EqualFunc(first, withRegs, sameSample) || *kept.Regs != want {
+			t.Fatalf("batch=%v: samples kept from the first decode changed under later decodes", batch)
+		}
 	}
 }

@@ -104,6 +104,7 @@ func DecodeSamples(p []byte, fn func(pmu.Sample) error) error {
 		switch hasRegs {
 		case 0:
 		case 1:
+			sm.Regs = new([pmu.NumRegs]uint64)
 			for j := range sm.Regs {
 				sm.Regs[j], rest, err = uvarint(rest)
 				if err != nil {

@@ -90,12 +90,9 @@ func DecodeSymtab(p []byte) (freqHz uint64, t *symtab.Table, err error) {
 // record's worst case before emitting it, so the per-field stores need no
 // growth checks of their own.
 const (
-	maxMarkerEnc = 10 + 10 + 10 + 1           // ΔTSC, item, core, kind
-	maxSampleEnc = 10 + 10 + 10 + 1 + 1 + 160 // ΔTSC, ip, core, event, flag, regs
+	maxMarkerEnc = 10 + 10 + 10 + 1                      // ΔTSC, item, core, kind
+	maxSampleEnc = 10 + 10 + 10 + 1 + 1 + 10*pmu.NumRegs // ΔTSC, ip, core, event, flag, regs
 )
-
-// The unrolled register scan in AppendSamples spells out 16 indices.
-var _ = [1]struct{}{}[pmu.NumRegs-16]
 
 // encReserve guarantees at least need writable bytes past j, growing the
 // buffer if it must, and returns the buffer re-sliced to full capacity.
@@ -232,20 +229,14 @@ func appendSamples(dst []byte, prev uint64, ss []pmu.Sample) []byte {
 			j = putUvarintWide(b, j, u)
 		}
 		b[j] = byte(sm.Event)
-		// Branch-free presence check: OR all registers rather than
-		// early-exit scanning — regs are almost always absent, so the
-		// early exit never fires and only adds a branch per register.
-		rg := &sm.Regs
-		or := rg[0] | rg[1] | rg[2] | rg[3] | rg[4] | rg[5] | rg[6] | rg[7] |
-			rg[8] | rg[9] | rg[10] | rg[11] | rg[12] | rg[13] | rg[14] | rg[15]
 		hasRegs := byte(0)
-		if or != 0 {
+		if !pmu.RegsZero(sm.Regs) {
 			hasRegs = 1
 		}
 		b[j+1] = hasRegs
 		j += 2
 		if hasRegs == 1 {
-			for _, r := range rg {
+			for _, r := range sm.Regs {
 				if r < 1<<7 {
 					b[j] = byte(r)
 					j++

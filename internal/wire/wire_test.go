@@ -24,11 +24,9 @@ func testMarkers() []trace.Marker {
 }
 
 func testSamples() []pmu.Sample {
-	regs := [pmu.NumRegs]uint64{}
-	regs[3] = 0xdeadbeef
 	return []pmu.Sample{
 		{TSC: 1100, IP: 0x400100, Core: 0, Event: pmu.UopsRetired},
-		{TSC: 1400, IP: 0x400180, Core: 0, Event: pmu.UopsRetired, Regs: regs},
+		{TSC: 1400, IP: 0x400180, Core: 0, Event: pmu.UopsRetired, Regs: &[pmu.NumRegs]uint64{3: 0xdeadbeef}},
 		{TSC: 950, IP: 0x400200, Core: 1, Event: pmu.LLCMisses},
 	}
 }

@@ -153,7 +153,7 @@ func TestSchedulerSamplesAttributeToScheduler(t *testing.T) {
 	for _, s := range pb.Samples() {
 		if sched.Contains(s.IP) {
 			inSched++
-			if s.Regs[pmu.R13] != 0 {
+			if s.Reg(pmu.R13) != 0 {
 				t.Fatal("scheduler sample carries an item ID")
 			}
 		}
