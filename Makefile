@@ -40,7 +40,7 @@ tier2:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire
+	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect
 	$(GO) test -race -count 20 -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded' ./internal/core
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg

@@ -264,15 +264,16 @@ func main() {
 // offline twin of `fluctd -detect`; what it prints for a trace is exactly
 // what the collector's /verdicts would have shown over it.
 func dumpVerdicts(a *core.Analysis) {
+	var hist []detect.Verdict
 	det, err := detect.New(detect.Config{
-		Source:   "tracedump",
-		FreqHz:   a.FreqHz,
-		Registry: obs.NewRegistry(), // keep the replay out of the default metrics
+		Source:    "tracedump",
+		FreqHz:    a.FreqHz,
+		OnVerdict: func(v detect.Verdict) { hist = append(hist, v) },
+		Registry:  obs.NewRegistry(), // keep the replay out of the default metrics
 	})
 	if err != nil {
 		fatal(err)
 	}
-	det.KeepHistory = true
 	items := append([]core.Item(nil), a.Items...)
 	slices.SortStableFunc(items, func(x, y core.Item) int {
 		if c := cmp.Compare(x.EndTSC, y.EndTSC); c != 0 {
@@ -287,7 +288,6 @@ func dumpVerdicts(a *core.Analysis) {
 	st := det.Stats()
 	fmt.Printf("\ndetector: %d items, %d change events (%d resolved, %d false resets), %d verdicts, %d still active\n",
 		st.Items, st.Changepoints, st.Resolved, st.FalseResets, st.Verdicts, st.Active)
-	hist := det.History()
 	if len(hist) == 0 {
 		fmt.Println("no fluctuation verdicts: the per-item latency series has no sustained shift")
 		return

@@ -21,9 +21,6 @@ type UplinkConfig struct {
 	// (see the Uplink doc comment for the guarantee this buys). Empty keeps
 	// unacknowledged summaries in memory only.
 	SpoolDir string
-	// SpoolSegmentBytes / SpoolEpoch pass through to the spool (tests).
-	SpoolSegmentBytes int
-	SpoolEpoch        uint64
 	// Dial opens the connection (default TCP); tests substitute pipes or
 	// fault injectors.
 	Dial ship.DialFunc
@@ -66,15 +63,13 @@ func NewUplink(cfg UplinkConfig) (*Uplink, error) {
 		reg = obs.Default()
 	}
 	sh, err := ship.New(ship.Config{
-		Addr:              cfg.Addr,
-		Source:            cfg.Shard,
-		SpoolDir:          cfg.SpoolDir,
-		SpoolSegmentBytes: cfg.SpoolSegmentBytes,
-		SpoolEpoch:        cfg.SpoolEpoch,
-		Dial:              cfg.Dial,
-		BackoffMin:        cfg.BackoffMin,
-		BackoffMax:        cfg.BackoffMax,
-		Registry:          reg,
+		Addr:       cfg.Addr,
+		Source:     cfg.Shard,
+		SpoolDir:   cfg.SpoolDir,
+		Dial:       cfg.Dial,
+		BackoffMin: cfg.BackoffMin,
+		BackoffMax: cfg.BackoffMax,
+		Registry:   reg,
 	})
 	if err != nil {
 		return nil, err

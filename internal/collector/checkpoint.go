@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -56,13 +57,13 @@ type checkpointSource struct {
 }
 
 // stateLocked copies the source's persisted row out, its last set's items
-// as the summary payload the source holds (none when the collector does
-// not checkpoint, or when they did not encode). The clock it records is
-// the one those items were integrated against, never an open set's; the
-// watermark is the settled one — the sequence number this very
-// accounting reflects — whether or not it has been acknowledged yet.
-// Caller holds s.mu.
+// as the summary payload (none when they did not encode: summaryErr). The
+// clock it records is the one those items were integrated against, never
+// an open set's; the watermark is the settled one — the sequence number
+// this very accounting reflects — whether or not it has been acknowledged
+// yet. Caller holds s.applyMu and s.mu.
 func (s *Source) stateLocked() wire.SourceState {
+	s.payloadLocked()
 	return wire.SourceState{
 		Epoch:         s.wm.Epoch,
 		LastAcked:     s.wm.Settled,
@@ -82,6 +83,17 @@ func (s *Source) stateLocked() wire.SourceState {
 		LastDegraded:  s.lastDegraded,
 		EverConnected: s.everConnected,
 		Summary:       s.summary,
+	}
+}
+
+// payloadLocked makes summary hold the payload finishSet encoded into
+// sumBuf, copying it out on the first read after the set: a copy the next
+// set's encode cannot touch, so a checkpoint may keep writing it after it
+// dropped the source's locks. Caller holds s.applyMu (finishSet writes
+// sumBuf under it) and s.mu.
+func (s *Source) payloadLocked() {
+	if s.sumUnread {
+		s.summary, s.sumUnread = bytes.Clone(s.sumBuf), false
 	}
 }
 
@@ -171,7 +183,7 @@ func (s *Source) setStateLocked(st wire.SourceState, items []core.Item) {
 	s.lastDegraded = st.LastDegraded
 	s.everConnected = st.EverConnected
 	s.items = items
-	s.summary, s.summaryErr = st.Summary, nil
+	s.summary, s.summaryErr, s.sumUnread = st.Summary, nil, false
 }
 
 // Checkpoint writes the collector's durable state to cfg.CheckpointPath

@@ -538,18 +538,7 @@ func TestCheckpointRefusesUnencodableItems(t *testing.T) {
 	}
 	frames := rawSetFrames(t, workloadSet(t, 4))
 	src := c.source("w1")
-	for _, fr := range frames[:len(frames)-1] {
-		if err := c.frame(src, fr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// An item the integrator never produces: confidence outside [0,1].
-	src.applyMu.Lock()
-	src.curItem = append(src.curItem, core.Item{ID: 99, Confidence: 2})
-	src.applyMu.Unlock()
-	if err := c.frame(src, frames[len(frames)-1]); err != nil {
-		t.Fatal(err)
-	}
+	feedUnencodableSet(t, c, src, frames)
 	if err := c.Checkpoint(); err == nil || !strings.Contains(err.Error(), `"w1"`) {
 		t.Fatalf("checkpoint returned %v, want an error naming w1", err)
 	}
@@ -563,6 +552,41 @@ func TestCheckpointRefusesUnencodableItems(t *testing.T) {
 	}
 	if err := c.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after a good set: %v", err)
+	}
+}
+
+// TestExportRefusesUnencodableItems: a handoff export of such a set fails
+// naming the source, as the checkpoint does, on a collector without a
+// checkpoint path too.
+func TestExportRefusesUnencodableItems(t *testing.T) {
+	c, err := New(Config{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedUnencodableSet(t, c, c.source("w1"), rawSetFrames(t, workloadSet(t, 4)))
+	if _, err := c.FreezeSource("w1", []string{"shard-b"}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ExportSource("w1"); err == nil || !strings.Contains(err.Error(), `"w1"`) {
+		t.Fatalf("export returned %v, want an error naming w1", err)
+	}
+}
+
+// feedUnencodableSet applies one set's frames to src with an item the
+// integrator never produces, confidence outside [0,1], added before the
+// set closes: the set's items do not encode.
+func feedUnencodableSet(t *testing.T, c *Collector, src *Source, frames []wire.Frame) {
+	t.Helper()
+	for _, fr := range frames[:len(frames)-1] {
+		if err := c.frame(src, fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.applyMu.Lock()
+	src.curItem = append(src.curItem, core.Item{ID: 99, Confidence: 2})
+	src.applyMu.Unlock()
+	if err := c.frame(src, frames[len(frames)-1]); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -14,7 +14,6 @@
 package collector
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -152,7 +151,11 @@ type Source struct {
 	integ   *core.StreamIntegrator
 	scan    trace.GapScan // the in-flight set's health scan, buffers reused set to set
 	curItem []core.Item
-	sumBuf  []byte // finishSet's payload scratch, reused set to set
+	// sumBuf is the last set's items encoded by finishSet as the
+	// TFleetSummary payload, reused set to set; sumUnread marks that
+	// summary does not yet hold a copy of it (payloadLocked).
+	sumBuf    []byte
+	sumUnread bool
 
 	// det is the source's fluctuation detector (nil unless Config.Detect),
 	// guarded by applyMu like integ; other goroutines read the snapshot
@@ -167,11 +170,11 @@ type Source struct {
 	// Last-completed-set results. freq is the clock its items were
 	// integrated against: a row written mid-set still pairs the items with
 	// their own clock. summary is the same items as the TFleetSummary
-	// payload the checkpoint writes and a handoff carries, built once per
-	// set when the collector checkpoints (or installed with a restored or
-	// imported row) and never appended into; summaryErr is why the last
-	// set's items did not encode, which fails every checkpoint until the
-	// next set.
+	// payload the checkpoint writes and a handoff carries: an exact-size
+	// copy of sumBuf taken on first read (or installed with a restored or
+	// imported row), never appended into; summaryErr is why the last set's
+	// items did not encode, which fails every checkpoint and export until
+	// the next set.
 	freq       uint64
 	items      []core.Item
 	summary    []byte
@@ -626,26 +629,20 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 		c.metConfHist.Record(uint64(src.curItem[i].Confidence * 1000))
 	}
 	n := len(src.curItem)
-	// The checkpoint and a handoff export read the payload; only a
-	// collector with a checkpoint path builds it here (ExportSource
-	// encodes on demand otherwise). Encode into the reused scratch buffer,
-	// keep an exact-size copy: one allocation per set, and the copy is
-	// never appended into.
-	var summary []byte
-	var sumErr error
-	if c.cfg.CheckpointPath != "" {
-		var buf []byte
-		if buf, sumErr = appendSummary(src.sumBuf[:0], src.ID, src.curFreq, src.curItem); sumErr == nil {
-			src.sumBuf = buf
-			summary = bytes.Clone(buf)
-		}
+	// Every set is encoded here, once, into the reused buffer; the
+	// checkpoint and a handoff export copy it out on first read
+	// (payloadLocked), so a collector that reads neither allocates nothing
+	// for it.
+	buf, sumErr := appendSummary(src.sumBuf[:0], src.ID, src.curFreq, src.curItem)
+	if sumErr == nil {
+		src.sumBuf = buf
 	}
 
 	src.mu.Lock()
 	src.freq = src.curFreq
 	src.diag = diag
 	src.items = append(src.items[:0], src.curItem...)
-	src.summary, src.summaryErr = summary, sumErr
+	src.summary, src.summaryErr, src.sumUnread = nil, sumErr, sumErr == nil
 	src.gaps = gaps
 	src.lostMarkers += lostMarkers
 	src.lostSamples += lostSamples

@@ -297,31 +297,28 @@ func (c *Collector) ExportSource(id string) (*wire.HandoffSource, error) {
 	if src == nil {
 		return nil, fmt.Errorf("collector: export of unknown source %q", id)
 	}
+	src.applyMu.Lock()
+	defer src.applyMu.Unlock()
 	src.mu.Lock()
 	defer src.mu.Unlock()
 	if !src.frozen {
 		return nil, fmt.Errorf("collector: export of unfrozen source %q", id)
 	}
-	// The handoff carries the payload the checkpoint writes. Only a
-	// collector without a checkpoint path has none to hand over; one whose
+	// The handoff carries the payload the checkpoint writes; a source whose
 	// items did not encode fails here as its checkpoint does.
-	st := src.stateLocked()
-	if st.Summary == nil && len(src.items) > 0 {
-		var err error
-		if st.Summary, err = appendSummary(nil, src.ID, src.freq, src.items); err != nil {
-			return nil, fmt.Errorf("collector: export of source %q: items: %w", id, err)
-		}
+	if src.summaryErr != nil {
+		return nil, fmt.Errorf("collector: export of source %q: items: %w", id, src.summaryErr)
 	}
 	hs := &wire.HandoffSource{
 		Source:         src.ID,
-		SourceState:    st,
+		SourceState:    src.stateLocked(),
 		Verdicts:       append([]detect.Verdict(nil), src.verdicts...),
 		ActiveVerdicts: src.activeVerdicts,
 	}
 	hs.LastAcked = src.wm.Applied
 	if src.det != nil {
 		// The source is frozen, so no apply touches this detector again;
-		// the apply mutex FreezeSource took makes its writes visible here.
+		// the apply mutex held here makes its writes visible.
 		snap := src.det.Snapshot()
 		hs.Detector = &snap
 	}

@@ -17,7 +17,7 @@ type cellKey struct {
 
 // baseline is the rolling per-(function, core) store of time breakdowns:
 // one obs log-linear histogram per cell, in two generations rotated every
-// rotateEvery evicted items. Queries merge both generations, so the
+// baselineRotate evicted items. Queries merge both generations, so the
 // baseline always covers between one and two horizons of history and old
 // behaviour decays by whole-generation replacement rather than per-sample
 // bookkeeping. Histograms from the retired generation are Reset and
@@ -27,7 +27,6 @@ type cellKey struct {
 // is the contamination guard: an in-window anomaly cannot shift the
 // reference it is about to be judged against.
 type baseline struct {
-	rotateEvery int
 	sinceRotate int
 	cur, prev   map[cellKey]*obs.Histogram
 	// curItems/prevItems count evicted items per core in each generation,
@@ -39,14 +38,13 @@ type baseline struct {
 	merged              *obs.Histogram // scratch for two-generation quantiles
 }
 
-func newBaseline(rotateEvery int) *baseline {
+func newBaseline() *baseline {
 	return &baseline{
-		rotateEvery: rotateEvery,
-		cur:         map[cellKey]*obs.Histogram{},
-		prev:        map[cellKey]*obs.Histogram{},
-		curItems:    map[int32]uint64{},
-		prevItems:   map[int32]uint64{},
-		merged:      obs.NewHistogram(),
+		cur:       map[cellKey]*obs.Histogram{},
+		prev:      map[cellKey]*obs.Histogram{},
+		curItems:  map[int32]uint64{},
+		prevItems: map[int32]uint64{},
+		merged:    obs.NewHistogram(),
 	}
 }
 
@@ -71,7 +69,7 @@ func (b *baseline) record(name string, core int32, cycles uint64) {
 func (b *baseline) advance(core int32) {
 	b.curItems[core]++
 	b.sinceRotate++
-	if b.sinceRotate < b.rotateEvery {
+	if b.sinceRotate < baselineRotate {
 		return
 	}
 	b.sinceRotate = 0

@@ -6,21 +6,23 @@
 // items' per-function time breakdown against a rolling per-(function,
 // core) baseline (the Automatic Cause Detection paper's ranked
 // diff-against-baseline, applied to our trace data). The output is a
-// stream of Verdicts — "function X on core Y gained Z µs" — plus a
-// change-event lifecycle that feeds /healthz.
+// stream of Verdicts — "function X on core Y gained Z µs", each handed
+// to Config.OnVerdict as it is emitted, which is where a caller that wants
+// the whole history collects it — plus a change-event lifecycle that
+// feeds /healthz.
 //
 // Everything is deterministic: the detector has one caller at a time (the
 // collector calls Update under the source's apply mutex, in the source's
 // admission order, across reconnects too), the pair subsampling inside
 // the energy statistic draws from a self-contained splitmix64 generator
-// seeded by (Config.Seed, items seen, split point), and ties rank by
+// seeded by (seed, items seen, split point), and ties rank by
 // (delta, function, core). Identical input series therefore yield
 // byte-identical verdict streams — a property test, not a hope.
 //
-// Cost per Update is O(MinSegment log MinSegment / CheckEvery) amortized
-// on a steady series: the ring append is O(1), and every CheckEvery items
+// Cost per Update is O(minSegment log minSegment / checkEvery) amortized
+// on a steady series: the ring append is O(1), and every checkEvery items
 // a cheap guard compares the medians of the window's oldest and newest
-// MinSegment items — only when they disagree by more than half the
+// minSegment items — only when they disagree by more than half the
 // relative firing threshold (or an event is active) does the full
 // O(splits × pairs) energy scan with its O(W log W) robust-median sorts
 // run, all on preallocated scratch. Steady state allocates nothing
@@ -49,20 +51,9 @@ type Config struct {
 	FreqHz uint64
 
 	// Window is the bounded latency window the change-point scan runs
-	// over, in items (default 128). Larger windows see smaller shifts but
-	// detect later.
+	// over, in items (default 128, at least 2×minSegment). Larger windows
+	// see smaller shifts but detect later.
 	Window int
-	// MinSegment is the minimum items on each side of a candidate split
-	// (default 16): no change-point can fire closer than this to either
-	// window edge, which is also the detection floor after a rebase.
-	MinSegment int
-	// CheckEvery is the scan cadence in items (default 8) — the knob that
-	// amortizes the O(window) scan to O(window/CheckEvery) per item.
-	CheckEvery int
-	// Pairs is the per-split pair-subsampling budget of the energy
-	// statistic (default 48). More pairs sharpen the estimate; the cost is
-	// linear.
-	Pairs int
 	// Sigma is the firing threshold on the robust z-score of the median
 	// shift (default 5): |median(post) − median(pre)| must exceed
 	// Sigma × the MAD-sigma of the pre segment.
@@ -72,28 +63,46 @@ type Config struct {
 	// quiet the series — a 1% regression on a 3σ-quiet workload is below
 	// the noise floor of the per-item estimator itself.
 	MinRelative float64
-	// Confirm is the false-reset horizon in items (default 32): an event
-	// whose series reverts to the pre-change level within Confirm items of
-	// firing was a transient, counted as a false reset (the detector had
-	// already rebased onto the spike).
-	Confirm int
-	// TopK bounds ranked causes per change event (default 3).
-	TopK int
-	// BaselineRotate is the per-(function, core) baseline decay horizon in
-	// items (default 512): the store keeps two generations and rotates
-	// every BaselineRotate evicted items, so baseline stats always cover
-	// between one and two horizons of pre-window history.
-	BaselineRotate int
-	// Seed drives the pair subsampling (default 1). Two detectors with the
-	// same config over the same series are identical.
-	Seed uint64
 
 	// OnVerdict receives every emitted verdict, synchronously from Update.
+	// It is the one way to collect the full verdict stream; State keeps
+	// only the last few.
 	OnVerdict func(Verdict)
 	// Registry receives the fluct_detect_* self-telemetry (nil:
 	// obs.Default()).
 	Registry *obs.Registry
 }
+
+// The scan and ranker tuning. These are constants, not Config fields:
+// every detector uses the same values, so a Snapshot need carry none of
+// them for a Restore on another shard to continue the same stream.
+const (
+	// minSegment is the minimum items on each side of a candidate split:
+	// no change-point can fire closer than this to either window edge,
+	// which is also the detection floor after a rebase.
+	minSegment = 16
+	// checkEvery is the scan cadence in items, which amortizes the
+	// O(window) scan to O(window/checkEvery) per item.
+	checkEvery = 8
+	// pairs is the per-split pair-subsampling budget of the energy
+	// statistic. More pairs sharpen the estimate; the cost is linear.
+	pairs = 48
+	// confirm is the false-reset horizon in items: an event whose series
+	// reverts to the pre-change level within confirm items of firing was
+	// a transient, counted as a false reset (the detector had already
+	// rebased onto the spike).
+	confirm = 32
+	// topK bounds ranked causes per change event.
+	topK = 3
+	// baselineRotate is the per-(function, core) baseline decay horizon
+	// in items: the store keeps two generations and rotates every
+	// baselineRotate evicted items, so baseline stats always cover between
+	// one and two horizons of pre-window history.
+	baselineRotate = 512
+	// seed drives the pair subsampling: two detectors with the same
+	// Config over the same series are identical.
+	seed = 1
+)
 
 // Window identifies the anomalous tail a verdict blames: the post-split
 // items of the window at fire time.
@@ -108,7 +117,7 @@ type Window struct {
 
 // Verdict is one ranked cause of one change event: function Function on
 // core Core gained DeltaNs nanoseconds per item, with Score its robust
-// z-score against the baseline. A change event emits up to TopK verdicts,
+// z-score against the baseline. A change event emits up to topK verdicts,
 // rank 0 strongest.
 type Verdict struct {
 	// Source is the originating stream.
@@ -153,7 +162,7 @@ type Stats struct {
 	Changepoints uint64
 	Verdicts     uint64
 	// Resolved counts events whose series returned to the pre-change
-	// level; FalseResets the subset that reverted within Confirm items.
+	// level; FalseResets the subset that reverted within confirm items.
 	Resolved    uint64
 	FalseResets uint64
 	// Active is the current count of unresolved change events — the
@@ -201,15 +210,9 @@ type Detector struct {
 	win  []float64
 	sort []float64
 
-	active  []event
-	st      Stats
-	recent  []Verdict // last maxRecent verdicts, oldest first
-	history []Verdict // nil unless KeepHistory; every verdict ever emitted
-
-	// KeepHistory makes the detector retain every verdict (offline tools:
-	// tracedump -verdicts, the detectsweep experiment). Set before the
-	// first Update; the online collector leaves it off.
-	KeepHistory bool
+	active []event
+	st     Stats
+	recent []Verdict // last maxRecent verdicts, oldest first
 
 	metCP, metVerdicts, metFalse, metResolved *obs.Counter
 	metActive                                 *obs.Gauge
@@ -225,35 +228,14 @@ func New(cfg Config) (*Detector, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 128
 	}
-	if cfg.MinSegment <= 0 {
-		cfg.MinSegment = 16
-	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 8
-	}
-	if cfg.Pairs <= 0 {
-		cfg.Pairs = 48
-	}
 	if cfg.Sigma <= 0 {
 		cfg.Sigma = 5
 	}
 	if cfg.MinRelative <= 0 {
 		cfg.MinRelative = 0.10
 	}
-	if cfg.Confirm <= 0 {
-		cfg.Confirm = 32
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 3
-	}
-	if cfg.BaselineRotate <= 0 {
-		cfg.BaselineRotate = 512
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Window < 2*cfg.MinSegment {
-		return nil, fmt.Errorf("detect: window %d < 2×MinSegment %d", cfg.Window, cfg.MinSegment)
+	if cfg.Window < 2*minSegment {
+		return nil, fmt.Errorf("detect: window %d < %d, two minimum segments", cfg.Window, 2*minSegment)
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -262,7 +244,7 @@ func New(cfg Config) (*Detector, error) {
 	d := &Detector{
 		cfg:   cfg,
 		reg:   reg,
-		base:  newBaseline(cfg.BaselineRotate),
+		base:  newBaseline(),
 		lat:   make([]float64, cfg.Window),
 		ids:   make([]uint64, cfg.Window),
 		cores: make([]int32, cfg.Window),
@@ -308,7 +290,7 @@ func (d *Detector) Update(it *core.Item) bool {
 	d.st.Items = d.items
 
 	d.sinceCheck++
-	if d.sinceCheck < d.cfg.CheckEvery || d.fill < 2*d.cfg.MinSegment {
+	if d.sinceCheck < checkEvery || d.fill < 2*minSegment {
 		return false
 	}
 	d.sinceCheck = 0
@@ -388,24 +370,18 @@ func (d *Detector) check() bool {
 		// Rebase past the resolved excursion, keeping only the tail that
 		// proved the return: the window still holds the anomalous level and
 		// its downward edge, and hunting across that historic shape would
-		// re-fire it as a spurious new event.
-		keep := d.cfg.MinSegment
-		if keep > d.fill {
-			keep = d.fill
-		}
-		d.dropPre(d.fill - keep)
+		// re-fire it as a spurious new event. (A scan runs only on a window
+		// of at least 2×minSegment items: see Update.)
+		d.dropPre(d.fill - minSegment)
 		return true
 	}
 	changed := false
 
-	// Candidate splits at a stride fine enough not to miss MinSegment-wide
+	// Candidate splits at a stride fine enough not to miss minSegment-wide
 	// shifts; each scored by a pair-subsampled e-divisive energy statistic.
-	stride := d.cfg.MinSegment / 4
-	if stride < 2 {
-		stride = 2
-	}
+	const stride = minSegment / 4
 	bestT, bestQ := -1, 0.0
-	for t := d.cfg.MinSegment; t <= n-d.cfg.MinSegment; t += stride {
+	for t := minSegment; t <= n-minSegment; t += stride {
 		q := d.energy(w, t)
 		if q > bestQ {
 			bestT, bestQ = t, q
@@ -445,51 +421,47 @@ func (d *Detector) check() bool {
 
 // steady is the quiet-stream fast path. Firing requires the post-split
 // median to sit at least MinRelative away from the pre-split median, and
-// any split satisfying that leaves the window's newest MinSegment items
-// on a different level than its oldest MinSegment items (every candidate
-// split keeps at least MinSegment items on each side, so the oldest
+// any split satisfying that leaves the window's newest minSegment items
+// on a different level than its oldest minSegment items (every candidate
+// split keeps at least minSegment items on each side, so the oldest
 // segment is always pre-change and the newest always post-change). When
 // the two edge medians agree to within half that threshold no split can
 // clear the criterion, and the O(splits × pairs) energy scan is skipped —
-// on a steady series the per-check cost collapses to two MinSegment-sized
+// on a steady series the per-check cost collapses to two minSegment-sized
 // sorts. The ½ margin absorbs the gap between the edge medians and the
 // full segment medians the scan would compute; it is deliberately
 // conservative so the guard never suppresses a fireable shift.
 func (d *Detector) steady() bool {
-	k := d.cfg.MinSegment
-	medFront := d.edgeMedian(0, k)
-	medTail := d.edgeMedian(d.fill-k, k)
+	medFront := d.edgeMedian(0)
+	medTail := d.edgeMedian(d.fill - minSegment)
 	return math.Abs(medTail-medFront) < 0.5*d.cfg.MinRelative*math.Abs(medFront)
 }
 
-// edgeMedian computes the median of the k window items starting at
-// chronological ordinal start, reusing the sort scratch.
-func (d *Detector) edgeMedian(start, k int) float64 {
+// edgeMedian computes the median of the minSegment window items starting
+// at chronological ordinal start, reusing the sort scratch.
+func (d *Detector) edgeMedian(start int) float64 {
 	d.sort = d.sort[:0]
-	for i := start; i < start+k; i++ {
+	for i := start; i < start+minSegment; i++ {
 		d.sort = append(d.sort, d.lat[d.slotAt(i)])
 	}
 	sortFloats(d.sort)
-	if k%2 == 1 {
-		return d.sort[k/2]
-	}
-	return (d.sort[k/2-1] + d.sort[k/2]) / 2
+	return (d.sort[minSegment/2-1] + d.sort[minSegment/2]) / 2 // minSegment is even
 }
 
 // energy scores a candidate split with the scaled e-divisive statistic
 // Q(t) = t(n−t)/n × (2·E|X−Y| − E|X−X'| − E|Y−Y'|), each expectation
-// estimated from cfg.Pairs seeded draws. The generator is reseeded from
-// (Seed, items, t) so the scan is a pure function of the series.
+// estimated from pairs seeded draws. The generator is reseeded from
+// (seed, items, t) so the scan is a pure function of the series.
 func (d *Detector) energy(w []float64, t int) float64 {
 	n := len(w)
-	rng := hashx.SplitMix64{State: d.cfg.Seed ^ d.items*0x9e3779b97f4a7c15 ^ uint64(t)<<40}
+	rng := hashx.SplitMix64{State: seed ^ d.items*0x9e3779b97f4a7c15 ^ uint64(t)<<40}
 	var between, left, right float64
-	for p := 0; p < d.cfg.Pairs; p++ {
+	for p := 0; p < pairs; p++ {
 		between += math.Abs(w[rng.Intn(t)] - w[t+rng.Intn(n-t)])
 		left += math.Abs(w[rng.Intn(t)] - w[rng.Intn(t)])
 		right += math.Abs(w[t+rng.Intn(n-t)] - w[t+rng.Intn(n-t)])
 	}
-	e := (2*between - left - right) / float64(d.cfg.Pairs)
+	e := (2*between - left - right) / float64(pairs)
 	return e * float64(t) * float64(n-t) / float64(n)
 }
 
@@ -500,11 +472,7 @@ func (d *Detector) resolve(w []float64) bool {
 	if len(d.active) == 0 {
 		return false
 	}
-	tail := w
-	if len(tail) > d.cfg.MinSegment {
-		tail = tail[len(tail)-d.cfg.MinSegment:]
-	}
-	return d.resolveByLevel(d.median(tail))
+	return d.resolveByLevel(d.median(w[len(w)-minSegment:]))
 }
 
 // resolveByLevel resolves the oldest active event whose pre-change level
@@ -516,7 +484,7 @@ func (d *Detector) resolveByLevel(med float64) bool {
 			for j := i; j < len(d.active); j++ {
 				d.st.Resolved++
 				d.metResolved.Inc()
-				if d.items-d.active[j].firedAt <= uint64(d.cfg.Confirm) {
+				if d.items-d.active[j].firedAt <= uint64(confirm) {
 					d.st.FalseResets++
 					d.metFalse.Inc()
 				}
@@ -567,9 +535,6 @@ func (d *Detector) fire(t int, medPre, medPost, sigmaPre float64) {
 		if len(d.recent) > maxRecent {
 			d.recent = d.recent[len(d.recent)-maxRecent:]
 		}
-		if d.KeepHistory {
-			d.history = append(d.history, v)
-		}
 		if d.cfg.OnVerdict != nil {
 			d.cfg.OnVerdict(v)
 		}
@@ -594,7 +559,3 @@ func (d *Detector) State() State {
 
 // Stats returns the lifetime counters. Same-goroutine contract as Update.
 func (d *Detector) Stats() Stats { return d.st }
-
-// History returns every verdict emitted since construction (nil unless
-// KeepHistory was set before the first Update).
-func (d *Detector) History() []Verdict { return d.history }

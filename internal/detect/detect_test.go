@@ -190,7 +190,7 @@ func TestDetectTransientFalseReset(t *testing.T) {
 
 // TestDetectDeterminism is the satellite property test at the detector
 // layer: the same series must produce byte-identical verdict streams,
-// whatever else differs (registry identity, keep-history, second run).
+// whatever else differs (registry identity, second run).
 func TestDetectDeterminism(t *testing.T) {
 	run := func() string {
 		g := newItemGen(23)
@@ -199,7 +199,6 @@ func TestDetectDeterminism(t *testing.T) {
 			FreqHz:    2_000_000_000,
 			OnVerdict: func(v Verdict) { fmt.Fprintf(&sb, "%+v\n", v) },
 		})
-		d.KeepHistory = true
 		for i := 0; i < 500; i++ {
 			d.Update(g.item(int32(i%2), "", 0))
 		}
@@ -243,8 +242,8 @@ func TestDetectZeroAllocSteadyState(t *testing.T) {
 }
 
 func TestDetectConfigValidation(t *testing.T) {
-	if _, err := New(Config{Window: 16, MinSegment: 16}); err == nil {
-		t.Fatal("window < 2×MinSegment accepted")
+	if _, err := New(Config{Window: 2*minSegment - 1}); err == nil {
+		t.Fatal("window < 2×minSegment accepted")
 	}
 }
 

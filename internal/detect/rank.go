@@ -22,7 +22,7 @@ type cellAgg struct {
 }
 
 // rank diffs the offending (post-split) items' per-function, per-core
-// breakdown against the rolling baseline and returns the TopK ranked
+// breakdown against the rolling baseline and returns the topK ranked
 // verdicts for the event. slowdown selects the blame direction: a latency
 // regression blames cells that gained time, a recovery-shaped shift cells
 // that lost it. Runs only when an event fires, so allocation is fine here.
@@ -145,8 +145,8 @@ func (d *Detector) rank(eventID uint64, t int, slowdown bool) []Verdict {
 		}
 		return cmp.Compare(a.key.core, b.key.core)
 	})
-	if len(ranked) > d.cfg.TopK {
-		ranked = ranked[:d.cfg.TopK]
+	if len(ranked) > topK {
+		ranked = ranked[:topK]
 	}
 
 	out := make([]Verdict, 0, len(ranked))

@@ -17,13 +17,14 @@ import (
 // piece of mutable detector state, exactly: histograms bucket-for-bucket
 // (obs.HistDump), the window in chronological order, events with their
 // resolution tolerances, and the lifetime counters. The pair-subsampling
-// RNG needs no state of its own — it reseeds from (Seed, items, split)
+// RNG needs no state of its own — it reseeds from (seed, items, split)
 // on every scan, so carrying items is enough.
 //
-// The contract: Restore requires a fresh detector built from the *same*
-// Config (the snapshot does not carry thresholds or the seed; shards of
-// one fleet share a detector template by construction, the way they
-// already share TopK), and must be called before the first Update. After
+// The contract: Restore requires a fresh detector built with the *same*
+// Window, Sigma and MinRelative (the snapshot carries no thresholds;
+// shards of one fleet share a detector template by construction, and the
+// rest of the tuning — segment, cadence, pairs, seed, baseline horizon —
+// is package constants), and must be called before the first Update. After
 // Restore, feeding the detector the same items the donor would have seen
 // yields the identical verdict stream — the property
 // TestSnapshotStreamEquivalence pins at arbitrary split points.
@@ -32,7 +33,7 @@ import (
 // state. Produce with Detector.Snapshot, install with Detector.Restore.
 type Snapshot struct {
 	// Items is the total items consumed; SinceCheck the scan-cadence
-	// phase within the current CheckEvery stride.
+	// phase within the current checkEvery stride.
 	Items      uint64 `json:"items"`
 	SinceCheck int    `json:"since_check"`
 	// Window holds the in-window items, oldest first.
@@ -173,8 +174,8 @@ func (d *Detector) Restore(s Snapshot) error {
 	if len(s.Window) > len(d.lat) {
 		return fmt.Errorf("detect: snapshot window %d exceeds configured window %d", len(s.Window), len(d.lat))
 	}
-	if s.SinceCheck < 0 || s.SinceCheck >= d.cfg.CheckEvery {
-		return fmt.Errorf("detect: snapshot since_check %d outside [0,%d)", s.SinceCheck, d.cfg.CheckEvery)
+	if s.SinceCheck < 0 || s.SinceCheck >= checkEvery {
+		return fmt.Errorf("detect: snapshot since_check %d outside [0,%d)", s.SinceCheck, checkEvery)
 	}
 	if uint64(len(s.Window)) > s.Items {
 		return fmt.Errorf("detect: snapshot window %d larger than items consumed %d", len(s.Window), s.Items)
@@ -188,9 +189,9 @@ func (d *Detector) Restore(s Snapshot) error {
 	if len(s.Recent) > maxRecent {
 		return fmt.Errorf("detect: snapshot carries %d recent verdicts (max %d)", len(s.Recent), maxRecent)
 	}
-	base := newBaseline(d.cfg.BaselineRotate)
-	if s.Baseline.SinceRotate < 0 || s.Baseline.SinceRotate >= d.cfg.BaselineRotate {
-		return fmt.Errorf("detect: snapshot since_rotate %d outside [0,%d)", s.Baseline.SinceRotate, d.cfg.BaselineRotate)
+	base := newBaseline()
+	if s.Baseline.SinceRotate < 0 || s.Baseline.SinceRotate >= baselineRotate {
+		return fmt.Errorf("detect: snapshot since_rotate %d outside [0,%d)", s.Baseline.SinceRotate, baselineRotate)
 	}
 	base.sinceRotate = s.Baseline.SinceRotate
 	if err := loadCells(base.cur, s.Baseline.Cur); err != nil {

@@ -140,13 +140,13 @@ func detectWorkload(items int, seed uint64) *trace.Set {
 }
 
 // detectTrial feeds one (possibly perturbed) trace through the batch
-// integrator and a fresh history-keeping detector in (EndTSC, core)
-// completion order — the order the online collector sees items in — and
-// returns the detector plus the feed-ordered items.
-func detectTrial(set *trace.Set, cfg detect.Config) (*detect.Detector, []core.Item, error) {
+// integrator and a fresh detector in (EndTSC, core) completion order — the
+// order the online collector sees items in — and returns every verdict it
+// emitted, its lifetime counters, and the feed-ordered items.
+func detectTrial(set *trace.Set, cfg detect.Config) ([]detect.Verdict, detect.Stats, []core.Item, error) {
 	a, err := core.Integrate(set, core.Options{})
 	if err != nil {
-		return nil, nil, err
+		return nil, detect.Stats{}, nil, err
 	}
 	items := append([]core.Item(nil), a.Items...)
 	slices.SortStableFunc(items, func(x, y core.Item) int {
@@ -155,16 +155,17 @@ func detectTrial(set *trace.Set, cfg detect.Config) (*detect.Detector, []core.It
 		}
 		return cmp.Compare(x.Core, y.Core)
 	})
+	var verdicts []detect.Verdict
 	cfg.FreqHz = set.FreqHz
+	cfg.OnVerdict = func(v detect.Verdict) { verdicts = append(verdicts, v) }
 	det, err := detect.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, detect.Stats{}, nil, err
 	}
-	det.KeepHistory = true
 	for i := range items {
 		det.Update(&items[i])
 	}
-	return det, items, nil
+	return verdicts, det.Stats(), items, nil
 }
 
 // DetectSweep runs the detector validation: for every severity rung and
@@ -194,12 +195,12 @@ func DetectSweep(cfg DetectSweepConfig) (*DetectSweepResult, error) {
 
 	// False-positive budget: the clean traces must produce zero events.
 	for _, set := range sets {
-		det, _, err := detectTrial(set, cfg.Detect)
+		_, st, _, err := detectTrial(set, cfg.Detect)
 		if err != nil {
 			return nil, err
 		}
 		res.CleanTrials++
-		res.CleanChangepoints += det.Stats().Changepoints
+		res.CleanChangepoints += st.Changepoints
 	}
 
 	for _, factor := range cfg.Factors {
@@ -214,7 +215,7 @@ func DetectSweep(cfg DetectSweepConfig) (*DetectSweepResult, error) {
 			if rep.FnSlowRuns == 0 {
 				return nil, fmt.Errorf("detectsweep: fnslow %s ×%g injected nothing", target.name, factor)
 			}
-			det, items, err := detectTrial(perturbed, cfg.Detect)
+			verdicts, _, items, err := detectTrial(perturbed, cfg.Detect)
 			if err != nil {
 				return nil, err
 			}
@@ -238,7 +239,7 @@ func DetectSweep(cfg DetectSweepConfig) (*DetectSweepResult, error) {
 			var event uint64
 			top1, top3, fired := false, false, false
 			var latency int
-			for _, v := range det.History() {
+			for _, v := range verdicts {
 				ord, ok := ordOf[v.Window.LastItem]
 				if !ok || ord < onsetOrd {
 					continue

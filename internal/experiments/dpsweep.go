@@ -273,7 +273,7 @@ func DPSweep(cfg DPSweepConfig) (*DPSweepResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dpsweep %s: %w", sc.name, err)
 		}
-		det, items, err := detectTrial(set, cfg.Detect)
+		verdicts, _, items, err := detectTrial(set, cfg.Detect)
 		if err != nil {
 			return nil, fmt.Errorf("dpsweep %s: %w", sc.name, err)
 		}
@@ -293,7 +293,7 @@ func DPSweep(cfg DPSweepConfig) (*DPSweepResult, error) {
 
 		var event uint64
 		seen := map[uint64]bool{}
-		for _, v := range det.History() {
+		for _, v := range verdicts {
 			ord, ok := ordOf[v.Window.LastItem]
 			if !ok || ord < onsetOrd {
 				continue

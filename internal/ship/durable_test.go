@@ -104,7 +104,7 @@ func TestBackoffNotResetByAcceptAndClose(t *testing.T) {
 	s, err := New(Config{
 		Addr: "x", Source: "hostA", Dial: dial,
 		BackoffMin: 10 * time.Millisecond, BackoffMax: time.Second,
-		JitterSeed: 99, Registry: obs.NewRegistry(),
+		Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestJitteredWaitBounds(t *testing.T) {
 	s, err := New(Config{
 		Addr: "x", Source: "hostA",
 		BackoffMin: 50 * time.Millisecond, BackoffMax: 5 * time.Second,
-		JitterSeed: 12345, Registry: obs.NewRegistry(),
+		Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +150,57 @@ func TestJitteredWaitBounds(t *testing.T) {
 	}
 }
 
+// TestJitterSeededFromSource: the jitter seed is the shipper's Source, so
+// two shippers of one source draw the same waits and two sources do not
+// reconnect in lockstep.
+func TestJitterSeededFromSource(t *testing.T) {
+	draws := func(source string) []time.Duration {
+		s, err := New(Config{Addr: "x", Source: source, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]time.Duration, 64)
+		for i := range out {
+			out[i] = s.jitteredWait(time.Second)
+		}
+		return out
+	}
+	a := draws("hostA")
+	if b := draws("hostA"); !slices.Equal(a, b) {
+		t.Fatalf("two shippers of source hostA drew different waits:\n%v\n%v", a, b)
+	}
+	if b := draws("hostB"); slices.Equal(a, b) {
+		t.Fatalf("sources hostA and hostB drew the same waits: %v", a)
+	}
+}
+
+// TestBackoffDefaults: BackoffMax never defaults below BackoffMin, so a
+// large configured floor is not capped under itself.
+func TestBackoffDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		min, max         time.Duration
+		wantMin, wantMax time.Duration
+	}{
+		{"both unset", 0, 0, 50 * time.Millisecond, 5 * time.Second},
+		{"min above the default max", 10 * time.Second, 0, 10 * time.Second, 10 * time.Second},
+		{"both set", time.Millisecond, 4 * time.Millisecond, time.Millisecond, 4 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Config{Addr: "x", Source: "hostA", BackoffMin: tc.min, BackoffMax: tc.max, Registry: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.cfg.BackoffMin != tc.wantMin || s.cfg.BackoffMax != tc.wantMax {
+				t.Fatalf("backoff [%v, %v], want [%v, %v]", s.cfg.BackoffMin, s.cfg.BackoffMax, tc.wantMin, tc.wantMax)
+			}
+			if w := s.jitteredWait(s.cfg.BackoffMin); w < s.cfg.BackoffMin/2 || w > s.cfg.BackoffMax {
+				t.Fatalf("wait %v at the floor outside [%v, %v]", w, s.cfg.BackoffMin/2, s.cfg.BackoffMax)
+			}
+		})
+	}
+}
+
 // TestSpoolWriteThroughEviction: with a spool, queue overflow evicts only
 // the in-memory cache copy — nothing is dropped, every frame stays
 // replayable from disk.
@@ -157,7 +208,7 @@ func TestSpoolWriteThroughEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New(Config{
 		Addr: "x", Source: "hostA", QueueFrames: 3,
-		SpoolDir: t.TempDir(), SpoolEpoch: 7, Registry: reg,
+		SpoolDir: t.TempDir(), Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +245,7 @@ func TestSpooledAckedDelivery(t *testing.T) {
 	}
 	s, err := New(Config{
 		Addr: "x", Source: "hostA", Dial: dial, QueueFrames: 2,
-		SpoolDir: t.TempDir(), SpoolEpoch: 7,
+		SpoolDir:   t.TempDir(),
 		BackoffMin: time.Millisecond, Registry: reg,
 	})
 	if err != nil {
@@ -218,8 +269,8 @@ func TestSpooledAckedDelivery(t *testing.T) {
 		t.Fatalf("collector saw %d data frames, want 6", got)
 	}
 	starts := rec.seqStarts()
-	if len(starts) != 1 || starts[0].Epoch != 7 || starts[0].FirstSeq != 1 {
-		t.Fatalf("seqstarts %+v, want one {epoch 7, first 1}", starts)
+	if len(starts) != 1 || starts[0].Epoch != s.Epoch() || starts[0].FirstSeq != 1 {
+		t.Fatalf("seqstarts %+v, want one {epoch %d, first 1}", starts, s.Epoch())
 	}
 	if got := s.PendingFrames(); got != 0 {
 		t.Fatalf("pending %d after drain, want 0", got)
@@ -256,7 +307,7 @@ func TestSpooledResumeAfterReconnect(t *testing.T) {
 	}
 	s, err := New(Config{
 		Addr: "x", Source: "hostA", Dial: dial,
-		SpoolDir: t.TempDir(), SpoolEpoch: 7,
+		SpoolDir:   t.TempDir(),
 		BackoffMin: time.Millisecond, Registry: obs.NewRegistry(),
 	})
 	if err != nil {
@@ -453,7 +504,7 @@ func TestLostAckRenumbersConnection(t *testing.T) {
 	// first batch replays 1–4 from disk, leaving 5–6 for a second batch.
 	s, err := New(Config{
 		Addr: "x", Source: "hostA", Dial: dial, QueueFrames: 2,
-		SpoolDir: t.TempDir(), SpoolEpoch: 7,
+		SpoolDir:   t.TempDir(),
 		BackoffMin: time.Millisecond, Registry: reg,
 	})
 	if err != nil {

@@ -70,26 +70,18 @@ type Config struct {
 	// only once acknowledged (see the package comment). Empty keeps the
 	// unacknowledged frames in memory only.
 	SpoolDir string
-	// SpoolSegmentBytes is the spool's segment rotation bound
-	// (default 1 MiB).
-	SpoolSegmentBytes int
-	// SpoolEpoch pins the numbering epoch of a fresh spool, or of a shipper
-	// without one (tests only; default: time-derived, unique per spool
-	// generation or process).
-	SpoolEpoch uint64
 	// Dial opens the connection (default net.Dialer over TCP).
 	Dial DialFunc
 	// BackoffMin/BackoffMax bound the reconnect backoff (defaults 50ms
-	// and 5s). Each failed attempt doubles the wait up to BackoffMax,
-	// with ±50% deterministic jitter so a fleet of shippers restarting
-	// together does not reconnect in lockstep. The backoff resets only
+	// and the larger of 5s and BackoffMin). Each failed attempt doubles
+	// the wait up to BackoffMax, with ±50% jitter so a fleet of shippers
+	// restarting together does not reconnect in lockstep; the jitter is
+	// seeded from Source, so one shipper's reconnect schedule is
+	// deterministic and two sources' differ. The backoff resets only
 	// after a connection proves useful — handshake completed AND the
 	// SeqStart answered — so a listener that accepts and drops connections
 	// cannot collapse the backoff and induce a hot reconnect loop.
 	BackoffMin, BackoffMax time.Duration
-	// JitterSeed seeds the backoff jitter (default: derived from Source),
-	// keeping reconnect schedules deterministic per shipper.
-	JitterSeed uint64
 	// OnRedirect, when set, is consulted whenever the collector sends a
 	// TRedirect frame (its shard is draining and this source has a new
 	// owner). It receives the post-departure membership table and returns
@@ -181,13 +173,11 @@ func New(cfg Config) (*Shipper, error) {
 		cfg.BackoffMin = 50 * time.Millisecond
 	}
 	if cfg.BackoffMax < cfg.BackoffMin {
-		cfg.BackoffMax = 5 * time.Second
+		cfg.BackoffMax = max(5*time.Second, cfg.BackoffMin)
 	}
-	if cfg.JitterSeed == 0 {
-		for _, b := range []byte(cfg.Source) {
-			cfg.JitterSeed = cfg.JitterSeed*131 + uint64(b)
-		}
-		cfg.JitterSeed |= 1
+	var jitterSeed uint64
+	for _, b := range []byte(cfg.Source) {
+		jitterSeed = jitterSeed*131 + uint64(b)
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -209,21 +199,13 @@ func New(cfg Config) (*Shipper, error) {
 		metRetrans:    reg.Counter("fluct_ship_retransmitted_frames_total"),
 		metAcked:      reg.Gauge("fluct_ship_acked_seq"),
 		metSpoolErrs:  reg.Counter("fluct_ship_spool_errors_total"),
-		rng:           hashx.SplitMix64{State: cfg.JitterSeed},
+		rng:           hashx.SplitMix64{State: jitterSeed | 1},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.epoch, s.nextSeq = cfg.SpoolEpoch, 1
-	if s.epoch == 0 {
-		// Same rule as a fresh spool: an epoch no earlier generation used.
-		s.epoch = uint64(time.Now().UnixNano()) | 1
-	}
+	// Same rule as a fresh spool: an epoch no earlier generation used.
+	s.epoch, s.nextSeq = uint64(time.Now().UnixNano())|1, 1
 	if cfg.SpoolDir != "" {
-		spl, rec, err := spool.Open(spool.Config{
-			Dir:          cfg.SpoolDir,
-			SegmentBytes: cfg.SpoolSegmentBytes,
-			Epoch:        cfg.SpoolEpoch,
-			Registry:     reg,
-		})
+		spl, rec, err := spool.Open(spool.Config{Dir: cfg.SpoolDir, Registry: reg})
 		if err != nil {
 			return nil, err
 		}

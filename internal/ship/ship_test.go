@@ -365,13 +365,18 @@ func TestUnshippableFrameRefused(t *testing.T) {
 func TestSpoolFailureStopsSet(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := filepath.Join(t.TempDir(), "spool")
-	// A 16-byte segment holds the opening frame; the set's symtab then fills
-	// it, so the set's next frame needs a new segment file.
-	s, err := New(Config{Addr: "x", Source: "hostA", SpoolDir: dir, SpoolSegmentBytes: 16, SpoolEpoch: 7, Registry: reg})
+	s, err := New(Config{Addr: "x", Source: "hostA", SpoolDir: dir, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.EnqueueFrame(wire.Frame{Type: wire.TSetEnd, Payload: wire.AppendSetEnd(nil, wire.SetEnd{})}) {
+	// The opening frame is one byte short of the spool's 1 MiB segment; the
+	// set's symtab then fills the segment, so the set's next frame needs a
+	// new segment file. (Were the segment bound other than 1 MiB, the set
+	// would fail at a different frame, or not at all, and the checks below
+	// would say so.)
+	const segmentBytes = 1 << 20
+	opening := wire.Frame{Type: wire.TRecords, Payload: make([]byte, segmentBytes-1-wire.FrameOverhead)}
+	if !s.EnqueueFrame(opening) {
 		t.Fatal("enqueue refused")
 	}
 	// The directory goes away under the spool. The open segment still takes

@@ -62,16 +62,19 @@ const segSuffix = ".seg"
 type Config struct {
 	// Dir is the spool directory; created if absent.
 	Dir string
-	// SegmentBytes rotates the active segment once it reaches this size
-	// (default 1 MiB). Acks delete whole segments, so smaller segments
-	// reclaim disk sooner at the price of more files.
-	SegmentBytes int
-	// Epoch overrides the numbering epoch of a freshly created spool
-	// (tests pin it for determinism). A spool that already has metadata
-	// keeps its recorded epoch — the frames on disk belong to it.
-	Epoch uint64
 	// Registry receives the spool's self-telemetry (nil: obs.Default()).
 	Registry *obs.Registry
+
+	// segmentBytes rotates the active segment once it reaches this size
+	// (default 1 MiB; this package's tests shrink it to force rotations).
+	// Acks delete whole segments, so smaller segments reclaim disk sooner
+	// at the price of more files.
+	segmentBytes int
+	// epoch pins the numbering epoch of a freshly created spool (this
+	// package's tests, for determinism; default time-derived). A spool
+	// that already has metadata keeps its recorded epoch — the frames on
+	// disk belong to it.
+	epoch uint64
 }
 
 // Recovery reports what Open found on disk.
@@ -133,8 +136,8 @@ func Open(cfg Config) (*Spool, Recovery, error) {
 	if cfg.Dir == "" {
 		return nil, Recovery{}, fmt.Errorf("spool: empty directory")
 	}
-	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = 1 << 20
+	if cfg.segmentBytes <= 0 {
+		cfg.segmentBytes = 1 << 20
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -162,7 +165,7 @@ func Open(cfg Config) (*Spool, Recovery, error) {
 		return nil, Recovery{}, err
 	}
 	if !hadMeta {
-		epoch = cfg.Epoch
+		epoch = cfg.epoch
 		if epoch == 0 {
 			// A fresh spool needs an epoch no earlier generation used;
 			// wall-clock nanoseconds are unique across restarts on one
@@ -247,7 +250,7 @@ func (s *Spool) Append(frame []byte) (uint64, error) {
 	cur.bytes += int64(len(frame))
 	s.metAppends.Inc()
 	s.metAppendB.Add(uint64(len(frame)))
-	if cur.bytes >= int64(s.cfg.SegmentBytes) && s.rotateLocked() != nil {
+	if cur.bytes >= int64(s.cfg.segmentBytes) && s.rotateLocked() != nil {
 		// The frame is stored — written and flushed above — so the append
 		// succeeded; only closing its segment did not. The segment stays
 		// active and the next append retries the rotation.

@@ -24,7 +24,7 @@ func frame(t testing.TB, n int) []byte {
 
 func openSpool(t testing.TB, dir string, segBytes int) (*Spool, Recovery) {
 	t.Helper()
-	s, rec, err := Open(Config{Dir: dir, SegmentBytes: segBytes, Epoch: 7, Registry: obs.NewRegistry()})
+	s, rec, err := Open(Config{Dir: dir, segmentBytes: segBytes, epoch: 7, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestOpenParentSpool(t *testing.T) {
 func TestAppendSurvivesFailedRotation(t *testing.T) {
 	reg := obs.NewRegistry()
 	want := [][]byte{frame(t, 0), frame(t, 1), frame(t, 2)}
-	s, _, err := Open(Config{Dir: t.TempDir(), SegmentBytes: 2 * len(want[0]), Epoch: 7, Registry: reg})
+	s, _, err := Open(Config{Dir: t.TempDir(), segmentBytes: 2 * len(want[0]), epoch: 7, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
