@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -19,16 +20,22 @@ import (
 func main() {
 	packets := flag.Int("packets", 2000, "packets per run")
 	flag.Parse()
-
-	fmt.Printf("compiling 50,000 rules into 247 tries and sweeping R over %v...\n\n", experiments.PaperResets)
-	sweep, err := experiments.RunACLSweep(experiments.ACLSweepConfig{Packets: *packets})
-	if err != nil {
+	if err := run(os.Stdout, *packets); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	sweep.Fig9().Render(os.Stdout)
-	fmt.Println()
-	sweep.Fig10().Render(os.Stdout)
-	fmt.Println()
-	sweep.DataRate().Render(os.Stdout)
+}
+
+func run(w io.Writer, packets int) error {
+	fmt.Fprintf(w, "compiling 50,000 rules into 247 tries and sweeping R over %v...\n\n", experiments.PaperResets)
+	sweep, err := experiments.RunACLSweep(experiments.ACLSweepConfig{Packets: packets})
+	if err != nil {
+		return err
+	}
+	sweep.Fig9().Render(w)
+	fmt.Fprintln(w)
+	sweep.Fig10().Render(w)
+	fmt.Fprintln(w)
+	sweep.DataRate().Render(w)
+	return nil
 }
