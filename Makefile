@@ -5,12 +5,15 @@
 #   the race detector; the durable / loopback (cut, resume, admission,
 #   grammar) / receive-loop (ordering, per-tier conformance) / slow-apply
 #   backpressure / detect / drain / spool-failure / serve (shipper, listener
-#   and collector in one process) / checkpoint-restore suites and the
+#   and collector in one process) / checkpoint-restore / concurrent ACL
+#   classification (one walk, per-caller scratch) suites and the
 #   integration equivalence suites (parallel, stream, tie, degraded) raced
 #   20 times over, so a flake cannot hide at 30%; a 10 s fuzz smoke of every
 #   target in FUZZ_TARGETS (FuzzIntegrate includes the differential against
 #   the reference interval pass); the full-size scale harness.
-# bench: the hot-path micro benchmarks with allocation stats.
+# bench: the hot-path micro benchmarks with allocation stats; both front
+#   ends of the one ACL trie-set walk (dataplane's 40-byte matcher, acl's
+#   12-byte Table III classifier) are timed side by side.
 # bench-ab: the paired protocol every [perf_opt] change reports —
 #   make bench-ab PARENT=<rev> [W=fleet_bulk] [N=3] [SEED=1]
 #   unpacks the parent under bench/out/parent, builds both trees with their
@@ -40,7 +43,7 @@ tier2:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect
+	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane
 	$(GO) test -race -count 20 -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded' ./internal/core
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
@@ -54,6 +57,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkHandoffTransfer' -benchmem -count 1 ./internal/collector
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorMerge|BenchmarkAggregatorCheckpoint' -benchmem -count 1 ./internal/agg
 	$(GO) test -run '^$$' -bench 'BenchmarkDataplane' -benchmem -count 1 ./internal/dataplane
+	$(GO) test -run '^$$' -bench 'BenchmarkClassifyPaperType' -benchmem -count 1 ./internal/acl
 
 W ?= fleet_bulk
 N ?= 3

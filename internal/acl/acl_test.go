@@ -142,7 +142,7 @@ func TestPortSegments(t *testing.T) {
 		{512, 1023, 1}, // low byte 0..ff across two high bytes
 	}
 	for _, c := range cases {
-		segs := SplitRange16(c.lo, c.hi)
+		segs := splitRange16(c.lo, c.hi)
 		want := c.nsegs
 		if len(segs) != want {
 			t.Errorf("portSegments(%d,%d) = %d segs, want %d", c.lo, c.hi, len(segs), want)
@@ -152,7 +152,7 @@ func TestPortSegments(t *testing.T) {
 			hb, lb := byte(v>>8), byte(v)
 			in := 0
 			for _, s := range segs {
-				if hb >= s.HiLo && hb <= s.HiHi && lb >= s.LoLo && lb <= s.LoHi {
+				if hb >= s[0].Lo && hb <= s[0].Hi && lb >= s[1].Lo && lb <= s[1].Hi {
 					in++
 				}
 			}
@@ -194,6 +194,13 @@ func TestTrieSplitting(t *testing.T) {
 	}
 }
 
+// depthMeter records how many key bytes each trie of a walk examined.
+type depthMeter []int
+
+func (d *depthMeter) Trie(int)            {}
+func (d *depthMeter) Walked(_, bytes int) { *d = append(*d, bytes) }
+func (d *depthMeter) Survivor()           {}
+
 func TestEarlyTerminationDepths(t *testing.T) {
 	// One trie, rules pinned to specific src/dst nets.
 	rules := []Rule{{
@@ -219,9 +226,10 @@ func TestEarlyTerminationDepths(t *testing.T) {
 		{Packet{SrcAddr: MustAddr("192.168.10.4"), DstAddr: MustAddr("192.168.11.5"), SrcPort: 7, DstPort: 1}, 10},
 	}
 	for i, cse := range cases {
-		_, _, st := c.ClassifyDetailed(cse.p)
-		if st.BytesPerTrie[0] != cse.depth {
-			t.Errorf("case %d: walked %d bytes, want %d", i, st.BytesPerTrie[0], cse.depth)
+		var depths depthMeter
+		c.classify(cse.p, &depths)
+		if depths[0] != cse.depth {
+			t.Errorf("case %d: walked %d bytes, want %d", i, depths[0], cse.depth)
 		}
 	}
 }

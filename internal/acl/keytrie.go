@@ -3,14 +3,17 @@ package acl
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
-// This file generalizes the §IV-C1 trie machinery to arbitrary key widths.
-// The original classifier hard-codes the paper's 12-byte (src, dst, ports)
-// key; the dataplane subsystem needs the same walk over a 40-byte
-// family+proto+VLAN+IPv6 key. Both now share one compiled representation:
-// per key-byte position, a 256-entry table of atom bitsets, with the walk
-// being one AND per byte and early termination at the first empty set.
+// This file is the §IV-C1 trie machinery at any key width. Both rule
+// languages compile onto it: the paper's 12-byte (src, dst, ports) key in
+// trie.go and the dataplane's 40-byte family+proto+VLAN+IPv6 key. A rule
+// becomes atoms, conjuncts whose per-byte predicate is one contiguous range
+// (PrefixRanges, ExpandAtoms); a KeyTrie holds, per key-byte position, a
+// 256-entry table of atom bitsets, so the walk is one AND per byte with
+// early termination at the first empty set. TrieSet (trieset.go) chunks a
+// rule set's atoms across KeyTries and walks them.
 
 // ByteRange is an inclusive range of byte values, the per-position
 // predicate of a byte-decomposable conjunct.
@@ -115,29 +118,89 @@ func (t *KeyTrie) ForEach(survivors []uint64, visit func(ref int)) {
 	}
 }
 
-// Seg16 is a byte-decomposable segment of a 16-bit range: independent
-// inclusive ranges on the high and low byte.
-type Seg16 struct {
-	HiLo, HiHi byte
-	LoLo, LoHi byte
+// bitset is a fixed-width atom set.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int) { b[i/64] |= 1 << (i % 64) }
+
+func (b bitset) andInto(dst, other bitset) bool {
+	nonzero := false
+	for i := range b {
+		dst[i] = b[i] & other[i]
+		if dst[i] != 0 {
+			nonzero = true
+		}
+	}
+	return nonzero
 }
 
-// SplitRange16 decomposes an inclusive 16-bit range [lo,hi] into at most
-// three byte-decomposable segments (low edge, middle span, high edge) —
-// the decomposition port ranges, VLAN ranges and any other 16-bit field
-// need before they can live in a byte trie.
-func SplitRange16(lo, hi uint16) []Seg16 {
+// PrefixRanges writes into dst the per-byte ranges of a CIDR prefix over
+// the big-endian address addr: exact bytes above the prefix boundary, a
+// partial range at the boundary byte, wildcards below. dst holds
+// len(addr) ranges.
+func PrefixRanges(dst []ByteRange, addr []byte, bits int) {
+	for i, b := range addr {
+		rem := bits - 8*i
+		switch {
+		case rem >= 8:
+			dst[i] = ByteRange{Lo: b, Hi: b}
+		case rem <= 0:
+			dst[i] = ByteRange{Lo: 0, Hi: 0xff}
+		default:
+			keep := byte(0xff) << (8 - rem)
+			dst[i] = ByteRange{Lo: b & keep, Hi: b&keep | ^keep}
+		}
+	}
+}
+
+// Field16 is an inclusive range over the big-endian 16-bit key field at
+// byte offset Off (a port or a VLAN ID).
+type Field16 struct {
+	Off    int
+	Lo, Hi uint16
+}
+
+// ExpandAtoms lowers one rule into atoms, all with Ref ref: base holds
+// the rule's per-byte ranges for every position outside fields, and each
+// field's range is decomposed into byte-decomposable segments (at most
+// three, see splitRange16) and crossed with the others, the first field
+// outermost. base is not modified.
+func ExpandAtoms(ref int, base []ByteRange, fields ...Field16) []KeyAtom {
+	segs := make([][][2]ByteRange, len(fields))
+	n := 1
+	for i, f := range fields {
+		segs[i] = splitRange16(f.Lo, f.Hi)
+		n *= len(segs[i])
+	}
+	atoms := make([]KeyAtom, n)
+	for k := range atoms {
+		r := slices.Clone(base)
+		for i, rem := len(fields)-1, k; i >= 0; i-- {
+			s := segs[i][rem%len(segs[i])]
+			rem /= len(segs[i])
+			r[fields[i].Off], r[fields[i].Off+1] = s[0], s[1]
+		}
+		atoms[k] = KeyAtom{Ref: ref, Ranges: r}
+	}
+	return atoms
+}
+
+// splitRange16 decomposes an inclusive 16-bit range [lo,hi] into at most
+// three byte-decomposable segments (low edge, middle span, high edge),
+// each a pair of independent ranges on the high and the low byte.
+func splitRange16(lo, hi uint16) [][2]ByteRange {
 	hl, ll := byte(lo>>8), byte(lo)
 	hh, lh := byte(hi>>8), byte(hi)
 	if hl == hh || (ll == 0x00 && lh == 0xff) {
 		// One high-byte value, or a low byte that spans its whole range
 		// (e.g. 0-65535): byte-decomposable as a single segment.
-		return []Seg16{{hl, hh, ll, lh}}
+		return [][2]ByteRange{{{hl, hh}, {ll, lh}}}
 	}
-	segs := []Seg16{{hl, hl, ll, 0xff}}
+	segs := [][2]ByteRange{{{hl, hl}, {ll, 0xff}}}
 	if hh > hl+1 {
-		segs = append(segs, Seg16{hl + 1, hh - 1, 0x00, 0xff})
+		segs = append(segs, [2]ByteRange{{hl + 1, hh - 1}, {0x00, 0xff}})
 	}
-	segs = append(segs, Seg16{hh, hh, 0x00, lh})
-	return segs
+	return append(segs, [2]ByteRange{{hh, hh}, {0x00, lh}})
 }

@@ -68,18 +68,19 @@ func TestPaperPacketWalkDepths(t *testing.T) {
 	c := getPaperClassifier(t)
 	depths := map[PacketType]int{}
 	for _, pt := range []PacketType{TypeA, TypeB, TypeC} {
-		_, _, st := c.ClassifyDetailed(PaperPacket(pt, 1))
-		if len(st.BytesPerTrie) != PaperTrieCount {
-			t.Fatalf("type %s: %d tries walked", pt, len(st.BytesPerTrie))
+		var perTrie depthMeter
+		c.classify(PaperPacket(pt, 1), &perTrie)
+		if len(perTrie) != PaperTrieCount {
+			t.Fatalf("type %s: %d tries walked", pt, len(perTrie))
 		}
 		// Every trie holds rules with identical address constraints, so
 		// the walk depth is the same in each trie.
-		for i, b := range st.BytesPerTrie {
-			if b != st.BytesPerTrie[0] {
-				t.Fatalf("type %s: trie %d depth %d != trie 0 depth %d", pt, i, b, st.BytesPerTrie[0])
+		for i, b := range perTrie {
+			if b != perTrie[0] {
+				t.Fatalf("type %s: trie %d depth %d != trie 0 depth %d", pt, i, b, perTrie[0])
 			}
 		}
-		depths[pt] = st.BytesPerTrie[0]
+		depths[pt] = perTrie[0]
 	}
 	// "the type A packets experience the longest latency and the type C
 	// ones experience the shortest" (§IV-C2): A uses all three key parts,

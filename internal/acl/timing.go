@@ -41,24 +41,25 @@ func DefaultTimingConfig() TimingConfig {
 // ...) to attribute the work, exactly as the real rte_acl_classify is the
 // symbol the paper's case study estimates.
 func (c *Classifier) ClassifyTimed(core *sim.Core, p Packet, tc TimingConfig) (int, bool) {
-	key := p.Key()
-	best := -1
-	scratch := make([]uint64, c.maxWords)
-	for ti, t := range c.tries {
-		core.Exec(tc.PerTrieUops)
-		for l := 0; l < tc.LoadsPerTrie; l++ {
-			core.Load(tc.TableBase + uint64(ti)*tc.TableStride + uint64(l)*64)
-		}
-		n, survivors := t.Walk(key[:], scratch)
-		core.Exec(uint64(n) * tc.PerByteUops)
-		if survivors == nil {
-			continue
-		}
-		t.ForEach(survivors, func(ri int) {
-			if c.better(ri, best) {
-				best = ri
-			}
-		})
-	}
-	return best, best >= 0
+	idx, ok, _ := c.classify(p, meter{core, tc})
+	return idx, ok
 }
+
+// meter charges a walk to core under tc: per trie the setup uops and the
+// descriptor loads before the walk, then the examined bytes' transitions
+// in one batch. Surviving atoms cost nothing extra.
+type meter struct {
+	core *sim.Core
+	tc   TimingConfig
+}
+
+func (m meter) Trie(i int) {
+	m.core.Exec(m.tc.PerTrieUops)
+	for l := 0; l < m.tc.LoadsPerTrie; l++ {
+		m.core.Load(m.tc.TableBase + uint64(i)*m.tc.TableStride + uint64(l)*64)
+	}
+}
+
+func (m meter) Walked(_, bytes int) { m.core.Exec(uint64(bytes) * m.tc.PerByteUops) }
+
+func (meter) Survivor() {}

@@ -3,6 +3,8 @@ package dataplane
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/acl"
 )
 
 // bench50k builds the 50k-rule matcher once per process; the build costs
@@ -18,7 +20,7 @@ func bench50kInit() {
 	bench50k.once.Do(func() {
 		rng := dpRNG{state: 0x35306b} // "50k"
 		bench50k.rules = genRandomRules(&rng, 50_000, 0.3)
-		m, err := Compile(bench50k.rules, Config{})
+		m, err := Compile(bench50k.rules, acl.BuildConfig{})
 		if err != nil {
 			panic(err)
 		}
@@ -40,7 +42,7 @@ func bench50kInit() {
 func TestMatcherClassifyZeroAlloc(t *testing.T) {
 	rng := dpRNG{state: 0x7a65726f} // "zero"
 	rules := genRandomRules(&rng, 2_000, 0.3)
-	m, err := Compile(rules, Config{})
+	m, err := Compile(rules, acl.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

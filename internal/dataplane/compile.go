@@ -6,84 +6,41 @@ import (
 	"repro/internal/acl"
 )
 
-// Config bounds the compiled matcher's shape, mirroring acl.BuildConfig:
-// atoms are chunked across tries so no trie's bitset grows unboundedly
-// wide, and the trie count itself is capped (growing per-trie width
-// instead) so the per-packet walk stays O(MaxTries · key bytes).
-type Config struct {
-	// MaxTries caps the number of tries (default 8).
-	MaxTries int
-	// MaxAtomsPerTrie caps atoms per trie before a new one starts
-	// (default 2048); exceeded only when MaxTries would otherwise be.
-	MaxAtomsPerTrie int
-}
-
-// DefaultConfig mirrors acl.DefaultBuildConfig.
-func DefaultConfig() Config {
-	return Config{MaxTries: 8, MaxAtomsPerTrie: 2048}
-}
-
 // Matcher is the compiled form of a rule set: the full 5-tuple + VLAN +
-// family policy lowered onto acl.KeyTrie over the 40-byte packet key.
+// family policy lowered onto an acl.TrieSet over the 40-byte packet key.
 // Immutable after Compile; concurrent Classify calls need per-caller
 // scratch (see Scratch).
 type Matcher struct {
-	rules    []Rule
-	tries    []*acl.KeyTrie
-	cfg      Config
-	maxWords int
-	atoms    int
+	set *acl.TrieSet
 }
 
-// Compile lowers rules into tries. Every rule contributes at least one
-// atom; 16-bit range fields (VLAN, ports) decompose into ≤3 byte-wise
-// segments each, so a rule expands into at most 27 atoms.
-func Compile(rules []Rule, cfg Config) (*Matcher, error) {
-	if cfg.MaxTries <= 0 {
-		cfg.MaxTries = DefaultConfig().MaxTries
-	}
-	if cfg.MaxAtomsPerTrie <= 0 {
-		cfg.MaxAtomsPerTrie = DefaultConfig().MaxAtomsPerTrie
-	}
+// Compile lowers rules into tries chunked by cfg (see acl.BuildTrieSet).
+// Every rule contributes at least one atom; 16-bit range fields (VLAN,
+// ports) decompose into ≤3 byte-wise segments each, so a rule expands
+// into at most 27 atoms.
+func Compile(rules []Rule, cfg acl.BuildConfig) (*Matcher, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("dataplane: empty rule set")
 	}
 	var atoms []acl.KeyAtom
+	prio := make([]int32, len(rules))
 	for i, r := range rules {
 		if err := r.Validate(); err != nil {
 			return nil, fmt.Errorf("dataplane: rule %d: %w", i, err)
 		}
 		atoms = append(atoms, expandDPRule(i, r)...)
+		prio[i] = r.Priority
 	}
-
-	// Chunk atoms into tries. Prefer MaxAtomsPerTrie-sized tries; if that
-	// would exceed MaxTries, widen the tries instead so the walk count
-	// stays bounded.
-	perTrie := cfg.MaxAtomsPerTrie
-	if need := (len(atoms) + perTrie - 1) / perTrie; need > cfg.MaxTries {
-		perTrie = (len(atoms) + cfg.MaxTries - 1) / cfg.MaxTries
+	set, err := acl.BuildTrieSet(KeyLen, atoms, prio, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("dataplane: compile: %w", err)
 	}
-	m := &Matcher{rules: rules, cfg: cfg, atoms: len(atoms)}
-	for start := 0; start < len(atoms); start += perTrie {
-		end := start + perTrie
-		if end > len(atoms) {
-			end = len(atoms)
-		}
-		t, err := acl.BuildKeyTrie(KeyLen, atoms[start:end])
-		if err != nil {
-			return nil, fmt.Errorf("dataplane: compile: %w", err)
-		}
-		m.tries = append(m.tries, t)
-		if t.Words() > m.maxWords {
-			m.maxWords = t.Words()
-		}
-	}
-	return m, nil
+	return &Matcher{set: set}, nil
 }
 
-// MustCompile is Compile with DefaultConfig, panicking on error.
+// MustCompile is Compile with the default build, panicking on error.
 func MustCompile(rules []Rule) *Matcher {
-	m, err := Compile(rules, DefaultConfig())
+	m, err := Compile(rules, acl.BuildConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -91,121 +48,38 @@ func MustCompile(rules []Rule) *Matcher {
 }
 
 // expandDPRule lowers one rule into byte-decomposable atoms, all sharing
-// Ref = idx. Atoms are emitted in deterministic segment order.
+// Ref = idx, in deterministic segment order (VLAN outermost, then source
+// and destination port).
 func expandDPRule(idx int, r Rule) []acl.KeyAtom {
 	fam := byte(4)
 	if r.V6 {
 		fam = 6
 	}
-	srcRanges := prefixRanges(r.SrcAddr, effectiveBits(r.V6, r.SrcBits))
-	dstRanges := prefixRanges(r.DstAddr, effectiveBits(r.V6, r.DstBits))
-	vlanSegs := acl.SplitRange16(r.VLANLo, r.VLANHi)
-	sportSegs := acl.SplitRange16(r.SrcPortLo, r.SrcPortHi)
-	dportSegs := acl.SplitRange16(r.DstPortLo, r.DstPortHi)
-
-	atoms := make([]acl.KeyAtom, 0, len(vlanSegs)*len(sportSegs)*len(dportSegs))
-	for _, v := range vlanSegs {
-		for _, sp := range sportSegs {
-			for _, dp := range dportSegs {
-				ranges := make([]acl.ByteRange, KeyLen)
-				ranges[keyOffFamily] = acl.ByteRange{Lo: fam, Hi: fam}
-				ranges[keyOffProto] = acl.ByteRange{Lo: r.ProtoLo, Hi: r.ProtoHi}
-				ranges[keyOffVLAN] = acl.ByteRange{Lo: v.HiLo, Hi: v.HiHi}
-				ranges[keyOffVLAN+1] = acl.ByteRange{Lo: v.LoLo, Hi: v.LoHi}
-				copy(ranges[keyOffSrc:], srcRanges[:])
-				copy(ranges[keyOffDst:], dstRanges[:])
-				ranges[keyOffSPort] = acl.ByteRange{Lo: sp.HiLo, Hi: sp.HiHi}
-				ranges[keyOffSPort+1] = acl.ByteRange{Lo: sp.LoLo, Hi: sp.LoHi}
-				ranges[keyOffDPort] = acl.ByteRange{Lo: dp.HiLo, Hi: dp.HiHi}
-				ranges[keyOffDPort+1] = acl.ByteRange{Lo: dp.LoLo, Hi: dp.LoHi}
-				atoms = append(atoms, acl.KeyAtom{Ref: idx, Ranges: ranges})
-			}
-		}
-	}
-	return atoms
-}
-
-// prefixRanges converts a CIDR prefix over the 16-byte layout into
-// per-byte inclusive ranges: exact bytes above the boundary, a partial
-// range at the boundary byte, wildcards below.
-func prefixRanges(addr [16]byte, bits int) (out [16]acl.ByteRange) {
-	for i := 0; i < 16; i++ {
-		rem := bits - 8*i
-		switch {
-		case rem >= 8:
-			out[i] = acl.ByteRange{Lo: addr[i], Hi: addr[i]}
-		case rem <= 0:
-			out[i] = acl.ByteRange{Lo: 0, Hi: 0xff}
-		default:
-			mask := byte(0xff) << (8 - rem)
-			out[i] = acl.ByteRange{Lo: addr[i] & mask, Hi: addr[i]&mask | ^mask}
-		}
-	}
-	return out
+	base := make([]acl.ByteRange, KeyLen)
+	base[keyOffFamily] = acl.ByteRange{Lo: fam, Hi: fam}
+	base[keyOffProto] = acl.ByteRange{Lo: r.ProtoLo, Hi: r.ProtoHi}
+	acl.PrefixRanges(base[keyOffSrc:keyOffDst], r.SrcAddr[:], effectiveBits(r.V6, r.SrcBits))
+	acl.PrefixRanges(base[keyOffDst:keyOffSPort], r.DstAddr[:], effectiveBits(r.V6, r.DstBits))
+	return acl.ExpandAtoms(idx, base,
+		acl.Field16{Off: keyOffVLAN, Lo: r.VLANLo, Hi: r.VLANHi},
+		acl.Field16{Off: keyOffSPort, Lo: r.SrcPortLo, Hi: r.SrcPortHi},
+		acl.Field16{Off: keyOffDPort, Lo: r.DstPortLo, Hi: r.DstPortHi})
 }
 
 // Scratch allocates a walk scratch buffer sized for this matcher. Each
 // concurrent classifier goroutine needs its own.
-func (m *Matcher) Scratch() []uint64 { return make([]uint64, m.maxWords) }
+func (m *Matcher) Scratch() []uint64 { return m.set.Scratch() }
 
-// Tries returns the compiled trie count; Atoms the total atom count.
-func (m *Matcher) Tries() int { return len(m.tries) }
+// Tries returns the compiled trie count.
+func (m *Matcher) Tries() int { return m.set.Tries() }
 
 // Atoms returns the number of compiled atoms across all tries.
-func (m *Matcher) Atoms() int { return m.atoms }
-
-// Rules returns the rule set the matcher was compiled from.
-func (m *Matcher) Rules() []Rule { return m.rules }
-
-// better reports whether rule ri beats the current best under
-// priority-then-lowest-index resolution.
-func (m *Matcher) better(ri, best int) bool {
-	if best == -1 {
-		return true
-	}
-	if m.rules[ri].Priority != m.rules[best].Priority {
-		return m.rules[ri].Priority > m.rules[best].Priority
-	}
-	return ri < best
-}
-
-// WalkStats describes one classification's work: tries consulted, key
-// bytes examined across them, and surviving atoms scanned. The byte count
-// is the organic per-packet cost the traced pipeline charges for.
-type WalkStats struct {
-	Tries     int
-	Bytes     int
-	Survivors int
-}
+func (m *Matcher) Atoms() int { return m.set.Atoms() }
 
 // Classify returns the best matching rule's index. scratch must come from
 // m.Scratch() (or be at least as long).
 func (m *Matcher) Classify(p *Packet, scratch []uint64) (int, bool) {
-	idx, ok, _ := m.classifyKey(p.Key(), scratch)
+	key := p.Key()
+	idx, ok, _ := m.set.Classify(key[:], scratch, nil)
 	return idx, ok
-}
-
-// ClassifyDetailed is Classify plus walk statistics.
-func (m *Matcher) ClassifyDetailed(p *Packet, scratch []uint64) (int, bool, WalkStats) {
-	return m.classifyKey(p.Key(), scratch)
-}
-
-func (m *Matcher) classifyKey(key [KeyLen]byte, scratch []uint64) (int, bool, WalkStats) {
-	best := -1
-	var st WalkStats
-	for _, t := range m.tries {
-		st.Tries++
-		n, survivors := t.Walk(key[:], scratch)
-		st.Bytes += n
-		if survivors == nil {
-			continue
-		}
-		t.ForEach(survivors, func(ref int) {
-			st.Survivors++
-			if m.better(ref, best) {
-				best = ref
-			}
-		})
-	}
-	return best, best >= 0, st
 }

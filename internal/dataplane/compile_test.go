@@ -2,6 +2,8 @@ package dataplane
 
 import (
 	"testing"
+
+	"repro/internal/acl"
 )
 
 type dpRNG struct{ state uint64 }
@@ -121,12 +123,12 @@ func TestCompiledMatcherDifferential(t *testing.T) {
 		name   string
 		v6Frac float64
 		rules  int
-		cfg    Config
+		cfg    acl.BuildConfig
 		gen    GenConfig
 	}{
-		{"v4", 0, 96, Config{}, GenConfig{MatchFrac: 0.6, VLANFrac: 0.3}},
-		{"v6", 1, 96, Config{}, GenConfig{MatchFrac: 0.6, V6Frac: 1, VLANFrac: 0.3}},
-		{"mixed-multitrie", 0.5, 128, Config{MaxTries: 8, MaxAtomsPerTrie: 48},
+		{"v4", 0, 96, acl.BuildConfig{}, GenConfig{MatchFrac: 0.6, VLANFrac: 0.3}},
+		{"v6", 1, 96, acl.BuildConfig{}, GenConfig{MatchFrac: 0.6, V6Frac: 1, VLANFrac: 0.3}},
+		{"mixed-multitrie", 0.5, 128, acl.BuildConfig{MaxTries: 8, MaxAtomsPerTrie: 48},
 			GenConfig{MatchFrac: 0.5, V6Frac: 0.5, VLANFrac: 0.5, DeepDstFrac: 0.3}},
 	}
 	rng := dpRNG{state: 0x64696666} // "diff"
@@ -184,19 +186,19 @@ func TestCompileShape(t *testing.T) {
 		t.Fatalf("simple rule expanded to %d atoms, want 1", n)
 	}
 
-	if _, err := Compile(nil, Config{}); err == nil {
+	if _, err := Compile(nil, acl.BuildConfig{}); err == nil {
 		t.Error("empty rule set compiled")
 	}
 	bad := simple
 	bad.SrcBits = 40
-	if _, err := Compile([]Rule{bad}, Config{}); err == nil {
+	if _, err := Compile([]Rule{bad}, acl.BuildConfig{}); err == nil {
 		t.Error("invalid rule compiled")
 	}
 
 	// MaxTries caps the trie count even when MaxAtomsPerTrie is tiny.
 	rng := dpRNG{state: 1}
 	rules := genRandomRules(&rng, 64, 0.5)
-	m, err := Compile(rules, Config{MaxTries: 3, MaxAtomsPerTrie: 1})
+	m, err := Compile(rules, acl.BuildConfig{MaxTries: 3, MaxAtomsPerTrie: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +214,12 @@ func TestClassifyDetailedStats(t *testing.T) {
 		deny any any4 -> any4 prio -1
 	`)
 	m := MustCompile(rules)
+	walk := func(p Packet) (int, bool, acl.WalkStats) {
+		key := p.Key()
+		return m.set.Classify(key[:], m.Scratch(), nil)
+	}
 	p := Packet{Proto: ProtoTCP, Src: MustMapped("10.1.2.3"), Dst: MustMapped("10.9.9.9"), SrcPort: 1234, DstPort: 80}
-	idx, ok, st := m.ClassifyDetailed(&p, m.Scratch())
+	idx, ok, st := walk(p)
 	if !ok || idx != 0 {
 		t.Fatalf("got (%d,%v), want rule 0", idx, ok)
 	}
@@ -222,7 +228,7 @@ func TestClassifyDetailedStats(t *testing.T) {
 	}
 	// A v6 packet dies at the family byte: one byte per trie examined.
 	p6 := Packet{V6: true, Proto: ProtoTCP, Src: MustMapped("2001:db8::1"), Dst: MustMapped("2001:db8::2")}
-	_, ok, st = m.ClassifyDetailed(&p6, m.Scratch())
+	_, ok, st = walk(p6)
 	if ok || st.Bytes != m.Tries() || st.Survivors != 0 {
 		t.Errorf("family-miss stats %+v", st)
 	}

@@ -2,6 +2,8 @@ package dataplane
 
 import (
 	"testing"
+
+	"repro/internal/acl"
 )
 
 // FuzzRuleCompile: the spec parser and compiler never panic on arbitrary
@@ -29,7 +31,7 @@ func FuzzRuleCompile(f *testing.F) {
 			t.Fatalf("round-trip changed rule: %+v vs %+v (%q)", r, r2, line)
 		}
 		rules := []Rule{r}
-		m, err := Compile(rules, Config{})
+		m, err := Compile(rules, acl.BuildConfig{})
 		if err != nil {
 			t.Fatalf("valid rule failed to compile: %v", err)
 		}

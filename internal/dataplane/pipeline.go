@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 
+	"repro/internal/acl"
 	"repro/internal/lpm"
 	"repro/internal/pmu"
 	"repro/internal/sim"
@@ -78,8 +79,9 @@ type PipelineConfig struct {
 	// Rules is the active policy; Routes the per-family tables.
 	Rules  []Rule
 	Routes RouteConfig
-	// Build shapes the compiled matcher (zero = DefaultConfig).
-	Build Config
+	// Build shapes the compiled matcher (zero fields take
+	// acl.DefaultBuildConfig's).
+	Build acl.BuildConfig
 	// Workers is the simulated core count (default 1); each worker runs
 	// the full chain over its own packet stream, shared-nothing.
 	Workers int
@@ -242,6 +244,8 @@ func Run(cfg PipelineConfig) (*Result, error) {
 					scratch = s
 				}
 			}
+			// One acl0 meter per worker: the walk charges this core.
+			meter := &aclMeter{core: c, tc: &tc}
 			var wire []byte
 
 			// stage brackets the body in a function call and, in
@@ -324,7 +328,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 					}
 					if !hit {
 						stage(pid, StageACL, func() {
-							idx, ok, _ := cur.ClassifyTimed(c, &pp, scratch, tc)
+							idx, ok, _ := cur.set.Classify(key[:], scratch, meter)
 							if !ok {
 								got = Verdict{Rule: -1, Action: NoMatchAction, NextHop: lpm.NoRoute}
 								return

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"testing"
 
+	"repro/internal/acl"
 	"repro/internal/core"
 	"repro/internal/lpm"
 )
@@ -166,7 +167,7 @@ func TestPipelineScenarios(t *testing.T) {
 		cfg.ChurnAt = 0.5
 		rng := dpRNG{state: 0x636875726e}
 		cfg.ChurnRules = append(testPolicy(), genRandomRules(&rng, 120, 0.3)...)
-		cfg.Build = Config{MaxTries: 8, MaxAtomsPerTrie: 32}
+		cfg.Build = acl.BuildConfig{MaxTries: 8, MaxAtomsPerTrie: 32}
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -7,10 +7,11 @@
 // exercised against: its per-packet cost varies organically (trie walk
 // depth, flow-cache warmth, route depth), not by injected dilation.
 //
-// The compiled matcher reuses internal/acl's width-generic KeyTrie over a
-// 40-byte key (family, proto, VLAN, src/dst address, ports); every field
-// decomposes into per-byte contiguous ranges, so one rule expands into at
-// most 3×3×3 = 27 atoms (VLAN × src port × dst port edge segments).
+// The compiled matcher is internal/acl's multi-trie TrieSet over a 40-byte
+// key (family, proto, VLAN, src/dst address, ports), the same walk the
+// paper's 12-byte classifier runs; every field decomposes into per-byte
+// contiguous ranges, so one rule expands into at most 3×3×3 = 27 atoms
+// (VLAN × src port × dst port edge segments).
 // Correctness is anchored by LinearClassify, the O(rules) reference the
 // compiled form is differentially tested against on millions of seeded
 // packets.

@@ -75,39 +75,28 @@ func DefaultTimingConfig() TimingConfig {
 // zero reports an unset config (so Run can substitute the default).
 func (tc TimingConfig) zero() bool { return tc.ParsePerByteUops == 0 && tc.EmitUops == 0 }
 
-// ClassifyTimed is Classify charging the walk's cost to core: per trie a
-// setup charge, then per examined key byte arithmetic plus a load into
-// that trie's table line for the byte position, then a per-survivor scan
-// charge. The cost therefore tracks the walk shape — wider rule sets
-// mean more tries and more surviving atoms, early termination means
-// fewer bytes — which is the organic acl0 fluctuation.
-func (m *Matcher) ClassifyTimed(core *sim.Core, p *Packet, scratch []uint64, tc TimingConfig) (int, bool, WalkStats) {
-	key := p.Key()
-	best := -1
-	var st WalkStats
-	for ti, t := range m.tries {
-		st.Tries++
-		core.Exec(tc.ACLPerTrieUops)
-		n, survivors := t.Walk(key[:], scratch)
-		st.Bytes += n
-		base := tc.TrieBase + uint64(ti)*tc.TrieStride
-		for pos := 0; pos < n; pos++ {
-			core.Exec(tc.ACLPerByteUops)
-			core.Load(base + uint64(pos)*64)
-		}
-		if survivors == nil {
-			continue
-		}
-		t.ForEach(survivors, func(ref int) {
-			st.Survivors++
-			core.Exec(tc.ACLPerSurvivorUops)
-			if m.better(ref, best) {
-				best = ref
-			}
-		})
-	}
-	return best, best >= 0, st
+// aclMeter charges the ACL walk's cost to core: per trie a setup charge,
+// then per examined key byte arithmetic plus a load into that trie's table
+// line for the byte position, then a per-survivor scan charge. The cost
+// therefore tracks the walk shape — wider rule sets mean more tries and
+// more surviving atoms, early termination means fewer bytes — which is
+// the organic acl0 fluctuation.
+type aclMeter struct {
+	core *sim.Core
+	tc   *TimingConfig
 }
+
+func (m *aclMeter) Trie(int) { m.core.Exec(m.tc.ACLPerTrieUops) }
+
+func (m *aclMeter) Walked(i, bytes int) {
+	base := m.tc.TrieBase + uint64(i)*m.tc.TrieStride
+	for pos := 0; pos < bytes; pos++ {
+		m.core.Exec(m.tc.ACLPerByteUops)
+		m.core.Load(base + uint64(pos)*64)
+	}
+}
+
+func (m *aclMeter) Survivor() { m.core.Exec(m.tc.ACLPerSurvivorUops) }
 
 // LookupTimed routes p while charging the family table's cost to core.
 func (rt *Router) LookupTimed(core *sim.Core, p *Packet, tc TimingConfig) (nextHop, probes int) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/acl"
 	"repro/internal/dataplane"
 	"repro/internal/detect"
 	"repro/internal/faults"
@@ -175,7 +176,7 @@ func dpScenarios() []dpScenario {
 				cfg := uncached(p)
 				cfg.ChurnAt = onset
 				cfg.ChurnRules = dpchain.ChurnRules(120)
-				cfg.Build = dataplane.Config{MaxTries: 8, MaxAtomsPerTrie: 24}
+				cfg.Build = acl.BuildConfig{MaxTries: 8, MaxAtomsPerTrie: 24}
 				set, err := dpRunPipeline(cfg)
 				return set, onsetID(p), err
 			},

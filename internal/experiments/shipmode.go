@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/pmu"
@@ -101,7 +102,10 @@ func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 	// default backoff (50ms–5s) would let a lossy link outlive the drain
 	// deadline, ending the run with frames still queued. Reconnect fast — a
 	// link that cuts one write in five carries about two frames per
-	// connection, so a round is some 600 reconnects.
+	// connection, so a round is some 600 reconnects. A departed shard
+	// answers every handshake with TRedirect: re-hash the source over the
+	// redirect's members, the rule fluct -ship's first dial uses, so the
+	// worker follows a drain to its source's new owner.
 	shipCfg := ship.Config{
 		Addr:       cfg.Addr,
 		Source:     cfg.Source,
@@ -109,6 +113,9 @@ func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 		SpoolDir:   cfg.SpoolDir,
 		BackoffMin: 2 * time.Millisecond,
 		BackoffMax: time.Second,
+		OnRedirect: func(members []string) string {
+			return agg.NewRing(members...).Owner(cfg.Source)
+		},
 	}
 	plan, err := faults.ParsePlan(cfg.Faults)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package stats provides the small set of descriptive statistics the
-// experiment harness needs: means, standard deviations, percentiles,
-// histograms and least-squares fits. The paper reports every measurement as
+// experiment harness needs: means, standard deviations, percentiles and
+// least-squares fits. The paper reports every measurement as
 // "averaged over N runs, error bars show the standard deviations" (Fig. 9)
 // and argues about linearity between reset values and sample intervals
 // (§V-C), so those primitives live here.
@@ -187,60 +187,4 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 		f.R2 = sxy * sxy / (sxx * syy)
 	}
 	return f, nil
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi). Values outside the
-// range are clamped into the first/last bin so no observation is lost.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-	total  uint64
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bin")
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: invalid histogram range [%v,%v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BinWidth returns the width of each bin.
-func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Counts)) }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.BinWidth()
-}
-
-// CumulativeFraction returns the fraction of observations at or below the
-// upper edge of bin i.
-func (h *Histogram) CumulativeFraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var c uint64
-	for j := 0; j <= i && j < len(h.Counts); j++ {
-		c += h.Counts[j]
-	}
-	return float64(c) / float64(h.total)
 }

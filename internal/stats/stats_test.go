@@ -135,44 +135,6 @@ func TestLinearFitFlatData(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	// -3 clamps into bin 0, 42 into bin 4.
-	if h.Counts[0] != 3 { // 0, 1.9, -3
-		t.Errorf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.99, 42
-		t.Errorf("bin 4 = %d, want 2", h.Counts[4])
-	}
-	if !almost(h.BinWidth(), 2) || !almost(h.BinCenter(0), 1) {
-		t.Errorf("BinWidth/BinCenter wrong: %v %v", h.BinWidth(), h.BinCenter(0))
-	}
-	if got := h.CumulativeFraction(4); !almost(got, 1) {
-		t.Errorf("CumulativeFraction(last) = %v, want 1", got)
-	}
-}
-
-func TestHistogramRejectsBadConfig(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("accepted zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("accepted empty range")
-	}
-	if _, err := NewHistogram(7, 2, 3); err == nil {
-		t.Error("accepted inverted range")
-	}
-}
-
 // Property: mean is within [min, max]; stddev is non-negative; percentile is
 // monotone in p.
 func TestQuickSummaryInvariants(t *testing.T) {

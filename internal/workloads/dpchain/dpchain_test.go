@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/acl"
 	"repro/internal/core"
 	"repro/internal/dataplane"
 	"repro/internal/lpm"
@@ -67,7 +68,7 @@ func TestChurnRules(t *testing.T) {
 			t.Fatalf("churn rule %d differs between calls", i)
 		}
 	}
-	m, err := dataplane.Compile(a, dataplane.Config{})
+	m, err := dataplane.Compile(a, acl.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
