@@ -7,8 +7,9 @@
 #   backpressure / detect / drain / spool-failure / serve (shipper, listener
 #   and collector in one process) / checkpoint-restore / concurrent ACL
 #   classification (one walk, per-caller scratch) suites and the
-#   integration equivalence suites (parallel, stream, tie, degraded) raced
-#   20 times over, so a flake cannot hide at 30%; a 10 s fuzz smoke of every
+#   integration equivalence suites (parallel, stream, tie, degraded, the
+#   per-core merge) raced 20 times over in shuffled order, so a flake or an
+#   order dependence cannot hide at 30%; a 10 s fuzz smoke of every
 #   target in FUZZ_TARGETS (FuzzIntegrate includes the differential against
 #   the reference interval pass); the full-size scale harness.
 # bench: the hot-path micro benchmarks with allocation stats; both front
@@ -43,8 +44,8 @@ tier2:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane
-	$(GO) test -race -count 20 -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded' ./internal/core
+	$(GO) test -race -count 20 -shuffle=on -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane
+	$(GO) test -race -count 20 -shuffle=on -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded|TestMergeItems' ./internal/core
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
 

@@ -113,14 +113,14 @@ func BenchmarkAblationTrieCount(b *testing.B) {
 		m := sim.MustNew(sim.Config{Cores: 1})
 		c := m.Core(0)
 		c.SetRate(1, 3)
-		tc := acl.DefaultTimingConfig()
+		meter := acl.NewCoreMeter(c, acl.DefaultTimingConfig())
 		for w := 0; w < 3; w++ {
-			cls.ClassifyTimed(c, acl.PaperPacket(pt, 1), tc)
+			cls.ClassifyTimed(acl.PaperPacket(pt, 1), meter)
 		}
 		t0 := c.Now()
 		const n = 10
 		for k := 0; k < n; k++ {
-			cls.ClassifyTimed(c, acl.PaperPacket(pt, 1), tc)
+			cls.ClassifyTimed(acl.PaperPacket(pt, 1), meter)
 		}
 		return m.CyclesToMicros((c.Now() - t0) / n)
 	}

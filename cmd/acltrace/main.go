@@ -194,7 +194,7 @@ func runDataplane(packets int, reset uint64, items int, traceOut string) error {
 				break
 			}
 			it := &a.Items[i]
-			v := res.Verdicts[it.ID]
+			v := res.Verdicts[it.ID-1]
 			verdict := "deny"
 			if v.Action == dataplane.Allow {
 				verdict = fmt.Sprintf("allow nh=%d", v.NextHop)

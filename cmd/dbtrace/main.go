@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -52,18 +51,16 @@ func main() {
 		fatal(err)
 	}
 
-	var us []float64
-	ids := make([]uint64, 0, len(res.Stats))
-	for id, st := range res.Stats {
-		us = append(us, res.CyclesToMicros(st.Cycles))
-		ids = append(ids, id)
+	ids := res.SlowestFirst()
+	us := make([]float64, len(ids))
+	for i, id := range ids {
+		us[i] = res.CyclesToMicros(res.Stats[id].Cycles)
 	}
 	s := stats.Summarize(us)
 	fmt.Printf("%d queries on %d workers at R=%d:\n", *queries, *workers, r)
 	fmt.Printf("  mean %.1f us  stddev %.1f us (%.1fx mean)  p50 %.1f  p99 %.1f us\n\n",
 		s.Mean, s.Stddev, s.Stddev/s.Mean, s.P50, s.P99)
 
-	sort.Slice(ids, func(i, j int) bool { return res.Stats[ids[i]].Cycles > res.Stats[ids[j]].Cycles })
 	tbl := report.Table{
 		Title:   "slowest queries, per-data-item breakdown",
 		Headers: []string{"query", "kind", "worker", "total us", "top function", "top us", "misses", "fsync", "ckpt"},

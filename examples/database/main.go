@@ -13,8 +13,8 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"sort"
 
 	repro "repro"
 	"repro/internal/stats"
@@ -22,35 +22,36 @@ import (
 )
 
 func main() {
-	res, err := dbsim.Run(dbsim.Config{Workers: 2, Reset: 2000}, dbsim.Mix(4000, 2026))
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
 
-	var us []float64
-	ids := make([]uint64, 0, len(res.Stats))
-	for id, st := range res.Stats {
-		us = append(us, res.CyclesToMicros(st.Cycles))
-		ids = append(ids, id)
+func run(w io.Writer) error {
+	res, err := dbsim.Run(dbsim.Config{Workers: 2, Reset: 2000}, dbsim.Mix(4000, 2026))
+	if err != nil {
+		return err
+	}
+
+	ids := res.SlowestFirst()
+	us := make([]float64, len(ids))
+	for i, id := range ids {
+		us[i] = res.CyclesToMicros(res.Stats[id].Cycles)
 	}
 	s := stats.Summarize(us)
-	fmt.Printf("4000 queries on 2 workers:\n")
-	fmt.Printf("  mean %.1f us   stddev %.1f us (%.1fx mean)   p50 %.1f   p99 %.1f us (%.0fx p50)\n\n",
+	fmt.Fprintf(w, "4000 queries on 2 workers:\n")
+	fmt.Fprintf(w, "  mean %.1f us   stddev %.1f us (%.1fx mean)   p50 %.1f   p99 %.1f us (%.0fx p50)\n\n",
 		s.Mean, s.Stddev, s.Stddev/s.Mean, s.P50, s.P99, s.P99/s.P50)
 
 	a, err := repro.Integrate(res.Set, repro.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
 	// Take the 8 slowest queries and name each one's dominant function.
-	sort.Slice(ids, func(i, j int) bool {
-		return res.Stats[ids[i]].Cycles > res.Stats[ids[j]].Cycles
-	})
-	fmt.Println("slowest queries, diagnosed per data-item:")
-	fmt.Println("query   kind    total(us)  dominant function     its time(us)  actual root cause")
+	fmt.Fprintln(w, "slowest queries, diagnosed per data-item:")
+	fmt.Fprintln(w, "query   kind    total(us)  dominant function     its time(us)  actual root cause")
 	for _, id := range ids[:8] {
 		st := res.Stats[id]
 		it := a.Item(id)
@@ -78,13 +79,14 @@ func main() {
 			topName = top.Fn.Name
 			topUs = a.CyclesToMicros(top.Cycles())
 		}
-		fmt.Printf("%5d   %-6s  %9.1f  %-20s  %12.1f  %s\n",
+		fmt.Fprintf(w, "%5d   %-6s  %9.1f  %-20s  %12.1f  %s\n",
 			id, st.Query.Kind, res.CyclesToMicros(st.Cycles), topName, topUs, cause)
 	}
 
-	fmt.Println("\nper-function fluctuation report (max/mean per item):")
+	fmt.Fprintln(w, "\nper-function fluctuation report (max/mean per item):")
 	for _, row := range repro.FunctionReport(a) {
-		fmt.Printf("  %-22s mean %8.2f us   max %9.2f us   ratio %6.1f\n",
+		fmt.Fprintf(w, "  %-22s mean %8.2f us   max %9.2f us   ratio %6.1f\n",
 			row.Fn.Name, row.PerItemUs.Mean, row.PerItemUs.Max, row.FluctuationRatio)
 	}
+	return nil
 }

@@ -116,6 +116,21 @@ func TestPaperPacketPanicsOnUnknownType(t *testing.T) {
 	PaperPacket(PacketType(9), 1)
 }
 
+// TestClassifyAllocs pins what one classification allocates: the walk's
+// scratch bitset and nothing else, timed or not. A meter boxed per call
+// would add one.
+func TestClassifyAllocs(t *testing.T) {
+	c := getPaperClassifier(t)
+	meter := NewCoreMeter(sim.MustNew(sim.Config{Cores: 1}).Core(0), DefaultTimingConfig())
+	p := PaperPacket(TypeA, 1)
+	if n := testing.AllocsPerRun(20, func() { c.Classify(p) }); n != 1 {
+		t.Errorf("Classify allocates %.1f times per call, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { c.ClassifyTimed(p, meter) }); n != 1 {
+		t.Errorf("ClassifyTimed allocates %.1f times per call, want 1", n)
+	}
+}
+
 // TestTimingCalibration verifies the Fig. 9 latency targets: with the paper
 // rule set on an IPC-3 core, warm-cache rte_acl_classify takes ~12-14 µs
 // for type A and ~6 µs for type C, fluctuating "by more than 100%".
@@ -124,18 +139,18 @@ func TestTimingCalibration(t *testing.T) {
 	m := sim.MustNew(sim.Config{Cores: 1})
 	core := m.Core(0)
 	core.SetRate(1, 3) // the ACL walk is IPC-3 integer code
-	tc := DefaultTimingConfig()
+	meter := NewCoreMeter(core, DefaultTimingConfig())
 
 	elapsed := func(pt PacketType) float64 {
 		// Warm the caches with a few packets, then measure 20.
 		for i := 0; i < 5; i++ {
-			c.ClassifyTimed(core, PaperPacket(pt, 1), tc)
+			c.ClassifyTimed(PaperPacket(pt, 1), meter)
 		}
 		var sum uint64
 		const n = 20
 		for i := 0; i < n; i++ {
 			t0 := core.Now()
-			c.ClassifyTimed(core, PaperPacket(pt, 1), tc)
+			c.ClassifyTimed(PaperPacket(pt, 1), meter)
 			sum += core.Now() - t0
 		}
 		return m.CyclesToMicros(sum / n)

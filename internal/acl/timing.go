@@ -35,31 +35,38 @@ func DefaultTimingConfig() TimingConfig {
 	}
 }
 
-// ClassifyTimed classifies p on core, charging the walk's cost cycle by
-// cycle so PEBS samples taken meanwhile land inside the calling function
-// with accurate timestamps. The caller wraps it in core.Call(rteAclClassify,
-// ...) to attribute the work, exactly as the real rte_acl_classify is the
-// symbol the paper's case study estimates.
-func (c *Classifier) ClassifyTimed(core *sim.Core, p Packet, tc TimingConfig) (int, bool) {
-	idx, ok, _ := c.classify(p, meter{core, tc})
-	return idx, ok
-}
-
-// meter charges a walk to core under tc: per trie the setup uops and the
-// descriptor loads before the walk, then the examined bytes' transitions
-// in one batch. Surviving atoms cost nothing extra.
-type meter struct {
+// CoreMeter charges classifications to one core under tc: per trie the
+// setup uops and the descriptor loads before the walk, then the examined
+// bytes' transitions in one batch. Surviving atoms cost nothing extra.
+// Build one per worker core, outside its packet loop.
+type CoreMeter struct {
 	core *sim.Core
 	tc   TimingConfig
 }
 
-func (m meter) Trie(i int) {
+// NewCoreMeter returns the meter that charges core under tc.
+func NewCoreMeter(core *sim.Core, tc TimingConfig) *CoreMeter {
+	return &CoreMeter{core: core, tc: tc}
+}
+
+// ClassifyTimed classifies p on m's core, charging the walk's cost cycle
+// by cycle so PEBS samples taken meanwhile land inside the calling
+// function with accurate timestamps. The caller wraps it in
+// core.Call(rteAclClassify, ...) to attribute the work, exactly as the
+// real rte_acl_classify is the symbol the paper's case study estimates.
+func (c *Classifier) ClassifyTimed(p Packet, m *CoreMeter) (int, bool) {
+	idx, ok, _ := c.classify(p, m)
+	return idx, ok
+}
+
+// Trie, Walked and Survivor make a *CoreMeter a Meter.
+func (m *CoreMeter) Trie(i int) {
 	m.core.Exec(m.tc.PerTrieUops)
 	for l := 0; l < m.tc.LoadsPerTrie; l++ {
 		m.core.Load(m.tc.TableBase + uint64(i)*m.tc.TableStride + uint64(l)*64)
 	}
 }
 
-func (m meter) Walked(_, bytes int) { m.core.Exec(uint64(bytes) * m.tc.PerByteUops) }
+func (m *CoreMeter) Walked(_, bytes int) { m.core.Exec(uint64(bytes) * m.tc.PerByteUops) }
 
-func (meter) Survivor() {}
+func (*CoreMeter) Survivor() {}

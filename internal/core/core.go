@@ -279,23 +279,16 @@ func Integrate(set *trace.Set, opts Options) (*Analysis, error) {
 	shards := shardByCore(set, opts, &a.Diag)
 	results := integrateShards(shards, set.Syms, opts)
 
-	total := 0
-	for i := range results {
-		total += len(results[i].items)
-	}
-	a.Items = make([]Item, 0, total)
+	runs := make([][]Item, len(results))
 	for i := range results {
 		r := &results[i]
-		a.Items = append(a.Items, r.items...)
+		runs[i] = r.items
 		a.Diag.merge(r.diag)
 		if r.hasGap {
 			a.MeanSampleGap[r.core] = r.meanGap
 		}
 	}
-	// Shards are core-sorted and each shard's items are begin-sorted, so a
-	// final stable sort yields one global deterministic order regardless
-	// of how many workers ran.
-	SortItems(a.Items)
+	a.Items = mergeItems(runs)
 	if reg != nil {
 		publishIntegrate(reg, a, results, time.Since(t0))
 	}
@@ -306,12 +299,46 @@ func Integrate(set *trace.Set, opts Options) (*Analysis, error) {
 // SortItems orders items the way Integrate returns them: by BeginTSC, then
 // by core, keeping the given order among equals.
 func SortItems(items []Item) {
-	slices.SortStableFunc(items, func(x, y Item) int {
-		if x.BeginTSC != y.BeginTSC {
-			return cmp.Compare(x.BeginTSC, y.BeginTSC)
+	slices.SortStableFunc(items, compareItems)
+}
+
+func compareItems(x, y Item) int {
+	if x.BeginTSC != y.BeginTSC {
+		return cmp.Compare(x.BeginTSC, y.BeginTSC)
+	}
+	return cmp.Compare(x.Core, y.Core)
+}
+
+// mergeItems returns the runs concatenated in SortItems order. Each shard's
+// items close in begin order, so every run is normally sorted already and
+// a k-way merge, taking the earliest run on equal keys, gives exactly what
+// a stable sort of the concatenation gives. Should any run be out of order,
+// it sorts the concatenation instead. It consumes runs.
+func mergeItems(runs [][]Item) []Item {
+	total, sorted := 0, true
+	for _, r := range runs {
+		total += len(r)
+		sorted = sorted && slices.IsSortedFunc(r, compareItems)
+	}
+	out := make([]Item, 0, total)
+	if !sorted {
+		for _, r := range runs {
+			out = append(out, r...)
 		}
-		return cmp.Compare(x.Core, y.Core)
-	})
+		SortItems(out)
+		return out
+	}
+	for len(out) < total {
+		best := -1
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || compareItems(r[0], runs[best][0]) < 0) {
+				best = i
+			}
+		}
+		out = append(out, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
+	return out
 }
 
 // Confidence penalty factors and coverage thresholds (see Item.Confidence).

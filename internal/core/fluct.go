@@ -73,8 +73,8 @@ func DetectFluctuations(a *Analysis, key func(*Item) string, sigma, minRelative 
 		if g.Summary.N < 2 {
 			continue
 		}
-		med := stats.Median(g.ElapsedUs)
-		robust := stats.MADSigmaFactor * stats.MAD(g.ElapsedUs)
+		med := g.Summary.P50
+		robust := stats.MADSigmaFactor * stats.MADAbout(g.ElapsedUs, med)
 		for i, us := range g.ElapsedUs {
 			dev := us - med
 			if dev < 0 {

@@ -127,16 +127,23 @@ type Result struct {
 	Set *trace.Set
 	// FreqHz for cycle/time conversions.
 	FreqHz uint64
-	// Verdicts and Truth map packet ID → chain verdict / linear oracle.
-	Verdicts map[uint64]Verdict
-	Truth    map[uint64]Verdict
-	// Mismatches lists packet IDs whose chain verdict disagreed with the
-	// oracle (always empty unless the matcher or cache is broken).
-	Mismatches []uint64
+	// Verdicts holds each packet's chain verdict at index ID−1: packet IDs
+	// run densely from 1, worker by worker.
+	Verdicts []Verdict
+	// Mismatches lists the packets whose chain verdict disagreed with the
+	// linear oracle, in packet ID order (always empty unless the matcher
+	// or cache is broken).
+	Mismatches []Mismatch
 	// CacheStats aggregates flow-cache traffic across workers.
 	CacheStats FlowStats
 	// Matcher is the (initial) compiled policy, for shape reporting.
 	Matcher *Matcher
+}
+
+// Mismatch is one packet whose chain verdict disagreed with the oracle.
+type Mismatch struct {
+	ID        uint64
+	Got, Want Verdict
 }
 
 // VerifyTruth fails if any packet's verdict disagreed with the oracle.
@@ -144,9 +151,9 @@ func (r *Result) VerifyTruth() error {
 	if len(r.Mismatches) == 0 {
 		return nil
 	}
-	id := r.Mismatches[0]
+	m := r.Mismatches[0]
 	return fmt.Errorf("dataplane: %d verdict mismatches (first: packet %d got %+v want %+v)",
-		len(r.Mismatches), id, r.Verdicts[id], r.Truth[id])
+		len(r.Mismatches), m.ID, m.Got, m.Want)
 }
 
 // onsetIndex converts a fractional onset into a packet index, -1 if off.
@@ -218,12 +225,8 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	skewIdx := onsetIndex(cfg.SkewAt, cfg.Packets)
 	tc := cfg.Timing
 
-	type pktOutcome struct {
-		id           uint64
-		got, want    Verdict
-		cacheEnabled bool
-	}
-	perWorker := make([][]pktOutcome, cfg.Workers)
+	verdicts := make([]Verdict, cfg.Workers*cfg.Packets)
+	mismatches := make([][]Mismatch, cfg.Workers)
 	cacheStats := make([]FlowStats, cfg.Workers)
 
 	for w := 0; w < cfg.Workers; w++ {
@@ -356,7 +359,10 @@ func Run(cfg PipelineConfig) (*Result, error) {
 				if cfg.Mark == MarkPackets {
 					log.Mark(c, pid, trace.ItemEnd)
 				}
-				perWorker[w] = append(perWorker[w], pktOutcome{id: pid, got: got, want: want})
+				verdicts[pid-1] = got
+				if got != want {
+					mismatches[w] = append(mismatches[w], Mismatch{ID: pid, Got: got, Want: want})
+				}
 			}
 			if cache != nil {
 				cacheStats[w] = cache.Stats()
@@ -365,20 +371,9 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	}
 	mach.Wait()
 
-	res := &Result{
-		FreqHz:   mach.FreqHz(),
-		Verdicts: make(map[uint64]Verdict, cfg.Workers*cfg.Packets),
-		Truth:    make(map[uint64]Verdict, cfg.Workers*cfg.Packets),
-		Matcher:  matcher,
-	}
-	for w := range perWorker {
-		for _, o := range perWorker[w] {
-			res.Verdicts[o.id] = o.got
-			res.Truth[o.id] = o.want
-			if o.got != o.want {
-				res.Mismatches = append(res.Mismatches, o.id)
-			}
-		}
+	res := &Result{FreqHz: mach.FreqHz(), Verdicts: verdicts, Matcher: matcher}
+	for w := range mismatches {
+		res.Mismatches = append(res.Mismatches, mismatches[w]...)
 		res.CacheStats.Hits += cacheStats[w].Hits
 		res.CacheStats.Misses += cacheStats[w].Misses
 		res.CacheStats.Inserts += cacheStats[w].Inserts

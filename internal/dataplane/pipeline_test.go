@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/acl"
@@ -92,6 +93,25 @@ func TestPipelineTruth(t *testing.T) {
 	}
 }
 
+// TestVerifyTruthNamesFirstMismatch: a mismatch carries its own verdicts,
+// so the error names the first packet's got and want without a lookup.
+func TestVerifyTruthNamesFirstMismatch(t *testing.T) {
+	got := Verdict{Rule: 3, Action: Allow, NextHop: 2}
+	want := Verdict{Rule: -1, Action: NoMatchAction, NextHop: lpm.NoRoute}
+	r := &Result{Mismatches: []Mismatch{{ID: 7, Got: got, Want: want}, {ID: 9}}}
+	err := r.VerifyTruth()
+	if err == nil {
+		t.Fatal("VerifyTruth passed two mismatches")
+	}
+	msg := fmt.Sprintf("dataplane: 2 verdict mismatches (first: packet 7 got %+v want %+v)", got, want)
+	if err.Error() != msg {
+		t.Errorf("VerifyTruth = %q, want %q", err, msg)
+	}
+	if err := (&Result{}).VerifyTruth(); err != nil {
+		t.Errorf("no mismatches: %v", err)
+	}
+}
+
 // TestPipelineDeterminism: identical configs produce byte-identical
 // traced reports, and integration parallelism never changes the bytes.
 func TestPipelineDeterminism(t *testing.T) {
@@ -145,7 +165,7 @@ func TestPipelineStageSpans(t *testing.T) {
 			}
 		}
 		routeSamples := it.Func(FnRoute).Samples
-		v := r.Verdicts[it.ID]
+		v := r.Verdicts[it.ID-1]
 		if v.Action == Allow && routeSamples > 0 {
 			sawRoute = true
 		}

@@ -221,6 +221,7 @@ func Run(cfg Config, packets []acl.Packet) (*Result, error) {
 			probeUops = trace.DefaultMarkerUops
 		}
 		rateCy, rateUo := c.Rate()
+		meter := acl.NewCoreMeter(c, cfg.Timing)
 		// popOne busy-polls the RX ring, DPDK-style: the spin retires
 		// instructions and is therefore sampled (those samples attribute
 		// to rte_ring_dequeue, outside any data-item interval).
@@ -247,7 +248,7 @@ func Run(cfg Config, packets []acl.Packet) (*Result, error) {
 				c.Exec(probeUops) // the golden method's own log costs too
 			}
 			c.Call(classify, func() {
-				cls.ClassifyTimed(c, pkt, cfg.Timing)
+				cls.ClassifyTimed(pkt, meter)
 			})
 			if cfg.BaselineProbe {
 				t1 = c.Now()

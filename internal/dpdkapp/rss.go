@@ -99,6 +99,7 @@ func RunRSS(cfg Config, workers int, packets []acl.Packet) (*Result, error) {
 		w := w
 		m.MustSpawn(2+w, func(c *sim.Core) {
 			rateCy, rateUo := c.Rate()
+			meter := acl.NewCoreMeter(c, cfg.Timing)
 			for {
 				s, arrival, ok := toWorker[w].PopWait(c)
 				if !ok {
@@ -118,7 +119,7 @@ func RunRSS(cfg Config, workers int, packets []acl.Packet) (*Result, error) {
 					log.Mark(c, pkt.ID, trace.ItemBegin)
 				}
 				c.Call(prepare, func() { c.Exec(90) })
-				c.Call(classify, func() { cls.ClassifyTimed(c, pkt, cfg.Timing) })
+				c.Call(classify, func() { cls.ClassifyTimed(pkt, meter) })
 				c.Call(apply, func() { c.Exec(60) })
 				if cfg.Markers {
 					log.Mark(c, pkt.ID, trace.ItemEnd)

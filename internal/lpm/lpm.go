@@ -10,6 +10,12 @@
 // differ in latency purely by how deep their covering route is, and by
 // whether the relevant table lines are cache-warm. That makes it a natural
 // second case study for the tracer.
+//
+// Both levels hold 4-byte packed entries in DPDK's tbl24 layout: bits 0–23
+// carry nextHop+1 (or, in an extended first-level slot, the overflow page
+// index), bits 24–29 carry depth+1, and bit 31 marks an extended slot. The
+// zero entry is "no route", so a fresh table needs no fill, and a next hop
+// must stay below 2^24−1, DPDK's limit.
 package lpm
 
 import (
@@ -47,32 +53,50 @@ func (r Route) Validate() error {
 	if r.NextHop < 0 {
 		return fmt.Errorf("lpm: negative next hop %d", r.NextHop)
 	}
+	if r.NextHop > maxNextHop {
+		return fmt.Errorf("lpm: next hop %d does not fit 24 bits (max %d)", r.NextHop, maxNextHop)
+	}
 	if r.Len < 32 && r.Prefix<<uint(r.Len) != 0 {
 		return fmt.Errorf("lpm: prefix %08x has bits below /%d", r.Prefix, r.Len)
 	}
 	return nil
 }
 
-// entry is one first-level slot: either a terminal next hop (with the
-// depth of the route that set it) or a pointer to an overflow page.
-type entry struct {
-	nextHop  int32
-	depth    int8
-	extended bool
-	page     int32
+// entry is one packed slot of either level (see the package doc). The
+// timing model charges 4 bytes per entry, which is what it occupies.
+type entry uint32
+
+const (
+	valueMask   = 1<<24 - 1 // nextHop+1, or the page index when extended
+	depthShift  = 24        // depth+1 in bits 24–29
+	extendedBit = 1 << 31
+	// maxNextHop is the largest next hop nextHop+1 leaves room for.
+	maxNextHop = valueMask - 1
+)
+
+// routeEntry packs a terminal slot for a route of length depth.
+func routeEntry(nextHop, depth int) entry {
+	return entry(nextHop+1) | entry(depth+1)<<depthShift
 }
 
-// pageEntry is one second-level slot.
-type pageEntry struct {
-	nextHop int32
-	depth   int8
-}
+// pageEntry packs an extended first-level slot pointing at page.
+func pageEntry(page int) entry { return extendedBit | entry(page) }
+
+func (e entry) extended() bool { return e&extendedBit != 0 }
+
+// nextHop is NoRoute for the zero entry.
+func (e entry) nextHop() int { return int(e&valueMask) - 1 }
+
+// depth is -1 for the zero entry, so any route replaces it.
+func (e entry) depth() int { return int(e>>depthShift&0x3f) - 1 }
+
+func (e entry) page() uint32 { return uint32(e & valueMask) }
 
 // Table is a built LPM table.
 type Table struct {
 	firstBits uint
 	tbl       []entry
-	pages     [][]pageEntry
+	pages     [][]entry
 	routes    int
 }
 
@@ -93,10 +117,6 @@ func Build(routes []Route, cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("lpm: first-level width %d out of range [8,24]", bits)
 	}
 	t := &Table{firstBits: uint(bits), tbl: make([]entry, 1<<bits)}
-	for i := range t.tbl {
-		t.tbl[i].nextHop = NoRoute
-		t.tbl[i].depth = -1
-	}
 	// Insert shortest-first so longer prefixes overwrite.
 	ordered := append([]Route(nil), routes...)
 	for i := 1; i < len(ordered); i++ {
@@ -125,50 +145,49 @@ func MustBuild(routes []Route, cfg Config) *Table {
 
 func (t *Table) insert(r Route) {
 	shift := 32 - t.firstBits
+	e := routeEntry(r.NextHop, r.Len)
 	if uint(r.Len) <= t.firstBits {
 		// The route covers whole first-level slots.
 		lo := r.Prefix >> shift
 		count := uint32(1) << (t.firstBits - uint(r.Len))
 		for i := uint32(0); i < count; i++ {
 			slot := &t.tbl[lo+i]
-			if slot.extended {
+			if slot.extended() {
 				// Fill the page's shallower entries.
-				page := t.pages[slot.page]
+				page := t.pages[slot.page()]
 				for k := range page {
-					if page[k].depth <= int8(r.Len) {
-						page[k] = pageEntry{nextHop: int32(r.NextHop), depth: int8(r.Len)}
+					if page[k].depth() <= r.Len {
+						page[k] = e
 					}
 				}
 				continue
 			}
-			if slot.depth <= int8(r.Len) {
-				slot.nextHop = int32(r.NextHop)
-				slot.depth = int8(r.Len)
+			if slot.depth() <= r.Len {
+				*slot = e
 			}
 		}
 		return
 	}
 	// The route lives below the first level: extend its slot with a page
-	// covering every remaining low bit.
+	// covering every remaining low bit, seeded from the slot's route. A
+	// page index fits 24 bits: there is at most one page per slot.
 	pageLen := 1 << shift
 	slotIdx := r.Prefix >> shift
 	slot := &t.tbl[slotIdx]
-	if !slot.extended {
-		page := make([]pageEntry, pageLen)
+	if !slot.extended() {
+		page := make([]entry, pageLen)
 		for k := range page {
-			page[k] = pageEntry{nextHop: slot.nextHop, depth: slot.depth}
+			page[k] = *slot
 		}
 		t.pages = append(t.pages, page)
-		slot.extended = true
-		slot.page = int32(len(t.pages) - 1)
+		*slot = pageEntry(len(t.pages) - 1)
 	}
-	page := t.pages[slot.page]
+	page := t.pages[slot.page()]
 	low := int(r.Prefix & (uint32(pageLen) - 1))
 	span := 1 << (32 - uint(r.Len))
 	for i := 0; i < span && low+i < pageLen; i++ {
-		pe := &page[low+i]
-		if pe.depth <= int8(r.Len) {
-			*pe = pageEntry{nextHop: int32(r.NextHop), depth: int8(r.Len)}
+		if pe := &page[low+i]; pe.depth() <= r.Len {
+			*pe = e
 		}
 	}
 }
@@ -178,11 +197,10 @@ func (t *Table) insert(r Route) {
 func (t *Table) Lookup(addr uint32) (nextHop int, extended bool) {
 	shift := 32 - t.firstBits
 	slot := t.tbl[addr>>shift]
-	if !slot.extended {
-		return int(slot.nextHop), false
+	if !slot.extended() {
+		return slot.nextHop(), false
 	}
-	pe := t.pages[slot.page][addr&(1<<shift-1)]
-	return int(pe.nextHop), true
+	return t.pages[slot.page()][addr&(1<<shift-1)].nextHop(), true
 }
 
 // LinearLookup is the O(routes) reference the table is property-tested

@@ -1,6 +1,10 @@
 package lpm
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // edgeRoutes is a route set built entirely out of boundary cases: the /0
 // default, a /1 splitting the space, host routes at the very bottom and
@@ -96,5 +100,75 @@ func TestPageSeedInheritsShallowRoute(t *testing.T) {
 	}
 	if tbl.Pages() != 1 {
 		t.Errorf("Pages() = %d, want exactly 1", tbl.Pages())
+	}
+}
+
+// TestNextHopLimit: an entry packs nextHop+1 into 24 bits, so 2^24−2 is
+// the largest next hop that builds and looks up intact, at either level,
+// and 2^24−1 is rejected rather than wrapped into "no route".
+func TestNextHopLimit(t *testing.T) {
+	const top = 1<<24 - 2
+	tbl, err := Build([]Route{
+		{Prefix: ip(10, 0, 0, 0), Len: 8, NextHop: top},
+		{Prefix: ip(10, 1, 2, 3), Len: 32, NextHop: top - 1},
+	}, Config{})
+	if err != nil {
+		t.Fatalf("next hop 2^24-2 rejected: %v", err)
+	}
+	if hop, ext := tbl.Lookup(ip(10, 9, 9, 9)); hop != top || ext {
+		t.Errorf("first level = (%d, %v), want (%d, false)", hop, ext, top)
+	}
+	if hop, ext := tbl.Lookup(ip(10, 1, 2, 3)); hop != top-1 || !ext {
+		t.Errorf("page = (%d, %v), want (%d, true)", hop, ext, top-1)
+	}
+	if hop, _ := tbl.Lookup(ip(10, 1, 2, 4)); hop != top {
+		t.Errorf("page seeded from the /8 = %d, want %d", hop, top)
+	}
+	for _, hop := range []int{1<<24 - 1, 1 << 24, 1 << 40} {
+		if _, err := Build([]Route{{Prefix: ip(10, 0, 0, 0), Len: 8, NextHop: hop}}, Config{}); err == nil {
+			t.Errorf("accepted next hop %d", hop)
+		}
+	}
+}
+
+// TestZeroTableIsNoRoute: Build leaves the first level as allocated (all
+// zero entries), so every uncovered address, in a plain slot and in a
+// page seeded from an empty slot, must answer NoRoute, and a /0 to next
+// hop 0 must still be told apart from no route.
+func TestZeroTableIsNoRoute(t *testing.T) {
+	empty := MustBuild(nil, Config{})
+	for _, addr := range []uint32{0, ip(10, 1, 2, 3), ^uint32(0)} {
+		if hop, ext := empty.Lookup(addr); hop != NoRoute || ext {
+			t.Errorf("empty table: Lookup(%08x) = (%d, %v), want (%d, false)", addr, hop, ext, NoRoute)
+		}
+	}
+	host := MustBuild([]Route{{Prefix: ip(10, 1, 2, 3), Len: 32, NextHop: 0}}, Config{})
+	if hop, ext := host.Lookup(ip(10, 1, 2, 3)); hop != 0 || !ext {
+		t.Errorf("host route to hop 0 = (%d, %v), want (0, true)", hop, ext)
+	}
+	if hop, ext := host.Lookup(ip(10, 1, 2, 4)); hop != NoRoute || !ext {
+		t.Errorf("page neighbour of an empty slot = (%d, %v), want (%d, true)", hop, ext, NoRoute)
+	}
+	if hop, _ := host.Lookup(ip(11, 0, 0, 0)); hop != NoRoute {
+		t.Errorf("uncovered slot = %d, want %d", hop, NoRoute)
+	}
+	def := MustBuild([]Route{{Len: 0, NextHop: 0}}, Config{})
+	if hop, _ := def.Lookup(ip(1, 2, 3, 4)); hop != 0 {
+		t.Errorf("/0 to hop 0 = %d, want 0", hop)
+	}
+}
+
+// TestLookupTimedAllocatesNothing: the per-packet route probe, at both
+// depths, must not allocate.
+func TestLookupTimedAllocatesNothing(t *testing.T) {
+	c := sim.MustNew(sim.Config{Cores: 1}).Core(0)
+	tbl := MustBuild(sampleRoutes(), Config{})
+	tc := DefaultTimingConfig()
+	allocs := testing.AllocsPerRun(100, func() {
+		tbl.LookupTimed(c, ip(10, 9, 9, 9), tc)
+		tbl.LookupTimed(c, ip(10, 1, 2, 42), tc)
+	})
+	if allocs != 0 {
+		t.Errorf("LookupTimed allocates %.1f times per pair of lookups, want 0", allocs)
 	}
 }

@@ -38,12 +38,11 @@ func (t *Table) LookupTimed(core *sim.Core, addr uint32, tc TimingConfig) (int, 
 	idx := addr >> shift
 	core.Load(tc.TableBase + uint64(idx)*4)
 	slot := t.tbl[idx]
-	if !slot.extended {
-		return int(slot.nextHop), false
+	if !slot.extended() {
+		return slot.nextHop(), false
 	}
 	core.Exec(tc.ExtUops)
 	low := addr & (1<<shift - 1)
-	core.Load(tc.PageBase + (uint64(slot.page)<<shift)*4 + uint64(low)*4)
-	pe := t.pages[slot.page][low]
-	return int(pe.nextHop), true
+	core.Load(tc.PageBase + (uint64(slot.page())<<shift)*4 + uint64(low)*4)
+	return t.pages[slot.page()][low].nextHop(), true
 }

@@ -25,8 +25,11 @@ type Core struct {
 	cpuNum, cpuDen uint64
 	carry          uint64
 
-	regs  [pmu.NumRegs]uint64
-	stack []frame
+	regs [pmu.NumRegs]uint64
+	// regsSet turns true at the first non-zero SetReg: until then every
+	// sample's register file is nil, so ctx passes none to copy or check.
+	regsSet bool
+	stack   []frame
 
 	// PMU is the core's performance monitoring unit.
 	PMU *pmu.PMU
@@ -71,7 +74,10 @@ func (c *Core) Rate() (cyclesNum, uopsDen uint64) { return c.cpuNum, c.cpuDen }
 
 // SetReg writes general-purpose register i. The §V-A timer-switching
 // extension stores the current data-item ID in r13 (pmu.R13) this way.
-func (c *Core) SetReg(i int, v uint64) { c.regs[i] = v }
+func (c *Core) SetReg(i int, v uint64) {
+	c.regs[i] = v
+	c.regsSet = c.regsSet || v != 0
+}
 
 // Reg reads general-purpose register i.
 func (c *Core) Reg(i int) uint64 { return c.regs[i] }
@@ -111,7 +117,11 @@ func (c *Core) Call(fn *symtab.Fn, body func()) {
 }
 
 func (c *Core) ctx() pmu.Ctx {
-	return pmu.Ctx{TSC: c.clock, IP: c.IP(), Core: int32(c.id), Regs: &c.regs}
+	ctx := pmu.Ctx{TSC: c.clock, IP: c.IP(), Core: int32(c.id)}
+	if c.regsSet {
+		ctx.Regs = &c.regs
+	}
+	return ctx
 }
 
 // advance retires k uops without checking counters: clock and IP move, and

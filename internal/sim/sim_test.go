@@ -288,16 +288,31 @@ func TestAdvanceToNeverGoesBack(t *testing.T) {
 func TestRegisters(t *testing.T) {
 	m := testMachine(t)
 	c := m.Core(0)
+	rec := pmu.NewPEBS(pmu.PEBSConfig{})
+	c.PMU.MustProgram(pmu.UopsRetired, 10, rec)
+	// Samples carry no register file until a register holds a non-zero
+	// value, and none again once every register is back at zero.
+	c.Exec(10)
+	c.SetReg(pmu.R13, 0)
+	c.Exec(10)
 	c.SetReg(pmu.R13, 99)
 	if c.Reg(pmu.R13) != 99 {
 		t.Error("register write lost")
 	}
-	// Register value must appear in samples.
-	rec := pmu.NewPEBS(pmu.PEBSConfig{})
-	c.PMU.MustProgram(pmu.UopsRetired, 10, rec)
 	c.Exec(10)
-	if s := rec.Samples(); len(s) != 1 || s[0].Reg(pmu.R13) != 99 {
-		t.Errorf("sample regs = %+v", s)
+	c.SetReg(pmu.R13, 0)
+	c.Exec(10)
+	s := rec.Samples()
+	if len(s) != 4 {
+		t.Fatalf("got %d samples, want 4", len(s))
+	}
+	for i, want := range []bool{false, false, true, false} {
+		if (s[i].Regs != nil) != want {
+			t.Errorf("sample %d: Regs %v, want a register file: %v", i, s[i].Regs, want)
+		}
+	}
+	if s[2].Reg(pmu.R13) != 99 {
+		t.Errorf("sample regs = %+v", s[2].Regs)
 	}
 }
 

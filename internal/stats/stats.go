@@ -72,11 +72,21 @@ func Max(xs []float64) float64 {
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It copies and sorts its input.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
+	return percentileSorted(sortedCopy(xs), p)
+}
+
+// sortedCopy returns xs copied and sorted, NaNs first.
+func sortedCopy(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return s
+}
+
+// percentileSorted is Percentile over an already sorted slice.
+func percentileSorted(s []float64, p float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return s[0]
 	}
@@ -100,10 +110,15 @@ func Median(xs []float64) float64 { return Percentile(xs, 50) }
 // spread estimate the fluctuation detector scales by 1.4826 to get a
 // stddev-comparable sigma that a single extreme outlier cannot inflate.
 func MAD(xs []float64) float64 {
+	return MADAbout(xs, Median(xs))
+}
+
+// MADAbout is MAD with the median already known: the median of |x − med|.
+// A caller holding Summarize's P50 saves MAD's own sort.
+func MADAbout(xs []float64, med float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	med := Median(xs)
 	devs := make([]float64, len(xs))
 	for i, x := range xs {
 		d := x - med
@@ -112,7 +127,8 @@ func MAD(xs []float64) float64 {
 		}
 		devs[i] = d
 	}
-	return Median(devs)
+	sort.Float64s(devs)
+	return percentileSorted(devs, 50)
 }
 
 // MADSigmaFactor converts a MAD into a normal-consistent sigma estimate.
@@ -130,16 +146,19 @@ type Summary struct {
 	P99    float64
 }
 
-// Summarize computes a Summary of xs.
+// Summarize computes a Summary of xs. It sorts one copy for both
+// percentiles; Min and Max stay scans, which differ from the ends of the
+// sorted copy when xs holds a NaN.
 func Summarize(xs []float64) Summary {
+	s := sortedCopy(xs)
 	return Summary{
 		N:      len(xs),
 		Mean:   Mean(xs),
 		Stddev: Stddev(xs),
 		Min:    Min(xs),
 		Max:    Max(xs),
-		P50:    Percentile(xs, 50),
-		P99:    Percentile(xs, 99),
+		P50:    percentileSorted(s, 50),
+		P99:    percentileSorted(s, 99),
 	}
 }
 

@@ -190,3 +190,41 @@ func TestQuickLinearFitRecoversLine(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSummarizeMatchesPerStatistic: Summarize sorts one copy for both
+// percentiles; every field must equal, bit for bit, the standalone
+// function it stands for — on random inputs with ties, and on inputs
+// holding NaNs, where Min and Max (scans) differ from the sorted ends.
+func TestSummarizeMatchesPerStatistic(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	check := func(name string, xs []float64) {
+		t.Helper()
+		s := Summarize(xs)
+		want := Summary{N: len(xs), Mean: Mean(xs), Stddev: Stddev(xs), Min: Min(xs), Max: Max(xs),
+			P50: Percentile(xs, 50), P99: Percentile(xs, 99)}
+		if s.N != want.N || !same(s.Mean, want.Mean) || !same(s.Stddev, want.Stddev) ||
+			!same(s.Min, want.Min) || !same(s.Max, want.Max) || !same(s.P50, want.P50) || !same(s.P99, want.P99) {
+			t.Errorf("%s: Summarize = %+v, per statistic %+v", name, s, want)
+		}
+		if med := Median(xs); !same(MADAbout(xs, med), MAD(xs)) {
+			t.Errorf("%s: MADAbout(xs, Median) = %v, MAD = %v", name, MADAbout(xs, med), MAD(xs))
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 200; i++ {
+		xs := make([]float64, rng.Intn(300))
+		for j := range xs {
+			xs[j] = float64(rng.Intn(50)) + rng.Float64()*float64(rng.Intn(2))
+		}
+		check("random", xs)
+	}
+	check("empty", nil)
+
+	nan := math.NaN()
+	xs := []float64{3, nan, 1, 7, nan, 2}
+	check("NaN", xs)
+	if s := Summarize(xs); s.Min != 1 || s.Max != 7 {
+		t.Errorf("NaN input: Min %v Max %v, want the scans' 1 and 7", s.Min, s.Max)
+	}
+	check("leading NaN", []float64{nan, 5, 4})
+}

@@ -15,7 +15,9 @@
 package dbsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/pmu"
 	"repro/internal/queue"
@@ -183,6 +185,22 @@ type Result struct {
 // CyclesToMicros converts cycles to µs.
 func (r *Result) CyclesToMicros(cy uint64) float64 {
 	return float64(cy) * 1e6 / float64(r.FreqHz)
+}
+
+// SlowestFirst returns every query ID by total cycles, slowest first, and
+// equal totals in ID order, so a report does not follow Stats' map order.
+func (r *Result) SlowestFirst() []uint64 {
+	ids := make([]uint64, 0, len(r.Stats))
+	for id := range r.Stats {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b uint64) int {
+		if c := cmp.Compare(r.Stats[b].Cycles, r.Stats[a].Cycles); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return ids
 }
 
 type xorshift uint64

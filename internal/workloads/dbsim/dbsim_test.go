@@ -1,6 +1,7 @@
 package dbsim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -242,5 +243,19 @@ func TestFluctuationDetectorOnDB(t *testing.T) {
 	}
 	if len(groups[0].Outliers) == 0 {
 		t.Error("no outliers among point reads despite disk misses")
+	}
+}
+
+// TestSlowestFirstBreaksTiesByID: equal totals come out in query ID order,
+// whatever order the Stats map yields them in.
+func TestSlowestFirstBreaksTiesByID(t *testing.T) {
+	r := &Result{Stats: map[uint64]QueryStat{
+		5: {Cycles: 10}, 2: {Cycles: 10}, 9: {Cycles: 30}, 1: {Cycles: 5}, 7: {Cycles: 10},
+	}}
+	want := []uint64{9, 2, 5, 7, 1}
+	for i := 0; i < 20; i++ {
+		if got := r.SlowestFirst(); !slices.Equal(got, want) {
+			t.Fatalf("SlowestFirst = %v, want %v", got, want)
+		}
 	}
 }
