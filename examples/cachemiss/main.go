@@ -9,12 +9,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	repro "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	m := repro.NewMachine(repro.MachineConfig{Cores: 1})
 	scan := m.Syms.MustRegister("scan_table", 4096)
 
@@ -51,12 +59,12 @@ func main() {
 	set := repro.NewTraceSet(m, markers, pebs.Samples())
 	counts, err := repro.EventCounts(set, repro.LLCMisses, resetValue)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("item  function    est. LLC misses")
+	fmt.Fprintln(w, "item  function    est. LLC misses")
 	for _, ec := range counts {
-		fmt.Printf("%4d  %-10s  %15d\n", ec.Item, ec.Fn.Name, ec.EstOccurrences)
+		fmt.Fprintf(w, "%4d  %-10s  %15d\n", ec.Item, ec.Fn.Name, ec.EstOccurrences)
 	}
-	fmt.Println("\nboth items ran the same function; the miss counts expose the cold scan")
+	fmt.Fprintln(w, "\nboth items ran the same function; the miss counts expose the cold scan")
+	return nil
 }

@@ -15,6 +15,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	repro "repro"
@@ -22,6 +23,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	m := repro.NewMachine(repro.MachineConfig{Cores: 1})
 	lookup := m.Syms.MustRegister("fib_lookup", 4096)   // memory-bound
 	rewrite := m.Syms.MustRegister("hdr_rewrite", 2048) // compute-bound
@@ -62,8 +70,7 @@ func main() {
 	set := repro.NewTraceSet(m, markers, pebs.Samples())
 	a, err := repro.Integrate(set, repro.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
 	var quietTotal, noisyTotal []float64
@@ -85,12 +92,13 @@ func main() {
 		}
 	}
 	q, n := stats.Mean(quietTotal), stats.Mean(noisyTotal)
-	fmt.Printf("identical packets, two non-functional states:\n")
-	fmt.Printf("  quiet:     %.1f us/packet\n", q)
-	fmt.Printf("  contended: %.1f us/packet  (throughput drop %.0f%%)\n\n", n, 100*(1-q/n))
-	fmt.Printf("where the time went (per-data-item function estimates):\n")
-	fmt.Printf("  fib_lookup:  quiet %.1f us -> contended %.1f us   <= absorbs the contention\n",
+	fmt.Fprintf(w, "identical packets, two non-functional states:\n")
+	fmt.Fprintf(w, "  quiet:     %.1f us/packet\n", q)
+	fmt.Fprintf(w, "  contended: %.1f us/packet  (throughput drop %.0f%%)\n\n", n, 100*(1-q/n))
+	fmt.Fprintf(w, "where the time went (per-data-item function estimates):\n")
+	fmt.Fprintf(w, "  fib_lookup:  quiet %.1f us -> contended %.1f us   <= absorbs the contention\n",
 		stats.Mean(quietLookup), stats.Mean(noisyLookup))
-	fmt.Printf("  hdr_rewrite: quiet %.1f us -> contended %.1f us   <= compute-bound, unaffected\n",
+	fmt.Fprintf(w, "  hdr_rewrite: quiet %.1f us -> contended %.1f us   <= compute-bound, unaffected\n",
 		stats.Mean(quietRewrite), stats.Mean(noisyRewrite))
+	return nil
 }

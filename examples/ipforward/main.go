@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	repro "repro"
@@ -23,6 +24,13 @@ func ip(a, b, c, d byte) uint32 {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	// A routing table with a shallow aggregate and a deep customer block.
 	routes := []lpm.Route{
 		{Prefix: 0, Len: 0, NextHop: 0},                // default
@@ -78,8 +86,7 @@ func main() {
 	set := repro.NewTraceSet(m, markers, pebs.Samples())
 	a, err := repro.Integrate(set, repro.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	var shallow, deep []float64
 	for i := range a.Items {
@@ -91,9 +98,10 @@ func main() {
 			shallow = append(shallow, us)
 		}
 	}
-	fmt.Printf("rte_lpm_lookup per packet (64 lookups each), table %d routes / %d pages:\n",
+	fmt.Fprintf(w, "rte_lpm_lookup per packet (64 lookups each), table %d routes / %d pages:\n",
 		table.Routes(), table.Pages())
-	fmt.Printf("  aggregate-covered (1 probe):  %s\n", stats.Summarize(shallow))
-	fmt.Printf("  customer-covered  (2 probes): %s\n", stats.Summarize(deep))
-	fmt.Println("\nsame function, same packet rate — the route depth is the non-functional state")
+	fmt.Fprintf(w, "  aggregate-covered (1 probe):  %s\n", stats.Summarize(shallow))
+	fmt.Fprintf(w, "  customer-covered  (2 probes): %s\n", stats.Summarize(deep))
+	fmt.Fprintln(w, "\nsame function, same packet rate — the route depth is the non-functional state")
+	return nil
 }

@@ -13,12 +13,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	repro "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	m := repro.NewMachine(repro.MachineConfig{Cores: 1})
 	lookup := m.Syms.MustRegister("table_lookup", 4096)
 	render := m.Syms.MustRegister("render_reply", 2048)
@@ -57,8 +65,7 @@ func main() {
 	set := repro.NewTraceSet(m, markers, pebs.Samples())
 	ring, err := repro.NewRawRing(512)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	mon := repro.NewOnlineMonitor(1.0) // dump at 100% divergence
 	var dumps int
@@ -68,12 +75,11 @@ func main() {
 			raw := ring.Dump()
 			dumps++
 			dumpedSamples += len(raw)
-			fmt.Printf("DIVERGENCE %s — dumped %d raw samples around it\n", d, len(raw))
+			fmt.Fprintf(w, "DIVERGENCE %s — dumped %d raw samples around it\n", d, len(raw))
 		}
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	for _, r := range set.FeedOrder() {
 		if r < 0 {
@@ -86,7 +92,8 @@ func main() {
 	integ.Close()
 
 	total := len(set.Samples)
-	fmt.Printf("\n%d requests, %d samples taken, %d divergence dumps\n", requests, total, dumps)
-	fmt.Printf("raw samples persisted: %d of %d (%.1f%%) — the §IV-C3 volume reduction\n",
+	fmt.Fprintf(w, "\n%d requests, %d samples taken, %d divergence dumps\n", requests, total, dumps)
+	fmt.Fprintf(w, "raw samples persisted: %d of %d (%.1f%%) — the §IV-C3 volume reduction\n",
 		dumpedSamples, total, 100*float64(dumpedSamples)/float64(total))
+	return nil
 }

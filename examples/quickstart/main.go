@@ -12,12 +12,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	repro "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	m := repro.NewMachine(repro.MachineConfig{Cores: 2})
 
 	// Register the worker's functions as the "binary's" symbol table.
@@ -67,14 +75,13 @@ func main() {
 	set := repro.NewTraceSet(m, markers, pebs.Samples())
 	analysis, err := repro.Integrate(set, repro.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Println("item  total(us)  parse(us)  handle(us)  respond(us)")
+	fmt.Fprintln(w, "item  total(us)  parse(us)  handle(us)  respond(us)")
 	for i := range analysis.Items {
 		it := &analysis.Items[i]
-		fmt.Printf("%4d  %9.2f  %9.2f  %10.2f  %11.2f\n",
+		fmt.Fprintf(w, "%4d  %9.2f  %9.2f  %10.2f  %11.2f\n",
 			it.ID,
 			analysis.CyclesToMicros(it.ElapsedCycles()),
 			analysis.CyclesToMicros(it.Func("parse").Cycles()),
@@ -86,8 +93,9 @@ func main() {
 	groups := repro.DetectFluctuations(analysis, func(*repro.Item) string { return "requests" }, 3, 0.5)
 	for _, g := range groups {
 		for _, it := range g.Outliers {
-			fmt.Printf("\nfluctuation: item %d took %.1f us vs group median ~%.1f us — handle() ran cold\n",
+			fmt.Fprintf(w, "\nfluctuation: item %d took %.1f us vs group median ~%.1f us — handle() ran cold\n",
 				it.ID, analysis.CyclesToMicros(it.ElapsedCycles()), g.Summary.P50)
 		}
 	}
+	return nil
 }

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	repro "repro"
@@ -17,6 +18,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	m := repro.NewMachine(repro.MachineConfig{Cores: 1})
 	c := m.Core(0)
 
@@ -30,28 +38,27 @@ func main() {
 	}
 	res, err := ultl.Run(c, ultl.DefaultConfig(), tasks)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("scheduler: %d context switches, slices per item: %v\n\n", res.Switches, res.Slices)
+	fmt.Fprintf(w, "scheduler: %d context switches, slices per item: %v\n\n", res.Switches, res.Slices)
 
 	set := repro.NewTraceSet(m, repro.NewMarkerLog(1, 0), pebs.Samples())
 	a, err := repro.IntegrateByRegister(set, repro.R13, repro.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Println("item  window(us)        samples  est-from-samples(us)  true(us)")
+	fmt.Fprintln(w, "item  window(us)        samples  est-from-samples(us)  true(us)")
 	for i := range a.Items {
 		it := &a.Items[i]
 		est := float64(it.SampleCount) * a.MeanSampleGap[0] / 2000 // cycles→us at 2 GHz
-		fmt.Printf("%4d  [%7.1f,%7.1f]  %7d  %20.1f  %8.1f\n",
+		fmt.Fprintf(w, "%4d  [%7.1f,%7.1f]  %7d  %20.1f  %8.1f\n",
 			it.ID,
 			a.CyclesToMicros(it.BeginTSC), a.CyclesToMicros(it.EndTSC),
 			it.SampleCount, est,
 			float64(res.TrueCycles[it.ID])/2000)
 	}
-	fmt.Println("\nnote the overlapping [begin,end] windows: the items interleave on the core,")
-	fmt.Println("yet every sample still maps to the right item via r13")
+	fmt.Fprintln(w, "\nnote the overlapping [begin,end] windows: the items interleave on the core,")
+	fmt.Fprintln(w, "yet every sample still maps to the right item via r13")
+	return nil
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -19,11 +20,17 @@ import (
 func main() {
 	requests := flag.Int("requests", 20000, "requests to serve")
 	flag.Parse()
-
-	r, err := experiments.Fig2(*requests)
-	if err != nil {
+	if err := run(os.Stdout, *requests); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	r.Render(os.Stdout)
+}
+
+func run(w io.Writer, requests int) error {
+	r, err := experiments.Fig2(requests)
+	if err != nil {
+		return err
+	}
+	r.Render(w)
+	return nil
 }
