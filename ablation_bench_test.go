@@ -191,11 +191,11 @@ func BenchmarkAblationLPMFirstLevel(b *testing.B) {
 		for k := 0; k < probes; k++ {
 			// Traffic destined to the installed routes.
 			addr := routes[1+k%512].Prefix | uint32(k)&0xfff
-			if _, extended := tbl.Lookup(addr); extended {
+			if _, extended := tbl.Lookup(addr, nil); extended {
 				ext++
 			}
 		}
-		return float64(ext) / probes, tbl.FirstLevelEntries()
+		return float64(ext) / probes, 1 << bits
 	}
 	for i := 0; i < b.N; i++ {
 		r16, e16 := measure(16)

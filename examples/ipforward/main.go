@@ -55,10 +55,10 @@ func run(w io.Writer) error {
 	c.PMU.MustProgram(repro.UopsRetired, 200, pebs)
 	markers := repro.NewMarkerLog(1, 0)
 
-	tc := lpm.DefaultTimingConfig()
 	const packets = 400
 	deepByID := map[uint64]bool{}
 	m.MustSpawn(0, func(c *repro.Core) {
+		meter := lpm.NewMeter(c, lpm.DefaultTimingConfig())
 		for id := uint64(1); id <= packets; id++ {
 			// Alternate between aggregate-covered and customer-covered
 			// destinations: identical processing, different route depth.
@@ -72,7 +72,7 @@ func run(w io.Writer) error {
 			c.Call(lookupFn, func() {
 				// Several lookups per packet, as l3fwd batches do.
 				for k := 0; k < 64; k++ {
-					_, ext = table.LookupTimed(c, dst, tc)
+					_, ext = table.Lookup(dst, meter)
 				}
 			})
 			deepByID[id] = ext

@@ -55,22 +55,11 @@ type Result struct {
 	Latency  uint64
 }
 
-// MissedAt reports whether level i missed on this access.
-func (r Result) MissedAt(i int) bool { return i < r.HitLevel }
-
 // LevelStats accumulates per-level counters.
 type LevelStats struct {
 	Name     string
 	Accesses uint64
 	Misses   uint64
-}
-
-// MissRatio returns misses/accesses, or 0 when idle.
-func (s LevelStats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
 }
 
 type line struct {
@@ -196,9 +185,6 @@ func (h *Hierarchy) Access(addr uint64) Result {
 // per-data-item fluctuation rather than a uniform slowdown.
 func (h *Hierarchy) SetMemPenalty(cycles uint64) { h.memPenalty = cycles }
 
-// MemPenalty returns the current contention penalty.
-func (h *Hierarchy) MemPenalty() uint64 { return h.memPenalty }
-
 // Flush invalidates every line in every level, restoring a perfectly cold
 // hierarchy (used to reset non-functional state between controlled runs).
 func (h *Hierarchy) Flush() {
@@ -218,6 +204,3 @@ func (h *Hierarchy) Stats() []LevelStats {
 
 // Levels returns the number of levels.
 func (h *Hierarchy) Levels() int { return len(h.levels) }
-
-// LevelName returns the name of level i.
-func (h *Hierarchy) LevelName(i int) string { return h.levels[i].cfg.Name }

@@ -49,8 +49,8 @@ func TestAdversarialSameSetThrash(t *testing.T) {
 		}
 	}
 	for _, s := range h.Stats() {
-		if s.MissRatio() < float64(rounds)/float64(rounds+1) {
-			t.Errorf("level %s miss ratio %.2f under thrash, want near 1", s.Name, s.MissRatio())
+		if ratio := float64(s.Misses) / float64(s.Accesses); ratio < float64(rounds)/float64(rounds+1) {
+			t.Errorf("level %s miss ratio %.2f under thrash, want near 1", s.Name, ratio)
 		}
 	}
 }

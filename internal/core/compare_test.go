@@ -3,13 +3,15 @@ package core
 import (
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/pmu"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// runTwoFunc builds a trace where f costs fUops and g costs gUops per item.
-func runTwoFunc(t *testing.T, items int, fUops, gUops uint64, markerLossEvery uint64) (*Analysis, *trace.MarkerLog) {
+// runTwoFunc builds a trace where f costs fUops and g costs gUops per item,
+// degrades it by plan (the zero Plan injects nothing) and integrates it.
+func runTwoFunc(t *testing.T, items int, fUops, gUops uint64, plan faults.Plan) (*Analysis, faults.Report) {
 	t.Helper()
 	m := sim.MustNew(sim.Config{Cores: 1})
 	f := m.Syms.MustRegister("f", 4096)
@@ -18,9 +20,6 @@ func runTwoFunc(t *testing.T, items int, fUops, gUops uint64, markerLossEvery ui
 	c := m.Core(0)
 	c.PMU.MustProgram(pmu.UopsRetired, 800, pb)
 	log := trace.NewMarkerLog(1, 0)
-	if markerLossEvery > 0 {
-		log.InjectLoss(markerLossEvery)
-	}
 	for id := 1; id <= items; id++ {
 		log.Mark(c, uint64(id), trace.ItemBegin)
 		c.Call(f, func() { c.Exec(fUops) })
@@ -28,18 +27,18 @@ func runTwoFunc(t *testing.T, items int, fUops, gUops uint64, markerLossEvery ui
 		log.Mark(c, uint64(id), trace.ItemEnd)
 		c.Exec(300)
 	}
-	set := trace.NewSet(m, log, pb.Samples())
+	set, rep := plan.Apply(trace.NewSet(m, log, pb.Samples()))
 	a, err := Integrate(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, log
+	return a, rep
 }
 
 func TestCompareFindsTheRegressedFunction(t *testing.T) {
-	base, _ := runTwoFunc(t, 30, 20_000, 15_000, 0)
+	base, _ := runTwoFunc(t, 30, 20_000, 15_000, faults.Plan{})
 	// In the "production" run g regressed 3x; f is unchanged.
-	prod, _ := runTwoFunc(t, 30, 20_000, 45_000, 0)
+	prod, _ := runTwoFunc(t, 30, 20_000, 45_000, faults.Plan{})
 	deltas, err := Compare(base, prod)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +64,7 @@ func TestCompareFindsTheRegressedFunction(t *testing.T) {
 }
 
 func TestCompareHandlesDisjointFunctions(t *testing.T) {
-	base, _ := runTwoFunc(t, 10, 20_000, 15_000, 0)
+	base, _ := runTwoFunc(t, 10, 20_000, 15_000, faults.Plan{})
 	empty := &Analysis{FreqHz: base.FreqHz}
 	deltas, err := Compare(base, empty)
 	if err != nil {
@@ -95,8 +94,8 @@ func TestCompareValidation(t *testing.T) {
 // TestMarkerLossDegradesToDiagnostics: losing 10% of marker records costs
 // items (orphans/reopens) but never corrupts the survivors.
 func TestMarkerLossDegradesToDiagnostics(t *testing.T) {
-	a, log := runTwoFunc(t, 100, 20_000, 15_000, 10)
-	if log.Lost() == 0 {
+	a, rep := runTwoFunc(t, 100, 20_000, 15_000, faults.Plan{Seed: 1, MarkerDropRate: 0.1})
+	if rep.MarkersDropped == 0 {
 		t.Fatal("loss injection inactive")
 	}
 	anomalies := a.Diag.OrphanEndMarkers + a.Diag.ReopenedItems + a.Diag.UnclosedItems

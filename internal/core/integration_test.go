@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/faults"
 	"repro/internal/pmu"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -123,13 +124,13 @@ func TestEverySampleAttributedAtMostOnce(t *testing.T) {
 	}
 }
 
-// TestSampleLossDegradesGracefully: dropping whole PEBS buffers loses
-// samples but never corrupts attribution of the remainder.
+// TestSampleLossDegradesGracefully: dropping whole buffers' worth of PEBS
+// samples (a third of them, in bursts of 32) loses samples but never
+// corrupts attribution of the remainder.
 func TestSampleLossDegradesGracefully(t *testing.T) {
 	m := sim.MustNew(sim.Config{Cores: 1})
 	f := m.Syms.MustRegister("f", 4096)
-	pb := pmu.NewPEBS(pmu.PEBSConfig{BufferEntries: 32})
-	pb.InjectFlushLoss(3)
+	pb := pmu.NewPEBS(pmu.PEBSConfig{})
 	c := m.Core(0)
 	c.PMU.MustProgram(pmu.UopsRetired, 500, pb)
 	log := trace.NewMarkerLog(1, 0)
@@ -138,10 +139,10 @@ func TestSampleLossDegradesGracefully(t *testing.T) {
 		c.Call(f, func() { c.Exec(20000) })
 		log.Mark(c, uint64(i), trace.ItemEnd)
 	}
-	if pb.Dropped() == 0 {
+	set, rep := faults.Plan{Seed: 1, SampleLossRate: 1.0 / 3, BurstLen: 32}.Apply(trace.NewSet(m, log, pb.Samples()))
+	if rep.SamplesDropped == 0 {
 		t.Fatal("loss injection inactive")
 	}
-	set := trace.NewSet(m, log, pb.Samples())
 	a, err := Integrate(set, Options{})
 	if err != nil {
 		t.Fatal(err)

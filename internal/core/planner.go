@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -111,52 +110,7 @@ func (p *ResetPlanner) ForOverheadBudget(frac float64) (uint64, error) {
 	return uint64(r + 0.5), nil
 }
 
-// ForTargetInterval returns the reset value whose predicted interval is
-// closest to the target (PEBS "does not support specifying the sample
-// interval with a time period", so this inversion is how a time-based
-// requirement becomes a reset value). A function of expected duration D is
-// reliably estimable when the interval is at most D/2 (§V-B1 needs at
-// least two samples).
-func (p *ResetPlanner) ForTargetInterval(cycles float64) (uint64, error) {
-	if cycles <= 0 {
-		return 0, fmt.Errorf("core: target interval must be positive")
-	}
-	r := (cycles - p.IntervalFit.Intercept) / p.IntervalFit.Slope
-	if r < 1 {
-		return 0, fmt.Errorf("core: target interval %.0f cycles below the per-sample floor %.0f", cycles, p.IntervalFit.Intercept)
-	}
-	if r < float64(p.minReset) {
-		return p.minReset, nil
-	}
-	if r > float64(p.maxReset) {
-		return p.maxReset, nil
-	}
-	return uint64(r + 0.5), nil
-}
-
 // Linearity reports the R² of the interval fit — the quantity behind the
 // paper's claim that "the sample interval is predictable from a given
 // reset value".
 func (p *ResetPlanner) Linearity() float64 { return p.IntervalFit.R2 }
-
-// CalibrationFromAnalyses builds calibration points from per-reset
-// analyses plus latency measurements: interval from MeanSampleGap, overhead
-// from the mean-latency ratio against the unprofiled baseline.
-func CalibrationFromAnalyses(resets []uint64, gaps []float64, meanLatency []float64, baseline float64) ([]CalibrationPoint, error) {
-	if len(resets) != len(gaps) || len(resets) != len(meanLatency) {
-		return nil, fmt.Errorf("core: calibration slices disagree: %d/%d/%d", len(resets), len(gaps), len(meanLatency))
-	}
-	if baseline <= 0 {
-		return nil, fmt.Errorf("core: non-positive baseline latency")
-	}
-	pts := make([]CalibrationPoint, len(resets))
-	for i := range resets {
-		pts[i] = CalibrationPoint{
-			Reset:          resets[i],
-			IntervalCycles: gaps[i],
-			OverheadFrac:   meanLatency[i]/baseline - 1,
-		}
-	}
-	sort.SliceStable(pts, func(a, b int) bool { return pts[a].Reset < pts[b].Reset })
-	return pts, nil
-}

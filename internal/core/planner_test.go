@@ -129,53 +129,3 @@ func TestPlannerForOverheadBudget(t *testing.T) {
 		t.Error("accepted zero budget")
 	}
 }
-
-func TestPlannerForTargetInterval(t *testing.T) {
-	pts := calibrate(t, []uint64{1000, 2000, 4000, 8000, 16000, 32000})
-	p, err := NewResetPlanner(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// To estimate a ~10 µs function we need intervals <= 10000 cycles
-	// (two samples in 20000 cycles): R ≈ 9500.
-	r, err := p.ForTargetInterval(10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 8_500 || r > 10_000 {
-		t.Errorf("R for 10k-cycle interval = %d, want ~9500", r)
-	}
-	if _, err := p.ForTargetInterval(0); err == nil {
-		t.Error("accepted zero target")
-	}
-	if _, err := p.ForTargetInterval(100); err == nil {
-		t.Error("accepted target below the per-sample floor")
-	}
-	// Clamps at the calibrated edges.
-	if r, _ := p.ForTargetInterval(1e9); r != 32000 {
-		t.Errorf("huge target should clamp to 32000, got %d", r)
-	}
-}
-
-func TestCalibrationFromAnalyses(t *testing.T) {
-	pts, err := CalibrationFromAnalyses(
-		[]uint64{4000, 1000, 2000},
-		[]float64{4500, 1500, 2500},
-		[]float64{10.5, 12, 11},
-		10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 || pts[0].Reset != 1000 {
-		t.Errorf("points not sorted by reset: %+v", pts)
-	}
-	if pts[0].OverheadFrac < 0.199 || pts[0].OverheadFrac > 0.201 {
-		t.Errorf("overhead fraction = %v, want 0.2", pts[0].OverheadFrac)
-	}
-	if _, err := CalibrationFromAnalyses([]uint64{1}, []float64{1, 2}, []float64{1}, 1); err == nil {
-		t.Error("accepted mismatched slices")
-	}
-	if _, err := CalibrationFromAnalyses([]uint64{1}, []float64{1}, []float64{1}, 0); err == nil {
-		t.Error("accepted zero baseline")
-	}
-}

@@ -38,6 +38,14 @@ type sampleRef struct {
 	core    int32
 }
 
+// sampleOrder orders refs by (core, TSC).
+func sampleOrder(a, b sampleRef) int {
+	if c := cmp.Compare(a.core, b.core); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.tsc, b.tsc)
+}
+
 // coreResult is one shard's integration output. diag holds only this
 // shard's counts; the merge sums them.
 type coreResult struct {
@@ -53,18 +61,15 @@ type coreResult struct {
 // counted into diag, so shard workers never see them. The input set is not
 // mutated.
 func shardByCore(set *trace.Set, opts Options, diag *Diagnostics) []shard {
+	// A stable sort of sorted input is the identity, so each sort is
+	// skipped when its input is already in order: MarkerLog.Markers and
+	// pmu.MergeSamples hand a run's streams over that way, and only a
+	// reordered or skewed set pays for the sort.
 	ms := make([]trace.Marker, len(set.Markers))
 	copy(ms, set.Markers)
-	slices.SortStableFunc(ms, func(a, b trace.Marker) int {
-		if a.Core != b.Core {
-			return cmp.Compare(a.Core, b.Core)
-		}
-		if a.TSC != b.TSC {
-			return cmp.Compare(a.TSC, b.TSC)
-		}
-		// An End and a Begin at the same instant: close first.
-		return int(b.Kind) - int(a.Kind)
-	})
+	if !slices.IsSortedFunc(ms, trace.MarkerOrder) {
+		slices.SortStableFunc(ms, trace.MarkerOrder)
+	}
 
 	ss := make([]sampleRef, 0, len(set.Samples))
 	for i := range set.Samples {
@@ -75,12 +80,9 @@ func shardByCore(set *trace.Set, opts Options, diag *Diagnostics) []shard {
 		}
 		ss = append(ss, sampleRef{tsc: s.TSC, ip: s.IP, core: s.Core})
 	}
-	slices.SortStableFunc(ss, func(a, b sampleRef) int {
-		if a.core != b.core {
-			return cmp.Compare(a.core, b.core)
-		}
-		return cmp.Compare(a.tsc, b.tsc)
-	})
+	if !slices.IsSortedFunc(ss, sampleOrder) {
+		slices.SortStableFunc(ss, sampleOrder)
+	}
 
 	// Both slices are now core-major; walk them in lockstep cutting one
 	// shard per distinct core present in either stream.

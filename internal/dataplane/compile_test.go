@@ -1,10 +1,20 @@
 package dataplane
 
 import (
+	"net/netip"
 	"testing"
 
 	"repro/internal/acl"
 )
+
+// mapped parses an address literal into the packet layout (v4 mapped).
+func mapped(s string) [16]byte {
+	a := netip.MustParseAddr(s)
+	if a.Is4() {
+		return addr4Mapped(a.As4())
+	}
+	return a.As16()
+}
 
 type dpRNG struct{ state uint64 }
 
@@ -218,7 +228,7 @@ func TestClassifyDetailedStats(t *testing.T) {
 		key := p.Key()
 		return m.set.Classify(key[:], m.Scratch(), nil)
 	}
-	p := Packet{Proto: ProtoTCP, Src: MustMapped("10.1.2.3"), Dst: MustMapped("10.9.9.9"), SrcPort: 1234, DstPort: 80}
+	p := Packet{Proto: ProtoTCP, Src: mapped("10.1.2.3"), Dst: mapped("10.9.9.9"), SrcPort: 1234, DstPort: 80}
 	idx, ok, st := walk(p)
 	if !ok || idx != 0 {
 		t.Fatalf("got (%d,%v), want rule 0", idx, ok)
@@ -227,7 +237,7 @@ func TestClassifyDetailedStats(t *testing.T) {
 		t.Errorf("stats %+v implausible", st)
 	}
 	// A v6 packet dies at the family byte: one byte per trie examined.
-	p6 := Packet{V6: true, Proto: ProtoTCP, Src: MustMapped("2001:db8::1"), Dst: MustMapped("2001:db8::2")}
+	p6 := Packet{V6: true, Proto: ProtoTCP, Src: mapped("2001:db8::1"), Dst: mapped("2001:db8::2")}
 	_, ok, st = walk(p6)
 	if ok || st.Bytes != m.Tries() || st.Survivors != 0 {
 		t.Errorf("family-miss stats %+v", st)

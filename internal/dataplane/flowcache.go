@@ -63,6 +63,12 @@ func hashKey(key *[KeyLen]byte) uint64 {
 	return h
 }
 
+// probeLine is the synthetic cache line of a key's set, at base: the line
+// the timing model loads on a probe and stores on an install.
+func (fc *FlowCache) probeLine(key *[KeyLen]byte, base uint64) uint64 {
+	return base + (hashKey(key)&fc.mask)*64
+}
+
 // Lookup probes the cache, refreshing LRU order on hit.
 func (fc *FlowCache) Lookup(key *[KeyLen]byte) (Verdict, bool) {
 	set := fc.entries[(hashKey(key)&fc.mask)*uint64(fc.ways):][:fc.ways]

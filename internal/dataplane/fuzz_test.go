@@ -59,9 +59,9 @@ func FuzzRuleCompile(f *testing.F) {
 // accepts re-serializes to a frame it parses to the same packet.
 func FuzzPacketParse(f *testing.F) {
 	seedPkts := []Packet{
-		{Proto: ProtoTCP, Src: MustMapped("10.1.2.3"), Dst: MustMapped("10.9.9.9"), SrcPort: 1234, DstPort: 80},
-		{V6: true, Proto: ProtoUDP, VLAN: 100, Src: MustMapped("2001:db8::1"), Dst: MustMapped("2001:db8:9::2"), SrcPort: 53, DstPort: 53},
-		{Proto: ProtoICMP, VLAN: 4095, Src: MustMapped("192.168.0.1"), Dst: MustMapped("8.8.8.8")},
+		{Proto: ProtoTCP, Src: mapped("10.1.2.3"), Dst: mapped("10.9.9.9"), SrcPort: 1234, DstPort: 80},
+		{V6: true, Proto: ProtoUDP, VLAN: 100, Src: mapped("2001:db8::1"), Dst: mapped("2001:db8:9::2"), SrcPort: 53, DstPort: 53},
+		{Proto: ProtoICMP, VLAN: 4095, Src: mapped("192.168.0.1"), Dst: mapped("8.8.8.8")},
 	}
 	for _, p := range seedPkts {
 		f.Add(p.AppendWire(nil))
@@ -83,9 +83,6 @@ func FuzzPacketParse(f *testing.F) {
 		}
 		if p2 != p {
 			t.Fatalf("parse∘serialize not identity: %+v vs %+v (wire %x)", p, p2, wire)
-		}
-		if len(rewire) != p.WireLen() {
-			t.Fatalf("WireLen %d but emitted %d bytes", p.WireLen(), len(rewire))
 		}
 	})
 }

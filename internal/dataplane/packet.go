@@ -144,23 +144,6 @@ func ParsePacket(b []byte) (Packet, error) {
 // canonical source/destination MACs for generated frames.
 var wireMACs = [12]byte{0x02, 0, 0, 0, 0, 0x02, 0x02, 0, 0, 0, 0, 0x01}
 
-// WireLen returns the canonical frame length AppendWire will emit.
-func (p *Packet) WireLen() int {
-	n := 14
-	if p.VLAN != 0 {
-		n += 4
-	}
-	if p.V6 {
-		n += 40
-	} else {
-		n += 20
-	}
-	if hasPorts(p.Proto) {
-		n += 4
-	}
-	return n
-}
-
 // AppendWire appends the canonical wire form of p to dst and returns the
 // extended slice. ParsePacket(AppendWire(p)) reproduces p (modulo ID).
 func (p *Packet) AppendWire(dst []byte) []byte {

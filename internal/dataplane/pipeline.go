@@ -57,11 +57,6 @@ func (s Stage) String() string { return s.Fn() }
 // MarkStages mode (stage in the low 3 bits, biased to stay non-zero).
 func StageItemID(packetID uint64, s Stage) uint64 { return packetID<<3 | (uint64(s) + 1) }
 
-// StagePacket inverts StageItemID.
-func StagePacket(itemID uint64) (packetID uint64, s Stage) {
-	return itemID >> 3, Stage(itemID&7 - 1)
-}
-
 // MarkMode selects what a marker item is.
 type MarkMode uint8
 
@@ -247,8 +242,10 @@ func Run(cfg PipelineConfig) (*Result, error) {
 					scratch = s
 				}
 			}
-			// One acl0 meter per worker: the walk charges this core.
+			// One meter per walked structure per worker: each walk charges
+			// this core.
 			meter := &aclMeter{core: c, tc: &tc}
+			route4, route6 := lpm.NewMeter(c, tc.RouteV4), lpm.NewMeter6(c, tc.RouteV6)
 			var wire []byte
 
 			// stage brackets the body in a function call and, in
@@ -279,7 +276,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 				if idx, ok := cur.Classify(&p, scratch); ok {
 					got = Verdict{Rule: idx, Action: rules[idx].Action, NextHop: lpm.NoRoute}
 					if got.Action == Allow {
-						got.NextHop, _ = router.Lookup(&p)
+						got.NextHop = router.Lookup(&p, nil, nil)
 					}
 				}
 				cache.Insert(&key, got)
@@ -326,7 +323,9 @@ func Run(cfg PipelineConfig) (*Result, error) {
 					key := pp.Key()
 					if cacheOn {
 						stage(pid, StageFlow, func() {
-							got, hit = cache.LookupTimed(c, &key, tc)
+							c.Exec(tc.FlowProbeUops)
+							c.Load(cache.probeLine(&key, tc.FlowBase))
+							got, hit = cache.Lookup(&key)
 						})
 					}
 					if !hit {
@@ -340,12 +339,14 @@ func Run(cfg PipelineConfig) (*Result, error) {
 						})
 						if got.Action == Allow {
 							stage(pid, StageRoute, func() {
-								got.NextHop, _ = router.LookupTimed(c, &pp, tc)
+								got.NextHop = router.Lookup(&pp, route4, route6)
 							})
 						}
 						if cacheOn {
 							stage(pid, StageFlowInsert, func() {
-								cache.InsertTimed(c, &key, got, tc)
+								c.Exec(tc.FlowInsertUops)
+								c.Store(cache.probeLine(&key, tc.FlowBase))
+								cache.Insert(&key, got)
 							})
 						}
 					}

@@ -250,7 +250,7 @@ func TestMarkStages(t *testing.T) {
 		t.Fatalf("got %d stage items for %d packets", len(a.Items), cfg.Packets)
 	}
 	for i := range a.Items {
-		pid, s := StagePacket(a.Items[i].ID)
+		pid, s := a.Items[i].ID>>3, Stage(a.Items[i].ID&7-1) // StageItemID inverted
 		if pid == 0 || pid > uint64(cfg.Packets) || s > StageFlowInsert {
 			t.Fatalf("item %d unpacks to packet %d stage %d", a.Items[i].ID, pid, s)
 		}

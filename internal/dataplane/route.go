@@ -30,11 +30,8 @@ type RouteConfig struct {
 // Router is the route:route0 stage — per-family LPM over the packet's
 // destination, consulted only for allowed packets.
 type Router struct {
-	v4     *lpm.Table
-	v6     *lpm.Table6
-	cfg    RouteConfig
-	v4time lpm.TimingConfig
-	v6time lpm.TimingConfig6
+	v4 *lpm.Table
+	v6 *lpm.Table6
 }
 
 // NewRouter builds both family tables.
@@ -47,20 +44,7 @@ func NewRouter(cfg RouteConfig) (*Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataplane: v6 routes: %w", err)
 	}
-	return &Router{
-		v4: v4, v6: v6, cfg: cfg,
-		v4time: lpm.DefaultTimingConfig(),
-		v6time: lpm.DefaultTimingConfig6(),
-	}, nil
-}
-
-// MustNewRouter is NewRouter but panics on error.
-func MustNewRouter(cfg RouteConfig) *Router {
-	r, err := NewRouter(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
+	return &Router{v4: v4, v6: v6}, nil
 }
 
 // v4addr extracts the IPv4 address from the v4-mapped layout.
@@ -68,25 +52,15 @@ func v4addr(a [16]byte) uint32 {
 	return uint32(a[12])<<24 | uint32(a[13])<<16 | uint32(a[14])<<8 | uint32(a[15])
 }
 
-// Lookup routes p's destination. probes counts memory-level steps (v4: 1
-// or 2; v6: trie levels walked) — the organic depth signal.
-func (rt *Router) Lookup(p *Packet) (nextHop, probes int) {
+// Lookup routes p's destination in its family's table, charging the walk
+// to that family's meter (nil meters: untimed).
+func (rt *Router) Lookup(p *Packet, v4 *lpm.Meter, v6 *lpm.Meter6) (nextHop int) {
 	if p.V6 {
-		return rt.v6.Lookup(p.Dst)
+		nextHop, _ = rt.v6.Lookup(p.Dst, v6)
+		return nextHop
 	}
-	hop, extended := rt.v4.Lookup(v4addr(p.Dst))
-	if extended {
-		return hop, 2
-	}
-	return hop, 1
-}
-
-// LinearLookup is the O(routes) reference for differential tests.
-func (rt *Router) LinearLookup(p *Packet) int {
-	if p.V6 {
-		return lpm.LinearLookup6(rt.cfg.V6, p.Dst)
-	}
-	return lpm.LinearLookup(rt.cfg.V4, v4addr(p.Dst))
+	nextHop, _ = rt.v4.Lookup(v4addr(p.Dst), v4)
+	return nextHop
 }
 
 // GroundTruth computes the chain's verdict for p from first principles —

@@ -194,24 +194,6 @@ func LinearClassify(rules []Rule, p *Packet) (int, bool) {
 	return best, best >= 0
 }
 
-// MustMapped parses an IPv4 or IPv6 address literal into the shared
-// 16-byte layout (v4 becomes v4-mapped). Panics on bad input; used for
-// literal rule tables.
-func MustMapped(s string) [16]byte {
-	a, err := netip.ParseAddr(s)
-	if err != nil {
-		panic(fmt.Sprintf("dataplane: bad address %q", s))
-	}
-	if a.Is4() {
-		b := a.As4()
-		var out [16]byte
-		out[10], out[11] = 0xff, 0xff
-		copy(out[12:], b[:])
-		return out
-	}
-	return a.As16()
-}
-
 // addrString renders a 16-byte address in its family's literal form.
 func addrString(a [16]byte, v6 bool) string {
 	if !v6 {

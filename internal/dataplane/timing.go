@@ -97,36 +97,3 @@ func (m *aclMeter) Walked(i, bytes int) {
 }
 
 func (m *aclMeter) Survivor() { m.core.Exec(m.tc.ACLPerSurvivorUops) }
-
-// LookupTimed routes p while charging the family table's cost to core.
-func (rt *Router) LookupTimed(core *sim.Core, p *Packet, tc TimingConfig) (nextHop, probes int) {
-	if p.V6 {
-		return rt.v6.LookupTimed(core, p.Dst, tc.RouteV6)
-	}
-	hop, extended := rt.v4.LookupTimed(core, v4addr(p.Dst), tc.RouteV4)
-	if extended {
-		return hop, 2
-	}
-	return hop, 1
-}
-
-// probeLine is the synthetic cache line of a key's flow-cache set.
-func (fc *FlowCache) probeLine(key *[KeyLen]byte, base uint64) uint64 {
-	return base + (hashKey(key)&fc.mask)*64
-}
-
-// LookupTimed probes the cache charging the probe arithmetic and one
-// load into the set's line.
-func (fc *FlowCache) LookupTimed(core *sim.Core, key *[KeyLen]byte, tc TimingConfig) (Verdict, bool) {
-	core.Exec(tc.FlowProbeUops)
-	core.Load(fc.probeLine(key, tc.FlowBase))
-	return fc.Lookup(key)
-}
-
-// InsertTimed installs a verdict charging the install cost and the
-// line's store.
-func (fc *FlowCache) InsertTimed(core *sim.Core, key *[KeyLen]byte, v Verdict, tc TimingConfig) {
-	core.Exec(tc.FlowInsertUops)
-	core.Store(fc.probeLine(key, tc.FlowBase))
-	fc.Insert(key, v)
-}

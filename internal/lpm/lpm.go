@@ -16,6 +16,12 @@
 // index), bits 24–29 carry depth+1, and bit 31 marks an extended slot. The
 // zero entry is "no route", so a fresh table needs no fill, and a next hop
 // must stay below 2^24−1, DPDK's limit.
+//
+// Each table has one walk. Lookup takes an optional meter (*Meter for
+// Table, *Meter6 for Table6) built from the table's timing config: a nil
+// meter runs the walk untimed, a non-nil one charges its simulated core
+// each probe as the walk makes it, so timed and untimed lookups cannot
+// disagree on the result or on which probes were made.
 package lpm
 
 import (
@@ -193,14 +199,19 @@ func (t *Table) insert(r Route) {
 }
 
 // Lookup returns the next hop for addr and whether the lookup needed the
-// second-level probe (the latency-relevant fact).
-func (t *Table) Lookup(addr uint32) (nextHop int, extended bool) {
+// second-level probe (the latency-relevant fact), charging each probe to m
+// as it is made (nil m: untimed).
+func (t *Table) Lookup(addr uint32, m *Meter) (nextHop int, extended bool) {
 	shift := 32 - t.firstBits
-	slot := t.tbl[addr>>shift]
+	idx := addr >> shift
+	m.first(idx)
+	slot := t.tbl[idx]
 	if !slot.extended() {
 		return slot.nextHop(), false
 	}
-	return t.pages[slot.page()][addr&(1<<shift-1)].nextHop(), true
+	low := addr & (1<<shift - 1)
+	m.second(slot.page(), low, shift)
+	return t.pages[slot.page()][low].nextHop(), true
 }
 
 // LinearLookup is the O(routes) reference the table is property-tested
@@ -229,6 +240,3 @@ func (t *Table) Routes() int { return t.routes }
 
 // Pages returns the number of overflow pages allocated.
 func (t *Table) Pages() int { return len(t.pages) }
-
-// FirstLevelEntries returns the first-level table size.
-func (t *Table) FirstLevelEntries() int { return len(t.tbl) }

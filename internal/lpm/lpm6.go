@@ -90,15 +90,6 @@ func Build6(routes []Route6) (*Table6, error) {
 	return t, nil
 }
 
-// MustBuild6 is Build6 but panics on error.
-func MustBuild6(routes []Route6) *Table6 {
-	t, err := Build6(routes)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 func (t *Table6) newNode() *node6 {
 	n := &node6{idx: t.nodes}
 	t.nodes++
@@ -143,13 +134,16 @@ func (t *Table6) insert(r Route6) {
 
 // Lookup returns the next hop for addr and the number of trie levels
 // probed (≥1) — the latency-relevant fact: destinations covered only by
-// deep prefixes walk more levels.
-func (t *Table6) Lookup(addr [16]byte) (nextHop int, levels int) {
+// deep prefixes walk more levels. Each level is charged to m as it is
+// walked (nil m: untimed).
+func (t *Table6) Lookup(addr [16]byte, m *Meter6) (nextHop int, levels int) {
+	m.start()
 	best := NoRoute
 	n := t.root
 	for i := 0; i < 16 && n != nil; i++ {
 		levels++
 		b := addr[i]
+		m.level(n, b)
 		if n.depth[b] >= 0 {
 			best = int(n.hop[b])
 		}
@@ -189,9 +183,6 @@ func matches6(r Route6, addr [16]byte) bool {
 
 // Routes returns the number of installed routes.
 func (t *Table6) Routes() int { return t.routes }
-
-// Nodes returns the number of trie nodes allocated.
-func (t *Table6) Nodes() int { return t.nodes }
 
 // MustAddr6 parses an IPv6 address into its 16-byte form (panics on bad
 // input; used for literal route tables).

@@ -18,6 +18,19 @@ func (s *lpm6RNG) next() uint64 {
 
 func v6(s string) [16]byte { return MustAddr6(s) }
 
+func mustBuild6(t *testing.T, routes []Route6) *Table6 {
+	t.Helper()
+	tb, err := Build6(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// testTiming6 is a v6 timing model shaped like rte_lpm6: a small fixed
+// setup plus one dependent load per consumed stride.
+var testTiming6 = TimingConfig6{BaseUops: 20, LevelUops: 14, NodeBase: 0xc000_0000, NodeStride: 4096}
+
 func TestTable6LongestMatch(t *testing.T) {
 	routes := []Route6{
 		{Prefix: v6("::"), Len: 0, NextHop: 1},
@@ -26,7 +39,7 @@ func TestTable6LongestMatch(t *testing.T) {
 		{Prefix: v6("2001:db8:1:2::"), Len: 64, NextHop: 4},
 		{Prefix: v6("2001:db8:1:2::42"), Len: 128, NextHop: 5},
 	}
-	tb := MustBuild6(routes)
+	tb := mustBuild6(t, routes)
 	cases := []struct {
 		addr      string
 		hop       int
@@ -40,7 +53,7 @@ func TestTable6LongestMatch(t *testing.T) {
 		{"2001:db8:1:2:8000::42", 4, 1}, // differs above /64's span? no — inside /64, not the host
 	}
 	for _, c := range cases {
-		hop, levels := tb.Lookup(v6(c.addr))
+		hop, levels := tb.Lookup(v6(c.addr), nil)
 		if hop != c.hop {
 			t.Errorf("Lookup(%s) = hop %d, want %d", c.addr, hop, c.hop)
 		}
@@ -56,30 +69,30 @@ func TestTable6LongestMatch(t *testing.T) {
 // TestTable6EdgePrefixes pins the /0 and /128 boundary behaviour, and that
 // a /0-only table answers in one level.
 func TestTable6EdgePrefixes(t *testing.T) {
-	empty := MustBuild6(nil)
-	if hop, _ := empty.Lookup(v6("2001:db8::1")); hop != NoRoute {
+	empty := mustBuild6(t, nil)
+	if hop, _ := empty.Lookup(v6("2001:db8::1"), nil); hop != NoRoute {
 		t.Errorf("empty table returned hop %d", hop)
 	}
 
-	def := MustBuild6([]Route6{{Len: 0, NextHop: 7}})
-	hop, levels := def.Lookup(v6("ff02::1"))
+	def := mustBuild6(t, []Route6{{Len: 0, NextHop: 7}})
+	hop, levels := def.Lookup(v6("ff02::1"), nil)
 	if hop != 7 || levels != 1 {
 		t.Errorf("default-only: hop %d levels %d, want 7, 1", hop, levels)
 	}
 
 	host := v6("2001:db8::1234:5678")
-	tb := MustBuild6([]Route6{{Prefix: host, Len: 128, NextHop: 9}})
-	if hop, levels := tb.Lookup(host); hop != 9 || levels != 16 {
+	tb := mustBuild6(t, []Route6{{Prefix: host, Len: 128, NextHop: 9}})
+	if hop, levels := tb.Lookup(host, nil); hop != 9 || levels != 16 {
 		t.Errorf("/128 exact: hop %d levels %d, want 9, 16", hop, levels)
 	}
 	// One bit off the host route: no match.
 	near := host
 	near[15] ^= 1
-	if hop, _ := tb.Lookup(near); hop != NoRoute {
+	if hop, _ := tb.Lookup(near, nil); hop != NoRoute {
 		t.Errorf("/128 near-miss returned hop %d", hop)
 	}
-	if tb.Nodes() != 16 {
-		t.Errorf("single /128 allocated %d nodes, want 16", tb.Nodes())
+	if tb.nodes != 16 {
+		t.Errorf("single /128 allocated %d nodes, want 16", tb.nodes)
 	}
 }
 
@@ -90,9 +103,9 @@ func TestTable6EqualLengthTies(t *testing.T) {
 		{Prefix: v6("2001:db8::"), Len: 32, NextHop: 1},
 		{Prefix: v6("2001:db8::"), Len: 32, NextHop: 2}, // replaces
 	}
-	tb := MustBuild6(routes)
+	tb := mustBuild6(t, routes)
 	addr := v6("2001:db8::99")
-	if hop, _ := tb.Lookup(addr); hop != 2 {
+	if hop, _ := tb.Lookup(addr, nil); hop != 2 {
 		t.Errorf("trie tie: hop %d, want 2 (last wins)", hop)
 	}
 	if hop := LinearLookup6(routes, addr); hop != 2 {
@@ -155,6 +168,7 @@ func TestTable6QuickDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		meter := NewMeter6(sim.MustNew(sim.Config{Cores: 1}).Core(0), testTiming6)
 		for q := 0; q < 400; q++ {
 			var a [16]byte
 			base := routes[rng.next()%uint64(len(routes))]
@@ -163,10 +177,13 @@ func TestTable6QuickDifferential(t *testing.T) {
 			for m := 0; m < 3; m++ {
 				a[8+rng.next()%8] = byte(rng.next() % 8)
 			}
-			got, _ := tb.Lookup(a)
+			got, levels := tb.Lookup(a, nil)
 			want := LinearLookup6(routes, a)
 			if got != want {
 				t.Fatalf("trial %d: Lookup(%v) = %d, linear %d (routes %v)", trial, a, got, want, routes)
+			}
+			if mGot, mLevels := tb.Lookup(a, meter); mGot != got || mLevels != levels {
+				t.Fatalf("trial %d: metered Lookup(%v) = (%d, %d), untimed (%d, %d)", trial, a, mGot, mLevels, got, levels)
 			}
 		}
 	}
@@ -176,17 +193,17 @@ func TestTable6QuickDifferential(t *testing.T) {
 // cycles than a /32-covered one — the organic per-packet fluctuation the
 // dataplane's depth-skew scenario rides on.
 func TestLookupTimed6ChargesDepth(t *testing.T) {
-	tb := MustBuild6([]Route6{
+	tb := mustBuild6(t, []Route6{
 		{Prefix: v6("2001:db8::"), Len: 32, NextHop: 1},
 		{Prefix: v6("2001:db8::42"), Len: 128, NextHop: 2},
 	})
 	mach := sim.MustNew(sim.Config{Cores: 1})
 	c := mach.Core(0)
-	tc := DefaultTimingConfig6()
+	meter := NewMeter6(c, testTiming6)
 
 	measure := func(addr [16]byte) (uint64, int) {
 		start := c.Now()
-		_, levels := tb.LookupTimed(c, addr, tc)
+		_, levels := tb.Lookup(addr, meter)
 		return c.Now() - start, levels
 	}
 	// The shallow destination diverges from the /128 chain at byte 4, so

@@ -51,7 +51,7 @@ func TestEdgeLongestMatchTies(t *testing.T) {
 		{"/0 alone in the lower half", ip(1, 2, 3, 4), 1, false},
 	}
 	for _, tc := range cases {
-		hop, ext := tbl.Lookup(tc.addr)
+		hop, ext := tbl.Lookup(tc.addr, nil)
 		if hop != tc.wantHop || ext != tc.wantExt {
 			t.Errorf("%s: Lookup(%08x) = (%d, %v), want (%d, %v)",
 				tc.name, tc.addr, hop, ext, tc.wantHop, tc.wantExt)
@@ -74,10 +74,10 @@ func TestEqualLengthDuplicateReplaces(t *testing.T) {
 		{Prefix: ip(10, 1, 2, 3), Len: 32, NextHop: 44},
 	}
 	tbl := MustBuild(routes, Config{})
-	if hop, _ := tbl.Lookup(ip(10, 9, 9, 9)); hop != 22 {
+	if hop, _ := tbl.Lookup(ip(10, 9, 9, 9), nil); hop != 22 {
 		t.Errorf("shallow duplicate: got hop %d, want the replacement 22", hop)
 	}
-	if hop, _ := tbl.Lookup(ip(10, 1, 2, 3)); hop != 44 {
+	if hop, _ := tbl.Lookup(ip(10, 1, 2, 3), nil); hop != 44 {
 		t.Errorf("deep duplicate: got hop %d, want the replacement 44", hop)
 	}
 }
@@ -92,10 +92,10 @@ func TestPageSeedInheritsShallowRoute(t *testing.T) {
 		{Prefix: ip(10, 1, 0, 0), Len: 16, NextHop: 6},
 	}
 	tbl := MustBuild(routes, Config{})
-	if hop, ext := tbl.Lookup(ip(10, 1, 2, 3)); hop != 4 || !ext {
+	if hop, ext := tbl.Lookup(ip(10, 1, 2, 3), nil); hop != 4 || !ext {
 		t.Errorf("host route = (%d, %v), want (4, true)", hop, ext)
 	}
-	if hop, ext := tbl.Lookup(ip(10, 1, 2, 4)); hop != 6 || !ext {
+	if hop, ext := tbl.Lookup(ip(10, 1, 2, 4), nil); hop != 6 || !ext {
 		t.Errorf("page neighbour = (%d, %v), want the /16 via the page (6, true)", hop, ext)
 	}
 	if tbl.Pages() != 1 {
@@ -115,13 +115,13 @@ func TestNextHopLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("next hop 2^24-2 rejected: %v", err)
 	}
-	if hop, ext := tbl.Lookup(ip(10, 9, 9, 9)); hop != top || ext {
+	if hop, ext := tbl.Lookup(ip(10, 9, 9, 9), nil); hop != top || ext {
 		t.Errorf("first level = (%d, %v), want (%d, false)", hop, ext, top)
 	}
-	if hop, ext := tbl.Lookup(ip(10, 1, 2, 3)); hop != top-1 || !ext {
+	if hop, ext := tbl.Lookup(ip(10, 1, 2, 3), nil); hop != top-1 || !ext {
 		t.Errorf("page = (%d, %v), want (%d, true)", hop, ext, top-1)
 	}
-	if hop, _ := tbl.Lookup(ip(10, 1, 2, 4)); hop != top {
+	if hop, _ := tbl.Lookup(ip(10, 1, 2, 4), nil); hop != top {
 		t.Errorf("page seeded from the /8 = %d, want %d", hop, top)
 	}
 	for _, hop := range []int{1<<24 - 1, 1 << 24, 1 << 40} {
@@ -138,37 +138,52 @@ func TestNextHopLimit(t *testing.T) {
 func TestZeroTableIsNoRoute(t *testing.T) {
 	empty := MustBuild(nil, Config{})
 	for _, addr := range []uint32{0, ip(10, 1, 2, 3), ^uint32(0)} {
-		if hop, ext := empty.Lookup(addr); hop != NoRoute || ext {
+		if hop, ext := empty.Lookup(addr, nil); hop != NoRoute || ext {
 			t.Errorf("empty table: Lookup(%08x) = (%d, %v), want (%d, false)", addr, hop, ext, NoRoute)
 		}
 	}
 	host := MustBuild([]Route{{Prefix: ip(10, 1, 2, 3), Len: 32, NextHop: 0}}, Config{})
-	if hop, ext := host.Lookup(ip(10, 1, 2, 3)); hop != 0 || !ext {
+	if hop, ext := host.Lookup(ip(10, 1, 2, 3), nil); hop != 0 || !ext {
 		t.Errorf("host route to hop 0 = (%d, %v), want (0, true)", hop, ext)
 	}
-	if hop, ext := host.Lookup(ip(10, 1, 2, 4)); hop != NoRoute || !ext {
+	if hop, ext := host.Lookup(ip(10, 1, 2, 4), nil); hop != NoRoute || !ext {
 		t.Errorf("page neighbour of an empty slot = (%d, %v), want (%d, true)", hop, ext, NoRoute)
 	}
-	if hop, _ := host.Lookup(ip(11, 0, 0, 0)); hop != NoRoute {
+	if hop, _ := host.Lookup(ip(11, 0, 0, 0), nil); hop != NoRoute {
 		t.Errorf("uncovered slot = %d, want %d", hop, NoRoute)
 	}
 	def := MustBuild([]Route{{Len: 0, NextHop: 0}}, Config{})
-	if hop, _ := def.Lookup(ip(1, 2, 3, 4)); hop != 0 {
+	if hop, _ := def.Lookup(ip(1, 2, 3, 4), nil); hop != 0 {
 		t.Errorf("/0 to hop 0 = %d, want 0", hop)
 	}
 }
 
-// TestLookupTimedAllocatesNothing: the per-packet route probe, at both
-// depths, must not allocate.
+// TestLookupTimedAllocatesNothing: the metered per-packet route probe, at
+// both depths of a v4 table and both walk lengths of a v6 one, must not
+// allocate.
 func TestLookupTimedAllocatesNothing(t *testing.T) {
 	c := sim.MustNew(sim.Config{Cores: 1}).Core(0)
 	tbl := MustBuild(sampleRoutes(), Config{})
-	tc := DefaultTimingConfig()
+	meter := NewMeter(c, DefaultTimingConfig())
 	allocs := testing.AllocsPerRun(100, func() {
-		tbl.LookupTimed(c, ip(10, 9, 9, 9), tc)
-		tbl.LookupTimed(c, ip(10, 1, 2, 42), tc)
+		tbl.Lookup(ip(10, 9, 9, 9), meter)
+		tbl.Lookup(ip(10, 1, 2, 42), meter)
 	})
 	if allocs != 0 {
-		t.Errorf("LookupTimed allocates %.1f times per pair of lookups, want 0", allocs)
+		t.Errorf("metered Lookup allocates %.1f times per pair of lookups, want 0", allocs)
+	}
+
+	tb6 := mustBuild6(t, []Route6{
+		{Prefix: v6("2001:db8::"), Len: 32, NextHop: 1},
+		{Prefix: v6("2001:db8::42"), Len: 128, NextHop: 2},
+	})
+	meter6 := NewMeter6(c, testTiming6)
+	shallow, deep := v6("2001:db8:ffff::1"), v6("2001:db8::42")
+	allocs = testing.AllocsPerRun(100, func() {
+		tb6.Lookup(shallow, meter6)
+		tb6.Lookup(deep, meter6)
+	})
+	if allocs != 0 {
+		t.Errorf("metered v6 Lookup allocates %.1f times per pair of lookups, want 0", allocs)
 	}
 }

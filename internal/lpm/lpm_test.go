@@ -38,7 +38,7 @@ func TestLookupLongestMatchWins(t *testing.T) {
 		{ip(8, 8, 8, 8), 9},     // default route
 	}
 	for _, c := range cases {
-		got, _ := tbl.Lookup(c.addr)
+		got, _ := tbl.Lookup(c.addr, nil)
 		if got != c.want {
 			t.Errorf("Lookup(%08x) = %d, want %d", c.addr, got, c.want)
 		}
@@ -50,10 +50,10 @@ func TestLookupLongestMatchWins(t *testing.T) {
 
 func TestExtendedFlagTracksDepth(t *testing.T) {
 	tbl := MustBuild(sampleRoutes(), Config{})
-	if _, ext := tbl.Lookup(ip(10, 9, 9, 9)); ext {
+	if _, ext := tbl.Lookup(ip(10, 9, 9, 9), nil); ext {
 		t.Error("shallow route took the second probe")
 	}
-	if _, ext := tbl.Lookup(ip(10, 1, 2, 42)); !ext {
+	if _, ext := tbl.Lookup(ip(10, 1, 2, 42), nil); !ext {
 		t.Error("host route skipped the second probe")
 	}
 	if tbl.Pages() == 0 {
@@ -66,7 +66,7 @@ func TestExtendedFlagTracksDepth(t *testing.T) {
 
 func TestNoRoute(t *testing.T) {
 	tbl := MustBuild([]Route{{Prefix: ip(10, 0, 0, 0), Len: 8, NextHop: 1}}, Config{})
-	if nh, _ := tbl.Lookup(ip(11, 0, 0, 1)); nh != NoRoute {
+	if nh, _ := tbl.Lookup(ip(11, 0, 0, 1), nil); nh != NoRoute {
 		t.Errorf("uncovered address returned hop %d", nh)
 	}
 }
@@ -98,17 +98,19 @@ func TestInsertionOrderIrrelevant(t *testing.T) {
 	a := MustBuild(routes, Config{})
 	b := MustBuild(rev, Config{})
 	for addr := uint32(0); addr < 1<<22; addr += 997 {
-		na, _ := a.Lookup(addr)
-		nb, _ := b.Lookup(addr)
+		na, _ := a.Lookup(addr, nil)
+		nb, _ := b.Lookup(addr, nil)
 		if na != nb {
 			t.Fatalf("order-dependent result at %08x: %d vs %d", addr, na, nb)
 		}
 	}
 }
 
-// TestQuickLookupMatchesLinear: random route sets vs the linear reference.
+// TestQuickLookupMatchesLinear: random route sets vs the linear reference,
+// with the metered lookup agreeing with the untimed one on every probe.
 func TestQuickLookupMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	meter := NewMeter(sim.MustNew(sim.Config{Cores: 1}).Core(0), DefaultTimingConfig())
 	prop := func(seed int64, nRoutes uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		routes := make([]Route, 0, int(nRoutes%24)+1)
@@ -136,7 +138,10 @@ func TestQuickLookupMatchesLinear(t *testing.T) {
 			} else {
 				addr = r.Uint32()
 			}
-			got, _ := tbl.Lookup(addr)
+			got, ext := tbl.Lookup(addr, nil)
+			if mGot, mExt := tbl.Lookup(addr, meter); mGot != got || mExt != ext {
+				return false
+			}
 			want := LinearLookup(routes, addr)
 			if got != want {
 				// Equal-length overlapping prefixes may map to different
@@ -168,21 +173,21 @@ func TestLookupTimedChargesPerProbe(t *testing.T) {
 	m := sim.MustNew(sim.Config{Cores: 1})
 	c := m.Core(0)
 	tbl := MustBuild(sampleRoutes(), Config{})
-	tc := DefaultTimingConfig()
+	meter := NewMeter(c, DefaultTimingConfig())
 
 	// Warm both paths, then compare steady-state costs.
 	for i := 0; i < 4; i++ {
-		tbl.LookupTimed(c, ip(10, 9, 9, 9), tc)
-		tbl.LookupTimed(c, ip(10, 1, 2, 42), tc)
+		tbl.Lookup(ip(10, 9, 9, 9), meter)
+		tbl.Lookup(ip(10, 1, 2, 42), meter)
 	}
 	t0 := c.Now()
-	nh, ext := tbl.LookupTimed(c, ip(10, 9, 9, 9), tc)
+	nh, ext := tbl.Lookup(ip(10, 9, 9, 9), meter)
 	shallow := c.Now() - t0
 	if nh != 1 || ext {
 		t.Fatalf("shallow lookup = (%d,%v)", nh, ext)
 	}
 	t0 = c.Now()
-	nh, ext = tbl.LookupTimed(c, ip(10, 1, 2, 42), tc)
+	nh, ext = tbl.Lookup(ip(10, 1, 2, 42), meter)
 	deep := c.Now() - t0
 	if nh != 4 || !ext {
 		t.Fatalf("deep lookup = (%d,%v)", nh, ext)
@@ -191,7 +196,7 @@ func TestLookupTimedChargesPerProbe(t *testing.T) {
 		t.Errorf("deep lookup (%d cy) not slower than shallow (%d cy)", deep, shallow)
 	}
 	// Functional result identical to the untimed path.
-	un, unExt := tbl.Lookup(ip(10, 1, 2, 42))
+	un, unExt := tbl.Lookup(ip(10, 1, 2, 42), nil)
 	if un != nh || unExt != ext {
 		t.Error("timed and untimed lookups disagree")
 	}
@@ -199,7 +204,7 @@ func TestLookupTimedChargesPerProbe(t *testing.T) {
 
 func TestDefaultFirstLevelWidth(t *testing.T) {
 	tbl := MustBuild([]Route{{Len: 0, NextHop: 1}}, Config{})
-	if tbl.FirstLevelEntries() != 1<<FirstLevelBits {
-		t.Errorf("first level = %d entries", tbl.FirstLevelEntries())
+	if len(tbl.tbl) != 1<<FirstLevelBits {
+		t.Errorf("first level = %d entries", len(tbl.tbl))
 	}
 }

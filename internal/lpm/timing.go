@@ -28,21 +28,34 @@ func DefaultTimingConfig() TimingConfig {
 	}
 }
 
-// LookupTimed performs Lookup while charging its cost to core: one load
+// Meter charges Table lookups to one core under a TimingConfig: one load
 // into the first-level table always, plus one load into the overflow page
 // when the covering route is deeper than the first level. The two-probe
-// case is the per-packet fluctuation this structure exhibits.
-func (t *Table) LookupTimed(core *sim.Core, addr uint32, tc TimingConfig) (int, bool) {
-	shift := 32 - t.firstBits
-	core.Exec(tc.BaseUops)
-	idx := addr >> shift
-	core.Load(tc.TableBase + uint64(idx)*4)
-	slot := t.tbl[idx]
-	if !slot.extended() {
-		return slot.nextHop(), false
+// case is the per-packet fluctuation this structure exhibits. A nil *Meter
+// charges nothing. Build one per core, outside its packet loop.
+type Meter struct {
+	core *sim.Core
+	tc   TimingConfig
+}
+
+// NewMeter returns the meter that charges core under tc.
+func NewMeter(core *sim.Core, tc TimingConfig) *Meter {
+	return &Meter{core: core, tc: tc}
+}
+
+// first charges the first-level probe of slot idx.
+func (m *Meter) first(idx uint32) {
+	if m != nil {
+		m.core.Exec(m.tc.BaseUops)
+		m.core.Load(m.tc.TableBase + uint64(idx)*4)
 	}
-	core.Exec(tc.ExtUops)
-	low := addr & (1<<shift - 1)
-	core.Load(tc.PageBase + (uint64(slot.page())<<shift)*4 + uint64(low)*4)
-	return t.pages[slot.page()][low].nextHop(), true
+}
+
+// second charges the overflow-page probe of entry low in page, whose
+// pages span 1<<shift entries.
+func (m *Meter) second(page, low uint32, shift uint) {
+	if m != nil {
+		m.core.Exec(m.tc.ExtUops)
+		m.core.Load(m.tc.PageBase + (uint64(page)<<shift)*4 + uint64(low)*4)
+	}
 }

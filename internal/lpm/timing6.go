@@ -17,35 +17,33 @@ type TimingConfig6 struct {
 	NodeStride uint64
 }
 
-// DefaultTimingConfig6 returns costs shaped like rte_lpm6: a small fixed
-// setup plus one dependent load per consumed stride.
-func DefaultTimingConfig6() TimingConfig6 {
-	return TimingConfig6{
-		BaseUops:   20,
-		LevelUops:  14,
-		NodeBase:   0xc000_0000,
-		NodeStride: 4096,
+// Meter6 charges Table6 lookups to one core under a TimingConfig6: the
+// walk setup, then per trie level walked the transition arithmetic and one
+// load into that node's line for the consumed byte. The per-destination
+// level count is the fluctuation this structure exhibits — a /128-covered
+// destination walks 16 dependent loads where a /32-covered one walks 4. A
+// nil *Meter6 charges nothing. Build one per core, outside its packet loop.
+type Meter6 struct {
+	core *sim.Core
+	tc   TimingConfig6
+}
+
+// NewMeter6 returns the meter that charges core under tc.
+func NewMeter6(core *sim.Core, tc TimingConfig6) *Meter6 {
+	return &Meter6{core: core, tc: tc}
+}
+
+// start charges the walk setup.
+func (m *Meter6) start() {
+	if m != nil {
+		m.core.Exec(m.tc.BaseUops)
 	}
 }
 
-// LookupTimed performs Lookup while charging its cost to core: one load
-// per trie level walked, each into that node's line for the consumed byte.
-// The per-destination level count is the fluctuation this structure
-// exhibits — a /128-covered destination walks 16 dependent loads where a
-// /32-covered one walks 4.
-func (t *Table6) LookupTimed(core *sim.Core, addr [16]byte, tc TimingConfig6) (nextHop int, levels int) {
-	core.Exec(tc.BaseUops)
-	best := NoRoute
-	n := t.root
-	for i := 0; i < 16 && n != nil; i++ {
-		levels++
-		b := addr[i]
-		core.Exec(tc.LevelUops)
-		core.Load(tc.NodeBase + uint64(n.idx)*tc.NodeStride + uint64(b)*8)
-		if n.depth[b] >= 0 {
-			best = int(n.hop[b])
-		}
-		n = n.child[b]
+// level charges one level's transition through node n on byte b.
+func (m *Meter6) level(n *node6, b byte) {
+	if m != nil {
+		m.core.Exec(m.tc.LevelUops)
+		m.core.Load(m.tc.NodeBase + uint64(n.idx)*m.tc.NodeStride + uint64(b)*8)
 	}
-	return best, levels
 }

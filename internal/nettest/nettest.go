@@ -60,21 +60,3 @@ func Drain[T any](c *sim.Core, in *queue.SPSC[Stamped[T]]) []Latency[T] {
 		out = append(out, Latency[T]{Payload: s.Payload, Cycles: c.Now() - s.IngressTSC})
 	}
 }
-
-// DrainByArrival consumes the egress ring computing each item's latency
-// from its wire arrival timestamp rather than the sink's clock. Unlike
-// Drain, the measurement is independent of when the sink gets around to
-// popping — required when one sink drains several egress rings (multi-queue
-// NICs), where sequential draining would otherwise inflate later rings'
-// latencies.
-func DrainByArrival[T any](c *sim.Core, in *queue.SPSC[Stamped[T]]) []Latency[T] {
-	var out []Latency[T]
-	for {
-		s, arrival, ok := in.PopWait(c)
-		if !ok {
-			return out
-		}
-		c.AdvanceTo(arrival)
-		out = append(out, Latency[T]{Payload: s.Payload, Cycles: arrival - s.IngressTSC})
-	}
-}

@@ -53,9 +53,6 @@ func StopTracing() *Tracer {
 	return curTracer.Swap(nil)
 }
 
-// Tracing reports whether a tracer is installed.
-func Tracing() bool { return curTracer.Load() != nil }
-
 // Span is an in-flight measurement; End records it. The zero Span
 // (returned when tracing is off) is inert.
 type Span struct {
@@ -94,22 +91,6 @@ func (s Span) End() {
 		Dur:  float64((end - s.since).Nanoseconds()) / 1e3,
 		Pid:  1,
 		Tid:  s.tid,
-	})
-}
-
-// Instant records a zero-duration instant event ("ph":"i") on track 0 —
-// e.g. a divergence dump decision.
-func Instant(name string) {
-	t := curTracer.Load()
-	if t == nil {
-		return
-	}
-	t.add(SpanEvent{
-		Name: name,
-		Cat:  "fluct",
-		Ph:   "i",
-		Ts:   float64(time.Since(t.start).Nanoseconds()) / 1e3,
-		Pid:  1,
 	})
 }
 

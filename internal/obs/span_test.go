@@ -13,12 +13,11 @@ func TestSpanInertWhenOff(t *testing.T) {
 	if old := StopTracing(); old != nil {
 		defer curTracer.Store(old)
 	}
-	if Tracing() {
+	if curTracer.Load() != nil {
 		t.Fatalf("tracing should be off")
 	}
 	sp := StartSpan("noop")
 	sp.End()
-	Instant("noop")
 	if sp.t != nil {
 		t.Fatalf("span should be inert when tracing is off")
 	}
@@ -45,7 +44,6 @@ func TestTraceEventSchema(t *testing.T) {
 		}(core)
 	}
 	wg.Wait()
-	Instant("divergence.dump")
 	root.End()
 	if got := StopTracing(); got != tr {
 		t.Fatalf("StopTracing returned %p, want the installed tracer %p", got, tr)
@@ -76,10 +74,10 @@ func TestTraceEventSchema(t *testing.T) {
 	if f.DisplayTimeUnit != "ms" {
 		t.Fatalf("displayTimeUnit = %q", f.DisplayTimeUnit)
 	}
-	if len(f.TraceEvents) != 6 { // root + 4 shards + instant
-		t.Fatalf("got %d events, want 6:\n%s", len(f.TraceEvents), buf.String())
+	if len(f.TraceEvents) != 5 { // root + 4 shards
+		t.Fatalf("got %d events, want 5:\n%s", len(f.TraceEvents), buf.String())
 	}
-	spans, instants := 0, 0
+	spans := 0
 	tids := map[int64]bool{}
 	for _, e := range f.TraceEvents {
 		if e.Name == "" || e.Cat == "" || e.Ts == nil || e.Pid == nil || e.Tid == nil {
@@ -88,18 +86,14 @@ func TestTraceEventSchema(t *testing.T) {
 		if *e.Ts < 0 || e.Dur < 0 {
 			t.Fatalf("negative ts/dur: %+v", e)
 		}
-		switch e.Ph {
-		case "X":
-			spans++
-			tids[*e.Tid] = true
-		case "i":
-			instants++
-		default:
+		if e.Ph != "X" {
 			t.Fatalf("unexpected phase %q", e.Ph)
 		}
+		spans++
+		tids[*e.Tid] = true
 	}
-	if spans != 5 || instants != 1 {
-		t.Fatalf("spans=%d instants=%d", spans, instants)
+	if spans != 5 {
+		t.Fatalf("spans=%d", spans)
 	}
 	if len(tids) != 4 { // per-core tracks 0..3 (the root span shares track 0)
 		t.Fatalf("expected 4 distinct tids, got %v", tids)

@@ -69,14 +69,15 @@ func TestOverflowWrapManyLaps(t *testing.T) {
 }
 
 // TestDrainMergeExactSize: the merge over several units drains each one
-// (counting the flush, honouring loss injection) and returns their records
-// unit by unit in one slice with no spare capacity; Samples on a unit
-// afterwards still returns that unit's own records.
+// (counting the flush, honouring each unit's overflow policy) and returns
+// their records unit by unit in one slice with no spare capacity; Samples
+// on a unit afterwards still returns that unit's own records.
 func TestDrainMergeExactSize(t *testing.T) {
 	a := NewPEBS(PEBSConfig{BufferEntries: 8})
 	b := NewPEBS(PEBSConfig{BufferEntries: 8})
-	lossy := NewPEBS(PEBSConfig{BufferEntries: 8})
-	lossy.InjectFlushLoss(2) // its second flush — the drain of the tail — is lost
+	// The lossy unit's helper is 3 records late: the 3 records after the
+	// buffer fills are dropped, then the full buffer drains.
+	lossy := NewPEBS(PEBSConfig{BufferEntries: 8, OverflowPolicy: OverflowDropBurst, HelperLagRecords: 3})
 	fill(a, 20, 1000)
 	fill(b, 3, 5000)
 	fill(lossy, 11, 9000)

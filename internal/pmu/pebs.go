@@ -97,8 +97,6 @@ type PEBS struct {
 	stored     int        // records in store
 	interrupts uint64
 	dropped    uint64
-	lossEvery  uint64 // failure injection: drop every Nth buffer flush
-	flushes    uint64
 	burstLag   int    // OverflowDropBurst: records dropped since the buffer filled
 	bursts     uint64 // OverflowDropBurst/OverflowWrap: contiguous loss episodes
 
@@ -210,24 +208,16 @@ func (p *PEBS) Overflow(ev Event, ctx Ctx) uint64 {
 }
 
 // flush models the helper program taking the full buffer over and
-// re-enabling PEBS. With loss injection enabled, every lossEvery-th flush is
-// discarded, standing in for a helper that could not keep up.
+// re-enabling PEBS.
 func (p *PEBS) flush() {
-	p.flushes++
 	p.mFlushes.Inc()
-	if p.lossEvery > 0 && p.flushes%p.lossEvery == 0 {
-		p.dropped += uint64(len(p.buf))
-		p.mDropped.Add(uint64(len(p.buf)))
-		p.buf = p.buf[:0]
-	} else {
-		if p.head != 0 {
-			// A wrapped ring drains oldest first.
-			p.buf = append(append(make([]Sample, 0, len(p.buf)), p.buf[p.head:]...), p.buf[:p.head]...)
-		}
-		p.store = append(p.store, p.buf)
-		p.stored += len(p.buf)
-		p.buf = nil
+	if p.head != 0 {
+		// A wrapped ring drains oldest first.
+		p.buf = append(append(make([]Sample, 0, len(p.buf)), p.buf[p.head:]...), p.buf[:p.head]...)
 	}
+	p.store = append(p.store, p.buf)
+	p.stored += len(p.buf)
+	p.buf = nil
 	p.head = 0
 	p.mOcc.SetInt(0)
 }
@@ -277,18 +267,13 @@ func (p *PEBS) BytesWritten() uint64 { return p.Count() * p.cfg.RecordBytes }
 // Interrupts returns how many buffer-full interrupts were raised.
 func (p *PEBS) Interrupts() uint64 { return p.interrupts }
 
-// Dropped returns how many samples were lost — to injected flush failures
-// or to the configured overflow policy (wrap evictions, drop bursts).
+// Dropped returns how many samples the configured overflow policy lost
+// (wrap evictions, drop bursts).
 func (p *PEBS) Dropped() uint64 { return p.dropped }
 
 // DroppedBursts returns how many contiguous loss episodes the overflow
 // policy produced (0 under OverflowDrain).
 func (p *PEBS) DroppedBursts() uint64 { return p.bursts }
-
-// InjectFlushLoss makes every n-th buffer flush lose its contents; n == 0
-// disables loss. Used by failure-injection tests to show the analyzer
-// degrades gracefully when the helper program cannot drain fast enough.
-func (p *PEBS) InjectFlushLoss(n uint64) { p.lossEvery = n }
 
 // Config returns the effective configuration.
 func (p *PEBS) Config() PEBSConfig { return p.cfg }

@@ -199,15 +199,18 @@ func TestPEBSBytesWritten(t *testing.T) {
 	}
 }
 
+// TestPEBSFlushLossInjection: a helper that flushes late loses the records
+// that arrive meanwhile, and the unit still counts them as taken.
 func TestPEBSFlushLossInjection(t *testing.T) {
-	pb := NewPEBS(PEBSConfig{BufferEntries: 2})
-	pb.InjectFlushLoss(2) // every 2nd flush drops
+	pb := NewPEBS(PEBSConfig{BufferEntries: 2, OverflowPolicy: OverflowDropBurst, HelperLagRecords: 2})
 	for i := 0; i < 8; i++ {
 		pb.Overflow(UopsRetired, Ctx{TSC: uint64(i)})
 	}
-	// 4 flushes; flushes 2 and 4 dropped => 4 samples kept, 4 dropped.
-	if got := len(pb.Samples()); got != 4 {
-		t.Errorf("kept samples = %d, want 4", got)
+	// Each full buffer is flushed 2 records late: records 2, 3, 6 and 7
+	// are dropped, 0, 1, 4 and 5 kept.
+	kept := pb.Samples()
+	if len(kept) != 4 || kept[0].TSC != 0 || kept[1].TSC != 1 || kept[2].TSC != 4 || kept[3].TSC != 5 {
+		t.Errorf("kept samples = %+v, want TSCs 0, 1, 4, 5", kept)
 	}
 	if pb.Dropped() != 4 {
 		t.Errorf("dropped = %d, want 4", pb.Dropped())

@@ -113,25 +113,6 @@ func (q *SPSC[T]) PopWait(c *sim.Core) (v T, arrival uint64, ok bool) {
 // charge it themselves.
 func (q *SPSC[T]) PopCostUops() uint64 { return q.cfg.PopUops }
 
-// TryPop dequeues without blocking: ok is false when the ring is currently
-// empty (busy-poll loops use this; the caller pays its own spin cost).
-// closed is true once the ring is closed and drained.
-func (q *SPSC[T]) TryPop(c *sim.Core) (v T, ok, closed bool) {
-	select {
-	case e, chOk := <-q.ch:
-		if !chOk {
-			var zero T
-			return zero, false, true
-		}
-		c.Exec(q.cfg.PopUops)
-		c.AdvanceTo(e.ts + q.cfg.LatencyCycles)
-		return e.v, true, false
-	default:
-		var zero T
-		return zero, false, false
-	}
-}
-
 // Close closes the producer end; consumers drain remaining elements and
 // then observe ok == false.
 func (q *SPSC[T]) Close() { close(q.ch) }

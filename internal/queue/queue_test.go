@@ -109,23 +109,6 @@ func TestPopAfterCloseDrains(t *testing.T) {
 	}
 }
 
-func TestTryPop(t *testing.T) {
-	m := twoCore(t)
-	q := New[int](Config{})
-	c := m.Core(0)
-	if _, ok, closed := q.TryPop(c); ok || closed {
-		t.Error("TryPop on empty open ring should be (false,false)")
-	}
-	q.Push(c, 3)
-	if v, ok, _ := q.TryPop(m.Core(1)); !ok || v != 3 {
-		t.Errorf("TryPop = (%d,%v)", v, ok)
-	}
-	q.Close()
-	if _, _, closed := q.TryPop(m.Core(1)); !closed {
-		t.Error("TryPop on closed drained ring should report closed")
-	}
-}
-
 func TestPopWaitLeavesClockAlone(t *testing.T) {
 	m := twoCore(t)
 	q := New[int](Config{LatencyCycles: 140, PopUops: 40})

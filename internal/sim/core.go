@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cache"
 	"repro/internal/pmu"
@@ -53,9 +52,6 @@ func (c *Core) Machine() *Machine { return c.mach }
 // Now returns the core's timestamp counter in cycles.
 func (c *Core) Now() uint64 { return c.clock }
 
-// NowNanos returns the core clock in nanoseconds.
-func (c *Core) NowNanos() float64 { return c.mach.CyclesToNanos(c.clock) }
-
 // Retired returns the total number of uops retired on this core.
 func (c *Core) Retired() uint64 { return c.retired }
 
@@ -92,17 +88,6 @@ func (c *Core) IP() uint64 {
 	f := &c.stack[len(c.stack)-1]
 	return f.fn.Base + f.off
 }
-
-// CurrentFn returns the innermost active function, or nil.
-func (c *Core) CurrentFn() *symtab.Fn {
-	if len(c.stack) == 0 {
-		return nil
-	}
-	return c.stack[len(c.stack)-1].fn
-}
-
-// Depth returns the current call-stack depth.
-func (c *Core) Depth() int { return len(c.stack) }
 
 // Call runs body as the body of fn: while body executes, the simulated IP
 // lies inside fn's address range, so PEBS samples taken meanwhile attribute
@@ -219,13 +204,3 @@ func (c *Core) AdvanceTo(t uint64) {
 // Sleep advances the clock by cy idle cycles.
 func (c *Core) Sleep(cy uint64) { c.clock += cy }
 
-// NextOverflowIn returns the distance, in uops, to the nearest programmed
-// UopsRetired overflow, or MaxUint64 when none is programmed. Exposed for
-// tests that verify block splitting.
-func (c *Core) NextOverflowIn() uint64 {
-	d := c.PMU.Distance(pmu.UopsRetired)
-	if d == math.MaxUint64 {
-		return math.MaxUint64
-	}
-	return d
-}

@@ -143,19 +143,9 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 // FreqHz returns the core clock frequency.
 func (m *Machine) FreqHz() uint64 { return m.cfg.FreqHz }
 
-// CyclesToNanos converts a cycle count to nanoseconds at the machine clock.
-func (m *Machine) CyclesToNanos(cycles uint64) float64 {
-	return float64(cycles) * 1e9 / float64(m.cfg.FreqHz)
-}
-
 // CyclesToMicros converts a cycle count to microseconds.
 func (m *Machine) CyclesToMicros(cycles uint64) float64 {
 	return float64(cycles) * 1e6 / float64(m.cfg.FreqHz)
-}
-
-// NanosToCycles converts nanoseconds to cycles (rounding down).
-func (m *Machine) NanosToCycles(ns float64) uint64 {
-	return uint64(ns * float64(m.cfg.FreqHz) / 1e9)
 }
 
 // Spawn pins body to core id as its single thread and starts it. It returns
@@ -199,14 +189,3 @@ func (m *Machine) Wait() {
 	m.mu.Unlock()
 }
 
-// MaxClock returns the largest per-core clock value, i.e. the virtual
-// makespan of everything run so far.
-func (m *Machine) MaxClock() uint64 {
-	var max uint64
-	for _, c := range m.cores {
-		if c.clock > max {
-			max = c.clock
-		}
-	}
-	return max
-}

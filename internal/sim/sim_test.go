@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/cache"
@@ -34,14 +33,8 @@ func TestNewRejectsNegativeCores(t *testing.T) {
 
 func TestTimeConversionAt2GHz(t *testing.T) {
 	m := MustNew(Config{Cores: 1})
-	if got := m.CyclesToNanos(2000); got != 1000 {
-		t.Errorf("2000 cycles = %v ns, want 1000", got)
-	}
 	if got := m.CyclesToMicros(2000); got != 1 {
 		t.Errorf("2000 cycles = %v us, want 1", got)
-	}
-	if got := m.NanosToCycles(250); got != 500 {
-		t.Errorf("250 ns = %v cycles, want 500", got)
 	}
 }
 
@@ -94,16 +87,26 @@ func TestSetRatePanicsOnZero(t *testing.T) {
 	m.Core(0).SetRate(0, 1)
 }
 
+// depth and curFn read c's simulated call stack.
+func depth(c *Core) int { return len(c.stack) }
+
+func curFn(c *Core) *symtab.Fn {
+	if len(c.stack) == 0 {
+		return nil
+	}
+	return c.stack[len(c.stack)-1].fn
+}
+
 func TestCallSetsIPWithinFunction(t *testing.T) {
 	m := testMachine(t)
 	c := m.Core(0)
 	fn := m.Syms.MustRegister("f", 4096)
-	if c.IP() != 0 || c.CurrentFn() != nil {
+	if c.IP() != 0 || curFn(c) != nil {
 		t.Error("idle core should have no IP")
 	}
 	c.Call(fn, func() {
-		if c.CurrentFn() != fn {
-			t.Error("CurrentFn wrong inside Call")
+		if curFn(c) != fn {
+			t.Error("current function wrong inside Call")
 		}
 		for i := 0; i < 100; i++ {
 			c.Exec(10)
@@ -112,7 +115,7 @@ func TestCallSetsIPWithinFunction(t *testing.T) {
 			}
 		}
 	})
-	if c.Depth() != 0 {
+	if depth(c) != 0 {
 		t.Error("stack not popped")
 	}
 }
@@ -125,11 +128,11 @@ func TestNestedCallsAttributeToInnermost(t *testing.T) {
 	c.Call(outer, func() {
 		c.Exec(5)
 		c.Call(inner, func() {
-			if c.CurrentFn() != inner || !inner.Contains(c.IP()) {
+			if curFn(c) != inner || !inner.Contains(c.IP()) {
 				t.Error("inner frame not active")
 			}
 		})
-		if c.CurrentFn() != outer {
+		if curFn(c) != outer {
 			t.Error("outer frame not restored")
 		}
 	})
@@ -345,28 +348,6 @@ func TestMustSpawnPanics(t *testing.T) {
 	m.MustSpawn(-1, func(c *Core) {})
 }
 
-func TestMaxClock(t *testing.T) {
-	m := testMachine(t)
-	m.Core(0).Exec(10)
-	m.Core(1).Exec(500)
-	if m.MaxClock() != 500 {
-		t.Errorf("MaxClock = %d, want 500", m.MaxClock())
-	}
-}
-
-func TestNextOverflowIn(t *testing.T) {
-	m := testMachine(t)
-	c := m.Core(0)
-	if c.NextOverflowIn() != math.MaxUint64 {
-		t.Error("unprogrammed core reports an overflow distance")
-	}
-	c.PMU.MustProgram(pmu.UopsRetired, 100, pmu.NewPEBS(pmu.PEBSConfig{}))
-	c.Exec(30)
-	if c.NextOverflowIn() != 70 {
-		t.Errorf("NextOverflowIn = %d, want 70", c.NextOverflowIn())
-	}
-}
-
 func TestExecZeroIsNoop(t *testing.T) {
 	m := testMachine(t)
 	c := m.Core(0)
@@ -391,8 +372,8 @@ func TestDeepCallNesting(t *testing.T) {
 			return
 		}
 		c.Call(fns[d], func() {
-			if c.Depth() != d+1 {
-				t.Fatalf("depth = %d at level %d", c.Depth(), d)
+			if depth(c) != d+1 {
+				t.Fatalf("depth = %d at level %d", depth(c), d)
 			}
 			if !fns[d].Contains(c.IP()) {
 				t.Fatalf("IP outside frame at level %d", d)
@@ -401,7 +382,7 @@ func TestDeepCallNesting(t *testing.T) {
 		})
 	}
 	descend(0)
-	if c.Depth() != 0 {
+	if depth(c) != 0 {
 		t.Error("stack not fully unwound")
 	}
 }

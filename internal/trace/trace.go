@@ -13,7 +13,6 @@ package trace
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/pmu"
 	"repro/internal/sim"
@@ -59,63 +58,26 @@ const DefaultMarkerUops = 150
 // MarkerLog collects markers. Each core appends to a private slice from its
 // own pinned goroutine, so no locking is needed and output is deterministic.
 type MarkerLog struct {
-	costUops  uint64
-	perCore   [][]Marker
-	lossEvery uint64
-	// calls/lost are per-core, written only by each core's own pinned
-	// goroutine (like perCore), keeping Mark lock-free and deterministic.
-	calls []uint64
-	lost  []uint64
+	costUops uint64
+	perCore  [][]Marker
 }
 
 // NewMarkerLog creates a log for a machine with the given core count; each
-// Mark charges costUops to the calling core (0 means DefaultMarkerUops; use
-// SetFree for zero-cost marking in ground-truth harnesses).
+// Mark charges costUops to the calling core (0 means DefaultMarkerUops).
 func NewMarkerLog(cores int, costUops uint64) *MarkerLog {
 	if costUops == 0 {
 		costUops = DefaultMarkerUops
 	}
-	return &MarkerLog{
-		costUops: costUops,
-		perCore:  make([][]Marker, cores),
-		calls:    make([]uint64, cores),
-		lost:     make([]uint64, cores),
-	}
+	return &MarkerLog{costUops: costUops, perCore: make([][]Marker, cores)}
 }
-
-// SetFree disables the marking cost (for oracle/ground-truth runs only).
-func (l *MarkerLog) SetFree() { l.costUops = ^uint64(0) }
-
-// InjectLoss drops every n-th Mark call's record (the marking code still
-// runs and still costs time, as a log write lost to a crashed collector
-// would). n == 0 disables loss. Failure-injection tests use this to show
-// the integrator degrades to diagnostics, not corruption.
-func (l *MarkerLog) InjectLoss(n uint64) { l.lossEvery = n }
 
 // Mark records a data-item switch on c's timeline. The timestamp is taken on
 // entry to the marking function and the function's own cost is paid
 // afterwards, as a real `log(d.id, timestamp)` statement would behave.
 func (l *MarkerLog) Mark(c *sim.Core, item uint64, k Kind) {
 	id := c.ID()
-	l.calls[id]++
-	if l.lossEvery > 0 && l.calls[id]%l.lossEvery == 0 {
-		l.lost[id]++
-	} else {
-		m := Marker{Item: item, TSC: c.Now(), Core: int32(id), Kind: k}
-		l.perCore[id] = append(l.perCore[id], m)
-	}
-	if l.costUops != ^uint64(0) {
-		c.Exec(l.costUops)
-	}
-}
-
-// Lost returns how many marker records were dropped by loss injection.
-func (l *MarkerLog) Lost() uint64 {
-	var n uint64
-	for _, v := range l.lost {
-		n += v
-	}
-	return n
+	l.perCore[id] = append(l.perCore[id], Marker{Item: item, TSC: c.Now(), Core: int32(id), Kind: k})
+	c.Exec(l.costUops)
 }
 
 // Count returns the total number of markers recorded.
@@ -127,25 +89,31 @@ func (l *MarkerLog) Count() int {
 	return n
 }
 
-// Markers merges the per-core logs into one slice sorted by (core, TSC,
-// kind). Call after the workload finishes.
+// Markers merges the per-core logs into one slice sorted by MarkerOrder.
+// Call after the workload finishes. Each core's log is appended in clock
+// order, so only a zero-cycle Begin→End pair needs the sort.
 func (l *MarkerLog) Markers() []Marker {
 	var out []Marker
 	for _, s := range l.perCore {
 		out = append(out, s...)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Core != out[j].Core {
-			return out[i].Core < out[j].Core
-		}
-		if out[i].TSC != out[j].TSC {
-			return out[i].TSC < out[j].TSC
-		}
-		// End sorts before Begin at the same instant so back-to-back items
-		// (End of one, Begin of the next, zero cycles apart) stay pairable.
-		return out[i].Kind > out[j].Kind
-	})
+	if !slices.IsSortedFunc(out, MarkerOrder) {
+		slices.SortStableFunc(out, MarkerOrder)
+	}
 	return out
+}
+
+// MarkerOrder orders markers by (core, TSC, kind), End before Begin at the
+// same instant so back-to-back items (End of one, Begin of the next, zero
+// cycles apart) stay pairable.
+func MarkerOrder(a, b Marker) int {
+	if c := cmp.Compare(a.Core, b.Core); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.TSC, b.TSC); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Kind, a.Kind)
 }
 
 // Set is one complete trace: both raw streams plus everything needed to
