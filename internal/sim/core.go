@@ -203,4 +203,3 @@ func (c *Core) AdvanceTo(t uint64) {
 
 // Sleep advances the clock by cy idle cycles.
 func (c *Core) Sleep(cy uint64) { c.clock += cy }
-

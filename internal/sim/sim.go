@@ -188,4 +188,3 @@ func (m *Machine) Wait() {
 	}
 	m.mu.Unlock()
 }
-
