@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -116,9 +117,16 @@ func planReset(workers int, seed uint64, budget float64) (uint64, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			var gaps []float64
-			for _, g := range a.MeanSampleGap {
-				gaps = append(gaps, g)
+			// Sum in ascending core order: a float sum in map order can
+			// differ in its last bits from run to run.
+			cores := make([]int32, 0, len(a.MeanSampleGap))
+			for c := range a.MeanSampleGap {
+				cores = append(cores, c)
+			}
+			slices.Sort(cores)
+			gaps := make([]float64, len(cores))
+			for i, c := range cores {
+				gaps[i] = a.MeanSampleGap[c]
 			}
 			gap = stats.Mean(gaps)
 		}

@@ -127,32 +127,41 @@ func main() {
 		}
 	}
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
+	if err := runExperiments(w, *exp, *packets, *requests, resetList); err != nil {
+		fatal(err)
+	}
+}
+
+// runExperiments renders experiment exp ("all" for every one) to w: ACL
+// sweeps at packets per run, the NGINX workload at requests, and the
+// paper's reset sweep unless resets overrides it.
+func runExperiments(w io.Writer, exp string, packets, requests int, resets []uint64) error {
+	want := func(name string) bool { return exp == "all" || exp == name }
 	ran := false
 
 	if want("fig1") {
 		ran = true
 		r, err := experiments.Fig1()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r.Render(w)
 		fmt.Fprintln(w)
 	}
 	if want("fig2") {
 		ran = true
-		r, err := experiments.Fig2(*requests)
+		r, err := experiments.Fig2(requests)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r.Render(w)
 		fmt.Fprintln(w)
 	}
 	if want("fig4") {
 		ran = true
-		r, err := experiments.Fig4(experiments.Fig4Config{Resets: resetList})
+		r, err := experiments.Fig4(experiments.Fig4Config{Resets: resets})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r.Render(w)
 		fmt.Fprintln(w)
@@ -161,7 +170,7 @@ func main() {
 		ran = true
 		r, err := experiments.Fig8()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r.Render(w)
 		fmt.Fprintln(w)
@@ -169,11 +178,11 @@ func main() {
 	if want("fig9") || want("fig10") || want("datarate") {
 		ran = true
 		sweep, err := experiments.RunACLSweep(experiments.ACLSweepConfig{
-			Packets: *packets,
-			Resets:  resetList,
+			Packets: packets,
+			Resets:  resets,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if want("fig9") {
 			sweep.Fig9().Render(w)
@@ -192,19 +201,19 @@ func main() {
 		ran = true
 		r, err := experiments.FaultSweep(nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r.Render(w)
 		fmt.Fprintln(w)
 		n, err := experiments.NetSweep(nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		n.Render(w)
 		fmt.Fprintln(w)
 		cr, err := experiments.CrashSweep(nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cr.Render(w)
 		fmt.Fprintln(w)
@@ -213,7 +222,7 @@ func main() {
 		ran = true
 		r, err := experiments.DetectSweep(experiments.DetectSweepConfig{})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r.Render(w)
 		fmt.Fprintln(w)
@@ -222,7 +231,7 @@ func main() {
 		ran = true
 		r, err := experiments.DPSweep(experiments.DPSweepConfig{})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r.Render(w)
 		fmt.Fprintln(w)
@@ -231,14 +240,15 @@ func main() {
 		ran = true
 		r, err := experiments.SecVC("gcc", nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r.Render(w)
 		fmt.Fprintln(w)
 	}
 	if !ran {
-		fatal(fmt.Errorf("unknown experiment %q (want fig1|fig2|fig4|fig8|fig9|fig10|datarate|faultsweep|detectsweep|dpsweep|secvc|all)", *exp))
+		return fmt.Errorf("unknown experiment %q (want fig1|fig2|fig4|fig8|fig9|fig10|datarate|faultsweep|detectsweep|dpsweep|secvc|all)", exp)
 	}
+	return nil
 }
 
 // runShip runs the fleet-worker loop: generate rounds, ship each round's

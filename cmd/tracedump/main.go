@@ -26,6 +26,7 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 
@@ -210,15 +211,20 @@ func main() {
 	}
 
 	if *csvOut != "" {
-		for suffix, export := range map[string]func(*os.File) error{
-			"-markers.csv": func(f *os.File) error { return set.ExportMarkersCSV(f) },
-			"-samples.csv": func(f *os.File) error { return set.ExportSamplesCSV(f) },
+		// A slice, not a map: the "wrote" lines print in a fixed order.
+		for _, out := range []struct {
+			suffix string
+			export func(io.Writer) error
+		}{
+			{"-markers.csv", set.ExportMarkersCSV},
+			{"-samples.csv", set.ExportSamplesCSV},
 		} {
+			suffix := out.suffix
 			f, err := os.Create(*csvOut + suffix)
 			if err != nil {
 				fatal(err)
 			}
-			if err := export(f); err != nil {
+			if err := out.export(f); err != nil {
 				fatal(err)
 			}
 			if err := f.Close(); err != nil {

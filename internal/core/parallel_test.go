@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/pmu"
@@ -145,5 +147,59 @@ func TestParallelIntegrateGroundTruth(t *testing.T) {
 	}
 	if seq.Diag.SymCacheHits+seq.Diag.SymCacheMisses == 0 {
 		t.Error("cache counters not populated")
+	}
+}
+
+// TestIntegrateSkipsSortOfSortedInput: shardByCore skips its sorts when a
+// stream is already in order, which is only sound because a stable sort of
+// sorted input is the identity. A sorted set and a reordered copy of it
+// must integrate to identical analyses, and a simulator run's set must
+// arrive sorted, so the skip is the path real runs take.
+func TestIntegrateSkipsSortOfSortedInput(t *testing.T) {
+	sampleOrder := func(a, b pmu.Sample) int {
+		if c := cmp.Compare(a.Core, b.Core); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.TSC, b.TSC)
+	}
+	for seed := int64(0); seed < 25; seed++ {
+		reordered := randomTraceSet(rand.New(rand.NewSource(seed)))
+		sorted := *reordered
+		sorted.Markers = slices.Clone(reordered.Markers)
+		sorted.Samples = slices.Clone(reordered.Samples)
+		slices.SortStableFunc(sorted.Markers, trace.MarkerOrder)
+		slices.SortStableFunc(sorted.Samples, sampleOrder)
+		want, err := Integrate(reordered, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Integrate(&sorted, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: sorted input integrates differently\nsorted    %+v\nreordered %+v", seed, got, want)
+		}
+	}
+
+	set, _ := runGroundTruth(t, 700, 15, 10000, 12000)
+	if !slices.IsSortedFunc(set.Markers, trace.MarkerOrder) || !slices.IsSortedFunc(set.Samples, sampleOrder) {
+		t.Fatal("a simulator run's trace set is not in (core, TSC) order")
+	}
+	reversed := *set
+	reversed.Markers = slices.Clone(set.Markers)
+	reversed.Samples = slices.Clone(set.Samples)
+	slices.Reverse(reversed.Markers)
+	slices.Reverse(reversed.Samples)
+	want, err := Integrate(&reversed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Integrate(set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a run's sorted set and its reversed copy integrate differently")
 	}
 }

@@ -110,9 +110,12 @@ func FaultSweep(rates []float64) (*FaultSweepResult, error) {
 			var errSum float64
 			var errN int
 			est := fnEstimates(a)
-			for id, want := range ref {
-				got, ok := est[id]
-				if !ok {
+			// Sum in query order: a float sum in map order can differ in
+			// its last bits from run to run.
+			for _, q := range seq {
+				want, ok := ref[q.ID]
+				got, ok2 := est[q.ID]
+				if !ok || !ok2 {
 					continue
 				}
 				for i := range want {
