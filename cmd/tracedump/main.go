@@ -219,8 +219,7 @@ func main() {
 			{"-markers.csv", set.ExportMarkersCSV},
 			{"-samples.csv", set.ExportSamplesCSV},
 		} {
-			suffix := out.suffix
-			f, err := os.Create(*csvOut + suffix)
+			f, err := os.Create(*csvOut + out.suffix)
 			if err != nil {
 				fatal(err)
 			}
@@ -230,7 +229,7 @@ func main() {
 			if err := f.Close(); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("wrote %s\n", *csvOut+suffix)
+			fmt.Printf("wrote %s\n", *csvOut+out.suffix)
 		}
 	}
 	if *jsonlOut != "" {

@@ -140,6 +140,37 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
+// TestPipelineWorkersShareOneTrace: with several workers, one merged trace
+// reconstructs every packet exactly once, on the core of the worker that
+// processed it (worker w owns packet IDs w·Packets+1 .. (w+1)·Packets).
+func TestPipelineWorkersShareOneTrace(t *testing.T) {
+	cfg := basePipelineConfig()
+	cfg.Workers = 3
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.Integrate(r.Set, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Items) != cfg.Workers*cfg.Packets {
+		t.Fatalf("reconstructed %d packets, want %d", len(a.Items), cfg.Workers*cfg.Packets)
+	}
+	seen := make([]bool, len(a.Items))
+	for i := range a.Items {
+		it := &a.Items[i]
+		w := int((it.ID - 1) / uint64(cfg.Packets))
+		if it.ID == 0 || w >= cfg.Workers || seen[it.ID-1] {
+			t.Fatalf("item %d is not one of the run's packets, or is reconstructed twice", it.ID)
+		}
+		seen[it.ID-1] = true
+		if int(it.Core) != w {
+			t.Errorf("packet %d reconstructed on core %d, want worker %d's core", it.ID, it.Core, w)
+		}
+	}
+}
+
 // TestPipelineStageSpans: the per-packet items carry the chain's marked
 // functions with live cycle estimates, and denied packets skip route.
 func TestPipelineStageSpans(t *testing.T) {
