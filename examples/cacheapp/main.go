@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	repro "repro"
@@ -16,30 +17,35 @@ import (
 )
 
 func main() {
-	// The canned Fig. 8 harness...
-	fig8, err := experiments.Fig8()
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fig8.Render(os.Stdout)
+}
+
+func run(w io.Writer) error {
+	// The canned Fig. 8 harness...
+	fig8, err := experiments.Fig8()
+	if err != nil {
+		return err
+	}
+	fig8.Render(w)
 
 	// ...and the same analysis done by hand against the public API, to
 	// show what the harness does: run the app, integrate, inspect.
 	res, err := qapp.Run(qapp.Config{Reset: 8000}, qapp.PaperQuerySequence())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	analysis, err := repro.Integrate(res.Set, repro.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	cold := analysis.Item(1)
 	warm := analysis.Item(2)
-	fmt.Printf("\nby hand: query 1 (cold) f3 = %.1f us, query 2 (warm, same n) f3 = %.1f us\n",
+	fmt.Fprintf(w, "\nby hand: query 1 (cold) f3 = %.1f us, query 2 (warm, same n) f3 = %.1f us\n",
 		analysis.CyclesToMicros(cold.Func(qapp.FnF3).Cycles()),
 		analysis.CyclesToMicros(warm.Func(qapp.FnF3).Cycles()))
-	fmt.Println("the fluctuation is cache warmth: same query, different non-functional state")
+	fmt.Fprintln(w, "the fluctuation is cache warmth: same query, different non-functional state")
+	return nil
 }
