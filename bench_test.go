@@ -154,7 +154,7 @@ func BenchmarkTableIIIRuleCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := acl.MustBuild(rules, acl.PaperBuildConfig())
 		if i == 0 {
-			b.ReportMetric(float64(c.NumRules()), "rules")
+			b.ReportMetric(float64(len(rules)), "rules")
 			b.ReportMetric(float64(c.NumTries()), "tries")
 		}
 	}

@@ -220,7 +220,7 @@ func runExperiments(w io.Writer, exp string, packets, requests int, resets []uin
 	}
 	if want("detectsweep") {
 		ran = true
-		r, err := experiments.DetectSweep(experiments.DetectSweepConfig{})
+		r, err := experiments.DetectSweep()
 		if err != nil {
 			return err
 		}
@@ -229,7 +229,7 @@ func runExperiments(w io.Writer, exp string, packets, requests int, resets []uin
 	}
 	if want("dpsweep") {
 		ran = true
-		r, err := experiments.DPSweep(experiments.DPSweepConfig{})
+		r, err := experiments.DPSweep()
 		if err != nil {
 			return err
 		}

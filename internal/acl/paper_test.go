@@ -39,8 +39,8 @@ func TestPaperRuleSetShape(t *testing.T) {
 	if c.NumTries() != PaperTrieCount {
 		t.Errorf("tries = %d, want 247", c.NumTries())
 	}
-	if c.NumRules() != 50000 {
-		t.Errorf("NumRules = %d", c.NumRules())
+	if len(c.Rules()) != 50000 {
+		t.Errorf("rules = %d", len(c.Rules()))
 	}
 }
 

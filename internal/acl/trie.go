@@ -76,9 +76,6 @@ func MustBuild(rules []Rule, cfg BuildConfig) *Classifier {
 // NumTries returns how many tries the rules compiled into.
 func (c *Classifier) NumTries() int { return c.set.Tries() }
 
-// NumRules returns the rule count.
-func (c *Classifier) NumRules() int { return len(c.rules) }
-
 // Rules returns the compiled rules (shared slice; do not modify).
 func (c *Classifier) Rules() []Rule { return c.rules }
 

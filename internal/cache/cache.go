@@ -201,6 +201,3 @@ func (h *Hierarchy) Stats() []LevelStats {
 	}
 	return out
 }
-
-// Levels returns the number of levels.
-func (h *Hierarchy) Levels() int { return len(h.levels) }

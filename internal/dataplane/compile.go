@@ -38,15 +38,6 @@ func Compile(rules []Rule, cfg acl.BuildConfig) (*Matcher, error) {
 	return &Matcher{set: set}, nil
 }
 
-// MustCompile is Compile with the default build, panicking on error.
-func MustCompile(rules []Rule) *Matcher {
-	m, err := Compile(rules, acl.BuildConfig{})
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // expandDPRule lowers one rule into byte-decomposable atoms, all sharing
 // Ref = idx, in deterministic segment order (VLAN outermost, then source
 // and destination port).

@@ -223,7 +223,10 @@ func TestClassifyDetailedStats(t *testing.T) {
 		allow tcp 10.0.0.0/8 -> any4 dport 80 prio 5
 		deny any any4 -> any4 prio -1
 	`)
-	m := MustCompile(rules)
+	m, err := Compile(rules, acl.BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	walk := func(p Packet) (int, bool, acl.WalkStats) {
 		key := p.Key()
 		return m.set.Classify(key[:], m.Scratch(), nil)

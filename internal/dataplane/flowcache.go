@@ -47,9 +47,6 @@ func NewFlowCache(capacity int) *FlowCache {
 	}
 }
 
-// Entries returns the cache's capacity in entries.
-func (fc *FlowCache) Entries() int { return fc.sets * fc.ways }
-
 // Stats returns traffic counters.
 func (fc *FlowCache) Stats() FlowStats { return fc.stats }
 

@@ -13,8 +13,8 @@ func keyOf(n uint64) [KeyLen]byte {
 
 func TestFlowCacheBasics(t *testing.T) {
 	fc := NewFlowCache(16)
-	if fc.Entries() < 16 {
-		t.Fatalf("capacity %d < requested 16", fc.Entries())
+	if fc.sets*fc.ways < 16 {
+		t.Fatalf("capacity %d < requested 16", fc.sets*fc.ways)
 	}
 	k := keyOf(1)
 	if _, ok := fc.Lookup(&k); ok {

@@ -24,51 +24,6 @@ const (
 // StageNames lists the chain's function symbols in stage order.
 var StageNames = []string{FnParse, FnFlow, FnACL, FnRoute, FnEmit}
 
-// Stage identifies a chain stage in MarkStages item IDs.
-type Stage uint8
-
-// Stages in chain order. StageFlowInsert is the post-route cache install
-// — same function symbol as StageFlow, but its own marker item so
-// MarkStages never opens one item ID twice.
-const (
-	StageParse Stage = iota
-	StageFlow
-	StageACL
-	StageRoute
-	StageEmit
-	StageFlowInsert
-)
-
-// Fn returns the stage's function symbol.
-func (s Stage) Fn() string {
-	if s == StageFlowInsert {
-		return FnFlow
-	}
-	if int(s) < len(StageNames) {
-		return StageNames[s]
-	}
-	return "?"
-}
-
-// String implements fmt.Stringer.
-func (s Stage) String() string { return s.Fn() }
-
-// StageItemID builds the marker item ID for one packet's stage in
-// MarkStages mode (stage in the low 3 bits, biased to stay non-zero).
-func StageItemID(packetID uint64, s Stage) uint64 { return packetID<<3 | (uint64(s) + 1) }
-
-// MarkMode selects what a marker item is.
-type MarkMode uint8
-
-const (
-	// MarkPackets marks one item per packet — the whole chain traversal —
-	// with the stages visible as function spans inside it.
-	MarkPackets MarkMode = iota
-	// MarkStages marks one item per (packet, stage), the finer granularity
-	// acltrace's stage view uses.
-	MarkStages
-)
-
 // PipelineConfig parameterizes a traced run of the chain.
 type PipelineConfig struct {
 	// Rules is the active policy; Routes the per-family tables.
@@ -89,12 +44,6 @@ type PipelineConfig struct {
 	CacheEntries int
 	// Reset is the PEBS sampling period in uops (default 1000).
 	Reset uint64
-	// MarkerUops is the marking cost (0 = trace default).
-	MarkerUops uint64
-	// Timing charges stage costs (zero = DefaultTimingConfig).
-	Timing TimingConfig
-	// Mark selects item granularity.
-	Mark MarkMode
 
 	// Warmup runs this many packets per worker through the chain before
 	// tracing starts — generator state advances and flow caches fill, but
@@ -172,9 +121,6 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	if cfg.Reset == 0 {
 		cfg.Reset = 1000
 	}
-	if cfg.Timing.zero() {
-		cfg.Timing = DefaultTimingConfig()
-	}
 	if cfg.Gen.Seed == 0 {
 		cfg.Gen.Seed = 0x64706c616e65
 	}
@@ -203,11 +149,12 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fns := map[string]*symtab.Fn{}
-	for _, name := range StageNames {
-		fns[name] = mach.Syms.MustRegister(name, 2048)
+	fns := make([]*symtab.Fn, len(StageNames))
+	for i, name := range StageNames {
+		fns[i] = mach.Syms.MustRegister(name, 2048)
 	}
-	log := trace.NewMarkerLog(cfg.Workers, cfg.MarkerUops)
+	fnParse, fnFlow, fnACL, fnRoute, fnEmit := fns[0], fns[1], fns[2], fns[3], fns[4]
+	log := trace.NewMarkerLog(cfg.Workers, trace.DefaultMarkerUops)
 
 	pebses := make([]*pmu.PEBS, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -218,7 +165,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	churnIdx := onsetIndex(cfg.ChurnAt, cfg.Packets)
 	coldIdx := onsetIndex(cfg.ColdAt, cfg.Packets)
 	skewIdx := onsetIndex(cfg.SkewAt, cfg.Packets)
-	tc := cfg.Timing
+	tc := DefaultTimingConfig()
 
 	verdicts := make([]Verdict, cfg.Workers*cfg.Packets)
 	mismatches := make([][]Mismatch, cfg.Workers)
@@ -247,18 +194,6 @@ func Run(cfg PipelineConfig) (*Result, error) {
 			meter := &aclMeter{core: c, tc: &tc}
 			route4, route6 := lpm.NewMeter(c, tc.RouteV4), lpm.NewMeter6(c, tc.RouteV6)
 			var wire []byte
-
-			// stage brackets the body in a function call and, in
-			// MarkStages mode, its own marker item.
-			stage := func(pid uint64, s Stage, body func()) {
-				if cfg.Mark == MarkStages {
-					log.Mark(c, StageItemID(pid, s), trace.ItemBegin)
-				}
-				c.Call(fns[s.Fn()], body)
-				if cfg.Mark == MarkStages {
-					log.Mark(c, StageItemID(pid, s), trace.ItemEnd)
-				}
-			}
 
 			// Warmup: advance the generator and fill the cache off-trace.
 			// Inserted verdicts come from the same matcher+router the timed
@@ -303,13 +238,11 @@ func Run(cfg PipelineConfig) (*Result, error) {
 				wire = p.AppendWire(wire[:0])
 				want := GroundTruth(rules, cfg.Routes, &p)
 
-				if cfg.Mark == MarkPackets {
-					log.Mark(c, pid, trace.ItemBegin)
-				}
+				log.Mark(c, pid, trace.ItemBegin)
 
 				var pp Packet
 				var perr error
-				stage(pid, StageParse, func() {
+				c.Call(fnParse, func() {
 					c.Exec(tc.ParseBaseUops + tc.ParsePerByteUops*uint64(len(wire)))
 					pp, perr = ParsePacket(wire)
 				})
@@ -322,14 +255,14 @@ func Run(cfg PipelineConfig) (*Result, error) {
 				} else {
 					key := pp.Key()
 					if cacheOn {
-						stage(pid, StageFlow, func() {
+						c.Call(fnFlow, func() {
 							c.Exec(tc.FlowProbeUops)
 							c.Load(cache.probeLine(&key, tc.FlowBase))
 							got, hit = cache.Lookup(&key)
 						})
 					}
 					if !hit {
-						stage(pid, StageACL, func() {
+						c.Call(fnACL, func() {
 							idx, ok, _ := cur.set.Classify(key[:], scratch, meter)
 							if !ok {
 								got = Verdict{Rule: -1, Action: NoMatchAction, NextHop: lpm.NoRoute}
@@ -338,12 +271,12 @@ func Run(cfg PipelineConfig) (*Result, error) {
 							got = Verdict{Rule: idx, Action: rules[idx].Action, NextHop: lpm.NoRoute}
 						})
 						if got.Action == Allow {
-							stage(pid, StageRoute, func() {
+							c.Call(fnRoute, func() {
 								got.NextHop = router.Lookup(&pp, route4, route6)
 							})
 						}
 						if cacheOn {
-							stage(pid, StageFlowInsert, func() {
+							c.Call(fnFlow, func() {
 								c.Exec(tc.FlowInsertUops)
 								c.Store(cache.probeLine(&key, tc.FlowBase))
 								cache.Insert(&key, got)
@@ -352,14 +285,12 @@ func Run(cfg PipelineConfig) (*Result, error) {
 					}
 				}
 
-				stage(pid, StageEmit, func() {
+				c.Call(fnEmit, func() {
 					c.Exec(tc.EmitUops)
 					c.Store(tc.EmitBase + (pid%512)*64)
 				})
 
-				if cfg.Mark == MarkPackets {
-					log.Mark(c, pid, trace.ItemEnd)
-				}
+				log.Mark(c, pid, trace.ItemEnd)
 				verdicts[pid-1] = got
 				if got != want {
 					mismatches[w] = append(mismatches[w], Mismatch{ID: pid, Got: got, Want: want})

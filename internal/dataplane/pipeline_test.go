@@ -262,38 +262,3 @@ func TestPipelineScenarios(t *testing.T) {
 		}
 	})
 }
-
-// TestMarkStages: stage-granular items exist per packet and the ID
-// packing inverts.
-func TestMarkStages(t *testing.T) {
-	cfg := basePipelineConfig()
-	cfg.Packets = 60
-	cfg.Mark = MarkStages
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := core.Integrate(r.Set, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Items) < cfg.Packets*3 {
-		t.Fatalf("got %d stage items for %d packets", len(a.Items), cfg.Packets)
-	}
-	for i := range a.Items {
-		pid, s := a.Items[i].ID>>3, Stage(a.Items[i].ID&7-1) // StageItemID inverted
-		if pid == 0 || pid > uint64(cfg.Packets) || s > StageFlowInsert {
-			t.Fatalf("item %d unpacks to packet %d stage %d", a.Items[i].ID, pid, s)
-		}
-	}
-	// Every packet has parse and emit stage items.
-	seen := map[uint64]bool{}
-	for i := range a.Items {
-		seen[a.Items[i].ID] = true
-	}
-	for pid := uint64(1); pid <= uint64(cfg.Packets); pid++ {
-		if !seen[StageItemID(pid, StageParse)] || !seen[StageItemID(pid, StageEmit)] {
-			t.Fatalf("packet %d missing parse/emit stage items", pid)
-		}
-	}
-}

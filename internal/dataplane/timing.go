@@ -72,9 +72,6 @@ func DefaultTimingConfig() TimingConfig {
 	}
 }
 
-// zero reports an unset config (so Run can substitute the default).
-func (tc TimingConfig) zero() bool { return tc.ParsePerByteUops == 0 && tc.EmitUops == 0 }
-
 // aclMeter charges the ACL walk's cost to core: per trie a setup charge,
 // then per examined key byte arithmetic plus a load into that trie's table
 // line for the byte position, then a per-survivor scan charge. The cost

@@ -8,10 +8,10 @@ import (
 )
 
 func TestBatchingProducesBatchItems(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Markers = true
 	cfg.BatchSize = 3
-	cfg.GapCycles = 2000 // dense traffic so batching is sensible
+	cfg.gapCycles = 2000 // dense traffic so batching is sensible
 	res, err := Run(cfg, PaperPacketSequence(90))
 	if err != nil {
 		t.Fatal(err)
@@ -41,10 +41,10 @@ func TestBatchingProducesBatchItems(t *testing.T) {
 }
 
 func TestBatchingHandlesPartialTail(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Markers = true
 	cfg.BatchSize = 4
-	cfg.GapCycles = 2000
+	cfg.gapCycles = 2000
 	res, err := Run(cfg, PaperPacketSequence(10))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestBatchEstimateRecoversPerPacketAverage(t *testing.T) {
 	// Reference: unbatched per-packet estimates at the same reset value,
 	// so both views carry the same sampling dilation and differ only in
 	// how much first/last-sample edge bias they suffer.
-	single := smallConfig()
+	single := smallConfig(t)
 	single.Markers = true
 	single.Reset = 4000
 	sres, err := Run(single, PaperPacketSequence(150))
@@ -87,11 +87,11 @@ func TestBatchEstimateRecoversPerPacketAverage(t *testing.T) {
 		}
 	}
 
-	batched := smallConfig()
+	batched := smallConfig(t)
 	batched.Markers = true
 	batched.Reset = 4000
 	batched.BatchSize = 3
-	batched.GapCycles = 2000
+	batched.gapCycles = 2000
 	bres, err := Run(batched, PaperPacketSequence(150))
 	if err != nil {
 		t.Fatal(err)

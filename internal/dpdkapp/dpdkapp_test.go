@@ -11,7 +11,7 @@ import (
 // smallConfig keeps test runs fast: a modest rule set in a handful of tries
 // preserves the type-A/B/C ordering with two orders of magnitude less build
 // work than the full 50,000-rule table.
-func smallConfig() Config {
+func smallConfig(t testing.TB) Config {
 	rules := make([]acl.Rule, 0, 1000)
 	src := acl.MustAddr("192.168.10.0")
 	dst := acl.MustAddr("192.168.11.0")
@@ -24,10 +24,11 @@ func smallConfig() Config {
 			})
 		}
 	}
-	return Config{
-		Rules: rules,
-		Build: acl.BuildConfig{MaxTries: 20, MaxAtomsPerTrie: 50},
+	cls, err := acl.Build(rules, acl.BuildConfig{MaxTries: 20, MaxAtomsPerTrie: 50})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return Config{Classifier: cls}
 }
 
 func TestPaperPacketSequence(t *testing.T) {
@@ -56,7 +57,7 @@ func TestRunRejectsEmptyInput(t *testing.T) {
 }
 
 func TestPipelineDeliversAllPacketsInOrder(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	res, err := Run(cfg, PaperPacketSequence(60))
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestPipelineDeliversAllPacketsInOrder(t *testing.T) {
 }
 
 func TestLatencyOrderingByType(t *testing.T) {
-	res, err := Run(smallConfig(), PaperPacketSequence(90))
+	res, err := Run(smallConfig(t), PaperPacketSequence(90))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestLatencyOrderingByType(t *testing.T) {
 }
 
 func TestMarkersBracketEveryPacket(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Markers = true
 	res, err := Run(cfg, PaperPacketSequence(30))
 	if err != nil {
@@ -113,7 +114,7 @@ func TestMarkersBracketEveryPacket(t *testing.T) {
 }
 
 func TestSamplingProducesAttributableSamples(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Markers = true
 	cfg.Reset = 2000
 	res, err := Run(cfg, PaperPacketSequence(60))
@@ -142,7 +143,7 @@ func TestSamplingProducesAttributableSamples(t *testing.T) {
 }
 
 func TestBaselineProbeMeasuresClassify(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.BaselineProbe = true
 	res, err := Run(cfg, PaperPacketSequence(30))
 	if err != nil {
@@ -165,7 +166,7 @@ func TestBaselineProbeMeasuresClassify(t *testing.T) {
 // miniature: at a healthy sampling rate the hybrid estimate of
 // rte_acl_classify tracks the golden instrumented baseline.
 func TestHybridEstimateMatchesBaseline(t *testing.T) {
-	cfg := smallConfig()
+	cfg := smallConfig(t)
 	cfg.Markers = true
 	cfg.BaselineProbe = true
 	cfg.Reset = 1000
@@ -207,7 +208,7 @@ func TestHybridEstimateMatchesBaseline(t *testing.T) {
 // over the unprofiled baseline is positive and decreasing in R.
 func TestOverheadGrowsWithSamplingRate(t *testing.T) {
 	latAt := func(reset uint64, markers bool) float64 {
-		cfg := smallConfig()
+		cfg := smallConfig(t)
 		cfg.Reset = reset
 		cfg.Markers = markers
 		res, err := Run(cfg, PaperPacketSequence(300))
@@ -226,7 +227,7 @@ func TestOverheadGrowsWithSamplingRate(t *testing.T) {
 
 func TestSampleVolumeScalesInverselyWithReset(t *testing.T) {
 	countAt := func(reset uint64) uint64 {
-		cfg := smallConfig()
+		cfg := smallConfig(t)
 		cfg.Reset = reset
 		res, err := Run(cfg, PaperPacketSequence(200))
 		if err != nil {
@@ -247,7 +248,7 @@ func TestSampleVolumeScalesInverselyWithReset(t *testing.T) {
 
 func TestDeterministicPipeline(t *testing.T) {
 	run := func() (uint64, uint64) {
-		cfg := smallConfig()
+		cfg := smallConfig(t)
 		cfg.Markers = true
 		cfg.Reset = 1500
 		res, err := Run(cfg, PaperPacketSequence(50))

@@ -20,9 +20,9 @@ type ACLSweepConfig struct {
 	Packets int
 	// Resets to sweep (default PaperResets).
 	Resets []uint64
-	// Rules/Build override the Table III rule set (tests use small sets).
-	Rules []acl.Rule
-	Build acl.BuildConfig
+
+	// cls replaces the Table III classifier; tests pass small rule sets.
+	cls *acl.Classifier
 }
 
 // ACLRun is one profiled pipeline execution at a fixed reset value.
@@ -51,15 +51,12 @@ func RunACLSweep(cfg ACLSweepConfig) (*ACLSweep, error) {
 	if len(cfg.Resets) == 0 {
 		cfg.Resets = PaperResets
 	}
-	rules := cfg.Rules
-	build := cfg.Build
-	if len(rules) == 0 {
-		rules = acl.PaperRuleSet()
-		build = acl.PaperBuildConfig()
-	}
-	cls, err := acl.Build(rules, build)
-	if err != nil {
-		return nil, err
+	var err error
+	cls := cfg.cls
+	if cls == nil {
+		if cls, err = acl.Build(acl.PaperRuleSet(), acl.PaperBuildConfig()); err != nil {
+			return nil, err
+		}
 	}
 	packets := dpdkapp.PaperPacketSequence(cfg.Packets)
 	sweep := &ACLSweep{Config: cfg}

@@ -36,21 +36,19 @@ var detectSweepFns = []struct {
 	{"render_reply", 6500},
 }
 
-// DetectSweepConfig parameterizes DetectSweep; the zero value runs the
-// published table.
-type DetectSweepConfig struct {
-	// Items per trial (default 700; the injected onset sits at 0.5 of the
-	// trace, leaving ~350 pre-change items for window + baseline warmup).
-	Items int
-	// Factors are the severity rungs (default 1.1, 1.25, 1.5, 2, 3): each
-	// trial dilates one stage by the factor from the onset on.
-	Factors []float64
-	// Detect overrides the detector's firing sensitivity (default 0.05
-	// MinRelative — below the collector's 0.10 default because the sweep
-	// measures the detection floor, and the table should show where the
-	// statistic runs out, not where the relative clamp begins).
-	Detect detect.Config
-}
+// The published table's shape: 700 items per trial (the injected onset
+// sits at 0.5 of the trace, leaving ~350 pre-change items for window and
+// baseline warmup) and five severity rungs, each trial dilating one stage
+// by the rung's factor from the onset on. The detector fires at 0.05
+// MinRelative, below the collector's 0.10 default, because the sweep
+// measures the detection floor: the table should show where the statistic
+// runs out, not where the relative clamp begins.
+const (
+	detectSweepItems       = 700
+	detectSweepMinRelative = 0.05
+)
+
+var detectSweepFactors = []float64{1.1, 1.25, 1.5, 2, 3}
 
 // DetectSweepRung aggregates one severity rung over all trials (one trial
 // per pipeline stage, each stage taking a turn as the dilated target).
@@ -171,17 +169,13 @@ func detectTrial(set *trace.Set, cfg detect.Config) ([]detect.Verdict, detect.St
 // DetectSweep runs the detector validation: for every severity rung and
 // every pipeline stage, inject a fnslow dilation of that stage at onset
 // 0.5 and score the verdict stream against the known ground truth.
-func DetectSweep(cfg DetectSweepConfig) (*DetectSweepResult, error) {
-	if cfg.Items <= 0 {
-		cfg.Items = 700
-	}
-	if len(cfg.Factors) == 0 {
-		cfg.Factors = []float64{1.1, 1.25, 1.5, 2, 3}
-	}
-	if cfg.Detect.MinRelative == 0 {
-		cfg.Detect.MinRelative = 0.05
-	}
-	cfg.Detect.Source = "detectsweep"
+func DetectSweep() (*DetectSweepResult, error) {
+	return detectSweep(detectSweepItems, detectSweepFactors)
+}
+
+// detectSweep runs DetectSweep over items per trial and the given rungs.
+func detectSweep(items int, factors []float64) (*DetectSweepResult, error) {
+	dcfg := detect.Config{Source: "detectsweep", MinRelative: detectSweepMinRelative}
 
 	res := &DetectSweepResult{}
 
@@ -190,12 +184,12 @@ func DetectSweep(cfg DetectSweepConfig) (*DetectSweepResult, error) {
 	// one noise realization.
 	sets := make([]*trace.Set, len(detectSweepFns))
 	for i := range detectSweepFns {
-		sets[i] = detectWorkload(cfg.Items, uint64(i+1))
+		sets[i] = detectWorkload(items, uint64(i+1))
 	}
 
 	// False-positive budget: the clean traces must produce zero events.
 	for _, set := range sets {
-		_, st, _, err := detectTrial(set, cfg.Detect)
+		_, st, _, err := detectTrial(set, dcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +197,7 @@ func DetectSweep(cfg DetectSweepConfig) (*DetectSweepResult, error) {
 		res.CleanChangepoints += st.Changepoints
 	}
 
-	for _, factor := range cfg.Factors {
+	for _, factor := range factors {
 		rung := DetectSweepRung{Factor: factor}
 		var latSum float64
 		for ti, target := range detectSweepFns {
@@ -215,7 +209,7 @@ func DetectSweep(cfg DetectSweepConfig) (*DetectSweepResult, error) {
 			if rep.FnSlowRuns == 0 {
 				return nil, fmt.Errorf("detectsweep: fnslow %s ×%g injected nothing", target.name, factor)
 			}
-			verdicts, _, items, err := detectTrial(perturbed, cfg.Detect)
+			verdicts, _, fed, err := detectTrial(perturbed, dcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -223,11 +217,11 @@ func DetectSweep(cfg DetectSweepConfig) (*DetectSweepResult, error) {
 
 			// Ground truth: the first feed ordinal whose item ends after the
 			// injected onset is the first item that can carry dilated cycles.
-			ordOf := make(map[uint64]int, len(items))
+			ordOf := make(map[uint64]int, len(fed))
 			onsetOrd := -1
-			for i := range items {
-				ordOf[items[i].ID] = i
-				if onsetOrd < 0 && items[i].EndTSC >= rep.FnSlowOnsetTSC {
+			for i := range fed {
+				ordOf[fed[i].ID] = i
+				if onsetOrd < 0 && fed[i].EndTSC >= rep.FnSlowOnsetTSC {
 					onsetOrd = i
 				}
 			}

@@ -10,7 +10,7 @@ import (
 // slowdowns and blames the injected stage within the top-3 verdicts in
 // ≥80% of detections — and a clean workload produces zero change events.
 func TestDetectSweepAcceptance(t *testing.T) {
-	r, err := DetectSweep(DetectSweepConfig{})
+	r, err := DetectSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestDetectSweepAcceptance(t *testing.T) {
 // the same table.
 func TestDetectSweepDeterminism(t *testing.T) {
 	render := func() string {
-		r, err := DetectSweep(DetectSweepConfig{Items: 400, Factors: []float64{2}})
+		r, err := detectSweep(400, []float64{2})
 		if err != nil {
 			t.Fatal(err)
 		}

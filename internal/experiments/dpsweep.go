@@ -22,17 +22,14 @@ import (
 // the cost. Two fnslow trials on route0_lookup cross-check that the
 // organic scoring matches the synthetic ground-truth path.
 
-// DPSweepConfig parameterizes DPSweep; the zero value runs the published
-// table.
-type DPSweepConfig struct {
-	// Packets per scenario (default 800; onsets sit at 0.5, leaving ~400
-	// pre-change items for window and baseline warmup).
-	Packets int
-	// Detect overrides detector knobs (default MinRelative 0.10 — the
-	// collector's production default, because dpsweep validates organic
-	// shifts against the deployed sensitivity, not the detection floor).
-	Detect detect.Config
-}
+// dpsweep runs 800 packets per scenario (onsets sit at 0.5, leaving ~400
+// pre-change items for window and baseline warmup) under the collector's
+// production MinRelative of 0.10: it validates organic shifts against the
+// deployed sensitivity, not the detection floor.
+const (
+	dpSweepPackets     = 800
+	dpSweepMinRelative = 0.10
+)
 
 // DPSweepScenario is one scenario's outcome.
 type DPSweepScenario struct {
@@ -259,22 +256,16 @@ func dpFnslow(cfg dataplane.PipelineConfig, factor float64) (*trace.Set, uint64,
 
 // DPSweep runs every scenario and scores the verdict stream against the
 // chain's ground truth.
-func DPSweep(cfg DPSweepConfig) (*DPSweepResult, error) {
-	if cfg.Packets <= 0 {
-		cfg.Packets = 800
-	}
-	if cfg.Detect.MinRelative == 0 {
-		cfg.Detect.MinRelative = 0.10
-	}
-	cfg.Detect.Source = "dpsweep"
+func DPSweep() (*DPSweepResult, error) {
+	dcfg := detect.Config{Source: "dpsweep", MinRelative: dpSweepMinRelative}
 
 	res := &DPSweepResult{}
 	for _, sc := range dpScenarios() {
-		set, onsetID, err := sc.build(cfg.Packets)
+		set, onsetID, err := sc.build(dpSweepPackets)
 		if err != nil {
 			return nil, fmt.Errorf("dpsweep %s: %w", sc.name, err)
 		}
-		verdicts, _, items, err := detectTrial(set, cfg.Detect)
+		verdicts, _, items, err := detectTrial(set, dcfg)
 		if err != nil {
 			return nil, fmt.Errorf("dpsweep %s: %w", sc.name, err)
 		}

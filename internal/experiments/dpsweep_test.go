@@ -13,7 +13,7 @@ func TestDPSweep(t *testing.T) {
 	// Always the published 800-packet scale, even under -short: the sweep
 	// runs in ~0.1s, and the 400-item half-scale leaves the detector's
 	// baseline too thin for stable rank ordering.
-	res, err := DPSweep(DPSweepConfig{})
+	res, err := DPSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,12 +174,11 @@ func sweepForTest(t *testing.T, packets int, resets []uint64) *ACLSweep {
 			})
 		}
 	}
-	s, err := RunACLSweep(ACLSweepConfig{
-		Packets: packets,
-		Resets:  resets,
-		Rules:   rules,
-		Build:   acl.BuildConfig{MaxTries: 40, MaxAtomsPerTrie: 50},
-	})
+	cls, err := acl.Build(rules, acl.BuildConfig{MaxTries: 40, MaxAtomsPerTrie: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := RunACLSweep(ACLSweepConfig{Packets: packets, Resets: resets, cls: cls})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func newServeRig(t *testing.T, cfg collector.Config) *serveRig {
 // round is in the collector's view on return.
 func (r *serveRig) ship(t *testing.T, cfg ShipConfig) {
 	t.Helper()
-	cfg.Addr, cfg.Source, cfg.Interval = r.l.Addr().String(), "serve", time.Millisecond
+	cfg.Addr, cfg.Source, cfg.interval = r.l.Addr().String(), "serve", time.Millisecond
 	st, err := ShipRounds(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

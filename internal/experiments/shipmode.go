@@ -36,8 +36,6 @@ type ShipConfig struct {
 	Rounds int
 	// Requests per round (default 300).
 	Requests int
-	// Interval between rounds (default 250ms).
-	Interval time.Duration
 	// Faults optionally degrades the run (faults.ParsePlan syntax). Its
 	// trace keys perturb every round's set before it ships, with the seed
 	// advanced by the round index so each round's damage differs, as
@@ -49,8 +47,9 @@ type ShipConfig struct {
 	// unacknowledged frames in memory only, and a round that finds the
 	// queue past its admission line is refused whole.
 	SpoolDir string
-	// Registry receives the shipper's self-telemetry (nil: obs.Default()).
-	Registry *obs.Registry
+
+	// interval between rounds (default 250ms); tests ship back to back.
+	interval time.Duration
 }
 
 // ShipStats reports what a ShipRounds run delivered.
@@ -87,16 +86,13 @@ func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 300
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 250 * time.Millisecond
+	if cfg.interval <= 0 {
+		cfg.interval = 250 * time.Millisecond
 	}
 	if err := validWorkload(cfg.Workload); err != nil {
 		return ShipStats{}, fmt.Errorf("ship: %w", err)
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.Default()
-	}
+	reg := obs.Default()
 
 	// Rounds are short and the link is often loopback: the production
 	// default backoff (50ms–5s) would let a lossy link outlive the drain
@@ -173,7 +169,7 @@ func ShipRounds(ctx context.Context, cfg ShipConfig) (ShipStats, error) {
 		}
 		select {
 		case <-ctx.Done():
-		case <-time.After(cfg.Interval):
+		case <-time.After(cfg.interval):
 		}
 		if ctx.Err() != nil {
 			break

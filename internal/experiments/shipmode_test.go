@@ -29,7 +29,7 @@ func TestShipRoundsFollowsRedirect(t *testing.T) {
 	const rounds = 2
 	st, err := ShipRounds(context.Background(), ShipConfig{
 		Addr: lFrom.Addr().String(), Source: "worker-0",
-		Rounds: rounds, Requests: 100, Interval: time.Millisecond,
+		Rounds: rounds, Requests: 100, interval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

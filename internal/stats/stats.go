@@ -24,8 +24,8 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
+// variance returns the population variance of xs, or 0 when len(xs) < 2.
+func variance(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
@@ -39,7 +39,7 @@ func Variance(xs []float64) float64 {
 }
 
 // Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
+func Stddev(xs []float64) float64 { return math.Sqrt(variance(xs)) }
 
 // Min returns the smallest element of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {

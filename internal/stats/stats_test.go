@@ -30,13 +30,13 @@ func TestMean(t *testing.T) {
 
 func TestVarianceAndStddev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almost(got, 4) {
+	if got := variance(xs); !almost(got, 4) {
 		t.Errorf("Variance = %v, want 4", got)
 	}
 	if got := Stddev(xs); !almost(got, 2) {
 		t.Errorf("Stddev = %v, want 2", got)
 	}
-	if Variance([]float64{3}) != 0 || Variance(nil) != 0 {
+	if variance([]float64{3}) != 0 || variance(nil) != 0 {
 		t.Error("Variance of <2 points should be 0")
 	}
 }

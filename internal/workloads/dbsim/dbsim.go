@@ -12,6 +12,14 @@
 // fsyncs, checkpoint stalls — and the hybrid tracer then attributes each
 // slow query to the function that absorbed the stall, which is precisely
 // the diagnosis the paper's method promises.
+//
+// Each worker owns a 4,096-page partition behind a 1,024-page buffer pool
+// (smaller than the table, so cold keys miss). A miss blocks on storage for
+// 200,000 cycles (100 µs at 2 GHz); every 24th insert on a worker pays a
+// 300,000-cycle (150 µs) group-commit fsync; every 400th query on a worker
+// checkpoints, at 6,000 cycles (3 µs) per dirty page. Workers run at IPC 2,
+// markers cost trace.DefaultMarkerUops and PEBS runs with
+// pmu.PEBSConfig's defaults.
 package dbsim
 
 import (
@@ -72,59 +80,24 @@ type Query struct {
 	Span int
 }
 
+// The engine's storage costs; see the package comment.
+const (
+	tablePages           = 4096
+	bufferPoolPages      = 1024
+	diskReadCycles       = 200_000
+	fsyncCycles          = 300_000
+	groupCommit          = 24
+	checkpointEvery      = 400
+	checkpointPageCycles = 6_000
+)
+
 // Config parameterizes the engine.
 type Config struct {
-	// Workers is the number of worker threads, one pinned core each.
+	// Workers is the number of worker threads, one pinned core each
+	// (default 2).
 	Workers int
-	// TablePages is the per-worker partition size in pages.
-	TablePages int
-	// BufferPoolPages is the per-worker buffer pool capacity; smaller than
-	// TablePages so misses happen.
-	BufferPoolPages int
-	// DiskReadCycles is the stall for a buffer-pool miss (default 100 µs).
-	DiskReadCycles uint64
-	// FsyncCycles is the group-commit flush stall (default 150 µs).
-	FsyncCycles uint64
-	// GroupCommit fsyncs every N-th insert on a worker.
-	GroupCommit int
-	// CheckpointEvery flushes the dirty set every M-th query on a worker
-	// (default 400), costing CheckpointPageCycles per dirty page.
-	CheckpointEvery      int
-	CheckpointPageCycles uint64
-
 	// Reset enables PEBS on every worker core when > 0.
 	Reset uint64
-	// PEBS configures the samplers.
-	PEBS pmu.PEBSConfig
-	// MarkerUops is the marking cost (0 = default).
-	MarkerUops uint64
-}
-
-func (c *Config) applyDefaults() {
-	if c.Workers == 0 {
-		c.Workers = 2
-	}
-	if c.TablePages == 0 {
-		c.TablePages = 4096
-	}
-	if c.BufferPoolPages == 0 {
-		c.BufferPoolPages = 1024
-	}
-	if c.DiskReadCycles == 0 {
-		c.DiskReadCycles = 200_000 // 100 µs at 2 GHz
-	}
-	if c.FsyncCycles == 0 {
-		c.FsyncCycles = 300_000 // 150 µs
-	}
-	if c.GroupCommit == 0 {
-		c.GroupCommit = 24
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 400
-	}
-	if c.CheckpointPageCycles == 0 {
-		c.CheckpointPageCycles = 6_000 // 3 µs per dirty page
-	}
 }
 
 // Mix generates a TPC-C-flavoured query mix: mostly point reads and
@@ -279,13 +252,11 @@ func pageBase(worker int, page uint64) uint64 {
 // trace plus per-query ground truth. Queries are distributed round-robin,
 // preserving determinism (each worker's substream is fixed).
 func Run(cfg Config, queries []Query) (*Result, error) {
-	cfg.applyDefaults()
+	if cfg.Workers == 0 {
+		cfg.Workers = 2
+	}
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("dbsim: no queries")
-	}
-	if cfg.BufferPoolPages >= cfg.TablePages {
-		return nil, fmt.Errorf("dbsim: buffer pool (%d) must be smaller than the table (%d) or nothing ever misses",
-			cfg.BufferPoolPages, cfg.TablePages)
 	}
 	for _, q := range queries {
 		if q.ID == 0 {
@@ -305,7 +276,7 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 	for _, name := range []string{FnParse, FnIndexLookup, FnFetchPage, FnApplyUpdate, FnWalAppend, FnCheckpoint, FnSendResult} {
 		fns[name] = m.Syms.MustRegister(name, 2048)
 	}
-	log := trace.NewMarkerLog(cfg.Workers+1, cfg.MarkerUops)
+	log := trace.NewMarkerLog(cfg.Workers+1, trace.DefaultMarkerUops)
 
 	var pebses []*pmu.PEBS
 	rings := make([]*queue.SPSC[Query], cfg.Workers)
@@ -314,7 +285,7 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 		core := m.Core(w + 1)
 		core.SetRate(1, 2) // IPC 2
 		if cfg.Reset > 0 {
-			pb := pmu.NewPEBS(cfg.PEBS)
+			pb := pmu.NewPEBS(pmu.PEBSConfig{})
 			core.PMU.MustProgram(pmu.UopsRetired, cfg.Reset, pb)
 			pebses = append(pebses, pb)
 		}
@@ -336,7 +307,7 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
 		m.MustSpawn(w+1, func(c *sim.Core) {
-			pool := newBufferPool(cfg.BufferPoolPages)
+			pool := newBufferPool(bufferPoolPages)
 			pendingWal := 0
 			served := 0
 			fetch := func(page uint64, st *QueryStat) {
@@ -345,9 +316,9 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 					c.Load(pageBase(w, page))
 					if !pool.touch(page) {
 						st.Misses++
-						c.Exec(600)                      // issue the read
-						c.ExecCycles(cfg.DiskReadCycles) // blocked on storage
-						c.Exec(1800)                     // install + pin
+						c.Exec(600)                  // issue the read
+						c.ExecCycles(diskReadCycles) // blocked on storage
+						c.Exec(1800)                 // install + pin
 					}
 					c.Exec(1200) // copy the row(s) out
 					c.Load(pageBase(w, page) + 64)
@@ -367,16 +338,16 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 				c.Call(fns[FnIndexLookup], func() {
 					c.Exec(3600)
 					for d := 0; d < 3; d++ { // a 3-level B-tree descent
-						c.Load(pageBase(w, uint64(cfg.TablePages)+uint64(d)))
+						c.Load(pageBase(w, tablePages+uint64(d)))
 					}
 				})
-				page := q.Key % uint64(cfg.TablePages)
+				page := q.Key % tablePages
 				switch q.Kind {
 				case PointRead:
 					fetch(page, &st)
 				case RangeScan:
 					for s := 0; s < q.Span; s++ {
-						fetch((page+uint64(s))%uint64(cfg.TablePages), &st)
+						fetch((page+uint64(s))%tablePages, &st)
 					}
 				case Insert:
 					fetch(page, &st)
@@ -388,19 +359,19 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 					c.Call(fns[FnWalAppend], func() {
 						c.Exec(1500)
 						pendingWal++
-						if pendingWal >= cfg.GroupCommit {
+						if pendingWal >= groupCommit {
 							pendingWal = 0
 							st.Fsynced = true
-							c.ExecCycles(cfg.FsyncCycles) // the group pays here
-							c.Exec(1600)                  // durable-LSN bookkeeping
+							c.ExecCycles(fsyncCycles) // the group pays here
+							c.Exec(1600)              // durable-LSN bookkeeping
 						}
 					})
 				}
-				if served%cfg.CheckpointEvery == 0 {
+				if served%checkpointEvery == 0 {
 					c.Call(fns[FnCheckpoint], func() {
 						n := pool.flushDirty()
 						c.Exec(2000)
-						c.ExecCycles(uint64(n) * cfg.CheckpointPageCycles)
+						c.ExecCycles(uint64(n) * checkpointPageCycles)
 						c.Exec(1500) // checkpoint-record write-out
 						if n > 0 {
 							st.Checkpointed = true

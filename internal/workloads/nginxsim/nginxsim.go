@@ -7,6 +7,8 @@
 // The server is the paper's example of a timer-switching architecture; here
 // it serves as the function-granularity workload whose per-request,
 // per-function times motivate why instrumenting every function is too heavy.
+// Markers cost trace.DefaultMarkerUops and PEBS runs with pmu.PEBSConfig's
+// defaults.
 package nginxsim
 
 import (
@@ -62,14 +64,12 @@ type Config struct {
 	Requests int
 	// Reset enables PEBS sampling on the worker core when > 0.
 	Reset uint64
-	// PEBS configures the sampler.
-	PEBS pmu.PEBSConfig
 	// Markers enables per-request data-item instrumentation.
 	Markers bool
-	// MarkerUops is the marking cost (0 = default).
-	MarkerUops uint64
-	// Seed drives the ±20% cost jitter.
-	Seed uint64
+
+	// seed drives the ±20% cost jitter (0 = a fixed default); only the
+	// determinism test varies it.
+	seed uint64
 }
 
 // FuncStat is the ground-truth per-function aggregate over a run.
@@ -149,8 +149,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("nginxsim: need a positive request count")
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0x9e3779b97f4a7c15
+	if cfg.seed == 0 {
+		cfg.seed = 0x9e3779b97f4a7c15
 	}
 	m, err := sim.New(sim.Config{Cores: 1})
 	if err != nil {
@@ -166,10 +166,10 @@ func Run(cfg Config) (*Result, error) {
 	worker.SetRate(1, 2) // IPC 2
 	var pebs *pmu.PEBS
 	if cfg.Reset > 0 {
-		pebs = pmu.NewPEBS(cfg.PEBS)
+		pebs = pmu.NewPEBS(pmu.PEBSConfig{})
 		worker.PMU.MustProgram(pmu.UopsRetired, cfg.Reset, pebs)
 	}
-	log := trace.NewMarkerLog(1, cfg.MarkerUops)
+	log := trace.NewMarkerLog(1, trace.DefaultMarkerUops)
 
 	res := &Result{
 		Requests: cfg.Requests,
@@ -180,7 +180,7 @@ func Run(cfg Config) (*Result, error) {
 		res.Truth[i].Name = fc.Name
 	}
 
-	rng := xorshift(cfg.Seed)
+	rng := xorshift(cfg.seed)
 	// The busy work below sums to ~43 µs; the remaining ~106 µs per request
 	// is network/connection wait inside the event loop, modeled as idle.
 	const idleMeanCycles = 212_000 // 106 µs at 2 GHz

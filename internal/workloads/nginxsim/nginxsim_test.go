@@ -113,18 +113,18 @@ func TestPerRequestTraceWithMarkers(t *testing.T) {
 }
 
 func TestDeterministicWithSeed(t *testing.T) {
-	r1, err := Run(Config{Requests: 200, Seed: 42})
+	r1, err := Run(Config{Requests: 200, seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(Config{Requests: 200, Seed: 42})
+	r2, err := Run(Config{Requests: 200, seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.TotalCycles != r2.TotalCycles {
 		t.Error("same seed produced different totals")
 	}
-	r3, err := Run(Config{Requests: 200, Seed: 43})
+	r3, err := Run(Config{Requests: 200, seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,11 @@
 // The instrumentation is exactly the paper's: two log(d.id, timestamp)
 // lines at the top and bottom of Thread 1's while loop — not around f1, f2
 // or f3 — and PEBS recovers the per-function breakdown.
+//
+// Thread 1 runs at 1 cycle per 2 uops. Its cost model, in uops: f1 parses
+// for a fixed 20,000; f2 fetches each cached point for 10; f3 computes and
+// stores each uncached point for 64. Markers cost trace.DefaultMarkerUops
+// and PEBS runs with pmu.PEBSConfig's defaults.
 package qapp
 
 import (
@@ -50,37 +55,20 @@ func PaperQuerySequence() []Query {
 	return qs
 }
 
+// Thread 1's rate and cost model; see the package comment.
+const (
+	rateCycles      = 1
+	rateUops        = 2
+	f1Uops          = 20_000
+	fetchPerPoint   = 10
+	computePerPoint = 64
+)
+
 // Config parameterizes a run.
 type Config struct {
 	// Reset is the PEBS reset value; the Fig. 8 run uses 8000. 0 disables
 	// sampling.
 	Reset uint64
-	// PEBS configures the sampler (zero = defaults).
-	PEBS pmu.PEBSConfig
-	// MarkerUops is the marking cost (0 = trace.DefaultMarkerUops).
-	MarkerUops uint64
-	// Rate sets Thread 1's execution rate (cycles, uops); default 1/2.
-	RateCycles, RateUops uint64
-
-	// Cost model of the three functions, in uops.
-	F1Uops          uint64 // fixed parse cost (default 10000)
-	FetchPerPoint   uint64 // f2: per cached point (default 8)
-	ComputePerPoint uint64 // f3: per newly computed point (default 64)
-}
-
-func (c *Config) applyDefaults() {
-	if c.RateCycles == 0 || c.RateUops == 0 {
-		c.RateCycles, c.RateUops = 1, 2
-	}
-	if c.F1Uops == 0 {
-		c.F1Uops = 20000
-	}
-	if c.FetchPerPoint == 0 {
-		c.FetchPerPoint = 10
-	}
-	if c.ComputePerPoint == 0 {
-		c.ComputePerPoint = 64
-	}
 }
 
 // FuncTruth is the simulator's ground truth for one query: the true cycles
@@ -108,7 +96,6 @@ const cacheBase = 0x2000_0000
 // Run executes the sample application over queries and returns the trace
 // plus ground truth.
 func Run(cfg Config, queries []Query) (*Result, error) {
-	cfg.applyDefaults()
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("qapp: no queries")
 	}
@@ -129,13 +116,13 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 	f3 := m.Syms.MustRegister(FnF3, 4096)
 
 	worker := m.Core(1)
-	worker.SetRate(cfg.RateCycles, cfg.RateUops)
+	worker.SetRate(rateCycles, rateUops)
 	var pebs *pmu.PEBS
 	if cfg.Reset > 0 {
-		pebs = pmu.NewPEBS(cfg.PEBS)
+		pebs = pmu.NewPEBS(pmu.PEBSConfig{})
 		worker.PMU.MustProgram(pmu.UopsRetired, cfg.Reset, pebs)
 	}
-	log := trace.NewMarkerLog(2, cfg.MarkerUops)
+	log := trace.NewMarkerLog(2, trace.DefaultMarkerUops)
 	q := queue.New[Query](queue.Config{Capacity: 64})
 
 	res := &Result{
@@ -168,7 +155,7 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 			var tr FuncTruth
 			points := qu.N * PointsPerN
 
-			c.Call(f1, func() { c.Exec(cfg.F1Uops) })
+			c.Call(f1, func() { c.Exec(f1Uops) })
 			t1 := c.Now()
 			tr.F1 = t1 - t0
 
@@ -178,7 +165,7 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 				hit = cached
 			}
 			c.Call(f2, func() {
-				c.Exec(uint64(hit) * cfg.FetchPerPoint)
+				c.Exec(uint64(hit) * fetchPerPoint)
 				// Touch one cache line per 4 points (16 B points).
 				for p := 0; p < hit; p += 4 {
 					c.Load(cacheBase + uint64(p)*16)
@@ -190,7 +177,7 @@ func Run(cfg Config, queries []Query) (*Result, error) {
 			// f3: compute and store the points not yet cached.
 			c.Call(f3, func() {
 				for p := hit; p < points; p++ {
-					c.Exec(cfg.ComputePerPoint)
+					c.Exec(computePerPoint)
 					if p%4 == 0 {
 						c.Store(cacheBase + uint64(p)*16)
 					}
