@@ -15,6 +15,8 @@
 # bench: the hot-path micro benchmarks with allocation stats; both front
 #   ends of the one ACL trie-set walk (dataplane's 40-byte matcher, acl's
 #   12-byte Table III classifier) are timed side by side.
+# loc: non-test Go lines per package directory and in total, bench/ and
+#   testdata/ excluded — the figure a change that shrinks the code reports.
 # bench-ab: the paired protocol every [perf_opt] change reports —
 #   make bench-ab PARENT=<rev> [W=fleet_bulk] [N=3] [SEED=1]
 #   unpacks the parent under bench/out/parent, builds both trees with their
@@ -34,7 +36,7 @@ FUZZ_TARGETS = internal/trace:FuzzDecode internal/trace:FuzzDecodeStream interna
 	internal/collector:FuzzCollectorRestore internal/collector:FuzzHandoffImport \
 	internal/agg:FuzzAggregatorRestore internal/detect:FuzzDetectorRestore
 
-.PHONY: tier1 tier2 bench bench-ab
+.PHONY: tier1 tier2 bench bench-ab loc
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -51,7 +53,7 @@ tier2:
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMicro|BenchmarkInstrumentedIntegrate|BenchmarkParallelIntegrate|BenchmarkSymtabResolveCached' -benchmem -count 1 .
-	$(GO) test -run '^$$' -bench 'BenchmarkWireEncodeDecode' -benchmem -count 1 ./internal/wire
+	$(GO) test -run '^$$' -bench 'BenchmarkWireEncodeDecode|BenchmarkFleetSummaryDecode' -benchmem -count 1 ./internal/wire
 	$(GO) test -run '^$$' -bench 'BenchmarkCollectorIngest|BenchmarkCollectorCheckpoint' -benchmem -count 1 ./internal/collector
 	$(GO) test -run '^$$' -bench 'BenchmarkSpoolAppend' -benchmem -count 1 ./internal/spool
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectUpdate' -benchmem -count 1 ./internal/detect
@@ -59,6 +61,12 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorMerge|BenchmarkAggregatorCheckpoint' -benchmem -count 1 ./internal/agg
 	$(GO) test -run '^$$' -bench 'BenchmarkDataplane' -benchmem -count 1 ./internal/dataplane
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifyPaperType' -benchmem -count 1 ./internal/acl
+
+loc:
+	@git ls-files --cached --others --exclude-standard '*.go' ':!*_test.go' ':!bench' ':!*/testdata/*' | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
+			n[d] += $$1; t += $$1 } END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; \
+			close("sort -k2"); printf "%6d  total\n", t }'
 
 W ?= fleet_bulk
 N ?= 3

@@ -15,6 +15,11 @@
 // Correctness is anchored by LinearClassify, the O(rules) reference the
 // compiled form is differentially tested against on millions of seeded
 // packets.
+//
+// Run charges every stage through DefaultTimingConfig's calibrated
+// budgets, brackets each packet with one marker pair costing
+// trace.DefaultMarkerUops, and samples each worker with a double-buffered
+// PEBS unit.
 package dataplane
 
 import (

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pmu"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -161,4 +163,77 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	b.StopTimer()
 	b.SetBytes(wireBytes / int64(b.N))
 	b.ReportMetric(float64(len(markers)+len(samples)), "records/op")
+}
+
+// summaryItems reconstructs the collector tests' 2,000-request workload
+// (two cores, a table_lookup and a render_reply span per request, every
+// 37th request slow, PEBS at reset 4000): the items one set's
+// TFleetSummary carries.
+func summaryItems(b *testing.B, requests int) ([]core.Item, uint64) {
+	const cores = 2
+	m := sim.MustNew(sim.Config{Cores: cores})
+	lookup := m.Syms.MustRegister("table_lookup", 4096)
+	render := m.Syms.MustRegister("render_reply", 2048)
+	pebs := make([]*pmu.PEBS, cores)
+	log := trace.NewMarkerLog(cores, 0)
+	perCore := requests / cores
+	for ci := 0; ci < cores; ci++ {
+		first := uint64(ci*perCore) + 1
+		pebs[ci] = pmu.NewPEBS(pmu.PEBSConfig{})
+		m.Core(ci).PMU.MustProgram(pmu.UopsRetired, 4000, pebs[ci])
+		m.MustSpawn(ci, func(c *sim.Core) {
+			for r := 0; r < perCore; r++ {
+				id := first + uint64(r)
+				log.Mark(c, id, trace.ItemBegin)
+				c.Call(lookup, func() {
+					for l := 0; l < 150; l++ {
+						c.Exec(14)
+					}
+					if id%37 == 0 {
+						c.Exec(25000)
+					}
+				})
+				c.Call(render, func() { c.Exec(5000) })
+				log.Mark(c, id, trace.ItemEnd)
+				c.Exec(700)
+			}
+		})
+	}
+	m.Wait()
+	var samples []pmu.Sample
+	for _, p := range pebs {
+		samples = append(samples, p.Samples()...)
+	}
+	set := trace.NewSet(m, log, samples)
+	a, err := core.Integrate(set, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a.Items, set.FreqHz
+}
+
+// BenchmarkFleetSummaryDecode decodes one 2,000-item set's TFleetSummary
+// payload: the per-set cost a collector would add if it kept each set as
+// its encoded block and decoded it for OnSummary.
+func BenchmarkFleetSummaryDecode(b *testing.B) {
+	items, freq := summaryItems(b, 2000)
+	payload, err := AppendFleetSummary(nil, FleetSummary{Source: "w1", FreqHz: freq, Sets: 1, Items: items})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spans := 0
+	for i := range items {
+		spans += len(items[i].Funcs)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs, err := DecodeFleetSummary(payload)
+		if err != nil || len(fs.Items) != len(items) {
+			b.Fatalf("decoded %d items, err %v", len(fs.Items), err)
+		}
+	}
+	b.ReportMetric(float64(len(payload)), "payload-B")
+	b.ReportMetric(float64(spans), "spans")
 }
