@@ -279,12 +279,12 @@ func TestDrainHandoffEquivalence(t *testing.T) {
 		Collector: shardA.coll,
 		Self:      "shard-a",
 		Members:   members,
-		Dial:      fleetDial,
+		dial:      fleetDial,
 		SpoolDir:  t.TempDir(),
-		SetWait:   30 * time.Second,
+		setWait:   30 * time.Second,
 		ShipWait:  30 * time.Second,
 		Uplink:    shardA.uplink,
-		Registry:  obs.NewRegistry(),
+		registry:  obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatalf("drain: %v", err)
@@ -436,9 +436,9 @@ func TestDrainKillMidDrain(t *testing.T) {
 	// the sources freeze and checkpoint as handed off; nothing is removed.
 	report1, err := Drain(context.Background(), DrainConfig{
 		Collector: shardA1.coll, Self: "shard-a", Members: members,
-		Dial: deadDial, SpoolDir: handoffSpool,
-		SetWait: 30 * time.Second, ShipWait: 250 * time.Millisecond,
-		Uplink: shardA1.uplink, Registry: obs.NewRegistry(),
+		dial: deadDial, SpoolDir: handoffSpool,
+		setWait: 30 * time.Second, ShipWait: 250 * time.Millisecond,
+		Uplink: shardA1.uplink, registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatalf("drain 1: %v", err)
@@ -465,9 +465,9 @@ func TestDrainKillMidDrain(t *testing.T) {
 	// own re-export follows it and must be recognized as a duplicate.
 	report2, err := Drain(context.Background(), DrainConfig{
 		Collector: shardA2.coll, Self: "shard-a", Members: members,
-		Dial: fleetDial, SpoolDir: handoffSpool,
-		SetWait: 30 * time.Second, ShipWait: 30 * time.Second,
-		Uplink: shardA2.uplink, Registry: obs.NewRegistry(),
+		dial: fleetDial, SpoolDir: handoffSpool,
+		setWait: 30 * time.Second, ShipWait: 30 * time.Second,
+		Uplink: shardA2.uplink, registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatalf("drain 2: %v", err)
