@@ -81,7 +81,8 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range set.FeedOrder() {
+	feed := set.Feed()
+	for r, ok := feed.Next(); ok; r, ok = feed.Next() {
 		if r < 0 {
 			integ.Marker(set.Markers[^r])
 		} else {

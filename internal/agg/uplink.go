@@ -2,6 +2,7 @@ package agg
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -48,7 +49,12 @@ type UplinkConfig struct {
 // the spool replays on restart and the aggregator dedups by (shard,
 // epoch, seq).
 type Uplink struct {
-	sh           *ship.Shipper
+	sh *ship.Shipper
+	// scratch holds *[]byte encode buffers. EnqueueFrame copies a payload
+	// into a pooled frame before it returns, so each call borrows one for
+	// its encode and hands it back; calls for different sources run
+	// concurrently, each under its own source's apply mutex.
+	scratch      sync.Pool
 	metSummaries *obs.Counter
 	metVerdicts  *obs.Counter
 	metEncErrs   *obs.Counter
@@ -76,6 +82,7 @@ func NewUplink(cfg UplinkConfig) (*Uplink, error) {
 	}
 	return &Uplink{
 		sh:           sh,
+		scratch:      sync.Pool{New: func() any { return new([]byte) }},
 		metSummaries: reg.Counter("fluct_agg_uplink_summaries_total"),
 		metVerdicts:  reg.Counter("fluct_agg_uplink_verdicts_total"),
 		metEncErrs:   reg.Counter("fluct_agg_uplink_encode_errors_total"),
@@ -88,16 +95,7 @@ func NewUplink(cfg UplinkConfig) (*Uplink, error) {
 // non-blocking by contract); a summary that cannot be encoded or enqueued
 // is counted, never silently lost.
 func (u *Uplink) OnSummary(fs wire.FleetSummary) {
-	payload, err := wire.AppendFleetSummary(nil, fs)
-	if err != nil {
-		u.metEncErrs.Inc()
-		return
-	}
-	if !u.sh.EnqueueFrame(wire.Frame{Type: wire.TFleetSummary, Payload: payload}) {
-		u.metDropped.Inc()
-		return
-	}
-	u.metSummaries.Inc()
+	u.send(wire.TFleetSummary, func(dst []byte) ([]byte, error) { return wire.AppendFleetSummary(dst, fs) }, u.metSummaries)
 }
 
 // OnVerdicts encodes and enqueues one verdict snapshot; wire it as the
@@ -107,16 +105,25 @@ func (u *Uplink) OnSummary(fs wire.FleetSummary) {
 // as summaries, so the aggregator's dedup and last-writer-wins rules apply
 // unchanged.
 func (u *Uplink) OnVerdicts(vs wire.VerdictSet) {
-	payload, err := wire.AppendVerdicts(nil, vs)
+	u.send(wire.TVerdicts, func(dst []byte) ([]byte, error) { return wire.AppendVerdicts(dst, vs) }, u.metVerdicts)
+}
+
+// send encodes one payload with enc into a borrowed scratch buffer and
+// enqueues it as a frame of type t, counting it in sent once taken.
+func (u *Uplink) send(t wire.Type, enc func(dst []byte) ([]byte, error), sent *obs.Counter) {
+	bp := u.scratch.Get().(*[]byte)
+	defer u.scratch.Put(bp)
+	payload, err := enc((*bp)[:0])
 	if err != nil {
 		u.metEncErrs.Inc()
 		return
 	}
-	if !u.sh.EnqueueFrame(wire.Frame{Type: wire.TVerdicts, Payload: payload}) {
+	*bp = payload
+	if !u.sh.EnqueueFrame(wire.Frame{Type: t, Payload: payload}) {
 		u.metDropped.Inc()
 		return
 	}
-	u.metVerdicts.Inc()
+	sent.Inc()
 }
 
 // Run drives the uplink until ctx is cancelled or Close is called and

@@ -18,8 +18,8 @@ func renderTieItem(it *Item) string {
 
 // TestIntegrateTies pins Integrate where records share a cycle and the
 // order of a sample against the markers decides its item, then feeds each
-// case to a StreamIntegrator in trace.Set.FeedOrder. That order puts the
-// markers before a same-cycle sample, so the stream differs from Integrate
+// case to a StreamIntegrator in the trace.Feed walk's order. That order puts
+// the markers before a same-cycle sample, so the stream differs from Integrate
 // exactly as DESIGN §7 documents: a sample on an End's cycle lands in the
 // item a Begin on that cycle opens, or in none, instead of the item the
 // End closes; and the item still open after the last marker is flushed at
@@ -110,7 +110,8 @@ func TestIntegrateTies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range set.FeedOrder() {
+			feed := set.Feed()
+			for r, ok := feed.Next(); ok; r, ok = feed.Next() {
 				if r < 0 {
 					s.Marker(set.Markers[^r])
 				} else {

@@ -297,7 +297,8 @@ func monitorReference(t *testing.T, spec string, workload string, requests, roun
 			det.Update(it)
 			integ.Recycle(it)
 		}
-		for _, i := range set.FeedOrder() {
+		feed := set.Feed()
+		for i, ok := feed.Next(); ok; i, ok = feed.Next() {
 			if i < 0 {
 				integ.Marker(set.Markers[^i])
 			} else {

@@ -60,10 +60,12 @@ func (p Plan) slowFunction(out *trace.Set, rep *Report) {
 	}
 	rep.FnSlowOnsetTSC = onset
 
-	// Walk the records in stream feed order (trace.Set.FeedOrder): core by
+	// Walk the records in stream feed order (the trace.Feed walk): core by
 	// core, by timestamp, markers first at equal timestamps and then input
 	// position, so the walk is deterministic. The TSCs rewritten below do
-	// not disturb it: the order is fixed before the walk starts.
+	// not disturb it: the walk never re-reads a record it has returned, and
+	// each is rewritten only once returned, so the order is the one the
+	// timestamps had before the walk started.
 	var (
 		core int32
 		// off is signed: factors below 1 (a speedup) pull later events
@@ -97,7 +99,12 @@ func (p Plan) slowFunction(out *trace.Set, rep *Report) {
 			rep.FnSlowAddedCycles += uint64(-added)
 		}
 	}
-	for k, r := range out.FeedOrder() {
+	feed := out.Feed()
+	for k := 0; ; k++ {
+		r, ok := feed.Next()
+		if !ok {
+			break
+		}
 		var (
 			c      int32
 			tsc    *uint64

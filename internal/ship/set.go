@@ -10,10 +10,14 @@ import (
 
 // ShipSet encodes one complete trace set as wire frames and enqueues them:
 // a symbol-table snapshot, then the records in stream feed order
-// (trace.Set.FeedOrder: per core by timestamp, markers first at equal
+// (the trace.Feed walk: per core by timestamp, markers first at equal
 // timestamps — the order a live per-core ring drain delivers and the order
 // the collector's StreamIntegrator requires), then a SetEnd frame declaring
-// the totals.
+// the totals. On a set whose streams are each in (core, timestamp) order,
+// as every captured or decoded set is, the walk is a merge: nothing is
+// sorted and nothing allocated to order the records. ShipSet only reads
+// the records, so the walk's rule — a returned record may be rewritten, a
+// record not yet returned may not — holds trivially.
 //
 // Markers and samples travel interleaved, exactly as the feed has them, in
 // TRecords frames. A frame is built in a buffer of the pool's smallest class
@@ -83,7 +87,8 @@ func (s *Shipper) ShipSet(set *trace.Set) error {
 		buf, n, base = nil, 0, 0
 		return err
 	}
-	for _, r := range set.FeedOrder() {
+	feed := set.Feed()
+	for r, ok := feed.Next(); ok; r, ok = feed.Next() {
 		kind, open := wire.TSamples, len(sampleRun)
 		if r < 0 {
 			kind, open = wire.TMarkers, len(markerRun)

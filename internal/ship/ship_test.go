@@ -121,14 +121,23 @@ func feedOrder(set *trace.Set) []record {
 
 // TestShipSetFrameOrder: ShipSet must produce symtab → records in per-core
 // feed order → setend, with the marker/sample interleaving of the local feed
-// preserved inside the mixed frame and across frame boundaries.
+// preserved inside the mixed frame and across frame boundaries — whether
+// the set's streams arrive in (core, timestamp) order or reversed.
 func TestShipSetFrameOrder(t *testing.T) {
-	for _, batch := range []int{0, 2} {
+	for _, c := range []struct {
+		batch    int
+		reversed bool
+	}{{0, false}, {2, false}, {0, true}, {2, true}} {
+		batch := c.batch
 		s, err := New(Config{Addr: "x", Source: "hostA", BatchRecords: batch, Registry: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		set := testSet(t)
+		if c.reversed {
+			slices.Reverse(set.Markers)
+			slices.Reverse(set.Samples)
+		}
 		if err := s.ShipSet(set); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +170,7 @@ func TestShipSetFrameOrder(t *testing.T) {
 // bulkSet is a fleet_bulk-shaped set: 2,000 items over two simulated cores,
 // three traced functions an item, a PEBS sample every 1,000 uops — two
 // markers and about eight samples an item, ≈21 k records.
-func bulkSet(t *testing.T) *trace.Set {
+func bulkSet(t testing.TB) *trace.Set {
 	t.Helper()
 	const cores, items = 2, 2000
 	m := sim.MustNew(sim.Config{Cores: cores})

@@ -145,18 +145,75 @@ func (s *Set) CyclesToMicros(cy uint64) float64 {
 	return float64(cy) * 1e6 / float64(s.FreqHz)
 }
 
-// FeedOrder returns the set's records in stream feed order: per core in
+// Feed is a walk over a set's records in stream feed order: per core in
 // ascending core order, by timestamp, markers before samples at equal
 // timestamps, and otherwise in set order. That is the order a live per-core
 // ring drain delivers, the order ShipSet sends and the order
-// core.StreamIntegrator expects. An entry r >= 0 indexes s.Samples; an
-// entry r < 0 indexes s.Markers at ^r.
+// core.StreamIntegrator expects.
+//
+// When Markers and Samples are each already in (core, TSC) order — as
+// NewSet and Decode hand them over — the walk is a linear two-way merge
+// that takes the marker on an equal (core, TSC) and allocates nothing: a
+// stable sort of [markers…, samples…] by (core, TSC) is exactly that merge.
+// Any other set pays for the stable sort once, when the walk starts.
+//
+// The walk never re-reads a record it has returned, so its caller may
+// rewrite a returned record (faults.slowFunction shifts each TSC as it
+// goes); it must not touch one not yet returned.
 //
 // It is not quite the offline integrator's order: Integrate takes a sample
 // on an item's End cycle before the End, while this order puts the End
 // first, so the sample lands in the item a Begin on that cycle opens, or in
 // none.
-func (s *Set) FeedOrder() []int32 {
+type Feed struct {
+	set   *Set
+	m, p  int     // merge: the next marker and sample; sort: m is the position in order
+	order []int32 // the sorted walk when a stream is out of order, else nil
+}
+
+// Feed starts a walk over s in stream feed order.
+func (s *Set) Feed() Feed {
+	f := Feed{set: s}
+	if !slices.IsSortedFunc(s.Markers, func(a, b Marker) int { return feedCompare(a.Core, a.TSC, b.Core, b.TSC) }) ||
+		!slices.IsSortedFunc(s.Samples, func(a, b pmu.Sample) int { return feedCompare(a.Core, a.TSC, b.Core, b.TSC) }) {
+		f.order = s.sortedFeed()
+	}
+	return f
+}
+
+// Next returns the next record, false once the walk is done. An r >= 0
+// indexes the set's Samples; an r < 0 indexes its Markers at ^r.
+func (f *Feed) Next() (r int32, ok bool) {
+	if f.order != nil {
+		if f.m == len(f.order) {
+			return 0, false
+		}
+		f.m++
+		return f.order[f.m-1], true
+	}
+	ms, ss := f.set.Markers, f.set.Samples
+	switch {
+	case f.m < len(ms) && (f.p == len(ss) || feedCompare(ms[f.m].Core, ms[f.m].TSC, ss[f.p].Core, ss[f.p].TSC) <= 0):
+		f.m++
+		return ^int32(f.m - 1), true
+	case f.p < len(ss):
+		f.p++
+		return int32(f.p - 1), true
+	}
+	return 0, false
+}
+
+// feedCompare orders two records by (core, TSC).
+func feedCompare(ac int32, at uint64, bc int32, bt uint64) int {
+	if ac != bc {
+		return cmp.Compare(ac, bc)
+	}
+	return cmp.Compare(at, bt)
+}
+
+// sortedFeed is the feed order of a set whose streams are not both in
+// (core, TSC) order: a stable sort of its markers, then its samples.
+func (s *Set) sortedFeed() []int32 {
 	type ev struct {
 		tsc  uint64
 		core int32
@@ -169,12 +226,7 @@ func (s *Set) FeedOrder() []int32 {
 	for i := range s.Samples {
 		evs = append(evs, ev{s.Samples[i].TSC, s.Samples[i].Core, int32(i)})
 	}
-	slices.SortStableFunc(evs, func(a, b ev) int {
-		if a.core != b.core {
-			return cmp.Compare(a.core, b.core)
-		}
-		return cmp.Compare(a.tsc, b.tsc)
-	})
+	slices.SortStableFunc(evs, func(a, b ev) int { return feedCompare(a.core, a.tsc, b.core, b.tsc) })
 	out := make([]int32, len(evs))
 	for i := range evs {
 		out[i] = evs[i].ref

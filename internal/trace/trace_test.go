@@ -94,11 +94,11 @@ func TestFeedOrder(t *testing.T) {
 			{Core: 0, TSC: 20},
 		},
 	}
-	got := s.FeedOrder()
+	got := feedWalk(s)
 	// ^i is marker i, i is sample i.
 	want := []int32{^3, 2, ^1, ^2, 0, 3, ^0, 1}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("FeedOrder = %v, want %v", got, want)
+		t.Fatalf("feed walk = %v, want %v", got, want)
 	}
 }
 

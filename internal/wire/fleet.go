@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/symtab"
@@ -249,6 +250,13 @@ func DecodeFleetSummary(p []byte) (FleetSummary, error) {
 		return fs, errPayload(TFleetSummary, "absurd item count %d", nItems)
 	}
 	fs.Items = make([]core.Item, nItems)
+	// Every item's Funcs is carved from a slab sized by a pre-pass that
+	// counts the spans the items declare. The runtime rounds an object past
+	// 32 KiB up to whole 8 KiB pages, so a large slab holds only the spans
+	// that fill whole pages, and the items past its end carve a second,
+	// small slab sized to what is left.
+	left := spanTotal(p, nItems)
+	slab := make([]core.FuncSpan, wholePageSpans(left))
 	for i := range fs.Items {
 		it := &fs.Items[i]
 		if it.ID, p, err = uvarint(p); err != nil {
@@ -294,8 +302,17 @@ func DecodeFleetSummary(p []byte) (FleetSummary, error) {
 		if nSpans > uint64(len(p))/4 {
 			return fs, errPayload(TFleetSummary, "item %d: absurd span count %d", i, nSpans)
 		}
+		if nSpans > uint64(left) {
+			return fs, errPayload(TFleetSummary, "item %d: span count %d past the %d counted", i, nSpans, left)
+		}
 		if nSpans > 0 {
-			it.Funcs = make([]core.FuncSpan, nSpans)
+			if nSpans > uint64(len(slab)) {
+				slab = make([]core.FuncSpan, left)
+			}
+			// Capped, so an append to one item's Funcs cannot overwrite
+			// the next item's.
+			it.Funcs, slab = slab[:nSpans:nSpans], slab[nSpans:]
+			left -= int(nSpans)
 		}
 		for j := range it.Funcs {
 			sp := &it.Funcs[j]
@@ -326,4 +343,60 @@ func DecodeFleetSummary(p []byte) (FleetSummary, error) {
 		return fs, errPayload(TFleetSummary, "%d trailing bytes", len(p))
 	}
 	return fs, nil
+}
+
+// spanTotal counts the spans declared by the nItems items at the head of p,
+// stopping at the first item it cannot read: the decode that follows reports
+// that error. Each span takes at least four bytes, so the count never
+// exceeds len(p)/4, whatever the counts declare.
+func spanTotal(p []byte, nItems uint64) int {
+	total := 0
+	for i := uint64(0); i < nItems; i++ {
+		// ID, core, begin, end, samples, unresolved; then the confidence.
+		if p = skipVarints(p, 6); len(p) < 8 {
+			break
+		}
+		n, q, err := uvarint(p[8:])
+		if err != nil || n > uint64(len(q))/4 {
+			break
+		}
+		total += int(n)
+		// Each span is four varints: symbol, samples, first, last.
+		p = skipVarints(q, 4*int(n))
+	}
+	return total
+}
+
+// spanBytes is the size of a core.FuncSpan: a pointer and three 8-byte
+// integers.
+const spanBytes = 32
+
+// wholePageSpans is how many of n spans a first slab takes: all of them when
+// they fit a small object, else as many as fill whole 8 KiB pages.
+func wholePageSpans(n int) int {
+	if n*spanBytes <= 32<<10 {
+		return n
+	}
+	return n * spanBytes &^ (8<<10 - 1) / spanBytes
+}
+
+// skipVarints returns p past its first n varints, or nil when p ends first.
+func skipVarints(p []byte, n int) []byte {
+	i := 0
+	// Eight bytes at a time while the word holds fewer varint ends (bytes
+	// with the high bit clear) than are left to skip.
+	for ; i+8 <= len(p); i += 8 {
+		ends := bits.OnesCount64(^binary.LittleEndian.Uint64(p[i:]) & 0x8080808080808080)
+		if ends >= n {
+			break
+		}
+		n -= ends
+	}
+	for ; n > 0 && i < len(p); i++ {
+		n -= int(p[i]>>7 ^ 1) // a varint's last byte has the high bit clear
+	}
+	if n > 0 {
+		return nil
+	}
+	return p[i:]
 }

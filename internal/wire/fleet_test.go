@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/symtab"
@@ -57,6 +58,56 @@ func TestFleetSummaryRoundTrip(t *testing.T) {
 	// Shared symbols stay shared: both items' spans must point at one Fn.
 	if got.Items[0].Funcs[0].Fn != got.Items[1].Funcs[0].Fn {
 		t.Fatal("decoder duplicated a dictionary symbol across items")
+	}
+	// The items share one slab, each capped: an append to one item's
+	// Funcs must not overwrite the next item's.
+	_ = append(got.Items[0].Funcs, core.FuncSpan{Samples: -1})
+	if !reflect.DeepEqual(got.Items[1], want.Items[1]) {
+		t.Fatal("an append to item 0's spans overwrote item 1's")
+	}
+}
+
+// TestFleetSummaryLargeRoundTrip: a summary whose spans outgrow a small
+// object, so the decoder carves them from a whole-page slab and a second
+// slab past its end, round-trips with every item's spans capped to length.
+func TestFleetSummaryLargeRoundTrip(t *testing.T) {
+	fns := []*symtab.Fn{
+		{Name: "parse", Base: 0x1000, Size: 2048, ID: 0},
+		{Name: "lookup", Base: 0x2000, Size: 4096, ID: 1},
+		{Name: "render", Base: 0x4000, Size: 2048, ID: 2},
+	}
+	want := FleetSummary{Source: "worker-1", FreqHz: 2_000_000_000, Sets: 3, MeanConf: 1}
+	spans := 0
+	for i := 0; i < 2000; i++ {
+		it := core.Item{ID: uint64(i + 1), Core: int32(i % 2), BeginTSC: uint64(i) * 5000, EndTSC: uint64(i)*5000 + 4000, Confidence: 1}
+		for j := 0; j < i%4; j++ {
+			it.Funcs = append(it.Funcs, core.FuncSpan{Fn: fns[(i+j)%3], Samples: 1 + j, FirstTSC: it.BeginTSC + uint64(j)*1000, LastTSC: it.BeginTSC + uint64(j)*1000 + 900})
+			it.SampleCount += 1 + j
+		}
+		spans += len(it.Funcs)
+		want.Items = append(want.Items, it)
+	}
+	if unsafe.Sizeof(core.FuncSpan{}) != spanBytes {
+		t.Fatalf("core.FuncSpan is %d bytes, spanBytes says %d", unsafe.Sizeof(core.FuncSpan{}), spanBytes)
+	}
+	if spans*spanBytes <= 32<<10 || wholePageSpans(spans) == spans {
+		t.Fatalf("%d spans do not reach a second slab", spans)
+	}
+	p, err := AppendFleetSummary(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeFleetSummary(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("round trip changed the summary")
+	}
+	for i := range got.Items {
+		if f := got.Items[i].Funcs; cap(f) != len(f) {
+			t.Fatalf("item %d: %d spans with capacity %d", i, len(f), cap(f))
+		}
 	}
 }
 
