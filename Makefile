@@ -8,8 +8,9 @@
 #   and collector in one process) / checkpoint-restore / concurrent ACL
 #   classification (one walk, per-caller scratch) suites and the
 #   integration equivalence suites (parallel, stream, tie, degraded, the
-#   per-core merge, the feed walk, concurrent uplink encodes) raced 20
-#   times over in shuffled order, so a flake or an order dependence cannot
+#   per-core merge, the feed walk, concurrent uplink encodes, the
+#   aggregator's check-only delivery and its reads decoding beside merges)
+#   raced 20 times over in shuffled order, so a flake or an order dependence cannot
 #   hide at 30%; a 10 s fuzz smoke of every
 #   target in FUZZ_TARGETS (FuzzIntegrate includes the differential against
 #   the reference interval pass); the full-size scale harness.
@@ -47,7 +48,7 @@ tier2:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -shuffle=on -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism|TestFeed|TestUplinkConcurrentSummaries' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane
+	$(GO) test -race -count 20 -shuffle=on -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism|TestFeed|TestUplinkConcurrentSummaries|TestAggregatorHandAllocs|TestAggregatorFleetDuringMerges' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane
 	$(GO) test -race -count 20 -shuffle=on -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded|TestMergeItems' ./internal/core
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
@@ -60,7 +61,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSpoolAppend' -benchmem -count 1 ./internal/spool
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectUpdate' -benchmem -count 1 ./internal/detect
 	$(GO) test -run '^$$' -bench 'BenchmarkHandoffTransfer' -benchmem -count 1 ./internal/collector
-	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorMerge|BenchmarkAggregatorCheckpoint' -benchmem -count 1 ./internal/agg
+	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorHand|BenchmarkAggregatorFleet|BenchmarkAggregatorCheckpoint' -benchmem -count 1 ./internal/agg
 	$(GO) test -run '^$$' -bench 'BenchmarkDataplane' -benchmem -count 1 ./internal/dataplane
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifyPaperType' -benchmem -count 1 ./internal/acl
 

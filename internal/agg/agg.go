@@ -51,7 +51,8 @@ type Aggregator struct {
 	shards  map[string]*durable.Watermark
 	sources map[string]*mergedSource
 
-	ckptMu sync.Mutex // serializes checkpoint file writes
+	ckptMu   sync.Mutex       // serializes checkpoint file writes
+	ckptFile durable.JSONFile // the checkpoint's kept buffer; guarded by ckptMu
 
 	lastMergeNano atomic.Int64 // unix nanos of the most recent applied summary
 
@@ -65,12 +66,13 @@ type Aggregator struct {
 }
 
 // mergedSource is one source's latest row plus the shard that delivered
-// it. Within one shard's stream, seq order makes "latest" well defined;
-// across shards (a rebalance moved the source) the last writer wins and
-// the row reflects the current owner's cumulative view. Verdict snapshots
-// ride a separate frame type on the same stream, so they live beside the
-// row rather than in it — a fresh summary must not wipe the verdicts and
-// vice versa.
+// it. The row holds the summary and the clock but never the items: those
+// stay encoded in summaryFrame until a Fleet read decodes them. Within one
+// shard's stream, seq order makes "latest" well defined; across shards (a
+// rebalance moved the source) the last writer wins and the row reflects
+// the current owner's cumulative view. Verdict snapshots ride a separate
+// frame type on the same stream, so they live beside the row rather than
+// in it — a fresh summary must not wipe the verdicts and vice versa.
 type mergedSource struct {
 	shard    string
 	row      collector.SourceRow
@@ -82,21 +84,23 @@ type mergedSource struct {
 	verdictShard string
 	verdictKey   verdictKey
 	// summaryFrame and verdictsFrame are the TFleetSummary and TVerdicts
-	// payloads the row and the verdicts were decoded from: the checkpoint
-	// writes them as they are, and restore decodes them again. Replaced
-	// wholesale, never mutated, like the row.
+	// payloads the row and the verdicts were read from: Fleet decodes the
+	// items from summaryFrame, the checkpoint writes both as they are, and
+	// restore checks them again. Replaced wholesale, never mutated, so a
+	// reader may hold one past a.mu.
 	summaryFrame, verdictsFrame []byte
 }
 
-// setSummary replaces the row with the one decoded from payload — for a
-// live merge and for a restore alike.
-func (ms *mergedSource) setSummary(fs wire.FleetSummary, payload []byte) {
+// setSummary replaces the row with the header and item count
+// wire.CheckFleetSummary read from payload, and keeps payload for the
+// items — for a live merge and for a restore alike.
+func (ms *mergedSource) setSummary(fs wire.FleetSummary, items int, payload []byte) {
 	ms.row = collector.SourceRow{
 		Summary: collector.SourceSummary{
 			ID:             fs.Source,
 			Sets:           fs.Sets,
 			AbortedSets:    fs.AbortedSets,
-			Items:          len(fs.Items),
+			Items:          items,
 			MeanConfidence: fs.MeanConf,
 			Degraded:       fs.Degraded,
 			GapLine:        fs.GapLine,
@@ -106,7 +110,6 @@ func (ms *mergedSource) setSummary(fs wire.FleetSummary, payload []byte) {
 			Disconnects:    fs.Disconnects,
 		},
 		FreqHz: fs.FreqHz,
-		Items:  fs.Items,
 	}
 	ms.summaryFrame = payload
 }
@@ -257,21 +260,23 @@ func (s *shardStream) Start(ss wire.SeqStart) (acked, resume uint64, ok bool) {
 	return acked, resume, true
 }
 
-// Hand decodes a frame outside the lock (the decoders copy), then admits,
-// merges and settles it in one a.mu hold, so no later number is ever
-// settled, checkpointed or acked ahead of it. An intact frame that does
-// not decode keeps its number and is counted, unacked. A decoded payload
-// is copied out of the pooled frame: the merged row keeps it for the
-// checkpoint.
+// Hand reads a frame outside the lock — a summary is checked, not decoded,
+// and a verdict snapshot is decoded — then admits, merges and settles it in
+// one a.mu hold, so no later number is ever settled, checkpointed or acked
+// ahead of it. An intact frame that does not pass keeps its number and is
+// counted, unacked. A good payload is copied out of the pooled frame, which
+// is released before the lock: the merged source keeps the copy for Fleet
+// and the checkpoint.
 func (s *shardStream) Hand(f *durable.Frame) (ack, ok bool) {
 	a := s.a
 	var fs wire.FleetSummary
+	var items int
 	var vs wire.VerdictSet
 	var err error
 	typ := f.Type
 	switch typ {
 	case wire.TFleetSummary:
-		fs, err = wire.DecodeFleetSummary(f.Payload)
+		fs, items, err = wire.CheckFleetSummary(f.Payload)
 	case wire.TVerdicts:
 		vs, err = wire.DecodeVerdicts(f.Payload)
 	default:
@@ -286,7 +291,7 @@ func (s *shardStream) Hand(f *durable.Frame) (ack, ok bool) {
 	adm := f.Admit(s.wm)
 	if adm == durable.Fresh && err == nil {
 		if typ == wire.TFleetSummary {
-			a.mergeSummaryLocked(s.id, fs, payload)
+			a.mergeSummaryLocked(s.id, fs, items, payload)
 		} else {
 			a.mergeVerdictsLocked(s.id, vs, payload)
 		}
@@ -306,12 +311,11 @@ func (s *shardStream) Acking(*durable.Frame) error { return nil }
 
 func (s *shardStream) End(lost error) bool { return lost != nil }
 
-// mergeSummaryLocked folds one decoded summary, and the payload it was
-// decoded from, into the merged state: last-writer-wins per source. The
-// decoded items are freshly allocated by the decoder and the row is
-// replaced wholesale, so readers holding a previous Fleet() snapshot are
-// never mutated under. Caller holds a.mu.
-func (a *Aggregator) mergeSummaryLocked(shardID string, fs wire.FleetSummary, payload []byte) {
+// mergeSummaryLocked folds one checked summary — its header, item count
+// and payload — into the merged state: last-writer-wins per source. The
+// row and the payload are replaced wholesale, so a Fleet read decoding a
+// previous payload is never mutated under. Caller holds a.mu.
+func (a *Aggregator) mergeSummaryLocked(shardID string, fs wire.FleetSummary, items int, payload []byte) {
 	ms := a.sources[fs.Source]
 	if ms == nil {
 		ms = &mergedSource{}
@@ -335,7 +339,7 @@ func (a *Aggregator) mergeSummaryLocked(shardID string, fs wire.FleetSummary, pa
 		return
 	}
 	ms.shard = shardID
-	ms.setSummary(fs, payload)
+	ms.setSummary(fs, items, payload)
 	a.metSources.SetInt(len(a.sources))
 	a.lastMergeNano.Store(time.Now().UnixNano())
 	a.metMerges.Inc()
@@ -374,19 +378,35 @@ func (a *Aggregator) mergeVerdictsLocked(shardID string, vs wire.VerdictSet, pay
 
 // Fleet assembles the merged fleet view through the same MergeFleet the
 // single-tier collector uses — which is the whole byte-equivalence
-// argument: identical rows in, identical report out.
+// argument: identical rows in, identical report out. The rows and their
+// payloads are snapshotted under a.mu and the items decoded outside it, so
+// a read holds up no merge.
 func (a *Aggregator) Fleet() collector.FleetView {
 	start := time.Now()
 	a.mu.Lock()
 	rows := make([]collector.SourceRow, 0, len(a.sources))
+	frames := make([][]byte, 0, len(a.sources))
 	for _, s := range a.sources {
 		row := s.row
 		row.Verdicts = s.verdicts
 		row.Summary.ActiveVerdicts = s.active
 		rows = append(rows, row)
+		frames = append(frames, s.summaryFrame)
 	}
 	topK := a.cfg.TopK
 	a.mu.Unlock()
+	for i, p := range frames {
+		if p == nil {
+			continue // a verdict placeholder: no summary yet
+		}
+		// The payload passed CheckFleetSummary before it was kept, and
+		// the check accepts exactly what the decode does.
+		fs, err := wire.DecodeFleetSummary(p)
+		if err != nil {
+			panic(fmt.Sprintf("agg: source %q: a checked summary does not decode: %v", rows[i].Summary.ID, err))
+		}
+		rows[i].Items = fs.Items
+	}
 	v := collector.MergeFleet(topK, rows)
 	a.metMergeNs.Record(uint64(time.Since(start)))
 	return v

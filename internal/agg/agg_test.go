@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -527,5 +528,110 @@ func TestAggregatorLossCounters(t *testing.T) {
 	}
 	if v := a.Fleet(); v.Sources[0].Sets != 3 {
 		t.Fatalf("the unnumbered summary was merged: %+v", v.Sources)
+	}
+}
+
+// TestAggregatorHandAllocs: a summary frame is checked, not decoded, on its
+// way in, so Hand makes at most two allocations for a 2,000-item frame —
+// the source ID and the payload's copy — however many items and spans it
+// carries.
+func TestAggregatorHandAllocs(t *testing.T) {
+	s := handStream(t)
+	_, payload := syntheticSummary(t, 0, 2000)
+	seq := uint64(1)
+	hand(t, s, payload, seq) // the source's row exists from here on
+	if n := testing.AllocsPerRun(20, func() { seq++; hand(t, s, payload, seq) }); n > 2 {
+		t.Fatalf("Hand of a 2,000-item summary made %v allocations, want ≤ 2", n)
+	}
+}
+
+// TestAggregatorFleetDuringMerges: Fleet decodes, outside a.mu, payloads
+// that two shard connections keep replacing as they merge and checkpoint.
+// Every view decodes, and since each resent row carries the same items at
+// a higher set count, every view's top-K equals a final quiescent read.
+func TestAggregatorFleetDuringMerges(t *testing.T) {
+	a, err := New(Config{CheckpointPath: t.TempDir() + "/agg.json", Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perShard, rounds, items = 3, 30, 50
+	shards := []string{"shard-a", "shard-b"}
+	frames := func(shard int, round uint64) []wire.Frame {
+		var fr []wire.Frame
+		for j := 0; j < perShard; j++ {
+			fs, _ := syntheticSummary(t, shard*perShard+j, items)
+			fs.Sets = round
+			fr = append(fr, summaryFrame(t, fs))
+		}
+		return fr
+	}
+	conns := make([]net.Conn, len(shards))
+	for i, id := range shards {
+		conns[i] = uplinkClient(t, a, id)
+		sendSeqStart(t, conns[i], 1, 1)
+		sendAcked(t, conns[i], frames(i, 1)...)
+	}
+	// Built up front: summaryFrame may fail the test, which only the test
+	// goroutine may do.
+	resend := make([][]wire.Frame, len(shards))
+	for i := range shards {
+		for round := uint64(2); round <= rounds; round++ {
+			resend[i] = append(resend[i], frames(i, round)...)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range shards {
+		wg.Add(1)
+		go func(conn net.Conn, frames []wire.Frame) {
+			defer wg.Done()
+			r := (*wire.FramePool)(nil).NewReader(conn)
+			for _, f := range frames {
+				if err := wire.WriteFrame(conn, f); err != nil {
+					t.Error(err)
+					return
+				}
+				if ack, err := r.Next(); err != nil || ack.Type != wire.TAck {
+					t.Errorf("read %s frame (err %v), want an ack", ack.Type, err)
+					return
+				}
+			}
+		}(conns[i], resend[i])
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	topK := func(v collector.FleetView) string {
+		var buf bytes.Buffer
+		v.RenderTopK(&buf)
+		return buf.String()
+	}
+	views := map[string]int{}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		v := a.Fleet()
+		total := 0
+		for _, s := range v.Sources {
+			total += s.Items
+		}
+		if len(v.Sources) != len(shards)*perShard || total != len(shards)*perShard*items {
+			t.Fatalf("view of %d sources and %d items, want %d and %d", len(v.Sources), total, len(shards)*perShard, len(shards)*perShard*items)
+		}
+		views[topK(v)]++
+	}
+	final := a.Fleet()
+	for _, s := range final.Sources {
+		if s.Sets != rounds {
+			t.Fatalf("source %s at %d sets after the merges, want %d", s.ID, s.Sets, rounds)
+		}
+	}
+	want := topK(final)
+	for got, n := range views {
+		if got != want {
+			t.Fatalf("%d views read a top-K other than the quiescent one: %s", n, firstDiff(got, want))
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // summaries are never re-merged) and, per source, the last TFleetSummary
 // and TVerdicts payloads it merged (so /fleet and /verdicts resume
 // populated). The payloads are written as they arrived and restored
-// through the live merge's own decoders and row builder, so a restored
+// through the live merge's own check, decoder and setters, so a restored
 // source is the merged one by construction. Replaced atomically
 // (durable.WriteFile).
 
@@ -89,13 +89,10 @@ func (a *Aggregator) Checkpoint() error {
 	slices.SortFunc(file.Sources, func(x, y checkpointSource) int { return cmp.Compare(x.ID, y.ID) })
 
 	// The payloads are []byte, so encoding/json writes them as base64 and
-	// never looks at an item: a checkpoint costs its bytes, however many
-	// items the rows hold.
-	data, err := json.Marshal(file)
-	if err != nil {
-		return fmt.Errorf("agg: checkpoint: %w", err)
-	}
-	if err := durable.WriteFile(a.cfg.CheckpointPath, data); err != nil {
+	// never looks at an item, into a buffer kept from the last checkpoint:
+	// a checkpoint costs its bytes, however many items the rows hold, and
+	// allocates no output for them.
+	if err := a.ckptFile.Write(a.cfg.CheckpointPath, file); err != nil {
 		return fmt.Errorf("agg: checkpoint: %w", err)
 	}
 	a.metCkpts.Inc()
@@ -145,18 +142,19 @@ func (a *Aggregator) restoreCheckpoint(path string) error {
 }
 
 // restoreSource rebuilds one source from its checkpointed payloads with
-// the decoders and setters the live merge uses.
+// the check, decoder and setters the live merge uses. The summary's items
+// stay encoded, as a merged source's do.
 func restoreSource(cs checkpointSource) (*mergedSource, error) {
 	ms := &mergedSource{row: collector.SourceRow{Summary: collector.SourceSummary{ID: cs.ID}}}
 	if cs.Summary != nil {
-		fs, err := wire.DecodeFleetSummary(cs.Summary)
+		fs, items, err := wire.CheckFleetSummary(cs.Summary)
 		if err == nil && fs.Source != cs.ID {
 			err = fmt.Errorf("payload names source %q", fs.Source)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("summary: %w", err)
 		}
-		ms.setSummary(fs, cs.Summary)
+		ms.setSummary(fs, items, cs.Summary)
 	}
 	if cs.Verdicts != nil {
 		vs, err := wire.DecodeVerdicts(cs.Verdicts)

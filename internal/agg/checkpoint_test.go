@@ -268,6 +268,24 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// perRun is testing.AllocsPerRun that also reports bytes: the mallocs and
+// the bytes allocated per call of f, averaged over runs calls after a
+// warm-up call, all on one P. A sync.Pool keeps a slot per P that no
+// other P takes from, so a buffer encoding/json pooled before the switch
+// to one P may be out of reach after it: the warm-up comes after the
+// switch.
+func perRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // restoreAllocBound is what restoring an n-byte checkpoint may allocate: a
 // fixed cost for the aggregator itself, and per input byte room for JSON
 // decoding and for the items a byte of payload or of version-1 JSON
@@ -406,26 +424,31 @@ func TestAggregatorCheckpointDeterministic(t *testing.T) {
 var raceBuild bool
 
 // TestAggregatorCheckpointCostFlat: the checkpoint writes each row's
-// payload as it is, so its allocations do not grow with the items a row
-// holds.
+// payload as it is, into a buffer it keeps, so neither its allocations nor
+// the bytes they take grow with the items a row holds.
 func TestAggregatorCheckpointCostFlat(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts are noise under the race detector")
 	}
-	allocs := func(nItems int) float64 {
+	cost := func(nItems int) (allocs, bytes uint64) {
 		a, err := New(Config{CheckpointPath: t.TempDir() + "/agg.json", Registry: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		mergeSynthetic(t, a, 2, nItems)
-		return testing.AllocsPerRun(20, func() {
+		return perRun(20, func() {
 			if err := a.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if small, large := allocs(16), allocs(2000); small != large {
-		t.Fatalf("checkpoint allocations grow with items: %v at 2×16, %v at 2×2000", small, large)
+	smallAllocs, smallBytes := cost(16)
+	largeAllocs, largeBytes := cost(2000)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("checkpoint allocations grow with items: %v at 2×16, %v at 2×2000", smallAllocs, largeAllocs)
+	}
+	if largeBytes > smallBytes+4<<10 {
+		t.Fatalf("checkpoint bytes grow with items: %d B at 2×16, %d B at 2×2000", smallBytes, largeBytes)
 	}
 }
 

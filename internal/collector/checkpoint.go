@@ -233,11 +233,7 @@ func (c *Collector) Checkpoint() error {
 	// Rows in ID order: one state always writes the same bytes.
 	slices.SortFunc(file.Sources, func(x, y checkpointSource) int { return cmp.Compare(x.ID, y.ID) })
 
-	data, err := json.Marshal(file)
-	if err != nil {
-		return fmt.Errorf("collector: checkpoint encode: %w", err)
-	}
-	if err := durable.WriteFile(c.cfg.CheckpointPath, data); err != nil {
+	if err := c.ckptFile.Write(c.cfg.CheckpointPath, file); err != nil {
 		return fmt.Errorf("collector: checkpoint: %w", err)
 	}
 	c.metCkpts.Inc()

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -605,23 +606,46 @@ func checkpointShape(t testing.TB, sources, items int) *Collector {
 }
 
 // TestCollectorCheckpointCostFlat: the checkpoint writes each source's
-// payload as it is, so its allocations do not grow with the items a
-// source holds.
+// payload as it is, into a buffer it keeps, so neither its allocations nor
+// the bytes they take grow with the items a source holds.
 func TestCollectorCheckpointCostFlat(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts are noise under the race detector")
 	}
-	allocs := func(nItems int) float64 {
+	cost := func(nItems int) (allocs, bytes uint64) {
 		c := checkpointShape(t, 2, nItems)
-		return testing.AllocsPerRun(20, func() {
+		return perRun(20, func() {
 			if err := c.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if small, large := allocs(16), allocs(2000); small != large {
-		t.Fatalf("checkpoint allocations grow with items: %v at 2×16, %v at 2×2000", small, large)
+	smallAllocs, smallBytes := cost(16)
+	largeAllocs, largeBytes := cost(2000)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("checkpoint allocations grow with items: %v at 2×16, %v at 2×2000", smallAllocs, largeAllocs)
 	}
+	if largeBytes > smallBytes+4<<10 {
+		t.Fatalf("checkpoint bytes grow with items: %d B at 2×16, %d B at 2×2000", smallBytes, largeBytes)
+	}
+}
+
+// perRun is testing.AllocsPerRun that also reports bytes: the mallocs and
+// the bytes allocated per call of f, averaged over runs calls after a
+// warm-up call, all on one P. A sync.Pool keeps a slot per P that no
+// other P takes from, so a buffer encoding/json pooled before the switch
+// to one P may be out of reach after it: the warm-up comes after the
+// switch.
+func perRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // BenchmarkCollectorCheckpoint measures one checkpoint at the two shapes

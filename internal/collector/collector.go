@@ -88,7 +88,8 @@ type Collector struct {
 
 	closed atomic.Bool // set by Close; read under a source's apply mutex
 
-	ckptMu sync.Mutex // serializes checkpoint file writes
+	ckptMu   sync.Mutex       // serializes checkpoint file writes
+	ckptFile durable.JSONFile // the checkpoint's kept buffer; guarded by ckptMu
 
 	// Drain/import lifecycle (guarded by mu; see handoff.go). draining
 	// tracks this collector's own planned departure; imports tracks

@@ -1,7 +1,8 @@
 // Package durable states once what every durable hop of the delivery path
-// needs: an atomic file replace, and the receiver half of the seq/ack
-// protocol (internal/wire/seq.go) — Watermark's rules and Receiver, the one
-// receive loop that applies them for every tier.
+// needs: an atomic file replace (JSONFile writes a JSON snapshot through it
+// from a kept buffer), and the receiver half of the seq/ack protocol
+// (internal/wire/seq.go) — Watermark's rules and Receiver, the one receive
+// loop that applies them for every tier.
 //
 // The protocol's promise is that an acknowledged frame is never lost and an
 // applied frame is never applied twice, across crashes of either end. A
@@ -12,6 +13,8 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 )
@@ -49,6 +52,29 @@ func WriteFile(path string, data []byte) error {
 		os.Remove(tmp.Name())
 	}
 	return err
+}
+
+// JSONFile writes a JSON snapshot through WriteFile from a buffer it keeps,
+// so a file rewritten before every ack costs no fresh output buffer each
+// time. The zero value is ready; its owner serializes the calls (a tier
+// holds its checkpoint mutex across Write).
+type JSONFile struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// Write atomically replaces path with v encoded exactly as json.Marshal
+// encodes it.
+func (f *JSONFile) Write(path string, v any) error {
+	if f.enc == nil {
+		f.enc = json.NewEncoder(&f.buf)
+	}
+	f.buf.Reset()
+	if err := f.enc.Encode(v); err != nil {
+		return err
+	}
+	// Encode ends the value with a newline that Marshal does not write.
+	return WriteFile(path, bytes.TrimSuffix(f.buf.Bytes(), []byte{'\n'}))
 }
 
 // Watermark is a receiver's delivery state for one sequenced stream. The

@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -81,6 +84,43 @@ func TestWriteFile(t *testing.T) {
 		if got, rerr := os.ReadFile(path); rerr != nil || string(got) != want {
 			t.Errorf("step %q: file holds %q (err %v), want %q", step, got, rerr, want)
 		}
+	}
+}
+
+// TestJSONFile: each write replaces the file with exactly what json.Marshal
+// returns — shorter after longer too, and HTML characters escaped as
+// Marshal escapes them — and a value that does not encode leaves the
+// previous file as it was.
+func TestJSONFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	var f JSONFile
+	for _, v := range []any{
+		map[string]any{"rows": []string{"a", "b<&>", "c"}, "blob": []byte("payload")},
+		[]int{1},
+		"",
+	} {
+		if err := f.Write(path, v); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("file holds %q (err %v), want %q", got, err, want)
+		}
+	}
+	if err := f.Write(path, math.NaN()); err == nil {
+		t.Fatal("a NaN encoded")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != `""` {
+		t.Fatalf("after a failed write the file holds %q (err %v), want the previous one", got, err)
+	}
+	if err := f.Write(path, []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "[2]" {
+		t.Fatalf("a write after a failed one left %q (err %v)", got, err)
 	}
 }
 

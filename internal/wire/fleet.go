@@ -154,14 +154,32 @@ func AppendFleetSummary(dst []byte, fs FleetSummary) ([]byte, error) {
 // input returns an error, never panics, and never allocates proportional
 // to a declared count the remaining bytes cannot possibly hold.
 func DecodeFleetSummary(p []byte) (FleetSummary, error) {
+	fs, _, err := walkFleetSummary(p, true)
+	return fs, err
+}
+
+// CheckFleetSummary validates a TFleetSummary payload and returns its
+// header, with Items nil, and its item count. It accepts exactly the
+// payloads DecodeFleetSummary accepts, but builds no symbol, item or span:
+// a receiver that keeps the payload and decodes it later pays nothing per
+// item to admit it.
+func CheckFleetSummary(p []byte) (FleetSummary, int, error) {
+	return walkFleetSummary(p, false)
+}
+
+// walkFleetSummary is the one parse of a TFleetSummary payload, and the one
+// statement of its grammar and bounds. With build false every field is read
+// and checked as with build true, but into scratch: the dictionary, the
+// items and their span slabs are never allocated.
+func walkFleetSummary(p []byte, build bool) (FleetSummary, int, error) {
 	var fs FleetSummary
 	if len(p) < 1 {
-		return fs, errPayload(TFleetSummary, "empty payload")
+		return fs, 0, errPayload(TFleetSummary, "empty payload")
 	}
 	srcLen := int(p[0])
 	p = p[1:]
 	if srcLen == 0 || len(p) < srcLen {
-		return fs, errPayload(TFleetSummary, "truncated source ID")
+		return fs, 0, errPayload(TFleetSummary, "truncated source ID")
 	}
 	fs.Source = string(p[:srcLen])
 	p = p[srcLen:]
@@ -170,18 +188,18 @@ func DecodeFleetSummary(p []byte) (FleetSummary, error) {
 	for _, field := range []*uint64{&fs.FreqHz, &fs.Sets, &fs.AbortedSets,
 		&fs.LostMarkers, &fs.LostSamples, &fs.CRCErrors, &fs.Disconnects} {
 		if *field, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "header: %w", err)
+			return fs, 0, errPayload(TFleetSummary, "header: %w", err)
 		}
 	}
 	if fs.FreqHz == 0 {
-		return fs, errPayload(TFleetSummary, "zero TSC frequency")
+		return fs, 0, errPayload(TFleetSummary, "zero TSC frequency")
 	}
 	if len(p) < 9 {
-		return fs, errPayload(TFleetSummary, "truncated confidence/degraded")
+		return fs, 0, errPayload(TFleetSummary, "truncated confidence/degraded")
 	}
 	fs.MeanConf = math.Float64frombits(binary.LittleEndian.Uint64(p))
 	if !(fs.MeanConf >= 0 && fs.MeanConf <= 1) {
-		return fs, errPayload(TFleetSummary, "mean confidence %v outside [0,1]", fs.MeanConf)
+		return fs, 0, errPayload(TFleetSummary, "mean confidence %v outside [0,1]", fs.MeanConf)
 	}
 	switch p[8] {
 	case 0:
@@ -189,123 +207,137 @@ func DecodeFleetSummary(p []byte) (FleetSummary, error) {
 	case 1:
 		fs.Degraded = true
 	default:
-		return fs, errPayload(TFleetSummary, "invalid degraded flag %d", p[8])
+		return fs, 0, errPayload(TFleetSummary, "invalid degraded flag %d", p[8])
 	}
 	p = p[9:]
 	if len(p) < 2 {
-		return fs, errPayload(TFleetSummary, "truncated gap line")
+		return fs, 0, errPayload(TFleetSummary, "truncated gap line")
 	}
 	gapLen := int(binary.LittleEndian.Uint16(p))
 	p = p[2:]
 	if gapLen > maxGapLine || len(p) < gapLen {
-		return fs, errPayload(TFleetSummary, "truncated gap line (%d declared)", gapLen)
+		return fs, 0, errPayload(TFleetSummary, "truncated gap line (%d declared)", gapLen)
 	}
 	fs.GapLine = string(p[:gapLen])
 	p = p[gapLen:]
 
 	nFns, p, err := uvarint(p)
 	if err != nil {
-		return fs, errPayload(TFleetSummary, "symbol count: %w", err)
+		return fs, 0, errPayload(TFleetSummary, "symbol count: %w", err)
 	}
 	// Each dictionary entry costs ≥ 5 bytes; each item ≥ 14; each span
 	// ≥ 4. Checking the declared counts against the remaining bytes keeps
 	// a corrupt count from allocating gigabytes before the parse fails.
 	if nFns > uint64(len(p))/5 {
-		return fs, errPayload(TFleetSummary, "absurd symbol count %d", nFns)
+		return fs, 0, errPayload(TFleetSummary, "absurd symbol count %d", nFns)
 	}
-	fns := make([]*symtab.Fn, nFns)
-	for i := range fns {
+	var fns []*symtab.Fn
+	if build {
+		fns = make([]*symtab.Fn, nFns)
+	}
+	for i := 0; i < int(nFns); i++ {
 		if len(p) < 2 {
-			return fs, errPayload(TFleetSummary, "symbol %d: truncated", i)
+			return fs, 0, errPayload(TFleetSummary, "symbol %d: truncated", i)
 		}
 		nameLen := int(binary.LittleEndian.Uint16(p))
 		p = p[2:]
 		if len(p) < nameLen {
-			return fs, errPayload(TFleetSummary, "symbol %d: truncated name", i)
+			return fs, 0, errPayload(TFleetSummary, "symbol %d: truncated name", i)
 		}
-		f := &symtab.Fn{Name: string(p[:nameLen])}
+		name := p[:nameLen]
 		p = p[nameLen:]
-		if f.Base, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "symbol %d base: %w", i, err)
+		var base, size, id uint64
+		if base, p, err = uvarint(p); err != nil {
+			return fs, 0, errPayload(TFleetSummary, "symbol %d base: %w", i, err)
 		}
-		if f.Size, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "symbol %d size: %w", i, err)
+		if size, p, err = uvarint(p); err != nil {
+			return fs, 0, errPayload(TFleetSummary, "symbol %d size: %w", i, err)
 		}
-		var id uint64
 		if id, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "symbol %d id: %w", i, err)
+			return fs, 0, errPayload(TFleetSummary, "symbol %d id: %w", i, err)
 		}
 		if id > 1<<31 {
-			return fs, errPayload(TFleetSummary, "symbol %d id %d out of range", i, id)
+			return fs, 0, errPayload(TFleetSummary, "symbol %d id %d out of range", i, id)
 		}
-		f.ID = int(id)
-		fns[i] = f
+		if build {
+			fns[i] = &symtab.Fn{Name: string(name), Base: base, Size: size, ID: int(id)}
+		}
 	}
 
 	nItems, p, err := uvarint(p)
 	if err != nil {
-		return fs, errPayload(TFleetSummary, "item count: %w", err)
+		return fs, 0, errPayload(TFleetSummary, "item count: %w", err)
 	}
 	if nItems > uint64(len(p))/14 {
-		return fs, errPayload(TFleetSummary, "absurd item count %d", nItems)
+		return fs, 0, errPayload(TFleetSummary, "absurd item count %d", nItems)
 	}
-	fs.Items = make([]core.Item, nItems)
 	// Every item's Funcs is carved from a slab sized by a pre-pass that
 	// counts the spans the items declare. The runtime rounds an object past
 	// 32 KiB up to whole 8 KiB pages, so a large slab holds only the spans
 	// that fill whole pages, and the items past its end carve a second,
 	// small slab sized to what is left.
-	left := spanTotal(p, nItems)
-	slab := make([]core.FuncSpan, wholePageSpans(left))
-	for i := range fs.Items {
-		it := &fs.Items[i]
+	var left int
+	var slab []core.FuncSpan
+	if build {
+		fs.Items = make([]core.Item, nItems)
+		left = spanTotal(p, nItems)
+		slab = make([]core.FuncSpan, wholePageSpans(left))
+	}
+	// Without build, each item and span is read into these and dropped.
+	var scratch core.Item
+	var scratchSpan core.FuncSpan
+	for i := 0; i < int(nItems); i++ {
+		it := &scratch
+		if build {
+			it = &fs.Items[i]
+		}
 		if it.ID, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "item %d id: %w", i, err)
+			return fs, 0, errPayload(TFleetSummary, "item %d id: %w", i, err)
 		}
 		var c int64
 		if c, p, err = varint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "item %d core: %w", i, err)
+			return fs, 0, errPayload(TFleetSummary, "item %d core: %w", i, err)
 		}
 		if c < -1<<31 || c > 1<<31-1 {
-			return fs, errPayload(TFleetSummary, "item %d core %d out of range", i, c)
+			return fs, 0, errPayload(TFleetSummary, "item %d core %d out of range", i, c)
 		}
 		it.Core = int32(c)
 		if it.BeginTSC, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "item %d begin: %w", i, err)
+			return fs, 0, errPayload(TFleetSummary, "item %d begin: %w", i, err)
 		}
 		if it.EndTSC, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "item %d end: %w", i, err)
+			return fs, 0, errPayload(TFleetSummary, "item %d end: %w", i, err)
 		}
 		var sc, un uint64
 		if sc, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "item %d samples: %w", i, err)
+			return fs, 0, errPayload(TFleetSummary, "item %d samples: %w", i, err)
 		}
 		if un, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "item %d unresolved: %w", i, err)
+			return fs, 0, errPayload(TFleetSummary, "item %d unresolved: %w", i, err)
 		}
 		if sc > 1<<40 || un > sc {
-			return fs, errPayload(TFleetSummary, "item %d sample counts %d/%d implausible", i, un, sc)
+			return fs, 0, errPayload(TFleetSummary, "item %d sample counts %d/%d implausible", i, un, sc)
 		}
 		it.SampleCount, it.UnresolvedSamples = int(sc), int(un)
 		if len(p) < 8 {
-			return fs, errPayload(TFleetSummary, "item %d: truncated confidence", i)
+			return fs, 0, errPayload(TFleetSummary, "item %d: truncated confidence", i)
 		}
 		it.Confidence = math.Float64frombits(binary.LittleEndian.Uint64(p))
 		p = p[8:]
 		if !(it.Confidence >= 0 && it.Confidence <= 1) {
-			return fs, errPayload(TFleetSummary, "item %d confidence %v outside [0,1]", i, it.Confidence)
+			return fs, 0, errPayload(TFleetSummary, "item %d confidence %v outside [0,1]", i, it.Confidence)
 		}
 		var nSpans uint64
 		if nSpans, p, err = uvarint(p); err != nil {
-			return fs, errPayload(TFleetSummary, "item %d span count: %w", i, err)
+			return fs, 0, errPayload(TFleetSummary, "item %d span count: %w", i, err)
 		}
 		if nSpans > uint64(len(p))/4 {
-			return fs, errPayload(TFleetSummary, "item %d: absurd span count %d", i, nSpans)
+			return fs, 0, errPayload(TFleetSummary, "item %d: absurd span count %d", i, nSpans)
 		}
-		if nSpans > uint64(left) {
-			return fs, errPayload(TFleetSummary, "item %d: span count %d past the %d counted", i, nSpans, left)
-		}
-		if nSpans > 0 {
+		if build && nSpans > 0 {
+			if nSpans > uint64(left) {
+				return fs, 0, errPayload(TFleetSummary, "item %d: span count %d past the %d counted", i, nSpans, left)
+			}
 			if nSpans > uint64(len(slab)) {
 				slab = make([]core.FuncSpan, left)
 			}
@@ -314,35 +346,40 @@ func DecodeFleetSummary(p []byte) (FleetSummary, error) {
 			it.Funcs, slab = slab[:nSpans:nSpans], slab[nSpans:]
 			left -= int(nSpans)
 		}
-		for j := range it.Funcs {
-			sp := &it.Funcs[j]
+		for j := 0; j < int(nSpans); j++ {
+			sp := &scratchSpan
+			if build {
+				sp = &it.Funcs[j]
+			}
 			var idx, samples uint64
 			if idx, p, err = uvarint(p); err != nil {
-				return fs, errPayload(TFleetSummary, "item %d span %d fn: %w", i, j, err)
+				return fs, 0, errPayload(TFleetSummary, "item %d span %d fn: %w", i, j, err)
 			}
-			if idx >= uint64(len(fns)) {
-				return fs, errPayload(TFleetSummary, "item %d span %d references symbol %d of %d", i, j, idx, len(fns))
+			if idx >= nFns {
+				return fs, 0, errPayload(TFleetSummary, "item %d span %d references symbol %d of %d", i, j, idx, nFns)
 			}
-			sp.Fn = fns[idx]
+			if build {
+				sp.Fn = fns[idx]
+			}
 			if samples, p, err = uvarint(p); err != nil {
-				return fs, errPayload(TFleetSummary, "item %d span %d samples: %w", i, j, err)
+				return fs, 0, errPayload(TFleetSummary, "item %d span %d samples: %w", i, j, err)
 			}
 			if samples > 1<<40 {
-				return fs, errPayload(TFleetSummary, "item %d span %d samples %d implausible", i, j, samples)
+				return fs, 0, errPayload(TFleetSummary, "item %d span %d samples %d implausible", i, j, samples)
 			}
 			sp.Samples = int(samples)
 			if sp.FirstTSC, p, err = uvarint(p); err != nil {
-				return fs, errPayload(TFleetSummary, "item %d span %d first: %w", i, j, err)
+				return fs, 0, errPayload(TFleetSummary, "item %d span %d first: %w", i, j, err)
 			}
 			if sp.LastTSC, p, err = uvarint(p); err != nil {
-				return fs, errPayload(TFleetSummary, "item %d span %d last: %w", i, j, err)
+				return fs, 0, errPayload(TFleetSummary, "item %d span %d last: %w", i, j, err)
 			}
 		}
 	}
 	if len(p) != 0 {
-		return fs, errPayload(TFleetSummary, "%d trailing bytes", len(p))
+		return fs, 0, errPayload(TFleetSummary, "%d trailing bytes", len(p))
 	}
-	return fs, nil
+	return fs, int(nItems), nil
 }
 
 // spanTotal counts the spans declared by the nItems items at the head of p,

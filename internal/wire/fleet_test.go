@@ -111,21 +111,79 @@ func TestFleetSummaryLargeRoundTrip(t *testing.T) {
 	}
 }
 
+// lateSpanSummary is testSummary with a fourth item whose one span ends the
+// payload, each of the span's varints one byte long: the span's symbol
+// index is the payload's fourth byte from the end.
+func lateSpanSummary() FleetSummary {
+	fs := testSummary()
+	fn := fs.Items[0].Funcs[0].Fn
+	fs.Items = append(fs.Items, core.Item{ID: 4, BeginTSC: 20, EndTSC: 30, SampleCount: 1, Confidence: 1,
+		Funcs: []core.FuncSpan{{Fn: fn, Samples: 1, FirstTSC: 21, LastTSC: 22}}})
+	return fs
+}
+
 func TestFleetSummaryTruncationErrors(t *testing.T) {
 	p, err := AppendFleetSummary(nil, testSummary())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every proper prefix must error — a cut frame can never decode as a
-	// shorter valid summary.
+	// shorter valid summary — and fail the check as well.
 	for cut := 0; cut < len(p); cut++ {
 		if _, err := DecodeFleetSummary(p[:cut]); err == nil {
 			t.Fatalf("truncation at byte %d/%d decoded cleanly", cut, len(p))
+		}
+		if _, _, err := CheckFleetSummary(p[:cut]); err == nil {
+			t.Fatalf("truncation at byte %d/%d passed the check", cut, len(p))
 		}
 	}
 	// Trailing garbage must error too.
 	if _, err := DecodeFleetSummary(append(append([]byte(nil), p...), 0xaa)); err == nil {
 		t.Fatal("trailing byte decoded cleanly")
+	}
+	if _, _, err := CheckFleetSummary(append(append([]byte(nil), p...), 0xaa)); err == nil {
+		t.Fatal("trailing byte passed the check")
+	}
+}
+
+// TestCheckFleetSummary: the check reads the decoder's header and item
+// count, catches a fault in the payload's last span, and allocates only
+// the header's strings, however many items and spans the payload holds.
+func TestCheckFleetSummary(t *testing.T) {
+	want := lateSpanSummary()
+	p, err := AppendFleetSummary(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, n, err := CheckFleetSummary(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := want.Items
+	want.Items = nil
+	if !reflect.DeepEqual(head, want) || n != len(items) {
+		t.Fatalf("check read %+v and %d items, want %+v and %d", head, n, want, len(items))
+	}
+	p[len(p)-4] = 2 // the last span's symbol index, one past the dictionary
+	if _, _, err := CheckFleetSummary(p); err == nil || !strings.Contains(err.Error(), "item 3 span 0 references symbol 2 of 2") {
+		t.Fatalf("check of an out-of-range last symbol: %v", err)
+	}
+
+	large := FleetSummary{Source: "worker-1", FreqHz: 2_000_000_000, GapLine: "gaps: none", MeanConf: 1}
+	fn := &symtab.Fn{Name: "lookup", Base: 0x2000, Size: 4096, ID: 1}
+	for i := 0; i < 2000; i++ {
+		large.Items = append(large.Items, core.Item{ID: uint64(i + 1), EndTSC: 4000, SampleCount: 1, Confidence: 1,
+			Funcs: []core.FuncSpan{{Fn: fn, Samples: 1, FirstTSC: 10, LastTSC: 20}}})
+	}
+	if p, err = AppendFleetSummary(nil, large); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, n, err := CheckFleetSummary(p); err != nil || n != 2000 {
+			t.Fatalf("check of the 2,000-item payload: %d items, %v", n, err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("check of a 2,000-item payload made %v allocations, want ≤ 2 (the source and gap line)", allocs)
 	}
 }
 

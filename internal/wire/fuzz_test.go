@@ -141,8 +141,10 @@ func FuzzFrameDecode(f *testing.F) {
 // never panic; anything the decoder accepts must survive an encode →
 // decode round trip with an identical summary (differential check: the
 // re-encode is canonical, so surviving it proves the decoder built a
-// self-consistent structure, not garbage that happened not to crash). Run
-// continuously with
+// self-consistent structure, not garbage that happened not to crash).
+// CheckFleetSummary, which the aggregator admits frames with, is diffed
+// against the decoder: it accepts exactly what the decoder accepts, with
+// the same header and the decoder's item count. Run continuously with
 //
 //	go test -run '^$' -fuzz '^FuzzFleetMerge$' ./internal/wire
 //
@@ -162,11 +164,36 @@ func FuzzFleetMerge(f *testing.F) {
 	f.Add(empty)
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 'x', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // absurd counters
+	// Faults that come only after every item but the last has parsed.
+	late := lateSpanSummary()
+	bad, err := AppendFleetSummary(nil, late)
+	if err != nil {
+		f.Fatal(err)
+	}
+	bad[len(bad)-4] = 2 // the last span's symbol index, one past the dictionary
+	f.Add(bad)
+	good, err := AppendFleetSummary(nil, late)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(good, 0)) // one trailing byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs, err := DecodeFleetSummary(data)
+		head, n, cerr := CheckFleetSummary(data)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("decode and check disagree: decode error %v, check error %v", err, cerr)
+		}
 		if err != nil {
 			return // rejection is always acceptable; panics are not
+		}
+		if n != len(fs.Items) || head.Items != nil {
+			t.Fatalf("check counted %d items (holding %d), decode %d", n, len(head.Items), len(fs.Items))
+		}
+		if want := (FleetSummary{Source: fs.Source, FreqHz: fs.FreqHz, Sets: fs.Sets, AbortedSets: fs.AbortedSets,
+			LostMarkers: fs.LostMarkers, LostSamples: fs.LostSamples, CRCErrors: fs.CRCErrors, Disconnects: fs.Disconnects,
+			MeanConf: fs.MeanConf, Degraded: fs.Degraded, GapLine: fs.GapLine}); !reflect.DeepEqual(head, want) {
+			t.Fatalf("check header differs from decode's:\n got %+v\nwant %+v", head, want)
 		}
 		re, err := AppendFleetSummary(nil, fs)
 		if err != nil {
