@@ -94,8 +94,7 @@ func BenchmarkDataplaneClassify(b *testing.B) {
 // cost of the workload the experiments drive.
 func BenchmarkDataplanePipeline(b *testing.B) {
 	cfg := PipelineConfig{
-		Rules:        testPolicy(),
-		Routes:       testRoutes(),
+		Policy:       mustPolicy(testPolicy(), acl.BuildConfig{}),
 		Packets:      200,
 		CacheEntries: 256,
 		Gen: GenConfig{

@@ -3,7 +3,6 @@ package dataplane
 import (
 	"fmt"
 
-	"repro/internal/acl"
 	"repro/internal/lpm"
 	"repro/internal/pmu"
 	"repro/internal/sim"
@@ -26,19 +25,16 @@ var StageNames = []string{FnParse, FnFlow, FnACL, FnRoute, FnEmit}
 
 // PipelineConfig parameterizes a traced run of the chain.
 type PipelineConfig struct {
-	// Rules is the active policy; Routes the per-family tables.
-	Rules  []Rule
-	Routes RouteConfig
-	// Build shapes the compiled matcher (zero fields take
-	// acl.DefaultBuildConfig's).
-	Build acl.BuildConfig
+	// Policy is the compiled rule set and route tables every worker runs
+	// against (required). Run only reads it, so rounds may share one.
+	*Policy
 	// Workers is the simulated core count (default 1); each worker runs
 	// the full chain over its own packet stream, shared-nothing.
 	Workers int
 	// Packets per worker (required).
 	Packets int
 	// Gen shapes the traffic; its Rules/Routes are overridden with the
-	// pipeline's own, and worker w streams from Seed + w·φ.
+	// policy's, and worker w streams from Seed + w·φ.
 	Gen GenConfig
 	// CacheEntries sizes each worker's flow cache; 0 disables the stage.
 	CacheEntries int
@@ -55,9 +51,9 @@ type PipelineConfig struct {
 
 	// Mid-run onsets, each a fraction of the per-worker stream at which
 	// the event fires on every worker (0 = never):
-	// ChurnAt swaps the policy to ChurnRules and flushes flow caches.
-	ChurnAt    float64
-	ChurnRules []Rule
+	// ChurnAt swaps the policy to Churn and flushes flow caches.
+	ChurnAt float64
+	Churn   *Policy
 	// ColdAt flushes and disables the flow cache for the rest of the run.
 	ColdAt float64
 	// SkewAt retargets the generator's deep-destination share.
@@ -80,8 +76,6 @@ type Result struct {
 	Mismatches []Mismatch
 	// CacheStats aggregates flow-cache traffic across workers.
 	CacheStats FlowStats
-	// Matcher is the (initial) compiled policy, for shape reporting.
-	Matcher *Matcher
 }
 
 // Mismatch is one packet whose chain verdict disagreed with the oracle.
@@ -115,6 +109,12 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	if cfg.Packets <= 0 {
 		return nil, fmt.Errorf("dataplane: Packets must be positive")
 	}
+	if cfg.Policy == nil {
+		return nil, fmt.Errorf("dataplane: no Policy")
+	}
+	if cfg.ChurnAt > 0 && cfg.Churn == nil {
+		return nil, fmt.Errorf("dataplane: ChurnAt set without Churn")
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -126,24 +126,6 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	}
 	cfg.Gen.Rules = cfg.Rules
 	cfg.Gen.Routes = cfg.Routes
-
-	matcher, err := Compile(cfg.Rules, cfg.Build)
-	if err != nil {
-		return nil, err
-	}
-	var churn *Matcher
-	if cfg.ChurnAt > 0 {
-		if len(cfg.ChurnRules) == 0 {
-			return nil, fmt.Errorf("dataplane: ChurnAt set without ChurnRules")
-		}
-		if churn, err = Compile(cfg.ChurnRules, cfg.Build); err != nil {
-			return nil, fmt.Errorf("dataplane: churn rules: %w", err)
-		}
-	}
-	router, err := NewRouter(cfg.Routes)
-	if err != nil {
-		return nil, err
-	}
 
 	mach, err := sim.New(sim.Config{Cores: cfg.Workers})
 	if err != nil {
@@ -182,10 +164,10 @@ func Run(cfg PipelineConfig) (*Result, error) {
 				cache = NewFlowCache(cfg.CacheEntries)
 			}
 			cacheOn := cache != nil
-			cur, rules := matcher, cfg.Rules
-			scratch := matcher.Scratch()
-			if churn != nil {
-				if s := churn.Scratch(); len(s) > len(scratch) {
+			cur := cfg.Policy
+			scratch := cur.matcher.Scratch()
+			if churnIdx >= 0 {
+				if s := cfg.Churn.matcher.Scratch(); len(s) > len(scratch) {
 					scratch = s
 				}
 			}
@@ -196,8 +178,8 @@ func Run(cfg PipelineConfig) (*Result, error) {
 			var wire []byte
 
 			// Warmup: advance the generator and fill the cache off-trace.
-			// Inserted verdicts come from the same matcher+router the timed
-			// path uses, so a later measured hit still matches the oracle.
+			// Inserted verdicts come from the same policy the timed path
+			// uses, so a later measured hit still matches the oracle.
 			for j := 0; j < cfg.Warmup; j++ {
 				p := gen.Next()
 				if cache == nil {
@@ -207,19 +189,16 @@ func Run(cfg PipelineConfig) (*Result, error) {
 				if _, ok := cache.Lookup(&key); ok {
 					continue
 				}
-				got := Verdict{Rule: -1, Action: NoMatchAction, NextHop: lpm.NoRoute}
-				if idx, ok := cur.Classify(&p, scratch); ok {
-					got = Verdict{Rule: idx, Action: rules[idx].Action, NextHop: lpm.NoRoute}
-					if got.Action == Allow {
-						got.NextHop = router.Lookup(&p, nil, nil)
-					}
+				got := cur.classify(&key, scratch, nil)
+				if got.Action == Allow {
+					got.NextHop = cur.route(&p, nil, nil)
 				}
 				cache.Insert(&key, got)
 			}
 
 			for j := 0; j < cfg.Packets; j++ {
 				if j == churnIdx {
-					cur, rules = churn, cfg.ChurnRules
+					cur = cfg.Churn
 					if cache != nil {
 						cache.Flush()
 					}
@@ -236,7 +215,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 				pid := uint64(w*cfg.Packets+j) + 1
 				p.ID = pid
 				wire = p.AppendWire(wire[:0])
-				want := GroundTruth(rules, cfg.Routes, &p)
+				want := GroundTruth(cur.Rules, cur.Routes, &p)
 
 				log.Mark(c, pid, trace.ItemBegin)
 
@@ -262,18 +241,9 @@ func Run(cfg PipelineConfig) (*Result, error) {
 						})
 					}
 					if !hit {
-						c.Call(fnACL, func() {
-							idx, ok, _ := cur.set.Classify(key[:], scratch, meter)
-							if !ok {
-								got = Verdict{Rule: -1, Action: NoMatchAction, NextHop: lpm.NoRoute}
-								return
-							}
-							got = Verdict{Rule: idx, Action: rules[idx].Action, NextHop: lpm.NoRoute}
-						})
+						c.Call(fnACL, func() { got = cur.classify(&key, scratch, meter) })
 						if got.Action == Allow {
-							c.Call(fnRoute, func() {
-								got.NextHop = router.Lookup(&pp, route4, route6)
-							})
+							c.Call(fnRoute, func() { got.NextHop = cur.route(&pp, route4, route6) })
 						}
 						if cacheOn {
 							c.Call(fnFlow, func() {
@@ -303,7 +273,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	}
 	mach.Wait()
 
-	res := &Result{FreqHz: mach.FreqHz(), Verdicts: verdicts, Matcher: matcher}
+	res := &Result{FreqHz: mach.FreqHz(), Verdicts: verdicts}
 	for w := range mismatches {
 		res.Mismatches = append(res.Mismatches, mismatches[w]...)
 		res.CacheStats.Hits += cacheStats[w].Hits

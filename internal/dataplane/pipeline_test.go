@@ -1,7 +1,10 @@
 package dataplane
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/acl"
@@ -48,10 +51,18 @@ func testPolicy() []Rule {
 	`)
 }
 
+// mustPolicy compiles a fixture policy.
+func mustPolicy(rules []Rule, build acl.BuildConfig) *Policy {
+	p, err := NewPolicy(rules, testRoutes(), build)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func basePipelineConfig() PipelineConfig {
 	return PipelineConfig{
-		Rules:        testPolicy(),
-		Routes:       testRoutes(),
+		Policy:       mustPolicy(testPolicy(), acl.BuildConfig{}),
 		Packets:      300,
 		CacheEntries: 256,
 		Gen: GenConfig{
@@ -215,10 +226,7 @@ func TestPipelineScenarios(t *testing.T) {
 	t.Run("churn", func(t *testing.T) {
 		cfg := basePipelineConfig()
 		cfg.CacheEntries = 0
-		cfg.ChurnAt = 0.5
-		rng := dpRNG{state: 0x636875726e}
-		cfg.ChurnRules = append(testPolicy(), genRandomRules(&rng, 120, 0.3)...)
-		cfg.Build = acl.BuildConfig{MaxTries: 8, MaxAtomsPerTrie: 32}
+		churnConfig(&cfg)
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -261,4 +269,77 @@ func TestPipelineScenarios(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// churnConfig turns on the churn scenario: a 120-rule push at mid-run,
+// both policies compiled into many small tries.
+func churnConfig(cfg *PipelineConfig) {
+	build := acl.BuildConfig{MaxTries: 8, MaxAtomsPerTrie: 32}
+	rng := dpRNG{state: 0x636875726e}
+	cfg.Policy = mustPolicy(testPolicy(), build)
+	cfg.Churn = mustPolicy(append(testPolicy(), genRandomRules(&rng, 120, 0.3)...), build)
+	cfg.ChurnAt = 0.5
+}
+
+// TestPolicySharedAcrossRounds: two Runs on one Policy at once (churn on,
+// so both policies are shared) give the verdicts and trace bytes of rounds
+// run on freshly built policies. Under -race it also proves a round only
+// reads its policy.
+func TestPolicySharedAcrossRounds(t *testing.T) {
+	round := func(cfg PipelineConfig, seed uint64) ([]Verdict, []byte) {
+		cfg.Gen.Seed = seed
+		r, err := Run(cfg)
+		if err != nil {
+			t.Error(err)
+			return nil, nil
+		}
+		if err := r.VerifyTruth(); err != nil {
+			t.Error(err)
+		}
+		var buf bytes.Buffer
+		if err := r.Set.Encode(&buf); err != nil {
+			t.Error(err)
+		}
+		return r.Verdicts, buf.Bytes()
+	}
+	shared := basePipelineConfig()
+	shared.Workers = 2
+	churnConfig(&shared)
+	seeds := []uint64{1, 2}
+	verdicts := make([][]Verdict, len(seeds))
+	traces := make([][]byte, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			verdicts[i], traces[i] = round(shared, seed)
+		}()
+	}
+	wg.Wait()
+	for i, seed := range seeds {
+		fresh := shared
+		churnConfig(&fresh)
+		v, tr := round(fresh, seed)
+		if !slices.Equal(verdicts[i], v) {
+			t.Errorf("seed %d: verdicts on the shared policy differ from a fresh one's", seed)
+		}
+		if !bytes.Equal(traces[i], tr) {
+			t.Errorf("seed %d: trace on the shared policy differs from a fresh one's", seed)
+		}
+	}
+}
+
+// TestRunRejectsMissingPolicy: Run builds no policy of its own.
+func TestRunRejectsMissingPolicy(t *testing.T) {
+	cfg := basePipelineConfig()
+	cfg.Policy = nil
+	if _, err := Run(cfg); err == nil {
+		t.Error("Run accepted a nil Policy")
+	}
+	cfg = basePipelineConfig()
+	cfg.ChurnAt = 0.5
+	if _, err := Run(cfg); err == nil {
+		t.Error("Run accepted ChurnAt without Churn")
+	}
 }

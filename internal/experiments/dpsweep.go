@@ -100,111 +100,73 @@ type dpScenario struct {
 	expectAlt string
 	// expectMiss: see DPSweepScenario.ExpectMiss.
 	expectMiss bool
-	// build returns the trace set and the first post-onset item ID (0 for
-	// clean scenarios).
-	build func(packets int) (*trace.Set, uint64, error)
+	// cfg is the scenario's pipeline; the onset it sets (ChurnAt, ColdAt
+	// or SkewAt), if any, is dpOnset.
+	cfg dataplane.PipelineConfig
+	// fnslow, if set, dilates route0 synthetically by this factor from
+	// mid-run instead.
+	fnslow float64
 }
 
-// dpRunPipeline runs a pipeline config and returns its trace, insisting
-// the chain stayed truthful — a sweep over a broken matcher would
-// validate nothing.
-func dpRunPipeline(cfg dataplane.PipelineConfig) (*trace.Set, error) {
-	res, err := dataplane.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.VerifyTruth(); err != nil {
-		return nil, err
-	}
-	return res.Set, nil
-}
+const dpOnset = 0.5
 
 // dpScenarios builds the published scenario list over the dpchain spec.
-func dpScenarios() []dpScenario {
-	const onset = 0.5
-	onsetID := func(packets int) uint64 { return uint64(onset*float64(packets)) + 1 }
-
-	cached := func(packets int) dataplane.PipelineConfig {
-		cfg := dpchain.BaseConfig(1, packets)
-		// The cache-warming transient (all-miss start decaying to the
-		// steady hit rate) is real but uninteresting; warm off-trace so
-		// scenarios measure steady state.
-		cfg.Warmup = 256
-		return cfg
-	}
-	uncached := func(packets int) dataplane.PipelineConfig {
-		cfg := dpchain.BaseConfig(1, packets)
-		cfg.CacheEntries = 0
-		cfg.Gen.Flows = 0
-		cfg.Gen.FreshEvery = 0
-		return cfg
-	}
+func dpScenarios() ([]dpScenario, error) {
+	// The cache-warming transient (all-miss start decaying to the steady
+	// hit rate) is real but uninteresting; warm off-trace so scenarios
+	// measure steady state.
+	cached := dpchain.BaseConfig(1, dpSweepPackets)
+	cached.Warmup = 256
+	uncached := dpchain.BaseConfig(1, dpSweepPackets)
+	uncached.CacheEntries = 0
+	uncached.Gen.Flows = 0
+	uncached.Gen.FreshEvery = 0
 	// The fnslow cross-checks dilate route0 synthetically, so they use a
 	// homogeneous all-v4 mix: organic per-packet spread (v6 trie depth,
 	// VLAN parse cost) is the thing being *excluded*, leaving attribution
 	// itself under test.
-	uniform := func(packets int) dataplane.PipelineConfig {
-		cfg := uncached(packets)
-		cfg.Gen.V6Frac = 0
-		cfg.Gen.VLANFrac = 0
-		cfg.Gen.DeepDstFrac = 0
-		return cfg
+	uniform := uncached
+	uniform.Gen.V6Frac, uniform.Gen.VLANFrac, uniform.Gen.DeepDstFrac = 0, 0, 0
+
+	// The policy push: both policies chunk into small tries, so the extra
+	// rules add tries.
+	churn := uncached
+	churn.ChurnAt = dpOnset
+	build := acl.BuildConfig{MaxTries: 8, MaxAtomsPerTrie: 24}
+	var err error
+	if churn.Policy, err = dataplane.NewPolicy(dpchain.Policy(), dpchain.Routes(), build); err != nil {
+		return nil, err
 	}
+	if churn.Churn, err = dataplane.NewPolicy(dpchain.ChurnRules(120), dpchain.Routes(), build); err != nil {
+		return nil, err
+	}
+	cold := cached
+	cold.ColdAt = dpOnset
+	// v6-heavy so the skew moves most packets onto the expensive stride-8
+	// deep walk; a v4 deep route is only one extended probe, too small to
+	// drag the per-item median on its own.
+	skew := uncached
+	skew.Gen.V6Frac = 0.7
+	skew.SkewAt = dpOnset
+	skew.SkewDeepFrac = 0.95
 
 	return []dpScenario{
-		{
-			name: "clean-cached", mechanism: "steady traffic, warm flow cache",
-			build: func(p int) (*trace.Set, uint64, error) {
-				set, err := dpRunPipeline(cached(p))
-				return set, 0, err
-			},
-		},
-		{
-			name: "clean-nocache", mechanism: "steady traffic, every packet walks",
-			build: func(p int) (*trace.Set, uint64, error) {
-				set, err := dpRunPipeline(uncached(p))
-				return set, 0, err
-			},
-		},
+		{name: "clean-cached", mechanism: "steady traffic, warm flow cache", cfg: cached},
+		{name: "clean-nocache", mechanism: "steady traffic, every packet walks", cfg: uncached},
 		{
 			name: "rule-churn", mechanism: "policy push: 120 extra rules, wider walk",
-			expect: dataplane.FnACL,
-			build: func(p int) (*trace.Set, uint64, error) {
-				cfg := uncached(p)
-				cfg.ChurnAt = onset
-				cfg.ChurnRules = dpchain.ChurnRules(120)
-				cfg.Build = acl.BuildConfig{MaxTries: 8, MaxAtomsPerTrie: 24}
-				set, err := dpRunPipeline(cfg)
-				return set, onsetID(p), err
-			},
+			expect: dataplane.FnACL, cfg: churn,
 		},
 		{
 			// A cache hit returns the full cached verdict, skipping classify
 			// AND route; going cold re-exposes both, so either stage is a
 			// correct root cause — acl0 is primary (it gains more).
 			name: "cache-cold", mechanism: "flow cache flushed+disabled mid-run",
-			expect: dataplane.FnACL, expectAlt: dataplane.FnRoute,
-			build: func(p int) (*trace.Set, uint64, error) {
-				cfg := cached(p)
-				cfg.ColdAt = onset
-				set, err := dpRunPipeline(cfg)
-				return set, onsetID(p), err
-			},
+			expect: dataplane.FnACL, expectAlt: dataplane.FnRoute, cfg: cold,
 		},
 		{
-			// v6-heavy so the skew moves most packets onto the expensive
-			// stride-8 deep walk; a v4 deep route is only one extended
-			// probe, too small to drag the per-item median on its own.
 			name: "depth-skew", mechanism: "v6-heavy traffic shifts to deep-route dsts",
-			expect: dataplane.FnRoute,
-			build: func(p int) (*trace.Set, uint64, error) {
-				cfg := uncached(p)
-				cfg.Gen.V6Frac = 0.7
-				cfg.SkewAt = onset
-				cfg.SkewDeepFrac = 0.95
-				set, err := dpRunPipeline(cfg)
-				return set, onsetID(p), err
-			},
+			expect: dataplane.FnRoute, cfg: skew,
 		},
 		{
 			// route0 is ~14% of a uniform item; doubling it shifts the
@@ -213,32 +175,42 @@ func dpScenarios() []dpScenario {
 			// smallest route regression dpsweep documents as NOT caught at
 			// production sensitivity.
 			name: "fnslow-route-2x", mechanism: "synthetic floor marker: route0 ×2",
-			expect: dataplane.FnRoute, expectMiss: true,
-			build: func(p int) (*trace.Set, uint64, error) {
-				return dpFnslow(uniform(p), 2)
-			},
+			expect: dataplane.FnRoute, expectMiss: true, cfg: uniform, fnslow: 2,
 		},
 		{
 			name: "fnslow-route-3x", mechanism: "synthetic cross-check: route0 ×3",
-			expect: dataplane.FnRoute,
-			build: func(p int) (*trace.Set, uint64, error) {
-				return dpFnslow(uniform(p), 3)
-			},
+			expect: dataplane.FnRoute, cfg: uniform, fnslow: 3,
 		},
-	}
+	}, nil
 }
 
-// dpFnslow injects a synthetic route0 dilation into an otherwise clean
-// run and returns the first packet ID whose end falls past the onset.
-func dpFnslow(cfg dataplane.PipelineConfig, factor float64) (*trace.Set, uint64, error) {
-	set, err := dpRunPipeline(cfg)
+// run traces the scenario, insisting the chain stayed truthful — a sweep
+// over a broken matcher would validate nothing — and returns the trace and
+// the first post-onset item ID (0 for clean scenarios).
+func (sc *dpScenario) run() (*trace.Set, uint64, error) {
+	res, err := dataplane.Run(sc.cfg)
 	if err != nil {
 		return nil, 0, err
 	}
+	if err := res.VerifyTruth(); err != nil {
+		return nil, 0, err
+	}
+	if sc.fnslow > 0 {
+		return dpFnslow(res.Set, sc.fnslow)
+	}
+	if sc.cfg.ChurnAt+sc.cfg.ColdAt+sc.cfg.SkewAt > 0 {
+		return res.Set, uint64(dpOnset*dpSweepPackets) + 1, nil
+	}
+	return res.Set, 0, nil
+}
+
+// dpFnslow injects a synthetic route0 dilation into a clean run's trace
+// and returns the first packet ID whose end falls past the onset.
+func dpFnslow(set *trace.Set, factor float64) (*trace.Set, uint64, error) {
 	perturbed, rep := faults.Perturb(set, faults.Plan{
 		FnSlowName:   dataplane.FnRoute,
 		FnSlowFactor: factor,
-		FnSlowAfter:  0.5,
+		FnSlowAfter:  dpOnset,
 	})
 	if rep.FnSlowRuns == 0 {
 		return nil, 0, fmt.Errorf("dpsweep: fnslow ×%g touched nothing", factor)
@@ -259,9 +231,13 @@ func dpFnslow(cfg dataplane.PipelineConfig, factor float64) (*trace.Set, uint64,
 func DPSweep() (*DPSweepResult, error) {
 	dcfg := detect.Config{Source: "dpsweep", MinRelative: dpSweepMinRelative}
 
+	scenarios, err := dpScenarios()
+	if err != nil {
+		return nil, fmt.Errorf("dpsweep: %w", err)
+	}
 	res := &DPSweepResult{}
-	for _, sc := range dpScenarios() {
-		set, onsetID, err := sc.build(dpSweepPackets)
+	for _, sc := range scenarios {
+		set, onsetID, err := sc.run()
 		if err != nil {
 			return nil, fmt.Errorf("dpsweep %s: %w", sc.name, err)
 		}

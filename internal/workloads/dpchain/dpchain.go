@@ -10,7 +10,9 @@ package dpchain
 
 import (
 	"fmt"
+	"sync"
 
+	"repro/internal/acl"
 	"repro/internal/dataplane"
 	"repro/internal/hashx"
 	"repro/internal/lpm"
@@ -102,13 +104,23 @@ func ChurnRules(n int) []dataplane.Rule {
 	return rules
 }
 
+// canonical is the spec compiled once, on first use rather than at
+// package init: a binary that links dpchain but runs no round pays nothing.
+var canonical = sync.OnceValues(func() (*dataplane.Policy, error) {
+	return dataplane.NewPolicy(Policy(), Routes(), acl.BuildConfig{})
+})
+
 // BaseConfig returns the canonical pipeline configuration over the spec:
-// warm flow cache, pooled flows with fresh arrivals, a realistic header
-// mix. Scenario runners override the onset fields.
+// the shared compiled policy, warm flow cache, pooled flows with fresh
+// arrivals, a realistic header mix. Scenario runners override the onset
+// fields.
 func BaseConfig(workers, packets int) dataplane.PipelineConfig {
+	pol, err := canonical()
+	if err != nil {
+		panic(fmt.Sprintf("dpchain: canonical policy: %v", err))
+	}
 	return dataplane.PipelineConfig{
-		Rules:        Policy(),
-		Routes:       Routes(),
+		Policy:       pol,
 		Workers:      workers,
 		Packets:      packets,
 		CacheEntries: 1024,

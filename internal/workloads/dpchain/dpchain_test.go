@@ -48,7 +48,7 @@ func TestPolicyAndRoutes(t *testing.T) {
 	if deep4 == 0 || deep6 == 0 {
 		t.Fatalf("routes deep4=%d deep6=%d, want both nonzero", deep4, deep6)
 	}
-	if _, err := dataplane.NewRouter(rc); err != nil {
+	if _, err := dataplane.NewPolicy(Policy(), rc, acl.BuildConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,5 +97,28 @@ func TestRoundDeterminism(t *testing.T) {
 	}
 	if len(r1) == 0 {
 		t.Fatal("empty report")
+	}
+}
+
+// BenchmarkDPChainRound times one serve-sized round: 300 packets on two
+// cores against the canonical policy, compiled once for every round.
+func BenchmarkDPChainRound(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Round(300); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewPolicy times the control-plane side a rule push pays:
+// compiling the spec's rules and building both route tables.
+func BenchmarkNewPolicy(b *testing.B) {
+	rules, routes := Policy(), Routes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := dataplane.NewPolicy(rules, routes, acl.BuildConfig{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
