@@ -53,6 +53,10 @@ type Aggregator struct {
 
 	ckptMu   sync.Mutex       // serializes checkpoint file writes
 	ckptFile durable.JSONFile // the checkpoint's kept buffer; guarded by ckptMu
+	// The checkpoint's row slices, kept beside ckptFile for the next
+	// checkpoint and cleared after each; guarded by ckptMu.
+	ckptShards []checkpointShard
+	ckptRows   []checkpointSource
 
 	lastMergeNano atomic.Int64 // unix nanos of the most recent applied summary
 

@@ -66,13 +66,18 @@ func (a *Aggregator) Checkpoint() error {
 	a.ckptMu.Lock()
 	defer a.ckptMu.Unlock()
 
-	file := checkpointFile{Version: checkpointVersion}
+	file := checkpointFile{Version: checkpointVersion, Shards: a.ckptShards[:0], Sources: a.ckptRows[:0]}
+	defer func() {
+		// Keep the slices, not what they hold: a payload replaced since
+		// must not stay alive here.
+		clear(file.Shards)
+		clear(file.Sources)
+		a.ckptShards, a.ckptRows = file.Shards[:0], file.Sources[:0]
+	}()
 	a.mu.Lock()
-	file.Shards = make([]checkpointShard, 0, len(a.shards))
 	for id, wm := range a.shards {
 		file.Shards = append(file.Shards, checkpointShard{ID: id, Epoch: wm.Epoch, LastAcked: wm.Settled})
 	}
-	file.Sources = make([]checkpointSource, 0, len(a.sources))
 	for id, s := range a.sources {
 		// The payloads are replaced wholesale, never mutated, so sharing
 		// them with the live state is safe.

@@ -203,8 +203,14 @@ func (c *Collector) Checkpoint() error {
 	// already acked against.
 	c.ckptMu.Lock()
 	defer c.ckptMu.Unlock()
-	srcs := c.sourceList()
-	file := checkpointFile{Version: checkpointVersion, Sources: make([]checkpointSource, 0, len(srcs))}
+	srcs, rows := c.appendSources(c.ckptSrcs[:0]), c.ckptRows[:0]
+	defer func() {
+		// Keep the slices, not what they hold: a source removed or a
+		// payload replaced since must not stay alive here.
+		clear(srcs)
+		clear(rows)
+		c.ckptSrcs, c.ckptRows = srcs[:0], rows[:0]
+	}()
 	for _, s := range srcs {
 		// The apply mutex waits out an apply in flight: a set settles before
 		// its OnSummary tap runs, and a restore from a snapshot between the
@@ -212,12 +218,14 @@ func (c *Collector) Checkpoint() error {
 		// emitting its summary.
 		s.applyMu.Lock()
 		s.mu.Lock()
+		// redirect is shared, not copied: handoff.go only ever replaces
+		// it whole.
 		row := checkpointSource{
 			ID:            s.ID,
 			SourceState:   s.stateLocked(),
 			Internal:      s.internal,
 			HandedOff:     s.handedOff,
-			Redirect:      append([]string(nil), s.redirect...),
+			Redirect:      s.redirect,
 			Imported:      s.imported,
 			ImportedEpoch: s.importedEpoch,
 			ImportedSeq:   s.importedSeq,
@@ -228,12 +236,12 @@ func (c *Collector) Checkpoint() error {
 		if encErr != nil {
 			return fmt.Errorf("collector: checkpoint: source %q: items: %w", s.ID, encErr)
 		}
-		file.Sources = append(file.Sources, row)
+		rows = append(rows, row)
 	}
 	// Rows in ID order: one state always writes the same bytes.
-	slices.SortFunc(file.Sources, func(x, y checkpointSource) int { return cmp.Compare(x.ID, y.ID) })
+	slices.SortFunc(rows, func(x, y checkpointSource) int { return cmp.Compare(x.ID, y.ID) })
 
-	if err := c.ckptFile.Write(c.cfg.CheckpointPath, file); err != nil {
+	if err := c.ckptFile.Write(c.cfg.CheckpointPath, checkpointFile{Version: checkpointVersion, Sources: rows}); err != nil {
 		return fmt.Errorf("collector: checkpoint: %w", err)
 	}
 	c.metCkpts.Inc()

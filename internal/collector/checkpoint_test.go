@@ -124,7 +124,7 @@ func restoredDiff(a, b *Collector) string {
 }
 
 func sortedSources(c *Collector) []*Source {
-	srcs := c.sourceList()
+	srcs := c.appendSources(nil)
 	slices.SortFunc(srcs, func(x, y *Source) int { return strings.Compare(x.ID, y.ID) })
 	return srcs
 }

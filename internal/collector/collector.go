@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,6 +91,10 @@ type Collector struct {
 
 	ckptMu   sync.Mutex       // serializes checkpoint file writes
 	ckptFile durable.JSONFile // the checkpoint's kept buffer; guarded by ckptMu
+	// The checkpoint's source and row slices, kept beside ckptFile for the
+	// next checkpoint and cleared after each; guarded by ckptMu.
+	ckptSrcs []*Source
+	ckptRows []checkpointSource
 
 	// Drain/import lifecycle (guarded by mu; see handoff.go). draining
 	// tracks this collector's own planned departure; imports tracks
@@ -305,15 +310,15 @@ func (c *Collector) Source(id string) *Source {
 	return c.sources[id]
 }
 
-// sourceList returns every source, in no particular order.
-func (c *Collector) sourceList() []*Source {
+// appendSources appends every source to dst, in no particular order.
+func (c *Collector) appendSources(dst []*Source) []*Source {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	srcs := make([]*Source, 0, len(c.sources))
+	dst = slices.Grow(dst, len(c.sources))
 	for _, s := range c.sources {
-		srcs = append(srcs, s)
+		dst = append(dst, s)
 	}
-	return srcs
+	return dst
 }
 
 // CloseConns severs every live shipper connection: the crash harness's
@@ -326,7 +331,7 @@ func (c *Collector) CloseConns() { c.rx.CloseConns() }
 func (c *Collector) Close() error {
 	c.closed.Store(true)
 	c.CloseConns()
-	for _, s := range c.sourceList() {
+	for _, s := range c.appendSources(nil) {
 		s.applyMu.Lock() // the apply in flight returns; the next one sees closed
 		s.applyMu.Unlock()
 	}
@@ -343,7 +348,7 @@ func (c *Collector) Close() error {
 // whose imbalance row reads it.
 func (c *Collector) ShardLoad() []uint64 {
 	var total uint64
-	for _, s := range c.sourceList() {
+	for _, s := range c.appendSources(nil) {
 		s.mu.Lock()
 		total += s.frames
 		s.mu.Unlock()

@@ -136,7 +136,7 @@ func MergeFleet(topK int, rows []SourceRow) FleetView {
 
 // Fleet assembles the current fleet view.
 func (c *Collector) Fleet() FleetView {
-	srcs := c.sourceList()
+	srcs := c.appendSources(nil)
 	rows := make([]SourceRow, 0, len(srcs))
 	for _, s := range srcs {
 		if s.internal {
