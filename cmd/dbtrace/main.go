@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 
@@ -23,33 +25,44 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "dbtrace:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the report to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("dbtrace", flag.ContinueOnError)
 	var (
-		queries = flag.Int("queries", 4000, "queries to run")
-		workers = flag.Int("workers", 2, "worker threads (one core each)")
-		reset   = flag.Uint64("reset", 2000, "PEBS reset value R")
-		budget  = flag.Float64("budget", 0, "overhead budget (fraction); when set, a calibration sweep picks R")
-		seed    = flag.Uint64("seed", 2026, "workload mix seed")
-		slowest = flag.Int("slowest", 10, "slowest queries to break down")
+		queries = fs.Int("queries", 4000, "queries to run")
+		workers = fs.Int("workers", 2, "worker threads (one core each)")
+		reset   = fs.Uint64("reset", 2000, "PEBS reset value R")
+		budget  = fs.Float64("budget", 0, "overhead budget (fraction); when set, a calibration sweep picks R")
+		seed    = fs.Uint64("seed", 2026, "workload mix seed")
+		slowest = fs.Int("slowest", 10, "slowest queries to break down")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	r := *reset
 	if *budget > 0 {
 		var err error
 		r, err = planReset(*workers, *seed, *budget)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("calibration chose R=%d for a %.1f%% overhead budget\n\n", r, *budget*100)
+		fmt.Fprintf(w, "calibration chose R=%d for a %.1f%% overhead budget\n\n", r, *budget*100)
 	}
 
 	res, err := dbsim.Run(dbsim.Config{Workers: *workers, Reset: r}, dbsim.Mix(*queries, *seed))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	a, err := core.Integrate(res.Set, core.Options{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	ids := res.SlowestFirst()
@@ -58,8 +71,8 @@ func main() {
 		us[i] = res.CyclesToMicros(res.Stats[id].Cycles)
 	}
 	s := stats.Summarize(us)
-	fmt.Printf("%d queries on %d workers at R=%d:\n", *queries, *workers, r)
-	fmt.Printf("  mean %.1f us  stddev %.1f us (%.1fx mean)  p50 %.1f  p99 %.1f us\n\n",
+	fmt.Fprintf(w, "%d queries on %d workers at R=%d:\n", *queries, *workers, r)
+	fmt.Fprintf(w, "  mean %.1f us  stddev %.1f us (%.1fx mean)  p50 %.1f  p99 %.1f us\n\n",
 		s.Mean, s.Stddev, s.Stddev/s.Mean, s.P50, s.P99)
 
 	tbl := report.Table{
@@ -84,7 +97,7 @@ func main() {
 			report.F(res.CyclesToMicros(st.Cycles), 1), topName, report.F(topUs, 1),
 			report.I(st.Misses), boolMark(st.Fsynced), boolMark(st.Checkpointed))
 	}
-	tbl.Render(os.Stdout)
+	tbl.Render(w)
 
 	fr := report.Table{
 		Title:   "\nper-function fluctuation ranking",
@@ -94,7 +107,8 @@ func main() {
 		fr.AddRow(row.Fn.Name, report.F(row.PerItemUs.Mean, 2), report.F(row.PerItemUs.Max, 2),
 			report.F(row.FluctuationRatio, 1), fmt.Sprintf("%d/%d", row.EstimableItems, row.TotalItems))
 	}
-	fr.Render(os.Stdout)
+	fr.Render(w)
+	return nil
 }
 
 // planReset runs a small calibration sweep of the same engine and fits a
@@ -156,9 +170,4 @@ func boolMark(b bool) string {
 		return "yes"
 	}
 	return ""
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dbtrace:", err)
-	os.Exit(1)
 }

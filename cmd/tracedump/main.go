@@ -24,6 +24,7 @@ package main
 
 import (
 	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,97 +39,113 @@ import (
 	"repro/internal/trace"
 )
 
-// writeSpans stops tracing and dumps the collected spans.
-func writeSpans(path string) {
-	tr := obs.StopTracing()
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := tr.WriteTrace(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d spans)\n", path, len(tr.Events()))
-}
+// errUsage is returned when no trace file is named.
+var errUsage = errors.New("usage: tracedump [flags] <trace file> [more trace files...]")
 
 func main() {
-	var (
-		items      = flag.Int("items", 10, "per-item rows to print (0 = none)")
-		profile    = flag.Bool("profile", false, "print the averaged whole-run profile")
-		functions  = flag.Bool("functions", false, "print the per-function fluctuation report")
-		exclude    = flag.Bool("exclude-boundaries", false, "exclude samples exactly on marker timestamps")
-		csvOut     = flag.String("csv", "", "export markers+samples as CSV to <prefix>-markers.csv / <prefix>-samples.csv")
-		jsonlOut   = flag.String("jsonl", "", "export all events as JSON Lines to this file")
-		faultsSpec = flag.String("faults", "", "inject faults before analysis, e.g. 'seed=7,loss=0.1,burst=32,mdrop=0.02,mdup=0.01,skew=500,reorder=16,trunc=0.9'")
-		faultsOut  = flag.String("faults-out", "", "write the (possibly perturbed) trace to this file")
-		gaps       = flag.Bool("gaps", false, "print the per-core gap/degradation summary")
-		verdicts   = flag.Bool("verdicts", false, "replay the items through the online fluctuation detector and print every verdict (offline root-cause pass)")
-		spansOut   = flag.String("spans", "", "trace the tracer: write the analyzer's own spans as Chrome trace_event JSON to this file (load in chrome://tracing or Perfetto)")
-	)
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracedump [flags] <trace file> [more trace files...]")
+	err := run(os.Stdout, os.Args[1:])
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "tracedump:", err)
+		os.Exit(1)
+	}
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// run parses args and writes the report to w.
+func run(w io.Writer, args []string) (err error) {
+	flags := flag.NewFlagSet("tracedump", flag.ContinueOnError)
+	var (
+		items      = flags.Int("items", 10, "per-item rows to print (0 = none)")
+		profile    = flags.Bool("profile", false, "print the averaged whole-run profile")
+		functions  = flags.Bool("functions", false, "print the per-function fluctuation report")
+		exclude    = flags.Bool("exclude-boundaries", false, "exclude samples exactly on marker timestamps")
+		csvOut     = flags.String("csv", "", "export markers+samples as CSV to <prefix>-markers.csv / <prefix>-samples.csv")
+		jsonlOut   = flags.String("jsonl", "", "export all events as JSON Lines to this file")
+		faultsSpec = flags.String("faults", "", "inject faults before analysis, e.g. 'seed=7,loss=0.1,burst=32,mdrop=0.02,mdup=0.01,skew=500,reorder=16,trunc=0.9'")
+		faultsOut  = flags.String("faults-out", "", "write the (possibly perturbed) trace to this file")
+		gaps       = flags.Bool("gaps", false, "print the per-core gap/degradation summary")
+		verdicts   = flags.Bool("verdicts", false, "replay the items through the online fluctuation detector and print every verdict (offline root-cause pass)")
+		spansOut   = flags.String("spans", "", "trace the tracer: write the analyzer's own spans as Chrome trace_event JSON to this file (load in chrome://tracing or Perfetto)")
+	)
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
+	if flags.NArg() < 1 {
+		return errUsage
 	}
 	if *spansOut != "" {
 		// Start before the first Decode so every analyzer phase — decode,
 		// merge, gap scan, shard fan-out — lands on the timeline.
 		obs.StartTracing()
-		defer writeSpans(*spansOut)
+		defer func() {
+			tr := obs.StopTracing()
+			if werr := writeFile(*spansOut, tr.WriteTrace); werr != nil {
+				err = cmp.Or(err, werr)
+				return
+			}
+			fmt.Fprintf(w, "wrote %s (%d spans)\n", *spansOut, len(tr.Events()))
+		}()
 	}
 	// Multiple files (e.g. per-core dumps) are merged before analysis.
-	sets := make([]*trace.Set, 0, flag.NArg())
-	for _, path := range flag.Args() {
+	sets := make([]*trace.Set, 0, flags.NArg())
+	for _, path := range flags.Args() {
 		f, err := os.Open(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		s, err := trace.Decode(f)
 		f.Close()
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		sets = append(sets, s)
 	}
 	set, err := trace.Merge(sets...)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("trace: %d markers, %d samples, %d symbols, TSC %d Hz\n\n",
+	fmt.Fprintf(w, "trace: %d markers, %d samples, %d symbols, TSC %d Hz\n\n",
 		len(set.Markers), len(set.Samples), symCount(set), set.FreqHz)
 
 	opts := core.Options{ExcludeBoundaries: *exclude}
 	if *faultsSpec != "" {
 		plan, err := faults.ParsePlan(*faultsSpec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var rep faults.Report
 		set, rep = faults.Perturb(set, plan)
-		fmt.Printf("%s\n", rep)
-		fmt.Printf("degraded trace: %d markers, %d samples remain\n\n", len(set.Markers), len(set.Samples))
+		fmt.Fprintf(w, "%s\n", rep)
+		fmt.Fprintf(w, "degraded trace: %d markers, %d samples remain\n\n", len(set.Markers), len(set.Samples))
 	}
 	if *faultsOut != "" {
-		f, err := os.Create(*faultsOut)
-		if err != nil {
-			fatal(err)
+		if err := writeFile(*faultsOut, set.Encode); err != nil {
+			return err
 		}
-		if err := set.Encode(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *faultsOut)
+		fmt.Fprintf(w, "wrote %s\n\n", *faultsOut)
 	}
 
 	g := set.GapSummary(opts.Event)
 	if *gaps || g.Degraded() {
-		fmt.Printf("%s\n", g)
+		fmt.Fprintf(w, "%s\n", g)
 		if *gaps {
 			t := report.Table{
 				Title:   "per-core stream health",
@@ -140,14 +157,14 @@ func main() {
 					report.I(c.SuspectBursts), report.I(c.EstLostSamples),
 					fmt.Sprintf("%d/%d", c.BeginMarkers, c.EndMarkers))
 			}
-			t.Render(os.Stdout)
+			t.Render(w)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	a, err := core.Integrate(set, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var confSum float64
 	for i := range a.Items {
@@ -157,7 +174,7 @@ func main() {
 	if len(a.Items) > 0 {
 		meanConf = confSum / float64(len(a.Items))
 	}
-	fmt.Printf("items: %d   mean confidence: %.3f   unattributed samples: %d   unresolved: %d   marker anomalies: %d (repaired: %d)\n\n",
+	fmt.Fprintf(w, "items: %d   mean confidence: %.3f   unattributed samples: %d   unresolved: %d   marker anomalies: %d (repaired: %d)\n\n",
 		len(a.Items), meanConf, a.Diag.UnattributedSamples, a.Diag.UnresolvedSamples,
 		a.Diag.OrphanEndMarkers+a.Diag.ReopenedItems+a.Diag.UnclosedItems,
 		a.Diag.RepairedMarkers)
@@ -189,7 +206,7 @@ func main() {
 					report.F(a.CyclesToMicros(fs.Cycles()), 2), report.I(fs.Samples))
 			}
 		}
-		t.Render(os.Stdout)
+		t.Render(w)
 	}
 
 	if *functions {
@@ -203,11 +220,13 @@ func main() {
 				report.F(row.PerItemUs.Max, 2), report.F(row.FluctuationRatio, 2),
 				fmt.Sprintf("%d/%d", row.EstimableItems, row.TotalItems))
 		}
-		t.Render(os.Stdout)
+		t.Render(w)
 	}
 
 	if *verdicts {
-		dumpVerdicts(a)
+		if err := dumpVerdicts(w, a); err != nil {
+			return err
+		}
 	}
 
 	if *csvOut != "" {
@@ -219,37 +238,23 @@ func main() {
 			{"-markers.csv", set.ExportMarkersCSV},
 			{"-samples.csv", set.ExportSamplesCSV},
 		} {
-			f, err := os.Create(*csvOut + out.suffix)
-			if err != nil {
-				fatal(err)
+			if err := writeFile(*csvOut+out.suffix, out.export); err != nil {
+				return err
 			}
-			if err := out.export(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *csvOut+out.suffix)
+			fmt.Fprintf(w, "wrote %s\n", *csvOut+out.suffix)
 		}
 	}
 	if *jsonlOut != "" {
-		f, err := os.Create(*jsonlOut)
-		if err != nil {
-			fatal(err)
+		if err := writeFile(*jsonlOut, set.ExportJSONL); err != nil {
+			return err
 		}
-		if err := set.ExportJSONL(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonlOut)
+		fmt.Fprintf(w, "wrote %s\n", *jsonlOut)
 	}
 
 	if *profile {
 		prof, err := core.Profile(set, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		t := report.Table{
 			Title:   "\naveraged profile (whole run)",
@@ -259,8 +264,9 @@ func main() {
 			t.AddRow(e.Fn.Name, report.I(e.Samples),
 				report.F(e.Share*100, 1)+"%", report.F(prof.CyclesToMicros(e.EstCycles), 1))
 		}
-		t.Render(os.Stdout)
+		t.Render(w)
 	}
+	return nil
 }
 
 // dumpVerdicts replays the integrated items through the online detector
@@ -268,7 +274,7 @@ func main() {
 // and prints the full verdict history plus the lifecycle counters. The
 // offline twin of `fluctd -detect`; what it prints for a trace is exactly
 // what the collector's /verdicts would have shown over it.
-func dumpVerdicts(a *core.Analysis) {
+func dumpVerdicts(w io.Writer, a *core.Analysis) error {
 	var hist []detect.Verdict
 	det, err := detect.New(detect.Config{
 		Source:    "tracedump",
@@ -277,7 +283,7 @@ func dumpVerdicts(a *core.Analysis) {
 		Registry:  obs.NewRegistry(), // keep the replay out of the default metrics
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	items := append([]core.Item(nil), a.Items...)
 	slices.SortStableFunc(items, func(x, y core.Item) int {
@@ -291,11 +297,11 @@ func dumpVerdicts(a *core.Analysis) {
 	}
 
 	st := det.Stats()
-	fmt.Printf("\ndetector: %d items, %d change events (%d resolved, %d false resets), %d verdicts, %d still active\n",
+	fmt.Fprintf(w, "\ndetector: %d items, %d change events (%d resolved, %d false resets), %d verdicts, %d still active\n",
 		st.Items, st.Changepoints, st.Resolved, st.FalseResets, st.Verdicts, st.Active)
 	if len(hist) == 0 {
-		fmt.Println("no fluctuation verdicts: the per-item latency series has no sustained shift")
-		return
+		fmt.Fprintln(w, "no fluctuation verdicts: the per-item latency series has no sustained shift")
+		return nil
 	}
 	t := report.Table{
 		Title:   "fluctuation verdicts (rank 0 = strongest cause per event)",
@@ -306,7 +312,8 @@ func dumpVerdicts(a *core.Analysis) {
 			report.F(float64(v.DeltaNs)/1e3, 1), report.F(v.Score, 1),
 			fmt.Sprintf("%d..%d", v.Window.FirstItem, v.Window.LastItem), report.U(v.Item))
 	}
-	t.Render(os.Stdout)
+	t.Render(w)
+	return nil
 }
 
 func symCount(s *trace.Set) int {
@@ -314,9 +321,4 @@ func symCount(s *trace.Set) int {
 		return 0
 	}
 	return s.Syms.Len()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracedump:", err)
-	os.Exit(1)
 }
