@@ -62,15 +62,18 @@ type LevelStats struct {
 	Misses   uint64
 }
 
+// line is one way of a set. used is the LRU timestamp and 0 marks an
+// invalid line: tick is incremented before every use, and flush zeroes
+// lines without resetting it.
 type line struct {
-	tag   uint64
-	valid bool
-	used  uint64 // LRU timestamp
+	tag  uint64
+	used uint64
 }
 
+// level holds its sets back to back: set s is lines[s*Ways : (s+1)*Ways].
 type level struct {
 	cfg   LevelConfig
-	sets  [][]line
+	lines []line
 	tick  uint64
 	stats LevelStats
 }
@@ -82,46 +85,38 @@ func newLevel(cfg LevelConfig) (*level, error) {
 	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: level %q line size %d not a power of two", cfg.Name, cfg.LineBytes)
 	}
-	sets := make([][]line, cfg.Sets)
-	backing := make([]line, cfg.Sets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	return &level{cfg: cfg, sets: sets, stats: LevelStats{Name: cfg.Name}}, nil
+	return &level{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways), stats: LevelStats{Name: cfg.Name}}, nil
 }
 
 // access returns true on hit, installing the line (write-allocate,
-// LRU-evict) on miss.
+// LRU-evict) on miss. The victim is the last invalid way, else the least
+// recently used one: valid lines' timestamps are distinct and above an
+// invalid line's 0, so a later invalid way wins an equal compare and a
+// valid way wins only a strictly older one.
 func (l *level) access(addr uint64) bool {
 	l.tick++
 	l.stats.Accesses++
 	lineAddr := addr / l.cfg.LineBytes
-	set := l.sets[lineAddr%uint64(l.cfg.Sets)]
+	ways := uint64(l.cfg.Ways)
+	first := lineAddr % uint64(l.cfg.Sets) * ways
+	set := l.lines[first : first+ways]
 	tag := lineAddr / uint64(l.cfg.Sets)
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].used != 0 && set[i].tag == tag {
 			set[i].used = l.tick
 			return true
 		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].used < set[victim].used {
+		if set[i].used <= set[victim].used {
 			victim = i
 		}
 	}
 	l.stats.Misses++
-	set[victim] = line{tag: tag, valid: true, used: l.tick}
+	set[victim] = line{tag: tag, used: l.tick}
 	return false
 }
 
-func (l *level) flush() {
-	for _, set := range l.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
-}
+func (l *level) flush() { clear(l.lines) }
 
 // Hierarchy is one core's cache stack. It is not safe for concurrent use;
 // the simulator gives each core a private hierarchy (see DESIGN.md for why

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // setStride returns an address stride that maps consecutive lines onto
 // the same set at every level of cfg (the LCM of the set counts, which
@@ -124,5 +127,78 @@ func TestVictimSelectionPrefersInvalid(t *testing.T) {
 	}
 	if res := h.Access(1 * 64); res.HitLevel != 1 {
 		t.Errorf("line 1 survived eviction (hit level %d), want it chosen as LRU victim", res.HitLevel)
+	}
+}
+
+// refLine and refLevel are the cache level as first written, a valid flag
+// beside each line, kept as the oracle for the packed lines' victim choice.
+type refLine struct {
+	tag   uint64
+	valid bool
+	used  uint64
+}
+
+type refLevel struct {
+	sets  [][]refLine
+	nsets uint64
+	tick  uint64
+}
+
+func (l *refLevel) access(lineAddr uint64) bool {
+	l.tick++
+	set := l.sets[lineAddr%l.nsets]
+	tag := lineAddr / l.nsets
+	victim := 0
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			set[i].used = l.tick
+			return true
+		}
+		if !set[i].valid {
+			victim = i
+		} else if set[victim].valid && set[i].used < set[victim].used {
+			victim = i
+		}
+	}
+	set[victim] = refLine{tag: tag, valid: true, used: l.tick}
+	return false
+}
+
+// TestVictimMatchesValidFlagModel: over random accesses with flushes in
+// between, a level agrees with the valid-flag model on every hit and miss
+// and holds every line in the same way.
+func TestVictimMatchesValidFlagModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, shape := range [][2]int{{1, 4}, {2, 2}, {4, 3}, {8, 11}} {
+		cfg := LevelConfig{Name: "L", Sets: shape[0], Ways: shape[1], LineBytes: 64, HitLatency: 1}
+		l, err := newLevel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &refLevel{sets: make([][]refLine, cfg.Sets), nsets: uint64(cfg.Sets)}
+		for i := range ref.sets {
+			ref.sets[i] = make([]refLine, cfg.Ways)
+		}
+		span := uint64(cfg.Sets * cfg.Ways * 3)
+		for n := 0; n < 20000; n++ {
+			if rng.Intn(500) == 0 {
+				l.flush()
+				for _, set := range ref.sets {
+					clear(set)
+				}
+			}
+			line := uint64(rng.Int63n(int64(span)))
+			if got, want := l.access(line*64), ref.access(line); got != want {
+				t.Fatalf("%v: access %d (line %d): hit %v, model %v", shape, n, line, got, want)
+			}
+		}
+		for s, set := range ref.sets {
+			for w, rl := range set {
+				got := l.lines[s*cfg.Ways+w]
+				if (got.used != 0) != rl.valid || rl.valid && (got.tag != rl.tag || got.used != rl.used) {
+					t.Fatalf("%v: set %d way %d holds %+v, model %+v", shape, s, w, got, rl)
+				}
+			}
+		}
 	}
 }
