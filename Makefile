@@ -64,7 +64,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkHandoffTransfer' -benchmem -count 1 ./internal/collector
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorHand|BenchmarkAggregatorFleet|BenchmarkAggregatorCheckpoint' -benchmem -count 1 ./internal/agg
 	$(GO) test -run '^$$' -bench 'BenchmarkDataplane' -benchmem -count 1 ./internal/dataplane
-	$(GO) test -run '^$$' -bench 'BenchmarkDPChainRound|BenchmarkNewPolicy' -benchmem -count 1 ./internal/workloads/dpchain
+	$(GO) test -run '^$$' -bench 'BenchmarkDPChainRound|BenchmarkNewPolicy|BenchmarkDPChainOffline' -benchmem -count 1 ./internal/workloads/dpchain
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifyPaperType' -benchmem -count 1 ./internal/acl
 
 loc:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/workloads/qapp"
@@ -53,5 +54,28 @@ func TestFunctionReportSteadyFunctionLowRatio(t *testing.T) {
 		if r.FluctuationRatio > 1.3 {
 			t.Errorf("steady function %s has ratio %.2f", r.Fn.Name, r.FluctuationRatio)
 		}
+	}
+}
+
+// TestFunctionReportSeriesAllocatedOnce: FunctionReport allocates each
+// function's per-item series once, at len(a.Items), and sorts it in place
+// for the percentiles, so what it allocates stays within one series per
+// function plus a small fixed part; growing each series by append and
+// sorting a copy of it cost about three.
+func TestFunctionReportSeriesAllocatedOnce(t *testing.T) {
+	set, _ := runGroundTruth(t, 800, 2000, 2000, 2000)
+	a, err := Integrate(set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := FunctionReport(a)
+	series := uint64(len(rows)) * uint64(len(a.Items)) * 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	FunctionReport(a)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, series*11/10+4<<10; got > limit {
+		t.Errorf("FunctionReport over %d items and %d functions allocated %d bytes, want ≤ %d (one series each)",
+			len(a.Items), len(rows), got, limit)
 	}
 }

@@ -121,7 +121,7 @@ func oracleIntegrateCore(sh shard, syms *symtab.Table, opts Options) coreResult 
 	slices.SortStableFunc(ivs, func(a, b oracleInterval) int { return cmp.Compare(a.begin, b.begin) })
 
 	if n := len(sh.samples); n >= 2 {
-		r.meanGap = float64(sh.samples[n-1].tsc-sh.samples[0].tsc) / float64(n-1)
+		r.meanGap = float64(sh.samples[n-1].TSC-sh.samples[0].TSC) / float64(n-1)
 		r.hasGap = true
 	}
 	r.items = make([]Item, len(ivs))
@@ -134,22 +134,22 @@ func oracleIntegrateCore(sh shard, syms *symtab.Table, opts Options) coreResult 
 	k := 0
 	for i := range sh.samples {
 		s := &sh.samples[i]
-		for k < len(ivs) && !oracleIn(s.tsc, ivs[k], opts.ExcludeBoundaries) && oracleAfter(s.tsc, ivs[k], opts.ExcludeBoundaries) {
+		for k < len(ivs) && !oracleIn(s.TSC, ivs[k], opts.ExcludeBoundaries) && oracleAfter(s.TSC, ivs[k], opts.ExcludeBoundaries) {
 			k++
 		}
-		if k >= len(ivs) || !oracleIn(s.tsc, ivs[k], opts.ExcludeBoundaries) {
+		if k >= len(ivs) || !oracleIn(s.TSC, ivs[k], opts.ExcludeBoundaries) {
 			r.diag.UnattributedSamples++
 			continue
 		}
 		b := &r.items[k]
 		b.SampleCount++
-		fn := res.Resolve(s.ip)
+		fn := res.Resolve(s.IP)
 		if fn == nil {
 			b.UnresolvedSamples++
 			r.diag.UnresolvedSamples++
 			continue
 		}
-		attachSample(b, fn, s.tsc)
+		attachSample(b, fn, s.TSC)
 	}
 	// Pass 3: grade each reconstruction.
 	for i := range r.items {

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"cmp"
 	"runtime"
 	"slices"
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/pmu"
 	"repro/internal/symtab"
 	"repro/internal/trace"
 )
@@ -22,28 +22,12 @@ import (
 // function runs either way; only the scheduling differs.
 
 // shard is one core's slice of the trace: markers sorted by (TSC, kind)
-// with End before Begin at equal instants, samples filtered to the
-// integrated event and sorted by TSC.
+// with End before Begin at equal instants, samples of the integrated event
+// sorted by TSC. Both may alias the caller's set and are only read.
 type shard struct {
 	core    int32
 	markers []trace.Marker
-	samples []sampleRef
-}
-
-// sampleRef is what integration reads of a pmu.Sample: sorting and sweeping
-// 24-byte refs leaves the 32-byte records, register pointer and event
-// included, where they are.
-type sampleRef struct {
-	tsc, ip uint64
-	core    int32
-}
-
-// sampleOrder orders refs by (core, TSC).
-func sampleOrder(a, b sampleRef) int {
-	if c := cmp.Compare(a.core, b.core); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.tsc, b.tsc)
+	samples []pmu.Sample
 }
 
 // coreResult is one shard's integration output. diag holds only this
@@ -58,30 +42,35 @@ type coreResult struct {
 
 // shardByCore groups the trace's markers and samples into per-core shards,
 // sorted by core. Samples of other hardware events are dropped here and
-// counted into diag, so shard workers never see them. The input set is not
-// mutated.
+// counted into diag, so shard workers never see them. The input set is
+// never written.
+//
+// A stable sort of sorted input is the identity, so a stream already in
+// (core, TSC) order — as MarkerLog.Markers, pmu.MergeSamples and Decode
+// hand a run's streams over — is cut into shards in place. Only a
+// reordered or skewed stream, or a sample stream holding another event,
+// is copied once: filtered, then stable-sorted.
 func shardByCore(set *trace.Set, opts Options, diag *Diagnostics) []shard {
-	// A stable sort of sorted input is the identity, so each sort is
-	// skipped when its input is already in order: MarkerLog.Markers and
-	// pmu.MergeSamples hand a run's streams over that way, and only a
-	// reordered or skewed set pays for the sort.
-	ms := make([]trace.Marker, len(set.Markers))
-	copy(ms, set.Markers)
+	ms := set.Markers
 	if !slices.IsSortedFunc(ms, trace.MarkerOrder) {
+		ms = slices.Clone(ms)
 		slices.SortStableFunc(ms, trace.MarkerOrder)
 	}
 
-	ss := make([]sampleRef, 0, len(set.Samples))
-	for i := range set.Samples {
-		s := &set.Samples[i]
-		if s.Event != opts.Event {
-			diag.IgnoredEventSamples++
-			continue
+	ss := set.Samples
+	if !slices.IsSortedFunc(ss, trace.SampleOrder) ||
+		slices.ContainsFunc(ss, func(s pmu.Sample) bool { return s.Event != opts.Event }) {
+		ss = make([]pmu.Sample, 0, len(set.Samples))
+		for i := range set.Samples {
+			if set.Samples[i].Event != opts.Event {
+				diag.IgnoredEventSamples++
+				continue
+			}
+			ss = append(ss, set.Samples[i])
 		}
-		ss = append(ss, sampleRef{tsc: s.TSC, ip: s.IP, core: s.Core})
-	}
-	if !slices.IsSortedFunc(ss, sampleOrder) {
-		slices.SortStableFunc(ss, sampleOrder)
+		if !slices.IsSortedFunc(ss, trace.SampleOrder) {
+			slices.SortStableFunc(ss, trace.SampleOrder)
+		}
 	}
 
 	// Both slices are now core-major; walk them in lockstep cutting one
@@ -92,11 +81,11 @@ func shardByCore(set *trace.Set, opts Options, diag *Diagnostics) []shard {
 		var core int32
 		switch {
 		case mi >= len(ms):
-			core = ss[si].core
+			core = ss[si].Core
 		case si >= len(ss):
 			core = ms[mi].Core
 		default:
-			core = min(ms[mi].Core, ss[si].core)
+			core = min(ms[mi].Core, ss[si].Core)
 		}
 		sh := shard{core: core}
 		m0 := mi
@@ -105,7 +94,7 @@ func shardByCore(set *trace.Set, opts Options, diag *Diagnostics) []shard {
 		}
 		sh.markers = ms[m0:mi]
 		s0 := si
-		for si < len(ss) && ss[si].core == core {
+		for si < len(ss) && ss[si].Core == core {
 			si++
 		}
 		sh.samples = ss[s0:si]
@@ -165,7 +154,7 @@ func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
 	defer sp.End()
 	r := coreResult{core: sh.core}
 	if n := len(sh.samples); n >= 2 {
-		r.meanGap = float64(sh.samples[n-1].tsc-sh.samples[0].tsc) / float64(n-1)
+		r.meanGap = float64(sh.samples[n-1].TSC-sh.samples[0].TSC) / float64(n-1)
 		r.hasGap = true
 	}
 
@@ -189,10 +178,10 @@ func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
 	for _, m := range sh.markers {
 		for ; si < len(sh.samples) && b.opened <= keep; si++ {
 			s := &sh.samples[si]
-			if s.tsc > m.TSC || s.tsc == m.TSC && (p.cur == nil || opts.ExcludeBoundaries) {
+			if s.TSC > m.TSC || s.TSC == m.TSC && (p.cur == nil || opts.ExcludeBoundaries) {
 				break
 			}
-			p.sample(s.tsc, s.ip, res, opts.ExcludeBoundaries, &r.diag)
+			p.sample(s.TSC, s.IP, res, opts.ExcludeBoundaries, &r.diag)
 		}
 		p.marker(m, &r.diag, &b)
 	}

@@ -137,6 +137,7 @@ func Run(cfg PipelineConfig) (*Result, error) {
 	}
 	fnParse, fnFlow, fnACL, fnRoute, fnEmit := fns[0], fns[1], fns[2], fns[3], fns[4]
 	log := trace.NewMarkerLog(cfg.Workers, trace.DefaultMarkerUops)
+	log.Reserve(2 * cfg.Packets) // a Begin and an End per packet
 
 	pebses := make([]*pmu.PEBS, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {

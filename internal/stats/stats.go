@@ -150,16 +150,23 @@ type Summary struct {
 // percentiles; Min and Max stay scans, which differ from the ends of the
 // sorted copy when xs holds a NaN.
 func Summarize(xs []float64) Summary {
-	s := sortedCopy(xs)
-	return Summary{
+	return SummarizeSorting(append([]float64(nil), xs...))
+}
+
+// SummarizeSorting is Summarize for a caller done with xs: it takes the
+// scans first, in xs's order, then sorts xs in place for the percentiles
+// instead of a copy.
+func SummarizeSorting(xs []float64) Summary {
+	sum := Summary{
 		N:      len(xs),
 		Mean:   Mean(xs),
 		Stddev: Stddev(xs),
 		Min:    Min(xs),
 		Max:    Max(xs),
-		P50:    percentileSorted(s, 50),
-		P99:    percentileSorted(s, 99),
 	}
+	sort.Float64s(xs)
+	sum.P50, sum.P99 = percentileSorted(xs, 50), percentileSorted(xs, 99)
+	return sum
 }
 
 // String renders the summary in a compact single-line form.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/obs"
 	"repro/internal/pmu"
@@ -49,7 +50,8 @@ var (
 const maxCount = 1 << 28
 
 // decodeChunk is the most records Decode allocates for on a header's word
-// alone; past it the destination doubles as records actually arrive.
+// alone, when the reader cannot say how many bytes it holds; past it the
+// destination doubles as records actually arrive.
 const decodeChunk = 1 << 16
 
 // Encode writes the set to w in the binary trace format.
@@ -126,7 +128,10 @@ func (s *Set) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode reads a trace set in the binary format from r.
+// Decode reads a trace set in the binary format from r. When r can say how
+// many bytes it holds — an *os.File on a regular file, or a reader with a
+// Len method such as *bytes.Reader — each section whose declared count of
+// its smallest record fits in them is allocated once, at that count.
 func Decode(r io.Reader) (*Set, error) {
 	sp := obs.StartSpan("trace.Decode")
 	defer sp.End()
@@ -187,6 +192,37 @@ func (o *offsetReader) short(kind string, i uint32, fields []field, n int, err e
 	return o.fail(fmt.Sprintf("%s %d %s", kind, i, fields[k].name), err)
 }
 
+// knownLen returns how many bytes r holds from its current position, or -1
+// when it cannot say.
+func knownLen(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		st, err := r.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			return -1
+		}
+		pos, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return st.Size() - pos
+	}
+	return -1
+}
+
+// section returns an empty slice for a section of declared records of at
+// least minBytes each, at capacity declared when the bytes still unread
+// (avail, known at the start, less off read since; avail < 0: unknown)
+// can back them all, else nil for next to grow. An empty section stays nil.
+func section[T any](declared uint32, minBytes int, avail, off int64) []T {
+	if declared == 0 || avail < 0 || int64(declared)*int64(minBytes) > avail-off {
+		return nil
+	}
+	return make([]T, 0, declared)
+}
+
 // next extends s by one zero element toward the declared count. Capacity
 // starts at min(declared, decodeChunk) and doubles up to declared: an honest
 // file of up to decodeChunk records is sized once and exactly, and an absurd
@@ -202,6 +238,10 @@ func next[T any](s []T, declared uint32) []T {
 // in place into dst's slices; without, into a scratch record handed to
 // onMarker / onSample (nil: skipped).
 func walk(r io.Reader, dst *Set, onSyms func(*symtab.Table), onMarker func(Marker) error, onSample func(pmu.Sample) error) (freq uint64, err error) {
+	avail := int64(-1)
+	if dst != nil {
+		avail = knownLen(r)
+	}
 	or := &offsetReader{br: bufio.NewReader(r)}
 	le := binary.LittleEndian
 	var rec [regsBytes]byte // the largest single read
@@ -270,6 +310,9 @@ func walk(r io.Reader, dst *Set, onSyms func(*symtab.Table), onMarker func(Marke
 	if err != nil {
 		return freq, err
 	}
+	if dst != nil {
+		dst.Markers = section[Marker](nMark, markerBytes, avail, or.off)
+	}
 	for i := uint32(0); i < nMark; i++ {
 		var scratch Marker
 		mk := &scratch
@@ -294,6 +337,9 @@ func walk(r io.Reader, dst *Set, onSyms func(*symtab.Table), onMarker func(Marke
 	nSamp, err := count("sample")
 	if err != nil {
 		return freq, err
+	}
+	if dst != nil {
+		dst.Samples = section[pmu.Sample](nSamp, sampleHeadBytes, avail, or.off)
 	}
 	var scratch pmu.Sample
 	for i := uint32(0); i < nSamp; i++ {

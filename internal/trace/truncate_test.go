@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -307,11 +308,15 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestDecodeAllocationBounds: Decode sizes its slices from the declared
-// counts — clamped, then doubling — so an honest file costs at most 2.5×
-// its samples' memory (append growth from empty cost ≈ 5×), and a header
-// that lies about the count cannot allocate far ahead of the bytes behind
-// it.
+// plainReader hides a reader's Len method, so Decode cannot tell how many
+// bytes remain and takes its doubling path.
+type plainReader struct{ io.Reader }
+
+// TestDecodeAllocationBounds: a reader that cannot say how many bytes it
+// holds gets slices sized from the declared counts — clamped, then
+// doubling — so an honest file costs at most 2.5× its samples' memory
+// (append growth from empty cost ≈ 5×), and a header that lies about the
+// count cannot allocate far ahead of the bytes behind it.
 func TestDecodeAllocationBounds(t *testing.T) {
 	const n = 134_000 // two doublings past decodeChunk: the clamp's worst region
 	set := &Set{FreqHz: 1, Samples: make([]pmu.Sample, n)}
@@ -324,7 +329,7 @@ func TestDecodeAllocationBounds(t *testing.T) {
 	}
 	var got *Set
 	var err error
-	alloc := allocatedBy(func() { got, err = Decode(bytes.NewReader(buf.Bytes())) })
+	alloc := allocatedBy(func() { got, err = Decode(plainReader{bytes.NewReader(buf.Bytes())}) })
 	if err != nil || !sameSamples(got.Samples, set.Samples) {
 		t.Fatalf("decode of %d samples: err %v", n, err)
 	}
@@ -335,11 +340,117 @@ func TestDecodeAllocationBounds(t *testing.T) {
 	lie := append([]byte(nil), buf.Bytes()[:8+8+4+4]...) // magic, freq, no symbols, no markers
 	lie = binary.LittleEndian.AppendUint32(lie, maxCount)
 	lie = append(lie, buf.Bytes()[len(lie):len(lie)+100]...) // the honest file's first 100 bytes of samples
-	alloc = allocatedBy(func() { _, err = Decode(bytes.NewReader(lie)) })
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("a count of 2^28 over a 100-byte body: %v", err)
+	for _, r := range []io.Reader{bytes.NewReader(lie), plainReader{bytes.NewReader(lie)}} {
+		alloc = allocatedBy(func() { _, err = Decode(r) })
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%T: a count of 2^28 over a 100-byte body: %v", r, err)
+		}
+		if alloc >= 16<<20 {
+			t.Errorf("%T: a count of 2^28 over a 100-byte body allocated %d bytes, want < 16 MB", r, alloc)
+		}
 	}
-	if alloc >= 16<<20 {
-		t.Errorf("a count of 2^28 over a 100-byte body allocated %d bytes, want < 16 MB", alloc)
+}
+
+// TestDecodeSizedOnce: a file-backed or in-memory decode of a set the size
+// of one local_dataplane round (two cores × 10,000 items, ≈134 k samples,
+// one in eight with registers) allocates each section once: at most 1.1×
+// the bytes of its markers and samples, where growing the samples from
+// decodeChunk by doubling costs ≈2.4×.
+func TestDecodeSizedOnce(t *testing.T) {
+	const items, samples = 20_000, 134_000
+	set := &Set{FreqHz: 2_000_000_000, Syms: symtab.NewTable()}
+	fn := set.Syms.MustRegister("f", 4096)
+	for i := range items {
+		core := int32(i % 2)
+		set.Markers = append(set.Markers,
+			Marker{Item: uint64(i + 1), TSC: uint64(i * 100), Core: core, Kind: ItemBegin},
+			Marker{Item: uint64(i + 1), TSC: uint64(i*100 + 90), Core: core, Kind: ItemEnd})
+	}
+	regs := &[pmu.NumRegs]uint64{pmu.R13: 7}
+	for i := range samples {
+		s := pmu.Sample{TSC: uint64(i), IP: fn.Base + uint64(i%4096), Core: int32(i % 2)}
+		if i%8 == 0 {
+			s.Regs = regs
+		}
+		set.Samples = append(set.Samples, s)
+	}
+	path := filepath.Join(t.TempDir(), "round.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Each register block decodes into its own 128-byte array.
+	records := uint64(len(set.Markers))*uint64(unsafe.Sizeof(Marker{})) +
+		uint64(len(set.Samples))*uint64(unsafe.Sizeof(pmu.Sample{})) + samples/8*uint64(unsafe.Sizeof(*regs))
+	limit := records * 11 / 10
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		open func() (io.Reader, func())
+	}{
+		{"file", func() (io.Reader, func()) {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f, func() { f.Close() }
+		}},
+		{"bytes.Reader", func() (io.Reader, func()) { return bytes.NewReader(file), func() {} }},
+	} {
+		r, done := tc.open()
+		var got *Set
+		alloc := allocatedBy(func() { got, err = Decode(r) })
+		done()
+		if err != nil || !slices.Equal(got.Markers, set.Markers) || !sameSamples(got.Samples, set.Samples) {
+			t.Fatalf("%s: decode differs from the encoded set (err %v)", tc.name, err)
+		}
+		if alloc > limit {
+			t.Errorf("%s: decode allocated %d bytes for %d bytes of records, want ≤ %d", tc.name, alloc, records, limit)
+		}
+	}
+}
+
+// TestDecodeLyingCountFile: a file that declares 2^27 samples but ends
+// after a few still fails with the truncation error, and allocates no more
+// than the doubling path does over the same bytes — the file's size,
+// not its header, decides what is allocated ahead of the records.
+func TestDecodeLyingCountFile(t *testing.T) {
+	set := &Set{FreqHz: 1, Samples: []pmu.Sample{{TSC: 1, IP: 2}, {TSC: 3, IP: 4}, {TSC: 5, IP: 6}}}
+	var buf bytes.Buffer
+	if err := set.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lie := buf.Bytes()
+	binary.LittleEndian.PutUint32(lie[8+8+4+4:], 1<<27) // magic, freq, no symbols, no markers
+	path := filepath.Join(t.TempDir(), "lie.trace")
+	if err := os.WriteFile(path, lie, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fileAlloc := allocatedBy(func() { _, err = Decode(f) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "sample 3 tsc: truncated at byte") {
+		t.Fatalf("a count of 2^27 over three samples: %v", err)
+	}
+	plainAlloc := allocatedBy(func() { _, err = Decode(plainReader{bytes.NewReader(lie)}) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("doubling path: %v", err)
+	}
+	// The file path also allocates the Stat result; the rest is the same
+	// clamped first chunk.
+	if fileAlloc > plainAlloc+1<<10 {
+		t.Errorf("file-backed decode allocated %d bytes, the doubling path %d", fileAlloc, plainAlloc)
 	}
 }

@@ -2,12 +2,15 @@ package dpchain
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/acl"
 	"repro/internal/core"
 	"repro/internal/dataplane"
 	"repro/internal/lpm"
+	"repro/internal/trace"
 )
 
 // TestPolicyAndRoutes: the canonical fixtures validate and carry the
@@ -107,6 +110,48 @@ func BenchmarkDPChainRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Round(300); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDPChainOffline times the offline half of the paper's workflow
+// on one dumped round: read the trace file back, integrate it and build
+// the per-function report. The round (two workers × 10,000 packets, the
+// local_dataplane benchmark's shape) is generated and written once.
+func BenchmarkDPChainOffline(b *testing.B) {
+	res, err := dataplane.Run(BaseConfig(2, 10000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "round.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := res.Set.Encode(f); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		set, err := trace.Decode(f)
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := core.Integrate(set, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(core.FunctionReport(a)) == 0 {
+			b.Fatal("empty function report")
 		}
 	}
 }
