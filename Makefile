@@ -10,7 +10,8 @@
 #   policy (two rounds on one compiled Policy) suites and the
 #   integration equivalence suites (parallel, stream, tie, degraded, the
 #   per-core merge, the feed walk, concurrent uplink encodes, the
-#   aggregator's check-only delivery and its reads decoding beside merges)
+#   aggregator's check-only delivery and its reads decoding beside merges,
+#   the collector's fleet reads beside ingest)
 #   raced 20 times over in shuffled order, so a flake or an order dependence cannot
 #   hide at 30%; a 10 s fuzz smoke of every
 #   target in FUZZ_TARGETS (FuzzIntegrate includes the differential against
@@ -49,7 +50,7 @@ tier2:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -shuffle=on -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism|TestPolicySharedAcrossRounds|TestFeed|TestUplinkConcurrentSummaries|TestAggregatorHandAllocs|TestAggregatorFleetDuringMerges' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane
+	$(GO) test -race -count 20 -shuffle=on -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism|TestPolicySharedAcrossRounds|TestFeed|TestUplinkConcurrentSummaries|TestAggregatorHandAllocs|TestAggregatorFleetDuringMerges|TestCollectorFleetDuringIngest' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane
 	$(GO) test -race -count 20 -shuffle=on -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded|TestMergeItems' ./internal/core
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
@@ -57,12 +58,12 @@ tier2:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMicro|BenchmarkInstrumentedIntegrate|BenchmarkParallelIntegrate|BenchmarkSymtabResolveCached' -benchmem -count 1 .
 	$(GO) test -run '^$$' -bench 'BenchmarkWireEncodeDecode|BenchmarkFleetSummaryDecode' -benchmem -count 1 ./internal/wire
-	$(GO) test -run '^$$' -bench 'BenchmarkCollectorIngest|BenchmarkCollectorCheckpoint' -benchmem -count 1 ./internal/collector
+	$(GO) test -run '^$$' -bench 'BenchmarkCollectorIngest|BenchmarkCollectorCheckpoint|BenchmarkCollectorFleet' -benchmem -count 1 ./internal/collector
 	$(GO) test -run '^$$' -bench 'BenchmarkShipSet' -benchmem -count 1 ./internal/ship
 	$(GO) test -run '^$$' -bench 'BenchmarkSpoolAppend' -benchmem -count 1 ./internal/spool
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectUpdate' -benchmem -count 1 ./internal/detect
 	$(GO) test -run '^$$' -bench 'BenchmarkHandoffTransfer' -benchmem -count 1 ./internal/collector
-	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorHand|BenchmarkAggregatorFleet|BenchmarkAggregatorCheckpoint' -benchmem -count 1 ./internal/agg
+	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorHand|BenchmarkAggregatorFleet|BenchmarkAggregatorHealth|BenchmarkAggregatorCheckpoint' -benchmem -count 1 ./internal/agg
 	$(GO) test -run '^$$' -bench 'BenchmarkDataplane' -benchmem -count 1 ./internal/dataplane
 	$(GO) test -run '^$$' -bench 'BenchmarkDPChainRound|BenchmarkNewPolicy|BenchmarkDPChainOffline' -benchmem -count 1 ./internal/workloads/dpchain
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifyPaperType' -benchmem -count 1 ./internal/acl

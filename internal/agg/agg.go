@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/collector"
-	"repro/internal/detect"
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -70,59 +69,55 @@ type Aggregator struct {
 }
 
 // mergedSource is one source's latest row plus the shard that delivered
-// it. The row holds the summary and the clock but never the items: those
-// stay encoded in summaryFrame until a Fleet read decodes them. Within one
-// shard's stream, seq order makes "latest" well defined; across shards (a
+// it. The row keeps the set as the TFleetSummary payload it arrived in:
+// only a Fleet read's MergeFleet decodes the items. Within one shard's
+// stream, seq order makes "latest" well defined; across shards (a
 // rebalance moved the source) the last writer wins and the row reflects
 // the current owner's cumulative view. Verdict snapshots ride a separate
-// frame type on the same stream, so they live beside the row rather than
-// in it — a fresh summary must not wipe the verdicts and vice versa.
+// frame type on the same stream, so setSummary and setVerdicts each
+// replace only their part of the row — a fresh summary must not wipe the
+// verdicts and vice versa.
 type mergedSource struct {
-	shard    string
-	row      collector.SourceRow
-	verdicts []detect.Verdict
-	active   uint32
+	shard string
+	row   collector.SourceRow
 	// verdictShard/verdictKey track which shard delivered the verdict
 	// snapshot and how far it reached, for the cross-shard staleness rule
 	// (see mergeVerdictsLocked).
 	verdictShard string
 	verdictKey   verdictKey
-	// summaryFrame and verdictsFrame are the TFleetSummary and TVerdicts
-	// payloads the row and the verdicts were read from: Fleet decodes the
-	// items from summaryFrame, the checkpoint writes both as they are, and
-	// restore checks them again. Replaced wholesale, never mutated, so a
-	// reader may hold one past a.mu.
-	summaryFrame, verdictsFrame []byte
+	// verdictsFrame is the TVerdicts payload the verdicts were decoded
+	// from. It and the row's payload are what the checkpoint writes, as
+	// they are; both are replaced wholesale, never mutated, so a reader may
+	// hold one past a.mu.
+	verdictsFrame []byte
 }
 
-// setSummary replaces the row with the header and item count
-// wire.CheckFleetSummary read from payload, and keeps payload for the
-// items — for a live merge and for a restore alike.
+// setSummary replaces the row's summary with the header and item count
+// wire.CheckFleetSummary read from payload, and its payload with payload —
+// for a live merge and for a restore alike.
 func (ms *mergedSource) setSummary(fs wire.FleetSummary, items int, payload []byte) {
-	ms.row = collector.SourceRow{
-		Summary: collector.SourceSummary{
-			ID:             fs.Source,
-			Sets:           fs.Sets,
-			AbortedSets:    fs.AbortedSets,
-			Items:          items,
-			MeanConfidence: fs.MeanConf,
-			Degraded:       fs.Degraded,
-			GapLine:        fs.GapLine,
-			LostMarkers:    fs.LostMarkers,
-			LostSamples:    fs.LostSamples,
-			CRCErrors:      fs.CRCErrors,
-			Disconnects:    fs.Disconnects,
-		},
-		FreqHz: fs.FreqHz,
+	ms.row.Summary = collector.SourceSummary{
+		ID:             fs.Source,
+		Sets:           fs.Sets,
+		AbortedSets:    fs.AbortedSets,
+		Items:          items,
+		MeanConfidence: fs.MeanConf,
+		Degraded:       fs.Degraded,
+		GapLine:        fs.GapLine,
+		LostMarkers:    fs.LostMarkers,
+		LostSamples:    fs.LostSamples,
+		CRCErrors:      fs.CRCErrors,
+		Disconnects:    fs.Disconnects,
+		ActiveVerdicts: ms.row.Summary.ActiveVerdicts,
 	}
-	ms.summaryFrame = payload
+	ms.row.Payload = payload
 }
 
-// setVerdicts replaces the verdict snapshot with the one decoded from
-// payload — for a live merge and for a restore alike.
+// setVerdicts replaces the row's verdict snapshot with the one decoded
+// from payload — for a live merge and for a restore alike.
 func (ms *mergedSource) setVerdicts(vs wire.VerdictSet, payload []byte) {
-	ms.verdicts = vs.Verdicts
-	ms.active = vs.Active
+	ms.row.Verdicts = vs.Verdicts
+	ms.row.Summary.ActiveVerdicts = vs.Active
 	ms.verdictKey = verdictKeyOf(vs)
 	ms.verdictsFrame = payload
 }
@@ -382,38 +377,25 @@ func (a *Aggregator) mergeVerdictsLocked(shardID string, vs wire.VerdictSet, pay
 
 // Fleet assembles the merged fleet view through the same MergeFleet the
 // single-tier collector uses — which is the whole byte-equivalence
-// argument: identical rows in, identical report out. The rows and their
-// payloads are snapshotted under a.mu and the items decoded outside it, so
-// a read holds up no merge.
+// argument: identical rows in, identical report out. MergeFleet decodes
+// the payloads outside a.mu, so a read holds up no merge.
 func (a *Aggregator) Fleet() collector.FleetView {
 	start := time.Now()
-	a.mu.Lock()
-	rows := make([]collector.SourceRow, 0, len(a.sources))
-	frames := make([][]byte, 0, len(a.sources))
-	for _, s := range a.sources {
-		row := s.row
-		row.Verdicts = s.verdicts
-		row.Summary.ActiveVerdicts = s.active
-		rows = append(rows, row)
-		frames = append(frames, s.summaryFrame)
-	}
-	topK := a.cfg.TopK
-	a.mu.Unlock()
-	for i, p := range frames {
-		if p == nil {
-			continue // a verdict placeholder: no summary yet
-		}
-		// The payload passed CheckFleetSummary before it was kept, and
-		// the check accepts exactly what the decode does.
-		fs, err := wire.DecodeFleetSummary(p)
-		if err != nil {
-			panic(fmt.Sprintf("agg: source %q: a checked summary does not decode: %v", rows[i].Summary.ID, err))
-		}
-		rows[i].Items = fs.Items
-	}
-	v := collector.MergeFleet(topK, rows)
+	v := collector.MergeFleet(a.cfg.TopK, a.rows())
 	a.metMergeNs.Record(uint64(time.Since(start)))
 	return v
+}
+
+// rows snapshots every merged source's row. A row's payload and verdict
+// snapshot are shared: both are replaced wholesale, never mutated.
+func (a *Aggregator) rows() []collector.SourceRow {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	rows := make([]collector.SourceRow, 0, len(a.sources))
+	for _, s := range a.sources {
+		rows = append(rows, s.row)
+	}
+	return rows
 }
 
 // SourceShard reports which shard last delivered source's row ("" if the
@@ -427,21 +409,10 @@ func (a *Aggregator) SourceShard(source string) string {
 	return ""
 }
 
-// UpstreamAcked returns shard's delivery watermark (epoch, last acked
-// seq), zero values if the shard never connected.
-func (a *Aggregator) UpstreamAcked(shard string) (epoch, seq uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if wm := a.shards[shard]; wm != nil {
-		return wm.Epoch, wm.Acked
-	}
-	return 0, 0
-}
-
-// Health derives the /healthz verdict from the merged view via the shared
-// collector.FleetHealth.
+// Health derives the /healthz verdict from the merged summaries via the
+// shared collector.FleetStatus; it decodes no payload.
 func (a *Aggregator) Health() obs.Health {
-	return collector.FleetHealth(a.Fleet())
+	return collector.FleetStatus(collector.MergeSummaries(a.rows())).Health()
 }
 
 // Handler returns the aggregator's HTTP surface: the standard
@@ -449,5 +420,6 @@ func (a *Aggregator) Health() obs.Health {
 // cross-shard views as JSON — served by the single-tier collector's own
 // view handler.
 func (a *Aggregator) Handler() http.Handler {
-	return collector.ViewHandler(a.cfg.Registry, a.Health, a.Fleet)
+	return collector.ViewHandler(a.cfg.Registry, a.Health, a.Fleet,
+		func() collector.FleetView { return collector.MergeSummaries(a.rows()) })
 }

@@ -635,3 +635,23 @@ func TestAggregatorFleetDuringMerges(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregatorHealthCostFlat: a health read counts degraded sources and
+// active verdicts from each merged row and decodes no payload, so its
+// allocations do not grow with the items the sources hold.
+func TestAggregatorHealthCostFlat(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are noise under the race detector")
+	}
+	allocs := func(nItems int) float64 {
+		a, err := New(Config{Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mergeSynthetic(t, a, 2, nItems)
+		return testing.AllocsPerRun(20, func() { a.Health() })
+	}
+	if small, large := allocs(16), allocs(2000); small != large {
+		t.Fatalf("Health allocations grow with items: %v at 2×16, %v at 2×2000", small, large)
+	}
+}

@@ -128,6 +128,24 @@ func BenchmarkAggregatorFleet(b *testing.B) {
 	}
 }
 
+// BenchmarkAggregatorHealth measures the /healthz read at the shape of
+// BenchmarkAggregatorFleet: it counts degraded sources and active verdicts
+// and decodes no item.
+func BenchmarkAggregatorHealth(b *testing.B) {
+	a, err := New(Config{TopK: 20, Registry: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mergeSynthetic(b, a, 256, 24)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h := a.Health(); !h.OK {
+			b.Fatalf("health %+v", h)
+		}
+	}
+}
+
 // BenchmarkAggregatorCheckpoint measures the checkpoint written before
 // every ack, at the two fleet shapes the end-to-end benchmark runs: many
 // small rows (130 sources × 16 items) and few large ones (2 × 2,000).

@@ -85,7 +85,7 @@ func (a *Aggregator) Checkpoint() error {
 			ID:           id,
 			Shard:        s.shard,
 			VerdictShard: s.verdictShard,
-			Summary:      s.summaryFrame,
+			Summary:      s.row.Payload,
 			Verdicts:     s.verdictsFrame,
 		})
 	}
@@ -201,20 +201,7 @@ func upgradeV1(data []byte) (checkpointFile, error) {
 	for _, r := range v1.Sources {
 		cs := checkpointSource{ID: r.Summary.ID, Shard: r.Shard}
 		if r.FreqHz != 0 {
-			p, err := wire.AppendFleetSummary(nil, wire.FleetSummary{
-				Source:      r.Summary.ID,
-				FreqHz:      r.FreqHz,
-				Sets:        r.Summary.Sets,
-				AbortedSets: r.Summary.AbortedSets,
-				LostMarkers: r.Summary.LostMarkers,
-				LostSamples: r.Summary.LostSamples,
-				CRCErrors:   r.Summary.CRCErrors,
-				Disconnects: r.Summary.Disconnects,
-				MeanConf:    r.Summary.MeanConfidence,
-				Degraded:    r.Summary.Degraded,
-				GapLine:     r.Summary.GapLine,
-				Items:       r.Items,
-			})
+			p, err := wire.AppendFleetSummary(nil, r.Summary.Shipped(r.FreqHz, r.Items))
 			if err != nil {
 				return checkpointFile{}, fmt.Errorf("source %q: %w", r.Summary.ID, err)
 			}

@@ -82,3 +82,23 @@ func BenchmarkCollectorIngest(b *testing.B) {
 func BenchmarkCollectorIngestDetect(b *testing.B) {
 	benchIngest(b, Config{Detect: &detect.Config{}})
 }
+
+// BenchmarkCollectorFleet measures the two fleet reads at the shapes
+// BenchmarkCollectorCheckpoint runs: Fleet, the /fleet view with its
+// top-K items, and Health, the /healthz verdict, which needs no item.
+func BenchmarkCollectorFleet(b *testing.B) {
+	for _, shape := range []struct{ sources, items int }{{130, 16}, {2, 2000}} {
+		c := checkpointShape(b, shape.sources, shape.items)
+		for _, read := range []struct {
+			name string
+			f    func()
+		}{{"Fleet", func() { c.Fleet() }}, {"Health", func() { c.Health() }}} {
+			b.Run(fmt.Sprintf("%s/%dx%d", read.name, shape.sources, shape.items), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					read.f()
+				}
+			})
+		}
+	}
+}

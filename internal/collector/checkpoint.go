@@ -63,7 +63,6 @@ type checkpointSource struct {
 // this very accounting reflects — whether or not it has been acknowledged
 // yet. Caller holds s.applyMu and s.mu.
 func (s *Source) stateLocked() wire.SourceState {
-	s.payloadLocked()
 	return wire.SourceState{
 		Epoch:         s.wm.Epoch,
 		LastAcked:     s.wm.Settled,
@@ -82,49 +81,43 @@ func (s *Source) stateLocked() wire.SourceState {
 		LastMeanConf:  s.lastMeanConf,
 		LastDegraded:  s.lastDegraded,
 		EverConnected: s.everConnected,
-		Summary:       s.summary,
+		Summary:       s.payloadLocked(),
 	}
 }
 
-// payloadLocked makes summary hold the payload finishSet encoded into
-// sumBuf, copying it out on the first read after the set: a copy the next
-// set's encode cannot touch, so a checkpoint may keep writing it after it
-// dropped the source's locks. Caller holds s.applyMu (finishSet writes
-// sumBuf under it) and s.mu.
-func (s *Source) payloadLocked() {
+// payloadLocked returns the payload finishSet encoded into sumBuf (nil
+// when there is none), copied out into summary on the first read after the
+// set: a copy the next set's encode cannot touch and nothing appends into,
+// so a reader may keep it after it dropped the source's locks. Caller
+// holds s.applyMu (finishSet writes sumBuf under it) and s.mu.
+func (s *Source) payloadLocked() []byte {
 	if s.sumUnread {
 		s.summary, s.sumUnread = bytes.Clone(s.sumBuf), false
 	}
-}
-
-// appendSummary appends a set's items to dst as the source's checkpoint
-// payload. A payload the source holds is never appended into, so a
-// checkpoint may keep writing it after it dropped the source's locks.
-func appendSummary(dst []byte, id string, freq uint64, items []core.Item) ([]byte, error) {
-	return wire.AppendFleetSummary(dst, wire.FleetSummary{Source: id, FreqHz: freq, Items: items})
+	return s.summary
 }
 
 // loadRow readies a persisted row — a checkpoint row or a handoff — for
-// setStateLocked and returns its items, touching no source. Version-1
-// JSON items first become the payload a version-2 row carries
-// (upgradeItems), so every row installs from its payload: it must decode
-// and name the row's own source and clock, and its dictionary gives the
-// items one *symtab.Fn per function, which per-function reports key on.
-func loadRow(id string, st *wire.SourceState) ([]core.Item, error) {
+// setStateLocked and returns its item count, touching no source.
+// Version-1 JSON items first become the payload a version-2 row carries
+// (upgradeItems), so every row installs as its payload: it must pass
+// wire.CheckFleetSummary, which accepts exactly what the fleet view's
+// decode does, and name the row's own source and clock.
+func loadRow(id string, st *wire.SourceState) (int, error) {
 	if len(st.Items) > 0 {
 		if st.Summary != nil {
-			return nil, fmt.Errorf("row carries both JSON items and a summary")
+			return 0, fmt.Errorf("row carries both JSON items and a summary")
 		}
 		var err error
 		if st.Summary, err = upgradeItems(id, st.FreqHz, st.Items); err != nil {
-			return nil, fmt.Errorf("items: %w", err)
+			return 0, fmt.Errorf("items: %w", err)
 		}
 		st.Items = nil
 	}
 	if st.Summary == nil {
-		return nil, nil
+		return 0, nil
 	}
-	fs, err := wire.DecodeFleetSummary(st.Summary)
+	fs, n, err := wire.CheckFleetSummary(st.Summary)
 	switch {
 	case err != nil:
 	case fs.Source != id:
@@ -133,9 +126,9 @@ func loadRow(id string, st *wire.SourceState) ([]core.Item, error) {
 		err = fmt.Errorf("payload clock %d Hz, row clock %d Hz", fs.FreqHz, st.FreqHz)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("summary: %w", err)
+		return 0, fmt.Errorf("summary: %w", err)
 	}
-	return fs.Items, nil
+	return n, nil
 }
 
 // upgradeItems encodes a version-1 row's JSON items as its payload. The
@@ -157,15 +150,15 @@ func upgradeItems(id string, freq uint64, items []core.Item) ([]byte, error) {
 			}
 		}
 	}
-	return appendSummary(nil, id, freq, items)
+	return wire.AppendFleetSummary(nil, wire.FleetSummary{Source: id, FreqHz: freq, Items: items})
 }
 
-// setStateLocked installs a row loadRow readied, with its items: the
+// setStateLocked installs a row loadRow readied, with its item count: the
 // inverse of stateLocked, and the one place a restored or imported row is
 // installed. Mid-set progress is never persisted, so all three watermarks
 // resume at the recorded set boundary and the shipper replays any partial
 // set in full. Caller holds s.mu (or owns s outright).
-func (s *Source) setStateLocked(st wire.SourceState, items []core.Item) {
+func (s *Source) setStateLocked(st wire.SourceState, items int) {
 	s.wm = durable.Restored(st.Epoch, st.LastAcked)
 	s.freq = st.FreqHz
 	s.gaps = st.Gaps
@@ -182,7 +175,7 @@ func (s *Source) setStateLocked(st wire.SourceState, items []core.Item) {
 	s.lastMeanConf = st.LastMeanConf
 	s.lastDegraded = st.LastDegraded
 	s.everConnected = st.EverConnected
-	s.items = items
+	s.itemCount = items
 	s.summary, s.summaryErr, s.sumUnread = st.Summary, nil, false
 }
 

@@ -175,16 +175,14 @@ type Source struct {
 
 	// Last-completed-set results. freq is the clock its items were
 	// integrated against: a row written mid-set still pairs the items with
-	// their own clock. summary is the same items as the TFleetSummary
-	// payload the checkpoint writes and a handoff carries: an exact-size
-	// copy of sumBuf taken on first read (or installed with a restored or
-	// imported row), never appended into; summaryErr is why the last set's
-	// items did not encode, which fails every checkpoint and export until
-	// the next set.
+	// their own clock. summary, the only form the set is kept in, is its
+	// items as the TFleetSummary payload (payloadLocked); summaryErr is why
+	// they did not encode, which fails every checkpoint and export until
+	// the next set. itemCount is how many items the set had.
 	freq       uint64
-	items      []core.Item
 	summary    []byte
 	summaryErr error
+	itemCount  int
 	gaps       trace.Gaps
 	diag       core.Diagnostics
 
@@ -639,7 +637,7 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 	// checkpoint and a handoff export copy it out on first read
 	// (payloadLocked), so a collector that reads neither allocates nothing
 	// for it.
-	buf, sumErr := appendSummary(src.sumBuf[:0], src.ID, src.curFreq, src.curItem)
+	buf, sumErr := wire.AppendFleetSummary(src.sumBuf[:0], wire.FleetSummary{Source: src.ID, FreqHz: src.curFreq, Items: src.curItem})
 	if sumErr == nil {
 		src.sumBuf = buf
 	}
@@ -647,7 +645,7 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 	src.mu.Lock()
 	src.freq = src.curFreq
 	src.diag = diag
-	src.items = append(src.items[:0], src.curItem...)
+	src.itemCount = n
 	src.summary, src.summaryErr, src.sumUnread = nil, sumErr, sumErr == nil
 	src.gaps = gaps
 	src.lostMarkers += lostMarkers
@@ -667,21 +665,7 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 	src.wm.Settle(epoch, seq)
 	var fs wire.FleetSummary
 	if c.cfg.OnSummary != nil {
-		sum := src.summaryLocked()
-		fs = wire.FleetSummary{
-			Source:      sum.ID,
-			FreqHz:      src.freq,
-			Sets:        sum.Sets,
-			AbortedSets: sum.AbortedSets,
-			LostMarkers: sum.LostMarkers,
-			LostSamples: sum.LostSamples,
-			CRCErrors:   sum.CRCErrors,
-			Disconnects: sum.Disconnects,
-			MeanConf:    sum.MeanConfidence,
-			Degraded:    sum.Degraded,
-			GapLine:     sum.GapLine,
-			Items:       append([]core.Item(nil), src.items...),
-		}
+		fs = src.summaryLocked().Shipped(src.freq, append([]core.Item(nil), src.curItem...))
 	}
 	src.mu.Unlock()
 
@@ -771,14 +755,18 @@ func (s *Source) SetOpen() bool {
 	return s.integ != nil
 }
 
-// Items returns a copy of the source's last completed set's items, in the
-// offline Integrate order: ascending (BeginTSC, core).
+// Items returns the source's last completed set's items, decoded from its
+// payload, in the offline Integrate order: ascending (BeginTSC, core). Like
+// Fleet, it waits out an apply in flight.
 func (s *Source) Items() []core.Item {
+	s.applyMu.Lock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]core.Item(nil), s.items...)
-	core.SortItems(out)
-	return out
+	p := s.payloadLocked()
+	s.mu.Unlock()
+	s.applyMu.Unlock()
+	_, items := storedItems(s.ID, p)
+	core.SortItems(items)
+	return items
 }
 
 // Diag returns the integration diagnostics of the last completed set.

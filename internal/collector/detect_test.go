@@ -156,7 +156,7 @@ func TestDetectFleetEndpoints(t *testing.T) {
 	if vv.Active == 0 || len(vv.Verdicts) != len(v.Verdicts) {
 		t.Errorf("VerdictsOf = %d active, %d verdicts; fleet has %d", vv.Active, len(vv.Verdicts), len(v.Verdicts))
 	}
-	h := FleetHealth(v)
+	h := FleetStatus(v).Health()
 	if h.OK || h.Status != "degraded" {
 		t.Fatalf("fleet health with active events = %+v, want degraded", h)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/health"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // SourceSummary is one host's row in the fleet view.
@@ -42,6 +43,25 @@ type SourceSummary struct {
 	ActiveVerdicts uint32 `json:"active_verdicts,omitempty"`
 }
 
+// Shipped returns the summary as the TFleetSummary a shard ships for it,
+// with the set's clock and items.
+func (s SourceSummary) Shipped(freq uint64, items []core.Item) wire.FleetSummary {
+	return wire.FleetSummary{
+		Source:      s.ID,
+		FreqHz:      freq,
+		Sets:        s.Sets,
+		AbortedSets: s.AbortedSets,
+		LostMarkers: s.LostMarkers,
+		LostSamples: s.LostSamples,
+		CRCErrors:   s.CRCErrors,
+		Disconnects: s.Disconnects,
+		MeanConf:    s.MeanConfidence,
+		Degraded:    s.Degraded,
+		GapLine:     s.GapLine,
+		Items:       items,
+	}
+}
+
 // FleetItem tags an item with the source it came from.
 type FleetItem struct {
 	// Source is the shipping host's ID.
@@ -70,38 +90,33 @@ type FleetView struct {
 }
 
 // SourceRow is one source's contribution to a merged fleet view: the
-// summary row, the clock needed to convert the items' cycles to
-// comparable microseconds, and the last completed set's items. It is the
-// unit both tiers merge — a collector builds rows from its live Source
-// state, the global aggregator rebuilds them from shipped FleetSummary
-// frames — and feeding either set through MergeFleet is what makes the
-// two-tier report byte-equivalent to the single-collector one.
+// summary row, the verdict snapshot and the last completed set as the
+// TFleetSummary payload it was stored as. It is the unit both tiers merge
+// — a collector builds rows from its live Source state, the global
+// aggregator from shipped FleetSummary frames — and feeding either set
+// through MergeFleet is what makes the two-tier report byte-equivalent to
+// the single-collector one.
 type SourceRow struct {
 	Summary SourceSummary
-	FreqHz  uint64
-	Items   []core.Item
+	// Payload is the last completed set, with its clock, as a payload its
+	// tier built or checked (nil before the first set, or when the set's
+	// items did not encode). Never mutated: a row may hold it past the
+	// source's locks.
+	Payload []byte
 	// Verdicts is the source's recent fluctuation-verdict snapshot (empty
 	// when detection is off).
 	Verdicts []detect.Verdict
 }
 
-// MergeFleet merges per-source rows into one fleet view: summaries
-// ascending by ID, plus the top-K slowest items (by elapsed time on each
-// item's own clock) across every row's last completed set.
-func MergeFleet(topK int, rows []SourceRow) FleetView {
-	var v FleetView
-	var all []FleetItem
+// MergeSummaries merges per-source rows into the fleet view without its
+// top-K items, which is all /healthz and /verdicts read: summaries
+// ascending by ID, verdicts in (source, event, rank) order.
+func MergeSummaries(rows []SourceRow) FleetView {
+	// Sized once; nil when there is no row, as /fleet has always shown it.
+	v := FleetView{Sources: slices.Grow([]SourceSummary(nil), len(rows))}
 	for _, r := range rows {
 		v.Sources = append(v.Sources, r.Summary)
 		v.Verdicts = append(v.Verdicts, r.Verdicts...)
-		for i := range r.Items {
-			it := r.Items[i]
-			us := 0.0
-			if r.FreqHz > 0 {
-				us = float64(it.ElapsedCycles()) * 1e6 / float64(r.FreqHz)
-			}
-			all = append(all, FleetItem{Source: r.Summary.ID, ElapsedUs: us, Item: it})
-		}
 	}
 	slices.SortFunc(v.Sources, func(a, b SourceSummary) int { return cmp.Compare(a.ID, b.ID) })
 	slices.SortFunc(v.Verdicts, func(a, b detect.Verdict) int {
@@ -113,7 +128,26 @@ func MergeFleet(topK int, rows []SourceRow) FleetView {
 		}
 		return cmp.Compare(a.Rank, b.Rank)
 	})
+	return v
+}
 
+// MergeFleet merges per-source rows into one fleet view: MergeSummaries,
+// plus the top-K slowest items (by elapsed time on each item's own clock)
+// across every row's last completed set, decoded from its payload.
+func MergeFleet(topK int, rows []SourceRow) FleetView {
+	v := MergeSummaries(rows)
+	n := 0
+	for _, r := range rows {
+		n += r.Summary.Items
+	}
+	all := slices.Grow([]FleetItem(nil), n)
+	for _, r := range rows {
+		freq, items := storedItems(r.Summary.ID, r.Payload)
+		for i := range items {
+			us := float64(items[i].ElapsedCycles()) * 1e6 / float64(freq)
+			all = append(all, FleetItem{Source: r.Summary.ID, ElapsedUs: us, Item: items[i]})
+		}
+	}
 	// Slowest first; deterministic tie-break on (source, item, core).
 	slices.SortFunc(all, func(a, b FleetItem) int {
 		if a.ElapsedUs != b.ElapsedUs {
@@ -134,28 +168,52 @@ func MergeFleet(topK int, rows []SourceRow) FleetView {
 	return v
 }
 
+// storedItems decodes a stored set's payload, the one decode of a finished
+// set in either tier. Each tier keeps only payloads it encoded or checked
+// (wire.CheckFleetSummary), so one that does not decode is a bug.
+func storedItems(id string, p []byte) (freq uint64, items []core.Item) {
+	if p == nil {
+		return 0, nil
+	}
+	fs, err := wire.DecodeFleetSummary(p)
+	if err != nil {
+		panic(fmt.Sprintf("collector: source %q: a stored summary does not decode: %v", id, err))
+	}
+	return fs.FreqHz, fs.Items
+}
+
 // Fleet assembles the current fleet view.
 func (c *Collector) Fleet() FleetView {
+	return MergeFleet(c.cfg.TopK, c.rows(true))
+}
+
+// rows snapshots each fleet member's row (handoff peer streams are
+// plumbing; internal is immutable). With payloads, a row carries the last
+// set, read under the apply mutex as the checkpoint reads it; without,
+// only s.mu is taken, so a health probe never waits on an apply. Verdict
+// snapshots are replaced whole, never written into, so rows share them.
+func (c *Collector) rows(payloads bool) []SourceRow {
 	srcs := c.appendSources(nil)
 	rows := make([]SourceRow, 0, len(srcs))
 	for _, s := range srcs {
 		if s.internal {
-			// Handoff peer streams are transport plumbing, not fleet
-			// members (internal is immutable after creation).
 			continue
 		}
+		if payloads {
+			s.applyMu.Lock()
+		}
 		s.mu.Lock()
-		row := SourceRow{Summary: s.summaryLocked(), FreqHz: s.freq,
-			Items:    make([]core.Item, len(s.items)),
-			Verdicts: append([]detect.Verdict(nil), s.verdicts...)}
-		for i := range s.items {
-			row.Items[i] = s.items[i]
-			row.Items[i].Funcs = append([]core.FuncSpan(nil), s.items[i].Funcs...)
+		row := SourceRow{Summary: s.summaryLocked(), Verdicts: s.verdicts}
+		if payloads {
+			row.Payload = s.payloadLocked()
 		}
 		s.mu.Unlock()
+		if payloads {
+			s.applyMu.Unlock()
+		}
 		rows = append(rows, row)
 	}
-	return MergeFleet(c.cfg.TopK, rows)
+	return rows
 }
 
 // summaryLocked builds the source's fleet row. Caller holds s.mu.
@@ -164,7 +222,7 @@ func (s *Source) summaryLocked() SourceSummary {
 		ID:             s.ID,
 		Sets:           s.sets,
 		AbortedSets:    s.abortedSets,
-		Items:          len(s.items),
+		Items:          s.itemCount,
 		MeanConfidence: s.lastMeanConf,
 		Degraded:       s.lastDegraded,
 		GapLine:        s.gaps.String(),
@@ -278,11 +336,6 @@ func FleetStatus(v FleetView) health.Status {
 	return st
 }
 
-// FleetHealth is FleetStatus flattened to the obs.Health /healthz serves.
-func FleetHealth(v FleetView) obs.Health {
-	return FleetStatus(v).Health()
-}
-
 // VerdictsView is the /verdicts endpoint's JSON body.
 type VerdictsView struct {
 	// Active is the fleet-wide unresolved change-event count.
@@ -309,13 +362,13 @@ func VerdictsOf(v FleetView) VerdictsView {
 // /fleet, the merged cross-host view, and /verdicts, the fluctuation
 // diagnosis feed, as JSON.
 func (c *Collector) Handler() http.Handler {
-	return ViewHandler(c.cfg.Registry, c.Health, c.Fleet)
+	return ViewHandler(c.cfg.Registry, c.Health, c.Fleet, func() FleetView { return MergeSummaries(c.rows(false)) })
 }
 
 // ViewHandler is the HTTP surface both tiers serve: the obs endpoints with
-// health as /healthz, and fleet's view as indented JSON on /fleet and its
-// verdict projection on /verdicts.
-func ViewHandler(reg *obs.Registry, health func() obs.Health, fleet func() FleetView) http.Handler {
+// health as /healthz, fleet's view as indented JSON on /fleet, and the
+// verdict projection of summaries' view (MergeSummaries) on /verdicts.
+func ViewHandler(reg *obs.Registry, health func() obs.Health, fleet, summaries func() FleetView) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", obs.Handler(obs.HandlerOptions{Registry: reg, Health: health}))
 	serveJSON := func(path string, view func() any) {
@@ -327,7 +380,7 @@ func ViewHandler(reg *obs.Registry, health func() obs.Health, fleet func() Fleet
 		})
 	}
 	serveJSON("/fleet", func() any { return fleet() })
-	serveJSON("/verdicts", func() any { return VerdictsOf(fleet()) })
+	serveJSON("/verdicts", func() any { return VerdictsOf(summaries()) })
 	return mux
 }
 

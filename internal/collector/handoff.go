@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/durable"
 	"repro/internal/health"
@@ -96,7 +95,7 @@ func (c *Collector) applyHandoffBegin(peer *Source, payload []byte) error {
 // owed.
 func (c *Collector) applyHandoffSource(peer *Source, payload []byte) (wire.HandoffAck, error) {
 	hs, err := wire.DecodeHandoffSource(payload)
-	var items []core.Item
+	var items int
 	switch {
 	case err != nil:
 	case !peer.internal:
@@ -144,9 +143,9 @@ func (tgt *Source) importedLocked(hs *wire.HandoffSource) bool {
 	return tgt.imported && tgt.importedEpoch == hs.Epoch && tgt.importedSeq == hs.LastAcked
 }
 
-// importSource applies one loaded handoff, with its items, under the
+// importSource applies one loaded handoff, with its item count, under the
 // target source's mutex and returns the disposition.
-func (c *Collector) importSource(hs *wire.HandoffSource, items []core.Item) wire.HandoffDisposition {
+func (c *Collector) importSource(hs *wire.HandoffSource, items int) wire.HandoffDisposition {
 	tgt := c.source(hs.Source)
 	tgt.mu.Lock()
 	defer tgt.mu.Unlock()
@@ -409,7 +408,7 @@ func (c *Collector) Depart(members []string) {
 // draining collector votes not-OK (it must leave the load balancer);
 // in-flight imports are informational and stay OK.
 func (c *Collector) Status() health.Status {
-	st := FleetStatus(c.Fleet())
+	st := FleetStatus(MergeSummaries(c.rows(false)))
 	c.mu.Lock()
 	draining, total, done := c.draining, c.drainTotal, c.drainDone
 	departed := c.departed

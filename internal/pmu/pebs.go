@@ -271,10 +271,6 @@ func (p *PEBS) Interrupts() uint64 { return p.interrupts }
 // (wrap evictions, drop bursts).
 func (p *PEBS) Dropped() uint64 { return p.dropped }
 
-// DroppedBursts returns how many contiguous loss episodes the overflow
-// policy produced (0 under OverflowDrain).
-func (p *PEBS) DroppedBursts() uint64 { return p.bursts }
-
 // Config returns the effective configuration.
 func (p *PEBS) Config() PEBSConfig { return p.cfg }
 

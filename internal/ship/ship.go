@@ -330,13 +330,6 @@ func (s *Shipper) enqueue(enc []byte, buf *wire.Buf, opens bool) error {
 	return nil
 }
 
-// QueueDepth returns the number of frames currently held in memory.
-func (s *Shipper) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
 // PendingFrames returns how many enqueued frames the collector has not yet
 // acknowledged.
 func (s *Shipper) PendingFrames() uint64 {
