@@ -287,7 +287,7 @@ func TestIngestRetainsNoRecords(t *testing.T) {
 // back through the link instead of parking its frames in memory. Set 1 is
 // left open (the shipper restarted mid-set); set 2's symtab aborts it, and
 // the summary tap holds that apply. Nothing more of set 2 may be read until
-// the tap returns — then all of it lands.
+// the tap returns — then all of it lands. A health read answers meanwhile.
 func TestSlowApplyBackpressures(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var releaseOnce sync.Once
@@ -329,6 +329,14 @@ func TestSlowApplyBackpressures(t *testing.T) {
 	}
 	if read > 0 {
 		t.Fatalf("the collector read %d of set 2's %d frames while the apply before them was held", read, len(frames2)-1)
+	}
+	// A health read takes no apply mutex: it answers while the apply is held.
+	health := make(chan obs.Health, 1)
+	go func() { health <- c.Health() }()
+	select {
+	case <-health:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a health read waited on the apply in flight")
 	}
 
 	free()
