@@ -92,24 +92,18 @@ type mergedSource struct {
 	verdictsFrame []byte
 }
 
-// setSummary replaces the row's summary with the header and item count
-// wire.CheckFleetSummary read from payload, and its payload with payload —
-// for a live merge and for a restore alike.
+// newMergedSource is an ID-only row for id: what a restore starts from,
+// and what a verdict snapshot that beats the source's first summary holds.
+func newMergedSource(id string) *mergedSource {
+	return &mergedSource{row: collector.SourceRow{Summary: collector.SummaryOf(wire.FleetSummary{Source: id}, 0, 0)}}
+}
+
+// setSummary replaces the row's summary with the one collector.SummaryOf
+// builds from the header and item count wire.CheckFleetSummary read from
+// payload, and its payload with payload — for a live merge and for a
+// restore alike.
 func (ms *mergedSource) setSummary(fs wire.FleetSummary, items int, payload []byte) {
-	ms.row.Summary = collector.SourceSummary{
-		ID:             fs.Source,
-		Sets:           fs.Sets,
-		AbortedSets:    fs.AbortedSets,
-		Items:          items,
-		MeanConfidence: fs.MeanConf,
-		Degraded:       fs.Degraded,
-		GapLine:        fs.GapLine,
-		LostMarkers:    fs.LostMarkers,
-		LostSamples:    fs.LostSamples,
-		CRCErrors:      fs.CRCErrors,
-		Disconnects:    fs.Disconnects,
-		ActiveVerdicts: ms.row.Summary.ActiveVerdicts,
-	}
+	ms.row.Summary = collector.SummaryOf(fs, items, ms.row.Summary.ActiveVerdicts)
 	ms.row.Payload = payload
 }
 
@@ -317,7 +311,7 @@ func (s *shardStream) End(lost error) bool { return lost != nil }
 func (a *Aggregator) mergeSummaryLocked(shardID string, fs wire.FleetSummary, items int, payload []byte) {
 	ms := a.sources[fs.Source]
 	if ms == nil {
-		ms = &mergedSource{}
+		ms = newMergedSource(fs.Source)
 		a.sources[fs.Source] = ms
 	}
 	// Staleness guard for rebalances: after a planned drain the departing
@@ -352,8 +346,7 @@ func (a *Aggregator) mergeSummaryLocked(shardID string, fs wire.FleetSummary, it
 func (a *Aggregator) mergeVerdictsLocked(shardID string, vs wire.VerdictSet, payload []byte) {
 	ms := a.sources[vs.Source]
 	if ms == nil {
-		ms = &mergedSource{row: collector.SourceRow{
-			Summary: collector.SourceSummary{ID: vs.Source}}}
+		ms = newMergedSource(vs.Source)
 		a.sources[vs.Source] = ms
 	}
 	// Staleness guard, the verdict-stream twin of mergeSummaryLocked's: within
@@ -409,10 +402,17 @@ func (a *Aggregator) SourceShard(source string) string {
 	return ""
 }
 
-// Health derives the /healthz verdict from the merged summaries via the
-// shared collector.FleetStatus; it decodes no payload.
+// Health derives the /healthz verdict from the merged rows' counts via the
+// shared collector.FleetStatus; it copies no row and decodes no payload.
 func (a *Aggregator) Health() obs.Health {
-	return collector.FleetStatus(collector.MergeSummaries(a.rows())).Health()
+	var n collector.FleetCounts
+	a.mu.Lock()
+	for _, ms := range a.sources {
+		s := &ms.row.Summary
+		n.Add(s.Degraded, s.Sets, s.LostMarkers+s.LostSamples, s.ActiveVerdicts, len(ms.row.Verdicts))
+	}
+	a.mu.Unlock()
+	return collector.FleetStatus(n).Health()
 }
 
 // Handler returns the aggregator's HTTP surface: the standard

@@ -150,7 +150,7 @@ func (a *Aggregator) restoreCheckpoint(path string) error {
 // the check, decoder and setters the live merge uses. The summary's items
 // stay encoded, as a merged source's do.
 func restoreSource(cs checkpointSource) (*mergedSource, error) {
-	ms := &mergedSource{row: collector.SourceRow{Summary: collector.SourceSummary{ID: cs.ID}}}
+	ms := newMergedSource(cs.ID)
 	if cs.Summary != nil {
 		fs, items, err := wire.CheckFleetSummary(cs.Summary)
 		if err == nil && fs.Source != cs.ID {
@@ -189,9 +189,10 @@ type checkpointFileV1 struct {
 }
 
 // upgradeV1 turns a version-1 file into the current layout, encoding each
-// row once as the TFleetSummary payload it was merged from. A row with no
-// clock was a verdict placeholder whose verdicts version 1 did not keep:
-// it becomes an ID-only source.
+// row once as the TFleetSummary payload it was merged from: its summary,
+// with the set's clock and items. A row with no clock was a verdict
+// placeholder whose verdicts version 1 did not keep: it becomes an ID-only
+// source.
 func upgradeV1(data []byte) (checkpointFile, error) {
 	var v1 checkpointFileV1
 	if err := json.Unmarshal(data, &v1); err != nil {
@@ -199,11 +200,17 @@ func upgradeV1(data []byte) (checkpointFile, error) {
 	}
 	file := checkpointFile{Version: checkpointVersion, Shards: v1.Shards}
 	for _, r := range v1.Sources {
-		cs := checkpointSource{ID: r.Summary.ID, Shard: r.Shard}
+		s := r.Summary
+		cs := checkpointSource{ID: s.ID, Shard: r.Shard}
 		if r.FreqHz != 0 {
-			p, err := wire.AppendFleetSummary(nil, r.Summary.Shipped(r.FreqHz, r.Items))
+			p, err := wire.AppendFleetSummary(nil, wire.FleetSummary{
+				Source: s.ID, FreqHz: r.FreqHz, Sets: s.Sets, AbortedSets: s.AbortedSets,
+				LostMarkers: s.LostMarkers, LostSamples: s.LostSamples, CRCErrors: s.CRCErrors,
+				Disconnects: s.Disconnects, MeanConf: s.MeanConfidence, Degraded: s.Degraded,
+				GapLine: s.GapLine, Items: r.Items,
+			})
 			if err != nil {
-				return checkpointFile{}, fmt.Errorf("source %q: %w", r.Summary.ID, err)
+				return checkpointFile{}, fmt.Errorf("source %q: %w", s.ID, err)
 			}
 			cs.Summary = p
 		}

@@ -56,45 +56,31 @@ type checkpointSource struct {
 	ImportedSeq   uint64   `json:"imported_seq,omitempty"`
 }
 
-// stateLocked copies the source's persisted row out, its last set's items
-// as the summary payload (none when they did not encode: summaryErr). The
-// clock it records is the one those items were integrated against, never
-// an open set's; the watermark is the settled one — the sequence number
-// this very accounting reflects — whether or not it has been acknowledged
-// yet. Caller holds s.applyMu and s.mu.
+// stateLocked copies the source's persisted row out: the row as held, its
+// watermark from wm and its last set's items as the summary payload (none
+// when they did not encode: summaryErr). The clock the row records is the
+// one those items were integrated against, never an open set's; the
+// watermark is the settled one — the sequence number this very accounting
+// reflects — whether or not it has been acknowledged yet. Caller holds
+// s.applyMu and s.mu.
 func (s *Source) stateLocked() wire.SourceState {
-	return wire.SourceState{
-		Epoch:         s.wm.Epoch,
-		LastAcked:     s.wm.Settled,
-		FreqHz:        s.freq,
-		Gaps:          s.gaps,
-		Diag:          s.diag,
-		Sets:          s.sets,
-		AbortedSets:   s.abortedSets,
-		Frames:        s.frames,
-		CRCErrors:     s.crcErrors,
-		Disconnects:   s.disconnects,
-		LostMarkers:   s.lostMarkers,
-		LostSamples:   s.lostSamples,
-		ConfSum:       s.confSum,
-		ConfN:         s.confN,
-		LastMeanConf:  s.lastMeanConf,
-		LastDegraded:  s.lastDegraded,
-		EverConnected: s.everConnected,
-		Summary:       s.payloadLocked(),
-	}
+	s.payloadLocked()
+	st := s.row
+	st.Epoch, st.LastAcked = s.wm.Epoch, s.wm.Settled
+	return st
 }
 
 // payloadLocked returns the payload finishSet encoded into sumBuf (nil
-// when there is none), copied out into summary on the first read after the
-// set: a copy the next set's encode cannot touch and nothing appends into,
-// so a reader may keep it after it dropped the source's locks. Caller
-// holds s.applyMu (finishSet writes sumBuf under it) and s.mu.
+// when there is none), copied out into row.Summary on the first read
+// after the set: a copy the next set's encode cannot touch and nothing
+// appends into, so a reader may keep it after it dropped the source's
+// locks. Caller holds s.applyMu (finishSet writes sumBuf under it) and
+// s.mu.
 func (s *Source) payloadLocked() []byte {
 	if s.sumUnread {
-		s.summary, s.sumUnread = bytes.Clone(s.sumBuf), false
+		s.row.Summary, s.sumUnread = bytes.Clone(s.sumBuf), false
 	}
-	return s.summary
+	return s.row.Summary
 }
 
 // loadRow readies a persisted row — a checkpoint row or a handoff — for
@@ -159,24 +145,10 @@ func upgradeItems(id string, freq uint64, items []core.Item) ([]byte, error) {
 // resume at the recorded set boundary and the shipper replays any partial
 // set in full. Caller holds s.mu (or owns s outright).
 func (s *Source) setStateLocked(st wire.SourceState, items int) {
+	s.row = st
 	s.wm = durable.Restored(st.Epoch, st.LastAcked)
-	s.freq = st.FreqHz
-	s.gaps = st.Gaps
-	s.diag = st.Diag
-	s.sets = st.Sets
-	s.abortedSets = st.AbortedSets
-	s.frames = st.Frames
-	s.crcErrors = st.CRCErrors
-	s.disconnects = st.Disconnects
-	s.lostMarkers = st.LostMarkers
-	s.lostSamples = st.LostSamples
-	s.confSum = st.ConfSum
-	s.confN = st.ConfN
-	s.lastMeanConf = st.LastMeanConf
-	s.lastDegraded = st.LastDegraded
-	s.everConnected = st.EverConnected
 	s.itemCount = items
-	s.summary, s.summaryErr, s.sumUnread = st.Summary, nil, false
+	s.summaryErr, s.sumUnread = nil, false
 }
 
 // Checkpoint writes the collector's durable state to cfg.CheckpointPath

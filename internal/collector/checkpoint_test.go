@@ -32,7 +32,7 @@ func feedSet(t testing.TB, c *Collector, id string, set *trace.Set) *Source {
 	t.Helper()
 	src := c.source(id)
 	src.mu.Lock()
-	src.everConnected = true
+	src.row.EverConnected = true
 	src.mu.Unlock()
 	for _, fr := range rawSetFrames(t, set) {
 		if err := c.frame(src, fr); err != nil {
@@ -60,7 +60,7 @@ func checkpointV2State(t *testing.T, path string) *Collector {
 
 	w2 := c.source("w2")
 	w2.mu.Lock()
-	w2.everConnected = true
+	w2.row.EverConnected = true
 	w2.wm = durable.Restored(3, 0)
 	w2.mu.Unlock()
 
@@ -74,7 +74,7 @@ func checkpointV2State(t *testing.T, path string) *Collector {
 
 	peer := c.source(wire.HandoffPeerPrefix + "shard-a")
 	peer.mu.Lock()
-	peer.everConnected = true
+	peer.row.EverConnected = true
 	peer.wm = durable.Restored(6, 9)
 	peer.mu.Unlock()
 

@@ -144,7 +144,9 @@ type Source struct {
 
 	// Acked-delivery state (see internal/durable). Acks only land on a
 	// SetEnd or handoff frame, so mid-set integrator state is never
-	// serialized.
+	// serialized. It is the live watermark; row.Epoch and row.LastAcked are
+	// written from it only where the row is persisted (stateLocked) and read
+	// back into it only where a row is installed (setStateLocked).
 	wm durable.Watermark
 
 	// Current-set decoding state, touched only under applyMu — the hot
@@ -159,7 +161,7 @@ type Source struct {
 	curItem []core.Item
 	// sumBuf is the last set's items encoded by finishSet as the
 	// TFleetSummary payload, reused set to set; sumUnread marks that
-	// summary does not yet hold a copy of it (payloadLocked).
+	// row.Summary does not yet hold a copy of it (payloadLocked).
 	sumBuf    []byte
 	sumUnread bool
 
@@ -173,32 +175,20 @@ type Source struct {
 	verdicts       []detect.Verdict
 	activeVerdicts int
 
-	// Last-completed-set results. freq is the clock its items were
-	// integrated against: a row written mid-set still pairs the items with
-	// their own clock. summary, the only form the set is kept in, is its
-	// items as the TFleetSummary payload (payloadLocked); summaryErr is why
-	// they did not encode, which fails every checkpoint and export until
-	// the next set. itemCount is how many items the set had.
-	freq       uint64
-	summary    []byte
+	// row is the source's persisted row, held as the checkpoint and a
+	// handoff carry it: the last completed set's results and the cumulative
+	// accounting (guarded by mu). Its FreqHz is the clock the last set's
+	// items were integrated against, so a row written mid-set still pairs
+	// the items with their own clock. row.Summary, the only form the set is
+	// kept in, is its items as the TFleetSummary payload (payloadLocked).
+	// row.Epoch and row.LastAcked are not kept current — wm is — and
+	// row.Items (version-1 JSON items) is never set: loadRow upgrades them.
+	row wire.SourceState
+	// summaryErr is why the last set's items did not encode, which fails
+	// every checkpoint and export until the next set. itemCount is how many
+	// items the set had.
 	summaryErr error
 	itemCount  int
-	gaps       trace.Gaps
-	diag       core.Diagnostics
-
-	// Cumulative accounting.
-	sets          uint64
-	abortedSets   uint64
-	frames        uint64
-	crcErrors     uint64
-	disconnects   uint64
-	lostMarkers   uint64
-	lostSamples   uint64
-	confSum       float64
-	confN         int
-	lastMeanConf  float64
-	lastDegraded  bool
-	everConnected bool
 
 	// Drain/handoff state (guarded by mu; see handoff.go).
 	//
@@ -348,7 +338,7 @@ func (c *Collector) ShardLoad() []uint64 {
 	var total uint64
 	for _, s := range c.appendSources(nil) {
 		s.mu.Lock()
-		total += s.frames
+		total += s.row.Frames
 		s.mu.Unlock()
 	}
 	return []uint64{total}
@@ -380,7 +370,7 @@ func (c *Collector) open(conn net.Conn, id string) durable.Stream {
 		c.redirectAndClose(src, conn)
 		return nil
 	}
-	src.everConnected = true
+	src.row.EverConnected = true
 	src.conns[conn] = struct{}{}
 	src.mu.Unlock()
 	return &sourceStream{c: c, src: src, conn: conn}
@@ -492,11 +482,11 @@ func (s *sourceStream) End(lost error) bool {
 	delete(src.conns, s.conn)
 	switch {
 	case errors.Is(lost, wire.ErrChecksum):
-		src.crcErrors++
+		src.row.CRCErrors++
 	case lost == nil || src.frozen:
 		return false
 	}
-	src.disconnects++
+	src.row.Disconnects++
 	return true
 }
 
@@ -510,12 +500,12 @@ func (c *Collector) apply(src *Source, f *durable.Frame) (owed wire.HandoffAck, 
 		err = c.applyFrame(src, f)
 	}
 	src.mu.Lock()
-	src.frames++
+	src.row.Frames++
 	if err != nil {
 		// The frame arrived intact (CRC passed) but its payload is
 		// undecodable.
 		c.metCRCErrs.Inc()
-		src.crcErrors++
+		src.row.CRCErrors++
 	} else if f.Type == wire.THandoffBegin || f.Type == wire.THandoffSource {
 		// An import settles after the target row changed (under the
 		// target's own mutex): a snapshot between the two replays the
@@ -643,29 +633,31 @@ func (c *Collector) finishSet(src *Source, declared wire.SetEnd, aborted bool, e
 	}
 
 	src.mu.Lock()
-	src.freq = src.curFreq
-	src.diag = diag
+	r := &src.row
+	r.FreqHz = src.curFreq
+	r.Diag = diag
 	src.itemCount = n
-	src.summary, src.summaryErr, src.sumUnread = nil, sumErr, sumErr == nil
-	src.gaps = gaps
-	src.lostMarkers += lostMarkers
-	src.lostSamples += lostSamples
-	src.confSum += confSum
-	src.confN += n
+	r.Summary, src.summaryErr, src.sumUnread = nil, sumErr, sumErr == nil
+	r.Gaps = gaps
+	r.LostMarkers += lostMarkers
+	r.LostSamples += lostSamples
+	r.ConfSum += confSum
+	r.ConfN += n
 	if n > 0 {
-		src.lastMeanConf = confSum / float64(n)
+		r.LastMeanConf = confSum / float64(n)
 	} else {
-		src.lastMeanConf = 0
+		r.LastMeanConf = 0
 	}
-	src.lastDegraded = gaps.Degraded() || src.lostMarkers+src.lostSamples > 0
-	src.sets++
+	r.LastDegraded = gaps.Degraded() || r.LostMarkers+r.LostSamples > 0
+	r.Sets++
 	if aborted {
-		src.abortedSets++
+		r.AbortedSets++
 	}
 	src.wm.Settle(epoch, seq)
 	var fs wire.FleetSummary
 	if c.cfg.OnSummary != nil {
-		fs = src.summaryLocked().Shipped(src.freq, append([]core.Item(nil), src.curItem...))
+		fs = src.headerLocked()
+		fs.Items = append([]core.Item(nil), src.curItem...)
 	}
 	src.mu.Unlock()
 
@@ -714,22 +706,6 @@ func (c *Collector) publishVerdicts(src *Source) {
 	}
 }
 
-// Verdicts returns the source's published verdict snapshot: the unresolved
-// change-event count and the recent ranked verdicts, oldest first.
-func (s *Source) Verdicts() (active int, verdicts []detect.Verdict) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.activeVerdicts, append([]detect.Verdict(nil), s.verdicts...)
-}
-
-// Epoch returns the source's numbering epoch (0 before its first
-// connection).
-func (s *Source) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wm.Epoch
-}
-
 // LastAcked returns the highest sequence number acknowledged to the source.
 func (s *Source) LastAcked() uint64 {
 	s.mu.Lock()
@@ -741,7 +717,7 @@ func (s *Source) LastAcked() uint64 {
 func (s *Source) Sets() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sets
+	return s.row.Sets
 }
 
 // SetOpen reports whether a trace set is currently in flight from the
@@ -769,17 +745,10 @@ func (s *Source) Items() []core.Item {
 	return items
 }
 
-// Diag returns the integration diagnostics of the last completed set.
-func (s *Source) Diag() core.Diagnostics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.diag
-}
-
 // FreqHz returns the TSC frequency of the last completed set, the clock
 // its Items are in (0 before the first set completes).
 func (s *Source) FreqHz() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.freq
+	return s.row.FreqHz
 }

@@ -3,13 +3,17 @@ package collector
 import (
 	"io"
 	"net"
+	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/pmu"
@@ -148,6 +152,70 @@ func TestFleetTopK(t *testing.T) {
 	}
 }
 
+// TestMergeFleetMatchesSort: MergeFleet's bounded top-K equals sorting
+// every item of every row and keeping the first K — with elapsed-time
+// ties across sources and clocks, equal item IDs across sources, one ID on
+// two cores, and K = 0, 1, every K up to n, n and past n, rows in either
+// order.
+func TestMergeFleetMatchesSort(t *testing.T) {
+	fn := &symtab.Fn{Name: "f", Base: 0x1000, Size: 0x100}
+	type spec struct {
+		id, core int
+		elapsed  uint64
+	}
+	row := func(source string, freq uint64, specs ...spec) SourceRow {
+		items := make([]core.Item, len(specs))
+		for i, sp := range specs {
+			items[i] = core.Item{ID: uint64(sp.id), Core: int32(sp.core), BeginTSC: 100, EndTSC: 100 + sp.elapsed,
+				SampleCount: 1, Confidence: 1, Funcs: []core.FuncSpan{{Fn: fn, Samples: 1, FirstTSC: 110, LastTSC: 120}}}
+		}
+		p, err := wire.AppendFleetSummary(nil, wire.FleetSummary{Source: source, FreqHz: freq, Items: items})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SourceRow{Summary: SummaryOf(wire.FleetSummary{Source: source}, len(items), 0), Payload: p}
+	}
+	rows := []SourceRow{
+		row("host-b", 1e9, spec{1, 0, 900}, spec{2, 0, 500}, spec{3, 0, 900}, spec{3, 1, 900}),
+		row("host-a", 1e9, spec{1, 0, 900}, spec{2, 1, 300}, spec{4, 0, 700}),
+		row("host-c", 2e9, spec{1, 0, 1800}, spec{2, 0, 1000}), // 0.9 µs and 0.5 µs on a 2 GHz clock
+		{Summary: SummaryOf(wire.FleetSummary{Source: "host-d"}, 0, 0)},
+	}
+	var all []FleetItem
+	for _, r := range rows {
+		freq, items := storedItems(r.Summary.ID, r.Payload)
+		for _, it := range items {
+			all = append(all, FleetItem{Source: r.Summary.ID, ElapsedUs: float64(it.ElapsedCycles()) * 1e6 / float64(freq), Item: it})
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		switch {
+		case a.ElapsedUs != b.ElapsedUs:
+			return a.ElapsedUs > b.ElapsedUs
+		case a.Source != b.Source:
+			return a.Source < b.Source
+		case a.Item.ID != b.Item.ID:
+			return a.Item.ID < b.Item.ID
+		}
+		return a.Item.Core < b.Item.Core
+	})
+	reversed := slices.Clone(rows)
+	slices.Reverse(reversed)
+	for k := 0; k <= len(all)+2; k++ {
+		want := all[:min(k, len(all))]
+		for _, in := range [][]SourceRow{rows, reversed} {
+			if got := MergeFleet(k, in).TopSlow; !reflect.DeepEqual(got, want) {
+				t.Fatalf("K=%d: top-K\n%+v\nwant\n%+v", k, got, want)
+			}
+		}
+	}
+	// Rows without items show no list at all, as /fleet always has.
+	if got := MergeFleet(3, rows[3:]).TopSlow; got != nil {
+		t.Fatalf("item-less rows give top-K %+v, want nil", got)
+	}
+}
+
 // TestProtocolErrorsTolerated: a source that sends records before its
 // symtab is counted, not crashed, and the connection survives for the
 // retry.
@@ -167,7 +235,7 @@ func TestProtocolErrorsTolerated(t *testing.T) {
 	})
 	src := c.Source("confused")
 	src.mu.Lock()
-	crc := src.crcErrors
+	crc := src.row.CRCErrors
 	src.mu.Unlock()
 	if crc == 0 {
 		t.Fatal("out-of-order frame was not counted")
@@ -201,7 +269,7 @@ func TestSymtabMidSetFinalizesPrevious(t *testing.T) {
 	})
 	src := c.Source("restarter")
 	src.mu.Lock()
-	aborted := src.abortedSets
+	aborted := src.row.AbortedSets
 	src.mu.Unlock()
 	if aborted != 1 {
 		t.Fatalf("aborted sets = %d, want 1", aborted)

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -156,9 +157,22 @@ func TestDetectFleetEndpoints(t *testing.T) {
 	if vv.Active == 0 || len(vv.Verdicts) != len(v.Verdicts) {
 		t.Errorf("VerdictsOf = %d active, %d verdicts; fleet has %d", vv.Active, len(vv.Verdicts), len(v.Verdicts))
 	}
-	h := FleetStatus(v).Health()
+	var n FleetCounts
+	for _, s := range v.Sources {
+		verdicts := 0
+		for _, vd := range v.Verdicts {
+			if vd.Source == s.ID {
+				verdicts++
+			}
+		}
+		n.Add(s.Degraded, s.Sets, s.LostMarkers+s.LostSamples, s.ActiveVerdicts, verdicts)
+	}
+	h := FleetStatus(n).Health()
 	if h.OK || h.Status != "degraded" {
 		t.Fatalf("fleet health with active events = %+v, want degraded", h)
+	}
+	if live := coll.Health(); !reflect.DeepEqual(live, h) {
+		t.Fatalf("collector health %+v, want the fleet view's %+v", live, h)
 	}
 	if !strings.Contains(h.Detail, "unresolved fluctuation") {
 		t.Fatalf("health detail %q missing the detect condition", h.Detail)

@@ -244,7 +244,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	src := a.source("w1")
 	src.mu.Lock()
-	src.everConnected = true
+	src.row.EverConnected = true
 	src.mu.Unlock()
 	for _, fr := range rawSetFrames(t, set) {
 		if err := a.frame(src, fr); err != nil {
@@ -295,7 +295,7 @@ func TestCheckpointDeterministic(t *testing.T) {
 	for i, id := range []string{"w1", "w2", "w3", "w4", "w5"} {
 		src := c.source(id)
 		src.mu.Lock()
-		src.everConnected = true
+		src.row.EverConnected = true
 		src.mu.Unlock()
 		if i%2 == 0 {
 			for _, fr := range rawSetFrames(t, set) {

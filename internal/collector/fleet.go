@@ -43,22 +43,25 @@ type SourceSummary struct {
 	ActiveVerdicts uint32 `json:"active_verdicts,omitempty"`
 }
 
-// Shipped returns the summary as the TFleetSummary a shard ships for it,
-// with the set's clock and items.
-func (s SourceSummary) Shipped(freq uint64, items []core.Item) wire.FleetSummary {
-	return wire.FleetSummary{
-		Source:      s.ID,
-		FreqHz:      freq,
-		Sets:        s.Sets,
-		AbortedSets: s.AbortedSets,
-		LostMarkers: s.LostMarkers,
-		LostSamples: s.LostSamples,
-		CRCErrors:   s.CRCErrors,
-		Disconnects: s.Disconnects,
-		MeanConf:    s.MeanConfidence,
-		Degraded:    s.Degraded,
-		GapLine:     s.GapLine,
-		Items:       items,
+// SummaryOf is a source's fleet row: the TFleetSummary header its
+// collector ships for it, its last set's item count and its unresolved
+// fluctuation-event count. It is the one place a row is built — the
+// collector passes the header it ships (headerLocked), the aggregator the
+// one it merged — so both tiers show a source alike by construction.
+func SummaryOf(h wire.FleetSummary, items int, activeVerdicts uint32) SourceSummary {
+	return SourceSummary{
+		ID:             h.Source,
+		Sets:           h.Sets,
+		AbortedSets:    h.AbortedSets,
+		Items:          items,
+		MeanConfidence: h.MeanConf,
+		Degraded:       h.Degraded,
+		GapLine:        h.GapLine,
+		LostMarkers:    h.LostMarkers,
+		LostSamples:    h.LostSamples,
+		CRCErrors:      h.CRCErrors,
+		Disconnects:    h.Disconnects,
+		ActiveVerdicts: activeVerdicts,
 	}
 }
 
@@ -109,8 +112,8 @@ type SourceRow struct {
 }
 
 // MergeSummaries merges per-source rows into the fleet view without its
-// top-K items, which is all /healthz and /verdicts read: summaries
-// ascending by ID, verdicts in (source, event, rank) order.
+// top-K items, which is all /verdicts reads: summaries ascending by ID,
+// verdicts in (source, event, rank) order.
 func MergeSummaries(rows []SourceRow) FleetView {
 	// Sized once; nil when there is no row, as /fleet has always shown it.
 	v := FleetView{Sources: slices.Grow([]SourceSummary(nil), len(rows))}
@@ -133,39 +136,51 @@ func MergeSummaries(rows []SourceRow) FleetView {
 
 // MergeFleet merges per-source rows into one fleet view: MergeSummaries,
 // plus the top-K slowest items (by elapsed time on each item's own clock)
-// across every row's last completed set, decoded from its payload.
+// across every row's last completed set, decoded from its payload. It
+// decodes one payload at a time and keeps at most 2K candidates, cut back
+// to the best K whenever they fill, instead of every item of every set;
+// once cut, the K-th best bounds what may enter. The order is total, so
+// the view is the one a sort of every item would give.
 func MergeFleet(topK int, rows []SourceRow) FleetView {
 	v := MergeSummaries(rows)
-	n := 0
+	var top []FleetItem
+	cut := false // top[:topK] is the best K so far, in order
 	for _, r := range rows {
-		n += r.Summary.Items
-	}
-	all := slices.Grow([]FleetItem(nil), n)
-	for _, r := range rows {
+		if top == nil && r.Summary.Items > 0 {
+			// Non-nil once a row has items, as /fleet has always shown it.
+			top = make([]FleetItem, 0, max(0, min(2*topK, r.Summary.Items)))
+		}
 		freq, items := storedItems(r.Summary.ID, r.Payload)
 		for i := range items {
 			us := float64(items[i].ElapsedCycles()) * 1e6 / float64(freq)
-			all = append(all, FleetItem{Source: r.Summary.ID, ElapsedUs: us, Item: items[i]})
+			fi := FleetItem{Source: r.Summary.ID, ElapsedUs: us, Item: items[i]}
+			if topK <= 0 || (cut && slowerFirst(fi, top[topK-1]) >= 0) {
+				continue
+			}
+			if top = append(top, fi); len(top) == 2*topK {
+				slices.SortFunc(top, slowerFirst)
+				top, cut = top[:topK], true
+			}
 		}
 	}
-	// Slowest first; deterministic tie-break on (source, item, core).
-	slices.SortFunc(all, func(a, b FleetItem) int {
-		if a.ElapsedUs != b.ElapsedUs {
-			return cmp.Compare(b.ElapsedUs, a.ElapsedUs)
-		}
-		if a.Source != b.Source {
-			return cmp.Compare(a.Source, b.Source)
-		}
-		if a.Item.ID != b.Item.ID {
-			return cmp.Compare(a.Item.ID, b.Item.ID)
-		}
-		return cmp.Compare(a.Item.Core, b.Item.Core)
-	})
-	if len(all) > topK {
-		all = all[:topK]
-	}
-	v.TopSlow = all
+	slices.SortFunc(top, slowerFirst)
+	v.TopSlow = top[:max(0, min(topK, len(top)))]
 	return v
+}
+
+// slowerFirst orders fleet items slowest first, ties broken on (source,
+// item, core).
+func slowerFirst(a, b FleetItem) int {
+	if a.ElapsedUs != b.ElapsedUs {
+		return cmp.Compare(b.ElapsedUs, a.ElapsedUs)
+	}
+	if a.Source != b.Source {
+		return cmp.Compare(a.Source, b.Source)
+	}
+	if a.Item.ID != b.Item.ID {
+		return cmp.Compare(a.Item.ID, b.Item.ID)
+	}
+	return cmp.Compare(a.Item.Core, b.Item.Core)
 }
 
 // storedItems decodes a stored set's payload, the one decode of a finished
@@ -190,7 +205,7 @@ func (c *Collector) Fleet() FleetView {
 // rows snapshots each fleet member's row (handoff peer streams are
 // plumbing; internal is immutable). With payloads, a row carries the last
 // set, read under the apply mutex as the checkpoint reads it; without,
-// only s.mu is taken, so a health probe never waits on an apply. Verdict
+// only s.mu is taken, so a /verdicts read never waits on an apply. Verdict
 // snapshots are replaced whole, never written into, so rows share them.
 func (c *Collector) rows(payloads bool) []SourceRow {
 	srcs := c.appendSources(nil)
@@ -203,7 +218,7 @@ func (c *Collector) rows(payloads bool) []SourceRow {
 			s.applyMu.Lock()
 		}
 		s.mu.Lock()
-		row := SourceRow{Summary: s.summaryLocked(), Verdicts: s.verdicts}
+		row := SourceRow{Summary: SummaryOf(s.headerLocked(), s.itemCount, uint32(s.activeVerdicts)), Verdicts: s.verdicts}
 		if payloads {
 			row.Payload = s.payloadLocked()
 		}
@@ -216,21 +231,23 @@ func (c *Collector) rows(payloads bool) []SourceRow {
 	return rows
 }
 
-// summaryLocked builds the source's fleet row. Caller holds s.mu.
-func (s *Source) summaryLocked() SourceSummary {
-	return SourceSummary{
-		ID:             s.ID,
-		Sets:           s.sets,
-		AbortedSets:    s.abortedSets,
-		Items:          s.itemCount,
-		MeanConfidence: s.lastMeanConf,
-		Degraded:       s.lastDegraded,
-		GapLine:        s.gaps.String(),
-		LostMarkers:    s.lostMarkers,
-		LostSamples:    s.lostSamples,
-		CRCErrors:      s.crcErrors,
-		Disconnects:    s.disconnects,
-		ActiveVerdicts: uint32(s.activeVerdicts),
+// headerLocked is the TFleetSummary header of the source's row, without
+// items: what OnSummary ships for it, and what its own fleet row is built
+// from (SummaryOf). Caller holds s.mu.
+func (s *Source) headerLocked() wire.FleetSummary {
+	r := &s.row
+	return wire.FleetSummary{
+		Source:      s.ID,
+		FreqHz:      r.FreqHz,
+		Sets:        r.Sets,
+		AbortedSets: r.AbortedSets,
+		LostMarkers: r.LostMarkers,
+		LostSamples: r.LostSamples,
+		CRCErrors:   r.CRCErrors,
+		Disconnects: r.Disconnects,
+		MeanConf:    r.LastMeanConf,
+		Degraded:    r.LastDegraded,
+		GapLine:     r.Gaps.String(),
 	}
 }
 
@@ -276,64 +293,91 @@ func (c *Collector) Health() obs.Health {
 	return c.Status().Health()
 }
 
-// FleetStatus derives the per-condition health status from a fleet view —
-// shared by both tiers so a shard collector and the global aggregator judge
-// the same view the same way. Two conditions (DESIGN.md §14):
+// FleetCounts is what the fleet health verdict reads, summed over the
+// sources. Both tiers fill it straight from their rows, so a health read
+// copies no summary, formats no gap line and sorts nothing.
+type FleetCounts struct {
+	sources, degraded, verdicts int
+	sets, lost, active          uint64
+}
+
+// Add counts one source: whether its last set was degraded, its
+// cumulative sets and lost records, its unresolved fluctuation events and
+// how many recent verdicts it holds.
+func (n *FleetCounts) Add(degraded bool, sets, lost uint64, active uint32, verdicts int) {
+	n.sources++
+	if degraded {
+		n.degraded++
+	}
+	n.sets += sets
+	n.lost += lost
+	n.active += uint64(active)
+	n.verdicts += verdicts
+}
+
+// FleetStatus derives the per-condition health status from the fleet's
+// counts — shared by both tiers so a shard collector and the global
+// aggregator judge the same fleet the same way. Two conditions (DESIGN.md
+// §14):
 //
 //   - transport: degraded while any source's last set shows gap-scan damage
 //     or transport loss;
 //   - detect: degraded while any source has an unresolved fluctuation
 //     event.
-func FleetStatus(v FleetView) health.Status {
-	degraded := 0
-	var sets, lost uint64
-	var active uint64
-	for _, s := range v.Sources {
-		if s.Degraded {
-			degraded++
-		}
-		sets += s.Sets
-		lost += s.LostMarkers + s.LostSamples
-		active += uint64(s.ActiveVerdicts)
-	}
-
+func FleetStatus(n FleetCounts) health.Status {
 	transport := health.Condition{
 		Name: "transport",
-		OK:   degraded == 0,
+		OK:   n.degraded == 0,
 		Fields: map[string]float64{
-			"sources":          float64(len(v.Sources)),
-			"degraded_sources": float64(degraded),
-			"sets":             float64(sets),
-			"lost_records":     float64(lost),
+			"sources":          float64(n.sources),
+			"degraded_sources": float64(n.degraded),
+			"sets":             float64(n.sets),
+			"lost_records":     float64(n.lost),
 		},
 	}
 	switch {
-	case len(v.Sources) == 0:
+	case n.sources == 0:
 		transport.Detail = "no shippers connected yet"
-	case degraded > 0:
-		transport.Detail = fmt.Sprintf("%d/%d sources degraded", degraded, len(v.Sources))
+	case n.degraded > 0:
+		transport.Detail = fmt.Sprintf("%d/%d sources degraded", n.degraded, n.sources)
 	default:
-		transport.Detail = fmt.Sprintf("%d sources clean", len(v.Sources))
+		transport.Detail = fmt.Sprintf("%d sources clean", n.sources)
 	}
 
 	det := health.Condition{
 		Name: "detect",
-		OK:   active == 0,
+		OK:   n.active == 0,
 		Fields: map[string]float64{
-			"active_verdicts": float64(active),
-			"verdicts":        float64(len(v.Verdicts)),
+			"active_verdicts": float64(n.active),
+			"verdicts":        float64(n.verdicts),
 		},
 	}
-	if active == 0 {
+	if n.active == 0 {
 		det.Detail = "no active fluctuation events"
 	} else {
-		det.Detail = fmt.Sprintf("%d unresolved fluctuation events", active)
+		det.Detail = fmt.Sprintf("%d unresolved fluctuation events", n.active)
 	}
 
 	var st health.Status
 	st.Add(transport)
 	st.Add(det)
 	return st
+}
+
+// counts fills the fleet's health counts from each fleet member's row
+// under s.mu alone: a health probe never waits on an apply.
+func (c *Collector) counts() FleetCounts {
+	var n FleetCounts
+	for _, s := range c.appendSources(nil) {
+		if s.internal {
+			continue
+		}
+		s.mu.Lock()
+		r := &s.row
+		n.Add(r.LastDegraded, r.Sets, r.LostMarkers+r.LostSamples, uint32(s.activeVerdicts), len(s.verdicts))
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // VerdictsView is the /verdicts endpoint's JSON body.

@@ -160,7 +160,7 @@ func (c *Collector) importSource(hs *wire.HandoffSource, items int) wire.Handoff
 	// is a frozen leftover of our own past drain — state that has already
 	// moved away and is now moving back.
 	fresh := tgt.frozen ||
-		(!tgt.everConnected && tgt.sets == 0 && tgt.abortedSets == 0 &&
+		(!tgt.row.EverConnected && tgt.row.Sets == 0 && tgt.row.AbortedSets == 0 &&
 			tgt.wm == durable.Watermark{})
 	tgt.imported = true
 	tgt.importedEpoch = hs.Epoch
@@ -173,15 +173,16 @@ func (c *Collector) importSource(hs *wire.HandoffSource, items int) wire.Handoff
 		// counters must absorb the pre-move history. The handoff covers
 		// sequence numbers ≤ its watermark, the live stream's sets cover
 		// newer ones, so the sums count nothing twice.
-		tgt.sets += hs.Sets
-		tgt.abortedSets += hs.AbortedSets
-		tgt.frames += hs.Frames
-		tgt.crcErrors += hs.CRCErrors
-		tgt.disconnects += hs.Disconnects
-		tgt.lostMarkers += hs.LostMarkers
-		tgt.lostSamples += hs.LostSamples
-		tgt.confSum += hs.ConfSum
-		tgt.confN += hs.ConfN
+		r := &tgt.row
+		r.Sets += hs.Sets
+		r.AbortedSets += hs.AbortedSets
+		r.Frames += hs.Frames
+		r.CRCErrors += hs.CRCErrors
+		r.Disconnects += hs.Disconnects
+		r.LostMarkers += hs.LostMarkers
+		r.LostSamples += hs.LostSamples
+		r.ConfSum += hs.ConfSum
+		r.ConfN += hs.ConfN
 		return wire.HandoffMerged
 	}
 
@@ -408,7 +409,7 @@ func (c *Collector) Depart(members []string) {
 // draining collector votes not-OK (it must leave the load balancer);
 // in-flight imports are informational and stay OK.
 func (c *Collector) Status() health.Status {
-	st := FleetStatus(MergeSummaries(c.rows(false)))
+	st := FleetStatus(c.counts())
 	c.mu.Lock()
 	draining, total, done := c.draining, c.drainTotal, c.drainDone
 	departed := c.departed

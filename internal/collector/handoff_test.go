@@ -112,7 +112,7 @@ func TestImportRejectsBadRow(t *testing.T) {
 	}
 	peer := c.Source(wire.HandoffPeerPrefix + "shard-a")
 	peer.mu.Lock()
-	frames, failed := peer.frames, peer.crcErrors
+	frames, failed := peer.row.Frames, peer.row.CRCErrors
 	peer.mu.Unlock()
 	if frames != 3 || failed != 1 {
 		t.Fatalf("peer stream applied %d frames, %d failed; want 3, 1", frames, failed)
