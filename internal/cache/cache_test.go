@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -220,4 +221,63 @@ func TestQuickLatencyConsistentWithLevel(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestReleasedLinesBehaveFresh: a hierarchy built from a released one's
+// lines returns the same latency for every access and the same Stats as a
+// freshly allocated one, though the released one was warm; lines go only
+// to a level of the same shape; and the released hierarchy panics on use.
+func TestReleasedLinesBehaveFresh(t *testing.T) {
+	linePool.Lock()
+	linePool.free = nil // the reference below allocates its lines
+	linePool.Unlock()
+
+	rng := rand.New(rand.NewSource(7))
+	addrs := make([]uint64, 2000)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(64)) * 64 // many times what tiny holds
+	}
+	run := func(h *Hierarchy) []Result {
+		out := make([]Result, len(addrs))
+		for i, a := range addrs {
+			out[i] = h.Access(a)
+		}
+		return out
+	}
+	fresh := MustNew(tiny())
+	want, wantStats := run(fresh), fresh.Stats()
+
+	used := MustNew(tiny())
+	run(used)
+	first := make([]*line, len(used.levels))
+	for i, l := range used.levels {
+		first[i] = &l.lines[0]
+	}
+	used.Release()
+	used.Release() // harmless
+
+	// Same line count as tiny's L1 (2×2), another shape: it must not take them.
+	other := MustNew(Config{Levels: []LevelConfig{{Name: "x", Sets: 1, Ways: 4, LineBytes: 64, HitLatency: 1}}, MemLatency: 9})
+	if &other.levels[0].lines[0] == first[0] {
+		t.Error("a 1×4 level took a released 2×2 level's lines")
+	}
+	reused := MustNew(tiny())
+	for i, l := range reused.levels {
+		if &l.lines[0] != first[i] {
+			t.Errorf("level %d allocated new lines, want the released ones", i)
+		}
+	}
+	if got := run(reused); !reflect.DeepEqual(got, want) {
+		t.Error("released lines gave another latency sequence than fresh ones")
+	}
+	if got := reused.Stats(); !reflect.DeepEqual(got, wantStats) {
+		t.Errorf("Stats from released lines = %+v, want %+v", got, wantStats)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Access on a released hierarchy did not panic")
+		}
+	}()
+	used.Access(0)
 }

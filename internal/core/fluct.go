@@ -27,29 +27,56 @@ type Group struct {
 // GroupItems partitions the analysis's items by key. Items for which key
 // returns "" are skipped. Groups are sorted by key.
 func GroupItems(a *Analysis, key func(*Item) string) []Group {
-	byKey := map[string]*Group{}
-	var keys []string
+	// One pass keys every item once and numbers the groups in order of
+	// first appearance; the counts then size each group's slices exactly,
+	// every group carved from one Items and one ElapsedUs array.
+	byKey := map[string]int32{}
+	var counts []int
+	member := make([]int32, len(a.Items)) // item → group number, -1 for none
+	total := 0
 	for i := range a.Items {
-		it := &a.Items[i]
-		k := key(it)
+		k := key(&a.Items[i])
 		if k == "" {
+			member[i] = -1
 			continue
 		}
-		g := byKey[k]
-		if g == nil {
-			g = &Group{Key: k}
+		g, ok := byKey[k]
+		if !ok {
+			g = int32(len(counts))
 			byKey[k] = g
-			keys = append(keys, k)
+			counts = append(counts, 0)
 		}
-		g.Items = append(g.Items, it)
-		g.ElapsedUs = append(g.ElapsedUs, a.CyclesToMicros(it.ElapsedCycles()))
+		member[i] = g
+		counts[g]++
+		total++
+	}
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]Group, 0, len(byKey))
-	for _, k := range keys {
+	items, us := make([]*Item, total), make([]float64, total)
+	out := make([]Group, len(keys))
+	rank := make([]int32, len(keys)) // group number → index in out
+	lo := 0
+	for i, k := range keys {
 		g := byKey[k]
-		g.Summary = stats.Summarize(g.ElapsedUs)
-		out = append(out, *g)
+		rank[g] = int32(i)
+		hi := lo + counts[g]
+		out[i] = Group{Key: k, Items: items[lo:lo:hi], ElapsedUs: us[lo:lo:hi]}
+		lo = hi
+	}
+	for i, g := range member {
+		if g < 0 {
+			continue
+		}
+		it := &a.Items[i]
+		o := &out[rank[g]]
+		o.Items = append(o.Items, it)
+		o.ElapsedUs = append(o.ElapsedUs, a.CyclesToMicros(it.ElapsedCycles()))
+	}
+	for i := range out {
+		out[i].Summary = stats.Summarize(out[i].ElapsedUs)
 	}
 	return out
 }

@@ -33,24 +33,34 @@ type FunctionRow struct {
 // FunctionReport aggregates per-function distributions over all items,
 // sorted by fluctuation ratio (most suspicious first), tie-broken by mean.
 func FunctionReport(a *Analysis) []FunctionRow {
-	type agg struct {
+	type series struct {
 		fn        *symtab.Fn
 		us        []float64
 		total     int
 		estimable int
 	}
-	byFn := map[*symtab.Fn]*agg{}
-	var order []*symtab.Fn
+	// The first pass counts each function's spans, so the second fills
+	// series of exactly that size.
+	byFn := map[*symtab.Fn]int{}
+	var ss []series
+	for i := range a.Items {
+		for _, fs := range a.Items[i].Funcs {
+			g, ok := byFn[fs.Fn]
+			if !ok {
+				g = len(ss)
+				byFn[fs.Fn] = g
+				ss = append(ss, series{fn: fs.Fn})
+			}
+			ss[g].total++
+		}
+	}
+	for g := range ss {
+		ss[g].us = make([]float64, 0, ss[g].total)
+	}
 	for i := range a.Items {
 		it := &a.Items[i]
 		for _, fs := range it.Funcs {
-			g := byFn[fs.Fn]
-			if g == nil {
-				g = &agg{fn: fs.Fn, us: make([]float64, 0, len(a.Items))}
-				byFn[fs.Fn] = g
-				order = append(order, fs.Fn)
-			}
-			g.total++
+			g := &ss[byFn[fs.Fn]]
 			switch {
 			case fs.Estimable():
 				g.estimable++
@@ -66,20 +76,23 @@ func FunctionReport(a *Analysis) []FunctionRow {
 			}
 		}
 	}
-	rows := make([]FunctionRow, 0, len(order))
-	for _, fn := range order {
-		g := byFn[fn]
+	rows := make([]FunctionRow, 0, len(ss))
+	padded := make([]float64, len(a.Items))
+	for i := range ss {
+		g := &ss[i]
 		// Items in which the function produced no sample at all count as
 		// zero-time observations: "this function did (almost) nothing for
 		// that item" is precisely the signal when the same function
-		// dominates another item (Fig. 8's f3). make zeroed the series up
-		// to its capacity, len(a.Items), so reslicing appends the zeros.
-		if len(g.us) < len(a.Items) {
-			g.us = g.us[:len(a.Items)]
+		// dominates another item (Fig. 8's f3). Each series is padded
+		// with them in one scratch slice, which the summary sorts.
+		us := g.us
+		if len(us) < len(a.Items) {
+			clear(padded[copy(padded, us):])
+			us = padded
 		}
 		row := FunctionRow{
-			Fn:             fn,
-			PerItemUs:      stats.SummarizeSorting(g.us),
+			Fn:             g.fn,
+			PerItemUs:      stats.SummarizeSorting(us),
 			EstimableItems: g.estimable,
 			TotalItems:     g.total,
 		}

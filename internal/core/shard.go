@@ -173,6 +173,9 @@ func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
 	}
 
 	p, b.opened, b.items = pairing{}, 0, make([]Item, 0, b.closed)
+	// A span holds at least one sample, so a shard with fewer samples than
+	// a full chunk gets a chunk of its sample count.
+	b.chunkLen = min(spanChunk, len(sh.samples))
 	res := syms.NewResolver()
 	si := 0
 	for _, m := range sh.markers {
@@ -199,17 +202,29 @@ func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
 // batchSink is integrateCore's item storage: closed items in close order,
 // which is begin order, each graded for sample coverage as it closes. With
 // items nil (the markers-only pass) it only counts.
+//
+// The open item's spans grow in one scratch buffer reused from item to
+// item; done copies a closed item's spans into the shard's current span
+// chunk and keeps a full-capacity view of them, so an item's Funcs is
+// allocated with its chunk, never grown, and an append to it cannot reach
+// a neighbour's spans.
 type batchSink struct {
 	open           Item
 	opened, closed int
 	items          []Item
 	meanGap        float64
 	hasGap         bool
+	chunk          []FuncSpan // the rest of the current span chunk
+	chunkLen       int        // the span count of a new chunk
 }
+
+// spanChunk is the span count of a full chunk (64 KiB). A shard allocates
+// its spans in about spans/spanChunk chunks, whatever its item count.
+const spanChunk = 2048
 
 func (b *batchSink) take() *Item {
 	b.opened++
-	b.open = Item{}
+	b.open = Item{Funcs: b.open.Funcs[:0]}
 	return &b.open
 }
 
@@ -231,5 +246,15 @@ func (b *batchSink) done(it *Item) {
 			}
 		}
 	}
-	b.items = append(b.items, *it)
+	closed := *it
+	closed.Funcs = nil
+	if n := len(it.Funcs); n > 0 {
+		if len(b.chunk) < n {
+			b.chunk = make([]FuncSpan, max(n, b.chunkLen))
+		}
+		closed.Funcs = b.chunk[:n:n]
+		copy(closed.Funcs, it.Funcs)
+		b.chunk = b.chunk[n:]
+	}
+	b.items = append(b.items, closed)
 }

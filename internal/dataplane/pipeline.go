@@ -283,5 +283,6 @@ func Run(cfg PipelineConfig) (*Result, error) {
 		res.CacheStats.Evictions += cacheStats[w].Evictions
 	}
 	res.Set = trace.NewSet(mach, log, pmu.MergeSamples(pebses...))
+	mach.Release()
 	return res, nil
 }

@@ -343,3 +343,73 @@ func TestRunRejectsMissingPolicy(t *testing.T) {
 		t.Error("Run accepted ChurnAt without Churn")
 	}
 }
+
+// encodeAndReport is a round's encoded trace file and function report.
+func encodeAndReport(t *testing.T, r *Result) ([]byte, string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.Set.Encode(&buf); err != nil {
+		t.Error(err)
+	}
+	a, err := core.Integrate(r.Set, core.Options{})
+	if err != nil {
+		t.Error(err)
+		return nil, ""
+	}
+	return buf.Bytes(), core.FunctionReportString(a)
+}
+
+// TestRunReleaseReuse: Run releases its machine's cache lines and the next
+// Run builds its machine from them; the two rounds' trace files and
+// function reports are byte-identical.
+func TestRunReleaseReuse(t *testing.T) {
+	cfg := basePipelineConfig()
+	cfg.Workers = 2
+	var files [2][]byte
+	var reports [2]string
+	for i := range files {
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i], reports[i] = encodeAndReport(t, r)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Error("a round on released cache lines wrote another trace file")
+	}
+	if reports[0] != reports[1] || reports[0] == "" {
+		t.Error("a round on released cache lines gave another function report")
+	}
+}
+
+// TestRunReleaseConcurrent: two Runs at once hand cache lines to and take
+// them from one pool; each round still equals one run alone. Under -race
+// it checks the hand-off.
+func TestRunReleaseConcurrent(t *testing.T) {
+	cfg := basePipelineConfig()
+	cfg.Workers = 2
+	alone, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFile, wantReport := encodeAndReport(t, alone)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 2; j++ {
+				r, err := Run(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				file, report := encodeAndReport(t, r)
+				if !bytes.Equal(file, wantFile) || report != wantReport {
+					t.Error("a concurrent round differs from the round run alone")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -177,6 +177,18 @@ func (m *Machine) MustSpawn(id int, body func(*Core)) {
 	}
 }
 
+// Release returns every core's cache lines to the pool the next New draws
+// from (cache.Hierarchy.Release), so a workload that builds a machine per
+// run allocates its cache hierarchy once. Call it after Wait, once nothing
+// will run on the machine again: the machine must not be used after it.
+// Syms and FreqHz stay readable, and a trace.Set built from the machine
+// keeps only those.
+func (m *Machine) Release() {
+	for _, c := range m.cores {
+		c.Cache.Release()
+	}
+}
+
 // Wait blocks until every spawned thread returns, then releases the cores
 // for a subsequent Spawn round (used by parameter sweeps that rerun the same
 // pipeline on a fresh set of threads).

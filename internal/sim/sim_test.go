@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -415,5 +416,42 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	c2, s2 := run()
 	if c1 != c2 || s1 != s2 {
 		t.Errorf("nondeterministic: run1=(%d,%d) run2=(%d,%d)", c1, s1, c2, s2)
+	}
+}
+
+// TestReleasedMachineRunsAlike: a machine built after another was
+// released (its cache lines reused) runs a workload to the same clock and
+// samples as the first, and the released machine still answers Syms and
+// FreqHz, all a trace.Set keeps of it.
+func TestReleasedMachineRunsAlike(t *testing.T) {
+	run := func(m *Machine) (clocks []uint64, samples []pmu.Sample) {
+		fn := m.Syms.MustRegister("f", 4096)
+		for i := 0; i < m.Cores(); i++ {
+			c := m.Core(i)
+			pb := pmu.NewPEBS(pmu.PEBSConfig{})
+			c.PMU.MustProgram(pmu.L1DMisses, 3, pb)
+			c.Call(fn, func() {
+				for j := 0; j < 3000; j++ {
+					c.Exec(7)
+					c.Load(uint64(j*(i+1)%1500) * 64)
+				}
+			})
+			clocks = append(clocks, c.Now())
+			samples = append(samples, pb.Samples()...)
+		}
+		return clocks, samples
+	}
+	first := MustNew(Config{Cores: 2})
+	wantClocks, wantSamples := run(first)
+	if len(wantSamples) == 0 {
+		t.Fatal("the workload missed no L1 line")
+	}
+	first.Release()
+	if first.FreqHz() == 0 || first.Syms.ByName("f") == nil {
+		t.Error("a released machine lost its FreqHz or symbols")
+	}
+	clocks, samples := run(MustNew(Config{Cores: 2}))
+	if !reflect.DeepEqual(clocks, wantClocks) || !reflect.DeepEqual(samples, wantSamples) {
+		t.Errorf("after a Release: clocks %v and %d samples, want %v and %d", clocks, len(samples), wantClocks, len(wantSamples))
 	}
 }

@@ -60,6 +60,11 @@ const DefaultMarkerUops = 150
 type MarkerLog struct {
 	costUops uint64
 	perCore  [][]Marker
+	// slab backs every core's log after Reserve on an empty log: core i
+	// writes into the window slab[i*window : (i+1)*window], and Markers
+	// compacts the windows in place instead of copying them.
+	slab   []Marker
+	window int
 }
 
 // NewMarkerLog creates a log for a machine with the given core count; each
@@ -90,8 +95,18 @@ func (l *MarkerLog) Count() int {
 }
 
 // Reserve makes room for n more markers in every core's log, so a workload
-// that knows how many it will mark grows no log as it runs.
+// that knows how many it will mark grows no log as it runs. On an empty log
+// it allocates one slab for every core, which Markers then hands back
+// without a copy; a core that marks more than n falls back to growing its
+// own log, and Markers to copying.
 func (l *MarkerLog) Reserve(n int) {
+	if n > 0 && l.Count() == 0 {
+		l.slab, l.window = make([]Marker, len(l.perCore)*n), n
+		for i := range l.perCore {
+			l.perCore[i] = l.slab[i*n : i*n : (i+1)*n]
+		}
+		return
+	}
 	for i, s := range l.perCore {
 		l.perCore[i] = slices.Grow(s, n)
 	}
@@ -100,15 +115,45 @@ func (l *MarkerLog) Reserve(n int) {
 // Markers merges the per-core logs into one slice sorted by MarkerOrder.
 // Call after the workload finishes. Each core's log is appended in clock
 // order, so only a zero-cycle Begin→End pair needs the sort.
+//
+// When every core's log stayed inside its Reserve window, the logs are
+// compacted leftward in the slab and the slab itself is returned: no
+// allocation, each marker written once. The log then keeps views of the
+// returned slice, so Count still holds, a further Mark appends to fresh
+// storage, and a later Markers copies those views.
 func (l *MarkerLog) Markers() []Marker {
-	out := make([]Marker, 0, l.Count())
-	for _, s := range l.perCore {
-		out = append(out, s...)
+	inPlace := l.inWindows()
+	var out []Marker
+	if inPlace {
+		out, l.slab = l.slab[:0], nil
+	} else {
+		out = make([]Marker, 0, l.Count())
+	}
+	for i, s := range l.perCore {
+		n := len(out)
+		out = append(out, s...) // in place: a leftward move within the slab
+		if inPlace {
+			l.perCore[i] = out[n:len(out):len(out)]
+		}
 	}
 	if !slices.IsSortedFunc(out, MarkerOrder) {
 		slices.SortStableFunc(out, MarkerOrder)
 	}
 	return out
+}
+
+// inWindows reports whether the log has a slab and every core's log still
+// lies in its window of it.
+func (l *MarkerLog) inWindows() bool {
+	if l.slab == nil {
+		return false
+	}
+	for i, s := range l.perCore {
+		if cap(s) != l.window || &s[:1][0] != &l.slab[i*l.window] {
+			return false
+		}
+	}
+	return true
 }
 
 // MarkerOrder orders markers by (core, TSC, kind), End before Begin at the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -40,9 +42,20 @@ func TestMarkRecordsTimestampBeforeCost(t *testing.T) {
 	}
 }
 
+// mallocs counts the heap allocations of one call of f, which
+// testing.AllocsPerRun cannot: it runs f once more as a warm-up first.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestMarkerLogReserve: a log reserved for what each core will mark grows
-// nothing while marking, and Markers allocates the merged slice once, at
-// exactly Count.
+// nothing while marking, and Markers hands the reserved slab back with no
+// allocation, at exactly Count.
 func TestMarkerLogReserve(t *testing.T) {
 	m := sim.MustNew(sim.Config{Cores: 2})
 	log := NewMarkerLog(2, 1)
@@ -59,11 +72,71 @@ func TestMarkerLogReserve(t *testing.T) {
 		t.Errorf("marking into a reserved log made %.0f allocations", allocs)
 	}
 	var ms []Marker
-	if allocs := testing.AllocsPerRun(1, func() { ms = log.Markers() }); allocs != 1 {
-		t.Errorf("Markers made %.0f allocations, want 1", allocs)
+	if allocs := mallocs(func() { ms = log.Markers() }); allocs != 0 {
+		t.Errorf("Markers made %d allocations, want 0", allocs)
 	}
 	if len(ms) != log.Count() || cap(ms) != log.Count() {
 		t.Errorf("Markers: len %d cap %d, want both %d", len(ms), cap(ms), log.Count())
+	}
+}
+
+// TestMarkerLogReserveMatchesCopy: Markers of a reserved log equals
+// Markers of the same marks in an unreserved log, which copies, whether
+// every core fills its window, one under-fills it, one overruns it (the
+// reserved log then copies too), or a zero-cycle Begin→End pair needs the
+// sort. In-window logs hand back the slab without an allocation, and the
+// log still counts and re-reads what it handed back.
+func TestMarkerLogReserveMatchesCopy(t *testing.T) {
+	const window = 40
+	for _, tc := range []struct {
+		name     string
+		pairs    [3]int // Begin/End pairs per core
+		costUops uint64 // 0: an item that executes nothing ends on its Begin's cycle
+		inWindow bool
+	}{
+		{"full", [3]int{20, 20, 20}, 3, true},
+		{"underfill", [3]int{20, 7, 0}, 3, true},
+		{"overrun", [3]int{20, 23, 20}, 3, false},
+		{"zero-cycle", [3]int{20, 20, 12}, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			logs := [2]*MarkerLog{
+				{costUops: tc.costUops, perCore: make([][]Marker, 3)},
+				{costUops: tc.costUops, perCore: make([][]Marker, 3)},
+			}
+			logs[1].Reserve(window)
+			slab := logs[1].slab
+			for _, log := range logs {
+				m := sim.MustNew(sim.Config{Cores: 3})
+				for c := 0; c < 3; c++ {
+					core := m.Core(c)
+					for i := 0; i < tc.pairs[c]; i++ {
+						id := uint64(c*1000 + i)
+						log.Mark(core, id, ItemBegin)
+						core.Exec(uint64(i % 3)) // some items take zero cycles
+						log.Mark(core, id, ItemEnd)
+					}
+				}
+			}
+			want := logs[0].Markers()
+			if tc.costUops == 0 && slices.IsSortedFunc(logs[0].perCore[0], MarkerOrder) {
+				t.Fatal("the zero-cycle case does not exercise the sort")
+			}
+			var got []Marker
+			allocs := mallocs(func() { got = logs[1].Markers() })
+			if !slices.Equal(got, want) {
+				t.Fatalf("reserved log's Markers differ from the copy:\n got %v\nwant %v", got, want)
+			}
+			if handed := len(got) > 0 && &got[0] == &slab[0]; handed != tc.inWindow || tc.inWindow && allocs != 0 {
+				t.Errorf("Markers handed back the slab %v with %d allocations, want %v", handed, allocs, tc.inWindow)
+			}
+			if logs[1].Count() != len(want) {
+				t.Errorf("Count after Markers = %d, want %d", logs[1].Count(), len(want))
+			}
+			if again := logs[1].Markers(); !slices.Equal(again, want) {
+				t.Errorf("a second Markers call differs from the first")
+			}
+		})
 	}
 }
 
