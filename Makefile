@@ -12,7 +12,7 @@
 #   marker log suites and the
 #   integration equivalence suites (parallel, stream, tie, degraded, the
 #   per-core merge, the feed walk, concurrent uplink encodes, the
-#   aggregator's check-only delivery and its reads decoding beside merges,
+#   aggregator's check-only delivery and its reads walking payloads beside merges,
 #   the collector's fleet reads beside ingest)
 #   raced 20 times over in shuffled order, so a flake or an order dependence cannot
 #   hide at 30%; a 10 s fuzz smoke of every
@@ -52,7 +52,7 @@ tier2:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -shuffle=on -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism|TestPolicySharedAcrossRounds|TestFeed|TestUplinkConcurrentSummaries|TestAggregatorHandAllocs|TestAggregatorFleetDuringMerges|TestCollectorFleetDuringIngest|TestMarkerLog|TestReleased|TestRunRelease' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane ./internal/cache ./internal/sim
+	$(GO) test -race -count 20 -shuffle=on -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism|TestPolicySharedAcrossRounds|TestFeed|TestUplinkConcurrentSummaries|TestAggregatorHandAllocs|TestAggregatorFleetDuringMerges|TestCollectorFleetDuringIngest|TestMarkerLog|TestReleased|TestRunRelease|TestCloseIsNotALostLink' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane ./internal/cache ./internal/sim
 	$(GO) test -race -count 20 -shuffle=on -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded|TestMergeItems' ./internal/core
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg

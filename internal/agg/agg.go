@@ -70,7 +70,7 @@ type Aggregator struct {
 
 // mergedSource is one source's latest row plus the shard that delivered
 // it. The row keeps the set as the TFleetSummary payload it arrived in:
-// only a Fleet read's MergeFleet decodes the items. Within one shard's
+// only a Fleet read's MergeFleet walks the items. Within one shard's
 // stream, seq order makes "latest" well defined; across shards (a
 // rebalance moved the source) the last writer wins and the row reflects
 // the current owner's cumulative view. Verdict snapshots ride a separate
@@ -370,7 +370,7 @@ func (a *Aggregator) mergeVerdictsLocked(shardID string, vs wire.VerdictSet, pay
 
 // Fleet assembles the merged fleet view through the same MergeFleet the
 // single-tier collector uses — which is the whole byte-equivalence
-// argument: identical rows in, identical report out. MergeFleet decodes
+// argument: identical rows in, identical report out. MergeFleet walks
 // the payloads outside a.mu, so a read holds up no merge.
 func (a *Aggregator) Fleet() collector.FleetView {
 	start := time.Now()

@@ -40,14 +40,21 @@ type checkpointFile struct {
 type checkpointSource struct {
 	ID string `json:"id"`
 	wire.SourceState
+	lifecycle
+}
 
-	// Drain/handoff lifecycle (see handoff.go). HandedOff restores as
-	// frozen: once a source's state has been staged for a new owner, a
-	// restarted collector must keep refusing its frames — the staged
-	// handoff replays from the drain shipper's spool, and accepting frames
-	// here again would fork the stream. Internal marks handoff peer rows;
-	// their watermark is what makes a replayed handoff a duplicate. The
-	// Imported trio is the receiving side's handoff dedup marker.
+// lifecycle is a source's drain/handoff state (see handoff.go), held by
+// the source and written into its checkpoint row as it is. HandedOff
+// restores as frozen: once a source's state has been staged for a new
+// owner, a restarted collector must keep refusing its frames — the staged
+// handoff replays from the drain shipper's spool, and accepting frames
+// here again would fork the stream. Internal marks a shard-to-shard
+// handoff peer stream (wire.HandoffPeerPrefix): kept out of the fleet view
+// and the uplink taps, kept IN the checkpoint — the peer stream's dedup
+// watermark is what recognizes a replayed handoff. A frozen source answers
+// connections with TRedirect(Redirect). The Imported trio is the receiving
+// side's handoff dedup marker.
+type lifecycle struct {
 	Internal      bool     `json:"internal,omitempty"`
 	HandedOff     bool     `json:"handed_off,omitempty"`
 	Redirect      []string `json:"redirect,omitempty"`
@@ -183,18 +190,9 @@ func (c *Collector) Checkpoint() error {
 		// emitting its summary.
 		s.applyMu.Lock()
 		s.mu.Lock()
-		// redirect is shared, not copied: handoff.go only ever replaces
+		// Redirect is shared, not copied: handoff.go only ever replaces
 		// it whole.
-		row := checkpointSource{
-			ID:            s.ID,
-			SourceState:   s.stateLocked(),
-			Internal:      s.internal,
-			HandedOff:     s.handedOff,
-			Redirect:      s.redirect,
-			Imported:      s.imported,
-			ImportedEpoch: s.importedEpoch,
-			ImportedSeq:   s.importedSeq,
-		}
+		row := checkpointSource{ID: s.ID, SourceState: s.stateLocked(), lifecycle: s.life}
 		encErr := s.summaryErr
 		s.mu.Unlock()
 		s.applyMu.Unlock()
@@ -238,17 +236,7 @@ func (c *Collector) restoreCheckpoint(path string) error {
 		return fmt.Errorf("collector: checkpoint %s: unsupported version %d", path, file.Version)
 	}
 	for _, cs := range file.Sources {
-		src := &Source{
-			ID:            cs.ID,
-			internal:      cs.Internal,
-			handedOff:     cs.HandedOff,
-			frozen:        cs.HandedOff,
-			redirect:      cs.Redirect,
-			imported:      cs.Imported,
-			importedEpoch: cs.ImportedEpoch,
-			importedSeq:   cs.ImportedSeq,
-			conns:         map[net.Conn]struct{}{},
-		}
+		src := &Source{ID: cs.ID, life: cs.lifecycle, frozen: cs.HandedOff, conns: map[net.Conn]struct{}{}}
 		items, err := loadRow(cs.ID, &cs.SourceState)
 		if err != nil {
 			return fmt.Errorf("collector: checkpoint %s: source %q: %w", path, cs.ID, err)

@@ -67,9 +67,9 @@ func checkpointV2State(t *testing.T, path string) *Collector {
 	w3 := feedSet(t, c, "w3", set)
 	w3.mu.Lock()
 	w3.wm = durable.Restored(4, 12)
-	w3.frozen, w3.handedOff = true, true
-	w3.redirect = []string{"shard-b"}
-	w3.imported, w3.importedEpoch, w3.importedSeq = true, 2, 8
+	w3.frozen, w3.life.HandedOff = true, true
+	w3.life.Redirect = []string{"shard-b"}
+	w3.life.Imported, w3.life.ImportedEpoch, w3.life.ImportedSeq = true, 2, 8
 	w3.mu.Unlock()
 
 	peer := c.source(wire.HandoffPeerPrefix + "shard-a")
@@ -103,12 +103,10 @@ func restoredDiff(a, b *Collector) string {
 			return fmt.Sprintf("source %q vs %q", x.ID, y.ID)
 		}
 		x.mu.Lock()
-		xs := fmt.Sprintf("%+v %+v %v/%v/%v/%v/%v/%v/%v", x.stateLocked(), x.wm,
-			x.internal, x.frozen, x.handedOff, x.redirect, x.imported, x.importedEpoch, x.importedSeq)
+		xs := fmt.Sprintf("%+v %+v %+v %v", x.stateLocked(), x.wm, x.life, x.frozen)
 		x.mu.Unlock()
 		y.mu.Lock()
-		ys := fmt.Sprintf("%+v %+v %v/%v/%v/%v/%v/%v/%v", y.stateLocked(), y.wm,
-			y.internal, y.frozen, y.handedOff, y.redirect, y.imported, y.importedEpoch, y.importedSeq)
+		ys := fmt.Sprintf("%+v %+v %+v %v", y.stateLocked(), y.wm, y.life, y.frozen)
 		y.mu.Unlock()
 		if xs != ys {
 			return fmt.Sprintf("source %q: %s", x.ID, firstDiff(ys, xs))

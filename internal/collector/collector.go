@@ -190,28 +190,16 @@ type Source struct {
 	summaryErr error
 	itemCount  int
 
-	// Drain/handoff state (guarded by mu; see handoff.go).
-	//
-	// internal marks a shard-to-shard handoff peer stream
-	// (wire.HandoffPeerPrefix): kept out of the fleet view and the uplink
-	// taps, kept IN the checkpoint — the peer stream's dedup watermark is
-	// what recognizes a replayed handoff. frozen refuses new frames and
-	// answers connections with TRedirect(redirect); handedOff additionally
-	// records that the state has been staged durably for its new owner, so
-	// both survive a restart via the checkpoint. conns tracks the live
-	// connections currently carrying this source so a drain can push the
-	// redirect instead of waiting for shippers to notice. The imported*
-	// trio is the handoff dedup marker on the receiving side. frozen is
-	// only ever set under applyMu, so an apply that found it clear runs to
-	// completion unfrozen.
-	internal      bool
-	frozen        bool
-	handedOff     bool
-	redirect      []string
-	conns         map[net.Conn]struct{}
-	imported      bool
-	importedEpoch uint64
-	importedSeq   uint64
+	// Drain/handoff state (guarded by mu; see handoff.go). life is what
+	// the checkpoint keeps of it. frozen refuses new frames and answers
+	// connections with TRedirect(life.Redirect); it is only ever set under
+	// applyMu, so an apply that found it clear runs to completion unfrozen.
+	// conns tracks the live connections currently carrying this source so
+	// a drain can push the redirect instead of waiting for shippers to
+	// notice.
+	life   lifecycle
+	frozen bool
+	conns  map[net.Conn]struct{}
 }
 
 // New builds a collector, restoring per-source state from
@@ -284,7 +272,7 @@ func (c *Collector) source(id string) *Source {
 	defer c.mu.Unlock()
 	s := c.sources[id]
 	if s == nil {
-		s = &Source{ID: id, internal: isHandoffPeer(id), conns: map[net.Conn]struct{}{}}
+		s = &Source{ID: id, life: lifecycle{Internal: isHandoffPeer(id)}, conns: map[net.Conn]struct{}{}}
 		c.sources[id] = s
 		c.metSources.SetInt(len(c.sources))
 	}
@@ -474,7 +462,8 @@ func (s *sourceStream) Acking(*durable.Frame) error {
 }
 
 // End books a lost link against the source — unless the drain severed it
-// (RedirectSource) on purpose.
+// (RedirectSource) on purpose, or Close did: a link the collector cut on
+// its way down is not link damage, however far its read had got.
 func (s *sourceStream) End(lost error) bool {
 	src := s.src
 	src.mu.Lock()
@@ -483,7 +472,7 @@ func (s *sourceStream) End(lost error) bool {
 	switch {
 	case errors.Is(lost, wire.ErrChecksum):
 		src.row.CRCErrors++
-	case lost == nil || src.frozen:
+	case lost == nil || src.frozen || s.c.closed.Load():
 		return false
 	}
 	src.row.Disconnects++

@@ -403,6 +403,42 @@ func shipV2Set(t testing.TB, conn net.Conn, frames []wire.Frame, epoch, firstSeq
 	return a.Seq
 }
 
+// TestCloseIsNotALostLink: a connection Close severs while its read is
+// blocked books no disconnect against its source. The shipper did nothing
+// wrong, and a daemon's final report must not depend on whether the
+// shipper's own close reached the read first.
+func TestCloseIsNotALostLink(t *testing.T) {
+	coll, addr := startCollector(t, Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := wire.ClientHandshake(conn, "w1"); err != nil {
+		t.Fatal(err)
+	}
+	shipV2Set(t, conn, rawSetFrames(t, workloadSet(t, 20)), 1, 1)
+	src := waitSets(t, coll, "w1", 1, 10*time.Second)
+	if err := coll.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The severed connection ends on its own goroutine, after Close.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		src.mu.Lock()
+		open, disc := len(src.conns), src.row.Disconnects
+		src.mu.Unlock()
+		if open == 0 {
+			if disc != 0 {
+				t.Fatalf("Close booked %d disconnects against the source", disc)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the connection Close severed never ended")
+		}
+	}
+}
+
 // TestCheckpointFailureWithholdsAck: when the checkpoint write fails, the
 // SetEnd ack must be withheld AND the in-memory watermark must not move —
 // otherwise a reconnect's SeqStart reply would advertise an un-persisted

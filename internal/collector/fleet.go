@@ -136,31 +136,47 @@ func MergeSummaries(rows []SourceRow) FleetView {
 
 // MergeFleet merges per-source rows into one fleet view: MergeSummaries,
 // plus the top-K slowest items (by elapsed time on each item's own clock)
-// across every row's last completed set, decoded from its payload. It
-// decodes one payload at a time and keeps at most 2K candidates, cut back
-// to the best K whenever they fill, instead of every item of every set;
-// once cut, the K-th best bounds what may enter. The order is total, so
+// across every row's last completed set, walked from its payload. It keeps
+// at most 2K candidates, cut back to the best K whenever they fill; once
+// cut, the K-th best bounds what may enter. Only an item that enters is
+// copied, its spans into chunks kept for the read. The order is total, so
 // the view is the one a sort of every item would give.
 func MergeFleet(topK int, rows []SourceRow) FleetView {
 	v := MergeSummaries(rows)
 	var top []FleetItem
+	var spans []core.FuncSpan
 	cut := false // top[:topK] is the best K so far, in order
 	for _, r := range rows {
 		if top == nil && r.Summary.Items > 0 {
 			// Non-nil once a row has items, as /fleet has always shown it.
 			top = make([]FleetItem, 0, max(0, min(2*topK, r.Summary.Items)))
 		}
-		freq, items := storedItems(r.Summary.ID, r.Payload)
-		for i := range items {
-			us := float64(items[i].ElapsedCycles()) * 1e6 / float64(freq)
-			fi := FleetItem{Source: r.Summary.ID, ElapsedUs: us, Item: items[i]}
-			if topK <= 0 || (cut && slowerFirst(fi, top[topK-1]) >= 0) {
-				continue
+		if r.Payload == nil || topK <= 0 {
+			continue
+		}
+		_, _, _, err := wire.WalkFleetSummary(r.Payload, func(freq uint64, it core.Item) {
+			fi := FleetItem{Source: r.Summary.ID, ElapsedUs: float64(it.ElapsedCycles()) * 1e6 / float64(freq), Item: it}
+			if cut && slowerFirst(fi, top[topK-1]) >= 0 {
+				return
+			}
+			if n := len(it.Funcs); n > 0 {
+				// The walk reuses it.Funcs, so the spans are copied into a
+				// chunk and kept as a capped view. A full chunk is left to
+				// the views into it and a new one, twice its size, begun:
+				// no span is copied twice, however many items enter.
+				if cap(spans)-len(spans) < n {
+					spans = make([]core.FuncSpan, 0, max(n, 2*cap(spans)))
+				}
+				spans = append(spans, it.Funcs...)
+				fi.Item.Funcs = spans[len(spans)-n : len(spans) : len(spans)]
 			}
 			if top = append(top, fi); len(top) == 2*topK {
 				slices.SortFunc(top, slowerFirst)
 				top, cut = top[:topK], true
 			}
+		})
+		if err != nil {
+			panic(undecodable(r.Summary.ID, err))
 		}
 	}
 	slices.SortFunc(top, slowerFirst)
@@ -183,18 +199,23 @@ func slowerFirst(a, b FleetItem) int {
 	return cmp.Compare(a.Item.Core, b.Item.Core)
 }
 
-// storedItems decodes a stored set's payload, the one decode of a finished
-// set in either tier. Each tier keeps only payloads it encoded or checked
-// (wire.CheckFleetSummary), so one that does not decode is a bug.
+// storedItems decodes a stored set's payload for Source.Items.
 func storedItems(id string, p []byte) (freq uint64, items []core.Item) {
 	if p == nil {
 		return 0, nil
 	}
 	fs, err := wire.DecodeFleetSummary(p)
 	if err != nil {
-		panic(fmt.Sprintf("collector: source %q: a stored summary does not decode: %v", id, err))
+		panic(undecodable(id, err))
 	}
 	return fs.FreqHz, fs.Items
+}
+
+// undecodable is the panic of a stored set that fails its parse. Each tier
+// keeps only payloads it encoded or checked (wire.CheckFleetSummary), so
+// one that does not parse is a bug.
+func undecodable(id string, err error) string {
+	return fmt.Sprintf("collector: source %q: a stored summary does not decode: %v", id, err)
 }
 
 // Fleet assembles the current fleet view.
@@ -211,7 +232,7 @@ func (c *Collector) rows(payloads bool) []SourceRow {
 	srcs := c.appendSources(nil)
 	rows := make([]SourceRow, 0, len(srcs))
 	for _, s := range srcs {
-		if s.internal {
+		if s.life.Internal {
 			continue
 		}
 		if payloads {
@@ -369,7 +390,7 @@ func FleetStatus(n FleetCounts) health.Status {
 func (c *Collector) counts() FleetCounts {
 	var n FleetCounts
 	for _, s := range c.appendSources(nil) {
-		if s.internal {
+		if s.life.Internal {
 			continue
 		}
 		s.mu.Lock()

@@ -116,3 +116,20 @@ func TestCollectorHealthCostFlat(t *testing.T) {
 		t.Fatalf("Health allocations grow with items: %v at 2×16, %v at 2×2000", small, large)
 	}
 }
+
+// TestCollectorFleetCostFlat: a fleet read walks each source's payload and
+// copies only the items that enter its top-K candidates, so at K = 10 the
+// bytes it allocates do not grow with the items the sources hold.
+func TestCollectorFleetCostFlat(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are noise under the race detector")
+	}
+	readBytes := func(nItems int) uint64 {
+		c := checkpointShape(t, 2, nItems)
+		_, b := perRun(20, func() { c.Fleet() })
+		return b
+	}
+	if small, large := readBytes(16), readBytes(2000); large > small+4<<10 {
+		t.Fatalf("Fleet bytes grow with items: %d B at 2×16, %d B at 2×2000", small, large)
+	}
+}

@@ -63,7 +63,7 @@ func (c *Collector) writeRedirect(conn net.Conn, members []string) {
 // hint; the caller then refuses it, and the receive loop hangs up.
 func (c *Collector) redirectAndClose(src *Source, conn net.Conn) {
 	src.mu.Lock()
-	members := append([]string(nil), src.redirect...)
+	members := append([]string(nil), src.life.Redirect...)
 	src.mu.Unlock()
 	c.writeRedirect(conn, members)
 }
@@ -75,7 +75,7 @@ func (c *Collector) applyHandoffBegin(peer *Source, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if !peer.internal {
+	if !peer.life.Internal {
 		return fmt.Errorf("collector: handoff begin on non-handoff stream %q", peer.ID)
 	}
 	c.mu.Lock()
@@ -98,7 +98,7 @@ func (c *Collector) applyHandoffSource(peer *Source, payload []byte) (wire.Hando
 	var items int
 	switch {
 	case err != nil:
-	case !peer.internal:
+	case !peer.life.Internal:
 		err = fmt.Errorf("collector: handoff source on non-handoff stream %q", peer.ID)
 	case isHandoffPeer(hs.Source):
 		err = fmt.Errorf("collector: refusing handoff of internal stream %q", hs.Source)
@@ -140,7 +140,7 @@ func (c *Collector) landed(hs *wire.HandoffSource) bool {
 // importedLocked reports whether hs is the handoff tgt last imported.
 // Caller holds tgt.mu.
 func (tgt *Source) importedLocked(hs *wire.HandoffSource) bool {
-	return tgt.imported && tgt.importedEpoch == hs.Epoch && tgt.importedSeq == hs.LastAcked
+	return tgt.life.Imported && tgt.life.ImportedEpoch == hs.Epoch && tgt.life.ImportedSeq == hs.LastAcked
 }
 
 // importSource applies one loaded handoff, with its item count, under the
@@ -162,9 +162,9 @@ func (c *Collector) importSource(hs *wire.HandoffSource, items int) wire.Handoff
 	fresh := tgt.frozen ||
 		(!tgt.row.EverConnected && tgt.row.Sets == 0 && tgt.row.AbortedSets == 0 &&
 			tgt.wm == durable.Watermark{})
-	tgt.imported = true
-	tgt.importedEpoch = hs.Epoch
-	tgt.importedSeq = hs.LastAcked
+	tgt.life.Imported = true
+	tgt.life.ImportedEpoch = hs.Epoch
+	tgt.life.ImportedSeq = hs.LastAcked
 
 	if !fresh {
 		// The source's shipper was redirected here before its state arrived
@@ -207,8 +207,8 @@ func (c *Collector) importSource(hs *wire.HandoffSource, items int) wire.Handoff
 		}
 	}
 	tgt.frozen = false
-	tgt.handedOff = false
-	tgt.redirect = nil
+	tgt.life.HandedOff = false
+	tgt.life.Redirect = nil
 	return wire.HandoffInstalled
 }
 
@@ -220,7 +220,7 @@ func (c *Collector) DrainableSources() []string {
 	defer c.mu.Unlock()
 	ids := make([]string, 0, len(c.sources))
 	for id, s := range c.sources {
-		if s.internal {
+		if s.life.Internal {
 			continue
 		}
 		ids = append(ids, id)
@@ -271,7 +271,7 @@ func (c *Collector) FreezeSource(id string, members []string, setWait time.Durat
 			// A re-drain after a crash finds the source already frozen (its
 			// set closed before the first freeze) and just refreshes the hint.
 			src.frozen = true
-			src.redirect = append([]string(nil), members...)
+			src.life.Redirect = append([]string(nil), members...)
 			src.mu.Unlock()
 			if open {
 				// Force a boundary: abort the in-flight set.
@@ -340,7 +340,7 @@ func (c *Collector) MarkHandedOff(id string) error {
 		src.mu.Unlock()
 		return fmt.Errorf("collector: source %q not frozen", id)
 	}
-	src.handedOff = true
+	src.life.HandedOff = true
 	src.mu.Unlock()
 	return nil
 }
@@ -359,7 +359,7 @@ func (c *Collector) RedirectSource(id string) {
 		return
 	}
 	src.mu.Lock()
-	members := append([]string(nil), src.redirect...)
+	members := append([]string(nil), src.life.Redirect...)
 	conns := make([]net.Conn, 0, len(src.conns))
 	for conn := range src.conns {
 		conns = append(conns, conn)
@@ -383,7 +383,7 @@ func (c *Collector) RemoveSource(id string) error {
 		return fmt.Errorf("collector: unknown source %q", id)
 	}
 	src.mu.Lock()
-	ok := src.handedOff
+	ok := src.life.HandedOff
 	src.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("collector: source %q not handed off", id)

@@ -129,7 +129,7 @@ func NewPEBS(cfg PEBSConfig) *PEBS {
 		cfg.RecordBytes = d.RecordBytes
 	}
 	if cfg.SwapCostCycles == 0 {
-		cfg.SwapCostCycles = 1000
+		cfg.SwapCostCycles = d.SwapCostCycles
 	}
 	p := &PEBS{cfg: cfg}
 	if reg := obs.Default(); reg != nil {

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"math"
-	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/symtab"
@@ -152,9 +151,23 @@ func AppendFleetSummary(dst []byte, fs FleetSummary) ([]byte, error) {
 
 // DecodeFleetSummary parses a TFleetSummary payload. Corrupt or truncated
 // input returns an error, never panics, and never allocates proportional
-// to a declared count the remaining bytes cannot possibly hold.
+// to a declared count the remaining bytes cannot possibly hold. A first,
+// checking walk counts the items and spans, so the items and one span slab
+// are each allocated once at their final size; every item's Funcs is a
+// capped view into the slab, nil when it has no span.
 func DecodeFleetSummary(p []byte) (FleetSummary, error) {
-	fs, _, err := walkFleetSummary(p, true)
+	fs, n, spans, err := WalkFleetSummary(p, nil)
+	if err != nil {
+		return fs, err
+	}
+	fs.Items = make([]core.Item, 0, n)
+	slab := make([]core.FuncSpan, spans)
+	_, _, _, err = WalkFleetSummary(p, func(_ uint64, it core.Item) {
+		if k := copy(slab, it.Funcs); k > 0 {
+			it.Funcs, slab = slab[:k:k], slab[k:]
+		}
+		fs.Items = append(fs.Items, it)
+	})
 	return fs, err
 }
 
@@ -164,42 +177,48 @@ func DecodeFleetSummary(p []byte) (FleetSummary, error) {
 // a receiver that keeps the payload and decodes it later pays nothing per
 // item to admit it.
 func CheckFleetSummary(p []byte) (FleetSummary, int, error) {
-	return walkFleetSummary(p, false)
+	fs, n, _, err := WalkFleetSummary(p, nil)
+	return fs, n, err
 }
 
-// walkFleetSummary is the one parse of a TFleetSummary payload, and the one
-// statement of its grammar and bounds. With build false every field is read
-// and checked as with build true, but into scratch: the dictionary, the
-// items and their span slabs are never allocated.
-func walkFleetSummary(p []byte, build bool) (FleetSummary, int, error) {
-	var fs FleetSummary
+// WalkFleetSummary is the one parse of a TFleetSummary payload, and the one
+// statement of its grammar and bounds. It returns the header, with Items
+// nil, and the item and span counts. With each nil it checks every field
+// and builds nothing; otherwise it also builds the function dictionary and
+// calls each with the payload's TSC frequency and every item in payload
+// order. The item's Funcs (nil when it has no span) is scratch that the
+// walk reuses: a visitor that keeps an item copies its spans. A payload
+// that fails the walk may have shown each some of its items first.
+func WalkFleetSummary(p []byte, each func(freqHz uint64, it core.Item)) (fs FleetSummary, items, spans int, err error) {
+	fail := func(format string, args ...any) (FleetSummary, int, int, error) {
+		return fs, 0, 0, errPayload(TFleetSummary, format, args...)
+	}
 	if len(p) < 1 {
-		return fs, 0, errPayload(TFleetSummary, "empty payload")
+		return fail("empty payload")
 	}
 	srcLen := int(p[0])
 	p = p[1:]
 	if srcLen == 0 || len(p) < srcLen {
-		return fs, 0, errPayload(TFleetSummary, "truncated source ID")
+		return fail("truncated source ID")
 	}
 	fs.Source = string(p[:srcLen])
 	p = p[srcLen:]
 
-	var err error
 	for _, field := range []*uint64{&fs.FreqHz, &fs.Sets, &fs.AbortedSets,
 		&fs.LostMarkers, &fs.LostSamples, &fs.CRCErrors, &fs.Disconnects} {
 		if *field, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "header: %w", err)
+			return fail("header: %w", err)
 		}
 	}
 	if fs.FreqHz == 0 {
-		return fs, 0, errPayload(TFleetSummary, "zero TSC frequency")
+		return fail("zero TSC frequency")
 	}
 	if len(p) < 9 {
-		return fs, 0, errPayload(TFleetSummary, "truncated confidence/degraded")
+		return fail("truncated confidence/degraded")
 	}
 	fs.MeanConf = math.Float64frombits(binary.LittleEndian.Uint64(p))
 	if !(fs.MeanConf >= 0 && fs.MeanConf <= 1) {
-		return fs, 0, errPayload(TFleetSummary, "mean confidence %v outside [0,1]", fs.MeanConf)
+		return fail("mean confidence %v outside [0,1]", fs.MeanConf)
 	}
 	switch p[8] {
 	case 0:
@@ -207,233 +226,155 @@ func walkFleetSummary(p []byte, build bool) (FleetSummary, int, error) {
 	case 1:
 		fs.Degraded = true
 	default:
-		return fs, 0, errPayload(TFleetSummary, "invalid degraded flag %d", p[8])
+		return fail("invalid degraded flag %d", p[8])
 	}
 	p = p[9:]
 	if len(p) < 2 {
-		return fs, 0, errPayload(TFleetSummary, "truncated gap line")
+		return fail("truncated gap line")
 	}
 	gapLen := int(binary.LittleEndian.Uint16(p))
 	p = p[2:]
 	if gapLen > maxGapLine || len(p) < gapLen {
-		return fs, 0, errPayload(TFleetSummary, "truncated gap line (%d declared)", gapLen)
+		return fail("truncated gap line (%d declared)", gapLen)
 	}
 	fs.GapLine = string(p[:gapLen])
 	p = p[gapLen:]
 
 	nFns, p, err := uvarint(p)
 	if err != nil {
-		return fs, 0, errPayload(TFleetSummary, "symbol count: %w", err)
+		return fail("symbol count: %w", err)
 	}
 	// Each dictionary entry costs ≥ 5 bytes; each item ≥ 14; each span
 	// ≥ 4. Checking the declared counts against the remaining bytes keeps
 	// a corrupt count from allocating gigabytes before the parse fails.
 	if nFns > uint64(len(p))/5 {
-		return fs, 0, errPayload(TFleetSummary, "absurd symbol count %d", nFns)
+		return fail("absurd symbol count %d", nFns)
 	}
 	var fns []*symtab.Fn
-	if build {
+	if each != nil {
 		fns = make([]*symtab.Fn, nFns)
 	}
 	for i := 0; i < int(nFns); i++ {
 		if len(p) < 2 {
-			return fs, 0, errPayload(TFleetSummary, "symbol %d: truncated", i)
+			return fail("symbol %d: truncated", i)
 		}
 		nameLen := int(binary.LittleEndian.Uint16(p))
 		p = p[2:]
 		if len(p) < nameLen {
-			return fs, 0, errPayload(TFleetSummary, "symbol %d: truncated name", i)
+			return fail("symbol %d: truncated name", i)
 		}
 		name := p[:nameLen]
 		p = p[nameLen:]
 		var base, size, id uint64
 		if base, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "symbol %d base: %w", i, err)
+			return fail("symbol %d base: %w", i, err)
 		}
 		if size, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "symbol %d size: %w", i, err)
+			return fail("symbol %d size: %w", i, err)
 		}
 		if id, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "symbol %d id: %w", i, err)
+			return fail("symbol %d id: %w", i, err)
 		}
 		if id > 1<<31 {
-			return fs, 0, errPayload(TFleetSummary, "symbol %d id %d out of range", i, id)
+			return fail("symbol %d id %d out of range", i, id)
 		}
-		if build {
+		if fns != nil {
 			fns[i] = &symtab.Fn{Name: string(name), Base: base, Size: size, ID: int(id)}
 		}
 	}
 
 	nItems, p, err := uvarint(p)
 	if err != nil {
-		return fs, 0, errPayload(TFleetSummary, "item count: %w", err)
+		return fail("item count: %w", err)
 	}
 	if nItems > uint64(len(p))/14 {
-		return fs, 0, errPayload(TFleetSummary, "absurd item count %d", nItems)
+		return fail("absurd item count %d", nItems)
 	}
-	// Every item's Funcs is carved from a slab sized by a pre-pass that
-	// counts the spans the items declare. The runtime rounds an object past
-	// 32 KiB up to whole 8 KiB pages, so a large slab holds only the spans
-	// that fill whole pages, and the items past its end carve a second,
-	// small slab sized to what is left.
-	var left int
-	var slab []core.FuncSpan
-	if build {
-		fs.Items = make([]core.Item, nItems)
-		left = spanTotal(p, nItems)
-		slab = make([]core.FuncSpan, wholePageSpans(left))
-	}
-	// Without build, each item and span is read into these and dropped.
-	var scratch core.Item
-	var scratchSpan core.FuncSpan
+	var it core.Item
+	var funcs []core.FuncSpan // the visitor's scratch spans, reused item to item
 	for i := 0; i < int(nItems); i++ {
-		it := &scratch
-		if build {
-			it = &fs.Items[i]
-		}
 		if it.ID, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "item %d id: %w", i, err)
+			return fail("item %d id: %w", i, err)
 		}
 		var c int64
 		if c, p, err = varint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "item %d core: %w", i, err)
+			return fail("item %d core: %w", i, err)
 		}
 		if c < -1<<31 || c > 1<<31-1 {
-			return fs, 0, errPayload(TFleetSummary, "item %d core %d out of range", i, c)
+			return fail("item %d core %d out of range", i, c)
 		}
 		it.Core = int32(c)
 		if it.BeginTSC, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "item %d begin: %w", i, err)
+			return fail("item %d begin: %w", i, err)
 		}
 		if it.EndTSC, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "item %d end: %w", i, err)
+			return fail("item %d end: %w", i, err)
 		}
 		var sc, un uint64
 		if sc, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "item %d samples: %w", i, err)
+			return fail("item %d samples: %w", i, err)
 		}
 		if un, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "item %d unresolved: %w", i, err)
+			return fail("item %d unresolved: %w", i, err)
 		}
 		if sc > 1<<40 || un > sc {
-			return fs, 0, errPayload(TFleetSummary, "item %d sample counts %d/%d implausible", i, un, sc)
+			return fail("item %d sample counts %d/%d implausible", i, un, sc)
 		}
 		it.SampleCount, it.UnresolvedSamples = int(sc), int(un)
 		if len(p) < 8 {
-			return fs, 0, errPayload(TFleetSummary, "item %d: truncated confidence", i)
+			return fail("item %d: truncated confidence", i)
 		}
 		it.Confidence = math.Float64frombits(binary.LittleEndian.Uint64(p))
 		p = p[8:]
 		if !(it.Confidence >= 0 && it.Confidence <= 1) {
-			return fs, 0, errPayload(TFleetSummary, "item %d confidence %v outside [0,1]", i, it.Confidence)
+			return fail("item %d confidence %v outside [0,1]", i, it.Confidence)
 		}
 		var nSpans uint64
 		if nSpans, p, err = uvarint(p); err != nil {
-			return fs, 0, errPayload(TFleetSummary, "item %d span count: %w", i, err)
+			return fail("item %d span count: %w", i, err)
 		}
 		if nSpans > uint64(len(p))/4 {
-			return fs, 0, errPayload(TFleetSummary, "item %d: absurd span count %d", i, nSpans)
+			return fail("item %d: absurd span count %d", i, nSpans)
 		}
-		if build && nSpans > 0 {
-			if nSpans > uint64(left) {
-				return fs, 0, errPayload(TFleetSummary, "item %d: span count %d past the %d counted", i, nSpans, left)
-			}
-			if nSpans > uint64(len(slab)) {
-				slab = make([]core.FuncSpan, left)
-			}
-			// Capped, so an append to one item's Funcs cannot overwrite
-			// the next item's.
-			it.Funcs, slab = slab[:nSpans:nSpans], slab[nSpans:]
-			left -= int(nSpans)
-		}
+		funcs = funcs[:0]
 		for j := 0; j < int(nSpans); j++ {
-			sp := &scratchSpan
-			if build {
-				sp = &it.Funcs[j]
-			}
+			var sp core.FuncSpan
 			var idx, samples uint64
 			if idx, p, err = uvarint(p); err != nil {
-				return fs, 0, errPayload(TFleetSummary, "item %d span %d fn: %w", i, j, err)
+				return fail("item %d span %d fn: %w", i, j, err)
 			}
 			if idx >= nFns {
-				return fs, 0, errPayload(TFleetSummary, "item %d span %d references symbol %d of %d", i, j, idx, nFns)
-			}
-			if build {
-				sp.Fn = fns[idx]
+				return fail("item %d span %d references symbol %d of %d", i, j, idx, nFns)
 			}
 			if samples, p, err = uvarint(p); err != nil {
-				return fs, 0, errPayload(TFleetSummary, "item %d span %d samples: %w", i, j, err)
+				return fail("item %d span %d samples: %w", i, j, err)
 			}
 			if samples > 1<<40 {
-				return fs, 0, errPayload(TFleetSummary, "item %d span %d samples %d implausible", i, j, samples)
+				return fail("item %d span %d samples %d implausible", i, j, samples)
 			}
 			sp.Samples = int(samples)
 			if sp.FirstTSC, p, err = uvarint(p); err != nil {
-				return fs, 0, errPayload(TFleetSummary, "item %d span %d first: %w", i, j, err)
+				return fail("item %d span %d first: %w", i, j, err)
 			}
 			if sp.LastTSC, p, err = uvarint(p); err != nil {
-				return fs, 0, errPayload(TFleetSummary, "item %d span %d last: %w", i, j, err)
+				return fail("item %d span %d last: %w", i, j, err)
 			}
+			if each != nil {
+				sp.Fn = fns[idx]
+				funcs = append(funcs, sp)
+			}
+		}
+		spans += int(nSpans)
+		if each != nil {
+			it.Funcs = nil
+			if nSpans > 0 {
+				it.Funcs = funcs
+			}
+			each(fs.FreqHz, it)
 		}
 	}
 	if len(p) != 0 {
-		return fs, 0, errPayload(TFleetSummary, "%d trailing bytes", len(p))
+		return fail("%d trailing bytes", len(p))
 	}
-	return fs, int(nItems), nil
-}
-
-// spanTotal counts the spans declared by the nItems items at the head of p,
-// stopping at the first item it cannot read: the decode that follows reports
-// that error. Each span takes at least four bytes, so the count never
-// exceeds len(p)/4, whatever the counts declare.
-func spanTotal(p []byte, nItems uint64) int {
-	total := 0
-	for i := uint64(0); i < nItems; i++ {
-		// ID, core, begin, end, samples, unresolved; then the confidence.
-		if p = skipVarints(p, 6); len(p) < 8 {
-			break
-		}
-		n, q, err := uvarint(p[8:])
-		if err != nil || n > uint64(len(q))/4 {
-			break
-		}
-		total += int(n)
-		// Each span is four varints: symbol, samples, first, last.
-		p = skipVarints(q, 4*int(n))
-	}
-	return total
-}
-
-// spanBytes is the size of a core.FuncSpan: a pointer and three 8-byte
-// integers.
-const spanBytes = 32
-
-// wholePageSpans is how many of n spans a first slab takes: all of them when
-// they fit a small object, else as many as fill whole 8 KiB pages.
-func wholePageSpans(n int) int {
-	if n*spanBytes <= 32<<10 {
-		return n
-	}
-	return n * spanBytes &^ (8<<10 - 1) / spanBytes
-}
-
-// skipVarints returns p past its first n varints, or nil when p ends first.
-func skipVarints(p []byte, n int) []byte {
-	i := 0
-	// Eight bytes at a time while the word holds fewer varint ends (bytes
-	// with the high bit clear) than are left to skip.
-	for ; i+8 <= len(p); i += 8 {
-		ends := bits.OnesCount64(^binary.LittleEndian.Uint64(p[i:]) & 0x8080808080808080)
-		if ends >= n {
-			break
-		}
-		n -= ends
-	}
-	for ; n > 0 && i < len(p); i++ {
-		n -= int(p[i]>>7 ^ 1) // a varint's last byte has the high bit clear
-	}
-	if n > 0 {
-		return nil
-	}
-	return p[i:]
+	return fs, int(nItems), spans, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pmu"
 	"repro/internal/trace"
@@ -144,7 +145,9 @@ func FuzzFrameDecode(f *testing.F) {
 // self-consistent structure, not garbage that happened not to crash).
 // CheckFleetSummary, which the aggregator admits frames with, is diffed
 // against the decoder: it accepts exactly what the decoder accepts, with
-// the same header and the decoder's item count. Run continuously with
+// the same header and the decoder's item count. WalkFleetSummary, which a
+// fleet read merges with, must show a visitor exactly the decoder's items,
+// spans included, in order. Run continuously with
 //
 //	go test -run '^$' -fuzz '^FuzzFleetMerge$' ./internal/wire
 //
@@ -194,6 +197,18 @@ func FuzzFleetMerge(f *testing.F) {
 			LostMarkers: fs.LostMarkers, LostSamples: fs.LostSamples, CRCErrors: fs.CRCErrors, Disconnects: fs.Disconnects,
 			MeanConf: fs.MeanConf, Degraded: fs.Degraded, GapLine: fs.GapLine}); !reflect.DeepEqual(head, want) {
 			t.Fatalf("check header differs from decode's:\n got %+v\nwant %+v", head, want)
+		}
+		seen, spans := 0, 0
+		for _, it := range fs.Items {
+			spans += len(it.Funcs)
+		}
+		if _, n, m, err := WalkFleetSummary(data, func(freq uint64, it core.Item) {
+			if freq != fs.FreqHz || seen >= len(fs.Items) || !reflect.DeepEqual(it, fs.Items[seen]) {
+				t.Fatalf("walk item %d at %d Hz differs from decode's", seen, freq)
+			}
+			seen++
+		}); err != nil || n != len(fs.Items) || seen != n || m != spans {
+			t.Fatalf("walk counted %d items and %d spans and showed %d items, decode %d and %d: %v", n, m, seen, len(fs.Items), spans, err)
 		}
 		re, err := AppendFleetSummary(nil, fs)
 		if err != nil {
