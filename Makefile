@@ -8,10 +8,11 @@
 #   and collector in one process) / checkpoint-restore / concurrent ACL
 #   classification (one walk, per-caller scratch) / shared dataplane
 #   policy (two rounds on one compiled Policy) / released machine (cache
-#   lines handed from one round to the next, two rounds at once) / reserved
-#   marker log suites and the
+#   lines handed from one round to the next, two rounds at once) / recycled
+#   PEBS drain buffers (a finished round's samples untouched by the next) /
+#   reserved marker log suites and the
 #   integration equivalence suites (parallel, stream, tie, degraded, the
-#   per-core merge, the feed walk, concurrent uplink encodes, the
+#   per-core merge in place, Integrate's one item array, the feed walk, concurrent uplink encodes, the
 #   aggregator's check-only delivery and its reads walking payloads beside merges,
 #   the collector's fleet reads beside ingest)
 #   raced 20 times over in shuffled order, so a flake or an order dependence cannot
@@ -52,8 +53,8 @@ tier2:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -shuffle=on -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism|TestPolicySharedAcrossRounds|TestFeed|TestUplinkConcurrentSummaries|TestAggregatorHandAllocs|TestAggregatorFleetDuringMerges|TestCollectorFleetDuringIngest|TestMarkerLog|TestReleased|TestRunRelease|TestCloseIsNotALostLink' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane ./internal/cache ./internal/sim
-	$(GO) test -race -count 20 -shuffle=on -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded|TestMergeItems' ./internal/core
+	$(GO) test -race -count 20 -shuffle=on -run 'TestStaleEpoch|TestCrash|TestLoopback|TestDetect|TestDrain|TestCheckpoint|TestLostAck|TestAdmission|TestSpoolFailure|TestAppendSurvives|TestShipSet|TestRetired|TestGapScan|TestFrameReader|TestWriteFrame|TestReceive|TestAggregatorAppliesInNumberOrder|TestSlowApply|TestServe|TestAggregatorCheckpoint|TestRestore|TestAggregatorRestart|TestRestoredItems|TestCollectorCheckpoint|TestImport|TestCaptureRegs|TestIterBatchReuse|TestSnapshot|TestConcurrentClassification|TestPipelineDeterminism|TestPolicySharedAcrossRounds|TestFeed|TestUplinkConcurrentSummaries|TestAggregatorHandAllocs|TestAggregatorFleetDuringMerges|TestCollectorFleetDuringIngest|TestMarkerLog|TestReleased|TestRunRelease|TestSampleBuffers|TestCloseIsNotALostLink' ./internal/collector ./internal/agg ./internal/durable ./internal/ship ./internal/spool ./internal/experiments ./internal/trace ./internal/pmu ./internal/wire ./internal/detect ./internal/acl ./internal/dataplane ./internal/cache ./internal/sim
+	$(GO) test -race -count 20 -shuffle=on -run 'TestParallelIntegrate|TestQuickStream|TestIntegrateTies|TestDegraded|TestMergeItems|TestIntegrateAllocsFlat' ./internal/core
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s ./$${t%%:*} || exit 1; done
 	$(GO) test -tags scale -count 1 -run '^TestScaleHarness$$' -timeout 900s ./internal/agg
 

@@ -8,7 +8,8 @@ package cache
 
 import (
 	"fmt"
-	"sync"
+
+	"repro/internal/freelist"
 )
 
 // LevelConfig describes one cache level.
@@ -88,68 +89,25 @@ func newLevel(cfg LevelConfig) (*level, error) {
 	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: level %q line size %d not a power of two", cfg.Name, cfg.LineBytes)
 	}
-	return &level{cfg: cfg, lines: takeLines(cfg), stats: LevelStats{Name: cfg.Name}}, nil
+	return &level{cfg: cfg, lines: linePool.Take(shape{cfg.Sets, cfg.Ways}, cfg.Sets*cfg.Ways), stats: LevelStats{Name: cfg.Name}}, nil
 }
-
-// linesKept caps how many released line arrays the pool holds per level
-// shape: enough for a four-core machine, so a workload that builds and
-// releases a machine per run reuses all of its lines, while the pool never
-// holds more than a few megabytes.
-const linesKept = 4
 
 // shape keys the line pool: a level takes only lines released by a level
 // of its own organization, so an L1 never takes an LLC's lines.
 type shape struct{ sets, ways int }
 
-// linePool holds released line arrays, each cleared, by level shape. It is
-// a plain free list rather than a sync.Pool: a caller that builds a
-// hierarchy per run allocates enough between one Release and the next New
-// for the garbage collector to run once or twice, and a sync.Pool keeps
-// what it holds through one collection only.
-var linePool struct {
-	sync.Mutex
-	free map[shape][][]line
-}
-
-// takeLines returns cleared lines for a level of cfg's shape, reused from
-// the pool when a released level left some.
-func takeLines(cfg LevelConfig) []line {
-	k := shape{cfg.Sets, cfg.Ways}
-	linePool.Lock()
-	free := linePool.free[k]
-	var ls []line
-	if n := len(free); n > 0 {
-		ls = free[n-1]
-		free[n-1] = nil
-		linePool.free[k] = free[:n-1]
-	}
-	linePool.Unlock()
-	if ls == nil {
-		ls = make([]line, cfg.Sets*cfg.Ways)
-	}
-	return ls
-}
+// linePool holds released line arrays, each cleared, by level shape: four
+// of each, enough for a four-core machine, so a workload that builds and
+// releases a machine per run reuses all of its lines, while the pool never
+// holds more than a few megabytes.
+var linePool = freelist.List[shape, line]{Keep: 4}
 
 // release clears the level's lines and hands them to the pool; the level
 // keeps none, so an access after release panics instead of touching lines
 // another hierarchy now owns.
 func (l *level) release() {
-	ls := l.lines
+	linePool.Put(shape{l.cfg.Sets, l.cfg.Ways}, l.lines)
 	l.lines = nil
-	if ls == nil {
-		return
-	}
-	clear(ls)
-	k := shape{l.cfg.Sets, l.cfg.Ways}
-	linePool.Lock()
-	defer linePool.Unlock()
-	if len(linePool.free[k]) >= linesKept {
-		return
-	}
-	if linePool.free == nil {
-		linePool.free = map[shape][][]line{}
-	}
-	linePool.free[k] = append(linePool.free[k], ls)
 }
 
 // access returns true on hit, installing the line (write-allocate,

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/freelist"
 )
 
 func tiny() Config {
@@ -228,9 +230,7 @@ func TestQuickLatencyConsistentWithLevel(t *testing.T) {
 // freshly allocated one, though the released one was warm; lines go only
 // to a level of the same shape; and the released hierarchy panics on use.
 func TestReleasedLinesBehaveFresh(t *testing.T) {
-	linePool.Lock()
-	linePool.free = nil // the reference below allocates its lines
-	linePool.Unlock()
+	linePool = freelist.List[shape, line]{Keep: linePool.Keep} // the reference below allocates its lines
 
 	rng := rand.New(rand.NewSource(7))
 	addrs := make([]uint64, 2000)

@@ -277,18 +277,20 @@ func Integrate(set *trace.Set, opts Options) (*Analysis, error) {
 	a := &Analysis{FreqHz: set.FreqHz, MeanSampleGap: map[int32]float64{}}
 
 	shards := shardByCore(set, opts, &a.Diag)
-	results := integrateShards(shards, set.Syms, opts)
+	results, items := integrateShards(shards, set.Syms, opts)
 
-	runs := make([][]Item, len(results))
+	ends, end := make([]int, len(results)), 0
 	for i := range results {
 		r := &results[i]
-		runs[i] = r.items
+		end += len(r.items)
+		ends[i] = end
 		a.Diag.merge(r.diag)
 		if r.hasGap {
 			a.MeanSampleGap[r.core] = r.meanGap
 		}
 	}
-	a.Items = mergeItems(runs)
+	mergeItems(items, ends)
+	a.Items = items
 	if reg != nil {
 		publishIntegrate(reg, a, results, time.Since(t0))
 	}
@@ -309,36 +311,42 @@ func compareItems(x, y Item) int {
 	return cmp.Compare(x.Core, y.Core)
 }
 
-// mergeItems returns the runs concatenated in SortItems order. Each shard's
-// items close in begin order, so every run is normally sorted already and
-// a k-way merge, taking the earliest run on equal keys, gives exactly what
-// a stable sort of the concatenation gives. Should any run be out of order,
-// it sorts the concatenation instead. It consumes runs.
-func mergeItems(runs [][]Item) []Item {
-	total, sorted := 0, true
-	for _, r := range runs {
-		total += len(r)
-		sorted = sorted && slices.IsSortedFunc(r, compareItems)
-	}
-	out := make([]Item, 0, total)
-	if !sorted {
-		for _, r := range runs {
-			out = append(out, r...)
+// mergeItems puts items, the shards' runs back to back (run i ends at
+// ends[i]), into SortItems order in place. Each run is normally sorted, as
+// a shard's items close in begin order, and a k-way merge taking the
+// earliest run on equal keys gives what a stable sort gives; its order is
+// applied along the cycles of a permutation, 4 bytes an item, not into a
+// second Item array. Should any run be out of order, it sorts instead.
+func mergeItems(items []Item, ends []int) {
+	next := make([]int, len(ends)) // run i's unmerged items are [next[i], ends[i])
+	for i := range ends {
+		if i > 0 {
+			next[i] = ends[i-1]
 		}
-		SortItems(out)
-		return out
+		if !slices.IsSortedFunc(items[next[i]:ends[i]], compareItems) {
+			SortItems(items)
+			return
+		}
 	}
-	for len(out) < total {
+	from := make([]int32, len(items)) // the index of the item that belongs at each slot
+	for d := range from {
 		best := -1
-		for i, r := range runs {
-			if len(r) > 0 && (best < 0 || compareItems(r[0], runs[best][0]) < 0) {
+		for i := range next {
+			if next[i] < ends[i] && (best < 0 || compareItems(items[next[i]], items[next[best]]) < 0) {
 				best = i
 			}
 		}
-		out = append(out, runs[best][0])
-		runs[best] = runs[best][1:]
+		from[d] = int32(next[best])
+		next[best]++
 	}
-	return out
+	// A slot once filled points at itself, so each cycle is walked once.
+	for start := range from {
+		held, d := items[start], start
+		for s := int(from[d]); s != start; s = int(from[d]) {
+			items[d], from[d], d = items[s], int32(d), s
+		}
+		items[d], from[d] = held, int32(d)
+	}
 }
 
 // Confidence penalty factors and coverage thresholds (see Item.Confidence).

@@ -27,6 +27,13 @@ type Group struct {
 // GroupItems partitions the analysis's items by key. Items for which key
 // returns "" are skipped. Groups are sorted by key.
 func GroupItems(a *Analysis, key func(*Item) string) []Group {
+	groups, _ := groupItems(a, key)
+	return groups
+}
+
+// groupItems is GroupItems, also returning the scratch, sized to the
+// largest group, that its summaries sorted in, for DetectFluctuations.
+func groupItems(a *Analysis, key func(*Item) string) ([]Group, []float64) {
 	// One pass keys every item once and numbers the groups in order of
 	// first appearance; the counts then size each group's slices exactly,
 	// every group carved from one Items and one ElapsedUs array.
@@ -58,13 +65,13 @@ func GroupItems(a *Analysis, key func(*Item) string) []Group {
 	items, us := make([]*Item, total), make([]float64, total)
 	out := make([]Group, len(keys))
 	rank := make([]int32, len(keys)) // group number → index in out
-	lo := 0
+	lo, largest := 0, 0
 	for i, k := range keys {
 		g := byKey[k]
 		rank[g] = int32(i)
 		hi := lo + counts[g]
 		out[i] = Group{Key: k, Items: items[lo:lo:hi], ElapsedUs: us[lo:lo:hi]}
-		lo = hi
+		lo, largest = hi, max(largest, counts[g])
 	}
 	for i, g := range member {
 		if g < 0 {
@@ -75,10 +82,11 @@ func GroupItems(a *Analysis, key func(*Item) string) []Group {
 		o.Items = append(o.Items, it)
 		o.ElapsedUs = append(o.ElapsedUs, a.CyclesToMicros(it.ElapsedCycles()))
 	}
+	scratch := make([]float64, 0, largest)
 	for i := range out {
-		out[i].Summary = stats.Summarize(out[i].ElapsedUs)
+		out[i].Summary = stats.SummarizeSorting(append(scratch[:0], out[i].ElapsedUs...))
 	}
-	return out
+	return out, scratch
 }
 
 // DetectFluctuations groups items and flags, within each group, the members
@@ -93,7 +101,7 @@ func DetectFluctuations(a *Analysis, key func(*Item) string, sigma, minRelative 
 	if sigma <= 0 {
 		sigma = 3
 	}
-	groups := GroupItems(a, key)
+	groups, scratch := groupItems(a, key)
 	var out []Group
 	for gi := range groups {
 		g := &groups[gi]
@@ -101,7 +109,7 @@ func DetectFluctuations(a *Analysis, key func(*Item) string, sigma, minRelative 
 			continue
 		}
 		med := g.Summary.P50
-		robust := stats.MADSigmaFactor * stats.MADAbout(g.ElapsedUs, med)
+		robust := stats.MADSigmaFactor * stats.MADAboutSorting(append(scratch[:0], g.ElapsedUs...), med)
 		for i, us := range g.ElapsedUs {
 			dev := us - med
 			if dev < 0 {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/pmu"
@@ -48,10 +50,7 @@ func TestMergeItemsMatchesSort(t *testing.T) {
 		sets := []*trace.Set{tiedTraceSet(rng, 1+int(seed%4)), randomTraceSet(rng)}
 		for si, set := range sets {
 			var d Diagnostics
-			var want []Item
-			for _, r := range integrateShards(shardByCore(set, Options{}, &d), set.Syms, Options{Parallelism: 1}) {
-				want = append(want, r.items...)
-			}
+			_, want := integrateShards(shardByCore(set, Options{}, &d), set.Syms, Options{Parallelism: 1})
 			SortItems(want)
 			for _, par := range []int{1, 4} {
 				a, err := Integrate(set, Options{Parallelism: par})
@@ -71,7 +70,7 @@ func TestMergeItemsMatchesSort(t *testing.T) {
 
 // TestMergeItemsStableAndFallback: equal keys in different runs keep run
 // order, as a stable sort of the concatenation does, and a run out of
-// order falls back to that sort.
+// order falls back to that sort, both on the one array the runs share.
 func TestMergeItemsStableAndFallback(t *testing.T) {
 	it := func(id, begin uint64, core int32) Item { return Item{ID: id, BeginTSC: begin, Core: core} }
 	cases := map[string][][]Item{
@@ -80,19 +79,47 @@ func TestMergeItemsStableAndFallback(t *testing.T) {
 			{it(4, 5, 0), it(5, 7, 1)},
 			{it(6, 5, 0), it(7, 9, 0)},
 		},
+		"three runs sharing keys": {
+			{it(1, 5, 0), it(2, 5, 0), it(3, 6, 0), it(4, 9, 0)},
+			{it(5, 1, 0), it(6, 5, 0), it(7, 6, 0), it(8, 6, 0)},
+			{it(9, 5, 0), it(10, 5, 0), it(11, 6, 0), it(12, 9, 0), it(13, 9, 0)},
+		},
 		"unsorted run": {
 			{it(1, 9, 0), it(2, 5, 0)},
 			{it(3, 5, 1), it(4, 7, 1)},
 		},
+		"unsorted middle of three": {
+			{it(1, 3, 0), it(2, 5, 0)},
+			{it(3, 9, 1), it(4, 2, 1), it(5, 9, 1)},
+			{it(6, 3, 0), it(7, 5, 2)},
+		},
 		"empty runs": {nil, {it(1, 3, 2)}, nil},
 	}
-	for name, runs := range cases {
-		var want []Item
-		for _, r := range runs {
-			want = append(want, r...)
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 20; c++ {
+		runs := make([][]Item, 1+rng.Intn(5))
+		id := uint64(1)
+		for r := range runs {
+			for n := rng.Intn(12); n > 0; n-- {
+				runs[r] = append(runs[r], it(id, uint64(rng.Intn(8)), int32(rng.Intn(2))))
+				id++
+			}
+			if rng.Intn(4) > 0 {
+				SortItems(runs[r])
+			}
 		}
+		cases[fmt.Sprintf("random %d", c)] = runs
+	}
+	for name, runs := range cases {
+		var got []Item
+		ends := make([]int, len(runs))
+		for i, r := range runs {
+			got = append(got, r...)
+			ends[i] = len(got)
+		}
+		want := slices.Clone(got)
 		SortItems(want)
-		if got := mergeItems(runs); !reflect.DeepEqual(got, want) {
+		if mergeItems(got, ends); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: mergeItems = %v, want %v", name, got, want)
 		}
 	}

@@ -31,13 +31,14 @@ type shard struct {
 }
 
 // coreResult is one shard's integration output. diag holds only this
-// shard's counts; the merge sums them.
+// shard's counts; the merge sums them. closed and keep are countCore's.
 type coreResult struct {
-	core    int32
-	items   []Item
-	diag    Diagnostics
-	meanGap float64
-	hasGap  bool
+	core         int32
+	items        []Item
+	closed, keep int
+	diag         Diagnostics
+	meanGap      float64
+	hasGap       bool
 }
 
 // shardByCore groups the trace's markers and samples into per-core shards,
@@ -103,11 +104,22 @@ func shardByCore(set *trace.Set, opts Options, diag *Diagnostics) []shard {
 	return shards
 }
 
-// integrateShards runs integrateCore over every shard, fanning out over
-// opts.Parallelism workers (0 = GOMAXPROCS). Results land in per-shard
-// slots, so no ordering is imposed by worker scheduling.
-func integrateShards(shards []shard, syms *symtab.Table, opts Options) []coreResult {
+// integrateShards returns the per-shard results and one item array sized
+// by countCore, which integrateCore fills shard by shard, back to back,
+// fanning out over opts.Parallelism workers (0 = GOMAXPROCS). Results land
+// in per-shard slots, so no ordering is imposed by worker scheduling.
+func integrateShards(shards []shard, syms *symtab.Table, opts Options) ([]coreResult, []Item) {
 	results := make([]coreResult, len(shards))
+	total := 0
+	for i := range shards {
+		results[i] = countCore(shards[i])
+		total += results[i].closed
+	}
+	items := make([]Item, total)
+	for i, lo := 0, 0; i < len(results); i++ {
+		results[i].items = items[lo : lo : lo+results[i].closed]
+		lo += results[i].closed
+	}
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -117,9 +129,9 @@ func integrateShards(shards []shard, syms *symtab.Table, opts Options) []coreRes
 	}
 	if workers <= 1 {
 		for i := range shards {
-			results[i] = integrateCore(shards[i], syms, opts)
+			integrateCore(shards[i], &results[i], syms, opts)
 		}
-		return results
+		return results, items
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -127,59 +139,63 @@ func integrateShards(shards []shard, syms *symtab.Table, opts Options) []coreRes
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(shards); i += workers {
-				results[i] = integrateCore(shards[i], syms, opts)
+				integrateCore(shards[i], &results[i], syms, opts)
 			}
 		}(w)
 	}
 	wg.Wait()
-	return results
+	return results, items
 }
 
-// integrateCore integrates one core's shard by driving a pairing over its
-// markers and samples merged in time order, resolving IPs through a private
-// symtab.Resolver whose deterministic hit/miss counts feed the shard
-// diagnostics.
-//
-// At equal timestamps a sample goes before the markers while an item is
-// open, so a sample on an End's cycle counts in the item that End closes;
-// with ExcludeBoundaries markers always go first, so no boundary sample
-// counts. The item still open after the last marker has no End to bound
-// it and is dropped: a markers-only pass of the same pairing finds its
-// Begin first, so its samples stay unattributed and are never resolved.
-func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
-	// One span per shard on the core's own track, so the trace viewer
-	// shows the fan-out as parallel lanes; an atomic load when tracing
-	// is off.
-	sp := obs.StartSpanOn(int64(sh.core), "core.integrateShard")
-	defer sp.End()
+// countCore is a shard's markers-only pass: it counts the items that
+// close and the opens whose samples are attributed, which excludes the
+// item still open after the last marker (no End bounds it; it is dropped).
+func countCore(sh shard) coreResult {
 	r := coreResult{core: sh.core}
 	if n := len(sh.samples); n >= 2 {
 		r.meanGap = float64(sh.samples[n-1].TSC-sh.samples[0].TSC) / float64(n-1)
 		r.hasGap = true
 	}
-
-	// The markers-only pass: b counts, keeps nothing.
 	var (
 		p     pairing
 		scrap Diagnostics
+		b     batchSink
 	)
-	b := batchSink{meanGap: r.meanGap, hasGap: r.hasGap}
 	for _, m := range sh.markers {
 		p.marker(m, &scrap, &b)
 	}
-	keep := b.opened // opens whose samples are attributed
+	r.closed, r.keep = b.closed, b.opened
 	if p.cur != nil {
-		keep--
+		r.keep--
 	}
+	return r
+}
 
-	p, b.opened, b.items = pairing{}, 0, make([]Item, 0, b.closed)
+// integrateCore integrates one core's shard into r's window of the item
+// array by driving a pairing over its markers and samples merged in time
+// order, resolving IPs through a private symtab.Resolver whose
+// deterministic hit/miss counts feed the shard diagnostics.
+//
+// At equal timestamps a sample goes before the markers while an item is
+// open, so a sample on an End's cycle counts in the item that End closes;
+// with ExcludeBoundaries markers always go first, so no boundary sample
+// counts. The samples of the item left open at the end are never
+// attributed, so never resolved.
+func integrateCore(sh shard, r *coreResult, syms *symtab.Table, opts Options) {
+	// One span per shard on the core's own track, so the trace viewer
+	// shows the fan-out as parallel lanes; an atomic load when tracing
+	// is off.
+	sp := obs.StartSpanOn(int64(sh.core), "core.integrateShard")
+	defer sp.End()
+	var p pairing
+	b := batchSink{meanGap: r.meanGap, hasGap: r.hasGap, items: r.items}
 	// A span holds at least one sample, so a shard with fewer samples than
 	// a full chunk gets a chunk of its sample count.
 	b.chunkLen = min(spanChunk, len(sh.samples))
 	res := syms.NewResolver()
 	si := 0
 	for _, m := range sh.markers {
-		for ; si < len(sh.samples) && b.opened <= keep; si++ {
+		for ; si < len(sh.samples) && b.opened <= r.keep; si++ {
 			s := &sh.samples[si]
 			if s.TSC > m.TSC || s.TSC == m.TSC && (p.cur == nil || opts.ExcludeBoundaries) {
 				break
@@ -196,12 +212,11 @@ func integrateCore(sh shard, syms *symtab.Table, opts Options) coreResult {
 	hits, misses := res.Stats()
 	r.diag.SymCacheHits = int(hits)
 	r.diag.SymCacheMisses = int(misses)
-	return r
 }
 
 // batchSink is integrateCore's item storage: closed items in close order,
 // which is begin order, each graded for sample coverage as it closes. With
-// items nil (the markers-only pass) it only counts.
+// items nil (countCore's markers-only pass) it only counts.
 //
 // The open item's spans grow in one scratch buffer reused from item to
 // item; done copies a closed item's spans into the shard's current span

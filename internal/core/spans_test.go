@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataplane"
 	"repro/internal/trace"
@@ -65,31 +67,56 @@ func TestIntegrateSpansExact(t *testing.T) {
 
 // TestIntegrateAllocsFlat: Integrate's allocations grow with the span
 // chunks, not with the items: from a 2 × 1,000 to a 2 × 10,000 dpchain
-// round they differ by at most the larger round's chunk count.
+// round they differ by at most the larger round's chunk count. Its bytes
+// grow by one Item and 4 bytes of merge order an item beside the spans,
+// so the items are held once.
 func TestIntegrateAllocsFlat(t *testing.T) {
-	allocs := func(set *trace.Set) (float64, int) {
+	type cost struct {
+		allocs, bytes                float64
+		items, spans, chunks, widest int
+	}
+	measure := func(set *trace.Set) cost {
 		a, err := Integrate(set, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A chunk other than a shard's last is filled to within one item's
 		// spans of spanChunk.
-		perCore, widest := map[int32]int{}, 0
+		c := cost{items: len(a.Items)}
+		perCore := map[int32]int{}
 		for i := range a.Items {
 			perCore[a.Items[i].Core] += len(a.Items[i].Funcs)
-			widest = max(widest, len(a.Items[i].Funcs))
+			c.spans += len(a.Items[i].Funcs)
+			c.widest = max(c.widest, len(a.Items[i].Funcs))
 		}
-		chunks := 0
 		for _, n := range perCore {
-			chunks += 1 + n/(spanChunk-widest+1)
+			c.chunks += 1 + n/(spanChunk-c.widest+1)
 		}
-		return testing.AllocsPerRun(3, func() { Integrate(set, Options{}) }), chunks
+		c.allocs = testing.AllocsPerRun(3, func() { Integrate(set, Options{}) })
+		const runs = 3
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			Integrate(set, Options{})
+		}
+		runtime.ReadMemStats(&m1)
+		c.bytes = float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+		return c
 	}
-	small, _ := allocs(dpchainSet(t, 2, 1000))
-	large, chunks := allocs(dpchainSet(t, 2, 10000))
-	t.Logf("Integrate allocations: %.0f at 2 × 1,000 items, %.0f at 2 × 10,000 (at most %d span chunks)", small, large, chunks)
-	if large-small > float64(chunks) {
+	small := measure(dpchainSet(t, 2, 1000))
+	large := measure(dpchainSet(t, 2, 10000))
+	t.Logf("Integrate allocations: %.0f at 2 × 1,000 items, %.0f at 2 × 10,000 (at most %d span chunks)", small.allocs, large.allocs, large.chunks)
+	if large.allocs-small.allocs > float64(large.chunks) {
 		t.Errorf("Integrate made %.0f allocations at 2 × 10,000 items and %.0f at 2 × 1,000: %.0f more than the %d span chunks allow",
-			large, small, large-small-float64(chunks), chunks)
+			large.allocs, small.allocs, large.allocs-small.allocs-float64(large.chunks), large.chunks)
+	}
+	// Each span is held once; a chunk wastes fewer than widest spans at its
+	// end, and each core's last chunk may be part-filled.
+	spans := large.spans - small.spans + large.chunks*large.widest + 2*spanChunk
+	allow := float64(large.items-small.items)*float64(unsafe.Sizeof(Item{})+4) + float64(spans)*float64(unsafe.Sizeof(FuncSpan{}))
+	t.Logf("Integrate bytes: %.0f at 2 × 1,000 items, %.0f at 2 × 10,000 (%.0f allowed between them)", small.bytes, large.bytes, allow)
+	if large.bytes-small.bytes > allow {
+		t.Errorf("Integrate allocated %.0f bytes at 2 × 10,000 items and %.0f at 2 × 1,000: %.0f more than one item array, its merge order and the spans allow",
+			large.bytes, small.bytes, large.bytes-small.bytes-allow)
 	}
 }

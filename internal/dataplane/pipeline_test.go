@@ -382,6 +382,26 @@ func TestRunReleaseReuse(t *testing.T) {
 	}
 }
 
+// TestRunReleaseKeepsSamples: Run releases its PEBS drain buffers once
+// merged, and the next Run writes its records into them; the first
+// round's samples are its own, so its trace file does not change.
+func TestRunReleaseKeepsSamples(t *testing.T) {
+	cfg := basePipelineConfig()
+	cfg.Workers, cfg.Packets = 2, 2000
+	first, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := encodeAndReport(t, first)
+	cfg.Gen.Seed++
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := encodeAndReport(t, first); !bytes.Equal(got, want) {
+		t.Error("the next round rewrote a finished round's samples")
+	}
+}
+
 // TestRunReleaseConcurrent: two Runs at once hand cache lines to and take
 // them from one pool; each round still equals one run alone. Under -race
 // it checks the hand-off.

@@ -1,6 +1,11 @@
 package pmu
 
-import "testing"
+import (
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+)
 
 // fill drives n overflows into p with ascending timestamps.
 func fill(p *PEBS, n int, startTSC uint64) {
@@ -154,5 +159,63 @@ func TestOverflowDropBurstDefaultLag(t *testing.T) {
 	}
 	if mean := float64(p.Dropped()) / float64(p.DroppedBursts()); mean != 4 {
 		t.Errorf("mean burst = %v, want 4", mean)
+	}
+}
+
+// TestSampleBuffersReused: once a merge has released a round's drained
+// buffers, a second round of the same shape takes them back, so it
+// allocates its merged slice and nothing per record besides. A capacity
+// no other test uses keeps the free list's key to this test.
+func TestSampleBuffersReused(t *testing.T) {
+	const entries, n = 1021, 1021*6 + 5
+	round := func() []Sample {
+		a := NewPEBS(PEBSConfig{BufferEntries: entries})
+		b := NewPEBS(PEBSConfig{BufferEntries: entries})
+		fill(a, n, 1000)
+		fill(b, n, 1000)
+		return MergeSamples(a, b)
+	}
+	round()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	got := round()
+	runtime.ReadMemStats(&m1)
+	merged := uint64(len(got)) * uint64(unsafe.Sizeof(Sample{}))
+	// Beside the merged slice: two units and their lists of drained
+	// buffers, far less than one buffer.
+	buffer := uint64(entries * unsafe.Sizeof(Sample{}))
+	if total := m1.TotalAlloc - m0.TotalAlloc; total < merged || total-merged >= buffer {
+		t.Errorf("second round allocated %d bytes beside its %d-byte merged slice, want no drain buffer (%d bytes each)",
+			int64(m1.TotalAlloc-m0.TotalAlloc)-int64(merged), merged, buffer)
+	}
+}
+
+// TestSampleBuffersNotAliased: a merged result and a unit's Samples after
+// it own their records; the next run writing into the buffers the merge
+// released leaves them unchanged. Under OverflowWrap the ring is rotated
+// in place before it is released.
+func TestSampleBuffersNotAliased(t *testing.T) {
+	for _, policy := range []OverflowPolicy{OverflowDrain, OverflowWrap} {
+		a := NewPEBS(PEBSConfig{BufferEntries: 8, OverflowPolicy: policy})
+		b := NewPEBS(PEBSConfig{BufferEntries: 8, OverflowPolicy: policy})
+		fill(a, 21, 1000)
+		fill(b, 13, 5000)
+		merged := MergeSamples(a, b)
+		own := a.Samples()
+		solo := NewPEBS(PEBSConfig{BufferEntries: 8, OverflowPolicy: policy})
+		fill(solo, 5, 7000) // one part-filled buffer, drained by Samples alone
+		alone := solo.Samples()
+		want, wantOwn, wantAlone := slices.Clone(merged), slices.Clone(own), slices.Clone(alone)
+		for i := 0; i < 4; i++ {
+			next := NewPEBS(PEBSConfig{BufferEntries: 8, OverflowPolicy: policy})
+			fill(next, 40, 9000)
+			next.Samples()
+		}
+		if !slices.Equal(merged, want) || !slices.Equal(own, wantOwn) || !slices.Equal(alone, wantAlone) {
+			t.Errorf("policy %d: a later run rewrote a merged result", policy)
+		}
+		if policy == OverflowWrap && (len(own) != 8 || own[0].TSC != 1013 || own[7].TSC != 1020) {
+			t.Errorf("wrapped ring drained as %v, want TSCs 1013..1020", own)
+		}
 	}
 }

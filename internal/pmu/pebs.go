@@ -1,6 +1,11 @@
 package pmu
 
-import "repro/internal/obs"
+import (
+	"slices"
+
+	"repro/internal/freelist"
+	"repro/internal/obs"
+)
 
 // PEBSConfig parameterizes the hardware sampling model. The defaults encode
 // the costs measured by the paper and its companion study [6] on Skylake.
@@ -88,13 +93,14 @@ func DefaultPEBSConfig() PEBSConfig {
 type PEBS struct {
 	cfg PEBSConfig
 	// buf is the in-flight hardware buffer. A drain hands it to the helper
-	// whole and the next record takes a fresh one — the §III-E double
-	// buffer — so a record is written once and never moved until Samples.
+	// whole and the next record takes a released one — the §III-E double
+	// buffer — so a record is written once and moved once, by MergeSamples.
 	buf []Sample
 	// head is the oldest record once an OverflowWrap ring has wrapped.
 	head       int
 	store      [][]Sample // buffers the helper has taken over, oldest first
-	stored     int        // records in store
+	merged     []Sample   // this unit's window of the last MergeSamples result
+	stored     int        // records in merged and store
 	interrupts uint64
 	dropped    uint64
 	burstLag   int    // OverflowDropBurst: records dropped since the buffer filled
@@ -102,10 +108,7 @@ type PEBS struct {
 
 	// Cached self-telemetry handles (nil when the default registry was
 	// disabled at construction; all updates are then nil-check no-ops).
-	// Counters aggregate across every PEBS unit in the process; the
-	// occupancy gauge is last-writer-wins, which for the usual one-unit-
-	// per-machine setup is simply "the" ring.
-	mOcc        *obs.Gauge
+	// Counters aggregate across every PEBS unit in the process.
 	mDropped    *obs.Counter
 	mInterrupts *obs.Counter
 	mFlushes    *obs.Counter
@@ -133,7 +136,6 @@ func NewPEBS(cfg PEBSConfig) *PEBS {
 	}
 	p := &PEBS{cfg: cfg}
 	if reg := obs.Default(); reg != nil {
-		p.mOcc = reg.Gauge("fluct_pmu_ring_occupancy")
 		p.mDropped = reg.Counter("fluct_pmu_dropped_total")
 		p.mInterrupts = reg.Counter("fluct_pmu_interrupts_total")
 		p.mFlushes = reg.Counter("fluct_pmu_flushes_total")
@@ -190,10 +192,9 @@ func (p *PEBS) Overflow(ev Event, ctx Ctx) uint64 {
 	}
 
 	if p.buf == nil {
-		p.buf = make([]Sample, 0, p.cfg.BufferEntries)
+		p.buf = drained.Take(p.cfg.BufferEntries, p.cfg.BufferEntries)[:0]
 	}
 	p.buf = append(p.buf, s)
-	p.mOcc.SetInt(len(p.buf))
 	if len(p.buf) >= p.cfg.BufferEntries && p.cfg.OverflowPolicy == OverflowDrain {
 		if p.cfg.DoubleBuffer {
 			oh += p.cfg.SwapCostCycles
@@ -212,29 +213,37 @@ func (p *PEBS) Overflow(ev Event, ctx Ctx) uint64 {
 func (p *PEBS) flush() {
 	p.mFlushes.Inc()
 	if p.head != 0 {
-		// A wrapped ring drains oldest first.
-		p.buf = append(append(make([]Sample, 0, len(p.buf)), p.buf[p.head:]...), p.buf[:p.head]...)
+		// A wrapped ring drains oldest first: rotate it left in place.
+		slices.Reverse(p.buf[:p.head])
+		slices.Reverse(p.buf[p.head:])
+		slices.Reverse(p.buf)
 	}
 	p.store = append(p.store, p.buf)
 	p.stored += len(p.buf)
 	p.buf = nil
 	p.head = 0
-	p.mOcc.SetInt(0)
 }
+
+// drained holds the buffers MergeSamples copied out, by capacity, for the
+// next Overflow to take: at most 64 of a capacity, 8 MiB at the default
+// 4,096 entries, above a 2 × 10,000-packet dataplane round's 34. They are
+// not reserved up front: the sample count follows the uops a run retires.
+var drained = freelist.List[int, Sample]{Keep: 64}
 
 // Samples drains the hardware buffer and returns every record taken over so
 // far, concatenated once at exact size. Call it once at the end of a run.
 func (p *PEBS) Samples() []Sample {
-	flat := len(p.buf) == 0 && len(p.store) == 1 && len(p.store[0]) == cap(p.store[0])
-	if !flat {
-		p.store = [][]Sample{MergeSamples(p)}
+	if len(p.buf) > 0 || len(p.store) > 0 {
+		MergeSamples(p)
 	}
-	return p.store[0]
+	return p.merged
 }
 
 // MergeSamples drains every unit and returns all their records, unit by
 // unit in argument order, in one slice allocated at exact size (nil when
-// there are none) — what a multi-core run hands to trace.NewSet.
+// there are none) — what a multi-core run hands to trace.NewSet. Each
+// drained buffer is released once copied; each unit keeps a view of its
+// own window of the result for Samples.
 func MergeSamples(units ...*PEBS) []Sample {
 	n := 0
 	for _, p := range units {
@@ -248,9 +257,13 @@ func MergeSamples(units ...*PEBS) []Sample {
 	}
 	out := make([]Sample, 0, n)
 	for _, p := range units {
+		lo := len(out)
+		out = append(out, p.merged...)
 		for _, b := range p.store {
 			out = append(out, b...)
+			drained.Put(p.cfg.BufferEntries, b)
 		}
+		p.store, p.merged = nil, out[lo:len(out):len(out)]
 	}
 	return out
 }

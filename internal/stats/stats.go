@@ -110,25 +110,26 @@ func Median(xs []float64) float64 { return Percentile(xs, 50) }
 // spread estimate the fluctuation detector scales by 1.4826 to get a
 // stddev-comparable sigma that a single extreme outlier cannot inflate.
 func MAD(xs []float64) float64 {
-	return MADAbout(xs, Median(xs))
+	return MADAboutSorting(append([]float64(nil), xs...), Median(xs))
 }
 
-// MADAbout is MAD with the median already known: the median of |x − med|.
-// A caller holding Summarize's P50 saves MAD's own sort.
-func MADAbout(xs []float64, med float64) float64 {
+// MADAboutSorting is MAD with the median already known, the median of
+// |x − med|, for a caller done with xs: it overwrites xs with the
+// deviations and sorts them in place. A caller holding Summarize's P50
+// saves MAD's own sort.
+func MADAboutSorting(xs []float64, med float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	devs := make([]float64, len(xs))
 	for i, x := range xs {
 		d := x - med
 		if d < 0 {
 			d = -d
 		}
-		devs[i] = d
+		xs[i] = d
 	}
-	sort.Float64s(devs)
-	return percentileSorted(devs, 50)
+	sort.Float64s(xs)
+	return percentileSorted(xs, 50)
 }
 
 // MADSigmaFactor converts a MAD into a normal-consistent sigma estimate.
